@@ -221,34 +221,31 @@ def to_wire(value: Any) -> bytes:
 
 
 def from_wire(data: bytes) -> Any:
-    """Parse bytes produced by :func:`to_wire` back into protocol objects."""
+    """Parse bytes produced by :func:`to_wire` back into protocol objects.
+
+    The reference decoder: the codec property, fuzz and golden-vector
+    suites hold :class:`WireView` to its accept-set and values.  Nothing
+    in ``src/`` calls it (``tests/analysis/test_import_boundaries.py``).
+    """
     return unpack(canonical.decode(data))
 
 
 # ---------------------------------------------------------------------------
-# Zero-copy wire views (the fast miss path's decoder)
+# Zero-copy wire views (the production decoder)
 # ---------------------------------------------------------------------------
-#
-# :func:`from_wire` builds an intermediate plain-value tree
-# (``canonical.decode``) and then walks it again (``unpack``).  On the
-# ingress path that double walk — plus the copies it implies — is pure
-# overhead: the PR-8 defense gate only needs the message *kind* and a
-# couple of scalar payload fields (traceparent, deadline) to classify a
-# message, and a rejected message should never pay for a full decode.
 #
 # :class:`WireView` is a sliced decoder over the received buffer:
 # ``parse`` checks only the outer frame, ``kind``/``peek`` skip across
 # the tag+length frames (O(1) per skipped field, no payload copies) to
 # extract single fields, and ``materialize`` runs one fused
 # decode+unpack pass that builds the final protocol objects directly —
-# no intermediate tree.  The accept-set is identical to
-# ``from_wire``: every byte string either parses to an equal value
-# under both decoders or is rejected by both (the golden-vector corpus,
-# the Hypothesis round-trip suite and the bit-flip fuzz tests in
-# ``tests/`` enforce this).  All failures raise
+# no intermediate plain-value tree.  All failures raise
 # :class:`WireCodecError` subclasses (never bare ``KeyError`` /
 # ``ValueError``) at cost bounded by the buffer length and the
-# canonical depth bound.
+# canonical depth bound.  :func:`from_wire` is the tests' reference for
+# the accept-set, decoded values and error order, which is why the
+# permissive non-standard shapes below are tolerated rather than
+# rejected.
 
 _MAX_DEPTH = 200
 
@@ -288,8 +285,7 @@ def _frame(buf: memoryview, pos: int, data_end: int) -> tuple[int, int, int]:
 
     Returns ``(tag, payload_start, payload_end)``.  Bounds are checked
     against the whole buffer (like :func:`canonical.decode`); containment
-    within the *enclosing* frame is the caller's length-mismatch check,
-    so error messages match the eager decoder's exactly.
+    within the *enclosing* frame is the caller's length-mismatch check.
     """
     if pos + 5 > data_end:
         raise TruncatedWireError("truncated encoding (missing tag/length)")
@@ -420,7 +416,7 @@ def _pair_spans(
 ) -> "tuple[int, int] | None":
     """Positions of the two elements of a ``[key, value]`` pair frame, or
     ``None`` when the frame is not a two-item sequence (caller falls back
-    to the eager decoder's permissive semantics)."""
+    to :func:`_legacy_pairs`)."""
     tag, start, stop = _frame(buf, pos, data_end)
     if tag != _T_SEQ or stop != end or start == stop:
         return None
@@ -454,9 +450,8 @@ def _packed_pairs(
     (the shape :func:`pack` uses for payloads, extensions, attributes).
 
     The common frame shape — a sequence of two-item sequences — is
-    decoded fused, one pass, zero copies.  Any other shape the eager
-    decoder would tolerate is plain-decoded and run through its exact
-    pair semantics so the accept-sets stay identical.
+    decoded fused, one pass, zero copies.  Any other shape is
+    plain-decoded and run through :func:`_legacy_pairs`.
     """
     if depth > _MAX_DEPTH:
         raise WireDepthError("encoded nesting exceeds maximum depth 200")
@@ -511,8 +506,8 @@ def _packed(
         raise WireValueError("mapping without __kind__ tag")
     kind, _ = _plain(buf, kind_span[0], data_end, depth + 1)
     value = _packed_tagged(buf, spans, str(kind), data_end, depth)
-    # Parity with the eager decoder: every entry of the map is decoded
-    # (a malformed value hiding under an ignored key must still reject).
+    # Every entry of the map is decoded: a malformed value hiding under
+    # an ignored key must still reject.
     for key, (value_pos, _) in spans.items():
         if key != _KIND and key not in _CONSUMED_KEYS.get(str(kind), ()):
             _plain(buf, value_pos, data_end, depth + 1)
@@ -593,10 +588,11 @@ def _packed_tagged(
     if kind == "dn":
         rdns = plain("rdns")
         try:
-            out = tuple((a, v) for a, v in rdns)
-        except (TypeError, ValueError) as exc:
+            # The DN validator calls str methods on both halves of each
+            # RDN; a crafted non-string half must reject typed.
+            return DistinguishedName(tuple((a, v) for a, v in rdns))
+        except (TypeError, ValueError, AttributeError) as exc:
             raise WireValueError(str(exc)) from exc
-        return DistinguishedName(out)
     if kind == "dscp":
         try:
             return DSCP(plain("value"))
@@ -634,29 +630,28 @@ def _packed_tagged(
             valid_until=packed("valid_until"),
         )
     if kind == "res_spec":
-        linked = plain("linked_reservations")
         try:
-            linked_pairs = tuple((k, v) for k, v in linked)
+            # One typed rejection for every crafted field the builders
+            # or the request validator (which orders rate/start/end)
+            # would otherwise fail on with a builtin error.
+            return ReservationRequest(
+                source_host=plain("source_host"),
+                destination_host=plain("destination_host"),
+                source_domain=plain("source_domain"),
+                destination_domain=plain("destination_domain"),
+                rate_mbps=plain("rate_mbps"),
+                start=plain("start"),
+                end=plain("end"),
+                service_class=DSCP(plain("service_class")),
+                burst_bits=plain("burst_bits"),
+                cost_ceiling=packed("cost_ceiling"),
+                linked_reservations=tuple(
+                    (k, v) for k, v in plain("linked_reservations")
+                ),
+                attributes=pairs("attributes"),
+            )
         except (TypeError, ValueError) as exc:
             raise WireValueError(str(exc)) from exc
-        try:
-            service_class = DSCP(plain("service_class"))
-        except (TypeError, ValueError) as exc:
-            raise WireValueError(str(exc)) from exc
-        return ReservationRequest(
-            source_host=plain("source_host"),
-            destination_host=plain("destination_host"),
-            source_domain=plain("source_domain"),
-            destination_domain=plain("destination_domain"),
-            rate_mbps=plain("rate_mbps"),
-            start=plain("start"),
-            end=plain("end"),
-            service_class=service_class,
-            burst_bits=plain("burst_bits"),
-            cost_ceiling=packed("cost_ceiling"),
-            linked_reservations=linked_pairs,
-            attributes=pairs("attributes"),
-        )
     if kind == "envelope":
         return SignedEnvelope(
             payload=pairs("payload"),
@@ -696,10 +691,11 @@ class WireView:
 
     ``parse`` validates only the outer frame; ``kind``/``peek`` skip
     across inner frames to answer single-field questions without
-    decoding (the PR-8 gate's pre-verification needs); ``materialize``
-    runs the fused single-pass decode and caches the result.  Behaviour
-    is byte-for-byte equivalent to :func:`from_wire`; every failure is a
-    :class:`WireCodecError` (an :class:`~repro.errors.EncodingError`).
+    decoding; ``materialize`` runs the fused single-pass decode (the
+    one ingress uses) and caches the result.  Behaviour is byte-for-byte
+    equivalent to the reference :func:`from_wire`; every decode failure
+    is a :class:`WireCodecError` (an :class:`~repro.errors.EncodingError`),
+    every validator failure some other :class:`~repro.errors.ReproError`.
     """
 
     __slots__ = (
@@ -729,7 +725,7 @@ class WireView:
             raise WireTagError("wire buffer must be a flat byte buffer")
         tag, start, stop = _frame(buf, 0, len(buf))
         # Trailing bytes are rejected by materialize(), *after* the
-        # decode — the same error order as the eager decoder.
+        # decode.
         return cls(buf, tag, start, stop)
 
     def wire_size(self) -> int:
@@ -744,9 +740,7 @@ class WireView:
         protocol messages) — found by skipping frames, not by decoding
         the message.  Total: returns ``None`` for scalars, sequences and
         anything malformed; :meth:`materialize` is the authority on
-        rejects, so a malformed message fails identically on the fast
-        and the slow path.  Memoized: the buffer is immutable, and the
-        ingress gate asks several times per message."""
+        rejects.  Memoized: the buffer is immutable."""
         if self._kind_known:
             return self._kind
         value = self._kind_uncached()
@@ -841,8 +835,7 @@ class WireView:
 
     def materialize(self) -> Any:
         """Decode the full message into protocol objects (one fused
-        pass, cached).  Equal to ``from_wire(bytes(view))`` by the
-        differential property suite."""
+        pass, cached)."""
         if not self._decoded:
             data_end = len(self._buf)
             value, end = _packed(self._buf, 0, data_end, 0)

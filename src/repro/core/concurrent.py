@@ -236,9 +236,8 @@ class ConcurrentSignaller:
             # The whole burst shares one verification-cache scope
             # (repro.crypto.batch): inner RAR layers, introduced
             # certificates and delegation links repeated across jobs are
-            # each verified once instead of once per job.  No-op when
-            # batched verification is disabled or global caches already
-            # feed every hop.
+            # each verified once instead of once per job.  Joins the
+            # global caches when those already feed every hop.
             with batch_verification.use_batch_caches():
                 with ThreadPoolExecutor(
                     max_workers=self.concurrency,

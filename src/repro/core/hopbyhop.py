@@ -52,8 +52,7 @@ from repro.bb.broker import BandwidthBroker
 from repro.bb.reservations import ReservationRequest
 from repro.core.agent import UserAgent
 from repro.core.channel import ChannelRegistry, SecureChannel
-from repro.core import fastpath
-from repro.core.codec import WireView, from_wire
+from repro.core.codec import WireView
 from repro.crypto.dn import DistinguishedName
 from repro.core.envelope import SignedEnvelope
 from repro.core.messages import (
@@ -251,28 +250,12 @@ class HopByHopProtocol:
         breaker_policy: BreakerPolicy | None = None,
         hop_timeout_s: float = 0.25,
         rng: random.Random | None = None,
-        envelope_mode: str | None = None,
     ) -> None:
         self.brokers = dict(brokers)
         self.channels = channels
         self.domain_path = domain_path
         self.processing_delay_s = processing_delay_s
         self.clock = clock
-        #: ``"append"`` (default via :mod:`repro.core.fastpath`) — BBs
-        #: forward append-only chain layers whose signatures cover a
-        #: digest link to the received bytes; ``"nested"`` — the original
-        #: re-sign-the-whole-chain shape.  The differential harness runs
-        #: every scenario both ways and asserts identical decisions.
-        self.envelope_mode = (
-            envelope_mode
-            if envelope_mode is not None
-            else fastpath.get_config().envelope_mode
-        )
-        if self.envelope_mode not in ("append", "nested"):
-            raise SignallingError(
-                f"envelope_mode must be 'append' or 'nested', "
-                f"got {self.envelope_mode!r}"
-            )
         #: Optional trusted certificate repository (§6.4 alternative 2).
         #: When set, BBs do NOT carry introduced certificates in the RAR;
         #: every verifier resolves inner-signer keys by DN instead, paying
@@ -351,31 +334,20 @@ class HopByHopProtocol:
     def _decode_received(received: object, *, what: str) -> SignedEnvelope:
         """Structural validation of a delivered message.
 
-        Wire bytes are decoded through the zero-copy codec
-        (:class:`~repro.core.codec.WireView`, one fused pass) or — under
-        ``envelope_mode``-independent :mod:`~repro.core.fastpath` config
-        with ``zero_copy_ingress`` off — the eager two-pass codec.  Both
-        decoders accept exactly the same byte strings (the differential
-        suite's guarantee); anything that is not (or does not decode to)
-        a :class:`SignedEnvelope` raises a typed
-        :class:`MalformedMessageError`.  The catch is deliberately broad:
-        the eager decoder leaks ``KeyError``/``ValueError``/
-        ``AttributeError`` on exotic crafted inputs where the zero-copy
-        decoder raises typed :class:`~repro.core.codec.WireCodecError`s,
-        both decoders re-run protocol-object validators (a crafted
-        ``res_spec`` raises :class:`ReservationStateError`, a
-        :class:`~repro.errors.ReproError` outside the crypto branch —
-        the fuzz sweep found exactly this escape), and all of it must
-        classify as malformed, never crash the protocol.
+        Wire bytes are decoded by :class:`~repro.core.codec.WireView` in
+        one fused pass; anything that is not (or does not decode to) a
+        :class:`SignedEnvelope` raises a typed
+        :class:`MalformedMessageError`.  Decoder failures are
+        :class:`~repro.core.codec.WireCodecError`; the protocol-object
+        validators the decode re-runs raise other :class:`ReproError`
+        branches (a crafted ``res_spec``: :class:`ReservationStateError`).
+        A builtin exception escaping here is a missing typed raise in
+        ``codec.py``, not a reason to widen the catch.
         """
         if isinstance(received, (bytes, bytearray, memoryview)):
             try:
-                if fastpath.get_config().zero_copy_ingress:
-                    received = WireView.parse(received).materialize()
-                else:
-                    received = from_wire(bytes(received))
-            except (ReproError, KeyError, ValueError, TypeError,
-                    AttributeError, OverflowError) as exc:
+                received = WireView.parse(received).materialize()
+            except ReproError as exc:
                 raise MalformedMessageError(
                     f"{what}: undecodable message: {exc}"
                 ) from exc
@@ -1316,7 +1288,9 @@ class HopByHopProtocol:
                 assertions=added_assertions,
                 bb=bb.dn,
                 bb_key=bb.keypair.private,
-                append=self.envelope_mode == "append",
+                # Append-only chain layer: this BB signs a digest link
+                # to the received bytes, not the re-encoded chain.
+                append=True,
                 # Rewrite the trace context: the downstream hop's spans
                 # hang under THIS hop's span, mirroring how this layer
                 # wraps the upstream RAR.
@@ -1675,9 +1649,7 @@ class HopByHopProtocol:
         chains and delegation links repeated across the burst are checked
         once and reused, with the PR-5 hit-time guards re-validating
         every reuse, so a revocation landing mid-burst still rejects
-        exactly as it would sequentially.  A no-op scope (and therefore
-        literally the sequential loop) when batched verification is
-        disabled via :mod:`repro.core.fastpath`.
+        exactly as it would sequentially.
         """
         with batch_verification.use_batch_caches():
             return [

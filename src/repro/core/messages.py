@@ -68,9 +68,9 @@ F_CAPABILITY_CERTS = "capability_certs"
 F_ASSERTIONS = "assertions"
 F_INNER = "inner_rar"
 #: Append-only chain link (:data:`repro.core.envelope.LINK_DIGEST_FIELD`):
-#: SHA-256 of the inner envelope's canonical bytes.  Present iff the
-#: wrapping BB forwarded in append mode; the wrapper's signature then
-#: covers this digest instead of the re-encoded inner chain.
+#: SHA-256 of the inner envelope's canonical bytes.  Present on every
+#: layer a broker emits; the wrapper's signature covers this digest
+#: instead of the re-encoded inner chain.
 #: :func:`unwrap_rar_layers` re-derives and checks the link on every
 #: unwrap, so tampering any inner byte still voids the chain.
 F_INNER_DIGEST = LINK_DIGEST_FIELD
@@ -157,12 +157,16 @@ def make_bb_rar(
     trace context is rewritten at every hop, unlike the deadline, which
     is copied verbatim from the inner layer).
 
-    ``append=True`` forwards as an append-only chain layer: the payload
+    ``append=True`` is what every forwarding broker emits: the payload
     additionally carries :data:`F_INNER_DIGEST` and this BB's signature
     covers that digest *instead of* the inner envelope, so wrapping costs
-    O(this layer) signature work rather than O(chain).  Verification
-    semantics are unchanged — :func:`unwrap_rar_layers` checks the link
-    digest, and each layer's own signature is still checked as before.
+    O(this layer) signature work rather than O(chain).
+    :func:`unwrap_rar_layers` checks the link digest, and each layer's
+    own signature is still checked as before.  ``append=False`` is the
+    reference builder for the paper's §6.4 shape (every hop re-signs the
+    whole nested chain): verifiers still read it — the signed digest
+    makes a layer self-describing — and the C4 claim benchmark, the
+    golden vectors and the append-vs-nested property suite build it.
     """
     if inner.get(F_TYPE) != MSG_RAR:
         raise SignallingError("inner message is not a RAR")
@@ -237,12 +241,12 @@ def unwrap_rar_layers(rar: SignedEnvelope) -> list[SignedEnvelope]:
     """Return the layers of a nested RAR, outermost first (the user's
     original request last).
 
-    Append-mode layers (:data:`F_INNER_DIGEST` present) additionally get
+    Append-chain layers (:data:`F_INNER_DIGEST` present) additionally get
     their chain link verified here: the inner envelope's canonical bytes
     must hash to the signed digest.  This runs *before* any signature
     check in the trust verifiers, so a tampered inner layer fails the
-    chain exactly as it would have failed the enclosing signature in
-    nested mode.
+    chain exactly as it fails the enclosing signature of a §6.4 nested
+    layer.
     """
     layers = []
     current: SignedEnvelope | None = rar

@@ -161,8 +161,7 @@ class EndToEndAgent:
         # A concurrent agent issues its per-domain RARs as one burst;
         # the verifications share one cache scope so the user signature,
         # capability chain and assertion checks repeated at every BB are
-        # done once (no-op scope unless fastpath batch verification is
-        # on; per-domain outcomes are unchanged either way).
+        # done once (per-domain outcomes are unchanged).
         scope = (
             batch_verification.use_batch_caches()
             if concurrent else nullcontext()

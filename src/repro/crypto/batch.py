@@ -38,7 +38,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.core import fastpath
 from repro.core.envelope import SignedEnvelope
 from repro.core.trust import VerifiedRAR, verify_rar
 from repro.crypto import cache as verification_cache
@@ -151,22 +150,18 @@ def verify_rar_batch(
 
 
 @contextmanager
-def use_batch_caches() -> Iterator[verification_cache.VerificationCaches | None]:
+def use_batch_caches() -> Iterator[verification_cache.VerificationCaches]:
     """Scope for a concurrent signalling burst: share verification work
     across the burst's threads the way :func:`verify_rar_batch` shares it
     across items.
 
-    No-op (yielding ``None``) when batched verification is disabled by
-    the :mod:`~repro.core.fastpath` config or when the PR-5 process
-    caches are already enabled — in the latter case the burst simply
-    feeds the existing caches and installing a scope would only narrow
-    their lifetime.
+    Joins the PR-5 process caches when they are enabled — the burst then
+    feeds them, and installing a scope would only narrow their lifetime
+    — and installs a burst-scoped cache set otherwise.
     """
-    if not fastpath.get_config().batch_verification:
-        yield None
-        return
-    if verification_cache.get_caches() is not None:
-        yield verification_cache.get_caches()
+    active = verification_cache.get_caches()
+    if active is not None:
+        yield active
         return
     with verification_cache.use_caches() as caches:
         yield caches

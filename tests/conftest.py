@@ -46,33 +46,6 @@ def pytest_addoption(parser):
              "acquisition orders contradict the static lock-order graph "
              "(repro lint --concurrency)",
     )
-    parser.addoption(
-        "--slow-path",
-        action="store_true",
-        default=False,
-        help="run the whole suite on the legacy verification miss path "
-             "(nested envelope chains, eager two-pass codec, sequential "
-             "verification) — CI runs tier-1 both ways so the fast path "
-             "is proven behaviour-identical (docs/PERFORMANCE.md)",
-    )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _session_fastpath(request):
-    """Arm the fast or the legacy miss path for the whole session.
-
-    Default is the fast configuration (same as production defaults);
-    ``pytest --slow-path`` flips every feature off, so a green run under
-    both flags is a suite-wide differential proof.
-    """
-    from repro.core import fastpath
-
-    if request.config.getoption("--slow-path"):
-        fastpath.configure(fastpath.FastPathConfig().slow())
-    try:
-        yield fastpath.get_config()
-    finally:
-        fastpath.reset()
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1,15 +1,17 @@
-"""Differential harness: the fast miss path is behaviour-identical.
+"""Differential suites: the production path against its references.
 
-Every scenario in this package runs twice on fresh state — once under
-the production fast-path configuration (append-only envelope chains,
-zero-copy ingress codec, batched verification) and once under the
-all-legacy configuration (``FastPathConfig().slow()``) — and asserts
-the two runs produced identical decisions, ledgers, audit provenance
-and reason codes.  Wire *bytes* legitimately differ between the modes
-(an append-mode layer additionally carries the signed link digest), so
-the comparisons are over semantics, never over raw envelope bytes.
+Two comparisons live here.  The codec suites (``test_codec_props``,
+``test_fuzz_codec``, ``test_golden_vectors``) hold the production
+decoder, :class:`~repro.core.codec.WireView`, to the eager reference
+``from_wire`` on accept-set and decoded values.  The envelope and batch
+suites (``test_append_props``, ``test_batch_props``) hold the
+append-only chain every broker emits to the paper's nested §6.4 shape
+(the reference builder ``make_bb_rar(append=False)``), and batched
+verification to sequential ``verify_rar``.  Wire *bytes* legitimately
+differ between the two envelope shapes (an append layer additionally
+carries the signed link digest), so those comparisons are over
+semantics, never over raw envelope bytes.
 
-The same proof also runs at suite scale: CI executes the whole tier-1
-suite under ``pytest --slow-path`` (see ``tests/conftest.py``), making
-every existing test a differential test as well.
+``test_scenarios`` runs each paper scenario once on the production path
+and asserts its decisions directly.
 """

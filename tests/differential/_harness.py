@@ -1,139 +1,11 @@
-"""Plumbing for the differential harness.
+"""Projection the scenario tests assert on.
 
-``run_both(scenario)`` executes a zero-argument scenario callable twice
-— once per :mod:`repro.core.fastpath` configuration — on completely
-fresh state (the scenario builds its own testbed), and returns the two
-results for comparison.  The normalizers below project protocol
-outcomes and audit ledgers onto the fields that must be identical
-across the modes, excluding the ones that differ *by design*:
-
-* ``bytes`` / wire sizes — an append-mode RAR layer carries the signed
-  inner digest on top of the inner envelope, so fast-path wires are a
-  few dozen bytes larger per hop;
-* ``correlation_id`` — minted fresh per signalling attempt;
-* check-record ``source`` (optionally) — a batched run may answer a
-  sub-verification from the shared batch cache scope where the
-  sequential run verified fresh; the *verdict* must still match.
+:func:`decision_rows` projects an audit ledger onto plain comparable
+rows, leaving out what is not a decision: the per-attempt
+``correlation_id`` and (optionally) check-record ``source`` — a batched
+run may answer a sub-verification from the shared batch cache scope
+where a sequential run verified fresh; the *verdict* must still match.
 """
-
-import re
-
-from repro.core import fastpath
-from repro.core.messages import (
-    F_DOMAIN,
-    F_HANDLE,
-    F_INNER,
-    unwrap_rar_layers,
-)
-
-FAST = fastpath.FastPathConfig()
-SLOW = fastpath.FastPathConfig().slow()
-
-
-#: Process-global sequence identifiers (reservation handles, trace
-#: correlation ids) keep counting across the two runs, so raw values
-#: never match; renumbering them per run by order of first appearance
-#: makes them comparable while still asserting the *same* identifier is
-#: used in the same places.
-_SEQ_IDS = re.compile(r"\b(RES-[A-Za-z0-9]+|req)-\d{6}\b")
-
-
-def canonicalize(value, _memo=None):
-    """Renumber process-global sequence ids in *value*, recursively."""
-    memo = {} if _memo is None else _memo
-    if isinstance(value, str):
-        def repl(match):
-            token = match.group(0)
-            if token not in memo:
-                memo[token] = f"{match.group(1)}-#{len(memo)}"
-            return memo[token]
-        return _SEQ_IDS.sub(repl, value)
-    if isinstance(value, dict):
-        return {
-            canonicalize(k, memo): canonicalize(v, memo)
-            for k, v in value.items()
-        }
-    if isinstance(value, (list, tuple)):
-        return type(value)(canonicalize(v, memo) for v in value)
-    return value
-
-
-def run_both(scenario):
-    """Run *scenario* under the slow then the fast configuration.
-
-    Returns ``(fast_result, slow_result)``, each canonicalized.  Each
-    invocation must build all of its own state so nothing leaks across
-    modes.
-    """
-    with fastpath.use_config(SLOW):
-        slow = scenario()
-    with fastpath.use_config(FAST):
-        fast = scenario()
-    return canonicalize(fast), canonicalize(slow)
-
-
-def outcome_facts(outcome):
-    """A :class:`~repro.core.hopbyhop.SignallingOutcome`, minus the
-    fields that differ by design between envelope modes."""
-    verified = outcome.verified
-    return {
-        "granted": outcome.granted,
-        "handles": dict(outcome.handles),
-        "denial_domain": outcome.denial_domain,
-        "denial_reason": outcome.denial_reason,
-        "latency_s": outcome.latency_s,
-        "messages": outcome.messages,
-        "retries": outcome.retries,
-        "path": outcome.path,
-        "cost": outcome.cost,
-        "repository_lookups": outcome.repository_lookups,
-        "rar_layers": (
-            None if outcome.final_rar is None
-            else [str(layer.signer)
-                  for layer in unwrap_rar_layers(outcome.final_rar)]
-        ),
-        "verified": None if verified is None else {
-            "user": str(verified.user),
-            "path": tuple(str(d) for d in verified.path),
-            "depth": verified.depth,
-            "request": verified.request,
-            "assertions": len(verified.assertions),
-            "introduced": len(verified.introduced),
-        },
-        "approval_chain": (
-            None if outcome.approval is None
-            else approval_chain(outcome.approval)
-        ),
-    }
-
-
-def approval_chain(approval):
-    """(domain, handle, signer) per approval layer, outermost first."""
-    chain = []
-    current = approval
-    while current is not None:
-        chain.append((
-            current.get(F_DOMAIN),
-            current.get(F_HANDLE),
-            str(current.signer),
-        ))
-        current = current.get(F_INNER)
-    return chain
-
-
-def source_outcome_facts(outcome):
-    """A :class:`~repro.core.sourcedomain.SourceDomainOutcome` minus
-    wire sizes."""
-    return {
-        "granted": outcome.granted,
-        "complete": outcome.complete,
-        "handles": dict(outcome.handles),
-        "failures": dict(outcome.failures),
-        "skipped": outcome.skipped,
-        "latency_s": outcome.latency_s,
-        "messages": outcome.messages,
-        "path": outcome.path,
-    }
 
 
 def decision_rows(ledger, *, provenance_sources=True):
@@ -170,19 +42,3 @@ def decision_rows(ledger, *, provenance_sources=True):
             checks,
         ))
     return rows
-
-
-def ingress_facts(report):
-    """An :class:`~repro.core.hopbyhop.IngressReport` as a comparable
-    tuple (full reason text included — the decoders are string-exact on
-    these shapes; the fuzz suite covers the doubly-corrupted tail where
-    only the reason *code* is guaranteed)."""
-    return (
-        report.accepted,
-        report.work_units,
-        report.verified,
-        report.reason,
-        report.reason_code,
-        report.traceparent,
-        report.deadline,
-    )

@@ -1,7 +1,7 @@
 """Property suite: the zero-copy codec is the eager codec.
 
 Three properties over Hypothesis-generated values (scalars, containers,
-and real protocol objects — requests, envelopes in both chain modes,
+and real protocol objects — requests, envelopes in both chain shapes,
 certificates):
 
 * round-trip: ``from_wire(to_wire(x))`` is a fix point and the
@@ -11,8 +11,9 @@ certificates):
   original wire bytes;
 * bit-flip parity: flipping any bit anywhere in a valid wire leaves
   both decoders in agreement — both accept (with equal values) or both
-  reject, and the zero-copy rejection is always one of the exception
-  types the ingress path converts to a typed denial.
+  reject, and the zero-copy rejection is always a
+  :class:`~repro.errors.ReproError`, which the ingress path converts to
+  a typed denial.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -31,16 +32,19 @@ SETTINGS = settings(
 )
 
 #: Exactly what HopByHopProtocol._decode_received converts into a
-#: MalformedMessageError — a decoder error outside this set would
+#: MalformedMessageError — a production-decoder error outside it would
 #: escape process_ingress as a crash.
-INGRESS_CATCHABLE = (
+INGRESS_CATCHABLE = ReproError
+
+#: The eager reference decoder leaks builtin errors on crafted input.
+REFERENCE_CATCHABLE = (
     ReproError, KeyError, ValueError, TypeError, AttributeError,
     OverflowError,
 )
 
 
 def _protocol_pool():
-    """Real protocol objects, both envelope chain modes included."""
+    """Real protocol objects, both envelope chain shapes included."""
     testbed = build_linear_testbed(["A", "B", "C"])
     alice = testbed.add_user("A", "Alice")
     request = testbed.make_request(
@@ -148,7 +152,7 @@ def test_bit_flip_parity(value, data):
             f"zero-copy error {type(new[1]).__name__} would escape "
             f"process_ingress"
         )
-        assert isinstance(old[1], INGRESS_CATCHABLE)
+        assert isinstance(old[1], REFERENCE_CATCHABLE)
 
 
 @SETTINGS
@@ -156,7 +160,7 @@ def test_bit_flip_parity(value, data):
 def test_kind_and_peek_never_raise(value):
     """kind()/peek() are total on any prefix-truncated wire: they answer
     or return the default, never raise — materialize() is the sole
-    rejection authority (the ingress gate relies on this)."""
+    rejection authority."""
     wire = to_wire(value)
     for cut in (1, len(wire) // 2, len(wire) - 1, len(wire)):
         try:
