@@ -32,7 +32,11 @@ from typing import (
 )
 
 from repro.analysis.policycheck import verify_policy
-from repro.crypto.capability import verify_delegation_chain
+from repro.crypto.capability import (
+    DelegationResult,
+    PossessionProver,
+    verify_delegation_chain,
+)
 from repro.crypto.dn import DistinguishedName
 from repro.crypto.keys import PublicKey
 from repro.crypto.x509 import Certificate
@@ -162,6 +166,28 @@ class PolicyServer:
 
     # -- credential verification ----------------------------------------------------
 
+    def verify_chain(
+        self,
+        chain: Sequence[Certificate],
+        *,
+        at_time: float = 0.0,
+        possession_nonce: bytes | None = None,
+        possession_prover: PossessionProver | None = None,
+    ) -> DelegationResult:
+        """Verify one capability chain against this domain's trusted
+        communities and revocation oracle (§6.5 checks 1–6); with a nonce
+        and prover, the final holder also proves possession of its proxy
+        key — the destination's check.  Raises
+        :class:`~repro.errors.DelegationError` on any violation."""
+        return verify_delegation_chain(
+            list(chain),
+            trusted_issuers=self._trusted_communities,
+            at_time=at_time,
+            possession_nonce=possession_nonce,
+            possession_prover=possession_prover,
+            revocation_checker=self.revocation_checker,
+        )
+
     def verify_credentials(
         self,
         *,
@@ -218,12 +244,7 @@ class PolicyServer:
         restrictions: set[str] = set()
         for chain in capability_chains:
             try:
-                result = verify_delegation_chain(
-                    list(chain),
-                    trusted_issuers=self._trusted_communities,
-                    at_time=at_time,
-                    revocation_checker=self.revocation_checker,
-                )
+                result = self.verify_chain(chain, at_time=at_time)
             except DelegationError as exc:
                 rejected.append(f"capability chain rejected: {exc}")
                 continue

@@ -5,22 +5,31 @@ to BB_B only if the reservation was accepted by BB_A.  Similarly, BB_B
 contacts BB_C.  With this solution, each BB only needs to know about its
 neighboring BBs, and all BBs are always contacted." (§3)
 
-The engine drives each broker through the source / intermediate /
-destination behaviours of §§6.1–6.3:
+The source / intermediate / destination behaviours of §§6.1–6.3 are
+one per-hop step applied along the path, and the engine has that step
+once (docs/PROTOCOL.md §5 tabulates its stages):
 
 1. the user's agent signs ``RAR_U`` (delegating its capabilities to the
    source BB) and submits it over the mutually authenticated user↔BB
-   channel;
-2. every BB verifies the nested envelope with transitive trust
-   (:func:`repro.core.trust.verify_rar`), runs its policy server and
-   admission control, and — if it grants and is not the destination —
-   re-delegates the capability, introduces the upstream certificate, and
-   forwards ``RAR_{N+1}`` downstream;
-3. a denial anywhere propagates back upstream with its reason; already
+   channel (``_submit``);
+2. every BB passes the message through its defense gate, decodes it and
+   verifies the nested envelope with transitive trust (``_receive``),
+   runs its policy server and admission control (``_decide``), and — if
+   it grants and is not the destination — re-delegates the capability,
+   introduces the upstream certificate, and forwards ``RAR_{N+1}``
+   downstream (``_forward``);
+3. a stage refuses by raising ``_Refused``; one writer (``_deny``) turns
+   that into the span segment, event, ledger record and signed denial,
+   which propagates back upstream with its reason (``_reply``); already
    granted reservations along the partial path are released;
 4. the destination runs the full §6.5 capability-chain verification
-   (including its own proof of possession) and, on success, the approval
-   propagates back with each BB adding its signed policy information.
+   (``_finish_at_destination``, including its own proof of possession)
+   and, on success, the approval propagates back the same way with each
+   BB adding its signed layer.
+
+:meth:`HopByHopProtocol.reserve` is the loop that carries the request
+from one hop's step to the next; :meth:`HopByHopProtocol.process_ingress`
+runs ``_receive`` — the same code, not a copy — on unsolicited traffic.
 
 Failure recovery (the part the paper leaves implicit): every channel
 crossing runs under a per-hop timeout with bounded retries, exponential
@@ -45,10 +54,10 @@ import logging
 import threading
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence, TypeVar
 
-from repro.bb.broker import BandwidthBroker
+from repro.bb.broker import AdmitOutcome, BandwidthBroker
 from repro.bb.reservations import ReservationRequest
 from repro.core.agent import UserAgent
 from repro.core.channel import ChannelRegistry, SecureChannel
@@ -58,13 +67,11 @@ from repro.core.envelope import SignedEnvelope
 from repro.core.messages import (
     F_DEADLINE,
     F_DOMAIN,
-    F_REASON,
     F_TRACEPARENT,
     make_approval,
     make_bb_rar,
     make_denial,
     make_user_rar,
-    unwrap_rar_layers,
 )
 from repro.core.recovery import (
     BreakerPolicy,
@@ -82,7 +89,6 @@ from repro.crypto.capability import (
     delegate,
     prove_possession,
     split_capability_chains,
-    verify_delegation_chain,
 )
 from repro.crypto.repository import CertificateRepository
 from repro.crypto.x509 import Certificate
@@ -152,18 +158,43 @@ WORK_DECODE = 0.15
 WORK_VERIFY = 1.0
 
 
-def _carried_parent_span_id(rar: SignedEnvelope) -> int | None:
+def _carried_parent_span_id(received: object) -> int | None:
     """The parent span id named by the received envelope's trace context
     (:data:`~repro.core.messages.F_TRACEPARENT`), or ``None`` when the
-    field is absent or malformed — the hop then parents under the local
-    in-process chain instead of guessing."""
-    carried = rar.get(F_TRACEPARENT)
+    field is absent or malformed, or the message is still raw bytes
+    (the hop span opens before the gate, nothing is decoded for it) —
+    the hop then parents under the local in-process chain instead of
+    guessing."""
+    carried = (
+        received.get(F_TRACEPARENT)
+        if isinstance(received, SignedEnvelope) else None
+    )
     if not isinstance(carried, str):
         return None
     try:
         return parse_traceparent(carried).span_id
     except ObservabilityError:
         return None
+
+
+def _carried_deadline(rar: SignedEnvelope) -> float | None:
+    """The end-to-end deadline the envelope's outer layer claims
+    (:data:`~repro.core.messages.F_DEADLINE`; scalar numeric only — a
+    crafted non-scalar field counts as absent)."""
+    carried = rar.get(F_DEADLINE)
+    if isinstance(carried, (int, float)) and not isinstance(carried, bool):
+        return float(carried)
+    return None
+
+
+def _traceparent_of(span: obs_spans.Span | None) -> str | None:
+    """The trace context naming *span* as parent, for the envelope a
+    sender is about to sign (``None`` with tracing off)."""
+    if span is None:
+        return None
+    return format_traceparent(
+        TraceContext(trace_id=span.trace_id, span_id=span.span_id)
+    )
 
 
 @dataclass
@@ -232,6 +263,87 @@ class IngressReport:
     #: End-to-end signalling deadline claimed by the message (scalar
     #: numeric only); ``None`` when absent or undecoded.
     deadline: float | None = None
+
+
+@dataclass
+class _Hop:
+    """One broker's turn at a request: what its stages hand each other."""
+
+    domain: str
+    bb: BandwidthBroker
+    upstream: str | None
+    downstream: str | None
+    #: Who the defense gate meters: the upstream domain, or the user.
+    peer: str
+    peer_kind: str
+    #: The certificate the sender presented on the inbound channel.
+    peer_certificate: Certificate | None
+    #: What a retransmission request re-delivers — inbound channel, its
+    #: sending endpoint, the copy sent; ``None`` at unsolicited ingress.
+    resend: tuple[SecureChannel, DistinguishedName, SignedEnvelope] | None = None
+    #: The request as decoded at this hop (set by ``_receive``).
+    rar: SignedEnvelope | None = None
+    #: The open ``hop`` span; closes when the reply passes back through.
+    span: obs_spans.Span | None = None
+    #: Phase clock: where the stage now running started.
+    t0: float = 0.0
+    #: Modelled inbound crossing + processing + repository lookups.
+    sim_latency_s: float = 0.0
+
+
+@dataclass
+class _Attempt:
+    """What one signalling attempt carries from hop to hop."""
+
+    #: Who asked, as decision records name them.
+    user: str
+    at_time: float
+    outcome: SignallingOutcome
+    rate_mbps: float = 0.0
+    operation: str = "reserve"
+    deadline: Deadline | None = None
+    tracer: obs_spans.Tracer | None = None
+    root: obs_spans.Span | None = None
+    #: Hops opened so far with their inbound channels, in travel order;
+    #: the reply walks them back.
+    walked: list[tuple[_Hop, SecureChannel]] = field(default_factory=list)
+    #: Admissions made on the partial path, released on any denial.
+    granted: list[tuple[BandwidthBroker, str]] = field(default_factory=list)
+    #: Accumulated transit cost of the path so far.
+    cost: float = 0.0
+
+
+class _Refused(Exception):
+    """A stage refused the request: everything the denial writer
+    (``HopByHopProtocol._deny``) needs, raised from where it happened."""
+
+    def __init__(
+        self,
+        domain: str,
+        reason: str,
+        cause: ReproError | ReasonCode | None,
+        *,
+        signer: BandwidthBroker | None = None,
+        segment: tuple[str, obs_spans.Span | None, float] | None = None,
+        event: EventKind | None = None,
+        work: float = WORK_VERIFY,
+    ) -> None:
+        super().__init__(reason)
+        #: The domain the user is told denied the request.
+        self.domain = domain
+        self.reason = reason
+        #: ``None``: the broker's own admission pipeline already
+        #: recorded this denial; only the signed denial is missing.
+        self.code = (
+            reason_code_for(cause) if isinstance(cause, ReproError) else cause
+        )
+        #: The live broker that signs the denial, if any can.
+        self.signer = signer
+        #: ``(name, parent span, start)`` of the phase that failed.
+        self.segment = segment
+        self.event = event
+        #: What reaching the refusing stage cost the receiver (``WORK_*``).
+        self.work = work
 
 
 class HopByHopProtocol:
@@ -310,10 +422,14 @@ class HopByHopProtocol:
                 for link, breaker in sorted(self._breakers.items())
             }
 
-    def _note_retry(
-        self, *, outcome: SignallingOutcome, what: str, target: str,
-        attempt: int, at_time: float, reason: str,
+    def _back_off(
+        self, att: _Attempt, attempt: int, *, what: str, target: str,
+        reason: str,
     ) -> None:
+        """Wait out the retry backoff for a failed *attempt* of *what*
+        (modelled, seeded jitter) and note the retry everywhere it shows."""
+        outcome = att.outcome
+        outcome.latency_s += self.retry_policy.backoff_s(attempt, self.rng)
         outcome.retries += 1
         obs_audit.note_retry(target=target, reason=reason)
         logger.info("retry %d of %s (%s): %s", attempt, what, target, reason)
@@ -326,8 +442,19 @@ class HopByHopProtocol:
         event_log = obs_events.get_event_log()
         if event_log is not None:
             event_log.emit(
-                EventKind.RETRY, at_time=at_time, reason=reason,
-                target=target, what=what, attempt=attempt,
+                EventKind.RETRY, at_time=att.at_time + outcome.latency_s,
+                reason=reason, target=target, what=what, attempt=attempt,
+            )
+
+    def _segment(
+        self, att: _Attempt, name: str, parent: obs_spans.Span | None,
+        start_wall: float, **attributes: object,
+    ) -> None:
+        """Record a finished phase as a span under *parent* (no-op with
+        tracing off, which is also when there is no parent)."""
+        if att.tracer is not None and parent is not None:
+            att.tracer.record(
+                name, parent=parent, start_wall=start_wall, **attributes
             )
 
     @staticmethod
@@ -360,23 +487,25 @@ class HopByHopProtocol:
 
     def _deliver(
         self,
+        att: _Attempt,
         channel: SecureChannel,
         sender: DistinguishedName,
         message: SignedEnvelope,
         *,
-        outcome: SignallingOutcome,
-        at_time: float,
         deadline: Deadline | None,
         what: str,
-    ) -> SignedEnvelope:
+    ) -> object:
         """One reliable-ish delivery: per-hop timeout, bounded retries
         with backoff + jitter, and the link's circuit breaker.
 
-        Modelled latency for every attempt — successful crossing, timed
-        out wait, and backoff alike — accrues to *outcome*; message and
-        byte counters only count copies that actually arrived, matching
-        the channel's own accounting.
+        Returns what arrived, undecoded: a receiver gates a request
+        before it spends anything on decoding (:meth:`_receive`); a
+        reply is decoded by :meth:`_reply`.  Modelled latency for every
+        attempt — successful crossing, timed out wait, and backoff alike
+        — accrues to the attempt's outcome; message and byte counters
+        only count copies that actually arrived.
         """
+        outcome, at_time = att.outcome, att.at_time
         breaker = self._breaker_for(channel.link)
         policy = self.retry_policy
         last_exc: ReproError | None = None
@@ -399,24 +528,20 @@ class HopByHopProtocol:
                         "hop timeout"
                     )
                 else:
-                    # Structural validation before anything touches the
-                    # payload: a truncated or junk delivery becomes a
-                    # typed MalformedMessageError, never a raw decode
-                    # exception escaping the protocol.
-                    received = self._decode_received(received, what=what)
                     outcome.latency_s += channel.latency_s + extra
                     outcome.messages += 1
-                    outcome.bytes += received.wire_size()
+                    if isinstance(received, SignedEnvelope):
+                        outcome.bytes += received.wire_size()
+                    elif isinstance(received, (bytes, bytearray, memoryview)):
+                        outcome.bytes += len(received)
                     breaker.record_success(at_time + outcome.latency_s)
                     return received
             # The sender waited out its timeout without an acknowledgement.
             outcome.latency_s += self.hop_timeout_s
             breaker.record_failure(at_time + outcome.latency_s)
             if attempt < policy.max_attempts:
-                outcome.latency_s += policy.backoff_s(attempt, self.rng)
-                self._note_retry(
-                    outcome=outcome, what=what, target=channel.link,
-                    attempt=attempt, at_time=at_time + outcome.latency_s,
+                self._back_off(
+                    att, attempt, what=what, target=channel.link,
                     reason=str(last_exc),
                 )
         raise RetryExhaustedError(
@@ -425,53 +550,40 @@ class HopByHopProtocol:
         ) from last_exc
 
     def _call_with_retries(
-        self,
-        op: Callable[[], _T],
-        *,
-        outcome: SignallingOutcome,
-        at_time: float,
-        deadline: Deadline | None,
-        what: str,
-        target: str,
+        self, op: Callable[[], _T], att: _Attempt, *, what: str, target: str,
     ) -> _T:
         """Run *op* with bounded retries over transient service outages
         (crashed broker, policy server / repository timeout)."""
-        policy = self.retry_policy
+        max_attempts = self.retry_policy.max_attempts
         last_exc: ReproError | None = None
-        for attempt in range(1, policy.max_attempts + 1):
-            now = at_time + outcome.latency_s
-            if deadline is not None:
-                deadline.check(now, what=what)
+        for attempt in range(1, max_attempts + 1):
+            if att.deadline is not None:
+                att.deadline.check(
+                    att.at_time + att.outcome.latency_s, what=what
+                )
             try:
                 return op()
             except _TRANSIENT_ERRORS as exc:
                 last_exc = exc
-                if attempt < policy.max_attempts:
-                    outcome.latency_s += policy.backoff_s(attempt, self.rng)
-                    self._note_retry(
-                        outcome=outcome, what=what, target=target,
-                        attempt=attempt, at_time=at_time + outcome.latency_s,
+                if attempt < max_attempts:
+                    self._back_off(
+                        att, attempt, what=what, target=target,
                         reason=str(exc),
                     )
         raise RetryExhaustedError(
-            f"{what} failed after {policy.max_attempts} attempts: {last_exc}"
+            f"{what} failed after {max_attempts} attempts: {last_exc}"
         ) from last_exc
 
-    def _release_granted(
-        self,
-        granted: list[tuple[BandwidthBroker, str]],
-        *,
-        at_time: float,
-        reason: str,
-    ) -> None:
+    def _release_granted(self, att: _Attempt, reason: str) -> None:
         """Release partial-path admissions, tolerating broker failures.
 
         An unreachable broker cannot release explicitly; the failure is
         recorded (``UNWIND_FAILED``) and its soft-state lease — when the
         broker runs soft state — reclaims the capacity on expiry.
-        Consumes *granted* so callers (and the enclosing ``finally``)
-        never release twice.
+        Consumes ``att.granted`` so callers (and the enclosing
+        ``finally``) never release twice.
         """
+        granted, at_time = att.granted, att.at_time
         registry = obs_metrics.get_registry()
         event_log = obs_events.get_event_log()
         while granted:
@@ -516,30 +628,14 @@ class HopByHopProtocol:
                     reason_code=ReasonCode.UNWOUND,
                 )
 
-    def _bb_credentials(
-        self, bb: BandwidthBroker, chains: Sequence[Sequence[Certificate]]
-    ) -> list[ProxyCredential]:
-        """The broker's proxy credentials: one per delegation chain whose
-        tip names this broker as subject (delegated by the upstream hop).
-        A user with several community credentials yields several chains."""
-        return [
-            ProxyCredential(chain[-1], bb.keypair.private)
-            for chain in chains
-            if chain and chain[-1].subject == bb.dn
-        ]
-
     def _verified_path_assertions(
-        self, verified: VerifiedRAR, peer_certificate: Certificate,
+        self, verified: VerifiedRAR, peer_certificate: Certificate | None,
         at_time: float,
     ) -> dict[str, object]:
         """Merge attributes from assertions whose issuer's signature checks
         out against a certificate we saw in the chain."""
-        certs: dict = {}
-        if verified.user_certificate is not None:
-            certs[verified.user_certificate.subject] = verified.user_certificate
-        for cert in verified.introduced:
-            certs[cert.subject] = cert
-        certs[peer_certificate.subject] = peer_certificate
+        seen = (verified.user_certificate, *verified.introduced, peer_certificate)
+        certs = {cert.subject: cert for cert in seen if cert is not None}
         merged: dict[str, object] = {}
         for assertion in verified.assertions:
             cert = certs.get(assertion.issuer)
@@ -595,6 +691,13 @@ class HopByHopProtocol:
             correlation_id, request.source_domain,
             request.destination_domain, request.rate_mbps, user.dn,
         )
+        att = _Attempt(
+            user=str(user.dn), at_time=self.clock(),
+            outcome=SignallingOutcome(
+                granted=False, correlation_id=correlation_id
+            ),
+            rate_mbps=request.rate_mbps, tracer=tracer, root=root,
+        )
         registry = obs_metrics.get_registry()
         if registry is not None:
             registry.gauge(
@@ -603,15 +706,31 @@ class HopByHopProtocol:
             ).inc()
         try:
             with obs_events.correlation_scope(correlation_id):
-                outcome = self._signal(
-                    user, request, assertions=assertions,
-                    restrictions=restrictions, tracer=tracer, root=root,
-                    deadline_s=deadline_s,
+                self._signal(
+                    att, user, request, assertions=assertions,
+                    restrictions=restrictions, deadline_s=deadline_s,
                 )
         finally:
             if registry is not None:
                 registry.gauge("signalling_inflight").dec()
-        outcome.correlation_id = correlation_id
+        outcome = att.outcome
+        if tracer is not None and root is not None:
+            tracer.end(
+                root,
+                status="ok" if outcome.granted else "denied",
+                granted=outcome.granted,
+                sim_latency_s=outcome.latency_s,
+                messages=outcome.messages,
+            )
+        self._report_outcome(user, request, outcome)
+        return outcome
+
+    def _report_outcome(
+        self, user: UserAgent, request: ReservationRequest,
+        outcome: SignallingOutcome,
+    ) -> None:
+        """The terminal ledger record, the outcome metrics and the log
+        line of one finished attempt."""
         ledger = obs_audit.get_ledger()
         if ledger is not None:
             # The terminal record of the decision chain: what the source
@@ -622,7 +741,7 @@ class HopByHopProtocol:
                 at_time=self.clock(),
                 domain=outcome.denial_domain or "",
                 user=str(user.dn),
-                correlation_id=correlation_id,
+                correlation_id=outcome.correlation_id,
                 granted=outcome.granted,
                 reason=outcome.denial_reason or "",
                 rate_mbps=request.rate_mbps,
@@ -630,14 +749,6 @@ class HopByHopProtocol:
                 path=">".join(outcome.path),
                 messages=outcome.messages,
                 latency_s=f"{outcome.latency_s:.6f}",
-            )
-        if tracer is not None and root is not None:
-            tracer.end(
-                root,
-                status="ok" if outcome.granted else "denied",
-                granted=outcome.granted,
-                sim_latency_s=outcome.latency_s,
-                messages=outcome.messages,
             )
         registry = obs_metrics.get_registry()
         if registry is not None:
@@ -664,832 +775,631 @@ class HopByHopProtocol:
         if outcome.granted:
             logger.info(
                 "%s: granted along %s (latency %.1f ms, %d messages)",
-                correlation_id, " -> ".join(outcome.path),
+                outcome.correlation_id, " -> ".join(outcome.path),
                 outcome.latency_s * 1e3, outcome.messages,
             )
         else:
             logger.warning(
-                "%s: denied by %s: %s", correlation_id,
+                "%s: denied by %s: %s", outcome.correlation_id,
                 outcome.denial_domain, outcome.denial_reason,
             )
-        return outcome
 
     def _signal(
         self,
+        att: _Attempt,
         user: UserAgent,
         request: ReservationRequest,
         *,
         assertions: Sequence[SignedAssertion],
         restrictions: tuple[str, ...],
-        tracer: obs_spans.Tracer | None,
-        root: obs_spans.Span | None,
         deadline_s: float | None,
-    ) -> SignallingOutcome:
-        """The protocol body (request leg, reply leg); see :meth:`reserve`."""
+    ) -> None:
+        """Route, prepare ``RAR_U``, then carry it from broker to broker:
+        every hop runs the same receive → decide → forward step, and the
+        reply walks back over the hops the request opened."""
+        outcome, root = att.outcome, att.root
         route_t0 = obs_spans.phase_clock()
-        at_time = self.clock()
         path = self.domain_path(request.source_domain, request.destination_domain)
-        outcome = SignallingOutcome(granted=False, path=tuple(path))
-        if tracer is not None and root is not None:
-            tracer.record(
-                "route", parent=root, start_wall=route_t0, hops=len(path),
-            )
+        outcome.path = tuple(path)
+        self._segment(att, "route", root, route_t0, hops=len(path))
 
         # User-side preparation: channel setup, capability delegation to
         # the source BB, and the signing of RAR_U itself.
         prepare_t0 = obs_spans.phase_clock()
         source_bb = self._broker(path[0])
-        user_channel = self.channels.connect(user, source_bb, at_time=at_time)
-        bb_public = user_channel.peer_certificate(user.dn).public_key
-
+        channel = self.channels.connect(user, source_bb, at_time=att.at_time)
         capability_certs = user.delegate_capabilities_to(
-            source_bb.dn, bb_public, restrictions=restrictions
+            source_bb.dn, channel.peer_certificate(user.dn).public_key,
+            restrictions=restrictions,
         )
-        all_assertions = tuple(assertions) + tuple(user.assertions)
-        deadline_at = (
-            at_time + deadline_s if deadline_s is not None else None
-        )
-        deadline = Deadline(deadline_at) if deadline_at is not None else None
-        traceparent = (
-            format_traceparent(
-                TraceContext(trace_id=root.trace_id, span_id=root.span_id)
-            )
-            if root is not None
-            else None
-        )
+        if deadline_s is not None:
+            att.deadline = Deadline(att.at_time + deadline_s)
         rar = make_user_rar(
             request=request,
             source_bb=source_bb.dn,
             capability_certs=capability_certs,
-            assertions=all_assertions,
+            assertions=tuple(assertions) + tuple(user.assertions),
             user=user.dn,
             user_key=user.keypair.private,
-            deadline=deadline_at,
-            traceparent=traceparent,
+            deadline=att.deadline.expires_at if att.deadline else None,
+            traceparent=_traceparent_of(root),
         )
-        if tracer is not None and root is not None:
-            tracer.record(
-                "prepare", parent=root, start_wall=prepare_t0,
-                delegations=len(capability_certs),
-            )
+        self._segment(
+            att, "prepare", root, prepare_t0, delegations=len(capability_certs),
+        )
 
-        granted_so_far: list[tuple[BandwidthBroker, str]] = []
         try:
-            return self._signal_inner(
-                user=user, request=request, path=path, outcome=outcome,
-                rar=rar, user_channel=user_channel, deadline=deadline,
-                granted_so_far=granted_so_far, tracer=tracer, root=root,
-                at_time=at_time,
-            )
+            hop, received = self._submit(att, channel, user.dn, rar)
+            while True:
+                verified = self._receive(att, hop, received)
+                admit, chains = self._decide(att, hop, verified)
+                if hop.downstream is None:
+                    self._finish_at_destination(att, hop, verified, chains)
+                    break
+                hop, received = self._forward(att, hop, verified, admit, chains)
+            outcome.approval = self._reply(att, None)
+            outcome.granted = True
+            att.granted.clear()
+        except _Refused as refusal:
+            denial = self._deny(att, refusal)
+            # Release what was granted on the partial path, then tell
+            # the user — when a live broker could sign the denial.
+            self._release_granted(att, f"denied by {refusal.domain}")
+            if denial is not None:
+                self._reply(att, denial)
+            outcome.denial_domain = refusal.domain
+            outcome.denial_reason = refusal.reason
         finally:
             # Whatever aborted the legs above — an injected crash between
             # two admissions, an unexpected bug — admitted capacity on the
             # partial path must never leak.  The normal denial/approval
-            # paths consume ``granted_so_far`` themselves, so this only
+            # paths consume ``att.granted`` themselves, so this only
             # fires on abnormal exits.
-            if granted_so_far:
-                self._release_granted(
-                    granted_so_far, at_time=at_time,
-                    reason="signalling aborted",
-                )
+            if att.granted:
+                self._release_granted(att, "signalling aborted")
 
-    def _signal_inner(
-        self,
-        *,
-        user: UserAgent,
-        request: ReservationRequest,
-        path: list[str],
-        outcome: SignallingOutcome,
-        rar: SignedEnvelope,
-        user_channel: SecureChannel,
-        deadline: Deadline | None,
-        granted_so_far: list[tuple[BandwidthBroker, str]],
-        tracer: obs_spans.Tracer | None,
-        root: obs_spans.Span | None,
-        at_time: float,
-    ) -> SignallingOutcome:
-        registry = obs_metrics.get_registry()
-        event_log = obs_events.get_event_log()
-        source_bb = self._broker(path[0])
+    # -- the per-hop step: receive -> decide -> forward ------------------------------
 
-        # --- request leg: hop by hop downstream --------------------------------
-        sent_rar = rar
-        inbound_channel = user_channel
-        inbound_sender: DistinguishedName = user.dn
-        phase_t0 = obs_spans.phase_clock()
+    def _submit(
+        self, att: _Attempt, channel: SecureChannel,
+        sender: DistinguishedName, rar: SignedEnvelope,
+    ) -> tuple[_Hop, object]:
+        """The user's agent hands ``RAR_U`` to the source broker."""
+        t0 = obs_spans.phase_clock()
         try:
-            rar = self._deliver(
-                user_channel, user.dn, rar, outcome=outcome,
-                at_time=at_time, deadline=deadline, what="submit RAR_U",
+            received = self._deliver(
+                att, channel, sender, rar,
+                deadline=att.deadline, what="submit RAR_U",
             )
         except _DELIVERY_FAILURES as exc:
-            if tracer is not None and root is not None:
-                tracer.record(
-                    "submit", parent=root, start_wall=phase_t0,
-                    status="error", error=str(exc),
-                )
-            outcome.denial_domain = path[0]
-            outcome.denial_reason = f"source broker unreachable: {exc}"
-            obs_audit.record_decision(
-                obs_audit.RecordKind.DENY,
-                at_time=at_time, domain=path[0], user=str(user.dn),
-                reason=outcome.denial_reason,
-                reason_code=reason_code_for(exc).value,
-                rate_mbps=request.rate_mbps,
-            )
-            return outcome
-        except MalformedMessageError as exc:
-            # The copy that reached the source broker was structurally
-            # broken (truncated payload, unknown field tag, junk bytes):
-            # a typed denial, not a raw decode exception.
-            if tracer is not None and root is not None:
-                tracer.record(
-                    "submit", parent=root, start_wall=phase_t0,
-                    status="error", error=str(exc),
-                )
-            outcome.denial_domain = path[0]
-            outcome.denial_reason = f"malformed envelope: {exc}"
-            if event_log is not None:
-                event_log.emit(
-                    EventKind.TRUST_FAILURE, at_time=at_time,
-                    domain=path[0], reason=str(exc),
-                    reason_code=ReasonCode.TRUST_FAILURE,
-                )
-            obs_audit.record_decision(
-                obs_audit.RecordKind.DENY,
-                at_time=at_time, domain=path[0], user=str(user.dn),
-                reason=outcome.denial_reason,
-                reason_code=ReasonCode.TRUST_FAILURE.value,
-                rate_mbps=request.rate_mbps,
-            )
-            return outcome
-        if tracer is not None and root is not None:
-            tracer.record(
-                "submit", parent=root, start_wall=phase_t0,
-                sim_latency_s=user_channel.latency_s,
-            )
-        #: Where the current hop's accounting starts: taken the moment the
-        #: previous instrumented stretch ended, so channel/certificate
-        #: bookkeeping between hops lands in a named segment instead of
-        #: pooling as untracked self-time.
-        hop_t0 = obs_spans.phase_clock()
+            # Nobody past the user was reached: nobody signs this one.
+            raise _Refused(
+                att.outcome.path[0], f"source broker unreachable: {exc}", exc,
+                segment=("submit", att.root, t0),
+            ) from exc
+        self._segment(
+            att, "submit", att.root, t0, sim_latency_s=channel.latency_s,
+        )
+        return self._open_hop(att, channel, sender, rar, received), received
 
-        channels_walked: list[SecureChannel] = [user_channel]
-        upstream_peer_cert = user_channel.peer_certificate(source_bb.dn)
-
-        #: Open ``hop`` spans in travel order; each closes when the reply
-        #: passes back through that hop (denials close them early).
-        hop_spans: list = []
-        span_parent = root
-        #: Latency the request paid to reach the hop being processed.
-        inbound_latency_s = user_channel.latency_s
-
-        denial: SignedEnvelope | None = None
-        #: Accumulated cost of the path so far (§6.1: the request carries
-        #: "a cost that the user is willing to accept"; each domain's
-        #: tariff is added as the request moves downstream).
-        accumulated_cost = 0.0
-        usage_mbps_hours = request.rate_mbps * request.duration / 3600.0
-
-        for index, domain in enumerate(path):
-            bb = self._broker(domain)
-            # Honor the end-to-end deadline as *carried in the RAR* —
-            # each hop bounds its work by the budget the envelope states,
-            # not by out-of-band knowledge.
-            carried_deadline = rar.get(F_DEADLINE)
-            if carried_deadline is not None:
-                deadline = Deadline(float(carried_deadline))
-            if obs_audit.get_ledger() is not None:
-                # Recovery context for this hop's decision record: the
-                # inbound link's breaker state and the end-to-end budget
-                # left when the hop started working.
-                obs_audit.note_recovery(
-                    breaker_state=self._breaker_for(inbound_channel.link).state,
-                    deadline_remaining_s=(
-                        deadline.expires_at - (at_time + outcome.latency_s)
-                        if deadline is not None else None
-                    ),
-                )
-            outcome.latency_s += self.processing_delay_s
-            hop_sim_latency_s = inbound_latency_s + self.processing_delay_s
-            upstream = path[index - 1] if index > 0 else None
-            downstream = path[index + 1] if index + 1 < len(path) else None
-
-            hop_span = None
-            if tracer is not None:
-                # Parent under the span id the *envelope* names (the
-                # upstream hop's span, carried in F_TRACEPARENT), exactly
-                # as each signature layer wraps the upstream RAR; the
-                # in-process chain is only a fallback for envelopes built
-                # while tracing was off.
-                carried_parent = _carried_parent_span_id(rar)
-                if carried_parent is not None:
-                    hop_span = tracer.begin(
-                        "hop",
-                        trace_id=root.trace_id,
-                        parent_span_id=carried_parent,
-                        start_wall=hop_t0,
-                        domain=domain,
-                        bb=str(bb.dn),
-                    )
-                else:
-                    hop_span = tracer.begin(
-                        "hop",
-                        trace_id=root.trace_id,
-                        parent=span_parent,
-                        start_wall=hop_t0,
-                        domain=domain,
-                        bb=str(bb.dn),
-                    )
-                hop_spans.append(hop_span)
-                span_parent = hop_span
-
-            # Admission-plane defense gate, BEFORE any signature work:
-            # the per-peer token bucket, the replay guard (keyed on the
-            # envelope's canonical-bytes digest), and the overload shed
-            # all run for the cost of a few dict operations, so abusive
-            # signalling never reaches the expensive verification below.
-            if bb.defense is not None:
-                try:
-                    bb.defense.admit_signal(
-                        peer=(upstream if upstream is not None
-                              else str(user.dn)),
-                        peer_kind=("domain" if upstream is not None
-                                   else "user"),
-                        now=at_time + outcome.latency_s,
-                        operation="reserve",
-                        envelope_digest=_envelope_digest(rar.cbe_bytes()),
-                    )
-                except DefenseError as exc:
-                    reason = str(exc)
-                    code = reason_code_for(exc)
-                    logger.warning(
-                        "%s: defense gate rejected signal: %s", domain, reason
-                    )
-                    if tracer is not None:
-                        tracer.record(
-                            "defense", parent=hop_span, start_wall=hop_t0,
-                            status="rejected", error=reason,
-                        )
-                    if event_log is not None:
-                        event_log.emit(
-                            EventKind.DENY, at_time=at_time, domain=domain,
-                            user=str(user.dn), reason=reason,
-                            reason_code=code,
-                        )
-                    obs_audit.record_decision(
-                        obs_audit.RecordKind.DENY,
-                        at_time=at_time, domain=domain, user=str(user.dn),
-                        reason=reason, reason_code=code.value,
-                        rate_mbps=request.rate_mbps,
-                    )
-                    denial = make_denial(
-                        domain=domain, reason=reason,
-                        bb=bb.dn, bb_key=bb.keypair.private,
-                    )
-                    break
-
-            # Verification, with recovery: a tampered copy triggers a
-            # bounded retransmission request upstream; a repository
-            # outage triggers backoff-and-retry; genuine trust failures
-            # deny immediately.  The phase opens at ``hop_t0`` so it
-            # also owns the channel/certificate bookkeeping since the
-            # previous hop's ``forward``.
-            phase_t0 = hop_t0
-            verified: VerifiedRAR | None = None
-            verify_exc: Exception | None = None
-            for attempt in range(1, self.retry_policy.max_attempts + 1):
-                try:
-                    if deadline is not None:
-                        deadline.check(
-                            at_time + outcome.latency_s,
-                            what=f"verification at {domain}",
-                        )
-                    if self.repository is not None:
-                        verified, lookups = verify_rar_with_repository(
-                            rar,
-                            verifier=bb.dn,
-                            peer_certificate=upstream_peer_cert,
-                            truststore=bb.truststore,
-                            repository=self.repository,
-                            at_time=at_time,
-                        )
-                        outcome.repository_lookups += lookups
-                        lookup_latency_s = (
-                            lookups * self.repository.lookup_latency_s
-                        )
-                        outcome.latency_s += lookup_latency_s
-                        hop_sim_latency_s += lookup_latency_s
-                    else:
-                        verified = verify_rar(
-                            rar,
-                            verifier=bb.dn,
-                            peer_certificate=upstream_peer_cert,
-                            truststore=bb.truststore,
-                            at_time=at_time,
-                        )
-                    break
-                except TamperedMessageError as exc:
-                    # Integrity failure on the received copy: ask the
-                    # upstream sender to retransmit the original.
-                    verify_exc = exc
-                    if attempt >= self.retry_policy.max_attempts:
-                        break
-                    outcome.latency_s += self.retry_policy.backoff_s(
-                        attempt, self.rng
-                    )
-                    self._note_retry(
-                        outcome=outcome, what=f"verification at {domain}",
-                        target=inbound_channel.link, attempt=attempt,
-                        at_time=at_time + outcome.latency_s, reason=str(exc),
-                    )
-                    try:
-                        rar = self._deliver(
-                            inbound_channel, inbound_sender, sent_rar,
-                            outcome=outcome, at_time=at_time,
-                            deadline=deadline,
-                            what=f"retransmission to {domain}",
-                        )
-                    except (*_DELIVERY_FAILURES, MalformedMessageError) as exc2:
-                        verify_exc = exc2
-                        break
-                except RepositoryUnavailableError as exc:
-                    verify_exc = exc
-                    if attempt >= self.retry_policy.max_attempts:
-                        break
-                    outcome.latency_s += self.retry_policy.backoff_s(
-                        attempt, self.rng
-                    )
-                    self._note_retry(
-                        outcome=outcome, what=f"verification at {domain}",
-                        target=str(
-                            self.repository.name if self.repository else ""
-                        ),
-                        attempt=attempt,
-                        at_time=at_time + outcome.latency_s, reason=str(exc),
-                    )
-                except DeadlineExceededError as exc:
-                    verify_exc = exc
-                    break
-                except (TrustError, SignallingError, CertificateError,
-                        EncodingError) as exc:
-                    # EncodingError: a malformed inner layer surfaced
-                    # during verification — denied like any other trust
-                    # failure instead of escaping as a raw decode error.
-                    verify_exc = exc
-                    break
-            if verified is None:
-                exc = verify_exc
-                if isinstance(exc, (DeadlineExceededError, RetryExhaustedError,
-                                    CircuitOpenError)):
-                    reason = str(exc)
-                else:
-                    reason = f"trust verification failed: {exc}"
-                logger.warning("%s: trust verification failed: %s", domain, exc)
-                if tracer is not None:
-                    tracer.record(
-                        "verify", parent=hop_span, start_wall=phase_t0,
-                        status="error", error=str(exc),
-                    )
-                if event_log is not None:
-                    event_log.emit(
-                        EventKind.TRUST_FAILURE, at_time=at_time,
-                        domain=domain, reason=str(exc),
-                    )
-                obs_audit.record_decision(
-                    obs_audit.RecordKind.DENY,
-                    at_time=at_time, domain=domain, user=str(user.dn),
-                    reason=reason,
-                    reason_code=(
-                        reason_code_for(exc) if exc is not None
-                        else ReasonCode.TRUST_FAILURE
-                    ).value,
-                    rate_mbps=request.rate_mbps,
-                )
-                denial = make_denial(
-                    domain=domain, reason=reason,
-                    bb=bb.dn, bb_key=bb.keypair.private,
-                )
-                break
-            if tracer is not None:
-                tracer.record(
-                    "verify", parent=hop_span, start_wall=phase_t0,
-                    depth=verified.depth, signer=str(verified.user),
-                )
-
-            # Local decision pipeline, with recovery: the policy server
-            # and this hop's own broker may be down transiently; a hop
-            # whose broker stays down cannot even sign a denial, so the
-            # upstream hop synthesizes one.
-            try:
-                phase_t0 = obs_spans.phase_clock()
-                chains = split_capability_chains(verified.capability_chain)
-                info = self._call_with_retries(
-                    lambda: bb.policy_server.verify_credentials(
-                        user=verified.user,
-                        assertions=verified.assertions,
-                        capability_chains=chains,
-                        at_time=at_time,
-                    ),
-                    outcome=outcome, at_time=at_time, deadline=deadline,
-                    what=f"credential verification at {domain}", target=domain,
-                )
-                path_attrs = self._verified_path_assertions(
-                    verified, upstream_peer_cert, at_time
-                )
-                local_request = (
-                    verified.request.with_attributes(**path_attrs)
-                    if path_attrs
-                    else verified.request
-                )
-                if tracer is not None:
-                    tracer.record(
-                        "policy", parent=hop_span, start_wall=phase_t0,
-                        chains=len(chains), rejected=len(info.rejected),
-                    )
-
-                phase_t0 = obs_spans.phase_clock()
-                admit = self._call_with_retries(
-                    lambda: bb.admit(
-                        local_request,
-                        info,
-                        at_time=at_time,
-                        upstream=upstream,
-                        downstream=downstream,
-                    ),
-                    outcome=outcome, at_time=at_time, deadline=deadline,
-                    what=f"admission at {domain}", target=domain,
-                )
-            except _DELIVERY_FAILURES as exc:
-                cause = exc.__cause__
-                if isinstance(exc, RetryExhaustedError) and isinstance(
-                    cause, BrokerUnavailableError
-                ):
-                    # This hop's BB is gone: it cannot sign anything.  The
-                    # upstream hop detects the silence and synthesizes the
-                    # denial (the user-facing report when it IS the source).
-                    logger.warning(
-                        "%s: broker unavailable, upstream reports: %s",
-                        domain, exc,
-                    )
-                    if tracer is not None and hop_span is not None:
-                        tracer.end(hop_span, status="failed", error=str(exc))
-                    channels_walked.pop()
-                    obs_audit.record_decision(
-                        obs_audit.RecordKind.DENY,
-                        at_time=at_time, domain=domain, user=str(user.dn),
-                        reason=str(exc),
-                        reason_code=ReasonCode.BROKER_UNREACHABLE.value,
-                        rate_mbps=request.rate_mbps,
-                    )
-                    if index == 0:
-                        outcome.denial_domain = domain
-                        outcome.denial_reason = str(exc)
-                        return outcome
-                    prev_bb = self._broker(path[index - 1])
-                    denial = make_denial(
-                        domain=domain, reason=str(exc),
-                        bb=prev_bb.dn, bb_key=prev_bb.keypair.private,
-                    )
-                else:
-                    # Policy server / repository stayed down, or the
-                    # deadline passed: this hop is alive and denies.
-                    obs_audit.record_decision(
-                        obs_audit.RecordKind.DENY,
-                        at_time=at_time, domain=domain, user=str(user.dn),
-                        reason=str(exc),
-                        reason_code=reason_code_for(exc).value,
-                        rate_mbps=request.rate_mbps,
-                    )
-                    denial = make_denial(
-                        domain=domain, reason=str(exc),
-                        bb=bb.dn, bb_key=bb.keypair.private,
-                    )
-                break
-            if tracer is not None:
-                tracer.record(
-                    "admission", parent=hop_span, start_wall=phase_t0,
-                    granted=admit.granted, handle=admit.reservation.handle,
-                )
-            # The next phase (delegation at the destination, forward
-            # everywhere else) opens here so that metering and cost
-            # negotiation are attributed to it.
-            phase_t0 = obs_spans.phase_clock()
-            outcome.handles[domain] = admit.reservation.handle
-            if registry is not None:
-                registry.histogram(
-                    "hop_latency_seconds",
-                    "Modelled per-hop signalling latency (inbound channel "
-                    "crossing + processing + repository lookups)",
-                ).observe(hop_sim_latency_s, domain=domain)
-            if not admit.granted:
-                denial = make_denial(
-                    domain=domain, reason=admit.reason,
-                    bb=bb.dn, bb_key=bb.keypair.private,
-                )
-                break
-            granted_so_far.append((bb, admit.reservation.handle))
-
-            # Cost negotiation: this domain's tariff (its ingress SLA price
-            # for transit/destination domains) joins the running total; the
-            # request dies where the user's ceiling is first exceeded.
-            if upstream is not None:
-                sla = bb.slas_in.get(upstream)
-                if sla is not None:
-                    accumulated_cost += sla.price_per_mbps_hour * usage_mbps_hours
-            if accumulated_cost > request.cost_ceiling:
-                bb.cancel(
-                    admit.reservation.handle,
-                    reason="cost ceiling exceeded",
-                    reason_code=ReasonCode.UNWOUND,
-                )
-                granted_so_far.pop()
-                reason = (
-                    f"cost ceiling exceeded: path costs "
-                    f"{accumulated_cost:.2f} so far, user accepts at most "
-                    f"{request.cost_ceiling:.2f}"
-                )
-                obs_audit.record_decision(
-                    obs_audit.RecordKind.DENY,
-                    at_time=at_time, domain=domain, user=str(user.dn),
-                    reason=reason,
-                    reason_code=ReasonCode.COST_CEILING.value,
-                    rate_mbps=request.rate_mbps,
-                )
-                denial = make_denial(
-                    domain=domain, reason=reason,
-                    bb=bb.dn, bb_key=bb.keypair.private,
-                )
-                break
-            outcome.cost = accumulated_cost
-
-            if downstream is None:
-                # Destination domain: full §6.5 check — every chain, with
-                # proof of possession by this BB.
-                outcome.final_rar = rar
-                outcome.verified = verified
-                results = []
-                for chain in chains:
-                    try:
-                        results.append(
-                            verify_delegation_chain(
-                                list(chain),
-                                trusted_issuers=bb.policy_server._trusted_communities,
-                                at_time=at_time,
-                                possession_nonce=b"hop-by-hop-final",
-                                possession_prover=lambda nonce: prove_possession(
-                                    bb.keypair.private, nonce
-                                ),
-                                revocation_checker=(
-                                    bb.policy_server.revocation_checker
-                                ),
-                            )
-                        )
-                    except DelegationError:
-                        continue
-                outcome.delegations = tuple(results)
-                outcome.delegation = results[0] if results else None
-                if tracer is not None:
-                    tracer.record(
-                        "delegation", parent=hop_span, start_wall=phase_t0,
-                        chains=len(chains), verified=len(results),
-                    )
-                break
-
-            # Forward downstream: delegate every capability chain this BB
-            # holds, introduce the upstream certificate.
-            next_bb = self._broker(downstream)
-            channel = self.channels.connect(bb, next_bb, at_time=at_time)
-            forwarded_caps: tuple[Certificate, ...] = tuple(
-                delegate(
-                    cred,
-                    delegate_subject=next_bb.dn,
-                    delegate_public_key=channel.peer_certificate(bb.dn).public_key,
-                )
-                for cred in self._bb_credentials(bb, chains)
-            )
-            added_assertions: tuple[SignedAssertion, ...] = ()
-            if admit.decision is not None and admit.decision.modifications:
-                added_assertions = (
-                    make_assertion(
-                        issuer=bb.dn,
-                        issuer_key=bb.keypair.private,
-                        subject=verified.user,
-                        attributes=dict(admit.decision.modifications),
-                    ),
-                )
-            forward_rar = make_bb_rar(
-                inner=rar,
-                introduced_cert=(
-                    None if self.repository is not None else upstream_peer_cert
-                ),
-                downstream=next_bb.dn,
-                capability_certs=forwarded_caps,
-                assertions=added_assertions,
-                bb=bb.dn,
-                bb_key=bb.keypair.private,
-                # Append-only chain layer: this BB signs a digest link
-                # to the received bytes, not the re-encoded chain.
-                append=True,
-                # Rewrite the trace context: the downstream hop's spans
-                # hang under THIS hop's span, mirroring how this layer
-                # wraps the upstream RAR.
-                traceparent=(
-                    format_traceparent(
-                        TraceContext(
-                            trace_id=hop_span.trace_id,
-                            span_id=hop_span.span_id,
-                        )
-                    )
-                    if hop_span is not None
-                    else None
+    def _open_hop(
+        self, att: _Attempt, channel: SecureChannel,
+        sender: DistinguishedName, sent: SignedEnvelope, received: object,
+    ) -> _Hop:
+        """Start the next broker's turn: its context, the recovery note
+        for its decision record, its processing delay, its ``hop`` span.
+        Accounting starts the moment the previous instrumented stretch
+        ended, so channel/certificate bookkeeping between hops lands in
+        a named segment instead of pooling as untracked self-time."""
+        t0 = obs_spans.phase_clock()
+        outcome, path, index = att.outcome, att.outcome.path, len(att.walked)
+        bb = self._broker(path[index])
+        upstream = path[index - 1] if index > 0 else None
+        if obs_audit.get_ledger() is not None:
+            # Recovery context for this hop's decision record: the
+            # inbound link's breaker state and the end-to-end budget
+            # left when the hop started working.
+            obs_audit.note_recovery(
+                breaker_state=self._breaker_for(channel.link).state,
+                deadline_remaining_s=(
+                    att.deadline.expires_at - (att.at_time + outcome.latency_s)
+                    if att.deadline is not None else None
                 ),
             )
-            try:
-                rar = self._deliver(
-                    channel, bb.dn, forward_rar, outcome=outcome,
-                    at_time=at_time, deadline=deadline,
-                    what=f"forward to {downstream}",
-                )
-            except _DELIVERY_FAILURES as exc:
-                obs_audit.record_decision(
-                    obs_audit.RecordKind.DENY,
-                    at_time=at_time, domain=downstream, user=str(user.dn),
-                    reason=f"domain {downstream} unreachable: {exc}",
-                    reason_code=reason_code_for(exc).value,
-                    rate_mbps=request.rate_mbps,
-                )
-                denial = make_denial(
-                    domain=downstream,
-                    reason=f"domain {downstream} unreachable: {exc}",
-                    bb=bb.dn, bb_key=bb.keypair.private,
-                )
-                break
-            except MalformedMessageError as exc:
-                # The forwarded copy arrived structurally broken at the
-                # downstream hop: a typed denial from there, upstream.
-                reason = f"malformed envelope at {downstream}: {exc}"
-                if event_log is not None:
-                    event_log.emit(
-                        EventKind.TRUST_FAILURE, at_time=at_time,
-                        domain=downstream, reason=str(exc),
-                        reason_code=ReasonCode.TRUST_FAILURE,
-                    )
-                obs_audit.record_decision(
-                    obs_audit.RecordKind.DENY,
-                    at_time=at_time, domain=downstream, user=str(user.dn),
-                    reason=reason,
-                    reason_code=ReasonCode.TRUST_FAILURE.value,
-                    rate_mbps=request.rate_mbps,
-                )
-                denial = make_denial(
-                    domain=downstream, reason=reason,
-                    bb=bb.dn, bb_key=bb.keypair.private,
-                )
-                break
-            if tracer is not None:
-                tracer.record(
-                    "forward", parent=hop_span, start_wall=phase_t0,
-                    downstream=downstream,
-                    sim_latency_s=channel.latency_s,
-                )
-            hop_t0 = obs_spans.phase_clock()
-            inbound_latency_s = channel.latency_s
-            channels_walked.append(channel)
-            sent_rar = forward_rar
-            inbound_channel = channel
-            inbound_sender = bb.dn
-            upstream_peer_cert = channel.peer_certificate(next_bb.dn)
-
-        # --- reply leg: approval or denial back upstream ------------------------
-        if denial is not None:
-            denial_domain = denial[F_DOMAIN]
-            denial_reason = denial[F_REASON]
-            # Release what was granted on the partial path.
-            self._release_granted(
-                granted_so_far, at_time=at_time,
-                reason=f"denied by {denial_domain}",
+        outcome.latency_s += self.processing_delay_s
+        hop = _Hop(
+            domain=path[index], bb=bb, upstream=upstream,
+            downstream=path[index + 1] if index + 1 < len(path) else None,
+            peer=upstream if upstream is not None else att.user,
+            peer_kind="domain" if upstream is not None else "user",
+            peer_certificate=channel.peer_certificate(bb.dn),
+            resend=(channel, sender, sent), t0=t0,
+            sim_latency_s=channel.latency_s + self.processing_delay_s,
+        )
+        if att.tracer is not None and att.root is not None:
+            # Parent under the span id the *envelope* names (the
+            # upstream hop's span, carried in F_TRACEPARENT), exactly
+            # as each signature layer wraps the upstream RAR; the
+            # in-process chain is only a fallback for envelopes built
+            # while tracing was off.
+            carried = _carried_parent_span_id(received)
+            local = att.walked[-1][0].span if att.walked else att.root
+            hop.span = att.tracer.begin(
+                "hop",
+                trace_id=att.root.trace_id,
+                parent=local if carried is None else None,
+                parent_span_id=carried,
+                start_wall=t0,
+                domain=hop.domain,
+                bb=str(bb.dn),
             )
-            reply = denial
-            # The denial travels back over the channels already walked; on
-            # each channel the downstream endpoint is the sender.  A reply
-            # hop that stays unreachable after retries loses the denial —
-            # capacity is already safe, the user sees a timeout.
-            for index in range(len(channels_walked) - 1, -1, -1):
-                channel = channels_walked[index]
-                sender = self._broker(path[index]).dn
-                phase_t0 = obs_spans.phase_clock()
-                reply_parent = (
-                    hop_spans[index] if index < len(hop_spans) else root
+        att.walked.append((hop, channel))
+        return hop
+
+    def _receive(
+        self, att: _Attempt, hop: _Hop, received: object
+    ) -> VerifiedRAR:
+        """Gate → decode → verify: what a broker does with every inbound
+        request, cheapest stage first.  Raises :class:`_Refused`.
+
+        Verification recovers where it can: a tampered copy triggers a
+        bounded retransmission request upstream, a repository outage
+        backs off and retries (:meth:`_verify`); genuine trust failures
+        deny immediately.  The ``verify`` phase opens at the hop's
+        start, so it also owns the bookkeeping since the previous
+        hop's ``forward``.
+        """
+        self._gate(att, hop, received)
+        domain = hop.domain
+        what = f"verification at {domain}"
+        work = WORK_DECODE
+        attempt = 0
+        while True:
+            attempt += 1
+            try:
+                rar = hop.rar = self._decode_received(
+                    received, what=f"ingress at {domain}"
+                )
+                if hop.peer_certificate is None:
+                    # Nothing is ever accepted without verification.
+                    raise TrustError(
+                        f"{domain}: the sender presented no certificate "
+                        "to verify the message against"
+                    )
+                work = WORK_VERIFY
+                verified = self._verify(att, hop, rar, hop.peer_certificate, what)
+            except TamperedMessageError as exc:
+                # Integrity failure on the received copy: ask the
+                # upstream sender to retransmit the original.
+                if (attempt >= self.retry_policy.max_attempts
+                        or hop.resend is None):
+                    raise self._untrusted(hop, exc, work) from exc
+                channel, sender, sent = hop.resend
+                self._back_off(
+                    att, attempt, what=what, target=channel.link,
+                    reason=str(exc),
                 )
                 try:
-                    reply = self._deliver(
-                        channel, sender, reply, outcome=outcome,
-                        at_time=at_time, deadline=None, what="denial reply",
+                    received = self._deliver(
+                        att, channel, sender, sent, deadline=att.deadline,
+                        what=f"retransmission to {domain}",
                     )
-                except SignallingError as exc:
-                    logger.warning(
-                        "denial by %s lost on link %s: %s",
-                        denial_domain, channel.link, exc,
+                except _DELIVERY_FAILURES as lost:
+                    raise self._untrusted(hop, lost, work) from lost
+            except (SignallingError, CertificateError, EncodingError) as exc:
+                # EncodingError: a malformed inner layer surfaced
+                # during verification — denied like any other trust
+                # failure instead of escaping as a raw decode error.
+                raise self._untrusted(hop, exc, work) from exc
+            else:
+                if hop.span is not None:  # (formats a DN: not when untraced)
+                    self._segment(
+                        att, "verify", hop.span, hop.t0,
+                        depth=verified.depth, signer=str(verified.user),
                     )
-                    if tracer is not None:
-                        if reply_parent is not None:
-                            tracer.record(
-                                "reply", parent=reply_parent,
-                                start_wall=phase_t0, status="error",
-                                error=str(exc),
-                            )
-                        for j in range(index, -1, -1):
-                            if j < len(hop_spans):
-                                tracer.end(hop_spans[j], status="released")
-                    break
-                if tracer is not None and reply_parent is not None:
-                    tracer.record(
-                        "reply", parent=reply_parent, start_wall=phase_t0,
-                        sim_latency_s=channel.latency_s,
-                    )
-                if tracer is not None and index < len(hop_spans):
-                    hop = hop_spans[index]
-                    tracer.end(
-                        hop,
-                        status=(
-                            "denied"
-                            if hop.attributes.get("domain") == denial_domain
-                            else "released"
-                        ),
-                    )
-            outcome.denial_domain = denial_domain
-            outcome.denial_reason = denial_reason
-            outcome.approval = None
-            return outcome
+                hop.t0 = obs_spans.phase_clock()
+                return verified
 
-        # Approval chain: destination first, wrapped at each hop upstream.
-        reply = None
-        for index in range(len(path) - 1, -1, -1):
-            domain = path[index]
-            bb = self._broker(domain)
-            phase_t0 = obs_spans.phase_clock()
-            reply_parent = hop_spans[index] if index < len(hop_spans) else root
-            policy_info: tuple[SignedAssertion, ...] = ()
-            approval = make_approval(
-                handle=outcome.handles[domain],
-                domain=domain,
-                policy_info=policy_info,
-                inner=reply,
-                bb=bb.dn,
-                bb_key=bb.keypair.private,
+    @staticmethod
+    def _untrusted(hop: _Hop, failure: ReproError, work: float) -> _Refused:
+        """The refusal for a message that failed decode or verification.
+        Raised from inside the handler that caught *failure*: a local
+        holding it past the handler would tie the frame into a reference
+        cycle with the traceback — one per hostile frame."""
+        return _Refused(
+            hop.domain,
+            str(failure) if isinstance(failure, _DELIVERY_FAILURES)
+            else f"trust verification failed: {failure}",
+            failure, signer=hop.bb, segment=("verify", hop.span, hop.t0),
+            event=EventKind.TRUST_FAILURE, work=work,
+        )
+
+    def _gate(self, att: _Attempt, hop: _Hop, received: object) -> None:
+        """The admission-plane defense gate, BEFORE any decode or
+        signature work: the per-peer token bucket, the replay guard
+        (keyed on the digest of the message as it arrived), and the
+        overload shed all run for the cost of a few dict operations, so
+        abusive signalling never reaches the expensive stages."""
+        defense = hop.bb.defense
+        if defense is None:
+            return
+        digest = None
+        if isinstance(received, (bytes, bytearray, memoryview)):
+            digest = _envelope_digest(bytes(received))
+        elif isinstance(received, SignedEnvelope):
+            digest = _envelope_digest(received.cbe_bytes())
+        try:
+            defense.admit_signal(
+                peer=hop.peer, peer_kind=hop.peer_kind,
+                now=att.at_time + att.outcome.latency_s,
+                operation=att.operation, envelope_digest=digest,
             )
-            channel = channels_walked[index]
+        except DefenseError as exc:
+            raise _Refused(
+                hop.domain, str(exc), exc, signer=hop.bb,
+                segment=("defense", hop.span, hop.t0),
+                event=EventKind.DENY, work=WORK_GATE,
+            ) from exc
+
+    def _verify(
+        self, att: _Attempt, hop: _Hop, rar: SignedEnvelope,
+        peer_certificate: Certificate, what: str,
+    ) -> VerifiedRAR:
+        """Transitive-trust verification of *rar* at *hop*, within the
+        deadline the envelope itself carries, retrying through
+        repository outages (§6.4 alternative 2 pays one modelled lookup
+        latency per signer key it resolves)."""
+        # Honor the end-to-end deadline as *carried in the RAR* — each
+        # hop bounds its work by the budget the envelope states, not by
+        # out-of-band knowledge.
+        carried_deadline = _carried_deadline(rar)
+        if carried_deadline is not None:
+            att.deadline = Deadline(carried_deadline)
+        bb, repository = hop.bb, self.repository
+        if repository is None:
+            return self._call_with_retries(
+                lambda: verify_rar(
+                    rar, verifier=bb.dn, peer_certificate=peer_certificate,
+                    truststore=bb.truststore, at_time=att.at_time,
+                ),
+                att, what=what, target="",
+            )
+        try:
+            verified, lookups = self._call_with_retries(
+                lambda: verify_rar_with_repository(
+                    rar, verifier=bb.dn, peer_certificate=peer_certificate,
+                    truststore=bb.truststore, repository=repository,
+                    at_time=att.at_time,
+                ),
+                att, what=what, target=str(repository.name),
+            )
+        except RetryExhaustedError as exc:
+            # The repository stayed down through the whole retry budget:
+            # the hop reports the outage itself, not the retry count.
+            raise (exc.__cause__ or exc) from exc
+        lookup_latency_s = lookups * repository.lookup_latency_s
+        att.outcome.repository_lookups += lookups
+        att.outcome.latency_s += lookup_latency_s
+        hop.sim_latency_s += lookup_latency_s
+        return verified
+
+    def _decide(
+        self, att: _Attempt, hop: _Hop, verified: VerifiedRAR
+    ) -> tuple[AdmitOutcome, list[tuple[Certificate, ...]]]:
+        """Credentials → path assertions → admit → cost ceiling: the
+        local decision pipeline, with recovery.  The policy server and
+        this hop's own broker may be down transiently; a hop whose
+        broker stays down cannot even sign a denial, so the upstream hop
+        synthesizes one.  Raises :class:`_Refused`."""
+        bb, domain = hop.bb, hop.domain
+        chains = split_capability_chains(verified.capability_chain)
+        try:
+            info = self._call_with_retries(
+                lambda: bb.policy_server.verify_credentials(
+                    user=verified.user,
+                    assertions=verified.assertions,
+                    capability_chains=chains,
+                    at_time=att.at_time,
+                ),
+                att, what=f"credential verification at {domain}", target=domain,
+            )
+            path_attrs = self._verified_path_assertions(
+                verified, hop.peer_certificate, att.at_time
+            )
+            local_request = (
+                verified.request.with_attributes(**path_attrs)
+                if path_attrs
+                else verified.request
+            )
+            self._segment(
+                att, "policy", hop.span, hop.t0,
+                chains=len(chains), rejected=len(info.rejected),
+            )
+            hop.t0 = obs_spans.phase_clock()
+            admit = self._call_with_retries(
+                lambda: bb.admit(
+                    local_request, info, at_time=att.at_time,
+                    upstream=hop.upstream, downstream=hop.downstream,
+                ),
+                att, what=f"admission at {domain}", target=domain,
+            )
+        except _DELIVERY_FAILURES as exc:
+            if not (isinstance(exc, RetryExhaustedError)
+                    and isinstance(exc.__cause__, BrokerUnavailableError)):
+                # Policy server / repository stayed down, or the
+                # deadline passed: this hop is alive and denies.
+                raise _Refused(domain, str(exc), exc, signer=bb) from exc
+            # This hop's BB is gone: it cannot sign anything.  The
+            # upstream hop detects the silence and synthesizes the
+            # denial (the user-facing report when it IS the source).
+            logger.warning(
+                "%s: broker unavailable, upstream reports: %s", domain, exc
+            )
+            if att.tracer is not None and hop.span is not None:
+                att.tracer.end(hop.span, status="failed", error=str(exc))
+            att.walked.pop()
+            raise _Refused(
+                domain, str(exc), ReasonCode.BROKER_UNREACHABLE,
+                signer=att.walked[-1][0].bb if att.walked else None,
+            ) from exc
+        handle = admit.reservation.handle
+        self._segment(
+            att, "admission", hop.span, hop.t0,
+            granted=admit.granted, handle=handle,
+        )
+        # The next phase (delegation at the destination, forward
+        # everywhere else) opens here so that metering and cost
+        # negotiation are attributed to it.
+        hop.t0 = obs_spans.phase_clock()
+        att.outcome.handles[domain] = handle
+        registry = obs_metrics.get_registry()
+        if registry is not None:
+            registry.histogram(
+                "hop_latency_seconds",
+                "Modelled per-hop signalling latency (inbound channel "
+                "crossing + processing + repository lookups)",
+            ).observe(hop.sim_latency_s, domain=domain)
+        if not admit.granted:
+            # The broker's admission pipeline recorded its own denial.
+            raise _Refused(domain, admit.reason, None, signer=bb)
+        att.granted.append((bb, handle))
+        self._charge(att, hop, verified.request, handle)
+        return admit, chains
+
+    def _charge(
+        self, att: _Attempt, hop: _Hop, request: ReservationRequest,
+        handle: str,
+    ) -> None:
+        """Cost negotiation (§6.1: the request carries "a cost that the
+        user is willing to accept"): this domain's tariff — its ingress
+        SLA price for transit/destination domains — joins the running
+        total; the request dies where the ceiling is first exceeded."""
+        bb = hop.bb
+        sla = bb.slas_in.get(hop.upstream) if hop.upstream is not None else None
+        if sla is not None:
+            usage_mbps_hours = request.rate_mbps * request.duration / 3600.0
+            att.cost += sla.price_per_mbps_hour * usage_mbps_hours
+        if att.cost > request.cost_ceiling:
+            bb.cancel(
+                handle, reason="cost ceiling exceeded",
+                reason_code=ReasonCode.UNWOUND,
+            )
+            att.granted.pop()
+            raise _Refused(
+                hop.domain,
+                f"cost ceiling exceeded: path costs {att.cost:.2f} so far, "
+                f"user accepts at most {request.cost_ceiling:.2f}",
+                ReasonCode.COST_CEILING, signer=bb,
+            )
+        att.outcome.cost = att.cost
+
+    def _finish_at_destination(
+        self, att: _Attempt, hop: _Hop, verified: VerifiedRAR,
+        chains: Sequence[Sequence[Certificate]],
+    ) -> None:
+        """Destination domain: the full §6.5 check — every chain, with
+        proof of possession by this BB."""
+        bb, outcome = hop.bb, att.outcome
+        outcome.final_rar = hop.rar
+        outcome.verified = verified
+        results = []
+        for chain in chains:
             try:
-                reply = self._deliver(
-                    channel, bb.dn, approval, outcome=outcome,
-                    at_time=at_time, deadline=deadline, what="approval reply",
+                results.append(bb.policy_server.verify_chain(
+                    chain,
+                    at_time=att.at_time,
+                    possession_nonce=b"hop-by-hop-final",
+                    possession_prover=lambda nonce: prove_possession(
+                        bb.keypair.private, nonce
+                    ),
+                ))
+            except DelegationError:
+                continue
+        outcome.delegations = tuple(results)
+        outcome.delegation = results[0] if results else None
+        self._segment(
+            att, "delegation", hop.span, hop.t0,
+            chains=len(chains), verified=len(results),
+        )
+
+    def _forward(
+        self, att: _Attempt, hop: _Hop, verified: VerifiedRAR,
+        admit: AdmitOutcome, chains: Sequence[Sequence[Certificate]],
+    ) -> tuple[_Hop, object]:
+        """Wrap and send downstream: delegate every capability chain
+        this BB holds, introduce the upstream certificate, sign
+        ``RAR_{N+1}`` and deliver it.  Returns the next hop's context
+        and what arrived there.  Raises :class:`_Refused`."""
+        bb, downstream, rar = hop.bb, hop.downstream, hop.rar
+        assert downstream is not None and rar is not None
+        next_bb = self._broker(downstream)
+        channel = self.channels.connect(bb, next_bb, at_time=att.at_time)
+        next_public_key = channel.peer_certificate(bb.dn).public_key
+        # One proxy credential per delegation chain whose tip names this
+        # broker as subject (delegated by the upstream hop); a user with
+        # several community credentials yields several chains.
+        forwarded_caps: tuple[Certificate, ...] = tuple(
+            delegate(
+                ProxyCredential(chain[-1], bb.keypair.private),
+                delegate_subject=next_bb.dn,
+                delegate_public_key=next_public_key,
+            )
+            for chain in chains
+            if chain and chain[-1].subject == bb.dn
+        )
+        added_assertions: tuple[SignedAssertion, ...] = ()
+        if admit.decision is not None and admit.decision.modifications:
+            added_assertions = (
+                make_assertion(
+                    issuer=bb.dn,
+                    issuer_key=bb.keypair.private,
+                    subject=verified.user,
+                    attributes=dict(admit.decision.modifications),
+                ),
+            )
+        forward_rar = make_bb_rar(
+            inner=rar,
+            introduced_cert=(
+                None if self.repository is not None else hop.peer_certificate
+            ),
+            downstream=next_bb.dn,
+            capability_certs=forwarded_caps,
+            assertions=added_assertions,
+            bb=bb.dn,
+            bb_key=bb.keypair.private,
+            # Append-only chain layer: this BB signs a digest link
+            # to the received bytes, not the re-encoded chain.
+            append=True,
+            # Rewrite the trace context: the downstream hop's spans
+            # hang under THIS hop's span, mirroring how this layer
+            # wraps the upstream RAR.
+            traceparent=_traceparent_of(hop.span),
+        )
+        try:
+            received = self._deliver(
+                att, channel, bb.dn, forward_rar, deadline=att.deadline,
+                what=f"forward to {downstream}",
+            )
+        except _DELIVERY_FAILURES as exc:
+            # The user hears about the silent domain; this hop, the
+            # last one alive, signs for it.
+            raise _Refused(
+                downstream, f"domain {downstream} unreachable: {exc}", exc,
+                signer=bb,
+            ) from exc
+        self._segment(
+            att, "forward", hop.span, hop.t0,
+            downstream=downstream, sim_latency_s=channel.latency_s,
+        )
+        next_hop = self._open_hop(att, channel, bb.dn, forward_rar, received)
+        return next_hop, received
+
+    # -- the reply leg and the denial writer -----------------------------------------
+
+    def _reply(
+        self, att: _Attempt, denial: SignedEnvelope | None
+    ) -> SignedEnvelope | None:
+        """Walk the reply back upstream over the channels the request
+        walked, closing each hop's span as it passes; returns the reply
+        as the user received it.
+
+        A signed *denial* is relayed as received, under no deadline; a
+        hop that stays unreachable loses it — capacity is already safe,
+        the user sees a timeout.  ``None`` sends the approval, each
+        broker wrapping the downstream one in its own signed layer,
+        under the request's deadline.  Without it the user holds no
+        proof and no handles, so an undeliverable approval releases
+        every admission and raises :class:`_Refused` (deny, don't leak).
+        """
+        what = "denial reply" if denial is not None else "approval reply"
+        handles, tracer = att.outcome.handles, att.tracer
+        reply = denial
+        for index in range(len(att.walked) - 1, -1, -1):
+            hop, channel = att.walked[index]
+            t0 = obs_spans.phase_clock()
+            if denial is None or reply is None:  # (None only when approving)
+                reply = make_approval(
+                    handle=handles[hop.domain], domain=hop.domain,
+                    inner=reply, bb=hop.bb.dn, bb_key=hop.bb.keypair.private,
+                )
+            try:
+                reply = self._decode_received(
+                    self._deliver(
+                        att, channel, hop.bb.dn, reply, what=what,
+                        deadline=att.deadline if denial is None else None,
+                    ),
+                    what=what,
                 )
             except SignallingError as exc:
-                # Without the approval the user holds no proof and no
-                # handles: treat the reservation as failed, release every
-                # admission (graceful degradation: deny, don't leak).
-                self._release_granted(
-                    granted_so_far, at_time=at_time,
-                    reason=f"approval undeliverable at {domain}",
-                )
-                outcome.granted = False
-                outcome.denial_domain = domain
-                outcome.denial_reason = f"approval could not be delivered: {exc}"
-                outcome.approval = None
-                obs_audit.record_decision(
-                    obs_audit.RecordKind.DENY,
-                    at_time=at_time, domain=domain, user=str(user.dn),
-                    reason=outcome.denial_reason,
-                    reason_code=reason_code_for(exc).value,
-                    rate_mbps=request.rate_mbps,
+                self._segment(
+                    att, "reply", hop.span, t0, status="error", error=str(exc),
                 )
                 if tracer is not None:
-                    if reply_parent is not None:
-                        tracer.record(
-                            "reply", parent=reply_parent, start_wall=phase_t0,
-                            status="error", error=str(exc),
-                        )
-                    for j in range(index, -1, -1):
-                        if j < len(hop_spans):
-                            tracer.end(hop_spans[j], status="released")
-                return outcome
-            if tracer is not None and reply_parent is not None:
-                tracer.record(
-                    "reply", parent=reply_parent, start_wall=phase_t0,
-                    sim_latency_s=channel.latency_s,
+                    for passed, _ in reversed(att.walked[:index + 1]):
+                        if passed.span is not None:
+                            tracer.end(passed.span, status="released")
+                if denial is not None:
+                    logger.warning(
+                        "denial by %s lost on link %s: %s",
+                        denial[F_DOMAIN], channel.link, exc,
+                    )
+                    return None
+                self._release_granted(
+                    att, f"approval undeliverable at {hop.domain}"
                 )
-            if tracer is not None and index < len(hop_spans):
-                tracer.end(
-                    hop_spans[index],
-                    handle=outcome.handles[domain],
-                )
-        outcome.approval = reply
-        outcome.granted = True
-        granted_so_far.clear()
-        return outcome
+                raise _Refused(
+                    hop.domain, f"approval could not be delivered: {exc}", exc,
+                ) from exc
+            self._segment(
+                att, "reply", hop.span, t0, sim_latency_s=channel.latency_s,
+            )
+            if tracer is not None and hop.span is not None:
+                if denial is None:
+                    tracer.end(hop.span, handle=handles[hop.domain])
+                else:
+                    tracer.end(hop.span, status=(
+                        "denied" if hop.domain == denial[F_DOMAIN]
+                        else "released"
+                    ))
+        return reply
 
-    # -- ingress processing (defense gate for unsolicited traffic) ----------------------
+    def _deny(self, att: _Attempt, refusal: _Refused) -> SignedEnvelope | None:
+        """The one place a refusal is written down: the span error
+        segment of the stage that refused, the ``DENY``/``TRUST_FAILURE``
+        event, the ledger ``DENY`` record — event and record carry the
+        same reason and reason code by construction — and the signed
+        denial, when a live broker is there to sign it."""
+        domain, reason, code = refusal.domain, refusal.reason, refusal.code
+        logger.info("%s: refused: %s", domain, reason)
+        if refusal.segment is not None:
+            name, parent, start_wall = refusal.segment
+            self._segment(
+                att, name, parent, start_wall, status="error", error=reason,
+            )
+        if code is not None:
+            event_log = obs_events.get_event_log()
+            if refusal.event is not None and event_log is not None:
+                event_log.emit(
+                    refusal.event, at_time=att.at_time, domain=domain,
+                    user=att.user, reason=reason, reason_code=code,
+                )
+            obs_audit.record_decision(
+                obs_audit.RecordKind.DENY,
+                at_time=att.at_time, domain=domain, user=att.user,
+                reason=reason, reason_code=code.value,
+                rate_mbps=att.rate_mbps,
+            )
+        signer = refusal.signer
+        if signer is None or not att.walked:
+            # Nobody alive to sign — or, at ingress, no channel the
+            # denial could travel back on.
+            return None
+        return make_denial(
+            domain=domain, reason=reason,
+            bb=signer.dn, bb_key=signer.keypair.private,
+        )
+
+    # -- ingress processing (the same receive step, for unsolicited traffic) ------------
 
     def process_ingress(
         self,
@@ -1506,15 +1416,16 @@ class HopByHopProtocol:
 
         The reservation path (:meth:`reserve`) drives brokers from the
         sender's side; a byzantine peer, by contrast, just *sends* — so
-        the receiving side needs an explicit entry point that runs the
-        same three stages the per-hop loop applies, cheapest first:
+        the receiving side needs an explicit entry point.  It runs
+        :meth:`_receive`, the very step every hop of :meth:`reserve`
+        runs, and reports the cost of the stage the message reached:
 
         1. the defense gate (per-peer token bucket, replay guard, shed) —
-           cost :data:`WORK_GATE`;
-        2. structural decode into a signed envelope — :data:`WORK_DECODE`;
-        3. transitive-trust verification (when *peer_certificate* is
-           supplied; plain nested-layer unwrapping otherwise) —
-           :data:`WORK_VERIFY`.
+           :data:`WORK_GATE`;
+        2. structural decode into a signed envelope — :data:`WORK_DECODE`
+           (a decodable message without a *peer_certificate* stops
+           here too: refused, never accepted unverified);
+        3. transitive-trust verification — :data:`WORK_VERIFY`.
 
         Returns an :class:`IngressReport`; never raises for a rejected
         message.  ``report.work_units`` is what the message actually cost
@@ -1523,109 +1434,55 @@ class HopByHopProtocol:
         replayed envelope costs the full verification walk, with defenses
         on it costs a dict lookup.
         """
-        now = at_time if at_time is not None else self.clock()
-        bb = self._broker(domain)
-        registry = obs_metrics.get_registry()
-        event_log = obs_events.get_event_log()
-
-        def reject(
-            exc: Exception, work_units: float, *,
-            verified: bool = False,
-            traceparent: str | None = None,
-            deadline: float | None = None,
-        ) -> IngressReport:
-            code = reason_code_for(exc)
-            if registry is not None:
-                registry.counter(
-                    "ingress_messages_total",
-                    "Unsolicited inbound signalling messages by domain "
-                    "and outcome",
-                ).inc(domain=domain, outcome="rejected")
-            if event_log is not None:
-                event_log.emit(
-                    EventKind.DENY, at_time=now, domain=domain,
-                    user=peer, reason=str(exc), reason_code=code,
-                )
-            obs_audit.record_decision(
-                obs_audit.RecordKind.DENY,
-                at_time=now, domain=domain, user=peer,
-                reason=str(exc), reason_code=code.value,
-            )
-            return IngressReport(
-                accepted=False, work_units=work_units, verified=verified,
-                reason=str(exc), reason_code=code.value,
-                traceparent=traceparent, deadline=deadline,
-            )
-
-        if isinstance(message, (bytes, bytearray, memoryview)):
-            message_digest = _envelope_digest(bytes(message))
-        elif isinstance(message, SignedEnvelope):
-            message_digest = _envelope_digest(message.cbe_bytes())
-        else:
-            message_digest = None
-        if bb.defense is not None:
-            try:
-                bb.defense.admit_signal(
-                    peer=peer, peer_kind=peer_kind, now=now,
-                    operation=operation, envelope_digest=message_digest,
-                )
-            except DefenseError as exc:
-                return reject(exc, WORK_GATE)
-        try:
-            envelope = self._decode_received(
-                message, what=f"ingress at {domain}"
-            )
-        except MalformedMessageError as exc:
-            return reject(exc, WORK_DECODE)
-        # Trace/deadline metadata of the outer layer, for the report.
-        # Scalar-filtered so both codecs (and crafted non-scalar fields)
-        # report identically; no re-parse — the envelope is materialized.
-        raw_tp = envelope.get(F_TRACEPARENT)
-        traceparent = raw_tp if isinstance(raw_tp, str) else None
-        raw_dl = envelope.get(F_DEADLINE)
-        deadline = (
-            float(raw_dl)
-            if isinstance(raw_dl, (int, float))
-            and not isinstance(raw_dl, bool)
-            else None
+        att = _Attempt(
+            user=peer, at_time=at_time if at_time is not None else self.clock(),
+            outcome=SignallingOutcome(granted=False), operation=operation,
         )
-        if peer_certificate is None:
-            try:
-                unwrap_rar_layers(envelope)
-            except SignallingError as exc:
-                return reject(
-                    exc, WORK_DECODE,
-                    traceparent=traceparent, deadline=deadline,
-                )
-            work_units = WORK_DECODE
-            verified = False
+        # No inbound channel: nobody upstream to ask for a retransmission.
+        hop = _Hop(
+            domain=domain, bb=self._broker(domain), upstream=None,
+            downstream=None, peer=peer, peer_kind=peer_kind,
+            peer_certificate=peer_certificate,
+        )
+        # Like reserve(), start from a clean audit check buffer.
+        obs_audit.discard_pending()
+        accepted, work_units, reason, code = True, WORK_VERIFY, "", None
+        try:
+            self._receive(att, hop, message)
+        except _Refused as refusal:
+            self._deny(att, refusal)
+            # Copied out: holding the exception past this handler would
+            # tie the frame into a reference cycle, one per hostile frame.
+            accepted, work_units = False, refusal.work
+            reason, code = refusal.reason, refusal.code
         else:
+            # Accepted: no record drains the check notes, and they must
+            # not attach to this thread's next denial.
+            obs_audit.discard_pending()
+        if work_units == WORK_VERIFY:
             self.ingress_verifications += 1
-            try:
-                verify_rar(
-                    envelope,
-                    verifier=bb.dn,
-                    peer_certificate=peer_certificate,
-                    truststore=bb.truststore,
-                    at_time=now,
-                )
-            except (TrustError, SignallingError, CertificateError,
-                    EncodingError) as exc:
-                return reject(
-                    exc, WORK_VERIFY, verified=True,
-                    traceparent=traceparent, deadline=deadline,
-                )
-            work_units = WORK_VERIFY
-            verified = True
+        registry = obs_metrics.get_registry()
         if registry is not None:
             registry.counter(
                 "ingress_messages_total",
                 "Unsolicited inbound signalling messages by domain "
                 "and outcome",
-            ).inc(domain=domain, outcome="accepted")
+            ).inc(
+                domain=domain,
+                outcome="accepted" if accepted else "rejected",
+            )
+        # Trace/deadline metadata of the outer layer, when it decoded
+        # (scalars only).
+        rar = hop.rar
+        traceparent = rar.get(F_TRACEPARENT) if rar is not None else None
         return IngressReport(
-            accepted=True, work_units=work_units, verified=verified,
-            traceparent=traceparent, deadline=deadline,
+            accepted=accepted,
+            work_units=work_units,
+            verified=work_units == WORK_VERIFY,
+            reason=reason,
+            reason_code=code.value if code is not None else "",
+            traceparent=traceparent if isinstance(traceparent, str) else None,
+            deadline=_carried_deadline(rar) if rar is not None else None,
         )
 
     def process_ingress_batch(
@@ -1720,10 +1577,8 @@ class HopByHopProtocol:
         """
         if not outcome.granted or outcome.verified is None:
             raise SignallingError("can only modify granted reservations")
-        from dataclasses import replace as _replace
-
         old_request = outcome.verified.request
-        new_request = _replace(old_request, rate_mbps=rate_mbps)
+        new_request = replace(old_request, rate_mbps=rate_mbps)
         self.cancel(outcome)
         try:
             fresh = self.reserve(user, new_request)

@@ -9,11 +9,18 @@ made so far, so a failed attempt never strands capacity).
 import pytest
 
 from repro.bb.reservations import ReservationState
+from repro.core.codec import to_wire
+from repro.core.envelope import SignedEnvelope
+from repro.core.messages import F_TYPE, MSG_APPROVAL, MSG_DENIAL, MSG_RAR
 from repro.core.recovery import CircuitBreaker
 from repro.core.testbed import build_linear_testbed
 from repro.errors import SignallingError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec, TargetKind
+from repro.obs import events as obs_events
+from repro.obs import spans as obs_spans
+from repro.obs.audit import RecordKind, reconcile, use_ledger
+from repro.obs.events import EventKind, ReasonCode
 
 
 def inject(testbed, *specs):
@@ -219,6 +226,136 @@ class TestAbortReleasesPartialPath:
             testbed.brokers["B"].admission.schedule("ingress:A").load_at(1.0)
             == 10.0
         )
+
+
+def only(kind, transform):
+    """A tamper hook applying *transform* to messages of one type."""
+    def hook(message):
+        if isinstance(message, SignedEnvelope) and message.get(F_TYPE) == kind:
+            return transform(message)
+        return message
+    return hook
+
+
+class TestFailureBranchesOfTheSharedStep:
+    """The driver's rare failure branches, through the same receive step
+    and denial writer every other denial takes."""
+
+    @pytest.mark.parametrize("link, denier", [
+        pytest.param("user|A", "A", id="user-to-A"),
+        pytest.param("B|C", "C", id="B-to-C"),
+    ])
+    def test_truncated_request_is_a_typed_denial(
+        self, testbed, alice, link, denier
+    ):
+        brokers = testbed.brokers
+        if link == "user|A":
+            channel = testbed.channels.connect(alice, brokers["A"])
+        else:
+            channel = testbed.channels.connect(brokers["B"], brokers["C"])
+        channel.tamper_hook = only(MSG_RAR, lambda m: to_wire(m)[:24])
+        with obs_events.use_event_log() as log, use_ledger() as ledger:
+            outcome = testbed.reserve(
+                alice, source="A", destination="C", bandwidth_mbps=10.0
+            )
+            report = reconcile(ledger, brokers=brokers)
+        assert not outcome.granted
+        assert outcome.denial_domain == denier
+        assert "undecodable" in outcome.denial_reason
+        failures = log.events(EventKind.TRUST_FAILURE)
+        assert [(e.domain, e.reason_code) for e in failures] == [
+            (denier, ReasonCode.TRUST_FAILURE.value)
+        ]
+        denials = ledger.records(RecordKind.DENY)
+        assert [(r.domain, r.reason_code) for r in denials] == [
+            (denier, ReasonCode.TRUST_FAILURE.value)
+        ]
+        assert failures[0].reason == denials[0].reason
+        # Whatever A and B admitted before the broken copy arrived is
+        # released again, and the ledger agrees with the broker tables.
+        assert_no_capacity_booked(testbed)
+        assert not report.violations
+
+    def test_failed_retransmission_denies_and_releases(self, testbed, alice):
+        """B gets a tampered copy, asks A to retransmit, and the link is
+        dead by then: the retransmission failure is what B reports."""
+        channel = testbed.channels.connect(
+            testbed.brokers["A"], testbed.brokers["B"]
+        )
+        crossings = []
+
+        def tamper_then_drop(message):
+            crossings.append(message)
+            if len(crossings) == 1:
+                return message.with_tampered_field("downstream", "nobody")
+            return None if message.get(F_TYPE) == MSG_RAR else message
+
+        channel.tamper_hook = tamper_then_drop
+        outcome = testbed.reserve(
+            alice, source="A", destination="C", bandwidth_mbps=10.0
+        )
+        assert not outcome.granted
+        assert outcome.denial_domain == "B"
+        assert "retransmission to B" in outcome.denial_reason
+        assert_no_capacity_booked(testbed)
+
+    def test_dead_broker_closes_its_hop_span_as_failed(self, testbed, alice):
+        inject(
+            testbed,
+            FaultSpec(TargetKind.BROKER, "B", FaultKind.CRASH, ops=None),
+        )
+        with obs_spans.use_tracer() as tracer:
+            outcome = testbed.reserve(
+                alice, source="A", destination="C", bandwidth_mbps=10.0
+            )
+        assert not outcome.granted and outcome.denial_domain == "B"
+        statuses = {
+            s.attributes["domain"]: s.status for s in tracer if s.name == "hop"
+        }
+        assert statuses == {"A": "released", "B": "failed"}
+        assert all(span.finished for span in tracer)
+
+    def test_lost_denial_reply_still_denies_and_holds_nothing(
+        self, testbed, alice
+    ):
+        testbed.set_policy("C", "Return DENY")
+        channel = testbed.channels.connect(
+            testbed.brokers["A"], testbed.brokers["B"]
+        )
+        channel.tamper_hook = only(MSG_DENIAL, lambda m: None)
+        with obs_spans.use_tracer() as tracer:
+            outcome = testbed.reserve(
+                alice, source="A", destination="C", bandwidth_mbps=10.0
+            )
+        assert not outcome.granted
+        assert outcome.denial_domain == "C"
+        assert outcome.approval is None
+        assert_no_capacity_booked(testbed)
+        assert all(span.finished for span in tracer)
+
+    def test_undeliverable_approval_denies_and_closes_every_span(
+        self, testbed, alice
+    ):
+        channel = testbed.channels.connect(
+            testbed.brokers["A"], testbed.brokers["B"]
+        )
+        channel.tamper_hook = only(MSG_APPROVAL, lambda m: None)
+        with obs_spans.use_tracer() as tracer, use_ledger() as ledger:
+            outcome = testbed.reserve(
+                alice, source="A", destination="C", bandwidth_mbps=10.0
+            )
+            report = reconcile(ledger, brokers=testbed.brokers)
+        assert not outcome.granted
+        assert outcome.denial_domain == "B"
+        assert "approval could not be delivered" in outcome.denial_reason
+        hops = [span for span in tracer if span.name == "hop"]
+        assert len(hops) == 3
+        assert all(span.finished for span in tracer)
+        statuses = {s.attributes["domain"]: s.status for s in hops}
+        # C's approval got through; B's never reached A.
+        assert statuses == {"A": "released", "B": "released", "C": "ok"}
+        assert_no_capacity_booked(testbed)
+        assert not report.violations
 
 
 class TestSoftState:

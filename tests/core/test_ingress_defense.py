@@ -18,6 +18,7 @@ from repro.core.codec import to_wire
 from repro.core.hopbyhop import WORK_DECODE, WORK_GATE, WORK_VERIFY
 from repro.core.messages import make_user_rar
 from repro.core.testbed import build_linear_testbed
+from repro.obs.audit import RecordKind, use_ledger
 from repro.obs.events import ReasonCode
 
 
@@ -58,6 +59,9 @@ class TestMalformedIngress:
             id="corrupted-field-tag",
         ),
         pytest.param(lambda wire: b"\x00" * 64, id="garbage-bytes"),
+        # Decodable, but nothing to verify it against: refused at decode
+        # cost rather than accepted unverified.
+        pytest.param(lambda wire: wire, id="well-formed-without-certificate"),
     ])
     def test_malformed_wire_is_typed_denial(
         self, testbed, captured_wire, mutate
@@ -100,6 +104,27 @@ class TestMalformedIngress:
         assert report.accepted
         assert report.verified
         assert report.work_units == WORK_VERIFY
+
+    def test_accepted_message_leaves_no_audit_notes_behind(
+        self, testbed, captured_wire
+    ):
+        """An accepted message writes no record; its verification notes
+        must not ride on this thread's next denial."""
+        wire, user = captured_wire
+        stranger = testbed.add_user("A", "Mallory")
+        with use_ledger() as ledger:
+            accepted = testbed.hop_by_hop.process_ingress(
+                "B", wire, peer=str(user.dn),
+                peer_certificate=user.certificate, at_time=0.0,
+            )
+            rejected = testbed.hop_by_hop.process_ingress(
+                "B", wire + b"x", peer=str(stranger.dn),
+                peer_certificate=stranger.certificate, at_time=0.0,
+            )
+        assert accepted.accepted and not rejected.accepted
+        (denial,) = ledger.records(RecordKind.DENY)
+        assert denial.user == str(stranger.dn)
+        assert denial.checks == ()
 
 
 class TestReplayGuardAtIngress:

@@ -213,9 +213,6 @@ class TestIngressDifferential:
         records, in order.  Check *sources* may differ (the batch scope
         answers the repeated wire from its cache); verdicts may not."""
         def run(batched):
-            # An accepted ingress message writes no record, so its check
-            # notes stay pending on this thread; start each run clean.
-            obs_audit.discard_pending()
             with obs_audit.use_ledger() as ledger:
                 testbed, bob, wire, hostile = self._wire_and_mutations()
                 messages = [wire, wire[:20], hostile, wire]

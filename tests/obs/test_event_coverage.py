@@ -212,6 +212,23 @@ class TestEveryKindCarriesACorrelationId:
     def test_scenario_table_covers_the_enum(self):
         assert set(SCENARIOS) == set(EventKind)
 
+    @pytest.mark.parametrize(
+        "kind",
+        [EventKind.DENY, EventKind.TRUST_FAILURE, EventKind.UNWIND_FAILED],
+        ids=lambda k: k.value,
+    )
+    def test_every_refusal_event_carries_a_reason_code(self, kind):
+        """Whatever the scenario table makes of these kinds says *why*
+        in the machine-readable vocabulary, not only in prose."""
+        for scenario in dict.fromkeys(SCENARIOS.values()):
+            with events.use_event_log() as log:
+                scenario()
+            for event in log.events(kind):
+                assert event.reason_code, (
+                    f"{scenario.__name__}: {kind.value} event without a "
+                    f"reason code: {event}"
+                )
+
 
 class TestExpireJoinsTheOriginatingTrace:
     def test_expire_carries_the_admission_correlation_id(self):
