@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 #: Method names treated as in-place mutation of the container they are
-#: called on (``self.audit_log.append(...)`` mutates ``audit_log``).
+#: called on (``self.transitions.append(...)`` mutates ``transitions``).
 MUTATOR_METHODS = frozenset({
     "append", "extend", "insert", "add", "update", "setdefault",
     "pop", "popitem", "remove", "discard", "clear", "sort", "reverse",

@@ -326,7 +326,9 @@ class MutableDefaultRule(Rule):
         self.generic_visit(node)
 
 
-_OBS_ACCESSORS = frozenset({"get_registry", "get_tracer", "get_event_log"})
+_OBS_ACCESSORS = frozenset(
+    {"get_registry", "get_tracer", "get_event_log", "get_ledger"}
+)
 
 
 @register
@@ -551,9 +553,10 @@ class RawTimerRule(_ImportAwareRule):
 #: Calls that mint an admission/denial decision.
 _DECISION_CONSTRUCTORS = frozenset({"AdmitOutcome", "make_denial"})
 
-#: Call names that prove the function talks to the provenance recorder
-#: (the broker's ``_audit``, the :mod:`repro.obs.audit` module helpers,
-#: or a ledger handle used directly).
+#: Call names that prove the function talks to the provenance recorder:
+#: the one decision writer (``repro.obs.decisions.record`` — by basename,
+#: so a ledger handle's ``.record`` counts too), the broker's ``_audit``
+#: that calls it, or the :mod:`repro.obs.audit` module helpers.
 _PROVENANCE_RECORDERS = frozenset(
     {
         "_audit",
@@ -604,9 +607,9 @@ class ProvenanceBypassRule(Rule):
             self.report(
                 call,
                 f"{name}() mints an admission/denial in a function that "
-                "never talks to the decision-provenance recorder; record "
-                "it (broker _audit / repro.obs.audit.record_decision) or "
-                "the decision is invisible to repro audit --reconcile",
+                "never talks to the decision-provenance recorder; state "
+                "it once with repro.obs.decisions.record or the decision "
+                "is invisible to repro audit --reconcile",
             )
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:

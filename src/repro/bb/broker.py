@@ -51,14 +51,13 @@ from repro.errors import (
     SLAError,
     SLAViolationError,
 )
+from repro.obs import decisions
 from repro.obs import events as obs_events
-from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
-from repro.obs.audit import ledger as obs_audit
-from repro.obs.events import EventKind, ReasonCode
+from repro.obs.events import ReasonCode
 from repro.policy.engine import PolicyDecision
 
-__all__ = ["EdgeConfigurator", "BandwidthBroker", "AdmitOutcome", "AuditEntry"]
+__all__ = ["EdgeConfigurator", "BandwidthBroker", "AdmitOutcome"]
 
 logger = logging.getLogger(__name__)
 
@@ -110,28 +109,6 @@ class AdmitOutcome:
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class AuditEntry:
-    """One line in a broker's decision trail.
-
-    Every admission attempt and every lifecycle transition leaves an
-    entry, giving domain operators the accountable record the paper's
-    accounting discussion presumes ("whenever a domain actually bills the
-    requesting entity ...").
-    """
-
-    at_time: float
-    event: str  # admit | claim | cancel
-    handle: str
-    user: str
-    granted: bool
-    reason: str = ""
-    rate_mbps: float = 0.0
-    window: tuple[float, float] = (0.0, 0.0)
-    upstream: str | None = None
-    downstream: str | None = None
-
-
 class BandwidthBroker:
     """One domain's bandwidth broker (local decision logic)."""
 
@@ -173,8 +150,6 @@ class BandwidthBroker:
         self._booking_map: dict[str, tuple[tuple[str, int], ...]] = {}
         #: Validators for linked reservations of other resource kinds.
         self._linked_validators: dict[str, object] = {}
-        #: Operator-facing decision trail (admit/claim/cancel events).
-        self.audit_log: list[AuditEntry] = []
         #: RSVP-style soft-state lease length.  When set, every grant
         #: carries an ``expires_at`` and must be refreshed (claim and
         #: :meth:`refresh` do) or :meth:`sweep_soft_state` reclaims it.
@@ -188,7 +163,7 @@ class BandwidthBroker:
         # operation (admit / claim / cancel / refresh / sweep).  The
         # concurrent signaller already orders whole reservations per
         # domain; this lock makes each individual operation atomic so
-        # _booking_map, the audit log, and the admission ledger can
+        # _booking_map, the reservation table and the admission ledger can
         # never interleave mid-update.
         self._lock = threading.RLock()
 
@@ -298,115 +273,38 @@ class BandwidthBroker:
     def register_linked_validator(self, kind: str, fn) -> None:
         self._linked_validators[kind] = fn
 
-    #: Audit events → structured-event kinds ("admit" splits on *granted*).
-    _EVENT_KINDS = {
-        "claim": EventKind.CLAIM,
-        "cancel": EventKind.CANCEL,
-        "expire": EventKind.EXPIRE,
-    }
-
     def _check_up(self) -> None:
         """Deliver a pending injected crash before touching state — a
         crashed BB answers nothing, so no operation may proceed."""
         if self.injector is not None:
             self.injector.broker_op(self.domain)
 
-    #: Audit events → decision-ledger record kinds.
-    _LEDGER_KINDS = {
-        "claim": obs_audit.RecordKind.CLAIM,
-        "cancel": obs_audit.RecordKind.CANCEL,
-        "expire": obs_audit.RecordKind.EXPIRE,
-    }
-
-    def _audit(self, event: str, resv: Reservation, *, granted: bool,
-               reason: str = "", at_time: float = 0.0,
-               reason_code: str | ReasonCode = "",
+    def _audit(self, kind: str, resv: Reservation, *, reason: str = "",
+               at_time: float = 0.0, reason_code: str | ReasonCode = "",
                decision: PolicyDecision | None = None) -> None:
-        self.audit_log.append(
-            AuditEntry(
-                at_time=at_time,
-                event=event,
-                handle=resv.handle,
-                user=str(resv.owner) if resv.owner else "",
-                granted=granted,
-                reason=reason,
-                rate_mbps=resv.request.rate_mbps,
-                window=(resv.request.start, resv.request.end),
-                upstream=resv.upstream,
-                downstream=resv.downstream,
-            )
+        """Write one decision about *resv* down — *kind* is a
+        :data:`repro.obs.decisions.DECISIONS` key.  The ledger record
+        is the operator-facing trail the paper's accounting discussion
+        presumes ("whenever a domain actually bills the requesting
+        entity ...")."""
+        decisions.record(
+            kind, at_time=at_time, domain=self.domain,
+            user=str(resv.owner) if resv.owner else "",
+            handle=resv.handle, reason=reason, reason_code=reason_code,
+            # The admission-time ID, so decisions taken outside the
+            # request scope (the soft-state sweep) still join the
+            # originating trace.
+            correlation_id=resv.correlation_id,
+            granted=kind == "admit",
+            rate_mbps=resv.request.rate_mbps,
+            window=(resv.request.start, resv.request.end),
+            upstream=resv.upstream, downstream=resv.downstream,
+            decision=decision,
         )
-        registry = obs_metrics.get_registry()
-        if registry is not None:
-            if event == "admit":
-                registry.counter(
-                    "admissions_total",
-                    "Local admission attempts, by domain and outcome",
-                ).inc(domain=self.domain, granted=str(granted).lower())
-            elif event == "claim":
-                registry.counter(
-                    "claims_total", "Reservations claimed (activated)",
-                ).inc(domain=self.domain)
-            elif event == "cancel":
-                registry.counter(
-                    "cancellations_total", "Reservations cancelled",
-                ).inc(domain=self.domain)
-        event_log = obs_events.get_event_log()
-        if event_log is not None:
-            if event == "admit":
-                kind = EventKind.ADMIT if granted else EventKind.DENY
-            else:
-                kind = self._EVENT_KINDS.get(event)
-            if kind is not None:
-                event_log.emit(
-                    kind, at_time=at_time, domain=self.domain,
-                    user=str(resv.owner) if resv.owner else "",
-                    handle=resv.handle, reason=reason,
-                    reason_code=reason_code,
-                    # Fall back to the stashed admission-time ID so events
-                    # emitted outside the request scope (the soft-state
-                    # sweep) still join the originating trace.
-                    correlation_id=(
-                        obs_events.current_correlation_id()
-                        or resv.correlation_id
-                    ),
-                    rate_mbps=resv.request.rate_mbps,
-                )
-        ledger = obs_audit.get_ledger()
-        if ledger is not None:
-            if event == "admit":
-                record_kind = (obs_audit.RecordKind.ADMIT if granted
-                               else obs_audit.RecordKind.DENY)
-            else:
-                record_kind = self._LEDGER_KINDS.get(event)
-            if record_kind is not None:
-                ledger.record(
-                    record_kind,
-                    at_time=at_time,
-                    domain=self.domain,
-                    handle=resv.handle,
-                    user=str(resv.owner) if resv.owner else "",
-                    correlation_id=(
-                        obs_events.current_correlation_id()
-                        or resv.correlation_id
-                    ),
-                    granted=granted and event == "admit",
-                    reason=reason,
-                    reason_code=(reason_code.value
-                                 if isinstance(reason_code, ReasonCode)
-                                 else reason_code),
-                    rate_mbps=resv.request.rate_mbps,
-                    window=(resv.request.start, resv.request.end),
-                    upstream=resv.upstream,
-                    downstream=resv.downstream,
-                    matched_rule=decision.matched_rule if decision else "",
-                    rules_fired=decision.rules_fired if decision else (),
-                )
-        if event == "admit" and not granted:
+        if kind == "admit_denied":
             logger.info("%s: denied %s: %s", self.domain, resv.handle, reason)
         else:
-            logger.debug("%s: %s %s (granted=%s)", self.domain, event,
-                         resv.handle, granted)
+            logger.debug("%s: %s %s", self.domain, kind, resv.handle)
 
     def admit(
         self,
@@ -470,7 +368,7 @@ class BandwidthBroker:
             except QuotaExceededError as exc:
                 resv.denial_reason = str(exc)
                 self.reservations.transition(resv.handle, ReservationState.DENIED)
-                self._audit("admit", resv, granted=False, reason=str(exc),
+                self._audit("admit_denied", resv, reason=str(exc),
                             at_time=at_time,
                             reason_code=ReasonCode.QUOTA_EXCEEDED)
                 return AdmitOutcome(False, resv, reason=str(exc))
@@ -480,7 +378,7 @@ class BandwidthBroker:
         except SLAViolationError as exc:
             resv.denial_reason = str(exc)
             self.reservations.transition(resv.handle, ReservationState.DENIED)
-            self._audit("admit", resv, granted=False, reason=str(exc),
+            self._audit("admit_denied", resv, reason=str(exc),
                         at_time=at_time,
                         reason_code=ReasonCode.SLA_VIOLATION)
             return AdmitOutcome(False, resv, reason=str(exc))
@@ -492,7 +390,7 @@ class BandwidthBroker:
         if not decision.granted:
             resv.denial_reason = decision.reason
             self.reservations.transition(resv.handle, ReservationState.DENIED)
-            self._audit("admit", resv, granted=False, reason=decision.reason,
+            self._audit("admit_denied", resv, reason=decision.reason,
                         at_time=at_time,
                         reason_code=ReasonCode.POLICY_DENIED,
                         decision=decision)
@@ -509,7 +407,7 @@ class BandwidthBroker:
             except AdmissionError as exc:
                 resv.denial_reason = str(exc)
                 self.reservations.transition(resv.handle, ReservationState.DENIED)
-                self._audit("admit", resv, granted=False, reason=str(exc),
+                self._audit("admit_denied", resv, reason=str(exc),
                             at_time=at_time,
                             reason_code=ReasonCode.CAPACITY_EXCEEDED,
                             decision=decision)
@@ -520,7 +418,7 @@ class BandwidthBroker:
         if self.soft_state_ttl_s is not None:
             resv.expires_at = at_time + self.soft_state_ttl_s
         self.reservations.transition(resv.handle, ReservationState.GRANTED)
-        self._audit("admit", resv, granted=True, reason=decision.reason,
+        self._audit("admit", resv, reason=decision.reason,
                     at_time=at_time, decision=decision)
         return AdmitOutcome(True, resv, decision=decision, reason=decision.reason)
 
@@ -553,7 +451,7 @@ class BandwidthBroker:
                 self.reservations.refresh(
                     handle, now=at_time, ttl_s=self.soft_state_ttl_s
                 )
-            self._audit("claim", resv, granted=True, at_time=at_time)
+            self._audit("claim", resv, at_time=at_time)
             if self.configurator is not None:
                 if resv.upstream is None:
                     # We are the source domain: per-flow classification.
@@ -579,7 +477,7 @@ class BandwidthBroker:
             resv = self.reservations.transition(
                 handle, ReservationState.CANCELLED
             )
-            self._audit("cancel", resv, granted=True, reason=reason,
+            self._audit("cancel", resv, reason=reason,
                         reason_code=reason_code)
             bookings = self._booking_map.pop(handle, ())
             if bookings:
@@ -618,7 +516,6 @@ class BandwidthBroker:
                 trace_id=obs_spans.mint_correlation_id(),
                 domain=self.domain,
             )
-        registry = obs_metrics.get_registry()
         with self._lock:
             lapsed = self.reservations.sweep_expired(now)
             for resv in lapsed:
@@ -629,13 +526,8 @@ class BandwidthBroker:
                     if resv.upstream is None:
                         self.configurator.teardown_flow(self.domain, resv)
                     self._refresh_ingress(resv.request.service_class)
-                if registry is not None:
-                    registry.counter(
-                        "soft_state_expirations_total",
-                        "Reservations reclaimed by soft-state expiry",
-                    ).inc(domain=self.domain)
                 self._audit(
-                    "expire", resv, granted=True,
+                    "expire", resv,
                     reason="soft-state lease expired", at_time=now,
                     reason_code=ReasonCode.SOFT_STATE_EXPIRED,
                 )

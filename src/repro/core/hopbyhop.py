@@ -19,9 +19,9 @@ once (docs/PROTOCOL.md §5 tabulates its stages):
    introduces the upstream certificate, and forwards ``RAR_{N+1}``
    downstream (``_forward``);
 3. a stage refuses by raising ``_Refused``; one writer (``_deny``) turns
-   that into the span segment, event, ledger record and signed denial,
-   which propagates back upstream with its reason (``_reply``); already
-   granted reservations along the partial path are released;
+   that into the span segment, the recorded decision and the signed
+   denial, which propagates back upstream with its reason (``_reply``);
+   already granted reservations along the partial path are released;
 4. the destination runs the full §6.5 capability-chain verification
    (``_finish_at_destination``, including its own proof of possession)
    and, on success, the approval propagates back the same way with each
@@ -114,6 +114,7 @@ from repro.errors import (
     TrustError,
     TamperedMessageError,
 )
+from repro.obs import decisions
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
@@ -325,7 +326,7 @@ class _Refused(Exception):
         *,
         signer: BandwidthBroker | None = None,
         segment: tuple[str, obs_spans.Span | None, float] | None = None,
-        event: EventKind | None = None,
+        event: EventKind = EventKind.DENY,
         work: float = WORK_VERIFY,
     ) -> None:
         super().__init__(reason)
@@ -341,6 +342,7 @@ class _Refused(Exception):
         self.signer = signer
         #: ``(name, parent span, start)`` of the phase that failed.
         self.segment = segment
+        #: ``DENY``, or ``TRUST_FAILURE`` for an unverifiable message.
         self.event = event
         #: What reaching the refusing stage cost the receiver (``WORK_*``).
         self.work = work
@@ -433,18 +435,10 @@ class HopByHopProtocol:
         outcome.retries += 1
         obs_audit.note_retry(target=target, reason=reason)
         logger.info("retry %d of %s (%s): %s", attempt, what, target, reason)
-        registry = obs_metrics.get_registry()
-        if registry is not None:
-            registry.counter(
-                "signalling_retries_total",
-                "Transient-failure retries during hop-by-hop signalling",
-            ).inc(target=target)
-        event_log = obs_events.get_event_log()
-        if event_log is not None:
-            event_log.emit(
-                EventKind.RETRY, at_time=att.at_time + outcome.latency_s,
-                reason=reason, target=target, what=what, attempt=attempt,
-            )
+        decisions.record(
+            "retry", at_time=att.at_time + outcome.latency_s,
+            reason=reason, target=target, what=what, attempt=attempt,
+        )
 
     def _segment(
         self, att: _Attempt, name: str, parent: obs_spans.Span | None,
@@ -584,8 +578,6 @@ class HopByHopProtocol:
         ``finally``) never release twice.
         """
         granted, at_time = att.granted, att.at_time
-        registry = obs_metrics.get_registry()
-        event_log = obs_events.get_event_log()
         while granted:
             bb, handle = granted.pop()
             try:
@@ -595,38 +587,17 @@ class HopByHopProtocol:
                     "%s: unwind of %s failed (%s); soft state must reclaim",
                     bb.domain, handle, exc,
                 )
-                if registry is not None:
-                    registry.counter(
-                        "unwind_failures_total",
-                        "Partial-path releases that failed (left to "
-                        "soft-state expiry)",
-                    ).inc(domain=bb.domain)
-                if event_log is not None:
-                    event_log.emit(
-                        EventKind.UNWIND_FAILED, at_time=at_time,
-                        domain=bb.domain, handle=handle, reason=str(exc),
-                        reason_code=ReasonCode.UNWIND_RELEASE_FAILED,
-                    )
-                obs_audit.record_decision(
-                    obs_audit.RecordKind.UNWIND_FAILED,
-                    at_time=at_time, domain=bb.domain, handle=handle,
-                    reason=str(exc),
-                    reason_code=ReasonCode.UNWIND_RELEASE_FAILED.value,
+                decisions.record(
+                    "unwind_failed", at_time=at_time, domain=bb.domain,
+                    handle=handle, reason=str(exc),
+                    reason_code=ReasonCode.UNWIND_RELEASE_FAILED,
                 )
                 continue
             logger.info("%s: released %s (%s)", bb.domain, handle, reason)
-            if registry is not None:
-                registry.counter(
-                    "releases_total",
-                    "Partial-path reservations released after a "
-                    "downstream denial",
-                ).inc(domain=bb.domain)
-            if event_log is not None:
-                event_log.emit(
-                    EventKind.RELEASE, at_time=at_time, domain=bb.domain,
-                    handle=handle, reason=reason,
-                    reason_code=ReasonCode.UNWOUND,
-                )
+            decisions.record(
+                "release", at_time=at_time, domain=bb.domain, handle=handle,
+                reason=reason, reason_code=ReasonCode.UNWOUND,
+            )
 
     def _verified_path_assertions(
         self, verified: VerifiedRAR, peer_certificate: Certificate | None,
@@ -704,74 +675,53 @@ class HopByHopProtocol:
                 "signalling_inflight",
                 "Reservations currently in hop-by-hop signalling",
             ).inc()
-        try:
-            with obs_events.correlation_scope(correlation_id):
+        outcome = att.outcome
+        with obs_events.correlation_scope(correlation_id):
+            try:
                 self._signal(
                     att, user, request, assertions=assertions,
                     restrictions=restrictions, deadline_s=deadline_s,
                 )
-        finally:
-            if registry is not None:
-                registry.gauge("signalling_inflight").dec()
-        outcome = att.outcome
-        if tracer is not None and root is not None:
-            tracer.end(
-                root,
-                status="ok" if outcome.granted else "denied",
-                granted=outcome.granted,
-                sim_latency_s=outcome.latency_s,
-                messages=outcome.messages,
-            )
-        self._report_outcome(user, request, outcome)
+            finally:
+                if registry is not None:
+                    registry.gauge("signalling_inflight").dec()
+            if tracer is not None and root is not None:
+                tracer.end(
+                    root,
+                    status="ok" if outcome.granted else "denied",
+                    granted=outcome.granted,
+                    sim_latency_s=outcome.latency_s,
+                    messages=outcome.messages,
+                )
+            # Still inside the scope: the verdict is this request's.
+            self._report_outcome(user, request, outcome)
         return outcome
 
     def _report_outcome(
         self, user: UserAgent, request: ReservationRequest,
         outcome: SignallingOutcome,
     ) -> None:
-        """The terminal ledger record, the outcome metrics and the log
-        line of one finished attempt."""
-        ledger = obs_audit.get_ledger()
-        if ledger is not None:
-            # The terminal record of the decision chain: what the source
-            # domain told the user.  Drains any checks still pending
-            # (e.g. the destination's §6.5 delegation verification).
-            ledger.record(
-                obs_audit.RecordKind.OUTCOME,
-                at_time=self.clock(),
-                domain=outcome.denial_domain or "",
-                user=str(user.dn),
-                correlation_id=outcome.correlation_id,
-                granted=outcome.granted,
-                reason=outcome.denial_reason or "",
-                rate_mbps=request.rate_mbps,
-                window=(request.start, request.end),
-                path=">".join(outcome.path),
-                messages=outcome.messages,
-                latency_s=f"{outcome.latency_s:.6f}",
-            )
-        registry = obs_metrics.get_registry()
-        if registry is not None:
-            registry.counter(
-                "reservations_total",
-                "End-to-end hop-by-hop reservation attempts",
-            ).inc(result="granted" if outcome.granted else "denied")
-            registry.counter(
-                "signalling_messages_total",
-                "Signalling messages exchanged by the hop-by-hop protocol",
-            ).inc(outcome.messages)
-            registry.counter(
-                "signalling_bytes_total",
-                "Signalling bytes exchanged by the hop-by-hop protocol",
-            ).inc(outcome.bytes)
-            registry.histogram(
-                "signalling_latency_seconds",
-                "Modelled end-to-end signalling latency per reservation",
-            ).observe(outcome.latency_s)
-            if not outcome.granted:
-                registry.counter(
-                    "denials_total", "Reservations denied, by denying domain",
-                ).inc(domain=outcome.denial_domain or "")
+        """The terminal decision of one finished attempt — what the
+        source domain told the user — and its log line.  The ledger
+        record drains any checks still pending (e.g. the destination's
+        §6.5 delegation verification)."""
+        decisions.record(
+            "outcome" if outcome.granted else "outcome_denied",
+            at_time=self.clock(),
+            domain=outcome.denial_domain or "",
+            user=str(user.dn),
+            granted=outcome.granted,
+            reason=outcome.denial_reason or "",
+            rate_mbps=request.rate_mbps,
+            window=(request.start, request.end),
+            measures={
+                "messages": outcome.messages, "bytes": outcome.bytes,
+                "latency_s": outcome.latency_s,
+            },
+            path=">".join(outcome.path),
+            messages=outcome.messages,
+            latency_s=f"{outcome.latency_s:.6f}",
+        )
         if outcome.granted:
             logger.info(
                 "%s: granted along %s (latency %.1f ms, %d messages)",
@@ -1037,8 +987,7 @@ class HopByHopProtocol:
         except DefenseError as exc:
             raise _Refused(
                 hop.domain, str(exc), exc, signer=hop.bb,
-                segment=("defense", hop.span, hop.t0),
-                event=EventKind.DENY, work=WORK_GATE,
+                segment=("defense", hop.span, hop.t0), work=WORK_GATE,
             ) from exc
 
     def _verify(
@@ -1365,10 +1314,10 @@ class HopByHopProtocol:
 
     def _deny(self, att: _Attempt, refusal: _Refused) -> SignedEnvelope | None:
         """The one place a refusal is written down: the span error
-        segment of the stage that refused, the ``DENY``/``TRUST_FAILURE``
-        event, the ledger ``DENY`` record — event and record carry the
-        same reason and reason code by construction — and the signed
-        denial, when a live broker is there to sign it."""
+        segment of the stage that refused, the decision (a ``DENY`` or
+        ``TRUST_FAILURE`` event and a ledger ``DENY`` record, whichever
+        is on) and the signed denial, when a live broker is there to
+        sign it."""
         domain, reason, code = refusal.domain, refusal.reason, refusal.code
         logger.info("%s: refused: %s", domain, reason)
         if refusal.segment is not None:
@@ -1377,17 +1326,11 @@ class HopByHopProtocol:
                 att, name, parent, start_wall, status="error", error=reason,
             )
         if code is not None:
-            event_log = obs_events.get_event_log()
-            if refusal.event is not None and event_log is not None:
-                event_log.emit(
-                    refusal.event, at_time=att.at_time, domain=domain,
-                    user=att.user, reason=reason, reason_code=code,
-                )
-            obs_audit.record_decision(
-                obs_audit.RecordKind.DENY,
+            decisions.record(
+                "trust_failure" if refusal.event is EventKind.TRUST_FAILURE
+                else "deny",
                 at_time=att.at_time, domain=domain, user=att.user,
-                reason=reason, reason_code=code.value,
-                rate_mbps=att.rate_mbps,
+                reason=reason, reason_code=code, rate_mbps=att.rate_mbps,
             )
         signer = refusal.signer
         if signer is None or not att.walked:

@@ -27,9 +27,7 @@ import random
 from dataclasses import dataclass
 
 from repro.errors import CircuitOpenError, DeadlineExceededError
-from repro.obs import events as obs_events
-from repro.obs import metrics as obs_metrics
-from repro.obs.events import EventKind
+from repro.obs import decisions
 
 __all__ = ["RetryPolicy", "Deadline", "CircuitBreaker", "BreakerPolicy"]
 
@@ -119,18 +117,10 @@ class CircuitBreaker:
         old = self.state
         self.state = new_state
         self.transitions.append((old, new_state, now))
-        registry = obs_metrics.get_registry()
-        if registry is not None:
-            registry.counter(
-                "breaker_transitions_total",
-                "Circuit-breaker state transitions, by link and new state",
-            ).inc(link=self.link, to=new_state)
-        event_log = obs_events.get_event_log()
-        if event_log is not None:
-            event_log.emit(
-                EventKind.BREAKER, at_time=now,
-                reason=f"{old} -> {new_state}", link=self.link,
-            )
+        decisions.record(
+            "breaker", at_time=now, reason=f"{old} -> {new_state}",
+            link=self.link, to=new_state,
+        )
 
     def allow(self, now: float) -> bool:
         """May a message be sent over this link right now?"""

@@ -29,11 +29,11 @@ from repro.core.channel import ChannelRegistry, SecureChannel
 from repro.core.hopbyhop import HopByHopProtocol, SignallingOutcome
 from repro.crypto.dn import DistinguishedName
 from repro.errors import ChannelError, TunnelError
+from repro.obs import decisions
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
-from repro.obs.audit import ledger as obs_audit
-from repro.obs.events import EventKind, ReasonCode
+from repro.obs.events import ReasonCode
 
 __all__ = ["Tunnel", "FlowAllocation", "TunnelService"]
 
@@ -333,12 +333,6 @@ class TunnelService:
             "%s: direct end-domain signalling failed (%s); falling back to "
             "per-flow hop-by-hop", tunnel.tunnel_id, cause,
         )
-        registry = obs_metrics.get_registry()
-        if registry is not None:
-            registry.counter(
-                "tunnel_fallbacks_total",
-                "Intra-tunnel flows degraded to per-flow signalling",
-            ).inc(tunnel=tunnel.tunnel_id)
         # The degradation gets a correlation ID and a span of its own: the
         # FALLBACK event carries the ID, and the span links to the
         # per-flow reservation's trace once that has run.
@@ -362,20 +356,12 @@ class TunnelService:
             end=end,
         )
         with obs_events.correlation_scope(fallback_cid):
-            event_log = obs_events.get_event_log()
-            if event_log is not None:
-                event_log.emit(
-                    EventKind.FALLBACK, reason=str(cause),
-                    target=tunnel.tunnel_id,
-                    reason_code=ReasonCode.TUNNEL_DIRECT_FAILED,
-                )
-            obs_audit.record_decision(
-                obs_audit.RecordKind.FALLBACK,
-                domain=tunnel.source_domain, user=str(user.dn),
+            decisions.record(
+                "fallback", domain=tunnel.source_domain, user=str(user.dn),
                 reason=str(cause),
-                reason_code=ReasonCode.TUNNEL_DIRECT_FAILED.value,
+                reason_code=ReasonCode.TUNNEL_DIRECT_FAILED,
                 rate_mbps=rate_mbps,
-                tunnel=tunnel.tunnel_id,
+                tunnel=tunnel.tunnel_id, target=tunnel.tunnel_id,
             )
             outcome = self.protocol.reserve(user, request)
         if not outcome.granted:

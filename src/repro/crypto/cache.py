@@ -42,12 +42,13 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterator
+from typing import Any, Hashable
 
 from repro.errors import CryptoError
 from repro.obs import metrics as obs_metrics
+from repro.obs._holder import Holder
 
 __all__ = [
     "LRUCache",
@@ -333,8 +334,7 @@ class VerificationCaches:
 
 # -- module-global handle (mirrors repro.obs.metrics) ------------------------------
 
-_active: VerificationCaches | None = None
-_active_lock = threading.Lock()
+_holder: Holder[VerificationCaches] = Holder()
 
 
 def enable(
@@ -344,42 +344,29 @@ def enable(
     delegation_size: int = 1024,
 ) -> VerificationCaches:
     """Install (and return) a fresh process-global cache set."""
-    global _active
-    with _active_lock:
-        _active = VerificationCaches(
-            signature_size=signature_size,
-            rar_size=rar_size,
-            delegation_size=delegation_size,
-        )
-        return _active
+    caches = VerificationCaches(
+        signature_size=signature_size,
+        rar_size=rar_size,
+        delegation_size=delegation_size,
+    )
+    _holder.swap(caches)
+    return caches
 
 
 def disable() -> None:
-    global _active
-    with _active_lock:
-        _active = None
+    _holder.swap(None)
 
 
 def get_caches() -> VerificationCaches | None:
     """The active cache set, or ``None`` when caching is off (default)."""
-    return _active
+    return _holder.active
 
 
-@contextmanager
 def use_caches(
     caches: VerificationCaches | None = None,
-) -> Iterator[VerificationCaches]:
+) -> AbstractContextManager[VerificationCaches]:
     """Scope-install *caches* (or a fresh default set), restoring on exit."""
-    global _active
-    with _active_lock:
-        previous = _active
-        _active = caches if caches is not None else VerificationCaches()
-        installed = _active
-    try:
-        yield installed
-    finally:
-        with _active_lock:
-            _active = previous
+    return _holder.use(caches if caches is not None else VerificationCaches())
 
 
 def notify_revoked(fingerprint: str) -> None:

@@ -34,9 +34,7 @@ from repro.errors import (
     RepositoryUnavailableError,
 )
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec, TargetKind
-from repro.obs import events as obs_events
-from repro.obs import metrics as obs_metrics
-from repro.obs.events import EventKind
+from repro.obs import decisions
 
 __all__ = ["FaultInjector"]
 
@@ -85,19 +83,10 @@ class FaultInjector:
         with self._lock:
             self.triggered.append((spec, op))
         logger.info("fault injected: %s (op %d)", spec.describe(), op)
-        registry = obs_metrics.get_registry()
-        if registry is not None:
-            registry.counter(
-                "faults_injected_total",
-                "Faults delivered by the injector, by target kind and kind",
-            ).inc(target_kind=spec.target_kind.value, kind=spec.kind.value)
-        event_log = obs_events.get_event_log()
-        if event_log is not None:
-            event_log.emit(
-                EventKind.FAULT,
-                reason=spec.describe(),
-                target=spec.target, op=op,
-            )
+        decisions.record(
+            "fault", reason=spec.describe(), target=spec.target, op=op,
+            target_kind=spec.target_kind.value, kind=spec.kind.value,
+        )
 
     def op_count(self, target_kind: TargetKind, target: str) -> int:
         """Operations seen so far against one target (test hook)."""

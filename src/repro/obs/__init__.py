@@ -11,6 +11,10 @@ Three pillars, each individually switchable and all off by default:
 * :mod:`repro.obs.events` — a structured log of typed lifecycle records
   (admit / deny / claim / cancel / release / trust failure).
 
+A decision is written once: :mod:`repro.obs.decisions` fans it out to
+the counters, the event log and the :mod:`repro.obs.audit` ledger, so
+those views agree by construction.
+
 Layered on top of the pillars (ISSUE 4):
 
 * :mod:`repro.obs.propagation` — W3C-traceparent-style trace context
@@ -22,7 +26,7 @@ Layered on top of the pillars (ISSUE 4):
   evaluated over the registry and event log (``repro slo``; the chaos
   harness attaches verdicts to every run).
 
-Instrumented modules pay a single ``None`` check when observability is
+Instrumented modules pay a ``None`` check per store when observability is
 disabled, so the substrate adds no measurable overhead to the signalling
 hot paths (benchmark C1 guards this).
 
@@ -60,22 +64,9 @@ __all__ = [
     "propagation",
     "slo",
     "audit",
-    "enable_all",
-    "disable_all",
     "observed",
     "configure_logging",
 ]
-
-
-def enable_all() -> tuple[MetricsRegistry, Tracer, EventLog]:
-    """Enable metrics, tracing, and the event log with fresh instances."""
-    return metrics.enable(), spans.enable(), events.enable()
-
-
-def disable_all() -> None:
-    metrics.disable()
-    spans.disable()
-    events.disable()
 
 
 @contextlib.contextmanager

@@ -9,11 +9,11 @@ Two layers cooperate to build one record:
   :mod:`contextvars` buffer, so concurrent requests on worker threads
   never cross-contaminate, and no call signature in the protocol stack
   had to grow a "ledger" argument.
-* **Record finalisation** — the decision points (the broker's audit
-  hook, the signalling engine's denial synthesis) call
-  :func:`record_decision`, which drains the pending buffer into an
-  immutable :class:`DecisionRecord` and appends it under the ledger
-  lock with a monotonically increasing sequence number.
+* **Record finalisation** — the decision points state the decision to
+  :func:`repro.obs.decisions.record`, whose :meth:`DecisionLedger.record`
+  call drains the pending buffer into an immutable
+  :class:`DecisionRecord` and appends it under the ledger lock with a
+  monotonically increasing sequence number.
 
 Everything no-ops when no ledger is installed: ``note_check`` costs one
 ``None`` check, and the buffer is only ever created while a ledger is
@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.obs import events as obs_events
+from repro.obs._holder import Holder
 
 __all__ = [
     "RecordKind",
@@ -230,6 +231,7 @@ class DecisionLedger:
     def record(
         self,
         kind: RecordKind | str,
+        /,  # positional-only: an attribute may itself be named ``kind``
         *,
         at_time: float = 0.0,
         domain: str = "",
@@ -394,7 +396,7 @@ def note_check(
 ) -> None:
     """Note one certificate/delegation/assertion check for the decision
     currently being evaluated.  No-op when the ledger is off."""
-    if _active is None:
+    if _holder.active is None:
         return
     _current_pending().checks.append(CheckRecord(
         kind=kind,
@@ -408,7 +410,7 @@ def note_check(
 
 def note_retry(target: str = "", reason: str = "") -> None:
     """Note one absorbed transient failure (mirrors the RETRY event)."""
-    if _active is None:
+    if _holder.active is None:
         return
     buffer = _current_pending()
     buffer.retries += 1
@@ -425,7 +427,7 @@ def note_recovery(
 ) -> None:
     """Note the recovery context (breaker state of the inbound link,
     remaining end-to-end deadline) for the decision in flight."""
-    if _active is None:
+    if _holder.active is None:
         return
     buffer = _current_pending()
     if breaker_state is not None:
@@ -478,43 +480,27 @@ def record_revocation(
 # Process-global ledger (disabled by default)
 # ---------------------------------------------------------------------------
 
-_active: DecisionLedger | None = None
-_global_lock = threading.Lock()
+_holder: Holder[DecisionLedger] = Holder()
 
 
 def enable(ledger: DecisionLedger | None = None) -> DecisionLedger:
     """Install *ledger* (or a fresh one) as the process-global ledger."""
-    global _active
-    with _global_lock:
-        _active = ledger if ledger is not None else DecisionLedger()
-        return _active
+    ledger = ledger if ledger is not None else DecisionLedger()
+    _holder.swap(ledger)
+    return ledger
 
 
 def disable() -> None:
-    global _active
-    with _global_lock:
-        _active = None
+    _holder.swap(None)
 
 
 def get_ledger() -> DecisionLedger | None:
     """The active global decision ledger, or ``None`` when off."""
-    return _active
+    return _holder.active
 
 
-class use_ledger(contextlib.AbstractContextManager["DecisionLedger"]):
+def use_ledger(
+    ledger: DecisionLedger | None = None,
+) -> contextlib.AbstractContextManager[DecisionLedger]:
     """Scoped ledger installation (mirror of ``events.use_event_log``)."""
-
-    def __init__(self, ledger: DecisionLedger | None = None):
-        self.ledger = ledger if ledger is not None else DecisionLedger()
-        self._previous: DecisionLedger | None = None
-
-    def __enter__(self) -> DecisionLedger:
-        self._previous = get_ledger()
-        enable(self.ledger)
-        return self.ledger
-
-    def __exit__(self, *exc: object) -> None:
-        if self._previous is None:
-            disable()
-        else:
-            enable(self._previous)
+    return _holder.use(ledger if ledger is not None else DecisionLedger())

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from contextvars import ContextVar
 from typing import Iterator
 
+from repro.obs._holder import Holder
+
 __all__ = [
     "EventKind",
     "ReasonCode",
@@ -200,6 +202,7 @@ class EventLog:
     def emit(
         self,
         kind: EventKind,
+        /,  # positional-only: an attribute may itself be named ``kind``
         *,
         at_time: float = 0.0,
         domain: str = "",
@@ -288,43 +291,27 @@ def correlation_scope(correlation_id: str):
 # Process-global event log (disabled by default)
 # ---------------------------------------------------------------------------
 
-_active: EventLog | None = None
-_global_lock = threading.Lock()
+_holder: Holder[EventLog] = Holder()
 
 
 def enable(log: EventLog | None = None) -> EventLog:
     """Install *log* (or a fresh one) as the process-global event log."""
-    global _active
-    with _global_lock:
-        _active = log if log is not None else EventLog()
-        return _active
+    log = log if log is not None else EventLog()
+    _holder.swap(log)
+    return log
 
 
 def disable() -> None:
-    global _active
-    with _global_lock:
-        _active = None
+    _holder.swap(None)
 
 
 def get_event_log() -> EventLog | None:
     """The active global event log, or ``None`` when off."""
-    return _active
+    return _holder.active
 
 
-class use_event_log:
+def use_event_log(
+    log: EventLog | None = None,
+) -> contextlib.AbstractContextManager[EventLog]:
     """Scoped event-log installation (mirror of ``metrics.use_registry``)."""
-
-    def __init__(self, log: EventLog | None = None):
-        self.log = log if log is not None else EventLog()
-        self._previous: EventLog | None = None
-
-    def __enter__(self) -> EventLog:
-        self._previous = get_event_log()
-        enable(self.log)
-        return self.log
-
-    def __exit__(self, *exc: object) -> None:
-        if self._previous is None:
-            disable()
-        else:
-            enable(self._previous)
+    return _holder.use(log if log is not None else EventLog())

@@ -33,9 +33,11 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import AbstractContextManager
 from typing import Iterator, Mapping, Sequence
 
 from repro.errors import ObservabilityError
+from repro.obs._holder import Holder
 
 __all__ = [
     "Counter",
@@ -362,33 +364,31 @@ class MetricsRegistry:
 # Process-global registry (disabled by default)
 # ---------------------------------------------------------------------------
 
-_active: MetricsRegistry | None = None
-_global_lock = threading.Lock()
+_holder: Holder[MetricsRegistry] = Holder()
 
 
 def enable(registry: MetricsRegistry | None = None) -> MetricsRegistry:
     """Install *registry* (or a fresh one) as the process-global registry
     and return it.  Instrumented code starts recording immediately."""
-    global _active
-    with _global_lock:
-        _active = registry if registry is not None else MetricsRegistry()
-        return _active
+    registry = registry if registry is not None else MetricsRegistry()
+    _holder.swap(registry)
+    return registry
 
 
 def disable() -> None:
     """Remove the global registry; instrumentation reverts to no-ops."""
-    global _active
-    with _global_lock:
-        _active = None
+    _holder.swap(None)
 
 
 def get_registry() -> MetricsRegistry | None:
     """The active global registry, or ``None`` when observability is off.
     Instrumented call sites must treat ``None`` as "record nothing"."""
-    return _active
+    return _holder.active
 
 
-class use_registry:
+def use_registry(
+    registry: MetricsRegistry | None = None,
+) -> AbstractContextManager[MetricsRegistry]:
     """Context manager installing a registry for the dynamic extent of a
     ``with`` block (tests, CLI commands, benchmark fixtures)::
 
@@ -396,18 +396,4 @@ class use_registry:
             ...
         # previous global state restored
     """
-
-    def __init__(self, registry: MetricsRegistry | None = None):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._previous: MetricsRegistry | None = None
-
-    def __enter__(self) -> MetricsRegistry:
-        self._previous = get_registry()
-        enable(self.registry)
-        return self.registry
-
-    def __exit__(self, *exc: object) -> None:
-        if self._previous is None:
-            disable()
-        else:
-            enable(self._previous)
+    return _holder.use(registry if registry is not None else MetricsRegistry())

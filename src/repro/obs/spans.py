@@ -27,10 +27,12 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.errors import ObservabilityError
+from repro.obs._holder import Holder
 
 __all__ = [
     "Span",
@@ -249,43 +251,25 @@ class Tracer:
 # Process-global tracer (disabled by default)
 # ---------------------------------------------------------------------------
 
-_active: Tracer | None = None
-_global_lock = threading.Lock()
+_holder: Holder[Tracer] = Holder()
 
 
 def enable(tracer: Tracer | None = None) -> Tracer:
     """Install *tracer* (or a fresh one) as the process-global tracer."""
-    global _active
-    with _global_lock:
-        _active = tracer if tracer is not None else Tracer()
-        return _active
+    tracer = tracer if tracer is not None else Tracer()
+    _holder.swap(tracer)
+    return tracer
 
 
 def disable() -> None:
-    global _active
-    with _global_lock:
-        _active = None
+    _holder.swap(None)
 
 
 def get_tracer() -> Tracer | None:
     """The active global tracer, or ``None`` when tracing is off."""
-    return _active
+    return _holder.active
 
 
-class use_tracer:
+def use_tracer(tracer: Tracer | None = None) -> AbstractContextManager[Tracer]:
     """Scoped tracer installation (mirror of ``metrics.use_registry``)."""
-
-    def __init__(self, tracer: Tracer | None = None):
-        self.tracer = tracer if tracer is not None else Tracer()
-        self._previous: Tracer | None = None
-
-    def __enter__(self) -> Tracer:
-        self._previous = get_tracer()
-        enable(self.tracer)
-        return self.tracer
-
-    def __exit__(self, *exc: object) -> None:
-        if self._previous is None:
-            disable()
-        else:
-            enable(self._previous)
+    return _holder.use(tracer if tracer is not None else Tracer())

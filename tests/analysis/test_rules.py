@@ -218,6 +218,17 @@ class TestObsGuard:
         assert len(findings) == 1
         assert "one-None-check" in findings[0].message
 
+    def test_flags_chained_ledger_use(self):
+        findings = lint(
+            """
+            from repro.obs.audit import ledger as obs_audit
+            obs_audit.get_ledger().record("admit", domain="A")
+            """,
+            ObsGuardRule,
+        )
+        assert len(findings) == 1
+        assert "get_ledger()" in findings[0].message
+
     def test_guarded_use_is_fine(self):
         findings = lint(
             """
@@ -549,6 +560,19 @@ class TestProvenanceBypass:
             """,
             ProvenanceBypassRule,
             module="repro.bb.broker",
+        )
+        assert findings == []
+
+    def test_the_decision_writer_satisfies_the_rule(self):
+        findings = lint(
+            """
+            from repro.obs import decisions
+            def deny(domain, reason, bb):
+                decisions.record("deny", domain=domain, reason=reason)
+                return make_denial(domain=domain, reason=reason)
+            """,
+            ProvenanceBypassRule,
+            module="repro.core.hopbyhop",
         )
         assert findings == []
 

@@ -9,6 +9,7 @@ from repro.bb.reservations import ReservationRequest, ReservationState
 from repro.bb.sla import SLA, SLS
 from repro.crypto.dn import DN
 from repro.net.packet import DSCP
+from repro.obs.audit import use_ledger
 from repro.policy.language import compile_policy
 
 ALICE = DN.make("Grid", "DomainA", "Alice")
@@ -215,13 +216,16 @@ class TestClaimAndEdgeConfig:
 
 
 class TestAuditLog:
+    """The broker's decision trail is the ledger's records for its domain."""
+
     def test_admit_grant_logged(self):
         bb = make_broker("B", ingress_A=155.0)
         bb.register_sla(SLA("A", "B"))
-        outcome = bb.admit(request(), VERIFIED, at_time=42.0, upstream="A")
+        with use_ledger() as ledger:
+            outcome = bb.admit(request(), VERIFIED, at_time=42.0, upstream="A")
         assert outcome.granted
-        entry = bb.audit_log[-1]
-        assert entry.event == "admit"
+        entry = ledger.records(domain="B")[-1]
+        assert entry.kind.value == "admit"
         assert entry.granted
         assert entry.at_time == 42.0
         assert entry.handle == outcome.reservation.handle
@@ -231,28 +235,32 @@ class TestAuditLog:
 
     def test_denials_logged_with_reason(self):
         bb = make_broker("B", policy="Return DENY")
-        outcome = bb.admit(request(), VERIFIED)
+        with use_ledger() as ledger:
+            outcome = bb.admit(request(), VERIFIED)
         assert not outcome.granted
-        entry = bb.audit_log[-1]
+        entry = ledger.records(domain="B")[-1]
         assert not entry.granted
         assert entry.reason == outcome.reason
 
     def test_lifecycle_events_logged(self):
         bb = make_broker("B")
-        outcome = bb.admit(request(), VERIFIED)
-        bb.claim(outcome.reservation.handle)
-        bb.cancel(outcome.reservation.handle)
-        events = [e.event for e in bb.audit_log]
+        with use_ledger() as ledger:
+            outcome = bb.admit(request(), VERIFIED)
+            bb.claim(outcome.reservation.handle)
+            bb.cancel(outcome.reservation.handle)
+        events = [e.kind.value for e in ledger.records(domain="B")]
         assert events == ["admit", "claim", "cancel"]
 
     def test_sla_violation_logged(self):
         bb = make_broker("B")
-        outcome = bb.admit(request(), VERIFIED, upstream="A")
+        with use_ledger() as ledger:
+            outcome = bb.admit(request(), VERIFIED, upstream="A")
         assert not outcome.granted
-        assert "no SLA" in bb.audit_log[-1].reason
+        assert "no SLA" in ledger.records(domain="B")[-1].reason
 
     def test_capacity_denial_logged(self):
         bb = make_broker("B", intra=5.0)
-        outcome = bb.admit(request(rate=10.0), VERIFIED)
+        with use_ledger() as ledger:
+            outcome = bb.admit(request(rate=10.0), VERIFIED)
         assert not outcome.granted
-        assert "available" in bb.audit_log[-1].reason
+        assert "available" in ledger.records(domain="B")[-1].reason

@@ -11,7 +11,7 @@ from repro.errors import ReproError, TunnelError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec, TargetKind
 from repro.obs import events, spans
-from repro.obs.events import EventKind
+from repro.obs.events import EventKind, ReasonCode
 
 
 def inject(testbed, *specs):
@@ -228,6 +228,18 @@ class TestEveryKindCarriesACorrelationId:
                     f"{scenario.__name__}: {kind.value} event without a "
                     f"reason code: {event}"
                 )
+
+
+    def test_breaker_scenario_ends_in_one_link_unreachable_denial(self):
+        """The request the dead link killed is refused in the event log
+        too, not only in the ledger: one DENY, signed for by C's
+        upstream but naming C, with the machine-readable cause."""
+        with events.use_event_log() as log:
+            scenario_breaker_opens()
+        denials = log.events(EventKind.DENY)
+        assert [(e.domain, e.reason_code) for e in denials] == [
+            ("C", ReasonCode.LINK_UNREACHABLE.value)
+        ]
 
 
 class TestExpireJoinsTheOriginatingTrace:
