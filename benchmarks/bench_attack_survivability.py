@@ -5,7 +5,7 @@ misreservation demo (Figure 4) implies but never runs: each attack
 persona is mixed with the honest workload at its default attack
 fraction (>= 50% of all signals), once against the open fabric and once
 with the admission-plane defenses armed.  The claimed shape, asserted
-here and recorded in the BENCH trajectory's ``survivability`` section:
+here:
 
 * defenses **off**, honest admission collapses below 50% for every
   persona (capacity theft, verification-queue drain, or both);
@@ -29,46 +29,11 @@ SEED = 2001
 HORIZON_S = 120.0
 
 
-def run_pair(persona: str, horizon_s: float = HORIZON_S):
+def run_pair(persona: str):
     spec = SurvivabilitySpec(
-        persona=persona, seed=SEED, horizon_s=horizon_s,
+        persona=persona, seed=SEED, horizon_s=HORIZON_S,
     )
     return run_survivability_pair(spec)
-
-
-def survivability_section(horizon_s: float = HORIZON_S) -> dict:
-    """The off/on survivability pairs recorded in BENCH_<n>.json."""
-    section: dict = {
-        "method": (
-            f"seed {SEED}, horizon {horizon_s:.0f}s, honest Poisson load "
-            "mixed with one persona at its default attack fraction; "
-            "honest admission over offered, p99 latency includes the "
-            "victim's modelled verification-work queue"
-        ),
-        "personas": {},
-    }
-    for persona in sorted(PERSONAS):
-        off, on = run_pair(persona, horizon_s=horizon_s)
-        section["personas"][persona] = {
-            "attack_fraction": round(off.attack_fraction, 4),
-            "off": {
-                "honest_admission_rate": round(off.honest_admission_rate, 4),
-                "honest_p99_latency_s": round(off.honest_p99_latency_s, 4),
-                "breaker_opens": off.breaker_opens,
-                "max_backlog_s": round(off.max_backlog_s, 2),
-            },
-            "on": {
-                "honest_admission_rate": round(on.honest_admission_rate, 4),
-                "honest_p99_latency_s": round(on.honest_p99_latency_s, 4),
-                "breaker_opens": on.breaker_opens,
-                "max_backlog_s": round(on.max_backlog_s, 2),
-                "gate_rejected": on.attacker["gate_rejected"],
-                "replays_sent": on.attacker["replays_sent"],
-                "replays_rejected_before_verification":
-                    on.attacker["replays_rejected_before_verification"],
-            },
-        }
-    return section
 
 
 @pytest.mark.parametrize("persona", sorted(PERSONAS))

@@ -12,14 +12,10 @@ engine properties this benchmark measures together:
   the trust-chain (RAR) and capability-delegation checks cache hits,
   so the crypto cost per reservation falls after the first batch.
 
-Worker count comes from ``REPRO_BENCH_CONCURRENCY`` (the ``repro bench
---concurrency N`` flag); default 8.  Throughput is **modelled time**
-(the greedy domain/worker schedule documented in
-:mod:`repro.core.concurrent`), so the claim is about the system model,
-not the GIL.
+Throughput is **modelled time** (the greedy domain/worker schedule
+documented in :mod:`repro.core.concurrent`), so the claim is about the
+system model, not the GIL.
 """
-
-import os
 
 import pytest
 
@@ -27,8 +23,8 @@ from repro.core.concurrent import ReservationJob, run_serial
 from repro.core.testbed import build_linear_testbed
 from repro.crypto import cache as verification_cache
 
-#: Worker threads for the headline batch (``repro bench --concurrency N``).
-CONCURRENCY = int(os.environ.get("REPRO_BENCH_CONCURRENCY", "8"))
+#: Worker threads for the headline batch.
+CONCURRENCY = 8
 
 DOMAINS = [f"D{i:02d}" for i in range(16)]
 
@@ -97,37 +93,23 @@ def test_c5_concurrent_throughput(benchmark, setup, report):
         s.granted for s in serial.scheduled
     ]
     speedup = batch.throughput_rps / serial.throughput_rps
-    if CONCURRENCY >= 2:
-        # Disjoint paths: the modelled makespan collapses from the serial
-        # sum to ~one reservation's latency.
-        assert speedup >= 2.0, (
-            f"concurrency {CONCURRENCY} gave only {speedup:.2f}x over serial"
-        )
+    # Disjoint paths: the modelled makespan collapses from the serial
+    # sum to ~one reservation's latency.
+    assert speedup >= 2.0, (
+        f"concurrency {CONCURRENCY} gave only {speedup:.2f}x over serial"
+    )
     report.append(
         f"C5 [{len(jobs)} disjoint jobs, concurrency {CONCURRENCY}] "
         f"modelled throughput {batch.throughput_rps:.1f} rps "
         f"vs serial {serial.throughput_rps:.1f} rps ({speedup:.2f}x)"
     )
 
-    # The repeated batches re-verified the same credentials: record the
-    # per-cache hit counts as named counters so the BENCH trajectory
-    # entry carries them (label sets are summed away by the merger).
+    # The repeated batches re-verified the same credentials: every
+    # verification cache must have answered some of them.
     caches = verification_cache.get_caches()
     assert caches is not None
-    from repro.obs import metrics as obs_metrics
-
-    registry = obs_metrics.get_registry()
-    assert registry is not None
-    for counter_name, cache_name in (
-        ("trust_cache_hits_total", "rar"),
-        ("capability_cache_hits_total", "delegation"),
-        ("signature_cache_hits_total", "signature"),
-    ):
+    for cache_name in ("rar", "delegation", "signature"):
         stats = caches.stats(cache_name)
-        registry.counter(
-            counter_name,
-            f"Verification cache hits ({cache_name}) during the benchmark",
-        ).inc(float(stats.hits))
         assert stats.hits > 0, (
             f"{cache_name} cache saw no hits across repeated batches"
         )

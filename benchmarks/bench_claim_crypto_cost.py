@@ -10,7 +10,6 @@ alternatives).
 """
 
 import random
-import time
 
 import pytest
 
@@ -18,19 +17,17 @@ from repro.bb.reservations import ReservationRequest
 from repro.core.messages import make_bb_rar, make_user_rar
 from repro.core.trust import verify_rar
 from repro.crypto import canonical
-from repro.crypto import cache as verification_cache
-from repro.crypto.batch import BatchItem, verify_rar_batch
 from repro.crypto.dn import DN
 from repro.crypto.keys import RSAScheme, SimulatedScheme
 from repro.crypto.truststore import TrustPolicy, TrustStore
 from repro.crypto.x509 import CertificateAuthority
 
 
-def request(rate_mbps=10.0):
+def request():
     return ReservationRequest(
         source_host="h0.D0", destination_host="h0.DN",
         source_domain="D0", destination_domain="DN",
-        rate_mbps=rate_mbps, start=0.0, end=3600.0,
+        rate_mbps=10.0, start=0.0, end=3600.0,
     )
 
 
@@ -49,10 +46,9 @@ def build_world(scheme_name, hops):
     return user_dn, user_kp, user_cert, bbs
 
 
-def build_chain(user_dn, user_kp, user_cert, bbs, *, append=False,
-                rate_mbps=10.0):
+def build_chain(user_dn, user_kp, user_cert, bbs, *, append=False):
     rar = make_user_rar(
-        request=request(rate_mbps), source_bb=bbs[0][0], user=user_dn,
+        request=request(), source_bb=bbs[0][0], user=user_dn,
         user_key=user_kp.private,
     )
     prev_cert = user_cert
@@ -112,76 +108,6 @@ def test_c4_wire_size_linear(benchmark, report):
     growth_a = sizes[4] - sizes[2]
     growth_b = sizes[8] - sizes[4]
     assert growth_b == pytest.approx(2 * growth_a, rel=0.25)
-
-
-def test_c4_misspath_batched_verification(benchmark, report):
-    """Miss path, amortized (ISSUE 10): a 48-item burst of six-hop RSA
-    chains — two distinct request contents, as a ConcurrentSignaller
-    fan-out produces — verified item-by-item with cold caches versus one
-    ``verify_rar_batch`` pass.  Content-digest dedup plus the shared
-    cache scope must make the batch at least 10x cheaper, with verdicts
-    identical to the sequential baseline."""
-    user_dn, user_kp, user_cert, bbs = build_world("rsa", 6)
-    verifier_dn, _, _ = bbs[-1]
-    _, _, peer_cert = bbs[-2]
-    store = TrustStore(TrustPolicy(max_introduction_depth=32,
-                                   require_ca_issued_peers=False))
-    store.add_introduced_peer(peer_cert)
-    distinct = [
-        build_chain(user_dn, user_kp, user_cert, bbs, rate_mbps=rate)
-        for rate in (10.0, 20.0)
-    ]
-    items = [
-        BatchItem(rar=distinct[i % len(distinct)], verifier=verifier_dn,
-                  peer_certificate=peer_cert)
-        for i in range(48)
-    ]
-
-    def run_pair():
-        # The miss path proper: every arrival verified in isolation,
-        # nothing warm (the benchmark harness keeps a process-scoped
-        # cache installed, so scope each item to a fresh set).
-        t0 = time.perf_counter()
-        sequential = []
-        for item in items:
-            with verification_cache.use_caches(
-                verification_cache.VerificationCaches()
-            ):
-                sequential.append(
-                    verify_rar(item.rar, verifier=item.verifier,
-                               peer_certificate=item.peer_certificate,
-                               truststore=store)
-                )
-        t1 = time.perf_counter()
-        batched = verify_rar_batch(
-            items, truststore=store,
-            caches=verification_cache.VerificationCaches(),
-        )
-        t2 = time.perf_counter()
-        return sequential, batched, t1 - t0, t2 - t1
-
-    sequential, batched, seq_s, batch_s = benchmark.pedantic(
-        run_pair, rounds=1, iterations=1
-    )
-    assert all(result.ok for result in batched)
-    assert [r.require().user for r in batched] == \
-        [v.user for v in sequential]
-    assert [r.require().depth for r in batched] == \
-        [v.depth for v in sequential]
-    # Only the first occurrence of each distinct content is verified.
-    assert [r.deduplicated for r in batched[:len(distinct)]] == \
-        [False] * len(distinct)
-    assert all(r.deduplicated for r in batched[len(distinct):])
-    ratio = seq_s / batch_s
-    report.append(
-        f"C4 miss-path batch: 48 items ({len(distinct)} distinct, "
-        f"6 RSA hops) sequential {seq_s * 1e3:.2f} ms, "
-        f"batched {batch_s * 1e3:.2f} ms -> {ratio:.1f}x"
-    )
-    assert ratio >= 10.0, (
-        f"batched verification only {ratio:.1f}x faster than the "
-        f"sequential miss path (need >= 10x)"
-    )
 
 
 def test_c4_misspath_append_chain_signed_bytes(benchmark, report):

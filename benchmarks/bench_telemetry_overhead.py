@@ -1,16 +1,13 @@
-"""Telemetry overhead: the flight recorder's price on the hot path.
+"""Telemetry: the flight recorder rides the signalling loop.
 
 Not a paper figure — the cost side of PR 9's observability tentpole.
-The monitored loop (sample a telemetry frame after every reservation,
-step the alert engine over the growing store) must stay cheap enough
-to leave on: the claimed shape, asserted here and recorded in the
-BENCH trajectory's ``telemetry_overhead`` section, is that end-to-end
-signalling with the recorder **on** runs in under 2x the recorder-off
-time.  The gate compares best-of-N round times (means are also
-recorded) so a one-off scheduler hiccup on the CI box cannot flip it.
+The monitored loop samples a telemetry frame after every reservation
+and steps the alert engine over the growing store; the shape asserted
+here is one frame per reservation.  What watching *costs* is
+``obs.overhead_ratio`` on the ``chain8_sim_watched`` workload of
+``bench/``, which runs the same recorder and probes under the ten-pair
+rule.
 """
-
-import time
 
 import pytest
 
@@ -27,8 +24,6 @@ from repro.obs.telemetry import testbed_probes as fabric_probes
 DOMAINS = ("A", "B", "C", "D")
 RESERVATIONS = 30
 ROUNDS = 3
-#: The acceptance gate: recorder-on / recorder-off best-round ratio.
-MAX_OVERHEAD_RATIO = 2.0
 
 
 def run_scenario(record: bool) -> int:
@@ -56,42 +51,6 @@ def run_scenario(record: bool) -> int:
     return recorder.frames if recorder is not None else 0
 
 
-def _time_rounds(record: bool, rounds: int = ROUNDS) -> list[float]:
-    times = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        run_scenario(record)
-        times.append(time.perf_counter() - start)
-    return times
-
-
-def telemetry_overhead_section(rounds: int = ROUNDS) -> dict:
-    """The recorder-off/on comparison recorded in BENCH_<n>.json."""
-    run_scenario(False)  # warm caches before either side is timed
-    off = _time_rounds(False, rounds)
-    on = _time_rounds(True, rounds)
-    best_ratio = min(on) / min(off) if min(off) > 0 else float("inf")
-    mean_ratio = (
-        (sum(on) / len(on)) / (sum(off) / len(off))
-        if sum(off) > 0 else float("inf")
-    )
-    return {
-        "method": (
-            f"{RESERVATIONS} end-to-end reservations over "
-            f"{len(DOMAINS)} domains, one telemetry frame + alert-engine "
-            f"step per reservation when recording; best of {rounds} "
-            "rounds per side after a warmup run"
-        ),
-        "recorder_off_best_s": round(min(off), 6),
-        "recorder_off_mean_s": round(sum(off) / len(off), 6),
-        "recorder_on_best_s": round(min(on), 6),
-        "recorder_on_mean_s": round(sum(on) / len(on), 6),
-        "overhead_ratio_best": round(best_ratio, 4),
-        "overhead_ratio_mean": round(mean_ratio, 4),
-        "max_overhead_ratio": MAX_OVERHEAD_RATIO,
-    }
-
-
 @pytest.mark.parametrize("record", [False, True],
                          ids=["recorder-off", "recorder-on"])
 def test_signalling_with_recorder(record, benchmark, report):
@@ -104,18 +63,4 @@ def test_signalling_with_recorder(record, benchmark, report):
     report.append(
         f"telemetry recorder {'on ' if record else 'off'}: "
         f"{RESERVATIONS} reservations, {frames} frame(s)"
-    )
-
-
-def test_recorder_overhead_under_gate(report):
-    section = telemetry_overhead_section()
-    report.append(
-        f"recorder overhead: best {section['overhead_ratio_best']:.2f}x, "
-        f"mean {section['overhead_ratio_mean']:.2f}x "
-        f"(gate {MAX_OVERHEAD_RATIO:.1f}x)"
-    )
-    assert section["overhead_ratio_best"] < MAX_OVERHEAD_RATIO, (
-        "flight recorder costs "
-        f"{section['overhead_ratio_best']:.2f}x on the signalling path "
-        f"(gate: {MAX_OVERHEAD_RATIO:.1f}x): {section}"
     )

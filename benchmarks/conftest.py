@@ -1,31 +1,19 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the reproduction checks.
 
 Each ``bench_*`` module regenerates one experiment from DESIGN.md §5
 (E1–E7 = Figures 1–7, C1–C5 = the paper's qualitative performance
-claims).  Benchmarks both *measure* (pytest-benchmark timings) and
-*assert the claimed shape* — who wins, by roughly what factor — so a
-benchmark run doubles as a reproduction check.  Human-readable rows are
-printed via the ``report`` fixture (visible with ``-s`` and in the
-captured output summary).
+claims) and *asserts the claimed shape* — who wins, by roughly what
+factor, in counts and modelled time.  Run them as
+``pytest benchmarks --benchmark-disable``; wall-clock cost is measured
+by ``bench/``, not here.  Human-readable rows are printed via the
+``report`` fixture (visible with ``-s`` and in the captured output
+summary).
 """
-
-import contextlib
-import json
-import os
-import pathlib
 
 import pytest
 
 from repro.crypto import cache as verification_cache
-from repro.obs import audit as obs_audit
-from repro.obs import export, metrics
-
-#: Where per-benchmark metrics snapshots land (git-ignored).
-SNAPSHOT_DIR = pathlib.Path(__file__).parent / ".metrics"
-
-#: Where per-benchmark telemetry recordings land (git-ignored;
-#: ``REPRO_BENCH_RECORD=1`` / ``repro bench --record``).
-TELEMETRY_DIR = pathlib.Path(__file__).parent / ".telemetry"
+from repro.obs import metrics
 
 
 @pytest.fixture()
@@ -40,55 +28,15 @@ def report():
 
 
 @pytest.fixture(autouse=True)
-def metrics_snapshot(request):
-    """Run every benchmark under a fresh metrics registry and snapshot it.
-
-    The JSON snapshot (one file per test, under ``benchmarks/.metrics/``)
-    lets a run be diffed against an earlier one — e.g. "did the message
-    count per reservation change?" — without touching the benchmark code;
-    ``repro metrics --diff old.json new.json`` prints the delta.
-    Timing-sensitive benchmarks that must measure the *disabled* path can
-    opt out with ``@pytest.mark.no_metrics``.
-
-    Verification caches are enabled alongside the registry, so every
-    snapshot also carries ``verification_cache_events_total`` hit/miss
-    counters — the trajectory's record of how much crypto each
-    benchmark actually re-ran.
-
-    ``repro bench --audit`` (env ``REPRO_BENCH_AUDIT=1``) additionally
-    runs every benchmark under a decision-provenance ledger, so the
-    trajectory can price the ledger's overhead on the signalling path.
-
-    ``repro bench --record`` (env ``REPRO_BENCH_RECORD=1``) additionally
-    samples one telemetry frame of the benchmark's registry into a
-    ``.tsrec`` under ``benchmarks/.telemetry/`` — every benchmark run
-    then leaves a flight recording that ``repro top --replay`` and
-    ``repro slo --record`` can read.
+def fresh_registry_and_caches(request):
+    """Run every check under its own metrics registry and verification
+    caches, so the counters and cache statistics a file asserts on
+    (message counts, ``stats.hits > 0``) are that check's alone.
+    Checks of the *disabled* path opt out with
+    ``@pytest.mark.no_metrics``.
     """
     if request.node.get_closest_marker("no_metrics"):
         yield
         return
-    ledger_scope = (
-        obs_audit.use_ledger()
-        if os.environ.get("REPRO_BENCH_AUDIT") == "1"
-        else contextlib.nullcontext()
-    )
-    with metrics.use_registry() as registry:
-        with verification_cache.use_caches(), ledger_scope:
-            yield
-    safe = request.node.name.replace("/", "_").replace("::", "-")
-    if os.environ.get("REPRO_BENCH_RECORD") == "1":
-        from repro.obs.telemetry import FlightRecorder, RecordingWriter
-
-        TELEMETRY_DIR.mkdir(exist_ok=True)
-        with RecordingWriter.open(
-            TELEMETRY_DIR / f"{safe}.tsrec",
-            meta={"benchmark": request.node.name},
-        ) as writer:
-            FlightRecorder(writer=writer).sample(1.0, registry=registry)
-    snapshot = export.json_snapshot(registry)
-    if not snapshot:
-        return
-    SNAPSHOT_DIR.mkdir(exist_ok=True)
-    path = SNAPSHOT_DIR / f"{safe}.json"
-    path.write_text(json.dumps(snapshot, indent=2, sort_keys=True))
+    with metrics.use_registry(), verification_cache.use_caches():
+        yield

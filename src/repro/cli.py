@@ -20,9 +20,6 @@ Subcommands:
 * ``trace`` — run one reservation with span tracing enabled, print the
   span tree, and cross-check it against the envelope-derived path;
   ``--critical-path`` prints the latency attribution table instead;
-* ``bench`` — run the ``benchmarks/`` suite headlessly and append a
-  ``BENCH_<n>.json`` trajectory entry at the repo root; ``--compare``
-  gates on regressions versus the last committed entry;
 * ``slo`` — run reservations under observability and evaluate the
   declarative SLOs (latency quantiles, denial rate, breaker opens),
   printing per-objective burn rates;
@@ -67,7 +64,6 @@ Examples::
     python -m repro metrics --diff before.json after.json
     python -m repro -v trace --domains A,B,C,D
     python -m repro trace --domains A,B,C,D --critical-path
-    python -m repro bench --quick --compare
     python -m repro slo --runs 20 --spec objectives.json
     python -m repro lint --format json
     python -m repro lint --concurrency
@@ -225,44 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="attribute end-to-end wall time to named "
                             "hop/phase segments instead of printing the "
                             "span tree")
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the benchmark suite and append a BENCH_<n>.json "
-             "trajectory entry at the repo root",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="only the two end-to-end signalling benchmarks "
-                            "with minimal rounds (the CI gate)")
-    bench.add_argument("--compare", action="store_true",
-                       help="compare the fresh run against the latest "
-                            "committed entry; exit 1 on regressions beyond "
-                            "--threshold")
-    bench.add_argument("--entry", type=int, default=None,
-                       help="entry number to write (default: next in the "
-                            "trajectory)")
-    bench.add_argument("--threshold", type=float, default=2.0,
-                       help="mean-slowdown ratio that counts as a "
-                            "regression (default: 2.0)")
-    bench.add_argument("--repo-root", default=".",
-                       help="checkout containing benchmarks/ and the "
-                            "BENCH_<n>.json trajectory")
-    bench.add_argument("--keep-json", default=None, metavar="PATH",
-                       help="also keep the raw pytest-benchmark JSON here")
-    bench.add_argument("--concurrency", type=int, default=None, metavar="N",
-                       help="worker threads for the concurrent-signalling "
-                            "benchmark (exported as REPRO_BENCH_CONCURRENCY "
-                            "to the pytest subprocess)")
-    bench.add_argument("--audit", action="store_true",
-                       help="run the benchmarks with the decision-provenance "
-                            "ledger enabled (exported as REPRO_BENCH_AUDIT "
-                            "to the pytest subprocess) to measure its "
-                            "overhead")
-    bench.add_argument("--record", action="store_true",
-                       help="run the benchmarks with the telemetry flight "
-                            "recorder sampling (exported as "
-                            "REPRO_BENCH_RECORD to the pytest subprocess) "
-                            "to measure its overhead")
 
     slo = sub.add_parser(
         "slo",
@@ -1048,82 +1006,6 @@ def cmd_lint_policy(args: argparse.Namespace) -> int:
     return status
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    import tempfile
-    from pathlib import Path
-
-    from repro.obs.perf import bench as perf_bench
-
-    env_overrides: dict[str, str] = {}
-    if args.concurrency is not None:
-        if args.concurrency < 1:
-            print(f"error: --concurrency must be >= 1, got {args.concurrency}",
-                  file=sys.stderr)
-            return 2
-        env_overrides["REPRO_BENCH_CONCURRENCY"] = str(args.concurrency)
-    if args.audit:
-        env_overrides["REPRO_BENCH_AUDIT"] = "1"
-    if args.record:
-        env_overrides["REPRO_BENCH_RECORD"] = "1"
-    repo_root = Path(args.repo_root).resolve()
-    baseline = None
-    if args.compare:
-        entries = perf_bench.trajectory_entries(repo_root)
-        if entries:
-            baseline_path = entries[-1][1]
-            try:
-                baseline = json.loads(baseline_path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"error: {baseline_path}: {exc}", file=sys.stderr)
-                return 2
-        else:
-            print("note: no committed BENCH_<n>.json to compare against",
-                  file=sys.stderr)
-    entry_number = (
-        args.entry if args.entry is not None
-        else perf_bench.next_entry_number(repo_root)
-    )
-    mode = "quick benchmarks" if args.quick else "full benchmark suite"
-    print(f"running the {mode} (pytest subprocess)...", file=sys.stderr)
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        json_path = (
-            Path(args.keep_json) if args.keep_json
-            else Path(tmp) / "benchmark.json"
-        )
-        doc = perf_bench.run_benchmarks(
-            repo_root, quick=args.quick, json_path=json_path,
-            env_overrides=env_overrides,
-        )
-    entry = perf_bench.build_entry(
-        repo_root=repo_root,
-        benchmark_json=doc,
-        entry_number=entry_number,
-        quick=args.quick,
-    )
-    path = perf_bench.write_entry(repo_root, entry)
-    benchmarks = entry["benchmarks"]
-    assert isinstance(benchmarks, dict)
-    print(f"wrote {path} ({len(benchmarks)} benchmark(s), "
-          f"git {str(entry['git_sha'])[:12]})")
-    if baseline is None:
-        return 0
-    regressions, notes = perf_bench.compare_entries(
-        baseline, entry, threshold=args.threshold
-    )
-    for note in notes:
-        print(f"  {note}")
-    for regression in regressions:
-        print(f"  REGRESSION {regression}")
-    if regressions:
-        print(f"{len(regressions)} regression(s) beyond "
-              f"{args.threshold:.2f}x vs entry {baseline.get('entry')}")
-        return 1
-    print(f"no regressions beyond {args.threshold:.2f}x vs entry "
-          f"{baseline.get('entry')}")
-    return 0
-
-
 def cmd_slo(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.obs.slo import (
@@ -1641,8 +1523,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_metrics(args)
         if args.command == "trace":
             return cmd_trace(args)
-        if args.command == "bench":
-            return cmd_bench(args)
         if args.command == "slo":
             return cmd_slo(args)
         if args.command == "lint":

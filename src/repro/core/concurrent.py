@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 from repro.bb.reservations import ReservationRequest
 from repro.core.agent import UserAgent
 from repro.core.hopbyhop import HopByHopProtocol, SignallingOutcome
-from repro.crypto import batch as batch_verification
+from repro.crypto import cache as verification_cache
 from repro.errors import ReproError, SignallingError
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
@@ -234,11 +234,11 @@ class ConcurrentSignaller:
             )
         try:
             # The whole burst shares one verification-cache scope
-            # (repro.crypto.batch): inner RAR layers, introduced
+            # (repro.crypto.cache): inner RAR layers, introduced
             # certificates and delegation links repeated across jobs are
             # each verified once instead of once per job.  Joins the
             # global caches when those already feed every hop.
-            with batch_verification.use_batch_caches():
+            with verification_cache.use_batch_caches():
                 with ThreadPoolExecutor(
                     max_workers=self.concurrency,
                     thread_name_prefix="signaller",

@@ -92,7 +92,7 @@ from repro.crypto.capability import (
 )
 from repro.crypto.repository import CertificateRepository
 from repro.crypto.x509 import Certificate
-from repro.crypto import batch as batch_verification
+from repro.crypto import cache as verification_cache
 from repro.crypto.cache import digest as _envelope_digest
 from repro.errors import (
     BrokerUnavailableError,
@@ -1445,13 +1445,13 @@ class HopByHopProtocol:
         :meth:`process_ingress` in a loop — same gate decisions, same
         reports, same ledger records, in order — but all verifications
         run under one shared verification-cache scope
-        (:func:`repro.crypto.batch.use_batch_caches`): signatures, trust
+        (:func:`repro.crypto.cache.use_batch_caches`): signatures, trust
         chains and delegation links repeated across the burst are checked
         once and reused, with the PR-5 hit-time guards re-validating
         every reuse, so a revocation landing mid-burst still rejects
         exactly as it would sequentially.
         """
-        with batch_verification.use_batch_caches():
+        with verification_cache.use_batch_caches():
             return [
                 self.process_ingress(
                     domain, message, peer=peer,

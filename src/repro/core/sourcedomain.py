@@ -34,7 +34,7 @@ from repro.core.agent import UserAgent
 from repro.core.channel import ChannelRegistry
 from repro.core.messages import make_user_rar
 from repro.core.trust import verify_rar
-from repro.crypto import batch as batch_verification
+from repro.crypto import cache as verification_cache
 from repro.errors import HandshakeError, SignallingError, TrustError, TamperedMessageError
 from repro.policy.attributes import SignedAssertion
 
@@ -163,7 +163,7 @@ class EndToEndAgent:
         # capability chain and assertion checks repeated at every BB are
         # done once (per-domain outcomes are unchanged).
         scope = (
-            batch_verification.use_batch_caches()
+            verification_cache.use_batch_caches()
             if concurrent else nullcontext()
         )
         with scope:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable
 
 from repro.bb.reservations import ReservationRequest
 from repro.crypto import cache as verification_cache
@@ -62,10 +62,10 @@ logger = logging.getLogger(__name__)
 #: Buckets for the introduction-depth histogram (layers below the outer).
 _DEPTH_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
-_V = TypeVar("_V")
 
-
-def _meter_verification(fn: Callable[[], _V], mode: str) -> _V:
+def _meter_verification(
+    fn: Callable[[], "VerifiedRAR"], mode: str
+) -> "VerifiedRAR":
     """Wrap a RAR verifier with signature/depth/timing telemetry.
 
     Counts every verification attempt (``rar_verifications_total`` with a
@@ -80,21 +80,18 @@ def _meter_verification(fn: Callable[[], _V], mode: str) -> _V:
         "rar_verification_seconds",
         "Wall-clock cost of one transitive-trust verification",
     )
-    try:
-        with timer.time():
-            result = fn()
-    except ReproError as exc:
-        registry.counter(
-            "rar_verifications_total",
-            "Transitive-trust RAR verifications, by result",
-        ).inc(result="fail", mode=mode)
-        logger.debug("RAR verification failed (%s): %s", mode, exc)
-        raise
-    verified = result[0] if mode == "repository" else result
-    registry.counter(
+    verifications = registry.counter(
         "rar_verifications_total",
         "Transitive-trust RAR verifications, by result",
-    ).inc(result="ok", mode=mode)
+    )
+    try:
+        with timer.time():
+            verified = fn()
+    except ReproError as exc:
+        verifications.inc(result="fail", mode=mode)
+        logger.debug("RAR verification failed (%s): %s", mode, exc)
+        raise
+    verifications.inc(result="ok", mode=mode)
     registry.counter(
         "signature_verifications_total",
         "Individual envelope-signature checks performed",
@@ -104,17 +101,19 @@ def _meter_verification(fn: Callable[[], _V], mode: str) -> _V:
         "Introduction depth of verified RARs",
         buckets=_DEPTH_BUCKETS,
     ).observe(verified.depth)
-    return result
+    return verified
 
 
 def _note_rar_checks(
     verified: "VerifiedRAR", peer_certificate: Certificate, source: str
 ) -> None:
     """Note every certificate this verification vouched for, plus a
-    summary trust check, into the audit pending buffer.  The *source*
-    records verdict provenance: ``fresh`` (full signature math) or
-    ``cache:rar`` (PR-5 cache hit after the validity/revocation
-    guards)."""
+    summary trust check, into the audit pending buffer (nothing when no
+    ledger is on).  The *source* records verdict provenance: ``fresh``
+    (full signature math) or ``cache:rar`` (PR-5 cache hit after the
+    validity/revocation guards)."""
+    if obs_audit.get_ledger() is None:
+        return
     for cert in (peer_certificate, *verified.introduced):
         obs_audit.note_check(
             "certificate",
@@ -195,31 +194,16 @@ def verify_rar(
             at_time=at_time,
         ):
             verdict: VerifiedRAR = entry[0]
-            if obs_audit.get_ledger() is not None:
-                _note_rar_checks(verdict, peer_certificate, "cache:rar")
+            _note_rar_checks(verdict, peer_certificate, "cache:rar")
             return verdict
-    try:
-        verified = _meter_verification(
-            lambda: _verify_rar_impl(
-                rar,
-                verifier=verifier,
-                peer_certificate=peer_certificate,
-                truststore=truststore,
-                at_time=at_time,
-            ),
-            "introduction",
-        )
-    except ReproError as exc:
-        obs_audit.note_check(
-            "rar_trust",
-            fingerprint=peer_certificate.fingerprint,
-            verdict="rejected",
-            source="fresh",
-            detail=str(exc),
-        )
-        raise
-    if obs_audit.get_ledger() is not None:
-        _note_rar_checks(verified, peer_certificate, "fresh")
+    verified = _verify_fresh(
+        rar,
+        verifier=verifier,
+        peer_certificate=peer_certificate,
+        truststore=truststore,
+        at_time=at_time,
+        repository=None,
+    )
     if caches is not None and key is not None:
         dependencies = (peer_certificate, *verified.introduced)
         caches.put_verdict(
@@ -227,6 +211,94 @@ def verify_rar(
             tuple(cert.fingerprint for cert in dependencies),
         )
     return verified
+
+
+def verify_rar_with_repository(
+    rar: SignedEnvelope,
+    *,
+    verifier: DistinguishedName,
+    peer_certificate: Certificate,
+    truststore: TrustStore,
+    repository: CertificateRepository,
+    at_time: float = 0.0,
+) -> tuple[VerifiedRAR, int]:
+    """Verify a nested RAR resolving inner-signer keys from a trusted
+    certificate *repository* instead of in-request introductions.
+
+    This is the paper's §6.4 alternative 2 ("secure LDAP"), implemented so
+    the key-distribution ablation compares real code paths.  The RAR may
+    omit introduced certificates entirely; each inner signer's key is
+    fetched by DN.  Requires "a strong trust relationship with the
+    repository" — here, the caller choosing to pass one.
+
+    A fetched key passes the same validity, revocation and
+    signature-scheme policy as an introduced one: what local policy
+    forbids is forbidden however the key arrived.
+    ``max_introduction_depth`` alone does not apply — a repository key
+    is vouched for by the repository, not introduced through the chain.
+
+    Returns ``(verified, lookups)`` where *lookups* is the number of
+    repository queries this verification performed.
+    """
+    queries_before = repository.queries
+    verified = _verify_fresh(
+        rar,
+        verifier=verifier,
+        peer_certificate=peer_certificate,
+        truststore=truststore,
+        at_time=at_time,
+        repository=repository,
+    )
+    return verified, repository.queries - queries_before
+
+
+def _verify_fresh(
+    rar: SignedEnvelope,
+    *,
+    verifier: DistinguishedName,
+    peer_certificate: Certificate,
+    truststore: TrustStore,
+    at_time: float,
+    repository: CertificateRepository | None,
+) -> VerifiedRAR:
+    """One full (uncached) walk with its telemetry and audit notes."""
+    try:
+        verified = _meter_verification(
+            lambda: _walk_layers(
+                rar,
+                verifier=verifier,
+                peer_certificate=peer_certificate,
+                truststore=truststore,
+                at_time=at_time,
+                repository=repository,
+            ),
+            "introduction" if repository is None else "repository",
+        )
+    except ReproError as exc:
+        obs_audit.note_check(
+            "rar_trust",
+            fingerprint=peer_certificate.fingerprint,
+            verdict="rejected",
+            source="fresh",
+            detail=str(exc) if repository is None else f"repository: {exc}",
+        )
+        raise
+    _note_rar_checks(verified, peer_certificate, "fresh")
+    return verified
+
+
+def _signer_refusal(
+    cert: Certificate, truststore: TrustStore, at_time: float
+) -> str | None:
+    """Why local policy and the clock refuse *cert* as a signer's key
+    right now, or ``None`` when they accept it."""
+    if not truststore.scheme_acceptable(cert.public_key):
+        return f"signature scheme of {cert.subject} violates local policy"
+    if not cert.valid_at(at_time):
+        return f"certificate for {cert.subject} not valid at t={at_time}"
+    if truststore.is_revoked(cert):
+        return f"certificate for {cert.subject} has been revoked"
+    return None
 
 
 def _rar_hit_valid(
@@ -237,7 +309,7 @@ def _rar_hit_valid(
     at_time: float,
 ) -> bool:
     """Re-run every cheap, mutable-state-dependent check of
-    :func:`_verify_rar_impl` against the current truststore and clock.
+    :func:`_walk_layers` against the current truststore and clock.
 
     The cached part is exactly the immutable remainder: signature math
     over fixed bytes and the structural layer/path checks.  Returning
@@ -247,27 +319,58 @@ def _rar_hit_valid(
     verdict, dependencies = entry
     if not truststore.accepts_directly(peer_certificate, at_time=at_time):
         return False
-    for depth in range(verdict.depth + 1):
-        if not truststore.depth_acceptable(depth):
-            return False
-    for cert in dependencies:
-        if not cert.valid_at(at_time):
-            return False
-        if truststore.is_revoked(cert):
-            return False
-        if not truststore.scheme_acceptable(cert.public_key):
-            return False
-    return True
+    if not truststore.depth_acceptable(verdict.depth):
+        return False
+    return all(
+        _signer_refusal(cert, truststore, at_time) is None
+        for cert in dependencies
+    )
 
 
-def _verify_rar_impl(
+def _introduced_certificate(
+    layer: SignedEnvelope,
+    inner_signer: DistinguishedName,
+    depth: int,
+    truststore: TrustStore,
+) -> Certificate:
+    """The key source of §6.4 alternative 1: *layer* carries the
+    certificate of the next-inner signer, vouched for by *layer*'s
+    (already verified) signature.  *depth* is the introduction depth
+    that key would be accepted at."""
+    cert = layer.get(F_INTRODUCED_CERT)
+    if cert is None:
+        raise IntroductionError(
+            f"layer signed by {layer.signer} introduces no certificate for "
+            f"inner signer {inner_signer}"
+        )
+    if not isinstance(cert, Certificate):
+        raise IntroductionError("introduced certificate field is malformed")
+    if cert.subject != inner_signer:
+        raise IntroductionError(
+            f"introduced certificate names {cert.subject}, inner layer is "
+            f"signed by {inner_signer}"
+        )
+    if not truststore.depth_acceptable(depth):
+        raise ChainTooDeepError(
+            f"introduction depth {depth} exceeds local trust policy "
+            f"(max {truststore.policy.max_introduction_depth})"
+        )
+    return cert
+
+
+def _walk_layers(
     rar: SignedEnvelope,
     *,
     verifier: DistinguishedName,
     peer_certificate: Certificate,
     truststore: TrustStore,
-    at_time: float = 0.0,
+    at_time: float,
+    repository: CertificateRepository | None,
 ) -> VerifiedRAR:
+    """The §6.4 walk, outermost layer inward.  *repository* is the key
+    source for every signer below the channel peer: ``None`` takes the
+    certificate each layer introduces, otherwise the key is looked up
+    by the signer's DN."""
     layers = unwrap_rar_layers(rar)
 
     # Layer 0 (outermost) must be signed by the channel peer: direct trust.
@@ -291,27 +394,14 @@ def _verify_rar_impl(
     signer_cert = peer_certificate
     capability_chain: list[Certificate] = []
     assertions: list[SignedAssertion] = []
-    introduced: list[Certificate] = []
-    user_certificate: Certificate | None = None
+    #: Certificates accepted below the peer's, outermost first; the
+    #: last one is the user's.
+    vouched: list[Certificate] = []
 
     for depth, layer in enumerate(layers):
-        if not truststore.depth_acceptable(depth):
-            raise ChainTooDeepError(
-                f"introduction depth {depth} exceeds local trust policy "
-                f"(max {truststore.policy.max_introduction_depth})"
-            )
-        if not truststore.scheme_acceptable(signer_cert.public_key):
-            raise IntroductionError(
-                f"signature scheme of {signer_cert.subject} violates local policy"
-            )
-        if not signer_cert.valid_at(at_time):
-            raise IntroductionError(
-                f"certificate for {signer_cert.subject} not valid at t={at_time}"
-            )
-        if truststore.is_revoked(signer_cert):
-            raise IntroductionError(
-                f"certificate for {signer_cert.subject} has been revoked"
-            )
+        refusal = _signer_refusal(signer_cert, truststore, at_time)
+        if refusal is not None:
+            raise IntroductionError(refusal)
         layer.require_valid(signer_cert.public_key)
 
         # Collect what this layer adds.  Capability certificates appear
@@ -319,9 +409,9 @@ def _verify_rar_impl(
         capability_chain[:0] = list(layer.get(F_CAPABILITY_CERTS, ()))
         assertions[:0] = list(layer.get(F_ASSERTIONS, ()))
 
-        inner = layers[depth + 1] if depth + 1 < len(layers) else None
-        if inner is None:
+        if depth + 1 == len(layers):
             break
+        inner = layers[depth + 1]
         # Path consistency: the inner layer must name this layer's signer
         # as the BB it was sent to.
         if inner.get(F_DOWNSTREAM) != layer.signer:
@@ -330,164 +420,25 @@ def _verify_rar_impl(
                 f"{inner.get(F_DOWNSTREAM)}, not to {layer.signer} who "
                 f"forwarded it"
             )
-        # Introduction: this layer carries the certificate of the inner
-        # signer, vouched for by this layer's (already verified) signature.
-        cert = layer.get(F_INTRODUCED_CERT)
-        if cert is None:
-            raise IntroductionError(
-                f"layer signed by {layer.signer} introduces no certificate for "
-                f"inner signer {inner.signer}"
-            )
-        if not isinstance(cert, Certificate):
-            raise IntroductionError("introduced certificate field is malformed")
-        if cert.subject != inner.signer:
-            raise IntroductionError(
-                f"introduced certificate names {cert.subject}, inner layer is "
-                f"signed by {inner.signer}"
-            )
-        introduced.append(cert)
-        user_certificate = cert  # the last introduction is the user's cert
-        signer_cert = cert
+        signer_cert = (
+            _introduced_certificate(layer, inner.signer, depth + 1, truststore)
+            if repository is None
+            else repository.lookup(inner.signer)
+        )
+        vouched.append(signer_cert)
 
     user_layer = layers[-1]
     request = user_layer.get(F_RES_SPEC)
     if not isinstance(request, ReservationRequest):
         raise SignallingError("innermost RAR carries no reservation spec")
 
-    path = tuple(layer.signer for layer in reversed(layers))
     return VerifiedRAR(
         user=user_layer.signer,
-        user_certificate=user_certificate if len(layers) > 1 else None,
-        request=request,
-        path=path,
-        capability_chain=tuple(capability_chain),
-        assertions=tuple(assertions),
-        depth=len(layers) - 1,
-        introduced=tuple(introduced),
-    )
-
-
-def verify_rar_with_repository(
-    rar: SignedEnvelope,
-    *,
-    verifier: DistinguishedName,
-    peer_certificate: Certificate,
-    truststore: TrustStore,
-    repository: CertificateRepository,
-    at_time: float = 0.0,
-) -> tuple[VerifiedRAR, int]:
-    """Verify a nested RAR resolving inner-signer keys from a trusted
-    certificate *repository* instead of in-request introductions.
-
-    This is the paper's §6.4 alternative 2 ("secure LDAP"), implemented so
-    the key-distribution ablation compares real code paths.  The RAR may
-    omit introduced certificates entirely; each inner signer's key is
-    fetched by DN.  Requires "a strong trust relationship with the
-    repository" — here, the caller choosing to pass one.
-
-    Returns ``(verified, lookups)`` where *lookups* is the number of
-    repository queries this verification performed.
-    """
-    try:
-        result = _meter_verification(
-            lambda: _verify_rar_with_repository_impl(
-                rar,
-                verifier=verifier,
-                peer_certificate=peer_certificate,
-                truststore=truststore,
-                repository=repository,
-                at_time=at_time,
-            ),
-            "repository",
-        )
-    except ReproError as exc:
-        obs_audit.note_check(
-            "rar_trust",
-            fingerprint=peer_certificate.fingerprint,
-            verdict="rejected",
-            source="fresh",
-            detail=f"repository: {exc}",
-        )
-        raise
-    if obs_audit.get_ledger() is not None:
-        _note_rar_checks(result[0], peer_certificate, "fresh")
-    return result
-
-
-def _verify_rar_with_repository_impl(
-    rar: SignedEnvelope,
-    *,
-    verifier: DistinguishedName,
-    peer_certificate: Certificate,
-    truststore: TrustStore,
-    repository: CertificateRepository,
-    at_time: float = 0.0,
-) -> tuple[VerifiedRAR, int]:
-    layers = unwrap_rar_layers(rar)
-
-    outer = layers[0]
-    if outer.signer != peer_certificate.subject:
-        raise IntroductionError(
-            f"outermost RAR signed by {outer.signer}, but the channel peer is "
-            f"{peer_certificate.subject}"
-        )
-    if not truststore.accepts_directly(peer_certificate, at_time=at_time):
-        raise IntroductionError(
-            f"channel peer certificate {peer_certificate.subject} is not "
-            f"directly trusted"
-        )
-    if outer.get(F_DOWNSTREAM) != verifier:
-        raise IntroductionError(
-            f"outermost RAR is addressed to {outer.get(F_DOWNSTREAM)}, "
-            f"not to verifier {verifier}"
-        )
-
-    queries_before = repository.queries
-    signer_cert = peer_certificate
-    capability_chain: list[Certificate] = []
-    assertions: list[SignedAssertion] = []
-    fetched: list[Certificate] = []
-    user_certificate: Certificate | None = None
-
-    for depth, layer in enumerate(layers):
-        if not signer_cert.valid_at(at_time):
-            raise IntroductionError(
-                f"certificate for {signer_cert.subject} not valid at t={at_time}"
-            )
-        if truststore.is_revoked(signer_cert):
-            raise IntroductionError(
-                f"certificate for {signer_cert.subject} has been revoked"
-            )
-        layer.require_valid(signer_cert.public_key)
-        capability_chain[:0] = list(layer.get(F_CAPABILITY_CERTS, ()))
-        assertions[:0] = list(layer.get(F_ASSERTIONS, ()))
-
-        inner = layers[depth + 1] if depth + 1 < len(layers) else None
-        if inner is None:
-            break
-        if inner.get(F_DOWNSTREAM) != layer.signer:
-            raise IntroductionError(
-                f"path break: layer signed by {inner.signer} was addressed to "
-                f"{inner.get(F_DOWNSTREAM)}, not to {layer.signer} who "
-                f"forwarded it"
-            )
-        signer_cert = repository.lookup(inner.signer)
-        fetched.append(signer_cert)
-        user_certificate = signer_cert
-
-    user_layer = layers[-1]
-    request = user_layer.get(F_RES_SPEC)
-    if not isinstance(request, ReservationRequest):
-        raise SignallingError("innermost RAR carries no reservation spec")
-
-    verified = VerifiedRAR(
-        user=user_layer.signer,
-        user_certificate=user_certificate if len(layers) > 1 else None,
+        user_certificate=vouched[-1] if vouched else None,
         request=request,
         path=tuple(layer.signer for layer in reversed(layers)),
         capability_chain=tuple(capability_chain),
         assertions=tuple(assertions),
         depth=len(layers) - 1,
-        introduced=tuple(fetched),
+        introduced=tuple(vouched),
     )
-    return verified, repository.queries - queries_before

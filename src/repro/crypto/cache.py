@@ -42,9 +42,9 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from contextlib import AbstractContextManager
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import Any, Hashable, Iterator
 
 from repro.errors import CryptoError
 from repro.obs import metrics as obs_metrics
@@ -57,6 +57,7 @@ __all__ = [
     "disable",
     "get_caches",
     "use_caches",
+    "use_batch_caches",
     "notify_revoked",
 ]
 
@@ -367,6 +368,26 @@ def use_caches(
 ) -> AbstractContextManager[VerificationCaches]:
     """Scope-install *caches* (or a fresh default set), restoring on exit."""
     return _holder.use(caches if caches is not None else VerificationCaches())
+
+
+@contextmanager
+def use_batch_caches() -> Iterator[VerificationCaches]:
+    """Scope for a signalling burst: every RAR in it descends from the
+    same users, carries the same capability chains and was wrapped by
+    BBs whose certificates repeat, so the burst's verifications share
+    one cache set and each common signature, introduction and delegation
+    link is checked once — with the hit-time guards re-run per item.
+
+    Joins the process caches when they are enabled — the burst then
+    feeds them, and installing a scope would only narrow their lifetime
+    — and installs a burst-scoped cache set otherwise.
+    """
+    active = get_caches()
+    if active is not None:
+        yield active
+        return
+    with use_caches() as caches:
+        yield caches
 
 
 def notify_revoked(fingerprint: str) -> None:

@@ -20,8 +20,7 @@ Layered on top of the pillars (ISSUE 4):
 * :mod:`repro.obs.propagation` — W3C-traceparent-style trace context
   carried *inside* the signed RAR envelopes, so every domain's spans
   stitch into one end-to-end trace;
-* :mod:`repro.obs.perf` — critical-path attribution of a trace and the
-  ``BENCH_<n>.json`` benchmark-trajectory harness;
+* :mod:`repro.obs.perf` — critical-path attribution of a trace;
 * :mod:`repro.obs.slo` — declarative latency/denial/breaker objectives
   evaluated over the registry and event log (``repro slo``; the chaos
   harness attaches verdicts to every run).

@@ -1,14 +1,10 @@
 """repro.obs.perf — performance tooling over the obs substrate (ISSUE 4).
 
-Two consumers of the telemetry the rest of :mod:`repro.obs` records:
-
-* :mod:`repro.obs.perf.critical_path` — walks a reservation's span tree
-  (stitched across domains by the envelope-carried trace context) and
-  attributes end-to-end latency to named hop/phase segments;
-* :mod:`repro.obs.perf.bench` — runs the ``benchmarks/`` suite
-  headlessly, merges pytest-benchmark timings with the per-benchmark
-  metrics snapshots, and maintains the ``BENCH_<n>.json`` trajectory at
-  the repo root that every perf PR is judged against.
+:mod:`repro.obs.perf.critical_path` walks a reservation's span tree
+(stitched across domains by the envelope-carried trace context) and
+attributes end-to-end latency to named hop/phase segments.
+:mod:`repro.obs.perf.bench` holds the machine fingerprint the repo
+benchmark (``bench/``) stamps into its results.
 
 See ``docs/PERFORMANCE.md``.
 """

@@ -1,63 +1,16 @@
-"""The benchmark-trajectory harness behind ``repro bench``.
+"""The machine fingerprint ``bench/run.py`` stamps into its results.
 
-Runs the ``benchmarks/bench_*.py`` suite headlessly (a pytest subprocess
-with ``--benchmark-json``), merges the pytest-benchmark timings with the
-per-benchmark metrics snapshots the suite writes to
-``benchmarks/.metrics/``, and records the result as one canonical
-``BENCH_<n>.json`` *trajectory entry* at the repo root — machine
-fingerprint, git sha, per-benchmark timings, and the metric-derived
-counters and latency quantiles that explain them.  ``repro bench
---compare`` diffs the newest entry against its predecessor and fails on
-regressions, which is the gate CI runs.
-
-The trajectory is append-only: entry numbers only grow, and committed
-entries are the baseline future optimisation PRs are judged against.
+Timing lives in ``bench/`` (see ``bench/README.md`` and
+``docs/PERFORMANCE.md``); this module is the one thing it imports from
+here, kept under this name because the benchmark's files are frozen.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import platform
-import re
-import subprocess
-import sys
-from typing import Mapping, Sequence
 
-from repro.errors import ObservabilityError
-from repro.obs.metrics import interpolate_quantile
-
-__all__ = [
-    "BENCH_SCHEMA",
-    "QUICK_BENCHMARKS",
-    "machine_fingerprint",
-    "git_sha",
-    "run_benchmarks",
-    "build_entry",
-    "trajectory_entries",
-    "next_entry_number",
-    "write_entry",
-    "validate_bench_entry",
-    "compare_entries",
-]
-
-#: Schema identifier stamped into (and required of) every entry.
-BENCH_SCHEMA = "repro-bench-trajectory/1"
-
-#: The subset ``--quick`` runs: the end-to-end signalling benchmarks
-#: (the paper's headline cost), the crypto-cost claim, and the
-#: concurrent-batch claim — enough signal for a CI regression gate
-#: without the half-hour full sweep.
-QUICK_BENCHMARKS: tuple[str, ...] = (
-    "bench_fig2_multidomain.py",
-    "bench_fig5_hopbyhop.py",
-    "bench_claim_signalling_latency.py",
-    "bench_claim_crypto_cost.py",
-    "bench_claim_concurrency.py",
-)
-
-_ENTRY_RE = re.compile(r"^BENCH_(\d+)\.json$")
+__all__ = ["machine_fingerprint"]
 
 
 def machine_fingerprint() -> dict[str, object]:
@@ -69,303 +22,3 @@ def machine_fingerprint() -> dict[str, object]:
         "implementation": platform.python_implementation(),
         "cpu_count": os.cpu_count() or 0,
     }
-
-
-def git_sha(repo_root: pathlib.Path) -> str:
-    """The repo's HEAD commit, or ``"unknown"`` outside a git checkout."""
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=repo_root,
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    if proc.returncode != 0:
-        return "unknown"
-    return proc.stdout.strip()
-
-
-def run_benchmarks(
-    repo_root: pathlib.Path,
-    *,
-    quick: bool = False,
-    json_path: pathlib.Path,
-    extra_args: Sequence[str] = (),
-    env_overrides: Mapping[str, str] | None = None,
-) -> dict[str, object]:
-    """Run the benchmark suite in a pytest subprocess.
-
-    Returns the parsed ``--benchmark-json`` document.  Raises
-    :class:`~repro.errors.ObservabilityError` when the run fails (a
-    benchmark asserts the paper's claimed shape, so a failure is a
-    reproduction regression, not just a slow run).
-    """
-    bench_dir = repo_root / "benchmarks"
-    if not bench_dir.is_dir():
-        raise ObservabilityError(f"no benchmarks/ directory under {repo_root}")
-    if quick:
-        targets = [str(bench_dir / name) for name in QUICK_BENCHMARKS]
-        speed_args = [
-            "--benchmark-min-rounds=1",
-            "--benchmark-max-time=0.25",
-        ]
-    else:
-        targets = [str(bench_dir)]
-        speed_args = []
-    src_dir = pathlib.Path(__file__).resolve().parents[3]
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        f"{src_dir}{os.pathsep}{existing}" if existing else str(src_dir)
-    )
-    if env_overrides:
-        env.update(env_overrides)
-    cmd = [
-        sys.executable,
-        "-m",
-        "pytest",
-        *targets,
-        "-q",
-        "-p",
-        "no:cacheprovider",
-        f"--benchmark-json={json_path}",
-        *speed_args,
-        *extra_args,
-    ]
-    proc = subprocess.run(
-        cmd, cwd=repo_root, capture_output=True, text=True, env=env,
-    )
-    if proc.returncode != 0:
-        tail = "\n".join(proc.stdout.splitlines()[-30:])
-        raise ObservabilityError(
-            f"benchmark run failed (pytest exit {proc.returncode}):\n{tail}"
-        )
-    try:
-        return json.loads(json_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ObservabilityError(
-            f"benchmark run produced no readable JSON at {json_path}: {exc}"
-        ) from exc
-
-
-# ---------------------------------------------------------------------------
-# Merging timings with the per-benchmark metrics snapshots
-# ---------------------------------------------------------------------------
-
-
-def _snapshot_path(snapshot_dir: pathlib.Path, test_name: str) -> pathlib.Path:
-    # Mirror benchmarks/conftest.py: node names become file names with
-    # "/" flattened to "_".
-    safe = test_name.replace("/", "_").replace("::", "-")
-    return snapshot_dir / f"{safe}.json"
-
-
-def _counter_totals(snapshot: Mapping[str, object]) -> dict[str, float]:
-    """Counter totals (summed over label sets) from one metrics snapshot."""
-    totals: dict[str, float] = {}
-    for name, metric in snapshot.items():
-        if not isinstance(metric, dict) or metric.get("kind") != "counter":
-            continue
-        totals[name] = sum(
-            float(entry.get("value", 0.0))
-            for entry in metric.get("series", [])
-        )
-    return totals
-
-
-def _histogram_quantiles(
-    snapshot: Mapping[str, object]
-) -> dict[str, dict[str, float]]:
-    """p50/p95/p99 per histogram metric, aggregated across label sets
-    (bucket counts summed series-wise — sound because every series of
-    one histogram shares its bucket bounds)."""
-    out: dict[str, dict[str, float]] = {}
-    for name, metric in snapshot.items():
-        if not isinstance(metric, dict) or metric.get("kind") != "histogram":
-            continue
-        buckets = [float(b) for b in metric.get("buckets", [])]
-        if not buckets:
-            continue
-        summed = [0] * len(buckets)
-        for entry in metric.get("series", []):
-            for i, n in enumerate(entry.get("bucket_counts", [])):
-                if i < len(summed):
-                    summed[i] += int(n)
-        out[name] = {
-            f"p{int(q * 100)}": interpolate_quantile(buckets, summed, q)
-            for q in (0.5, 0.95, 0.99)
-        }
-    return out
-
-
-def build_entry(
-    *,
-    repo_root: pathlib.Path,
-    benchmark_json: Mapping[str, object],
-    entry_number: int,
-    quick: bool,
-) -> dict[str, object]:
-    """Assemble one trajectory entry from a benchmark run's outputs."""
-    snapshot_dir = repo_root / "benchmarks" / ".metrics"
-    benchmarks: dict[str, object] = {}
-    for bench in benchmark_json.get("benchmarks", []):  # type: ignore[union-attr]
-        name = str(bench.get("name", ""))
-        stats = bench.get("stats", {})
-        record: dict[str, object] = {
-            "group": bench.get("group"),
-            "mean_s": float(stats.get("mean", 0.0)),
-            "stddev_s": float(stats.get("stddev", 0.0)),
-            "min_s": float(stats.get("min", 0.0)),
-            "rounds": int(stats.get("rounds", 0)),
-        }
-        snap_path = _snapshot_path(snapshot_dir, name)
-        if snap_path.is_file():
-            try:
-                snapshot = json.loads(snap_path.read_text())
-            except (OSError, json.JSONDecodeError):
-                snapshot = {}
-            record["counters"] = _counter_totals(snapshot)
-            quantiles = _histogram_quantiles(snapshot)
-            if quantiles:
-                record["quantiles"] = quantiles
-        benchmarks[name] = record
-    return {
-        "schema": BENCH_SCHEMA,
-        "entry": entry_number,
-        "created": benchmark_json.get("datetime", ""),
-        "git_sha": git_sha(repo_root),
-        "quick": quick,
-        "machine": machine_fingerprint(),
-        "benchmarks": benchmarks,
-    }
-
-
-# ---------------------------------------------------------------------------
-# The trajectory at the repo root
-# ---------------------------------------------------------------------------
-
-
-def trajectory_entries(
-    repo_root: pathlib.Path,
-) -> list[tuple[int, pathlib.Path]]:
-    """``(entry_number, path)`` for every ``BENCH_<n>.json``, ascending."""
-    found: list[tuple[int, pathlib.Path]] = []
-    for path in repo_root.iterdir():
-        m = _ENTRY_RE.match(path.name)
-        if m is not None and path.is_file():
-            found.append((int(m.group(1)), path))
-    return sorted(found)
-
-
-def next_entry_number(repo_root: pathlib.Path) -> int:
-    """One past the highest committed entry (the trajectory starts at 4:
-    the PR that created the harness)."""
-    entries = trajectory_entries(repo_root)
-    return entries[-1][0] + 1 if entries else 4
-
-
-def write_entry(
-    repo_root: pathlib.Path, entry: Mapping[str, object]
-) -> pathlib.Path:
-    problems = validate_bench_entry(entry)
-    if problems:
-        raise ObservabilityError(
-            "refusing to write an invalid trajectory entry: "
-            + "; ".join(problems)
-        )
-    path = repo_root / f"BENCH_{entry['entry']}.json"
-    path.write_text(json.dumps(entry, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def validate_bench_entry(entry: Mapping[str, object]) -> list[str]:
-    """Schema check for one trajectory entry; empty list = valid."""
-    problems: list[str] = []
-    if entry.get("schema") != BENCH_SCHEMA:
-        problems.append(
-            f"schema is {entry.get('schema')!r}, expected {BENCH_SCHEMA!r}"
-        )
-    if not isinstance(entry.get("entry"), int) or entry.get("entry", 0) < 0:
-        problems.append("entry must be a non-negative integer")
-    sha = entry.get("git_sha")
-    if not isinstance(sha, str) or not sha:
-        problems.append("git_sha must be a non-empty string")
-    if not isinstance(entry.get("quick"), bool):
-        problems.append("quick must be a boolean")
-    machine = entry.get("machine")
-    if not isinstance(machine, Mapping):
-        problems.append("machine fingerprint missing")
-    else:
-        for key in ("platform", "python", "cpu_count"):
-            if key not in machine:
-                problems.append(f"machine fingerprint lacks {key!r}")
-    benchmarks = entry.get("benchmarks")
-    if not isinstance(benchmarks, Mapping) or not benchmarks:
-        problems.append("benchmarks must be a non-empty mapping")
-        return problems
-    for name, record in benchmarks.items():
-        if not isinstance(record, Mapping):
-            problems.append(f"benchmark {name!r} is not a mapping")
-            continue
-        for key in ("mean_s", "stddev_s", "min_s", "rounds"):
-            if not isinstance(record.get(key), (int, float)):
-                problems.append(f"benchmark {name!r} lacks numeric {key!r}")
-        mean = record.get("mean_s")
-        if isinstance(mean, (int, float)) and mean < 0:
-            problems.append(f"benchmark {name!r} has negative mean_s")
-        counters = record.get("counters")
-        if counters is not None and not isinstance(counters, Mapping):
-            problems.append(f"benchmark {name!r} counters is not a mapping")
-    return problems
-
-
-def compare_entries(
-    previous: Mapping[str, object],
-    current: Mapping[str, object],
-    *,
-    threshold: float = 2.0,
-) -> tuple[list[str], list[str]]:
-    """Compare two entries: ``(regressions, notes)``.
-
-    A benchmark regresses when its mean slows down by more than
-    *threshold*× versus the previous entry.  Notes cover everything
-    else worth a human glance: appeared/vanished benchmarks and >25%
-    drifts in either direction.
-    """
-    regressions: list[str] = []
-    notes: list[str] = []
-    prev_benchmarks = previous.get("benchmarks", {})
-    cur_benchmarks = current.get("benchmarks", {})
-    if not isinstance(prev_benchmarks, Mapping):
-        prev_benchmarks = {}
-    if not isinstance(cur_benchmarks, Mapping):
-        cur_benchmarks = {}
-    for name in sorted(set(prev_benchmarks) | set(cur_benchmarks)):
-        prev = prev_benchmarks.get(name)
-        cur = cur_benchmarks.get(name)
-        if prev is None:
-            notes.append(f"+ {name}: new benchmark")
-            continue
-        if cur is None:
-            notes.append(f"- {name}: no longer run")
-            continue
-        prev_mean = float(prev.get("mean_s", 0.0))
-        cur_mean = float(cur.get("mean_s", 0.0))
-        if prev_mean <= 0.0:
-            continue
-        ratio = cur_mean / prev_mean
-        if ratio > threshold:
-            regressions.append(
-                f"{name}: {prev_mean * 1e3:.3f} ms -> {cur_mean * 1e3:.3f} ms "
-                f"({ratio:.2f}x, threshold {threshold:.2f}x)"
-            )
-        elif ratio > 1.25 or ratio < 0.8:
-            direction = "slower" if ratio > 1.0 else "faster"
-            notes.append(
-                f"~ {name}: {prev_mean * 1e3:.3f} ms -> "
-                f"{cur_mean * 1e3:.3f} ms ({ratio:.2f}x {direction})"
-            )
-    return regressions, notes

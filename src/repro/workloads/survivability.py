@@ -27,8 +27,8 @@ breaker-open rate — plus the persona's own counters (including the
 replay-guard proof: with defenses on, 100% of replayed envelopes must
 be rejected *before* signature verification).  ``repro attack
 --persona <p>`` prints the off/on pair;
-``benchmarks/bench_attack_survivability.py`` lands the numbers in the
-BENCH trajectory.
+``benchmarks/bench_attack_survivability.py`` asserts the claimed
+off/on shape.
 
 Everything is deterministic under ``spec.seed`` (REP102/REP108): the
 testbed, the honest arrivals, and the persona each derive an

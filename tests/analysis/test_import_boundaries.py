@@ -6,14 +6,23 @@ compare :class:`~repro.core.codec.WireView` against.  Production code
 decodes received bytes through ``WireView`` only, so no module under
 ``src/repro`` other than ``core/codec.py`` itself may import or call
 the reference entry points.
+
+The other boundary faces outward: the repo benchmark (``bench/``) is
+frozen and reaches into ``src/`` by name — its imports, and the dotted
+entry points ``bench/trace.py::TARGETS`` wraps.  Everything it names
+must still resolve, so deleting one fails here and not in the bench job
+after the fact.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import repro
 
 SRC = Path(repro.__file__).resolve().parent
+BENCH = SRC.parents[1] / "bench"
 
 #: module -> names that are reference-decoder entry points.
 REFERENCE_ONLY = {
@@ -84,4 +93,67 @@ def test_only_codec_touches_the_reference_decoder():
         "production code reaches the reference decoder (decode received "
         "bytes with WireView.parse(...).materialize()):\n"
         + "\n".join(offenders)
+    )
+
+
+def _bench_imports() -> list[tuple[str, str]]:
+    """``(module, name)`` for every ``repro`` import under ``bench/``
+    (name ``""`` for a plain ``import``), at any nesting depth —
+    ``run.py`` imports lazily."""
+    found = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found.update(
+                    (a.name, "") for a in node.names
+                    if a.name.split(".")[0] == "repro"
+                )
+            elif (
+                isinstance(node, ast.ImportFrom)
+                and node.module
+                and node.module.split(".")[0] == "repro"
+            ):
+                found.update((node.module, a.name) for a in node.names)
+    return sorted(found)
+
+
+def _bench_trace():
+    """``bench/trace.py`` loaded from its path (``bench/`` is not a
+    package, and its name shadows the stdlib's ``trace``)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_trace", BENCH / "trace.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolves(module_name: str, name: str) -> bool:
+    try:
+        module = importlib.import_module(module_name)
+        if name and not hasattr(module, name):
+            # ``from package import submodule``
+            importlib.import_module(f"{module_name}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_every_bench_import_resolves():
+    imports = _bench_imports()
+    assert ("repro.obs.perf.bench", "machine_fingerprint") in imports
+    missing = [spec for spec in imports if not _resolves(*spec)]
+    assert not missing, f"bench/ imports names src/ no longer has: {missing}"
+
+
+def test_every_traced_target_is_defined_by_its_owner():
+    """By the tracer's own rule — what ``--self-check`` would report."""
+    trace = _bench_trace()
+    assert "repro.core.trust.verify_rar" in trace.TARGETS["core.trust"]
+    with trace.LayerTracer() as tracer:
+        missing = tracer.missing
+    assert not tracer.leftovers()
+    assert not missing, (
+        f"bench/trace.py TARGETS names src/ no longer defines: {missing}"
     )

@@ -12,7 +12,11 @@ from repro.crypto.dn import DN
 from repro.crypto.repository import CertificateRepository
 from repro.crypto.truststore import TrustPolicy, TrustStore
 from repro.crypto.x509 import CertificateAuthority
-from repro.errors import CertificateError, TamperedMessageError
+from repro.errors import (
+    CertificateError,
+    IntroductionError,
+    TamperedMessageError,
+)
 
 ALICE = DN.make("Grid", "A", "Alice")
 BB = {d: DN.make("Grid", d, f"BB-{d}") for d in "ABC"}
@@ -156,3 +160,52 @@ class TestRepositoryVerification:
             truststore=self.make_store(world), repository=repo,
         )
         assert repo.total_latency_s == pytest.approx(2 * 0.002)
+
+    @pytest.mark.parametrize("require_secure_scheme", [True, False])
+    def test_secure_scheme_policy_covers_fetched_keys(
+        self, world, keypool, require_secure_scheme
+    ):
+        """A key local policy forbids is forbidden however it was
+        fetched: RSA brokers, a simulated-scheme user key served by the
+        repository."""
+        _, alice_kp, alice_cert, _, _ = world
+        rsa_ca = CertificateAuthority(
+            DN.make("Grid", "Root", "RSA-CA"), keypair=keypool[0], scheme="rsa"
+        )
+        certs = {
+            d: rsa_ca.issue(BB[d], keypool[i].public)
+            for i, d in enumerate("AB", start=1)
+        }
+        rar_u = make_user_rar(
+            request=request(), source_bb=BB["A"], user=ALICE,
+            user_key=alice_kp.private,
+        )
+        rar_a = make_bb_rar(
+            inner=rar_u, introduced_cert=alice_cert, downstream=BB["B"],
+            bb=BB["A"], bb_key=keypool[1].private,
+        )
+        rar_b = make_bb_rar(
+            inner=rar_a, introduced_cert=certs["A"], downstream=BB["C"],
+            bb=BB["B"], bb_key=keypool[2].private,
+        )
+        repo = CertificateRepository()
+        for cert in (alice_cert, certs["A"]):
+            repo.publish(cert)
+        store = TrustStore(TrustPolicy(
+            require_secure_scheme=require_secure_scheme,
+            require_ca_issued_peers=False,
+        ))
+        store.add_introduced_peer(certs["B"])
+
+        def verify():
+            return verify_rar_with_repository(
+                rar_b, verifier=BB["C"], peer_certificate=certs["B"],
+                truststore=store, repository=repo,
+            )
+
+        if require_secure_scheme:
+            with pytest.raises(IntroductionError, match="scheme of .*Alice"):
+                verify()
+        else:
+            verified, lookups = verify()
+            assert (verified.user, lookups) == (ALICE, 2)

@@ -1,11 +1,12 @@
-"""Property suite: batched verification == sequential verification.
+"""Property suite: a verification burst == sequential verification.
 
-Hypothesis draws arbitrary batch compositions — valid users, a second
+Hypothesis draws arbitrary burst compositions — valid users, a second
 valid user, a revoked signer, an expired certificate, a forged
-signature, duplicates of any of them — and asserts that
-:func:`repro.crypto.batch.verify_rar_batch` produces, for every item,
-exactly the verdict (or exactly the error, by type *and* message) that
-a sequential cold-cache :func:`repro.core.trust.verify_rar` produces.
+signature, duplicates of any of them — and asserts that the shape
+production runs for a burst, a :func:`repro.core.trust.verify_rar` loop
+inside one :func:`repro.crypto.cache.use_batch_caches` scope, produces
+for every item exactly the verdict (or exactly the error, by type *and*
+message) that a sequential cold-cache ``verify_rar`` produces.
 """
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from repro.core.messages import make_user_rar
 from repro.core.testbed import build_linear_testbed
 from repro.core.trust import verify_rar
-from repro.crypto.batch import BatchItem, verify_rar_batch
+from repro.crypto import cache as verification_cache
 from repro.crypto.dn import DN
 from repro.errors import ReproError
 
@@ -78,12 +79,9 @@ class World:
         }
 
     def item(self, name, variant):
+        """(rar, certificate the peer presents) for one burst item."""
         variants, certificate = self.members[name]
-        return BatchItem(
-            rar=variants[variant],
-            verifier=self.bb.dn,
-            peer_certificate=certificate,
-        )
+        return variants[variant], certificate
 
 
 @pytest.fixture(scope="module")
@@ -91,14 +89,15 @@ def world():
     return World()
 
 
-def sequential_verdict(world, item):
-    """One cold verify_rar call, as (ok, type name, message, summary)."""
+def verdict(bb, item):
+    """One verify_rar call at *bb*, as (ok, type name, message, summary)."""
+    rar, certificate = item
     try:
         verified = verify_rar(
-            item.rar,
-            verifier=item.verifier,
-            peer_certificate=item.peer_certificate,
-            truststore=world.bb.truststore,
+            rar,
+            verifier=bb.dn,
+            peer_certificate=certificate,
+            truststore=bb.truststore,
             at_time=AT_TIME,
         )
     except ReproError as exc:
@@ -106,10 +105,11 @@ def sequential_verdict(world, item):
     return (True, "", "", verified_summary(verified))
 
 
-def batch_verdict(result):
-    if result.error is not None:
-        return (False, type(result.error).__name__, str(result.error), None)
-    return (True, "", "", verified_summary(result.verified))
+def burst_verdicts(bb, items):
+    """The burst as production runs it: one shared cache scope around
+    the per-item calls, each item's error its own."""
+    with verification_cache.use_batch_caches() as caches:
+        return [verdict(bb, item) for item in items], caches
 
 
 def verified_summary(verified):
@@ -138,63 +138,43 @@ def batches(draw):
 def test_batch_matches_sequential(world, spec):
     items = [world.item(name, variant) for name, variant in spec]
 
-    expected = [sequential_verdict(world, item) for item in items]
-    results = verify_rar_batch(
-        items, truststore=world.bb.truststore, at_time=AT_TIME,
-    )
+    expected = [verdict(world.bb, item) for item in items]
+    results, caches = burst_verdicts(world.bb, items)
 
-    assert [batch_verdict(r) for r in results] == expected
+    assert results == expected
 
-    # Dedup bookkeeping: an item is marked deduplicated exactly when an
-    # identical (rar, verifier, peer cert) triple appeared earlier.
-    seen = set()
-    for (name, variant), result in zip(spec, results):
-        assert result.deduplicated == ((name, variant) in seen)
-        seen.add((name, variant))
+    # Shared work: an item identical to an earlier *verified* one is
+    # answered from the burst's verdict cache; nothing else is.
+    verified_once = {
+        (name, variant) for name, variant in spec
+        if name in ("alice", "carol")
+    }
+    valid_items = sum(name in ("alice", "carol") for name, _ in spec)
+    assert caches.stats("rar").hits == valid_items - len(verified_once)
 
     # The revoked / expired / forged members never verify; the valid
     # members never fail (the strategy guarantees nothing else).
     for (name, _), result in zip(spec, results):
-        assert result.ok == (name in ("alice", "carol"))
-
-
-def test_require_reraises_the_item_error(world):
-    results = verify_rar_batch(
-        [world.item("forged", 0), world.item("alice", 0)],
-        truststore=world.bb.truststore,
-        at_time=AT_TIME,
-    )
-    with pytest.raises(ReproError):
-        results[0].require()
-    assert results[1].require() is results[1].verified
+        assert result[0] == (name in ("alice", "carol"))
 
 
 def test_explicit_shared_caches_do_not_change_verdicts(world):
-    from repro.crypto import cache as verification_cache
-
     items = [world.item(name, 0) for name in MEMBER_NAMES]
-    baseline = [
-        batch_verdict(r) for r in verify_rar_batch(
-            items, truststore=world.bb.truststore, at_time=AT_TIME,
-        )
-    ]
-    caches = verification_cache.VerificationCaches()
-    for _ in range(2):  # second pass answers from the shared caches
-        again = [
-            batch_verdict(r) for r in verify_rar_batch(
-                items, truststore=world.bb.truststore, at_time=AT_TIME,
-                caches=caches,
-            )
-        ]
-        assert again == baseline
+    baseline = [verdict(world.bb, item) for item in items]
+    # An enabled process cache set is what a burst joins instead of
+    # installing its own; the second pass answers from it.
+    with verification_cache.use_caches() as shared:
+        for _ in range(2):
+            again, joined = burst_verdicts(world.bb, items)
+            assert joined is shared
+            assert again == baseline
+    assert shared.stats("rar").hits == 2  # alice and carol, second pass
 
 
 def test_mid_batch_revocation_is_not_papered_over(world):
-    """A verdict cached by an earlier batch must be re-guarded: once the
-    signer is revoked, the same bytes stop verifying even with the same
-    warm caches."""
-    from repro.crypto import cache as verification_cache
-
+    """A verdict cached earlier in the burst must be re-guarded: once
+    the signer is revoked, the same bytes stop verifying from that item
+    on, inside the same warm scope."""
     testbed = build_linear_testbed(["A", "B"])
     bb = testbed.brokers["A"]
     ca = testbed.domain_cas["A"]
@@ -208,31 +188,16 @@ def test_mid_batch_revocation_is_not_papered_over(world):
         user=user.dn,
         user_key=user.keypair.private,
     )
-    item = BatchItem(
-        rar=rar, verifier=bb.dn, peer_certificate=user.certificate,
-    )
-    caches = verification_cache.VerificationCaches()
+    item = (rar, user.certificate)
 
-    first = verify_rar_batch(
-        [item], truststore=bb.truststore, at_time=AT_TIME, caches=caches,
-    )
-    assert first[0].ok
+    with verification_cache.use_batch_caches() as caches:
+        before = [verdict(bb, item), verdict(bb, item)]
+        assert [v[0] for v in before] == [True, True]
+        assert caches.stats("rar").hits == 1
 
-    ca.revoke(user.certificate.serial)
-    second = verify_rar_batch(
-        [item], truststore=bb.truststore, at_time=AT_TIME, caches=caches,
-    )
-    assert not second[0].ok
-    # The post-revocation batch error must equal a cold sequential call.
-    fresh = []
-    try:
-        verify_rar(
-            item.rar, verifier=item.verifier,
-            peer_certificate=item.peer_certificate,
-            truststore=bb.truststore, at_time=AT_TIME,
-        )
-    except ReproError as exc:
-        fresh = [type(exc).__name__, str(exc)]
-    assert fresh == [
-        type(second[0].error).__name__, str(second[0].error),
-    ]
+        ca.revoke(user.certificate.serial)
+        after = [verdict(bb, item), verdict(bb, item)]
+
+    assert [v[0] for v in after] == [False, False]
+    # The post-revocation error must equal a cold sequential call.
+    assert after == [verdict(bb, item)] * 2

@@ -1,201 +1,10 @@
-"""The benchmark-trajectory harness: entry assembly, schema validation,
-the append-only trajectory at the repo root, and the regression gate.
-All offline — the pytest-subprocess runner is exercised by CI's
-``repro bench --quick``, not here."""
+"""What ``bench/run.py`` takes from ``src/`` to build a result entry."""
 
-import json
-
-import pytest
-
-from repro.errors import ObservabilityError
-from repro.obs.perf.bench import (
-    BENCH_SCHEMA,
-    build_entry,
-    compare_entries,
-    machine_fingerprint,
-    next_entry_number,
-    trajectory_entries,
-    validate_bench_entry,
-    write_entry,
-)
-
-
-def benchmark_json(**means):
-    """A minimal pytest-benchmark document with one entry per kwarg."""
-    return {
-        "datetime": "2026-08-05T00:00:00",
-        "benchmarks": [
-            {
-                "name": name,
-                "group": "signalling",
-                "stats": {
-                    "mean": mean, "stddev": mean / 10,
-                    "min": mean * 0.9, "rounds": 5,
-                },
-            }
-            for name, mean in means.items()
-        ],
-    }
-
-
-@pytest.fixture()
-def repo_root(tmp_path):
-    (tmp_path / "benchmarks").mkdir()
-    return tmp_path
+from repro.obs.perf.bench import machine_fingerprint
 
 
 class TestBuildEntry:
-    def test_merges_timings_and_snapshot(self, repo_root):
-        snap_dir = repo_root / "benchmarks" / ".metrics"
-        snap_dir.mkdir()
-        (snap_dir / "test_reserve.json").write_text(json.dumps({
-            "messages_total": {
-                "kind": "counter",
-                "series": [
-                    {"labels": {"domain": "A"}, "value": 6.0},
-                    {"labels": {"domain": "B"}, "value": 4.0},
-                ],
-            },
-            "signalling_latency_seconds": {
-                "kind": "histogram",
-                "buckets": [0.1, 1.0, 10.0],
-                "series": [
-                    {"labels": {}, "bucket_counts": [8, 2, 0],
-                     "sum": 1.0, "count": 10},
-                ],
-            },
-        }))
-        entry = build_entry(
-            repo_root=repo_root,
-            benchmark_json=benchmark_json(test_reserve=0.012),
-            entry_number=4,
-            quick=True,
-        )
-        assert entry["schema"] == BENCH_SCHEMA
-        record = entry["benchmarks"]["test_reserve"]
-        assert record["mean_s"] == 0.012
-        assert record["counters"]["messages_total"] == 10.0
-        q = record["quantiles"]["signalling_latency_seconds"]
-        assert set(q) == {"p50", "p95", "p99"}
-        assert 0.0 < q["p50"] <= 0.1 < q["p95"] <= 1.0
-
-    def test_entry_without_snapshot_still_valid(self, repo_root):
-        entry = build_entry(
-            repo_root=repo_root,
-            benchmark_json=benchmark_json(test_x=0.5),
-            entry_number=7,
-            quick=False,
-        )
-        assert "counters" not in entry["benchmarks"]["test_x"]
-        assert validate_bench_entry(entry) == []
-
     def test_machine_fingerprint_fields(self):
         fp = machine_fingerprint()
         assert fp["python"] and fp["platform"]
         assert fp["cpu_count"] >= 1
-
-
-class TestValidation:
-    def _valid(self, repo_root):
-        return build_entry(
-            repo_root=repo_root,
-            benchmark_json=benchmark_json(test_x=0.5),
-            entry_number=4,
-            quick=True,
-        )
-
-    def test_valid_entry_passes(self, repo_root):
-        assert validate_bench_entry(self._valid(repo_root)) == []
-
-    @pytest.mark.parametrize(
-        "mutation, complaint",
-        [
-            ({"schema": "bogus/9"}, "schema"),
-            ({"entry": -1}, "entry"),
-            ({"git_sha": ""}, "git_sha"),
-            ({"quick": "yes"}, "quick"),
-            ({"machine": None}, "machine"),
-            ({"benchmarks": {}}, "benchmarks"),
-        ],
-    )
-    def test_broken_entries_flagged(self, repo_root, mutation, complaint):
-        entry = {**self._valid(repo_root), **mutation}
-        problems = validate_bench_entry(entry)
-        assert problems and any(complaint in p for p in problems)
-
-    def test_negative_mean_flagged(self, repo_root):
-        entry = self._valid(repo_root)
-        entry["benchmarks"]["test_x"]["mean_s"] = -1.0
-        assert any("negative" in p for p in validate_bench_entry(entry))
-
-
-class TestTrajectory:
-    def test_empty_repo_starts_at_entry_4(self, repo_root):
-        assert trajectory_entries(repo_root) == []
-        assert next_entry_number(repo_root) == 4
-
-    def test_entries_sorted_and_next_is_max_plus_one(self, repo_root):
-        for n in (7, 4, 5):
-            (repo_root / f"BENCH_{n}.json").write_text("{}")
-        (repo_root / "BENCH_nope.json").write_text("{}")
-        assert [n for n, _ in trajectory_entries(repo_root)] == [4, 5, 7]
-        assert next_entry_number(repo_root) == 8
-
-    def test_write_entry_round_trips(self, repo_root):
-        entry = build_entry(
-            repo_root=repo_root,
-            benchmark_json=benchmark_json(test_x=0.5),
-            entry_number=4,
-            quick=True,
-        )
-        path = write_entry(repo_root, entry)
-        assert path.name == "BENCH_4.json"
-        assert json.loads(path.read_text()) == entry
-        assert next_entry_number(repo_root) == 5
-
-    def test_write_refuses_invalid_entry(self, repo_root):
-        with pytest.raises(ObservabilityError, match="invalid"):
-            write_entry(repo_root, {"schema": "bogus"})
-
-
-class TestRegressionGate:
-    def _entry(self, repo_root, **means):
-        return build_entry(
-            repo_root=repo_root,
-            benchmark_json=benchmark_json(**means),
-            entry_number=4,
-            quick=True,
-        )
-
-    def test_steady_state_is_quiet(self, repo_root):
-        a = self._entry(repo_root, test_x=0.100)
-        b = self._entry(repo_root, test_x=0.105)
-        regressions, notes = compare_entries(a, b)
-        assert regressions == [] and notes == []
-
-    def test_regression_beyond_threshold(self, repo_root):
-        a = self._entry(repo_root, test_x=0.100)
-        b = self._entry(repo_root, test_x=0.250)
-        regressions, _ = compare_entries(a, b, threshold=2.0)
-        assert len(regressions) == 1
-        assert "test_x" in regressions[0] and "2.50x" in regressions[0]
-        # A looser gate lets the same drift through.
-        assert compare_entries(a, b, threshold=3.0)[0] == []
-
-    def test_drift_is_a_note_not_a_regression(self, repo_root):
-        a = self._entry(repo_root, test_x=0.100)
-        b = self._entry(repo_root, test_x=0.150)  # 1.5x: note territory
-        regressions, notes = compare_entries(a, b)
-        assert regressions == []
-        assert any("slower" in n for n in notes)
-        regressions, notes = compare_entries(b, a)
-        assert regressions == []
-        assert any("faster" in n for n in notes)
-
-    def test_appeared_and_vanished_benchmarks_noted(self, repo_root):
-        a = self._entry(repo_root, test_old=0.1)
-        b = self._entry(repo_root, test_new=0.1)
-        regressions, notes = compare_entries(a, b)
-        assert regressions == []
-        assert any("test_new: new benchmark" in n for n in notes)
-        assert any("test_old: no longer run" in n for n in notes)
