@@ -12,7 +12,6 @@ summary).
 
 import pytest
 
-from repro.crypto import cache as verification_cache
 from repro.obs import metrics
 
 
@@ -28,15 +27,13 @@ def report():
 
 
 @pytest.fixture(autouse=True)
-def fresh_registry_and_caches(request):
-    """Run every check under its own metrics registry and verification
-    caches, so the counters and cache statistics a file asserts on
-    (message counts, ``stats.hits > 0``) are that check's alone.
-    Checks of the *disabled* path opt out with
-    ``@pytest.mark.no_metrics``.
+def fresh_registry(request):
+    """Run every check under its own metrics registry, so the counters
+    a file asserts on (message counts) are that check's alone.  Checks
+    of the *disabled* path opt out with ``@pytest.mark.no_metrics``.
     """
     if request.node.get_closest_marker("no_metrics"):
         yield
         return
-    with metrics.use_registry(), verification_cache.use_caches():
+    with metrics.use_registry():
         yield

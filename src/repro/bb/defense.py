@@ -3,11 +3,11 @@
 The paper closes the *single* misreservation attack (Figure 4) with
 policed per-flow classification; a production broker fleet must also
 survive *sustained* abuse — reservation flooding against one victim
-domain, revocation-storm churn against the verification caches, byzantine
-peers spraying malformed or replayed envelopes, and squatters claiming
-tunnels they never reserved.  The flyover-reservation literature
-(PAPERS.md) frames the common defense shape: keep the *cheap* checks in
-front of the *expensive* ones, and bound every per-peer resource.
+domain, byzantine peers spraying malformed or replayed envelopes, and
+squatters claiming tunnels they never reserved.  The flyover-reservation
+literature (PAPERS.md) frames the common defense shape: keep the *cheap*
+checks in front of the *expensive* ones, and bound every per-peer
+resource.
 
 This module is the local half of that shape — pure bookkeeping, driven
 entirely by the modelled clock passed in by callers (REP101), with no
@@ -41,6 +41,7 @@ clock or global RNG.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
@@ -56,6 +57,7 @@ from repro.obs import metrics as obs_metrics
 __all__ = [
     "DefensePolicy",
     "TokenBucket",
+    "digest",
     "ReplayGuard",
     "DomainDefense",
     "DefenseStats",
@@ -128,6 +130,12 @@ class TokenBucket:
             self.tokens -= amount
             return True
         return False
+
+
+def digest(data: bytes) -> bytes:
+    """Content digest the replay guard is keyed on (sha256, truncated
+    for compactness)."""
+    return hashlib.sha256(data).digest()[:16]
 
 
 class ReplayGuard:

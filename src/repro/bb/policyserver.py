@@ -142,8 +142,7 @@ class PolicyServer:
         #: Optional deterministic fault injector (timeout/unavailable).
         self.injector: FaultInjector | None = None
         #: Optional revocation oracle consulted on every delegation-chain
-        #: verification (cached *and* uncached paths) — typically the
-        #: community CA's ``is_revoked``.
+        #: verification — typically the community CA's ``is_revoked``.
         self.revocation_checker: Callable[[Certificate], bool] | None = None
 
     def _check_up(self) -> None:

@@ -273,17 +273,3 @@ class ReservationTable:
             for resv in lapsed:
                 resv.state = ReservationState.EXPIRED
             return lapsed
-
-    def expire_passed(self, now: float) -> int:
-        """Expire reservations whose interval has passed; returns count."""
-        n = 0
-        with self._lock:
-            for resv in self._by_handle.values():
-                if (
-                    resv.state
-                    in (ReservationState.GRANTED, ReservationState.ACTIVE)
-                    and resv.request.end <= now
-                ):
-                    resv.state = ReservationState.EXPIRED
-                    n += 1
-        return n

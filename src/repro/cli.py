@@ -10,7 +10,7 @@ Subcommands:
 * ``attack`` — adversarial scenarios: with no flags, the Figure 4
   misreservation replay on the DiffServ simulator; with ``--persona``,
   a seeded survivability run mixing honest load with one attack persona
-  (flood, revocation-storm, byzantine-broker, tunnel-squatter) and
+  (flood, byzantine-broker, tunnel-squatter) and
   reporting what honest traffic retains with defenses off vs on;
   ``--gate`` exits nonzero on honest-SLO violations or audit
   reconciliation failures;
@@ -143,8 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     attack.add_argument(
         "--persona", default=None,
-        choices=("flood", "revocation-storm", "byzantine-broker",
-                 "tunnel-squatter"),
+        choices=("flood", "byzantine-broker", "tunnel-squatter"),
         help="attack persona for a mixed honest+attack survivability "
              "run; omit for the legacy Figure 4 scenario")
     attack.add_argument("--seed", type=int, default=2001)

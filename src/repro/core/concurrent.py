@@ -44,7 +44,6 @@ from typing import Callable, Sequence
 from repro.bb.reservations import ReservationRequest
 from repro.core.agent import UserAgent
 from repro.core.hopbyhop import HopByHopProtocol, SignallingOutcome
-from repro.crypto import cache as verification_cache
 from repro.errors import ReproError, SignallingError
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
@@ -233,21 +232,15 @@ class ConcurrentSignaller:
                 concurrency=self.concurrency,
             )
         try:
-            # The whole burst shares one verification-cache scope
-            # (repro.crypto.cache): inner RAR layers, introduced
-            # certificates and delegation links repeated across jobs are
-            # each verified once instead of once per job.  Joins the
-            # global caches when those already feed every hop.
-            with verification_cache.use_batch_caches():
-                with ThreadPoolExecutor(
-                    max_workers=self.concurrency,
-                    thread_name_prefix="signaller",
-                ) as pool:
-                    futures = [
-                        pool.submit(work, i) for i in range(len(jobs))
-                    ]
-                    for future in futures:
-                        future.result()
+            with ThreadPoolExecutor(
+                max_workers=self.concurrency,
+                thread_name_prefix="signaller",
+            ) as pool:
+                futures = [
+                    pool.submit(work, i) for i in range(len(jobs))
+                ]
+                for future in futures:
+                    future.result()
         finally:
             if tracer is not None and span is not None:
                 tracer.end(span)

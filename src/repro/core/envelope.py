@@ -22,7 +22,6 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
-from repro.crypto import cache as verification_cache
 from repro.crypto import canonical
 from repro.crypto.dn import DistinguishedName
 from repro.crypto.keys import PrivateKey, PublicKey, get_scheme
@@ -162,13 +161,7 @@ class SignedEnvelope:
     def verify(self, public_key: PublicKey) -> bool:
         """True iff the signature verifies under *public_key*."""
         scheme = get_scheme(self.scheme)
-        caches = verification_cache.get_caches()
-        if caches is None:
-            return scheme.verify(public_key, self.body_bytes(), self.signature)
-        return caches.verify_signature(
-            self.scheme, public_key.key_id, self.body_bytes(), self.signature,
-            lambda: scheme.verify(public_key, self.body_bytes(), self.signature),
-        )
+        return scheme.verify(public_key, self.body_bytes(), self.signature)
 
     def require_valid(self, public_key: PublicKey) -> None:
         if not self.verify(public_key):

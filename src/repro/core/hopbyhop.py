@@ -58,6 +58,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence, TypeVar
 
 from repro.bb.broker import AdmitOutcome, BandwidthBroker
+from repro.bb.defense import digest as _envelope_digest
 from repro.bb.reservations import ReservationRequest
 from repro.core.agent import UserAgent
 from repro.core.channel import ChannelRegistry, SecureChannel
@@ -92,8 +93,6 @@ from repro.crypto.capability import (
 )
 from repro.crypto.repository import CertificateRepository
 from repro.crypto.x509 import Certificate
-from repro.crypto import cache as verification_cache
-from repro.crypto.cache import digest as _envelope_digest
 from repro.errors import (
     BrokerUnavailableError,
     CertificateError,
@@ -1427,40 +1426,6 @@ class HopByHopProtocol:
             traceparent=traceparent if isinstance(traceparent, str) else None,
             deadline=_carried_deadline(rar) if rar is not None else None,
         )
-
-    def process_ingress_batch(
-        self,
-        domain: str,
-        messages: Sequence[object],
-        *,
-        peer: str,
-        peer_certificate: Certificate | None = None,
-        peer_kind: str = "user",
-        at_time: float | None = None,
-        operation: str = "reserve",
-    ) -> list[IngressReport]:
-        """Process a burst of inbound messages at *domain*, amortized.
-
-        Per-message semantics are *identical* to calling
-        :meth:`process_ingress` in a loop — same gate decisions, same
-        reports, same ledger records, in order — but all verifications
-        run under one shared verification-cache scope
-        (:func:`repro.crypto.cache.use_batch_caches`): signatures, trust
-        chains and delegation links repeated across the burst are checked
-        once and reused, with the PR-5 hit-time guards re-validating
-        every reuse, so a revocation landing mid-burst still rejects
-        exactly as it would sequentially.
-        """
-        with verification_cache.use_batch_caches():
-            return [
-                self.process_ingress(
-                    domain, message, peer=peer,
-                    peer_certificate=peer_certificate,
-                    peer_kind=peer_kind, at_time=at_time,
-                    operation=operation,
-                )
-                for message in messages
-            ]
 
     # -- lifecycle helpers --------------------------------------------------------------
 

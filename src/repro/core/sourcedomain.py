@@ -24,7 +24,6 @@ This module implements that baseline faithfully, flaws included:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -34,7 +33,6 @@ from repro.core.agent import UserAgent
 from repro.core.channel import ChannelRegistry
 from repro.core.messages import make_user_rar
 from repro.core.trust import verify_rar
-from repro.crypto import cache as verification_cache
 from repro.errors import HandshakeError, SignallingError, TrustError, TamperedMessageError
 from repro.policy.attributes import SignedAssertion
 
@@ -158,41 +156,32 @@ class EndToEndAgent:
         )
         latencies: list[float] = []
 
-        # A concurrent agent issues its per-domain RARs as one burst;
-        # the verifications share one cache scope so the user signature,
-        # capability chain and assertion checks repeated at every BB are
-        # done once (per-domain outcomes are unchanged).
-        scope = (
-            verification_cache.use_batch_caches()
-            if concurrent else nullcontext()
-        )
-        with scope:
-            for index, domain in enumerate(path):
-                if domain in skipped:
-                    continue
-                bb = self.brokers.get(domain)
-                if bb is None:
-                    outcome.failures[domain] = "no bandwidth broker"
-                    continue
-                upstream = path[index - 1] if index > 0 else None
-                downstream = (
-                    path[index + 1] if index + 1 < len(path) else None
-                )
-                granted, result, rtt, msgs, nbytes = self._contact(
-                    user, bb, request,
-                    upstream=upstream, downstream=downstream,
-                    assertions=assertions, at_time=at_time,
-                )
-                latencies.append(rtt)
-                outcome.messages += msgs
-                outcome.bytes += nbytes
-                if granted:
-                    outcome.handles[domain] = result
-                else:
-                    outcome.failures[domain] = result
-                    if not concurrent:
-                        # A sequential agent stops at the first failure.
-                        break
+        for index, domain in enumerate(path):
+            if domain in skipped:
+                continue
+            bb = self.brokers.get(domain)
+            if bb is None:
+                outcome.failures[domain] = "no bandwidth broker"
+                continue
+            upstream = path[index - 1] if index > 0 else None
+            downstream = (
+                path[index + 1] if index + 1 < len(path) else None
+            )
+            granted, result, rtt, msgs, nbytes = self._contact(
+                user, bb, request,
+                upstream=upstream, downstream=downstream,
+                assertions=assertions, at_time=at_time,
+            )
+            latencies.append(rtt)
+            outcome.messages += msgs
+            outcome.bytes += nbytes
+            if granted:
+                outcome.handles[domain] = result
+            else:
+                outcome.failures[domain] = result
+                if not concurrent:
+                    # A sequential agent stops at the first failure.
+                    break
 
         outcome.latency_s = (
             max(latencies, default=0.0) if concurrent else sum(latencies)

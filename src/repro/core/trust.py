@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence, TypeVar
 
 from repro.bb.reservations import ReservationRequest
-from repro.crypto import cache as verification_cache
 from repro.crypto.dn import DistinguishedName
 from repro.crypto.repository import CertificateRepository
 from repro.crypto.truststore import TrustStore
@@ -58,6 +57,8 @@ from repro.policy.attributes import SignedAssertion
 __all__ = ["VerifiedRAR", "verify_rar", "verify_rar_with_repository"]
 
 logger = logging.getLogger(__name__)
+
+_T = TypeVar("_T")
 
 #: Buckets for the introduction-depth histogram (layers below the outer).
 _DEPTH_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -105,13 +106,11 @@ def _meter_verification(
 
 
 def _note_rar_checks(
-    verified: "VerifiedRAR", peer_certificate: Certificate, source: str
+    verified: "VerifiedRAR", peer_certificate: Certificate
 ) -> None:
     """Note every certificate this verification vouched for, plus a
     summary trust check, into the audit pending buffer (nothing when no
-    ledger is on).  The *source* records verdict provenance: ``fresh``
-    (full signature math) or ``cache:rar`` (PR-5 cache hit after the
-    validity/revocation guards)."""
+    ledger is on)."""
     if obs_audit.get_ledger() is None:
         return
     for cert in (peer_certificate, *verified.introduced):
@@ -119,13 +118,13 @@ def _note_rar_checks(
             "certificate",
             subject=str(cert.subject),
             fingerprint=cert.fingerprint,
-            source=source,
+            source="fresh",
         )
     obs_audit.note_check(
         "rar_trust",
         subject=str(verified.user),
         fingerprint=peer_certificate.fingerprint,
-        source=source,
+        source="fresh",
         detail=f"depth {verified.depth}",
     )
 
@@ -170,33 +169,8 @@ def verify_rar(
     introductions or path inconsistencies, and
     :class:`~repro.errors.ChainTooDeepError` when the verifier's trust
     policy rejects the introduction depth.
-
-    When verification caching is enabled (:mod:`repro.crypto.cache`), a
-    previously verified identical envelope is served from cache — but
-    only after the time/policy-dependent guards (certificate validity,
-    revocation, direct trust of the peer, depth and scheme policy) are
-    re-checked against the *current* truststore and clock, so a hit can
-    never admit what a fresh verification would reject.
     """
-    caches = verification_cache.get_caches()
-    key: tuple[object, ...] | None = None
-    if caches is not None:
-        key = (
-            verification_cache.digest(rar.cbe_bytes()),
-            str(verifier),
-            peer_certificate.fingerprint,
-        )
-        entry = caches.get_verdict("rar", key)
-        if entry is not None and _rar_hit_valid(
-            entry,
-            peer_certificate=peer_certificate,
-            truststore=truststore,
-            at_time=at_time,
-        ):
-            verdict: VerifiedRAR = entry[0]
-            _note_rar_checks(verdict, peer_certificate, "cache:rar")
-            return verdict
-    verified = _verify_fresh(
+    return _verify(
         rar,
         verifier=verifier,
         peer_certificate=peer_certificate,
@@ -204,13 +178,6 @@ def verify_rar(
         at_time=at_time,
         repository=None,
     )
-    if caches is not None and key is not None:
-        dependencies = (peer_certificate, *verified.introduced)
-        caches.put_verdict(
-            "rar", key, (verified, dependencies),
-            tuple(cert.fingerprint for cert in dependencies),
-        )
-    return verified
 
 
 def verify_rar_with_repository(
@@ -241,7 +208,7 @@ def verify_rar_with_repository(
     repository queries this verification performed.
     """
     queries_before = repository.queries
-    verified = _verify_fresh(
+    verified = _verify(
         rar,
         verifier=verifier,
         peer_certificate=peer_certificate,
@@ -252,7 +219,7 @@ def verify_rar_with_repository(
     return verified, repository.queries - queries_before
 
 
-def _verify_fresh(
+def _verify(
     rar: SignedEnvelope,
     *,
     verifier: DistinguishedName,
@@ -261,7 +228,7 @@ def _verify_fresh(
     at_time: float,
     repository: CertificateRepository | None,
 ) -> VerifiedRAR:
-    """One full (uncached) walk with its telemetry and audit notes."""
+    """One full walk with its telemetry and audit notes."""
     try:
         verified = _meter_verification(
             lambda: _walk_layers(
@@ -283,48 +250,27 @@ def _verify_fresh(
             detail=str(exc) if repository is None else f"repository: {exc}",
         )
         raise
-    _note_rar_checks(verified, peer_certificate, "fresh")
+    _note_rar_checks(verified, peer_certificate)
     return verified
 
 
-def _signer_refusal(
+def _require_signer_acceptable(
     cert: Certificate, truststore: TrustStore, at_time: float
-) -> str | None:
-    """Why local policy and the clock refuse *cert* as a signer's key
-    right now, or ``None`` when they accept it."""
+) -> None:
+    """Raise unless local policy and the clock accept *cert* as a
+    signer's key right now."""
     if not truststore.scheme_acceptable(cert.public_key):
-        return f"signature scheme of {cert.subject} violates local policy"
+        raise IntroductionError(
+            f"signature scheme of {cert.subject} violates local policy"
+        )
     if not cert.valid_at(at_time):
-        return f"certificate for {cert.subject} not valid at t={at_time}"
+        raise IntroductionError(
+            f"certificate for {cert.subject} not valid at t={at_time}"
+        )
     if truststore.is_revoked(cert):
-        return f"certificate for {cert.subject} has been revoked"
-    return None
-
-
-def _rar_hit_valid(
-    entry: tuple[VerifiedRAR, tuple[Certificate, ...]],
-    *,
-    peer_certificate: Certificate,
-    truststore: TrustStore,
-    at_time: float,
-) -> bool:
-    """Re-run every cheap, mutable-state-dependent check of
-    :func:`_walk_layers` against the current truststore and clock.
-
-    The cached part is exactly the immutable remainder: signature math
-    over fixed bytes and the structural layer/path checks.  Returning
-    ``False`` falls back to full verification, which raises the precise
-    error a cold call would have raised.
-    """
-    verdict, dependencies = entry
-    if not truststore.accepts_directly(peer_certificate, at_time=at_time):
-        return False
-    if not truststore.depth_acceptable(verdict.depth):
-        return False
-    return all(
-        _signer_refusal(cert, truststore, at_time) is None
-        for cert in dependencies
-    )
+        raise IntroductionError(
+            f"certificate for {cert.subject} has been revoked"
+        )
 
 
 def _introduced_certificate(
@@ -356,6 +302,21 @@ def _introduced_certificate(
             f"(max {truststore.policy.max_introduction_depth})"
         )
     return cert
+
+
+def _collected(
+    layer: SignedEnvelope, field: str, item_type: type[_T]
+) -> Sequence[_T]:
+    """What *layer* adds under *field*.  The layer's signature is valid,
+    which says who wrote the field, not that it holds what its name
+    promises: anything but a sequence of *item_type* is refused here,
+    before the §6.5 checks or the policy server read it."""
+    items = layer.get(field, ())
+    if not isinstance(items, (tuple, list)) or not all(
+        isinstance(item, item_type) for item in items
+    ):
+        raise IntroductionError(f"{field} field is malformed")
+    return items
 
 
 def _walk_layers(
@@ -399,15 +360,13 @@ def _walk_layers(
     vouched: list[Certificate] = []
 
     for depth, layer in enumerate(layers):
-        refusal = _signer_refusal(signer_cert, truststore, at_time)
-        if refusal is not None:
-            raise IntroductionError(refusal)
+        _require_signer_acceptable(signer_cert, truststore, at_time)
         layer.require_valid(signer_cert.public_key)
 
         # Collect what this layer adds.  Capability certificates appear
         # outermost-last in delegation order, so prepend.
-        capability_chain[:0] = list(layer.get(F_CAPABILITY_CERTS, ()))
-        assertions[:0] = list(layer.get(F_ASSERTIONS, ()))
+        capability_chain[:0] = _collected(layer, F_CAPABILITY_CERTS, Certificate)
+        assertions[:0] = _collected(layer, F_ASSERTIONS, SignedAssertion)
 
         if depth + 1 == len(layers):
             break

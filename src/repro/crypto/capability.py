@@ -30,7 +30,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from repro.crypto import cache as verification_cache
 from repro.crypto import canonical
 from repro.crypto.dn import DistinguishedName
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey, get_scheme
@@ -242,17 +241,15 @@ class DelegationResult:
     issuer: DistinguishedName
 
 
-def _note_chain_checks(
-    chain: Sequence[Certificate], source: str, *, detail: str = ""
-) -> None:
+def _note_chain_checks(chain: Sequence[Certificate]) -> None:
     """Note each chain certificate plus a summary delegation check into
-    the audit pending buffer, tagged with the verdict *source*."""
+    the audit pending buffer."""
     for cert in chain:
         obs_audit.note_check(
             "capability_certificate",
             subject=str(cert.subject),
             fingerprint=cert.fingerprint,
-            source=source,
+            source="fresh",
         )
     obs_audit.note_check(
         "delegation",
@@ -260,8 +257,8 @@ def _note_chain_checks(
             f"{chain[0].issuer} -> {chain[-1].subject}" if chain else ""
         ),
         fingerprint=chain[-1].fingerprint if chain else "",
-        source=source,
-        detail=detail or f"chain length {len(chain)}",
+        source="fresh",
+        detail=f"chain length {len(chain)}",
     )
 
 
@@ -301,35 +298,7 @@ def verify_delegation_chain(
     element the oracle reports as revoked.
 
     Raises :class:`~repro.errors.DelegationError` on any violation.
-
-    With verification caching enabled (:mod:`repro.crypto.cache`), a
-    chain already verified under the same trusted issuer key is served
-    from cache; validity windows, the revocation oracle, and the
-    proof-of-possession exchange (check 5 needs a live nonce) are always
-    re-run on the hit path.
     """
-    caches = verification_cache.get_caches()
-    cache_key: tuple[object, ...] | None = None
-    if caches is not None and chain:
-        issuer_key_for_cache = trusted_issuers.get(chain[0].issuer)
-        if issuer_key_for_cache is not None:
-            cache_key = (
-                tuple(cert.fingerprint for cert in chain),
-                str(chain[0].issuer),
-                issuer_key_for_cache.key_id,
-            )
-            entry = caches.get_verdict("delegation", cache_key)
-            if entry is not None and _delegation_hit_valid(
-                entry,
-                at_time=at_time,
-                possession_nonce=possession_nonce,
-                possession_prover=possession_prover,
-                revocation_checker=revocation_checker,
-            ):
-                cached_result: DelegationResult = entry[0]
-                if obs_audit.get_ledger() is not None:
-                    _note_chain_checks(chain, "cache:delegation")
-                return cached_result
     try:
         result = _verify_delegation_chain_metered(
             chain,
@@ -349,39 +318,8 @@ def verify_delegation_chain(
         )
         raise
     if obs_audit.get_ledger() is not None:
-        _note_chain_checks(chain, "fresh")
-    if caches is not None and cache_key is not None:
-        caches.put_verdict(
-            "delegation", cache_key, (result, tuple(chain)),
-            tuple(cert.fingerprint for cert in chain),
-        )
+        _note_chain_checks(chain)
     return result
-
-
-def _delegation_hit_valid(
-    entry: tuple[DelegationResult, tuple[Certificate, ...]],
-    *,
-    at_time: float,
-    possession_nonce: bytes | None,
-    possession_prover: PossessionProver | None,
-    revocation_checker: RevocationOracle | None,
-) -> bool:
-    """Re-run the time/revocation/possession-dependent subset of the §6.5
-    checks on a cache hit; signature math and narrowing are immutable
-    facts of the (content-addressed) chain and stay cached."""
-    _, chain = entry
-    for cert in chain:
-        if not cert.valid_at(at_time):
-            return False
-        if revocation_checker is not None and revocation_checker(cert):
-            return False
-    if possession_nonce is not None:
-        if possession_prover is None:
-            return False
-        proof = possession_prover(possession_nonce)
-        if not check_possession(chain[-1], possession_nonce, proof):
-            return False
-    return True
 
 
 def _verify_delegation_chain_metered(

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from hashlib import sha256 as hashlib_sha256
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.crypto import cache as verification_cache
 from repro.crypto import canonical
 from repro.obs.audit import ledger as obs_audit
 from repro.crypto.dn import DN, DistinguishedName
@@ -131,14 +130,7 @@ class Certificate:
     def verify_signature(self, issuer_public: PublicKey) -> bool:
         """True iff this certificate's signature verifies under *issuer_public*."""
         scheme = get_scheme(self.signature_scheme)
-        caches = verification_cache.get_caches()
-        if caches is None:
-            return scheme.verify(issuer_public, self.tbs_bytes(), self.signature)
-        return caches.verify_signature(
-            self.signature_scheme, issuer_public.key_id,
-            self.tbs_bytes(), self.signature,
-            lambda: scheme.verify(issuer_public, self.tbs_bytes(), self.signature),
-        )
+        return scheme.verify(issuer_public, self.tbs_bytes(), self.signature)
 
     def check_validity(self, when: float) -> None:
         """Raise :class:`CertificateExpiredError` unless valid at *when*."""
@@ -291,10 +283,7 @@ class CertificateAuthority:
         if serial not in self._issued:
             raise CertificateError(f"serial {serial} was not issued by {self.name}")
         self._revoked.add(serial)
-        # A revoked certificate must also stop admitting *from cache*:
-        # drop every memoized verdict that depended on it.
         cert = self._issued[serial]
-        verification_cache.notify_revoked(cert.fingerprint)
         obs_audit.record_revocation(
             fingerprint=cert.fingerprint,
             subject=str(cert.subject),

@@ -1,6 +1,6 @@
 """The one process-global holder behind ``enable`` / ``disable`` /
-``get_*`` / ``use_*`` in metrics, events, spans, the audit ledger and
-the verification caches.  Off (``None``) by default."""
+``get_*`` / ``use_*`` in metrics, events, spans and the audit ledger.
+Off (``None``) by default."""
 
 from __future__ import annotations
 

@@ -7,9 +7,8 @@ cancel, expiry, unwind, and fallback at every hop appends one immutable
 
 * the policy rule ids that fired (:mod:`repro.policy.engine` traces its
   evaluation path and stamps ``matched_rule`` / ``rules_fired``);
-* every certificate and delegation chain checked, each with its verdict
-  and verdict *source* — ``fresh`` or ``cache:<kind>`` from the PR-5
-  verification caches;
+* every certificate and delegation chain checked, each with its
+  verdict;
 * breaker / retry / deadline context from :mod:`repro.core.recovery`;
 * the PR-4 correlation id, so per-hop records stitch into one
   end-to-end decision chain (:func:`repro.obs.audit.explain.stitch`).

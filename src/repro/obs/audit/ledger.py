@@ -79,11 +79,9 @@ class RecordKind(str, enum.Enum):
 class CheckRecord:
     """One certificate / delegation / assertion check inside a decision.
 
-    ``source`` is the provenance of the verdict: ``"fresh"`` for a full
-    cryptographic verification, ``"cache:<kind>"`` when a PR-5
-    verification cache answered (the reconciler cross-checks cached
-    verdicts against revocations), or ``""`` for non-crypto notes such
-    as retries.
+    ``source`` is the provenance of the verdict: ``"fresh"`` for a
+    cryptographic verification, ``"authority"`` for a revocation stated
+    by its issuer, or ``""`` for non-crypto notes such as retries.
     """
 
     kind: str
@@ -459,8 +457,7 @@ def record_revocation(
     authority: str = "",
     at_time: float = 0.0,
 ) -> DecisionRecord | None:
-    """Record a certificate/credential revocation.  The reconciler uses
-    these to assert no cache-sourced verdict postdates a revocation."""
+    """Record a certificate/credential revocation at its authority."""
     ledger = get_ledger()
     if ledger is None:
         return None

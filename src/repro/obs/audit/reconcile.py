@@ -14,10 +14,6 @@ families of invariants:
 * ``unwind-balance`` — in any denied run, every hop admission is
   balanced by a cancel, an expiry, or an explicit unwind-failure
   record (soft state reclaims the latter).
-* ``cache-revocation`` — no cache-sourced verdict postdates the
-  revocation of the certificate it vouches for (sequence order; the
-  PR-5 caches invalidate synchronously, so a violation here means the
-  revocation hook was bypassed).
 * ``claim-provenance`` — nothing is claimed that was never admitted.
 
 **Broker state** (:func:`reconcile_brokers`): the reservation tables
@@ -218,30 +214,6 @@ def reconcile_ledger(ledger: DecisionLedger) -> list[AuditViolation]:
                         correlation_id=cid,
                         handle=admit.handle,
                     ))
-
-    # cache-revocation: sequence order — a cache-sourced verdict for a
-    # fingerprint revoked at an earlier seq is a stale-cache escape.
-    revoked: set[str] = set()
-    for record in records:
-        if record.kind is RecordKind.REVOKE:
-            for check in record.checks:
-                if check.fingerprint:
-                    revoked.add(check.fingerprint)
-            continue
-        for check in record.checks:
-            if (
-                check.source.startswith("cache")
-                and check.verdict == "ok"
-                and check.fingerprint
-                and check.fingerprint in revoked
-            ):
-                violations.append(AuditViolation(
-                    "cache-revocation",
-                    f"cache-sourced verdict for {check.subject or 'cert'} "
-                    f"({check.fingerprint[:12]}…) postdates its revocation",
-                    correlation_id=record.correlation_id,
-                    handle=record.handle,
-                ))
     return violations
 
 

@@ -4,8 +4,8 @@ Pure string builders over the telemetry substrate: given a
 :class:`~repro.obs.telemetry.series.SeriesStore` (live or loaded from a
 ``.tsrec`` recording) plus the health and alert layers, :func:`render_top`
 draws the fleet dashboard — one row per broker with its verdict,
-utilization sparkline, admission/denial rates, backlog, cache hit
-ratio, defense rejections — and the firing-alert table.
+utilization sparkline, admission/denial rates, backlog, defense
+rejections — and the firing-alert table.
 
 :func:`merge_timeline` is the incident-forensics view: obs events,
 alert transitions, audit :class:`DecisionRecord`\\ s, and trace spans
@@ -77,19 +77,6 @@ def _domains_of(store: SeriesStore) -> tuple[str, ...]:
     return tuple(sorted(found))
 
 
-def _cache_hit_ratio(store: SeriesStore, *, now: float, window_s: float) -> float:
-    hits = store.delta(
-        "verification_cache_events_total", now=now, window_s=window_s,
-        where={"result": "hit"},
-    )
-    misses = store.delta(
-        "verification_cache_events_total", now=now, window_s=window_s,
-        where={"result": "miss"},
-    )
-    total = hits + misses
-    return hits / total if total > 0 else 0.0
-
-
 def render_top(
     store: SeriesStore,
     *,
@@ -147,13 +134,9 @@ def render_top(
             f"{backlog:>7.2f}s {rejects:>7.0f}"
         )
 
-    hit_ratio = _cache_hit_ratio(store, now=now, window_s=window_s)
     pending_events = store.last_value("sim_pending_events")
     lines.append("")
-    lines.append(
-        f"verification-cache hit ratio {hit_ratio:.0%}   "
-        f"sim pending events {pending_events:.0f}"
-    )
+    lines.append(f"sim pending events {pending_events:.0f}")
 
     # Per-domain non-green detail.
     for domain in domains:

@@ -14,7 +14,6 @@ import itertools
 import random
 from typing import Iterable
 
-from repro.crypto import cache as verification_cache
 from repro.crypto.capability import (
     ProxyCredential,
     capability_set,
@@ -77,15 +76,13 @@ class CommunityAuthorizationServer:
     def revoke_credential(self, certificate: Certificate) -> None:
         """Withdraw an issued capability certificate (and, because a
         delegation inherits its parent's serial, every delegation made
-        from it).  Cached verification verdicts that depended on it are
-        invalidated immediately."""
+        from it)."""
         if certificate.serial not in self._issued:
             raise PolicyError(
                 f"serial {certificate.serial} was not issued by "
                 f"community {self.community!r}"
             )
         self._revoked_serials.add(certificate.serial)
-        verification_cache.notify_revoked(certificate.fingerprint)
         obs_audit.record_revocation(
             fingerprint=certificate.fingerprint,
             subject=str(certificate.subject),

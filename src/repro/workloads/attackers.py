@@ -8,10 +8,6 @@ from the threat model (docs/ROBUSTNESS.md):
 * :class:`FloodAttacker` — reservation flooding: a single well-formed
   user saturates the victim domain's interdomain capacity with large,
   long-lived reservations it never intends to use;
-* :class:`RevocationStormAttacker` — revoke/re-issue churn against the
-  verification caches: every cycle logs in for a fresh community
-  credential, reserves through the victim (filling its caches), then
-  revokes — forcing the reverse-index purge and cold re-verification;
 * :class:`ByzantineBrokerAttacker` — a compromised hop spraying
   malformed (truncated payload, corrupted field tag, junk object) and
   *replayed* signed envelopes at the victim's ingress;
@@ -49,7 +45,6 @@ __all__ = [
     "AttackerStats",
     "AttackPersona",
     "FloodAttacker",
-    "RevocationStormAttacker",
     "ByzantineBrokerAttacker",
     "TunnelSquatter",
     "PERSONAS",
@@ -188,76 +183,6 @@ class FloodAttacker(AttackPersona):
             self._ask_mbps = max(1.0, self._ask_mbps / 2.0)
         # The victim ran a full verification either way (quota and
         # capacity denials happen after the signature walk).
-        return WORK_VERIFY
-
-
-class RevocationStormAttacker(AttackPersona):
-    """Revoke/re-issue churn against the PR-5 verification caches.
-
-    Each cycle: grid-login for a fresh proxy credential, reserve a tiny
-    flow through the victim (every hop verifies and caches the new
-    chain), then revoke the credential — triggering the caches'
-    reverse-index purge — and cancel the reservation.  The harm is not
-    capacity but *work*: every cycle forces cold verification plus an
-    invalidation cascade over the entries the purge evicted.  The
-    per-peer signalling rate limit at the source hop is the
-    counter-knob: one identity cannot churn faster than its bucket.
-    """
-
-    name = "revocation-storm"
-    default_attack_fraction = 0.91
-    #: Extra work (in WORK_VERIFY multiples) one revocation costs the
-    #: victim: the reverse-index purge plus the cold re-verification of
-    #: the collateral entries that shared the purged fingerprints.
-    cascade_work = 3.0
-
-    def __init__(
-        self, testbed: Testbed, *, victim: str, source: str,
-        rng: random.Random,
-    ) -> None:
-        super().__init__(testbed, victim=victim, source=source, rng=rng)
-        self._user = None
-        self._cas = None
-
-    def prepare(self, now: float = 0.0) -> None:
-        self._user = self.testbed.add_user(self.source, "storm-attacker")
-        cas = self.testbed.cas_servers.get("storm-community")
-        if cas is None:
-            cas = self.testbed.add_cas("storm-community")
-        self._cas = cas
-        cas.grant(self._user.dn, ["reserve"])
-
-    def fire(self, now: float) -> float:
-        assert self._user is not None and self._cas is not None
-        self.stats.fired += 1
-        credential = self._user.grid_login(self._cas, at_time=now)
-        before = self._gate_total()
-        outcome = self.testbed.reserve(
-            self._user,
-            source=self.source,
-            destination=self.victim,
-            bandwidth_mbps=1.0,
-            start=now,
-            duration=60.0,
-        )
-        gate_rejected = self._gate_total() > before
-        # The churn itself: revoke the credential just used (purging the
-        # victim's cache entries) and drop it locally so the next cycle
-        # logs in cold.
-        self._cas.revoke_credential(credential.certificate)
-        self._user.credentials.pop(self._cas.community, None)
-        if gate_rejected:
-            self.stats.gate_rejected += 1
-            return WORK_GATE
-        if outcome.granted:
-            self.stats.admitted += 1
-            # Free the (tiny) capacity immediately: this persona attacks
-            # the verification plane, not admission.
-            self.testbed.hop_by_hop.cancel(outcome)
-            # Verified, cached, then revoked: full walk plus the purge
-            # cascade the revocation forces on the victim's caches.
-            return WORK_VERIFY * (1.0 + self.cascade_work)
-        self.stats.denied += 1
         return WORK_VERIFY
 
 
@@ -431,7 +356,6 @@ PERSONAS: dict[str, type[AttackPersona]] = {
     cls.name: cls
     for cls in (
         FloodAttacker,
-        RevocationStormAttacker,
         ByzantineBrokerAttacker,
         TunnelSquatter,
     )

@@ -55,8 +55,6 @@ class TestGraphSanity:
             "repro.bb.reservations.ReservationTable._lock",
             "repro.core.channel.SecureChannel._lock",
             "repro.core.channel.ChannelRegistry._lock",
-            "repro.crypto.cache.LRUCache._lock",
-            "repro.crypto.cache.VerificationCaches._lock",
             "repro.obs.metrics.MetricsRegistry._lock",
             "repro.faults.injector.FaultInjector._lock",
         ):
@@ -71,12 +69,6 @@ class TestGraphSanity:
             "repro.faults.injector.FaultInjector._lock",
         ):
             assert report.graph.has_edge(broker, inner), inner
-
-    def test_caches_order_before_their_cells(self, report):
-        caches = "repro.crypto.cache.VerificationCaches._lock"
-        assert report.graph.has_edge(
-            caches, "repro.crypto.cache.LRUCache._lock"
-        )
 
     def test_broker_reentry_is_modelled(self, report):
         # claim/refresh re-enter the broker RLock through public

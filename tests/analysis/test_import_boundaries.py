@@ -12,6 +12,12 @@ frozen and reaches into ``src/`` by name — its imports, and the dotted
 entry points ``bench/trace.py::TARGETS`` wraps.  Everything it names
 must still resolve, so deleting one fails here and not in the bench job
 after the fact.
+
+The third keeps process-global state where it is: the four observer
+handles (metrics, events, spans, audit ledger) are the only module-level
+``Holder()`` instances, nothing outside ``repro.obs`` imports the holder,
+and a signature verdict is computed from its arguments — the two
+signature primitives have no branch that could read one from elsewhere.
 """
 
 import ast
@@ -157,3 +163,65 @@ def test_every_traced_target_is_defined_by_its_owner():
     assert not missing, (
         f"bench/trace.py TARGETS names src/ no longer defines: {missing}"
     )
+
+
+def _src_trees():
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(
+            ("repro", *path.relative_to(SRC).with_suffix("").parts)
+        ).removesuffix(".__init__")
+        yield module, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def test_only_the_observers_hold_a_process_global_handle():
+    holders, importers = [], []
+    for module, tree in _src_trees():
+        for node in tree.body:
+            value = getattr(node, "value", None)
+            if (
+                isinstance(node, (ast.Assign, ast.AnnAssign))
+                and isinstance(value, ast.Call)
+                and ast.unparse(value.func).split(".")[-1] == "Holder"
+            ):
+                holders.append(module)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = {node.module or ""} | {
+                    f"{node.module}.{a.name}" for a in node.names
+                }
+            elif isinstance(node, ast.Import):
+                names = {a.name for a in node.names}
+            else:
+                continue
+            if "repro.obs._holder" in names:
+                importers.append(module)
+    assert sorted(holders) == [
+        "repro.obs.audit.ledger",
+        "repro.obs.events",
+        "repro.obs.metrics",
+        "repro.obs.spans",
+    ]
+    outside = [m for m in importers if not m.startswith("repro.obs.")]
+    assert not outside, f"process-global holder used outside repro.obs: {outside}"
+
+
+def test_signature_primitives_do_not_branch():
+    """``verify`` is ``scheme.verify(key, bytes, signature)`` and nothing
+    else: no fork that answers from process state instead."""
+    for path, cls, method in (
+        (SRC / "core" / "envelope.py", "SignedEnvelope", "verify"),
+        (SRC / "crypto" / "x509.py", "Certificate", "verify_signature"),
+    ):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        (function,) = [
+            item
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == cls
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name == method
+        ]
+        branches = [
+            node for node in ast.walk(function)
+            if isinstance(node, (ast.If, ast.IfExp))
+        ]
+        assert not branches, f"{cls}.{method} branches at line {branches[0].lineno}"

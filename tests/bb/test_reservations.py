@@ -125,13 +125,3 @@ class TestTable:
         assert t.in_state(ReservationState.GRANTED) == (r1,)
         both = t.in_state(ReservationState.GRANTED, ReservationState.PENDING)
         assert r1 in both and r2 in both and len(both) == 2
-
-    def test_expire_passed(self):
-        t = ReservationTable("A")
-        r1 = t.create(req(start=0.0, end=100.0), ALICE)
-        r2 = t.create(req(start=0.0, end=500.0), ALICE)
-        for r in (r1, r2):
-            t.transition(r.handle, ReservationState.GRANTED)
-        assert t.expire_passed(now=200.0) == 1
-        assert r1.state is ReservationState.EXPIRED
-        assert r2.state is ReservationState.GRANTED

@@ -53,7 +53,7 @@ def _session_lock_witness(request):
     """Opt-in ThreadSanitizer-lite: ``pytest --lock-witness``.
 
     Locks created at import time (module globals) predate the patch and
-    are not observed; every broker/registry/cache the tests construct is.
+    are not observed; every broker/registry the tests construct is.
     """
     if not request.config.getoption("--lock-witness"):
         yield None

@@ -6,6 +6,10 @@ Covers the two ingress-facing robustness guarantees:
   field tag, garbage bytes, non-envelope objects) come back as *typed
   denials* with a ReasonCode — never as a raw decode exception escaping
   :meth:`HopByHopProtocol.process_ingress`;
+* a *validly signed* layer whose collected fields (capability
+  certificates, assertions) hold something else is refused at the trust
+  boundary the same way, before the §6.5 checks or the policy server
+  read them;
 * the replay guard rejects a replayed signed envelope **before**
   signature verification spends anything (``verified`` stays False and
   the protocol's verification counter does not move).
@@ -15,8 +19,9 @@ import pytest
 
 from repro.bb.defense import DefensePolicy
 from repro.core.codec import to_wire
+from repro.core.envelope import seal
 from repro.core.hopbyhop import WORK_DECODE, WORK_GATE, WORK_VERIFY
-from repro.core.messages import make_user_rar
+from repro.core.messages import F_ASSERTIONS, F_CAPABILITY_CERTS, make_user_rar
 from repro.core.testbed import build_linear_testbed
 from repro.obs.audit import RecordKind, use_ledger
 from repro.obs.events import ReasonCode
@@ -27,14 +32,9 @@ def testbed():
     return build_linear_testbed(["A", "B"])
 
 
-@pytest.fixture()
-def captured_wire(testbed):
-    """One well-formed signed user RAR, as wire bytes, entering at B.
-
-    The signer is one of B's own users (directly trusted at the source
-    hop), so the original verifies and is accepted — which is exactly
-    the envelope a replay attack captures.
-    """
+def bobs_rar(testbed):
+    """One well-formed signed user RAR entering at B, and its signer —
+    one of B's own users, directly trusted at the source hop."""
     user = testbed.add_user("B", "Bob")
     request = testbed.make_request(
         source="B", destination="A", bandwidth_mbps=5.0,
@@ -46,6 +46,14 @@ def captured_wire(testbed):
         user=user.dn,
         user_key=user.keypair.private,
     )
+    return envelope, user
+
+
+@pytest.fixture()
+def captured_wire(testbed):
+    """:func:`bobs_rar` as wire bytes: the original verifies and is
+    accepted — which is exactly the envelope a replay attack captures."""
+    envelope, user = bobs_rar(testbed)
     return to_wire(envelope), user
 
 
@@ -125,6 +133,48 @@ class TestMalformedIngress:
         (denial,) = ledger.records(RecordKind.DENY)
         assert denial.user == str(stranger.dn)
         assert denial.checks == ()
+
+
+class TestMalformedCollectedFields:
+    """A key holder signs a layer whose capability-certificate or
+    assertion field is not a sequence of what its name promises."""
+
+    @pytest.mark.parametrize("as_wire", [False, True], ids=["object", "wire"])
+    @pytest.mark.parametrize("field, value", [
+        pytest.param(F_CAPABILITY_CERTS, 5, id="capability_certs-int"),
+        pytest.param(F_ASSERTIONS, 7, id="assertions-int"),
+        pytest.param(F_CAPABILITY_CERTS, (5,), id="capability_certs-junk-item"),
+        pytest.param(F_ASSERTIONS, ("x",), id="assertions-junk-item"),
+    ])
+    def test_signed_junk_field_is_trust_failure(
+        self, testbed, field, value, as_wire
+    ):
+        honest, user = bobs_rar(testbed)
+        payload = {key: honest.get(key) for key in honest.keys()}
+        payload[field] = value
+        hostile = seal(payload, signer=user.dn, key=user.keypair.private)
+        report = testbed.hop_by_hop.process_ingress(
+            "B", to_wire(hostile) if as_wire else hostile,
+            peer=str(user.dn), peer_certificate=user.certificate,
+            at_time=0.0,
+        )
+        assert not report.accepted
+        assert report.reason_code == ReasonCode.TRUST_FAILURE.value
+        assert "field is malformed" in report.reason
+        # The signature had to be checked to know who wrote the field.
+        assert report.work_units == WORK_VERIFY
+
+    def test_junk_capability_certs_in_rar_u_is_denied_by_the_source(
+        self, testbed
+    ):
+        user = testbed.add_user("A", "Mallory")
+        user.delegate_capabilities_to = lambda *args, **kwargs: (5, 6)
+        outcome = testbed.reserve(
+            user, source="A", destination="B", bandwidth_mbps=5.0,
+        )
+        assert not outcome.granted
+        assert outcome.denial_domain == "A"
+        assert "field is malformed" in outcome.denial_reason
 
 
 class TestReplayGuardAtIngress:

@@ -93,7 +93,53 @@ class TestOnPathTampering:
         assert outcome.denial_domain == "A"
 
 
+FIG6_C = (
+    "If Issued_by(Capability) = ESnet\n"
+    "    Return GRANT\n"
+    "Return DENY"
+)
+
+
 class TestRevocation:
+    def test_capability_revoked_at_the_cas_after_a_grant(
+        self, testbed, alice
+    ):
+        """Granted, revoked at the CAS, asked again: the destination's
+        §6.5 checks consult the CAS on every request, so the same
+        credential that just admitted is refused — and only its holder."""
+        testbed.set_policy("C", FIG6_C)
+        cas = testbed.add_cas("ESnet")
+        bob = testbed.add_user("A", "Bob")
+        for user in (alice, bob):
+            cas.grant(user.dn, ["member"])
+            user.grid_login(cas)
+
+        def reserve(user):
+            return testbed.reserve(
+                user, source="A", destination="C", bandwidth_mbps=5.0
+            )
+
+        assert reserve(alice).granted and reserve(bob).granted
+        cas.revoke_credential(alice.credentials["ESnet"].certificate)
+        refused = reserve(alice)
+        assert not refused.granted
+        assert refused.denial_domain == "C"
+        assert reserve(bob).granted
+
+    def test_user_revoked_at_the_ca_after_a_grant(self, testbed, alice):
+        ca = testbed.domain_cas["A"]
+        for broker in testbed.brokers.values():
+            broker.truststore.add_revocation_checker(ca.is_revoked)
+        assert testbed.reserve(
+            alice, source="A", destination="C", bandwidth_mbps=5.0
+        ).granted
+        ca.revoke(alice.certificate.serial)
+        refused = testbed.reserve(
+            alice, source="A", destination="C", bandwidth_mbps=5.0
+        )
+        assert not refused.granted
+        assert refused.denial_domain == "A"
+
     def test_revoked_user_cannot_reserve(self, testbed, alice):
         ca = testbed.domain_cas["A"]
         bb_a = testbed.brokers["A"]

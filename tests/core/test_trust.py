@@ -33,8 +33,7 @@ ALICE = DN.make("Grid", "A", "Alice")
 BB = {d: DN.make("Grid", d, f"BB-{d}") for d in "ABC"}
 
 
-@pytest.fixture(scope="module")
-def world():
+def build_world():
     """Keys, certificates, and trust stores for the 3-domain chain."""
     rng = random.Random(42)
     scheme = SimulatedScheme()
@@ -62,12 +61,18 @@ def world():
     stores["C"].add_introduced_peer(certs["B"])
 
     return {
+        "cas": cas,
         "keys": keys,
         "certs": certs,
         "stores": stores,
         "alice_keys": alice_keys,
         "alice_cert": alice_cert,
     }
+
+
+@pytest.fixture(scope="module")
+def world():
+    return build_world()
 
 
 def request():
@@ -288,6 +293,71 @@ class TestPolicyKnobs:
                 peer_certificate=world["certs"]["B"],
                 truststore=strict,
             )
+
+
+class TestWorldChangesBetweenVerifications:
+    """A verdict is a function of the message, the truststore and the
+    clock *now*: the same bytes that verified a moment ago are refused,
+    with the error a first-time verification raises, as soon as a
+    signer is revoked, a certificate lapses, the peer stops being
+    trusted or the depth policy tightens — with nothing told to the
+    verifier in between."""
+
+    @pytest.fixture()
+    def fresh(self):
+        world = build_world()
+        for ca in world["cas"].values():
+            world["stores"]["C"].add_revocation_checker(ca.is_revoked)
+        return world
+
+    def verify_at_c(self, world, at_time=0.0):
+        _, _, rar_b = build_chain(world)
+        return verify_rar(
+            rar_b, verifier=BB["C"],
+            peer_certificate=world["certs"]["B"],
+            truststore=world["stores"]["C"],
+            at_time=at_time,
+        )
+
+    @pytest.mark.parametrize("domain, which, message", [
+        ("A", lambda w: w["alice_cert"], "Alice has been revoked"),
+        ("A", lambda w: w["certs"]["A"], "BB-A has been revoked"),
+        ("B", lambda w: w["certs"]["B"], "not directly trusted"),
+    ], ids=["user", "introduced-broker", "channel-peer"])
+    def test_revoked_at_the_ca(self, fresh, domain, which, message):
+        assert self.verify_at_c(fresh).user == ALICE
+        fresh["cas"][domain].revoke(which(fresh).serial)
+        with pytest.raises(IntroductionError, match=message):
+            self.verify_at_c(fresh)
+
+    def test_clock_passes_not_after(self, fresh):
+        assert self.verify_at_c(fresh).depth == 2
+        beyond = fresh["alice_cert"].not_after + 1.0
+        with pytest.raises(IntroductionError, match="not directly trusted"):
+            self.verify_at_c(fresh, at_time=beyond)
+
+    def test_introduced_certificate_lapses_first(self, fresh):
+        short_lived = fresh["cas"]["A"].issue(
+            ALICE, fresh["alice_keys"].public, not_after=100.0
+        )
+        fresh["alice_cert"] = short_lived
+        assert self.verify_at_c(fresh, at_time=100.0).user == ALICE
+        with pytest.raises(IntroductionError, match="Alice not valid at"):
+            self.verify_at_c(fresh, at_time=100.5)
+
+    def test_peer_no_longer_directly_trusted(self, fresh):
+        assert self.verify_at_c(fresh).user == ALICE
+        fresh["stores"]["C"]._peers.pop(BB["B"])
+        with pytest.raises(IntroductionError, match="not directly trusted"):
+            self.verify_at_c(fresh)
+
+    def test_depth_policy_lowered(self, fresh):
+        assert self.verify_at_c(fresh).depth == 2
+        fresh["stores"]["C"].policy = TrustPolicy(
+            max_introduction_depth=1, require_ca_issued_peers=False
+        )
+        with pytest.raises(ChainTooDeepError):
+            self.verify_at_c(fresh)
 
 
 class TestRSAEndToEnd:

@@ -338,12 +338,40 @@ class TestChainVerification:
         cert_a = delegate(
             cred, delegate_subject=BB_A, delegate_public_key=bb_keys[BB_A].public
         )
+        # Valid while the clock is inside the window; the same chain is
+        # refused once it has moved past ``not_after``.
+        assert verify_delegation_chain(
+            [cred.certificate, cert_a],
+            trusted_issuers={CAS_DN: cas_key.public},
+            at_time=100.0,
+        ).capabilities == {"c"}
         with pytest.raises(DelegationError, match="not valid"):
             verify_delegation_chain(
                 [cred.certificate, cert_a],
                 trusted_issuers={CAS_DN: cas_key.public},
                 at_time=500.0,
             )
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_element_revoked_after_a_verdict_is_rejected(
+        self, user_cred, bb_keys, cas_key, position
+    ):
+        """The oracle is asked on every verification: a chain that just
+        verified stops verifying the moment any element is revoked."""
+        chain = build_chain(user_cred, bb_keys)
+        revoked = set()
+
+        def verify():
+            return verify_delegation_chain(
+                chain,
+                trusted_issuers=self.trusted(cas_key),
+                revocation_checker=lambda cert: cert.fingerprint in revoked,
+            )
+
+        assert verify().holders[-1] == BB_C
+        revoked.add(chain[position].fingerprint)
+        with pytest.raises(DelegationError, match="revoked"):
+            verify()
 
 
 class TestSplitChains:

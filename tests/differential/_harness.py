@@ -2,25 +2,17 @@
 
 :func:`decision_rows` projects an audit ledger onto plain comparable
 rows, leaving out what is not a decision: the per-attempt
-``correlation_id`` and (optionally) check-record ``source`` — a batched
-run may answer a sub-verification from the shared batch cache scope
-where a sequential run verified fresh; the *verdict* must still match.
+``correlation_id``.
 """
 
 
-def decision_rows(ledger, *, provenance_sources=True):
+def decision_rows(ledger):
     """Project a :class:`~repro.obs.audit.ledger.DecisionLedger` onto
-    comparable rows (no correlation ids, optionally no cache-vs-fresh
-    provenance sources)."""
+    comparable rows (no correlation ids)."""
     rows = []
     for record in ledger.records():
         checks = tuple(
-            (
-                check.kind,
-                check.subject,
-                check.verdict,
-                check.source if provenance_sources else "",
-            )
+            (check.kind, check.subject, check.verdict, check.source)
             for check in record.checks
         )
         rows.append((

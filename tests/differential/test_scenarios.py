@@ -3,8 +3,7 @@
 Each test runs one scenario once on a fresh testbed and asserts its
 decisions directly: grant handles, denial domain and reason, tunnel
 allocation, the Figure-4 skip-domain outcome, typed denials for hostile
-ingress bytes, and a chaos slice with zero violations.  The one
-comparison left is batch ingress against a per-message loop.
+ingress bytes, and a chaos slice with zero violations.
 """
 
 from repro.core.codec import to_wire
@@ -206,36 +205,6 @@ class TestIngressDifferential:
         for report in reports.values():
             assert not report.accepted and not report.verified
             assert report.reason and report.reason_code
-
-    def test_batch_ingress_matches_per_message(self):
-        """process_ingress_batch against a process_ingress loop over the
-        same messages on a fresh testbed: same reports, same ledger
-        records, in order.  Check *sources* may differ (the batch scope
-        answers the repeated wire from its cache); verdicts may not."""
-        def run(batched):
-            with obs_audit.use_ledger() as ledger:
-                testbed, bob, wire, hostile = self._wire_and_mutations()
-                messages = [wire, wire[:20], hostile, wire]
-                context = dict(
-                    peer=str(bob.dn), peer_certificate=bob.certificate,
-                    at_time=0.0,
-                )
-                protocol = testbed.hop_by_hop
-                if batched:
-                    reports = protocol.process_ingress_batch(
-                        "B", messages, **context
-                    )
-                else:
-                    reports = [
-                        protocol.process_ingress("B", message, **context)
-                        for message in messages
-                    ]
-            return reports, decision_rows(ledger, provenance_sources=False)
-
-        batch, loop = run(batched=True), run(batched=False)
-        assert batch == loop
-        reports, _ = batch
-        assert [r.accepted for r in reports] == [True, False, False, True]
 
 
 class TestChaosSlice:

@@ -3,7 +3,6 @@
 import threading
 
 from repro.core.testbed import build_linear_testbed
-from repro.crypto import cache as verification_cache
 from repro.obs import audit as obs_audit
 from repro.obs import events as obs_events
 
@@ -102,7 +101,7 @@ def test_json_roundtrip_preserves_everything():
         matched_rule="A/0", rules_fired=("A/0?x=y", "A/0"),
         checks=(obs_audit.CheckRecord(
             kind="certificate", subject="/CN=Alice", fingerprint="fp",
-            source="cache:rar",
+            source="authority",
         ),),
         path="A>B",
     )
@@ -181,22 +180,3 @@ def test_four_domain_chain_reconstruction():
     doc = obs_audit.chain_to_dict(chain)
     assert doc["granted"] and doc["path"] == ["A", "B", "C", "D"]
     assert len(doc["hops"]) == 4
-
-
-def test_cache_hits_record_cache_source():
-    """A repeat of an identical reservation is served from the RAR
-    verification cache, and the provenance says so."""
-    tb = build_linear_testbed(["A", "B", "C"])
-    user = tb.add_user("A", "Alice")
-    with obs_audit.use_ledger() as led, verification_cache.use_caches():
-        tb.reserve(user, source="A", destination="C", bandwidth_mbps=10.0)
-        second = tb.reserve(
-            user, source="A", destination="C", bandwidth_mbps=10.0,
-        )
-    chain = obs_audit.stitch(led, second.correlation_id)
-    assert chain.granted and chain.complete_for(("A", "B", "C"))
-    for hop in chain.hops:
-        trust_checks = [c for c in hop.checks if c.kind == "rar_trust"]
-        assert trust_checks and all(
-            c.source == "cache:rar" for c in trust_checks
-        )

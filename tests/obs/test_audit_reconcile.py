@@ -112,68 +112,6 @@ def test_denied_run_with_unbalanced_admission_is_flagged():
     assert "unwind-balance" not in invariants(obs_audit.reconcile_ledger(led))
 
 
-def test_cache_verdict_after_revocation_is_flagged():
-    led = DecisionLedger()
-    led.record(
-        RecordKind.REVOKE, domain="CA-A",
-        checks=(CheckRecord(
-            kind="revocation", fingerprint="fp-1", verdict="revoked",
-            source="authority",
-        ),),
-    )
-    led.record(
-        RecordKind.ADMIT, domain="A", handle="R1", granted=True,
-        matched_rule="A/0", correlation_id="c1",
-        checks=(CheckRecord(
-            kind="certificate", fingerprint="fp-1", verdict="ok",
-            source="cache:rar",
-        ),),
-    )
-    assert "cache-revocation" in invariants(obs_audit.reconcile_ledger(led))
-
-
-def test_fresh_verdict_after_revocation_is_not_flagged():
-    # A *fresh* verification after revocation is the revocation
-    # checker's business, not the cache invariant's.
-    led = DecisionLedger()
-    led.record(
-        RecordKind.REVOKE,
-        checks=(CheckRecord(
-            kind="revocation", fingerprint="fp-1", verdict="revoked",
-            source="authority",
-        ),),
-    )
-    led.record(
-        RecordKind.ADMIT, domain="A", handle="R1", granted=True,
-        matched_rule="A/0",
-        checks=(CheckRecord(
-            kind="certificate", fingerprint="fp-1", verdict="ok",
-            source="fresh",
-        ),),
-    )
-    assert "cache-revocation" not in invariants(obs_audit.reconcile_ledger(led))
-
-
-def test_cache_verdict_before_revocation_is_not_flagged():
-    led = DecisionLedger()
-    led.record(
-        RecordKind.ADMIT, domain="A", handle="R1", granted=True,
-        matched_rule="A/0",
-        checks=(CheckRecord(
-            kind="certificate", fingerprint="fp-1", verdict="ok",
-            source="cache:rar",
-        ),),
-    )
-    led.record(
-        RecordKind.REVOKE,
-        checks=(CheckRecord(
-            kind="revocation", fingerprint="fp-1", verdict="revoked",
-            source="authority",
-        ),),
-    )
-    assert "cache-revocation" not in invariants(obs_audit.reconcile_ledger(led))
-
-
 def test_broker_state_unknown_to_ledger_is_flagged():
     tb = build_linear_testbed(["A", "B"])
     user = tb.add_user("A", "Alice")

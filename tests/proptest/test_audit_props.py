@@ -4,9 +4,7 @@ Hypothesis drives random topologies and reservation batches through the
 hop-by-hop protocol — serially and through the concurrent engine — and
 checks the audit contract: every admitted reservation stitches into a
 complete per-hop chain (one admission per path domain, in travel
-order), the ledger-internal invariants reconcile clean, and the
-provenance a cache-hit run records is structurally identical to the
-fresh-verification run's (only the verdict ``source`` may differ).
+order), and the ledger-internal invariants reconcile clean.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -14,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.core.concurrent import ConcurrentSignaller, ReservationJob
 from repro.core.testbed import build_linear_testbed
-from repro.crypto import cache as verification_cache
 from repro.obs import audit as obs_audit
 
 RATES = (10.0, 40.0, 60.0, 100.0)
@@ -116,54 +113,3 @@ def test_concurrent_chains_complete(world):
         item.outcome for item in batch.scheduled if item.outcome is not None
     ]
     assert_complete_chains(ledger, outcomes)
-
-
-def chain_shape(chain):
-    """A chain's provenance with verdict sources erased: what must be
-    identical between a fresh-verification run and a cache-hit run."""
-    return [
-        (
-            record.kind.value,
-            record.domain,
-            record.granted,
-            record.matched_rule,
-            tuple(
-                (check.kind, check.subject, check.verdict)
-                for check in record.checks
-                if check.kind != "retry"
-            ),
-        )
-        for record in [*chain.hops, *chain.lifecycle]
-    ]
-
-
-@given(worlds())
-@SETTINGS
-def test_cached_equals_uncached_provenance(world):
-    """P3: verification caches change only each check's ``source``
-    (``cache:<kind>`` vs ``fresh``) — never which rules fired, which
-    certificates were checked, or any verdict."""
-    domains, specs, _ = world
-    tb_fresh, jobs_fresh = build_world(domains, specs)
-    tb_cached, jobs_cached = build_world(domains, specs)
-
-    with obs_audit.use_ledger() as fresh_ledger:
-        fresh = [
-            tb_fresh.hop_by_hop.reserve(job.user, job.request)
-            for job in jobs_fresh
-        ]
-    with obs_audit.use_ledger() as cached_ledger:
-        with verification_cache.use_caches():
-            cached = [
-                tb_cached.hop_by_hop.reserve(job.user, job.request)
-                for job in jobs_cached
-            ]
-
-    for fresh_outcome, cached_outcome in zip(fresh, cached):
-        fresh_chain = obs_audit.stitch(
-            fresh_ledger, fresh_outcome.correlation_id
-        )
-        cached_chain = obs_audit.stitch(
-            cached_ledger, cached_outcome.correlation_id
-        )
-        assert chain_shape(fresh_chain) == chain_shape(cached_chain)

@@ -12,7 +12,6 @@ from repro.workloads.attackers import (
     ByzantineBrokerAttacker,
     FloodAttacker,
     PERSONAS,
-    RevocationStormAttacker,
     TunnelSquatter,
     make_persona,
 )
@@ -40,13 +39,11 @@ def _run(persona_name: str, *, armed: bool, fires: int = 30,
 
 
 class TestRegistry:
-    def test_all_four_personas_registered(self):
+    def test_all_personas_registered(self):
         assert set(PERSONAS) == {
-            "flood", "revocation-storm", "byzantine-broker",
-            "tunnel-squatter",
+            "flood", "byzantine-broker", "tunnel-squatter",
         }
         assert PERSONAS["flood"] is FloodAttacker
-        assert PERSONAS["revocation-storm"] is RevocationStormAttacker
         assert PERSONAS["byzantine-broker"] is ByzantineBrokerAttacker
         assert PERSONAS["tunnel-squatter"] is TunnelSquatter
 
@@ -102,18 +99,6 @@ class TestFlood:
         stats = _run("flood", armed=True, fires=40, gap_s=3.0)
         assert stats["admitted"] <= 3
         assert stats["gate_rejected"] > 0
-
-
-class TestRevocationStorm:
-    def test_storm_cycles_login_reserve_revoke(self):
-        stats = _run("revocation-storm", armed=False, fires=20, gap_s=1.0)
-        assert stats["fired"] == 20
-        assert stats["admitted"] == 20
-        assert stats["gate_rejected"] == 0
-
-    def test_rate_limit_clamps_the_churn(self):
-        stats = _run("revocation-storm", armed=True, fires=20, gap_s=0.2)
-        assert stats["gate_rejected"] > stats["admitted"]
 
 
 class TestByzantine:
