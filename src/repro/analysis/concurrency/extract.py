@@ -34,7 +34,6 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.analysis.concurrency.model import (
@@ -54,7 +53,6 @@ __all__ = [
     "ClassInfo",
     "ModuleInfo",
     "ProgramIndex",
-    "index_modules",
     "index_sources",
 ]
 
@@ -696,13 +694,19 @@ class _FunctionWalker:
         # Record assignments for local type inference, then walk
         # expressions generically.
         if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-            if isinstance(target, ast.Name):
-                inferred = self._type_of(stmt.value)
-                if inferred is not None:
-                    self.locals[target.id] = inferred
-                else:
-                    self.locals.pop(target.id, None)
+            bindings = [(stmt.targets[0], stmt.value)]
+            if (isinstance(stmt.targets[0], ast.Tuple)
+                    and isinstance(stmt.value, ast.Tuple)
+                    and len(stmt.targets[0].elts) == len(stmt.value.elts)):
+                # ``a, b = f(), g()`` binds element-wise.
+                bindings = list(zip(stmt.targets[0].elts, stmt.value.elts))
+            for target, value in bindings:
+                if isinstance(target, ast.Name):
+                    inferred = self._type_of(value)
+                    if inferred is not None:
+                        self.locals[target.id] = inferred
+                    else:
+                        self.locals.pop(target.id, None)
         elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
             resolved = self.index.resolve_annotation(
                 _ann_to_str(stmt.annotation), self.info.module
@@ -899,11 +903,3 @@ def index_sources(
     for info in modules:
         _walk_functions(index, info)
     return index
-
-
-def index_modules(paths: Sequence[tuple[Path, str]]) -> ProgramIndex:
-    """Index ``(file, dotted-module)`` pairs from disk."""
-    triples = []
-    for file, module in paths:
-        triples.append((module, str(file), file.read_text(encoding="utf-8")))
-    return index_sources(triples)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import AnalysisError
 
@@ -388,15 +388,3 @@ _ACTIVE: LockWitness | None = None
 
 def current_witness() -> LockWitness | None:
     return _ACTIVE
-
-
-def iter_observed_pairs(
-    witness: LockWitness,
-) -> Iterator[tuple[Site, Site, int]]:
-    """Convenience for reports: sorted (held, acquired, count)."""
-    for (src, dst), count in sorted(
-        witness.observed_edges().items(),
-        key=lambda kv: (kv[0][0].path, kv[0][0].line,
-                        kv[0][1].path, kv[0][1].line),
-    ):
-        yield src, dst, count

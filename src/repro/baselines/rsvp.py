@@ -242,9 +242,6 @@ class RSVPSimulator:
 
     # -- metrics -----------------------------------------------------------------------
 
-    def state_at(self, router: str) -> int:
-        return self.routers[router].entries
-
     def total_state(self) -> int:
         return sum(s.entries for s in self.routers.values())
 

@@ -268,15 +268,6 @@ class DomainDefense:
             self._buckets[peer] = bucket
         return bucket
 
-    def pending_estimate(self, now: float) -> int:
-        """Signals that arrived inside the shed window (a deterministic
-        stand-in for queue depth on the modelled clock)."""
-        with self._lock:
-            horizon = now - self.policy.shed_window_s
-            while self._arrivals and self._arrivals[0] < horizon:
-                self._arrivals.popleft()
-            return len(self._arrivals)
-
     # -- the signalling gate (runs before verification) ----------------------------
 
     def admit_signal(
@@ -335,12 +326,6 @@ class DomainDefense:
     @property
     def pending_watermark(self) -> int:
         return self.policy.pending_watermark
-
-    def forget_digest(self, digest: bytes) -> None:
-        """See :meth:`ReplayGuard.forget` (processing failed pre-state,
-        a retransmission of the same bytes must be admissible)."""
-        with self._lock:
-            self.replay_guard.forget(digest)
 
     # -- reservation quotas (run by the broker's admission pipeline) ---------------
 

@@ -158,11 +158,6 @@ class PolicyServer:
     def trust_community(self, cas_dn: DistinguishedName, key: PublicKey) -> None:
         self._trusted_communities[cas_dn] = key
 
-    def register_predicate(
-        self, name: str, fn: Callable[[RequestContext], bool]
-    ) -> None:
-        self._predicates[name] = fn
-
     # -- credential verification ----------------------------------------------------
 
     def verify_chain(

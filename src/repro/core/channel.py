@@ -26,17 +26,16 @@ Endpoints are duck-typed: anything with ``dn``, ``certificate`` and
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Callable, Protocol
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.crypto.dn import DistinguishedName
-from repro.crypto.truststore import TrustStore
 from repro.crypto.x509 import Certificate
 from repro.errors import ChannelError, HandshakeError, MessageDroppedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector
 
-__all__ = ["ChannelEndpoint", "SecureChannel", "ChannelRegistry", "link_label"]
+__all__ = ["SecureChannel", "ChannelRegistry", "link_label"]
 
 
 def _endpoint_label(endpoint: Any) -> str:
@@ -56,14 +55,6 @@ def _endpoint_label(endpoint: Any) -> str:
 def link_label(a: Any, b: Any) -> str:
     """The canonical (order-independent) label of the a<->b link."""
     return "|".join(sorted((_endpoint_label(a), _endpoint_label(b))))
-
-
-class ChannelEndpoint(Protocol):  # pragma: no cover - typing only
-    dn: DistinguishedName
-    certificate: Certificate
-
-    @property
-    def truststore(self) -> TrustStore: ...
 
 
 class SecureChannel:
@@ -117,12 +108,6 @@ class SecureChannel:
         if me not in self._ends or not others:
             raise ChannelError(f"{me} is not an endpoint of this channel")
         return self._certs[others[0]]
-
-    def peer_of(self, me: DistinguishedName) -> Any:
-        others = [dn for dn in self._ends if dn != me]
-        if me not in self._ends or not others:
-            raise ChannelError(f"{me} is not an endpoint of this channel")
-        return self._ends[others[0]]
 
     def transmit(self, sender: DistinguishedName, message: Any) -> Any:
         """One message crossing the channel; returns what the receiver

@@ -19,13 +19,15 @@ Signatures survive the round trip: objects are reconstructed
 field-for-field, so the canonical bytes they sign are identical and
 :meth:`SignedEnvelope.verify` still passes on the decoded copy.  That
 property is what makes it legitimate for the in-memory engines to skip
-the byte layer — and it is asserted by the test suite.
+the byte layer — and it is asserted by the test suite.  The production
+decoder (:class:`WireView`) accepts exactly what :func:`to_wire` writes:
+one byte string per message.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any
+from typing import Any, Callable, Iterator
 
 from repro.bb.reservations import ReservationRequest
 from repro.core.envelope import SignedEnvelope
@@ -52,6 +54,43 @@ __all__ = [
 
 _KIND = "__kind__"
 
+#: The wire schema of the protocol object kinds: ``kind -> (class,
+#: {field: encoding})``, fields in constructor order.  A field is the
+#: attribute's name and its key in the tagged map; its encoding says how
+#: the value is written (:data:`_WRITE`) and read back (:data:`_READ`).
+#: :func:`pack` and the production decoder both loop over this table, so
+#: they cannot disagree about a field; the reference :func:`unpack`
+#: spells the lists out a second time on purpose.
+_SCHEMA: dict[str, tuple[type, dict[str, str]]] = {
+    "dn": (DistinguishedName, {"rdns": "tuples"}),
+    "certificate": (Certificate, {
+        "serial": "plain", "issuer": "packed", "subject": "packed",
+        "public_key": "packed",
+        "not_before": "plain", "not_after": "plain",
+        "extensions": "pairs",
+        "signature": "plain", "signature_scheme": "plain",
+    }),
+    "assertion": (SignedAssertion, {
+        "issuer": "packed", "subject": "packed",
+        "attributes": "pairs",
+        "signature": "plain", "signature_scheme": "plain",
+        "valid_from": "plain", "valid_until": "packed",
+    }),
+    "res_spec": (ReservationRequest, {
+        "source_host": "plain", "destination_host": "plain",
+        "source_domain": "plain", "destination_domain": "plain",
+        "rate_mbps": "plain", "start": "plain", "end": "plain",
+        "service_class": "dscp", "burst_bits": "plain",
+        "cost_ceiling": "packed",
+        "linked_reservations": "tuples",
+        "attributes": "pairs",
+    }),
+    "envelope": (SignedEnvelope, {
+        "payload": "pairs", "signer": "packed",
+        "signature": "plain", "scheme": "plain",
+    }),
+}
+
 
 def pack(value: Any) -> Any:
     """Render *value* as a plain, canonically encodable structure with
@@ -72,8 +111,6 @@ def pack(value: Any) -> Any:
         return {_KIND: "seq", "items": [pack(v) for v in value]}
     if isinstance(value, dict):
         return {_KIND: "map", "items": {k: pack(v) for k, v in value.items()}}
-    if isinstance(value, DistinguishedName):
-        return {_KIND: "dn", "rdns": [list(p) for p in value.rdns]}
     if isinstance(value, PublicKey):
         material = []
         for m in value.material:
@@ -86,55 +123,23 @@ def pack(value: Any) -> Any:
                     f"unsupported key material type {type(m).__name__}"
                 )
         return {_KIND: "pubkey", "scheme": value.scheme, "material": material}
-    if isinstance(value, Certificate):
-        return {
-            _KIND: "certificate",
-            "serial": value.serial,
-            "issuer": pack(value.issuer),
-            "subject": pack(value.subject),
-            "public_key": pack(value.public_key),
-            "not_before": value.not_before,
-            "not_after": value.not_after,
-            "extensions": [[k, pack(v)] for k, v in value.extensions],
-            "signature": value.signature,
-            "signature_scheme": value.signature_scheme,
-        }
-    if isinstance(value, SignedAssertion):
-        return {
-            _KIND: "assertion",
-            "issuer": pack(value.issuer),
-            "subject": pack(value.subject),
-            "attributes": [[k, pack(v)] for k, v in value.attributes],
-            "signature": value.signature,
-            "signature_scheme": value.signature_scheme,
-            "valid_from": value.valid_from,
-            "valid_until": pack(value.valid_until),
-        }
-    if isinstance(value, ReservationRequest):
-        return {
-            _KIND: "res_spec",
-            "source_host": value.source_host,
-            "destination_host": value.destination_host,
-            "source_domain": value.source_domain,
-            "destination_domain": value.destination_domain,
-            "rate_mbps": value.rate_mbps,
-            "start": value.start,
-            "end": value.end,
-            "service_class": int(value.service_class),
-            "burst_bits": value.burst_bits,
-            "cost_ceiling": pack(value.cost_ceiling),
-            "linked_reservations": [list(p) for p in value.linked_reservations],
-            "attributes": [[k, pack(v)] for k, v in value.attributes],
-        }
-    if isinstance(value, SignedEnvelope):
-        return {
-            _KIND: "envelope",
-            "payload": [[k, pack(v)] for k, v in value.payload],
-            "signer": pack(value.signer),
-            "signature": value.signature,
-            "scheme": value.scheme,
-        }
+    for kind, (cls, fields) in _SCHEMA.items():
+        if isinstance(value, cls):
+            packed = {_KIND: kind}
+            for name, how in fields.items():
+                packed[name] = _WRITE[how](getattr(value, name))
+            return packed
     raise EncodingError(f"cannot pack values of type {type(value).__name__}")
+
+
+#: How :func:`pack` writes a schema field of each encoding.
+_WRITE: dict[str, Callable[[Any], Any]] = {
+    "plain": lambda value: value,
+    "packed": pack,
+    "pairs": lambda value: [[k, pack(v)] for k, v in value],
+    "dscp": int,
+    "tuples": lambda value: [list(p) for p in value],
+}
 
 
 def unpack(data: Any) -> Any:
@@ -223,9 +228,10 @@ def to_wire(value: Any) -> bytes:
 def from_wire(data: bytes) -> Any:
     """Parse bytes produced by :func:`to_wire` back into protocol objects.
 
-    The reference decoder: the codec property, fuzz and golden-vector
-    suites hold :class:`WireView` to its accept-set and values.  Nothing
-    in ``src/`` calls it (``tests/analysis/test_import_boundaries.py``).
+    The permissive reference decoder: the codec property, fuzz and
+    golden-vector suites hold :class:`WireView` inside its accept-set,
+    with equal values.  Nothing in ``src/`` calls it
+    (``tests/analysis/test_import_boundaries.py``).
     """
     return unpack(canonical.decode(data))
 
@@ -242,10 +248,13 @@ def from_wire(data: bytes) -> Any:
 # no intermediate plain-value tree.  All failures raise
 # :class:`WireCodecError` subclasses (never bare ``KeyError`` /
 # ``ValueError``) at cost bounded by the buffer length and the
-# canonical depth bound.  :func:`from_wire` is the tests' reference for
-# the accept-set, decoded values and error order, which is why the
-# permissive non-standard shapes below are tolerated rather than
-# rejected.
+# canonical depth bound.  It accepts exactly what :func:`to_wire`
+# writes, which is what lets the replay guard key on the bytes as they
+# arrived: the shape checks below refuse the cheap re-spellings early,
+# and ``materialize`` re-encodes what it decoded and refuses any buffer
+# that differs, so the encoder is the specification.  The permissive
+# :func:`from_wire` is the tests' independent reference: whatever this
+# decoder accepts, it accepts with an equal value.
 
 _MAX_DEPTH = 200
 
@@ -306,10 +315,10 @@ def _scalar(buf: memoryview, tag: int, start: int, stop: int) -> Any:
         if stop != start:
             raise WireValueError("None payload must be empty")
         return None
-    if tag == _T_TRUE:
-        return True
-    if tag == _T_FALSE:
-        return False
+    if tag in (_T_TRUE, _T_FALSE):
+        if stop != start:
+            raise WireValueError("boolean payload must be empty")
+        return tag == _T_TRUE
     payload = bytes(buf[start:stop])
     if tag == _T_INT:
         try:
@@ -402,21 +411,11 @@ def _map_spans(
     return spans
 
 
-def _require(
-    spans: dict[str, tuple[int, int]], key: str, kind: str
-) -> tuple[int, int]:
-    span = spans.get(key)
-    if span is None:
-        raise WireValueError(f"{kind} wire value lacks key {key!r}")
-    return span
-
-
 def _pair_spans(
     buf: memoryview, pos: int, end: int, data_end: int
 ) -> "tuple[int, int] | None":
     """Positions of the two elements of a ``[key, value]`` pair frame, or
-    ``None`` when the frame is not a two-item sequence (caller falls back
-    to :func:`_legacy_pairs`)."""
+    ``None`` when the frame is not a two-item sequence."""
     tag, start, stop = _frame(buf, pos, data_end)
     if tag != _T_SEQ or stop != end or start == stop:
         return None
@@ -429,117 +428,92 @@ def _pair_spans(
     return start, first_end
 
 
-def _legacy_pairs(container: Any) -> tuple[tuple[Any, Any], ...]:
-    """:func:`unpack`'s exact pair semantics for non-standard shapes —
-    anything iterable yielding length-2 items is accepted, exactly like
-    ``tuple((k, unpack(v)) for k, v in container)``."""
-    out: list[tuple[Any, Any]] = []
-    try:
-        for element in container:
-            k, v = element
-            out.append((k, unpack(v)))
-    except (TypeError, ValueError) as exc:
-        raise WireValueError(str(exc)) from exc
-    return tuple(out)
+def _elements(
+    buf: memoryview, pos: int, data_end: int, depth: int
+) -> Iterator[tuple[int, int]]:
+    """``(start, end)`` of each element of the sequence frame at *pos*
+    (what :func:`pack` writes for a list of items or of pairs; any other
+    frame is refused), without decoding the elements."""
+    if depth > _MAX_DEPTH:
+        raise WireDepthError("encoded nesting exceeds maximum depth 200")
+    tag, inner, stop = _frame(buf, pos, data_end)
+    if tag != _T_SEQ:
+        raise WireTagError("expected a sequence frame")
+    while inner < stop:
+        _, _, item_end = _frame(buf, inner, data_end)
+        yield inner, item_end
+        inner = item_end
+    if inner != stop:
+        raise WireValueError("sequence payload length mismatch")
 
 
 def _packed_pairs(
     buf: memoryview, pos: int, data_end: int, depth: int
 ) -> tuple[tuple[Any, Any], ...]:
     """Decode a ``[[key, packed-value], ...]`` field into key/value pairs
-    (the shape :func:`pack` uses for payloads, extensions, attributes).
-
-    The common frame shape — a sequence of two-item sequences — is
-    decoded fused, one pass, zero copies.  Any other shape is
-    plain-decoded and run through :func:`_legacy_pairs`.
-    """
-    if depth > _MAX_DEPTH:
-        raise WireDepthError("encoded nesting exceeds maximum depth 200")
-    tag, start, stop = _frame(buf, pos, data_end)
-    if tag != _T_SEQ:
-        container, _ = _plain(buf, pos, data_end, depth)
-        return _legacy_pairs(container)
+    (the shape :func:`pack` uses for payloads, extensions, attributes):
+    a sequence of two-item sequences, one fused pass, zero copies."""
     out: list[tuple[Any, Any]] = []
-    inner = start
-    while inner < stop:
-        _, _, item_end = _frame(buf, inner, data_end)
-        spans = _pair_spans(buf, inner, item_end, data_end)
+    for item, item_end in _elements(buf, pos, data_end, depth):
+        spans = _pair_spans(buf, item, item_end, data_end)
         if spans is None:
-            element, _ = _plain(buf, inner, data_end, depth + 1)
-            out.extend(_legacy_pairs((element,)))
-        else:
-            key_pos, value_pos = spans
-            key, _ = _plain(buf, key_pos, data_end, depth + 2)
-            value, _ = _packed(buf, value_pos, data_end, depth + 2)
-            out.append((key, value))
-        inner = item_end
-    if inner != stop:
-        raise WireValueError("sequence payload length mismatch")
+            raise WireValueError("pair is not a two-item sequence")
+        key, _ = _plain(buf, spans[0], data_end, depth + 2)
+        value, _ = _packed(buf, spans[1], data_end, depth + 2)
+        out.append((key, value))
     return tuple(out)
+
+
+def _dscp_at(buf: memoryview, pos: int, data_end: int, depth: int) -> DSCP:
+    try:
+        return DSCP(_plain(buf, pos, data_end, depth)[0])
+    except (TypeError, ValueError) as exc:
+        raise WireValueError(str(exc)) from exc
+
+
+def _tuples_at(
+    buf: memoryview, pos: int, data_end: int, depth: int
+) -> tuple[tuple[Any, Any], ...]:
+    try:
+        return tuple((k, v) for k, v in _plain(buf, pos, data_end, depth)[0])
+    except (TypeError, ValueError) as exc:
+        raise WireValueError(str(exc)) from exc
+
+
+#: How the fused decoder reads a schema field of each encoding, given
+#: ``(buf, pos, data_end, depth)``: :data:`_WRITE`'s inverse, entry for
+#: entry.
+_READ: dict[str, Callable[..., Any]] = {
+    "plain": lambda *at: _plain(*at)[0],
+    "packed": lambda *at: _packed(*at)[0],
+    "pairs": _packed_pairs,
+    "dscp": _dscp_at,
+    "tuples": _tuples_at,
+}
 
 
 def _packed(
     buf: memoryview, pos: int, data_end: int, depth: int
 ) -> tuple[Any, int]:
-    """One fused decode+unpack step: the zero-copy equivalent of
-    ``unpack(canonical.decode(...))`` for the value at *pos*."""
+    """One fused decode+unpack step: the value :func:`pack` wrote at
+    *pos* — a scalar frame or a ``__kind__``-tagged map.  A bare
+    sequence is never a packed value."""
     if depth > _MAX_DEPTH:
         raise WireDepthError("encoded nesting exceeds maximum depth 200")
     tag, start, stop = _frame(buf, pos, data_end)
     if tag == _T_SEQ:
-        # Bare lists only appear inside known structures; like unpack(),
-        # decode to a tuple.
-        items: list[Any] = []
-        inner = start
-        while inner < stop:
-            item, inner = _packed(buf, inner, data_end, depth + 1)
-            items.append(item)
-        if inner != stop:
-            raise WireValueError("sequence payload length mismatch")
-        return tuple(items), stop
+        raise WireTagError("bare sequence where a packed value belongs")
     if tag != _T_MAP:
         return _scalar(buf, tag, start, stop), stop
 
     spans = _map_spans(buf, start, stop, data_end, depth)
-    kind_span = spans.get(_KIND)
+    kind_span = spans.pop(_KIND, None)
     if kind_span is None:
         raise WireValueError("mapping without __kind__ tag")
     kind, _ = _plain(buf, kind_span[0], data_end, depth + 1)
-    value = _packed_tagged(buf, spans, str(kind), data_end, depth)
-    # Every entry of the map is decoded: a malformed value hiding under
-    # an ignored key must still reject.
-    for key, (value_pos, _) in spans.items():
-        if key != _KIND and key not in _CONSUMED_KEYS.get(str(kind), ()):
-            _plain(buf, value_pos, data_end, depth + 1)
-    return value, stop
-
-
-#: Keys each ``__kind__`` dispatch actually decodes (everything else is
-#: validated canonically and then ignored, matching :func:`unpack`).
-_CONSUMED_KEYS: dict[str, tuple[str, ...]] = {
-    "+inf": (),
-    "-inf": (),
-    "seq": ("items",),
-    "map": ("items",),
-    "dn": ("rdns",),
-    "dscp": ("value",),
-    "pubkey": ("scheme", "material"),
-    "certificate": (
-        "serial", "issuer", "subject", "public_key", "not_before",
-        "not_after", "extensions", "signature", "signature_scheme",
-    ),
-    "assertion": (
-        "issuer", "subject", "attributes", "signature",
-        "signature_scheme", "valid_from", "valid_until",
-    ),
-    "res_spec": (
-        "source_host", "destination_host", "source_domain",
-        "destination_domain", "rate_mbps", "start", "end",
-        "service_class", "burst_bits", "cost_ceiling",
-        "linked_reservations", "attributes",
-    ),
-    "envelope": ("payload", "signer", "signature", "scheme"),
-}
+    if not isinstance(kind, str):
+        raise WireValueError("__kind__ tag is not a string")
+    return _packed_tagged(buf, spans, kind, data_end, depth + 1), stop
 
 
 def _packed_tagged(
@@ -549,141 +523,72 @@ def _packed_tagged(
     data_end: int,
     depth: int,
 ) -> Any:
-    def plain(key: str) -> Any:
-        return _plain(
-            buf, _require(spans, key, kind)[0], data_end, depth + 1
-        )[0]
+    """Build the value of a *kind*-tagged map from the *spans* of its
+    other entries, which sit at *depth*."""
 
-    def packed(key: str) -> Any:
-        return _packed(
-            buf, _require(spans, key, kind)[0], data_end, depth + 1
-        )[0]
+    def only(*keys: str) -> list[int]:
+        """Where the values of *keys* start — which must be exactly the
+        keys the map has: one missing or one extra is not what
+        :func:`pack` writes."""
+        if spans.keys() != set(keys):
+            raise WireValueError(
+                f"{kind} wire value must have exactly the keys "
+                f"{sorted(keys)}, not {sorted(spans)}"
+            )
+        return [spans[key][0] for key in keys]
 
-    def pairs(key: str) -> tuple[tuple[Any, Any], ...]:
-        return _packed_pairs(
-            buf, _require(spans, key, kind)[0], data_end, depth + 1
-        )
-
-    if kind == "+inf":
-        return float("inf")
-    if kind == "-inf":
-        return float("-inf")
-    if kind == "seq":
-        pos, _ = _require(spans, "items", kind)
-        return _packed_seq(buf, pos, data_end, depth + 1)
-    if kind == "map":
-        pos, _ = _require(spans, "items", kind)
-        tag, istart, istop = _frame(buf, pos, data_end)
-        if tag != _T_MAP:
-            # unpack() calls .items() on whatever decoded; only a plain
-            # mapping survives that, so any other frame type rejects.
-            raise WireTagError("map wire items is not a mapping")
-        if depth + 1 > _MAX_DEPTH:
-            raise WireDepthError("encoded nesting exceeds maximum depth 200")
-        items = _map_spans(buf, istart, istop, data_end, depth + 1)
-        return {
-            k: _packed(buf, vpos, data_end, depth + 2)[0]
-            for k, (vpos, _) in items.items()
+    if kind in _SCHEMA:
+        cls, fields = _SCHEMA[kind]
+        only(*fields)
+        values = {
+            name: _READ[how](buf, spans[name][0], data_end, depth)
+            for name, how in fields.items()
         }
-    if kind == "dn":
-        rdns = plain("rdns")
         try:
-            # The DN validator calls str methods on both halves of each
-            # RDN; a crafted non-string half must reject typed.
-            return DistinguishedName(tuple((a, v) for a, v in rdns))
+            # One typed rejection for every crafted field a validator
+            # would otherwise fail on with a builtin error: the request's
+            # orders rate/start/end, the DN's calls str methods on both
+            # halves of each RDN.
+            return cls(**values)
         except (TypeError, ValueError, AttributeError) as exc:
             raise WireValueError(str(exc)) from exc
+    if kind in ("+inf", "-inf"):
+        only()
+        return float(kind)
+    if kind == "seq":
+        (items,) = only("items")
+        return tuple(
+            _packed(buf, item, data_end, depth + 1)[0]
+            for item, _ in _elements(buf, items, data_end, depth)
+        )
+    if kind == "map":
+        (items,) = only("items")
+        tag, start, stop = _frame(buf, items, data_end)
+        if tag != _T_MAP:
+            raise WireTagError("map wire items is not a mapping")
+        if depth > _MAX_DEPTH:
+            raise WireDepthError("encoded nesting exceeds maximum depth 200")
+        return {
+            k: _packed(buf, vpos, data_end, depth + 1)[0]
+            for k, (vpos, _) in _map_spans(
+                buf, start, stop, data_end, depth
+            ).items()
+        }
     if kind == "dscp":
-        try:
-            return DSCP(plain("value"))
-        except (TypeError, ValueError) as exc:
-            raise WireValueError(str(exc)) from exc
+        (value,) = only("value")
+        return _dscp_at(buf, value, data_end, depth)
     if kind == "pubkey":
-        raw = plain("material")
+        scheme, raw = only("scheme", "material")
         material: list[Any] = []
         try:
-            for t, v in raw:
+            for t, v in _plain(buf, raw, data_end, depth)[0]:
                 material.append(int(v) if t == "int" else v)
         except (TypeError, ValueError) as exc:
             raise WireValueError(str(exc)) from exc
-        return PublicKey(plain("scheme"), tuple(material))
-    if kind == "certificate":
-        return Certificate(
-            serial=plain("serial"),
-            issuer=packed("issuer"),
-            subject=packed("subject"),
-            public_key=packed("public_key"),
-            not_before=plain("not_before"),
-            not_after=plain("not_after"),
-            extensions=pairs("extensions"),
-            signature=plain("signature"),
-            signature_scheme=plain("signature_scheme"),
-        )
-    if kind == "assertion":
-        return SignedAssertion(
-            issuer=packed("issuer"),
-            subject=packed("subject"),
-            attributes=pairs("attributes"),
-            signature=plain("signature"),
-            signature_scheme=plain("signature_scheme"),
-            valid_from=plain("valid_from"),
-            valid_until=packed("valid_until"),
-        )
-    if kind == "res_spec":
-        try:
-            # One typed rejection for every crafted field the builders
-            # or the request validator (which orders rate/start/end)
-            # would otherwise fail on with a builtin error.
-            return ReservationRequest(
-                source_host=plain("source_host"),
-                destination_host=plain("destination_host"),
-                source_domain=plain("source_domain"),
-                destination_domain=plain("destination_domain"),
-                rate_mbps=plain("rate_mbps"),
-                start=plain("start"),
-                end=plain("end"),
-                service_class=DSCP(plain("service_class")),
-                burst_bits=plain("burst_bits"),
-                cost_ceiling=packed("cost_ceiling"),
-                linked_reservations=tuple(
-                    (k, v) for k, v in plain("linked_reservations")
-                ),
-                attributes=pairs("attributes"),
-            )
-        except (TypeError, ValueError) as exc:
-            raise WireValueError(str(exc)) from exc
-    if kind == "envelope":
-        return SignedEnvelope(
-            payload=pairs("payload"),
-            signer=packed("signer"),
-            signature=plain("signature"),
-            scheme=plain("scheme"),
+        return PublicKey(
+            _plain(buf, scheme, data_end, depth)[0], tuple(material)
         )
     raise WireValueError(f"unknown __kind__ tag {kind!r}")
-
-
-def _packed_seq(
-    buf: memoryview, pos: int, data_end: int, depth: int
-) -> tuple[Any, ...]:
-    """The ``seq`` kind's items: fused when the frame is a sequence,
-    legacy-iterated otherwise (``unpack`` tolerates any iterable)."""
-    if depth > _MAX_DEPTH:
-        raise WireDepthError("encoded nesting exceeds maximum depth 200")
-    tag, start, stop = _frame(buf, pos, data_end)
-    if tag != _T_SEQ:
-        container, _ = _plain(buf, pos, data_end, depth)
-        try:
-            return tuple(unpack(v) for v in container)
-        except (TypeError, ValueError) as exc:
-            raise WireValueError(str(exc)) from exc
-    items: list[Any] = []
-    inner = start
-    while inner < stop:
-        item, inner = _packed(buf, inner, data_end, depth + 1)
-        items.append(item)
-    if inner != stop:
-        raise WireValueError("sequence payload length mismatch")
-    return tuple(items)
 
 
 class WireView:
@@ -692,8 +597,9 @@ class WireView:
     ``parse`` validates only the outer frame; ``kind``/``peek`` skip
     across inner frames to answer single-field questions without
     decoding; ``materialize`` runs the fused single-pass decode (the
-    one ingress uses) and caches the result.  Behaviour is byte-for-byte
-    equivalent to the reference :func:`from_wire`; every decode failure
+    one ingress uses) and caches the result.  It accepts exactly what
+    :func:`to_wire` writes, and what it accepts the reference
+    :func:`from_wire` decodes to an equal value; every decode failure
     is a :class:`WireCodecError` (an :class:`~repro.errors.EncodingError`),
     every validator failure some other :class:`~repro.errors.ReproError`.
     """
@@ -835,13 +741,19 @@ class WireView:
 
     def materialize(self) -> Any:
         """Decode the full message into protocol objects (one fused
-        pass, cached)."""
+        pass, cached).  The partial inverse of :func:`to_wire`: a buffer
+        is accepted only if it is, byte for byte, what the encoder
+        writes for the value it decodes to."""
         if not self._decoded:
             data_end = len(self._buf)
             value, end = _packed(self._buf, 0, data_end, 0)
             if end != data_end:
                 raise WireValueError(
                     f"{data_end - end} trailing bytes after value"
+                )
+            if to_wire(value) != bytes(self._buf):
+                raise WireValueError(
+                    "not the encoding of the value it decodes to"
                 )
             self._value = value
             self._decoded = True

@@ -455,8 +455,10 @@ class HopByHopProtocol:
         """Structural validation of a delivered message.
 
         Wire bytes are decoded by :class:`~repro.core.codec.WireView` in
-        one fused pass; anything that is not (or does not decode to) a
-        :class:`SignedEnvelope` raises a typed
+        one fused pass, which accepts exactly what ``to_wire`` writes —
+        a second spelling of a message the replay guard has seen is
+        refused here, before any signature work; anything that is not
+        (or does not decode to) a :class:`SignedEnvelope` raises a typed
         :class:`MalformedMessageError`.  Decoder failures are
         :class:`~repro.core.codec.WireCodecError`; the protocol-object
         validators the decode re-runs raise other :class:`ReproError`

@@ -296,11 +296,6 @@ class Testbed:
             armed[domain] = defense
         return armed
 
-    def disarm_defenses(self) -> None:
-        """Detach every broker's defenses (back to the open fabric)."""
-        for broker in self.brokers.values():
-            broker.defense = None
-
     # -- fault injection ---------------------------------------------------------
 
     def attach_injector(self, injector: "FaultInjector | None") -> None:

@@ -138,10 +138,10 @@ def _decode_at(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
         if length:
             raise EncodingError("None payload must be empty")
         return None, end
-    if tag == _TAG_TRUE:
-        return True, end
-    if tag == _TAG_FALSE:
-        return False, end
+    if tag in (_TAG_TRUE, _TAG_FALSE):
+        if length:
+            raise EncodingError("boolean payload must be empty")
+        return tag == _TAG_TRUE, end
     if tag == _TAG_INT:
         try:
             value = int(payload.decode("ascii"))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterable
 
 from repro.errors import CryptoError
 
@@ -139,8 +138,3 @@ class DistinguishedName:
 
 #: Short alias used pervasively in the codebase and the paper's notation.
 DN = DistinguishedName
-
-
-def dn_set(names: Iterable[DistinguishedName]) -> frozenset[DistinguishedName]:
-    """Build a frozenset of DNs (helper for trust-store construction)."""
-    return frozenset(names)

@@ -341,9 +341,6 @@ class NetworkModel:
 
     # -- measurement -------------------------------------------------------------------
 
-    def port_utilization_bits(self, u: str, v: str) -> float:
-        return self._ports[(u, v)].tx_bits
-
     def total_drops(self, reason: str | None = None) -> int:
         return sum(
             n for (where, r), n in self.drop_ledger.items()

@@ -108,9 +108,6 @@ class Topology:
             seen.setdefault(info.domain, None)
         return tuple(seen)
 
-    def nodes_in_domain(self, domain: str) -> tuple[NodeInfo, ...]:
-        return tuple(i for i in self._nodes.values() if i.domain == domain)
-
     def hosts_in_domain(self, domain: str) -> tuple[NodeInfo, ...]:
         return tuple(
             i for i in self._nodes.values()

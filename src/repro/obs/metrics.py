@@ -104,9 +104,6 @@ class _Instrument:
         self.help = help
         self._lock = lock
 
-    def _check_name(self) -> None:  # pragma: no cover - trivial
-        pass
-
 
 class Counter(_Instrument):
     """A monotonically increasing total, per label set."""

@@ -145,6 +145,39 @@ class TestLockOrderCycles:
         assert any("helper" in " ".join(w.chain) for w in witnesses)
         assert report.graph.cycles() == []
 
+    def test_tuple_assignment_types_each_element(self):
+        # ``a, b = f(), g()`` binds element-wise; a walker that only
+        # types single-name targets drops both receivers and the edge.
+        report = _analyze("""
+            import threading
+
+            class Store:
+                def __init__(self):
+                    self._lock = threading.Lock()
+
+                def write(self):
+                    with self._lock:
+                        pass
+
+            def get_store() -> Store:
+                return Store()
+
+            def get_name() -> str:
+                return "x"
+
+            class Owner:
+                def __init__(self):
+                    self._lock = threading.Lock()
+
+                def op(self):
+                    with self._lock:
+                        name, store = get_name(), get_store()
+                        store.write()
+        """)
+        assert report.graph.has_edge(
+            "repro.fake.prog.Owner._lock", "repro.fake.prog.Store._lock"
+        )
+
     def test_depth_bound_cuts_long_chains(self):
         hops = "\n".join(
             f"""

@@ -18,6 +18,12 @@ handles (metrics, events, spans, audit ledger) are the only module-level
 ``Holder()`` instances, nothing outside ``repro.obs`` imports the holder,
 and a signature verdict is computed from its arguments — the two
 signature primitives have no branch that could read one from elsewhere.
+
+The fourth keeps the wire schema in one place: ``codec.pack`` and the
+production decoder loop over ``codec._SCHEMA`` instead of spelling the
+four object kinds' field lists out, only the reference half calls
+``unpack``, and ``WireView.materialize`` re-encodes what it decoded
+exactly once — the encoder is the decoder's specification.
 """
 
 import ast
@@ -225,3 +231,77 @@ def test_signature_primitives_do_not_branch():
             if isinstance(node, (ast.If, ast.IfExp))
         ]
         assert not branches, f"{cls}.{method} branches at line {branches[0].lineno}"
+
+
+def _codec_functions() -> dict[str, ast.FunctionDef]:
+    """``core/codec.py``'s top-level functions and ``WireView.<method>``s."""
+    tree = ast.parse(
+        (SRC / "core" / "codec.py").read_text(encoding="utf-8")
+    )
+    functions = {
+        node.name: node for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    (view,) = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "WireView"
+    ]
+    functions.update(
+        (f"WireView.{node.name}", node) for node in view.body
+        if isinstance(node, ast.FunctionDef)
+    )
+    return functions
+
+
+def _calls(function: ast.AST, name: str) -> list[ast.Call]:
+    return [
+        node for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == name
+    ]
+
+
+def test_only_the_reference_half_calls_unpack():
+    assert {
+        name for name, function in _codec_functions().items()
+        if _calls(function, "unpack")
+    } == {"unpack", "from_wire"}
+
+
+def test_materialize_reencodes_exactly_once():
+    materialize = _codec_functions()["WireView.materialize"]
+    assert len(_calls(materialize, "to_wire")) == 1
+
+
+def test_schema_kinds_are_not_dispatched_by_hand():
+    classes = {
+        "Certificate", "SignedAssertion", "ReservationRequest",
+        "SignedEnvelope",
+    }
+    kinds = {"certificate", "assertion", "res_spec", "envelope"}
+    hand_written = []
+    for name, function in _codec_functions().items():
+        if name == "unpack":  # the reference spells the lists out
+            continue
+        for node in ast.walk(function):
+            if (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "isinstance"
+                and classes & {
+                    n.id for n in ast.walk(node.args[1])
+                    if isinstance(n, ast.Name)
+                }
+            ) or (
+                isinstance(node, ast.Compare)
+                and ast.unparse(node.left) == "kind"
+                and kinds & {
+                    n.value for comparator in node.comparators
+                    for n in ast.walk(comparator)
+                    if isinstance(n, ast.Constant)
+                }
+            ):
+                hand_written.append(f"{name}:{node.lineno}")
+    assert not hand_written, (
+        "pack and the production decoder loop over codec._SCHEMA; "
+        f"dispatched by hand at {hand_written}"
+    )

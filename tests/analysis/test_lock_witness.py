@@ -235,6 +235,18 @@ class TestStaticCrossCheck:
         assert len(problems) == 1
         assert "acyclic" in problems[0]
 
+    def test_chaos_slice_observes_only_modelled_orders(self, witness):
+        """CI's ``chaos --witness`` slice, small enough for tier-1: the
+        cross-check against the real package's graph must not be able
+        to fail only where no one looks."""
+        from repro.analysis.concurrency import analyze_paths
+        from repro.faults.chaos import run_chaos
+
+        with witness:
+            run_chaos(seed=7, trials=5, audit=True)
+        assert witness.observed_edges()
+        assert witness.check_against(analyze_paths(rules=()).graph) == []
+
 
 def test_uninstall_restores_real_factories():
     before_lock, before_rlock = threading.Lock, threading.RLock

@@ -12,17 +12,25 @@ Covers the two ingress-facing robustness guarantees:
   read them;
 * the replay guard rejects a replayed signed envelope **before**
   signature verification spends anything (``verified`` stays False and
-  the protocol's verification counter does not move).
+  the protocol's verification counter does not move) — and a replay
+  *re-spelled* into different bytes never gets past decode, because the
+  decoder accepts one byte string per message.
 """
 
 import pytest
 
 from repro.bb.defense import DefensePolicy
-from repro.core.codec import to_wire
+from repro.core.codec import from_wire, pack, to_wire
 from repro.core.envelope import seal
 from repro.core.hopbyhop import WORK_DECODE, WORK_GATE, WORK_VERIFY
-from repro.core.messages import F_ASSERTIONS, F_CAPABILITY_CERTS, make_user_rar
+from repro.core.messages import (
+    F_ASSERTIONS,
+    F_CAPABILITY_CERTS,
+    F_RES_SPEC,
+    make_user_rar,
+)
 from repro.core.testbed import build_linear_testbed
+from repro.crypto import canonical
 from repro.obs.audit import RecordKind, use_ledger
 from repro.obs.events import ReasonCode
 
@@ -214,6 +222,82 @@ class TestReplayGuardAtIngress:
         assert (
             testbed.brokers["B"].defense.stats.replay_rejected == 50
         )
+
+    @staticmethod
+    def _respellings(envelope):
+        """Five byte strings, none equal to ``to_wire(envelope)``, that
+        the permissive reference decoder reads as *envelope*."""
+        def respell(mutate):
+            packed = pack(envelope)
+            mutate(packed)
+            return canonical.encode(packed)
+
+        def request_of(packed):
+            return dict(map(tuple, packed["payload"]))[F_RES_SPEC]
+
+        def lower_rdns(packed):
+            packed["signer"]["rdns"] = [
+                [attr.lower(), value]
+                for attr, value in packed["signer"]["rdns"]
+            ]
+
+        wire = to_wire(envelope)
+        empty_list = canonical.encode("items") + canonical.encode([])
+        empty_map = canonical.encode("items") + canonical.encode({})
+        assert empty_list in wire
+        return {
+            "extra envelope key": respell(
+                lambda p: p.update(zzz=1)),
+            "extra signer dn key": respell(
+                lambda p: p["signer"].update(zzz=1)),
+            "lower-case RDN types": respell(lower_rdns),
+            "empty L as empty M": wire.replace(empty_list, empty_map, 1),
+            "service_class 46.0": respell(
+                lambda p: request_of(p).update(service_class=46.0)),
+        }
+
+    def test_respelled_replays_never_reach_verification(self, testbed):
+        """One signed RAR_U: delivered, replayed exactly, then replayed
+        in five other spellings.  The exact copy dies at the gate; a
+        re-spelling has a fresh digest, so it must die at decode — not
+        buy the signature walk the replay guard exists to refuse."""
+        envelope, user = bobs_rar(testbed)
+        wire = to_wire(envelope)
+        respellings = self._respellings(envelope)
+        for name, respelled in respellings.items():
+            assert respelled != wire, name
+            assert from_wire(respelled) == envelope, name
+
+        testbed.arm_defenses(DefensePolicy(
+            peer_burst=1000.0, peer_rate_per_s=1000.0,
+            replay_window_s=600.0,
+        ))
+        protocol = testbed.hop_by_hop
+
+        def deliver(message, at_time):
+            return protocol.process_ingress(
+                "B", message, peer=str(user.dn),
+                peer_certificate=user.certificate, at_time=at_time,
+            )
+
+        original = deliver(wire, 0.0)
+        assert original.accepted and original.verified
+        verifications = protocol.ingress_verifications
+
+        replay = deliver(wire, 0.1)
+        assert replay.reason_code == ReasonCode.REPLAY_REJECTED.value
+        assert replay.work_units == WORK_GATE
+
+        for step, (name, respelled) in enumerate(respellings.items()):
+            report = deliver(respelled, 0.2 + 0.1 * step)
+            assert not report.accepted, name
+            assert report.verified is False, (
+                f"{name}: a re-spelled replay reached signature "
+                "verification"
+            )
+            assert report.reason_code == ReasonCode.TRUST_FAILURE.value, name
+            assert report.work_units == WORK_DECODE, name
+        assert protocol.ingress_verifications == verifications
 
     def test_rate_limit_rejects_with_reason_code(
         self, testbed, captured_wire

@@ -39,6 +39,17 @@ class TestBasicValues:
     def test_str_bytes_distinct(self):
         assert canonical.encode("ab") != canonical.encode(b"ab")
 
+    @pytest.mark.parametrize("frame", [
+        b"T\x00\x00\x00\x03abc",
+        b"F\x00\x00\x00\x03abc",
+    ])
+    def test_boolean_frame_with_payload_rejected(self, frame):
+        # One flipped tag bit away from a B frame: the payload must not
+        # vanish into a bare True/False.
+        with pytest.raises(EncodingError, match="boolean payload"):
+            canonical.decode(frame)
+        assert canonical.decode(frame[:1] + bytes(4)) is (frame[:1] == b"T")
+
     def test_unicode(self):
         assert canonical.encode("héllo") != canonical.encode("hello")
 

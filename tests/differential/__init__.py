@@ -2,8 +2,11 @@
 
 Two comparisons live here.  The codec suites (``test_codec_props``,
 ``test_fuzz_codec``, ``test_golden_vectors``) hold the production
-decoder, :class:`~repro.core.codec.WireView`, to the eager reference
-``from_wire`` on accept-set and decoded values.  The envelope and batch
+decoder, :class:`~repro.core.codec.WireView`, to the encoder — it
+accepts exactly what ``to_wire`` writes — and inside the eager
+reference ``from_wire``: what it accepts the reference accepts with an
+equal value, what only the reference accepts does not re-encode to
+itself.  The envelope and batch
 suites (``test_append_props``, ``test_batch_props``) hold the
 append-only chain every broker emits to the paper's nested §6.4 shape
 (the reference builder ``make_bb_rar(append=False)``), and batched

@@ -8,9 +8,12 @@ hand-crafted hostile frames.  The contract under attack input:
   like an uncaught IndexError or a hang);
 * pure wire-level corruption (truncation, depth bombs, over-long
   lengths, duplicate keys) raises :class:`WireCodecError` specifically;
-* the eager reference decoder agrees on accept/reject for every single
-  mutation, byte for byte, bit for bit — and on the accepted value when
-  both accept.
+* production ⊆ reference, and the encoder is the specification: every
+  mutant the production decoder accepts re-encodes to exactly the bytes
+  that arrived and the eager reference decoder accepts it with an equal
+  value; a mutant only the reference accepts does not re-encode to
+  itself (a second spelling of some value, which the replay guard must
+  never see decode).
 """
 
 import random
@@ -21,51 +24,43 @@ from repro.core.codec import (
     TruncatedWireError,
     WireCodecError,
     WireDepthError,
+    WireValueError,
     WireView,
     from_wire,
     to_wire,
 )
 from repro.crypto import canonical
-from repro.errors import ReproError
 
-from tests.vectors.build_vectors import build_all
-
-#: What HopByHopProtocol._decode_received catches (a production-decoder
-#: error outside this would escape process_ingress as a crash).  It is
-#: ReproError, not just WireCodecError, because decoding re-runs
-#: protocol-object validators — this sweep originally caught a crafted
-#: res_spec escaping ingress as a ReservationStateError.
-INGRESS_CATCHABLE = ReproError
-
-#: The reference decoder leaks builtin errors on crafted input; only its
-#: accept/reject verdict (and accepted value) is compared.
-REFERENCE_CATCHABLE = (
-    ReproError, KeyError, ValueError, TypeError, AttributeError,
-    OverflowError,
+from tests.differential._harness import (
+    INGRESS_CATCHABLE,
+    REFERENCE_CATCHABLE,
+    classify,
+    subset_violation,
+    zero_copy as _zero_copy,
 )
+from tests.vectors.build_vectors import build_all
 
 
 def _frame(tag: bytes, payload: bytes) -> bytes:
     return tag + len(payload).to_bytes(4, "big") + payload
 
 
-def _classify(decode, wire, catchable):
-    try:
-        return ("ok", to_wire(decode(wire)))
-    except catchable as exc:
-        return ("err", exc)
-
-
-def _zero_copy(wire):
-    return WireView.parse(wire).materialize()
-
-
 def _reference(wire):
-    return _classify(from_wire, wire, REFERENCE_CATCHABLE)
+    return classify(from_wire, wire, REFERENCE_CATCHABLE)
 
 
 def _production(wire):
-    return _classify(_zero_copy, wire, INGRESS_CATCHABLE)
+    return classify(_zero_copy, wire, INGRESS_CATCHABLE)
+
+
+def _seq_of(item: bytes) -> bytes:
+    """The frames ``pack`` writes for a one-item list around *item*
+    (hand-framed: the encoder refuses to nest past the depth bound)."""
+    return _frame(
+        b"M",
+        _frame(b"S", b"__kind__") + _frame(b"S", b"seq")
+        + _frame(b"S", b"items") + _frame(b"L", item),
+    )
 
 
 #: A packed reservation request in its plain wire form (what ``pack``
@@ -114,18 +109,29 @@ class TestHostileFrames:
             assert _reference(case)[0] == "err"
 
     def test_depth_bomb_rejected_cheaply(self):
+        # 125 nested lists as the encoder spells them: 250 frames deep.
         bomb = _frame(b"N", b"")
-        for _ in range(250):
-            bomb = _frame(b"L", bomb)
+        for _ in range(125):
+            bomb = _seq_of(bomb)
         with pytest.raises(WireDepthError):
             _zero_copy(bomb)
         assert _reference(bomb)[0] == "err"
+        # Bare list frames are no spelling of anything: refused at the
+        # first frame, before any descent.
+        bare = _frame(b"N", b"")
+        for _ in range(250):
+            bare = _frame(b"L", bare)
+        with pytest.raises(WireCodecError):
+            _zero_copy(bare)
+        assert _reference(bare)[0] == "err"
 
     def test_depth_at_bound_still_parses(self):
-        nested = _frame(b"N", b"")
-        for _ in range(150):
-            nested = _frame(b"L", nested)
-        assert _zero_copy(nested) == from_wire(nested)
+        nested = None
+        for _ in range(75):  # 150 frames deep, as the encoder nests them
+            nested = [nested]
+        wire = to_wire(nested)
+        assert _zero_copy(wire) == from_wire(wire)
+        assert to_wire(_zero_copy(wire)) == wire
 
     def test_duplicate_map_keys_rejected(self):
         key = _frame(b"S", b"a")
@@ -156,6 +162,15 @@ class TestHostileFrames:
             _zero_copy(wire)
         assert _reference(wire)[0] == "err"
 
+    @pytest.mark.parametrize("tag", [b"T", b"F"])
+    def test_boolean_frame_with_payload_rejected(self, tag):
+        """One flipped bit turns a ``B`` signature frame into ``F``; the
+        bytes must not vanish into ``False``."""
+        wire = _frame(tag, b"abc")
+        with pytest.raises(WireValueError, match="boolean payload"):
+            _zero_copy(wire)
+        assert _reference(wire)[0] == "err"
+
     @pytest.mark.parametrize("packed", [
         {"__kind__": "dn", "rdns": [[1, "x"]]},
         {"__kind__": "dn", "rdns": [[None, "x"]]},
@@ -176,40 +191,60 @@ class TestHostileFrames:
 
 
 class TestBitFlipSweep:
-    """Every bit of every byte of a real signed RAR wire, both decoders."""
+    """Every bit of every byte of a real signed wire."""
 
     @pytest.mark.parametrize("vector", ["rar_user", "denial"])
     def test_full_sweep_parity(self, vectors, vector):
         wire = bytearray(vectors[vector])
-        mismatches = []
+        violations = []
         for position in range(len(wire)):
             original = wire[position]
             for bit in range(8):
                 wire[position] = original ^ (1 << bit)
-                mutated = bytes(wire)
-                old = _reference(mutated)
-                new = _production(mutated)
-                if old[0] != new[0] or (
-                    old[0] == "ok" and old[1] != new[1]
-                ):
-                    mismatches.append((position, bit, old[0], new[0]))
+                why = subset_violation(bytes(wire))
+                if why is not None:
+                    violations.append((position, bit, why))
             wire[position] = original
-        assert not mismatches, (
-            f"{len(mismatches)} accept/value divergences, first: "
-            f"{mismatches[0]}"
+        assert not violations, (
+            f"{len(violations)} mutants break production ⊆ reference, "
+            f"first: {violations[0]}"
         )
 
     def test_append_chain_sample_sweep(self, vectors):
-        """The 4.7 kB append chain, every byte, one pseudo-random bit
-        (a full 8-bit sweep of this wire runs in CI's bench job only)."""
+        """The 4.7 kB append chain, every byte, one pseudo-random bit."""
         wire = bytearray(vectors["rar_append_3hop"])
         rng = random.Random(10)
         for position in range(len(wire)):
             original = wire[position]
             wire[position] = original ^ (1 << rng.randrange(8))
-            mutated = bytes(wire)
-            assert _reference(mutated)[0] == _production(mutated)[0]
+            assert subset_violation(bytes(wire)) is None, position
             wire[position] = original
+
+    @pytest.mark.parametrize("vector", [
+        "scalars", "request", "rar_user", "rar_nested_3hop",
+        "rar_append_3hop", "approval_chain", "denial",
+    ])
+    def test_accepted_mutants_reencode_to_themselves(self, vectors, vector):
+        """The injectivity the replay guard keys on: no single flipped
+        bit yields a second accepted spelling of any value."""
+        wire = bytearray(vectors[vector])
+        accepted = respelled = 0
+        for position in range(len(wire)):
+            original = wire[position]
+            for bit in range(8):
+                wire[position] = original ^ (1 << bit)
+                mutated = bytes(wire)
+                try:
+                    value = _zero_copy(mutated)
+                except INGRESS_CATCHABLE:
+                    continue
+                accepted += 1
+                respelled += to_wire(value) != mutated
+            wire[position] = original
+        assert accepted and not respelled, (
+            f"{respelled} of {accepted} accepted mutants are a second "
+            "spelling of the value they decode to"
+        )
 
 
 class TestGarbage:
@@ -217,10 +252,7 @@ class TestGarbage:
         rng = random.Random(1234)
         for _ in range(500):
             blob = rng.randbytes(rng.randrange(0, 64))
-            old = _reference(blob)
-            new = _production(blob)
-            assert old[0] == new[0]
-            assert new[0] == "err" or old[1] == new[1]
+            assert subset_violation(blob) is None
 
     def test_kind_and_peek_total_on_garbage(self):
         rng = random.Random(4321)
