@@ -11,6 +11,7 @@ reservation (``CPU_Reservation_ID=111`` in Figure 6).
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -80,8 +81,10 @@ class ReservationRequest:
     attributes: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.rate_mbps <= 0:
-            raise ReservationStateError("rate must be positive")
+        if not (math.isfinite(self.rate_mbps) and self.rate_mbps > 0):
+            raise ReservationStateError("rate must be positive and finite")
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise ReservationStateError("start and end must be finite")
         if self.end <= self.start:
             raise ReservationStateError("end must be after start")
 

@@ -34,6 +34,12 @@ class TestRequest:
         with pytest.raises(ReservationStateError):
             req(start=10.0, end=10.0)
 
+    @pytest.mark.parametrize("field", ["rate_mbps", "start", "end"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rate_and_window_refused(self, field, value):
+        with pytest.raises(ReservationStateError):
+            req(**{field: value})
+
     def test_duration(self):
         assert req().duration == 3600.0
 

@@ -46,6 +46,15 @@ def pytest_addoption(parser):
              "acquisition orders contradict the static lock-order graph "
              "(repro lint --concurrency)",
     )
+    parser.addoption(
+        "--full-sweeps",
+        action="store_true",
+        default=False,
+        help="flip all eight bits of every byte in the single-bit "
+             "injectivity sweeps over the 4.6 kB 3-hop chains "
+             "(tests/differential; tier-1 samples one seeded bit per "
+             "byte of those two, ~35 s less)",
+    )
 
 
 @pytest.fixture(scope="session", autouse=True)

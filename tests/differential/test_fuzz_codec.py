@@ -190,6 +190,12 @@ class TestHostileFrames:
         assert _reference(wire)[0] == "err"
 
 
+#: The two 3-hop chains are 4.6 kB each and a full injectivity sweep of
+#: one takes ~18 s: tier-1 flips one seeded pseudo-random bit per byte
+#: of these, ``pytest --full-sweeps`` (the differential CI job) all eight.
+_SAMPLED_IN_TIER1 = {"rar_nested_3hop", "rar_append_3hop"}
+
+
 class TestBitFlipSweep:
     """Every bit of every byte of a real signed wire."""
 
@@ -224,14 +230,21 @@ class TestBitFlipSweep:
         "scalars", "request", "rar_user", "rar_nested_3hop",
         "rar_append_3hop", "approval_chain", "denial",
     ])
-    def test_accepted_mutants_reencode_to_themselves(self, vectors, vector):
+    def test_accepted_mutants_reencode_to_themselves(
+        self, vectors, vector, request
+    ):
         """The injectivity the replay guard keys on: no single flipped
         bit yields a second accepted spelling of any value."""
         wire = bytearray(vectors[vector])
+        sampled = (
+            vector in _SAMPLED_IN_TIER1
+            and not request.config.getoption("--full-sweeps")
+        )
+        rng = random.Random(10)
         accepted = respelled = 0
         for position in range(len(wire)):
             original = wire[position]
-            for bit in range(8):
+            for bit in (rng.randrange(8),) if sampled else range(8):
                 wire[position] = original ^ (1 << bit)
                 mutated = bytes(wire)
                 try:
