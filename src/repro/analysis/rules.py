@@ -42,10 +42,10 @@ Each rule encodes an invariant the reproduction depends on:
   ``reason_code_for(exc)``); an uncoded denial cannot be bucketed by
   the SLO denial-rate machinery, the audit ledger, or an operator
   grepping the event stream.
-* ``REP113`` — the telemetry/health/alert layer
+* ``REP113`` — the telemetry/alert layer
   (:mod:`repro.obs.telemetry`) must not read *any* clock, calendar or
-  monotonic: every verdict is a pure function of (recorded frames,
-  supplied ``now``), which is what makes ``repro top --replay``
+  monotonic: every badge and alert transition is a pure function of
+  (recorded frames, supplied ``now``), which is what makes ``repro top --replay``
   reproduce a live incident bit-for-bit.  REP110's ``repro.obs``
   exemption does not extend here.
 """
@@ -702,9 +702,9 @@ class UncodedDenialRule(Rule):
 @register
 class TelemetryClockRule(_ImportAwareRule):
     id = "REP113"
-    title = "no clock reads in telemetry/health/alert code"
+    title = "no clock reads in telemetry/alert code"
     severity = Severity.ERROR
-    #: The replay-identity guarantee: health verdicts and alert
+    #: The replay-identity guarantee: health badges and alert
     #: transitions are pure functions of (recorded frames, supplied
     #: ``now``).  One clock read anywhere in this package and a replayed
     #: recording could diverge from the live incident it captured.

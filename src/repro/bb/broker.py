@@ -366,36 +366,26 @@ class BandwidthBroker:
                     ingress_count=ingress_count,
                 )
             except QuotaExceededError as exc:
-                resv.denial_reason = str(exc)
-                self.reservations.transition(resv.handle, ReservationState.DENIED)
-                self._audit("admit_denied", resv, reason=str(exc),
-                            at_time=at_time,
-                            reason_code=ReasonCode.QUOTA_EXCEEDED)
-                return AdmitOutcome(False, resv, reason=str(exc))
+                return self._refuse(
+                    resv, str(exc), ReasonCode.QUOTA_EXCEEDED, at_time
+                )
 
         try:
             self.check_sla(request, upstream=upstream, downstream=downstream)
         except SLAViolationError as exc:
-            resv.denial_reason = str(exc)
-            self.reservations.transition(resv.handle, ReservationState.DENIED)
-            self._audit("admit_denied", resv, reason=str(exc),
-                        at_time=at_time,
-                        reason_code=ReasonCode.SLA_VIOLATION)
-            return AdmitOutcome(False, resv, reason=str(exc))
+            return self._refuse(
+                resv, str(exc), ReasonCode.SLA_VIOLATION, at_time
+            )
 
         decision = self.decide_policy(
             request, verified, at_time=at_time, upstream=upstream,
             downstream=downstream,
         )
         if not decision.granted:
-            resv.denial_reason = decision.reason
-            self.reservations.transition(resv.handle, ReservationState.DENIED)
-            self._audit("admit_denied", resv, reason=decision.reason,
-                        at_time=at_time,
-                        reason_code=ReasonCode.POLICY_DENIED,
-                        decision=decision)
-            return AdmitOutcome(False, resv, decision=decision,
-                                reason=decision.reason)
+            return self._refuse(
+                resv, decision.reason, ReasonCode.POLICY_DENIED, at_time,
+                decision,
+            )
 
         resources = self._resources_for(upstream, downstream)
         if resources:
@@ -405,14 +395,10 @@ class BandwidthBroker:
                     tag=resv.handle,
                 )
             except AdmissionError as exc:
-                resv.denial_reason = str(exc)
-                self.reservations.transition(resv.handle, ReservationState.DENIED)
-                self._audit("admit_denied", resv, reason=str(exc),
-                            at_time=at_time,
-                            reason_code=ReasonCode.CAPACITY_EXCEEDED,
-                            decision=decision)
-                return AdmitOutcome(False, resv, decision=decision,
-                                    reason=str(exc))
+                return self._refuse(
+                    resv, str(exc), ReasonCode.CAPACITY_EXCEEDED, at_time,
+                    decision,
+                )
             resv.bookings = tuple(b for _, b in bookings)
             self._booking_map[resv.handle] = bookings
         if self.soft_state_ttl_s is not None:
@@ -421,6 +407,22 @@ class BandwidthBroker:
         self._audit("admit", resv, reason=decision.reason,
                     at_time=at_time, decision=decision)
         return AdmitOutcome(True, resv, decision=decision, reason=decision.reason)
+
+    def _refuse(
+        self,
+        resv: Reservation,
+        reason: str,
+        code: ReasonCode,
+        at_time: float,
+        decision: PolicyDecision | None = None,
+    ) -> AdmitOutcome:
+        """The one denial leg of :meth:`_admit_pipeline`: *decision* is
+        the policy verdict when the refusal came at or after policy."""
+        resv.denial_reason = reason
+        self.reservations.transition(resv.handle, ReservationState.DENIED)
+        self._audit("admit_denied", resv, reason=reason, at_time=at_time,
+                    reason_code=code, decision=decision)
+        return AdmitOutcome(False, resv, decision=decision, reason=reason)
 
     def _live_counts(self, resv: Reservation) -> tuple[int, int]:
         """Live (pending/granted/active) reservations held by the same

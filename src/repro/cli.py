@@ -540,6 +540,19 @@ def cmd_policy_check(args: argparse.Namespace) -> int:
     return 0 if decision.granted else 1
 
 
+def _open_recorder(path: str):
+    """A flight recorder streaming to the ``.tsrec`` file *path* (the
+    caller closes ``recorder.writer``), or ``None`` — error already
+    printed — when the file cannot be opened."""
+    from repro.obs.telemetry import FlightRecorder, RecordingWriter
+
+    try:
+        return FlightRecorder(writer=RecordingWriter.open(path))
+    except OSError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def _render_detection(report) -> str:
     """The time-to-detect line for a flight-recorded survivability run."""
     onset = (f"{report.attack_onset_s:.1f}s"
@@ -623,16 +636,11 @@ def cmd_attack_survivability(args: argparse.Namespace) -> int:
                                    f"{ext or '.tsrec'}"
     reports = []
     for on in states:
-        recorder = writer = None
+        recorder = None
         if record_paths:
-            from repro.obs.telemetry import FlightRecorder, RecordingWriter
-
-            try:
-                writer = RecordingWriter.open(record_paths[on])
-            except OSError as exc:
-                print(f"error: {record_paths[on]}: {exc}", file=sys.stderr)
+            recorder = _open_recorder(record_paths[on])
+            if recorder is None:
                 return 2
-            recorder = FlightRecorder(writer=writer)
         try:
             reports.append(
                 run_survivability(
@@ -640,8 +648,8 @@ def cmd_attack_survivability(args: argparse.Namespace) -> int:
                 )
             )
         finally:
-            if writer is not None:
-                writer.close()
+            if recorder is not None:
+                recorder.writer.close()
     if args.json:
         print(json_mod.dumps([r.to_dict() for r in reports], indent=2))
     else:
@@ -1066,19 +1074,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print("error: --fail-on-critical needs --record FILE.tsrec",
               file=sys.stderr)
         return 2
-    recorder = writer = engine = None
+    recorder = None
     if args.record:
-        from repro.obs.telemetry import (
-            AlertEngine, FlightRecorder, RecordingWriter, chaos_rules,
-        )
-
-        try:
-            writer = RecordingWriter.open(args.record)
-        except OSError as exc:
-            print(f"error: {args.record}: {exc}", file=sys.stderr)
+        recorder = _open_recorder(args.record)
+        if recorder is None:
             return 2
-        recorder = FlightRecorder(writer=writer)
-        engine = AlertEngine(chaos_rules())
     witness = None
     if args.witness:
         from repro.analysis.concurrency.witness import LockWitness
@@ -1094,13 +1094,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             soft_state_ttl_s=args.ttl,
             audit=args.audit,
             recorder=recorder,
-            alert_engine=engine,
         )
     finally:
         if witness is not None:
             witness.uninstall()
-        if writer is not None:
-            writer.close()
+        if recorder is not None:
+            recorder.writer.close()
     if witness is not None:
         from repro.analysis.concurrency import analyze_paths
 
@@ -1127,48 +1126,64 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             return 2
         print(f"wrote {args.save_ledger} ({len(report.ledger)} records)")
     telemetry_failures = 0
-    if engine is not None:
-        from repro.obs.telemetry import AlertSeverity, AlertState
-
-        fired = [t for t in engine.transitions
-                 if t.to_state == AlertState.FIRING]
-        critical = [t for t in fired
-                    if t.severity == AlertSeverity.CRITICAL]
+    if recorder is not None:
+        transitions = report.alert_transitions
         print(f"telemetry: {recorder.frames} frame(s), "
-              f"{len(engine.transitions)} alert transition(s), "
-              f"{len(critical)} critical firing(s)")
+              f"{len(transitions)} alert transition(s), "
+              f"{len(_firings(transitions, critical=True))} "
+              "critical firing(s)")
         print(f"wrote {args.record}")
-        if args.fail_on_critical and critical:
-            for t in critical:
-                print(f"GATE: CRITICAL {t.rule}[{t.group}] fired at "
-                      f"trial {t.at_time:.0f} (value {t.value:.3f})",
-                      file=sys.stderr)
-            telemetry_failures = len(critical)
+        telemetry_failures = _alert_gates(
+            transitions, when=lambda t: f"trial {t:.0f}",
+            fail_on_critical=args.fail_on_critical,
+        )
     print(report.summary())
     failed = (report.violations or report.audit_violations
               or telemetry_failures)
     return 1 if failed else 0
 
 
-def _top_gates(args: argparse.Namespace, rules, transitions) -> int:
-    """Apply the --fail-on-critical / --expect-firing CI gates to a
-    stream of alert transitions; returns the number of failures."""
+def _firings(transitions, *, critical: bool = False) -> list:
+    """The FIRING edges among *transitions* (only CRITICAL ones on
+    request)."""
     from repro.obs.telemetry import AlertSeverity, AlertState
 
-    fired = [t for t in transitions if t.to_state == AlertState.FIRING]
-    critical = [t for t in fired if t.severity == AlertSeverity.CRITICAL]
+    return [
+        t for t in transitions
+        if t.to_state == AlertState.FIRING
+        and (not critical or t.severity == AlertSeverity.CRITICAL)
+    ]
+
+
+def _alert_gates(
+    transitions, *, when, fail_on_critical: bool,
+    expect_firing: bool = False,
+) -> int:
+    """Apply the --fail-on-critical / --expect-firing CI gates of
+    ``repro chaos`` and ``repro top`` to a stream of alert transitions;
+    returns the number of failures.  *when* renders a transition's time
+    on the command's axis."""
     failures = 0
-    if args.fail_on_critical and critical:
+    critical = _firings(transitions, critical=True)
+    if fail_on_critical and critical:
         for t in critical:
             print(f"GATE: CRITICAL {t.rule}[{t.group}] fired at "
-                  f"t={t.at_time:.1f}s (value {t.value:.3f})",
+                  f"{when(t.at_time)} (value {t.value:.3f})",
                   file=sys.stderr)
         failures += 1
-    if args.expect_firing and not fired:
+    if expect_firing and not _firings(transitions):
         print("GATE: expected at least one firing alert, saw none",
               file=sys.stderr)
         failures += 1
     return failures
+
+
+def _top_gates(args: argparse.Namespace, transitions) -> int:
+    return _alert_gates(
+        transitions, when=lambda t: f"t={t:.1f}s",
+        fail_on_critical=args.fail_on_critical,
+        expect_firing=args.expect_firing,
+    )
 
 
 def cmd_top(args: argparse.Namespace) -> int:
@@ -1204,7 +1219,7 @@ def cmd_top(args: argparse.Namespace) -> int:
             engine.step(snapshot, t)
             final = (t, snapshot)
             if args.follow and t + 1e-9 >= next_render:
-                print(render_top(snapshot, now=t,
+                print(render_top(snapshot, now=t, rules=rules,
                                  alerts=engine.transitions, title=title))
                 print()
                 next_render = t + max(args.interval, 1e-9)
@@ -1214,8 +1229,8 @@ def cmd_top(args: argparse.Namespace) -> int:
             return 1
         t, snapshot = final
         if not args.follow:
-            print(render_top(snapshot, now=t, alerts=engine.transitions,
-                             title=title))
+            print(render_top(snapshot, now=t, rules=rules,
+                             alerts=engine.transitions, title=title))
         interesting = {
             k: recording.meta[k]
             for k in ("campaign", "persona", "seed", "defenses_on",
@@ -1225,7 +1240,7 @@ def cmd_top(args: argparse.Namespace) -> int:
         if interesting:
             print("meta: " + ", ".join(
                 f"{k}={v}" for k, v in sorted(interesting.items())))
-        return 1 if _top_gates(args, rules, engine.transitions) else 0
+        return 1 if _top_gates(args, engine.transitions) else 0
 
     # Live mode: signal --runs reservations under observability, sample
     # a telemetry frame after each, and render the resulting dashboard.
@@ -1253,9 +1268,10 @@ def cmd_top(args: argparse.Namespace) -> int:
             recorder.sample(now, registry=registry)
             engine.step(recorder.store, now, event_log=event_log)
     now = float(max(args.runs, 1))
-    print(render_top(recorder.store, now=now, alerts=engine.transitions,
-                     domains=domains, title="repro top — live"))
-    return 1 if _top_gates(args, rules, engine.transitions) else 0
+    print(render_top(recorder.store, now=now, rules=rules,
+                     alerts=engine.transitions, domains=domains,
+                     title="repro top — live"))
+    return 1 if _top_gates(args, engine.transitions) else 0
 
 
 def cmd_timeline(args: argparse.Namespace) -> int:

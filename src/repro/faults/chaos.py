@@ -19,13 +19,14 @@ the reproducibility receipt.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import logging
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.telemetry import AlertEngine, FlightRecorder
+    from repro.obs.telemetry import AlertTransition, FlightRecorder
 
 from repro.bb.reservations import ReservationState
 from repro.core.testbed import Testbed, build_linear_testbed
@@ -93,6 +94,8 @@ class ChaosReport:
     ledger: DecisionLedger | None = None
     #: Ledger-internal reconciliation over the whole campaign.
     audit_report: ReconciliationReport | None = None
+    #: Every alert lifecycle edge of a flight-recorded campaign.
+    alert_transitions: tuple["AlertTransition", ...] = ()
 
     @property
     def violations(self) -> list[str]:
@@ -277,11 +280,9 @@ def run_chaos(
     deadline_s: float = 30.0,
     soft_state_ttl_s: float = 60.0,
     repository_name: str = "ldap.grid",
-    progress: Callable[[int, int], None] | None = None,
     slos: Sequence[SLO] | None = None,
     audit: bool = False,
     recorder: "FlightRecorder | None" = None,
-    alert_engine: "AlertEngine | None" = None,
 ) -> ChaosReport:
     """Run *trials* single-fault chaos trials; the schedule (and every
     backoff-jitter draw downstream of it) is determined by *seed*.
@@ -301,10 +302,13 @@ def run_chaos(
     With a *recorder* the campaign is also flight-recorded: each trial's
     per-domain testbed clock restarts at zero, so the recorder samples
     the campaign registry once per trial with the **trial index** as the
-    time axis, and the alert engine (defaulting to the tuned
-    :func:`~repro.obs.telemetry.alerts.chaos_rules` profile) steps after
-    each frame — the CI telemetry job gates zero CRITICAL alerts on
-    the honest campaign this produces.
+    time axis, an alert engine on the tuned
+    :func:`~repro.obs.telemetry.alerts.chaos_rules` profile steps after
+    each frame (the CI telemetry job gates zero CRITICAL alerts on the
+    honest campaign this produces; the report carries the transitions),
+    and the trial's obs events follow, stamped with that frame time — so
+    the recording carries what the SLOs are judged on and ``repro slo
+    --record`` reads back this run's verdicts.
     """
     user_link = "|".join(sorted((domains[0], "Alice")))
     inter_links = [
@@ -340,13 +344,14 @@ def run_chaos(
     ledger_scope: contextlib.AbstractContextManager[DecisionLedger | None] = (
         obs_audit.use_ledger() if audit else contextlib.nullcontext()
     )
-    engine = alert_engine
-    if recorder is not None and engine is None:
+    engine = None
+    if recorder is not None:
         from repro.obs.telemetry import AlertEngine, chaos_rules
         engine = AlertEngine(chaos_rules())
     with obs_metrics.use_registry() as registry, \
             obs_events.use_event_log() as event_log, \
             ledger_scope as ledger:
+        recorded_events = 0
         if recorder is not None:
             recorder.record_meta(
                 campaign="chaos", seed=seed, trials=trials,
@@ -364,15 +369,24 @@ def run_chaos(
                     repository_name=repository_name,
                 )
             )
-            if recorder is not None:
-                recorder.sample(float(index + 1), registry=registry)
-                if engine is not None:
-                    engine.step(
-                        recorder.store, float(index + 1),
-                        event_log=event_log, recorder=recorder,
+            if recorder is not None and engine is not None:
+                frame_t = float(index + 1)
+                recorder.sample(frame_t, registry=registry)
+                engine.step(
+                    recorder.store, frame_t,
+                    event_log=event_log, recorder=recorder,
+                )
+                # ``emitted`` survives eviction, so the trial's events
+                # are the log's newest ``emitted - recorded_events``.
+                events = tuple(event_log)
+                fresh = event_log.emitted - recorded_events
+                recorded_events += fresh
+                for event in events[max(len(events) - fresh, 0):]:
+                    recorder.record_event(
+                        dataclasses.replace(event, at_time=frame_t)
                     )
-            if progress is not None:
-                progress(index + 1, trials)
+    if engine is not None:
+        report.alert_transitions = tuple(engine.transitions)
     if ledger is not None:
         report.ledger = ledger
         report.audit_report = obs_audit.reconcile(ledger)

@@ -4,8 +4,9 @@ An SLO here is a named, machine-checkable statement about the fabric's
 behaviour — "p95 end-to-end signalling latency stays under 500 ms",
 "fewer than 10% of reservation decisions are denials", "circuit
 breakers open on under 5% of decisions" — evaluated after the fact over
-what the metrics registry and event log recorded.  Three objective
-kinds cover the reproduction's needs:
+what the metrics registry and event log recorded — or over a ``.tsrec``
+recording of them, by the same verdict function, so a run and its
+recording agree.  Three objective kinds cover the reproduction's needs:
 
 * ``latency_quantile`` — a histogram quantile (via
   :meth:`~repro.obs.metrics.Histogram.aggregate_quantile`) must not
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from repro.errors import ObservabilityError
 from repro.obs.events import EventKind, EventLog
@@ -198,34 +200,72 @@ def parse_slo_spec(text: str) -> tuple[SLO, ...]:
     return tuple(slos)
 
 
+#: ``(metric, q) -> (q-quantile, observations)``; 0 observations means
+#: the metric has no data.
+_Quantile = Callable[[str, float], tuple[float, int]]
+
+
+def _tally(events: Iterable[tuple[str, str]]) -> tuple[int, int, int]:
+    """``(admits, denies, breaker opens)`` among ``(kind, reason)`` pairs."""
+    admits = denies = opens = 0
+    for kind, reason in events:
+        if kind == EventKind.ADMIT.value:
+            admits += 1
+        elif kind == EventKind.DENY.value:
+            denies += 1
+        elif kind == EventKind.BREAKER.value and reason.endswith("-> open"):
+            opens += 1
+    return admits, denies, opens
+
+
+def _read_live(
+    registry: MetricsRegistry | None, event_log: EventLog | None
+) -> tuple[tuple[int, int, int], _Quantile]:
+    def quantile(metric: str, q: float) -> tuple[float, int]:
+        hist = registry.get(metric) if registry is not None else None
+        if not isinstance(hist, Histogram):
+            return 0.0, 0
+        total = sum(s.count for s in hist.series().values())
+        return hist.aggregate_quantile(q), total
+
+    events = () if event_log is None else event_log
+    return _tally((e.kind.value, e.reason) for e in events), quantile
+
+
+def _read_recording(recording) -> tuple[tuple[int, int, int], _Quantile]:
+    """A recording is not a registry: a histogram arrives as its scraped
+    ``<name>:pNN`` gauges and ``<name>:count`` counters (only the
+    quantiles the recorder samples exist), events as plain dicts."""
+    store = recording.store
+
+    def quantile(metric: str, q: float) -> tuple[float, int]:
+        gauges = store.last_points(f"{metric}:p{int(q * 100)}")
+        if not gauges:
+            return 0.0, 0
+        # Per-label-set quantiles cannot be merged; their maximum bounds
+        # the merged distribution's quantile from above.
+        worst = max(value for _, value in gauges.values())
+        return worst, int(store.last_value(f"{metric}:count"))
+
+    return _tally(
+        (e.get("kind", ""), str(e.get("reason", "")))
+        for e in recording.events
+    ), quantile
+
+
 def _evaluate_one(
-    slo: SLO,
-    *,
-    registry: MetricsRegistry | None,
-    event_log: EventLog | None,
+    slo: SLO, counts: tuple[int, int, int], quantile: _Quantile
 ) -> SLOResult:
+    """The verdict for one objective over what was observed: admit /
+    deny / breaker-open counts and a quantile lookup."""
     if slo.kind == "latency_quantile":
-        actual = 0.0
-        detail = f"metric {slo.metric!r} has no data"
-        if registry is not None:
-            metric = registry.get(slo.metric)
-            if isinstance(metric, Histogram):
-                total = sum(s.count for s in metric.series().values())
-                if total > 0:
-                    actual = metric.aggregate_quantile(slo.quantile)
-                    detail = (
-                        f"p{int(slo.quantile * 100)} of {total} observations"
-                    )
+        actual, total = quantile(slo.metric, slo.quantile)
+        if total:
+            detail = f"p{int(slo.quantile * 100)} of {total} observations"
+        else:
+            actual, detail = 0.0, f"metric {slo.metric!r} has no data"
     else:
-        admits = denies = opens = 0
-        if event_log is not None:
-            admits = len(event_log.events(EventKind.ADMIT))
-            denies = len(event_log.events(EventKind.DENY))
-            opens = sum(
-                1
-                for e in event_log.events(EventKind.BREAKER)
-                if e.reason.endswith("-> open")
-            )
+        admits, denies, opens = counts
         decisions = admits + denies
         if slo.kind == "denial_rate":
             actual = denies / decisions if decisions else 0.0
@@ -255,74 +295,8 @@ def evaluate_slos(
     """Evaluate every objective over what *registry* and *event_log*
     recorded.  Either source may be ``None`` (its objectives then see no
     data and pass vacuously at actual 0.0)."""
-    return SLOReport(
-        results=tuple(
-            _evaluate_one(slo, registry=registry, event_log=event_log)
-            for slo in slos
-        )
-    )
-
-
-def _evaluate_one_recorded(slo: SLO, recording) -> SLOResult:
-    """One objective over a telemetry recording (``.tsrec``).
-
-    A recording is not a registry: histograms arrive as their scraped
-    ``<name>:pNN`` quantile gauges and ``<name>:count`` counters, and
-    events are plain dicts (or absent — chaos recordings sample on a
-    trial-index clock and skip obs events entirely, so the rate
-    objectives fall back to the recorded admission counters)."""
-    store = recording.store
-    if slo.kind == "latency_quantile":
-        gauge = f"{slo.metric}:p{int(slo.quantile * 100)}"
-        actual = 0.0
-        detail = f"recorded gauge {gauge!r} has no data"
-        if store.select(gauge):
-            actual = store.last_value(gauge)
-            count = store.last_value(f"{slo.metric}:count")
-            detail = (f"recorded p{int(slo.quantile * 100)} "
-                      f"of {count:.0f} observations")
-    else:
-        admits = sum(
-            1 for e in recording.events
-            if e.get("kind") == EventKind.ADMIT.value
-        )
-        denies = sum(
-            1 for e in recording.events
-            if e.get("kind") == EventKind.DENY.value
-        )
-        opens = sum(
-            1 for e in recording.events
-            if e.get("kind") == EventKind.BREAKER.value
-            and str(e.get("reason", "")).endswith("-> open")
-        )
-        source = "recorded events"
-        if admits + denies == 0:
-            admits = int(store.last_value(
-                "admissions_total", {"granted": "true"}))
-            denies = int(store.last_value(
-                "admissions_total", {"granted": "false"}))
-            opens = int(store.last_value(
-                "breaker_transitions_total", {"to": "open"}))
-            source = "recorded counters"
-        decisions = admits + denies
-        if slo.kind == "denial_rate":
-            actual = denies / decisions if decisions else 0.0
-            detail = f"{denies} denials / {decisions} decisions ({source})"
-        else:  # breaker_open_rate
-            actual = opens / decisions if decisions else float(opens)
-            detail = (f"{opens} breaker opens / {decisions} decisions "
-                      f"({source})")
-    if slo.threshold > 0:
-        burn = actual / slo.threshold
-    else:
-        burn = 0.0 if actual == 0.0 else float("inf")
-    return SLOResult(
-        slo=slo,
-        actual=actual,
-        burn_rate=burn,
-        ok=actual <= slo.threshold,
-        detail=detail,
-    )
+    seen = _read_live(registry, event_log)
+    return SLOReport(tuple(_evaluate_one(slo, *seen) for slo in slos))
 
 
 def evaluate_slos_from_recording(
@@ -330,10 +304,9 @@ def evaluate_slos_from_recording(
     recording,
 ) -> SLOReport:
     """Evaluate every objective over a loaded
-    :class:`~repro.obs.telemetry.Recording` — the after-the-fact twin
-    of :func:`evaluate_slos` for ``repro slo --record FILE.tsrec``."""
-    return SLOReport(
-        results=tuple(
-            _evaluate_one_recorded(slo, recording) for slo in slos
-        )
-    )
+    :class:`~repro.obs.telemetry.Recording` — :func:`evaluate_slos` read
+    back, for ``repro slo --record FILE.tsrec``: the same verdicts the
+    recorded run reported, from the events and scraped quantiles the
+    recording carries."""
+    seen = _read_recording(recording)
+    return SLOReport(tuple(_evaluate_one(slo, *seen) for slo in slos))

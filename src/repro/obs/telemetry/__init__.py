@@ -10,24 +10,22 @@ package watches the fabric *while it runs*:
   the metrics registry and fabric probes on the **simulated clock**
   into frames, optionally streamed to an append-only ``.tsrec`` file
   that replays bit-for-bit;
-* :mod:`~repro.obs.telemetry.health` — green/degraded/critical broker
-  verdicts from multi-window SLO burn rates, backlog, saturation, and
-  breaker-flap detection;
 * :mod:`~repro.obs.telemetry.alerts` — threshold / burn-rate / anomaly
   rules with a pending→firing→resolved lifecycle, each transition
   emitted as an obs event whose correlation id stitches the incident
-  into audit DecisionChains;
-* :mod:`~repro.obs.telemetry.dashboard` — the ``repro top`` fleet view
-  and the ``repro timeline`` merged incident stream.
+  into audit DecisionChains; the rules are the only health spec;
+* :mod:`~repro.obs.telemetry.dashboard` — the ``repro top`` fleet view,
+  whose green/DEGRADED/CRITICAL badge is the worst rule breaching for a
+  broker right now, and the ``repro timeline`` merged incident stream.
 
 Determinism contract: nothing in this package reads a wall clock or a
 raw timer (lint rule REP113); every function takes modelled time from
-the caller, so a replayed recording reproduces identical health
-verdicts and alert transitions — pinned by the Hypothesis property in
+the caller, so a replayed recording reproduces identical health badges
+and alert transitions — pinned by the Hypothesis property in
 ``tests/proptest/test_telemetry_props.py``.
 
-See ``docs/TELEMETRY.md`` for the recording schema and the health /
-burn-rate math.
+See ``docs/TELEMETRY.md`` for the recording schema, the rule → badge
+mapping and the burn-rate math.
 """
 
 from __future__ import annotations
@@ -40,21 +38,16 @@ from repro.obs.telemetry.alerts import (
     AlertTransition,
     chaos_rules,
     default_rules,
+    denial_burn,
 )
 from repro.obs.telemetry.dashboard import (
     TimelineEntry,
+    broker_health,
+    health_badge,
     merge_timeline,
     render_timeline,
     render_top,
     sparkline,
-)
-from repro.obs.telemetry.health import (
-    HealthPolicy,
-    HealthSignal,
-    HealthStatus,
-    HealthVerdict,
-    evaluate_fleet,
-    evaluate_health,
 )
 from repro.obs.telemetry.recorder import (
     BREAKER_STATE_VALUES,
@@ -86,12 +79,6 @@ __all__ = [
     "RecordingWriter",
     "Recording",
     "testbed_probes",
-    "HealthStatus",
-    "HealthPolicy",
-    "HealthSignal",
-    "HealthVerdict",
-    "evaluate_health",
-    "evaluate_fleet",
     "AlertSeverity",
     "AlertState",
     "AlertRule",
@@ -99,7 +86,10 @@ __all__ = [
     "AlertEngine",
     "default_rules",
     "chaos_rules",
+    "denial_burn",
     "sparkline",
+    "broker_health",
+    "health_badge",
     "render_top",
     "TimelineEntry",
     "merge_timeline",

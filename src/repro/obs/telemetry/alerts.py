@@ -4,8 +4,9 @@ Three rule kinds, all pure functions of a
 :class:`~repro.obs.telemetry.series.SeriesStore` at an instant:
 
 * ``threshold`` — latest value of a series against a bound;
-* ``burn_rate`` — multi-window denial-burn (the health model's
-  arithmetic) against a burn bound, per domain;
+* ``burn_rate`` — multi-window denial burn against a burn bound, per
+  domain: a short window that confirms the problem is happening *now*
+  and a long one that confirms it is *sustained*;
 * ``anomaly`` — EWMA z-score of a gauge's newest sample against its
   own recent history (West's incremental variance), for drifts with no
   natural fixed bound.
@@ -35,10 +36,10 @@ from typing import Any, Mapping
 
 from repro.errors import ObservabilityError
 from repro.obs import events as obs_events
-from repro.obs.telemetry.health import denial_burn
 from repro.obs.telemetry.series import SeriesStore, ewm_stats
 
 __all__ = [
+    "denial_burn",
     "AlertSeverity",
     "AlertState",
     "AlertRule",
@@ -62,7 +63,39 @@ class AlertState(str, enum.Enum):
 
 
 _KINDS = ("threshold", "burn_rate", "anomaly")
-_OPS = (">=", "<=")
+
+#: Newest samples an anomaly rule scores the latest one against.
+_ANOMALY_LOOKBACK = 60
+
+
+def _windowed_burn(
+    store: SeriesStore, numerator: str, numerator_where: Mapping[str, str],
+    denominator: str, denominator_where: Mapping[str, str], *,
+    now: float, window_s: float, slo: float,
+) -> float:
+    """Windowed Δnumerator / Δdenominator divided by the SLO target."""
+    num = store.delta(
+        numerator, now=now, window_s=window_s, where=numerator_where
+    )
+    den = store.delta(
+        denominator, now=now, window_s=window_s, where=denominator_where
+    )
+    if den <= 0:
+        return 0.0
+    return (num / den) / slo if slo > 0 else 0.0
+
+
+def denial_burn(
+    store: SeriesStore, domain: str, *, now: float, window_s: float,
+    slo: float,
+) -> float:
+    """Windowed denial ratio (``admissions_total{granted=false}`` over
+    all of the domain's admissions) divided by the SLO target."""
+    return _windowed_burn(
+        store, "admissions_total", {"domain": domain, "granted": "false"},
+        "admissions_total", {"domain": domain},
+        now=now, window_s=window_s, slo=slo,
+    )
 
 
 @dataclass(frozen=True)
@@ -75,13 +108,11 @@ class AlertRule:
     kind: str
     metric: str = ""
     severity: AlertSeverity = AlertSeverity.WARNING
-    #: Labels every matched series must carry (beyond the group label).
-    where: tuple[tuple[str, str], ...] = ()
     group_by: str = ""
     #: Breach must persist this long before PENDING becomes FIRING.
     for_s: float = 0.0
-    # threshold / anomaly parameters
-    op: str = ">="
+    #: A threshold rule breaches at ``value >= threshold``; a burn rule
+    #: when both windows' burn reaches it.
     threshold: float = 0.0
     # burn_rate parameters (denial-burn per domain)
     slo: float = 0.5
@@ -94,13 +125,11 @@ class AlertRule:
     slow_fraction: float = 1.0
     #: Generic burn selectors: windowed Δnumerator / Δdenominator over
     #: the SLO target.  Unset, the rule falls back to the per-domain
-    #: admission denial burn (the health model's arithmetic).
+    #: admission :func:`denial_burn`.
     numerator: str = ""
     numerator_where: tuple[tuple[str, str], ...] = ()
     denominator: str = ""
-    denominator_where: tuple[tuple[str, str], ...] = ()
     # anomaly parameters
-    lookback_points: int = 60
     alpha: float = 0.3
     z_threshold: float = 4.0
     min_samples: int = 8
@@ -110,10 +139,6 @@ class AlertRule:
             raise ObservabilityError(
                 f"alert rule {self.name!r}: unknown kind {self.kind!r} "
                 f"(expected one of {_KINDS})"
-            )
-        if self.op not in _OPS:
-            raise ObservabilityError(
-                f"alert rule {self.name!r}: unknown op {self.op!r}"
             )
         if self.kind in ("threshold", "anomaly") and not self.metric:
             raise ObservabilityError(
@@ -140,23 +165,17 @@ class AlertRule:
                 found.add(value)
         return tuple(sorted(found))
 
-    def _where_for(self, group: str) -> dict[str, str]:
-        where = dict(self.where)
-        if self.group_by and group:
-            where[self.group_by] = group
-        return where
-
-    def _breaches(self, value: float) -> bool:
-        return value >= self.threshold if self.op == ">=" else value <= self.threshold
+    def _group_where(self, group: str) -> dict[str, str]:
+        return {self.group_by: group} if self.group_by and group else {}
 
     def evaluate(self, store: SeriesStore, now: float) -> dict[str, tuple[bool, float]]:
         """``{group: (breached, measured_value)}`` at *now*."""
         out: dict[str, tuple[bool, float]] = {}
         for group in self._groups(store):
-            where = self._where_for(group)
+            where = self._group_where(group)
             if self.kind == "threshold":
                 value = store.last_value(self.metric, where)
-                out[group] = (self._breaches(value), value)
+                out[group] = (value >= self.threshold, value)
             elif self.kind == "burn_rate":
                 fast = self._burn(store, group, now, self.fast_window_s)
                 slow = self._burn(store, group, now, self.slow_window_s)
@@ -176,21 +195,13 @@ class AlertRule:
             return denial_burn(
                 store, group, now=now, window_s=window_s, slo=self.slo
             )
-        group_where = (
-            {self.group_by: group} if self.group_by and group else {}
+        group_where = self._group_where(group)
+        return _windowed_burn(
+            store, self.numerator,
+            {**dict(self.numerator_where), **group_where},
+            self.denominator, group_where,
+            now=now, window_s=window_s, slo=self.slo,
         )
-        num = store.delta(
-            self.numerator, now=now, window_s=window_s,
-            where={**dict(self.numerator_where), **group_where},
-        )
-        den = store.delta(
-            self.denominator, now=now, window_s=window_s,
-            where={**dict(self.denominator_where), **group_where},
-        )
-        if den <= 0:
-            return 0.0
-        ratio = num / den
-        return ratio / self.slo if self.slo > 0 else 0.0
 
     def _evaluate_anomaly(
         self, store: SeriesStore, where: Mapping[str, str]
@@ -200,7 +211,7 @@ class AlertRule:
         for s in series:
             values.extend(s.points())
         values.sort()
-        tail = [v for _, v in values[-self.lookback_points:]]
+        tail = [v for _, v in values[-_ANOMALY_LOOKBACK:]]
         if len(tail) < self.min_samples:
             return (False, 0.0)
         history, latest = tail[:-1], tail[-1]
@@ -209,8 +220,6 @@ class AlertRule:
         # genuinely different sample still registers as a finite z.
         floor = max(std, 0.05 * max(abs(mean), 1.0))
         z = (latest - mean) / floor
-        if self.op == "<=":
-            z = -z
         return (z >= self.z_threshold, z)
 
 

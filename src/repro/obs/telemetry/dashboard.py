@@ -2,10 +2,12 @@
 
 Pure string builders over the telemetry substrate: given a
 :class:`~repro.obs.telemetry.series.SeriesStore` (live or loaded from a
-``.tsrec`` recording) plus the health and alert layers, :func:`render_top`
-draws the fleet dashboard — one row per broker with its verdict,
-utilization sparkline, admission/denial rates, backlog, defense
-rejections — and the firing-alert table.
+``.tsrec`` recording) plus the alert rules, :func:`render_top` draws the
+fleet dashboard — one row per broker with its health badge, utilization
+sparkline, admission/denial rates, backlog, defense rejections — and
+the firing-alert table.  The badge is a view of the rules
+(:func:`broker_health`): a broker is as unhealthy as the worst rule
+breaching for it right now, so badge and pager cannot disagree.
 
 :func:`merge_timeline` is the incident-forensics view: obs events,
 alert transitions, audit :class:`DecisionRecord`\\ s, and trace spans
@@ -20,17 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.obs.telemetry.alerts import AlertState, AlertTransition
-from repro.obs.telemetry.health import (
-    HealthPolicy,
-    HealthStatus,
-    HealthVerdict,
-    evaluate_fleet,
+from repro.obs.telemetry.alerts import (
+    AlertRule,
+    AlertSeverity,
+    AlertState,
+    AlertTransition,
 )
 from repro.obs.telemetry.series import SeriesStore
 
 __all__ = [
     "sparkline",
+    "broker_health",
+    "health_badge",
     "render_top",
     "TimelineEntry",
     "merge_timeline",
@@ -38,34 +41,58 @@ __all__ = [
 ]
 
 _SPARK_BLOCKS = " ▁▂▃▄▅▆▇█"
+_SPARK_WIDTH = 16
 
-_STATUS_BADGES = {
-    HealthStatus.GREEN: "green   ",
-    HealthStatus.DEGRADED: "DEGRADED",
-    HealthStatus.CRITICAL: "CRITICAL",
-}
+#: Trailing window of the dashboard's per-second rates and reject counts.
+_RATE_WINDOW_S = 30.0
+
+#: One breaching rule, as the badge sees it: ``(rule, group, value)``.
+Breach = tuple[AlertRule, str, float]
 
 
-def sparkline(values: Sequence[float], *, width: int = 16,
-              lo: float | None = None, hi: float | None = None) -> str:
-    """A unicode block-height sketch of the series' recent shape."""
-    if not values:
-        return " " * width
-    tail = list(values)[-width:]
-    lo = min(tail) if lo is None else lo
-    hi = max(tail) if hi is None else hi
-    span = hi - lo
+def sparkline(values: Sequence[float]) -> str:
+    """A unicode block-height sketch of a 0..1 series' recent shape."""
     out = []
-    for v in tail:
-        frac = 0.0 if span <= 0 else (v - lo) / span
-        frac = min(max(frac, 0.0), 1.0)
+    for v in list(values)[-_SPARK_WIDTH:]:
+        frac = min(max(v, 0.0), 1.0)
         out.append(_SPARK_BLOCKS[round(frac * (len(_SPARK_BLOCKS) - 1))])
-    return "".join(out).rjust(width)
+    return "".join(out).rjust(_SPARK_WIDTH)
 
 
 # ---------------------------------------------------------------------------
 # repro top
 # ---------------------------------------------------------------------------
+
+
+def broker_health(
+    store: SeriesStore, *, now: float, rules: Iterable[AlertRule],
+) -> dict[str, list[Breach]]:
+    """``{broker: [(rule, group, value), ...]}``, worst first: the rules
+    that breach at *now* for a group naming the broker — its domain, or
+    a link with it as an endpoint.  Breach is :meth:`AlertRule.evaluate`
+    with no ``for_s`` wait, so the badge is instantaneous; fleet-wide
+    groups name no broker and colour none."""
+    out: dict[str, list[Breach]] = {}
+    for rule in sorted(rules, key=lambda r: (
+        r.severity is not AlertSeverity.CRITICAL, r.name,
+    )):
+        if rule.group_by not in ("domain", "link"):
+            continue
+        # evaluate() yields groups in sorted order.
+        for group, (breached, value) in rule.evaluate(store, now).items():
+            if breached:
+                for broker in group.split("|"):
+                    out.setdefault(broker, []).append((rule, group, value))
+    return out
+
+
+def health_badge(breaches: Sequence[Breach]) -> str:
+    """WARNING → ``DEGRADED``, CRITICAL → ``CRITICAL``, nothing
+    breaching → ``green``; *breaches* is worst first."""
+    if not breaches:
+        return "green"
+    critical = breaches[0][0].severity is AlertSeverity.CRITICAL
+    return "CRITICAL" if critical else "DEGRADED"
 
 
 def _domains_of(store: SeriesStore) -> tuple[str, ...]:
@@ -82,16 +109,14 @@ def render_top(
     *,
     now: float,
     domains: Iterable[str] | None = None,
-    policy: HealthPolicy | None = None,
+    rules: Iterable[AlertRule] = (),
     alerts: Sequence[AlertTransition] = (),
-    verdicts: Mapping[str, HealthVerdict] | None = None,
-    window_s: float = 30.0,
     title: str = "repro top",
 ) -> str:
-    """The fleet dashboard at instant *now*, as one printable block."""
+    """The fleet dashboard at instant *now*, as one printable block;
+    the ``health`` column is :func:`broker_health` over *rules*."""
     domains = tuple(domains) if domains else _domains_of(store)
-    if verdicts is None:
-        verdicts = evaluate_fleet(store, domains, now=now, policy=policy)
+    health = broker_health(store, now=now, rules=rules)
 
     lines: list[str] = []
     lines.append(f"{title} — t={now:.1f}s  brokers={len(domains)}")
@@ -104,17 +129,15 @@ def render_top(
     lines.append(header)
     lines.append("-" * len(header))
     for domain in domains:
-        verdict = verdicts.get(domain)
-        status = verdict.status if verdict else HealthStatus.GREEN
         util_series = store.series("domain_utilization", {"domain": domain})
         util_points = [v for _, v in util_series.points()] if util_series else []
         util = util_points[-1] if util_points else 0.0
         admit_rate = store.rate(
-            "admissions_total", now=now, window_s=window_s,
+            "admissions_total", now=now, window_s=_RATE_WINDOW_S,
             where={"domain": domain},
         )
         deny_rate = store.rate(
-            "admissions_total", now=now, window_s=window_s,
+            "admissions_total", now=now, window_s=_RATE_WINDOW_S,
             where={"domain": domain, "granted": "false"},
         )
         pending = store.last_value(
@@ -124,12 +147,13 @@ def render_top(
             "work_queue_backlog_s", {"domain": domain}
         )
         rejects = store.delta(
-            "defense_rejections_total", now=now, window_s=window_s,
+            "defense_rejections_total", now=now, window_s=_RATE_WINDOW_S,
             where={"domain": domain},
         )
         lines.append(
-            f"{domain:<8} {_STATUS_BADGES[status]:<8} {util:>4.0%} "
-            f"{sparkline(util_points, lo=0.0, hi=1.0):>16} "
+            f"{domain:<8} {health_badge(health.get(domain, ())):<8} "
+            f"{util:>4.0%} "
+            f"{sparkline(util_points):>16} "
             f"{admit_rate:>6.2f} {deny_rate:>6.2f} {pending:>5.0f} "
             f"{backlog:>7.2f}s {rejects:>7.0f}"
         )
@@ -138,12 +162,13 @@ def render_top(
     lines.append("")
     lines.append(f"sim pending events {pending_events:.0f}")
 
-    # Per-domain non-green detail.
+    # Per-domain non-green detail: the breaching rules, worst first.
     for domain in domains:
-        verdict = verdicts.get(domain)
-        if verdict and verdict.status > HealthStatus.GREEN:
-            for reason in verdict.reasons():
-                lines.append(f"  {domain}: {reason}")
+        for rule, group, value in health.get(domain, ()):
+            name = rule.name if group == domain else f"{rule.name}/{group}"
+            lines.append(
+                f"  {domain}: {name} {value:.2f} ({rule.severity.value})"
+            )
 
     # Alerts table (firing first, then most recent transitions).  An
     # incident is *currently* firing only if its latest transition is

@@ -16,8 +16,8 @@ call scrapes two sources into one atomic frame of the underlying
 
 Frames are optionally streamed to an append-only ``.tsrec`` file (one
 JSON object per line) by :class:`RecordingWriter`; :class:`Recording`
-loads one back into a store so ``repro top --replay`` and the health /
-alert engines can re-derive **identical** verdicts offline — the
+loads one back into a store so ``repro top --replay`` and the alert
+engine can re-derive **identical** transitions and badges offline — the
 Hypothesis replay property in ``tests/proptest`` pins that equivalence.
 
 ``.tsrec`` line grammar (``schema: repro-tsrec/1``)::
@@ -248,14 +248,13 @@ class Recording:
 
     ``store`` holds every series exactly as recorded; :meth:`replay`
     re-plays the frames one at a time into a *fresh* store so callers
-    can step the health model / alert engine with only as much history
-    as the live run had at each instant.
+    can step the alert engine with only as much history as the live run
+    had at each instant.
     """
 
-    def __init__(self, *, meta: Mapping[str, Any] | None = None,
-                 capacity: int | None = None):
+    def __init__(self, *, meta: Mapping[str, Any] | None = None):
         self.meta: dict[str, Any] = dict(meta or {})
-        self.store = SeriesStore(**({"capacity": capacity} if capacity else {}))
+        self.store = SeriesStore()
         #: ``(t, frame, kinds)`` in file order.
         self.frames: list[tuple[float, dict[SeriesKey, float],
                                 dict[SeriesKey, str]]] = []
@@ -342,15 +341,6 @@ class Recording:
     @property
     def end(self) -> float:
         return self.frames[-1][0] if self.frames else 0.0
-
-    def domains(self) -> tuple[str, ...]:
-        """Domains mentioned by any recorded series label."""
-        found = set()
-        for key in self.store.keys():
-            domain = key.label("domain")
-            if domain:
-                found.add(domain)
-        return tuple(sorted(found))
 
 
 # ---------------------------------------------------------------------------

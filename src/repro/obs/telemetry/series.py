@@ -5,7 +5,7 @@ series (one name + one label set) as ``(time, value)`` points in a
 ``deque(maxlen=capacity)`` — the ring-buffer bound that keeps a
 long-running recorder's memory constant no matter how many frames it
 takes.  A :class:`SeriesStore` owns many of them behind one lock and is
-the substrate the health model and the alert engine evaluate over.
+the substrate the alert rules evaluate over.
 
 Counters are stored **raw** (the cumulative totals the registry
 reports); the *derivation* into rates is delta-aware and happens at
@@ -13,7 +13,7 @@ read time (:meth:`SeriesStore.rate`), summing only non-negative deltas
 so a counter reset (a fresh testbed mid-campaign) reads as "no traffic"
 rather than a large negative rate.  Storing raw samples is what makes
 recordings replayable bit-for-bit: everything derived — rates, burn
-rates, health verdicts, alert transitions — is a pure function of the
+rates, alert transitions, the health badge — is a pure function of the
 recorded frames.
 
 Everything here is driven by caller-supplied modelled time; lint rule

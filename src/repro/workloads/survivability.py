@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.telemetry import AlertEngine, FlightRecorder
+    from repro.obs.telemetry import FlightRecorder
 
 from repro.bb.defense import DefensePolicy
 from repro.core.testbed import build_linear_testbed
@@ -67,6 +67,9 @@ __all__ = [
 #: Histogram the harness observes honest end-to-end latency into
 #: (queueing wait at the victim + protocol signalling latency).
 HONEST_LATENCY_METRIC = "honest_signalling_latency_seconds"
+
+#: Modelled seconds between flight-recorder frames of a recorded run.
+SAMPLE_INTERVAL_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -288,15 +291,13 @@ def run_survivability(
     policy: DefensePolicy | None = None,
     slos: tuple[SLO, ...] | None = None,
     recorder: "FlightRecorder | None" = None,
-    alert_engine: "AlertEngine | None" = None,
-    sample_interval_s: float = 1.0,
 ) -> SurvivabilityReport:
     """Run one mixed honest+attack scenario and measure what survived.
 
     With a *recorder*, the run becomes a monitored incident: the flight
     recorder samples registry + fabric probes every
-    ``sample_interval_s`` of modelled time, the alert engine (defaulting
-    to the fleet profile) steps after each frame, and the report gains
+    :data:`SAMPLE_INTERVAL_S` of modelled time, an alert engine on the
+    fleet profile steps after each frame, and the report gains
     the attack onset, the first CRITICAL firing, and their difference —
     **time-to-detect**, the number the ISSUE's acceptance gate reads.
     """
@@ -410,13 +411,12 @@ def run_survivability(
                 work_units = persona.fire(now)
                 queue.charge(now, work_units * spec.work_unit_s)
 
-        engine = alert_engine
+        engine = None
         if recorder is not None:
             from repro.obs.telemetry import (
                 AlertEngine, SeriesKey, default_rules, testbed_probes,
             )
-            if engine is None:
-                engine = AlertEngine(default_rules())
+            engine = AlertEngine(default_rules())
             for probe in testbed_probes(testbed):
                 recorder.add_probe(probe)
             backlog_key = SeriesKey.make(
@@ -438,10 +438,10 @@ def run_survivability(
                     recorder.store, now,
                     event_log=event_log, recorder=recorder,
                 )
-                if now + sample_interval_s <= spec.horizon_s:
-                    sim.schedule(sample_interval_s, telemetry_tick)
+                if now + SAMPLE_INTERVAL_S <= spec.horizon_s:
+                    sim.schedule(SAMPLE_INTERVAL_S, telemetry_tick)
 
-            sim.schedule(sample_interval_s, telemetry_tick)
+            sim.schedule(SAMPLE_INTERVAL_S, telemetry_tick)
 
         sim.schedule(
             honest_rng.expovariate(spec.honest_rate_per_s), honest_arrival

@@ -769,7 +769,7 @@ class TestTelemetryClock:
                 return perf_counter()
             """,
             TelemetryClockRule,
-            module="repro.obs.telemetry.health",
+            module="repro.obs.telemetry.alerts",
         )
         assert len(findings) == 1
 
@@ -785,14 +785,12 @@ class TestTelemetryClock:
 
         import repro.obs.telemetry.alerts
         import repro.obs.telemetry.dashboard
-        import repro.obs.telemetry.health
         import repro.obs.telemetry.recorder
         import repro.obs.telemetry.series
 
         for mod in (
             repro.obs.telemetry.series,
             repro.obs.telemetry.recorder,
-            repro.obs.telemetry.health,
             repro.obs.telemetry.alerts,
             repro.obs.telemetry.dashboard,
         ):

@@ -1,5 +1,8 @@
 """Declarative SLOs: spec parsing, evaluation over the metrics registry
-and event log, burn rates, and the chaos harness's verdict table."""
+and event log, burn rates, the chaos harness's verdict table, and a
+recording read back agreeing with the run that wrote it."""
+
+import io
 
 import pytest
 
@@ -10,8 +13,10 @@ from repro.obs.slo import (
     SLO,
     default_slos,
     evaluate_slos,
+    evaluate_slos_from_recording,
     parse_slo_spec,
 )
+from repro.obs.telemetry import FlightRecorder, Recording, RecordingWriter
 
 
 class TestSLOValidation:
@@ -184,3 +189,87 @@ class TestChaosIntegration:
         assert not report.slo_report.ok
         # SLO verdicts are informational: invariants still decide health.
         assert report.violations == []
+
+
+def _verdicts(report):
+    return [(r.slo.name, r.actual, r.burn_rate, r.ok, r.detail)
+            for r in report.results]
+
+
+class TestRecordedTwin:
+    """One evaluator: a recording judged offline gives the verdicts the
+    live sources gave."""
+
+    SLOS = (
+        SLO(name="p95", kind="latency_quantile", metric="lat_seconds",
+            quantile=0.95, threshold=0.5),
+        SLO(name="denials", kind="denial_rate", threshold=0.1),
+        SLO(name="breakers", kind="breaker_open_rate", threshold=0.25),
+    )
+
+    @staticmethod
+    def _one_frame_recording(registry, event_log):
+        stream = io.StringIO()
+        recorder = FlightRecorder(writer=RecordingWriter(stream))
+        recorder.sample(1.0, registry=registry)
+        for event in event_log:
+            recorder.record_event(event)
+        recorder.writer.close()
+        return Recording.parse(stream.getvalue().splitlines())
+
+    def test_live_and_one_frame_recording_agree(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("lat_seconds", buckets=(0.1, 1.0, 10.0))
+        for _ in range(18):
+            hist.observe(0.05)
+        for _ in range(2):
+            hist.observe(5.0)
+        log = EventLog()
+        for _ in range(7):
+            log.emit(EventKind.ADMIT, domain="A")
+        for _ in range(3):
+            log.emit(EventKind.DENY, domain="B", reason="policy")
+        log.emit(EventKind.BREAKER, reason="closed -> open", link="A|B")
+        log.emit(EventKind.BREAKER, reason="open -> half_open", link="A|B")
+
+        live = evaluate_slos(self.SLOS, registry=registry, event_log=log)
+        recorded = evaluate_slos_from_recording(
+            self.SLOS, self._one_frame_recording(registry, log)
+        )
+        assert _verdicts(recorded) == _verdicts(live)
+        assert [r.actual for r in live.results] == [
+            pytest.approx(5.5), pytest.approx(0.3), pytest.approx(0.1)
+        ]
+
+    def test_no_data_agrees_too(self):
+        registry, log = MetricsRegistry(), EventLog()
+        live = evaluate_slos(self.SLOS, registry=registry, event_log=log)
+        recorded = evaluate_slos_from_recording(
+            self.SLOS, self._one_frame_recording(registry, log)
+        )
+        assert _verdicts(recorded) == _verdicts(live)
+        assert all(r.actual == 0.0 and r.ok for r in live.results)
+        assert "no data" in live.results[0].detail
+
+    def test_a_chaos_run_and_its_recording_agree(self):
+        """Fails at the parent of PR 23: the recorded evaluator fell
+        back to ``admissions_total``, which never sees a denial the
+        signalling engine itself issues (denial-rate 0.0625 live, 0.0000
+        read back)."""
+        from repro.faults.chaos import run_chaos
+
+        stream = io.StringIO()
+        recorder = FlightRecorder(writer=RecordingWriter(stream))
+        report = run_chaos(seed=7, trials=20, recorder=recorder)
+        recorder.writer.close()
+        recording = Recording.parse(stream.getvalue().splitlines())
+
+        assert len(recording.frames) == 20
+        # Events ride the trial-index axis the frames use.
+        assert {e["at_time"] for e in recording.events} <= {
+            float(i) for i in range(1, 21)
+        }
+        read_back = evaluate_slos_from_recording(default_slos(), recording)
+        assert _verdicts(read_back) == _verdicts(report.slo_report)
+        denial = report.slo_report.results[1]
+        assert denial.slo.name == "denial-rate" and denial.actual > 0.0

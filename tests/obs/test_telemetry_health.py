@@ -1,14 +1,16 @@
-"""Health verdicts: burn math, multi-window filtering, worst-wins."""
+"""The health badge: a view of the alert rules — burn math, multi-window
+filtering, which groups name a broker, worst-wins."""
 
 import pytest
 
-from repro.obs.telemetry.health import (
-    HealthPolicy,
-    HealthStatus,
-    breaker_flaps,
+from repro.obs.telemetry import (
+    AlertRule,
+    AlertSeverity,
+    broker_health,
+    default_rules,
     denial_burn,
-    evaluate_fleet,
-    evaluate_health,
+    health_badge,
+    render_top,
 )
 from repro.obs.telemetry.series import SeriesStore
 
@@ -23,6 +25,13 @@ def _admit(store, t, *, granted, denied, domain="A"):
         "admissions_total", t, denied, kind="counter",
         labels={"domain": domain, "granted": "false"},
     )
+
+
+def _badge(store, domain, *, now, rules=None):
+    """``(badge, breaching rule names worst first)`` for one broker."""
+    rules = default_rules() if rules is None else rules
+    breaches = broker_health(store, now=now, rules=rules).get(domain, ())
+    return health_badge(breaches), [rule.name for rule, _, _ in breaches]
 
 
 class TestDenialBurn:
@@ -46,34 +55,35 @@ class TestBurnVerdict:
         store = SeriesStore()
         for t in range(61):
             _admit(store, float(t), granted=0.0, denied=float(t))
-        verdict = evaluate_health(store, "A", now=60.0)
-        assert verdict.status is HealthStatus.CRITICAL
-        assert "denial burn" in verdict.reasons()[0]
+        assert _badge(store, "A", now=60.0) == ("CRITICAL", ["denial-burn"])
 
-    def test_fast_only_blip_is_filtered_to_degraded(self):
+    def test_fast_only_blip_is_filtered(self):
         """The slow window must confirm: a 10 s full-denial burst after
-        a long healthy history is DEGRADED, not CRITICAL."""
+        a long healthy history breaches no rule, so it colours nothing
+        (and pages nobody)."""
         store = SeriesStore()
         for t in range(61):
             _admit(store, float(t),
                    granted=float(min(t, 50)),
                    denied=float(max(t - 50, 0)))
-        verdict = evaluate_health(store, "A", now=60.0)
-        assert verdict.status is HealthStatus.DEGRADED
+        assert _badge(store, "A", now=60.0) == ("green", [])
 
-    def test_half_denial_is_degraded(self):
+    def test_the_measured_contradiction_is_gone(self):
+        """A sustained 95 % denial ratio: burn 1.9 breaches CRITICAL
+        ``denial-burn`` (1.8) — the parent's badge wanted 2.0 and said
+        DEGRADED while the pager fired."""
         store = SeriesStore()
         for t in range(61):
-            _admit(store, float(t), granted=float(t), denied=float(t))
-        verdict = evaluate_health(store, "A", now=60.0)
-        assert verdict.status is HealthStatus.DEGRADED
+            _admit(store, float(t), granted=float(t), denied=float(t * 19))
+        rule = default_rules()[0]
+        assert rule.evaluate(store, 60.0)["A"] == (True, pytest.approx(1.9))
+        assert _badge(store, "A", now=60.0)[0] == "CRITICAL"
 
     def test_light_denial_is_green(self):
         store = SeriesStore()
         for t in range(61):
             _admit(store, float(t), granted=float(t * 9), denied=float(t))
-        verdict = evaluate_health(store, "A", now=60.0)
-        assert verdict.status is HealthStatus.GREEN
+        assert _badge(store, "A", now=60.0) == ("green", [])
 
 
 class TestOtherSignals:
@@ -81,82 +91,75 @@ class TestOtherSignals:
         store = SeriesStore()
         store.record("work_queue_backlog_s", 1.0, 3.0,
                      labels={"domain": "A"})
-        verdict = evaluate_health(store, "A", now=1.0)
-        assert verdict.status is HealthStatus.CRITICAL
-        assert any("backlog" in r for r in verdict.reasons())
+        badge, names = _badge(store, "A", now=1.0)
+        assert badge == "CRITICAL"
+        assert names[0] == "backlog-critical"
 
         store = SeriesStore()
         store.record("work_queue_backlog_s", 1.0, 1.5,
                      labels={"domain": "A"})
-        assert evaluate_health(store, "A", now=1.0).status \
-            is HealthStatus.DEGRADED
-
-    def test_saturation_alone_is_only_degraded(self):
-        store = SeriesStore()
-        store.record("domain_utilization", 1.0, 0.95,
-                     labels={"domain": "A"})
-        verdict = evaluate_health(store, "A", now=1.0)
-        assert verdict.status is HealthStatus.DEGRADED
+        assert _badge(store, "A", now=1.0) == (
+            "DEGRADED", ["backlog-warning"]
+        )
 
     def test_open_breaker_on_domain_link_is_critical(self):
         store = SeriesStore()
         store.record("breaker_state", 1.0, 2.0, labels={"link": "A|B"})
         for domain in ("A", "B"):
-            verdict = evaluate_health(store, domain, now=1.0)
-            assert verdict.status is HealthStatus.CRITICAL
+            assert _badge(store, domain, now=1.0) == (
+                "CRITICAL", ["breaker-open"]
+            )
         # C is not an endpoint of A|B.
-        assert evaluate_health(store, "C", now=1.0).status \
-            is HealthStatus.GREEN
+        assert _badge(store, "C", now=1.0) == ("green", [])
 
-    def test_breaker_flapping_is_degraded(self):
+    def test_fleet_wide_groups_colour_no_broker(self):
         store = SeriesStore()
-        for t, state in enumerate([0.0, 1.0, 0.0, 1.0, 0.0]):
-            store.record("breaker_state", float(t), state,
-                         labels={"link": "A|B"})
-        changes, worst = breaker_flaps(store, "A", now=4.0, window_s=30.0)
-        assert changes == 4
-        assert worst == 0.0  # current state, and the link is closed now
-        verdict = evaluate_health(store, "A", now=4.0)
-        assert verdict.status is HealthStatus.DEGRADED
-        assert any("flapping" in r for r in verdict.reasons())
+        store.record("work_queue_backlog_s", 1.0, 9.0,
+                     labels={"domain": "A"})
+        fleet_wide = AlertRule(
+            name="fleet-backlog", kind="threshold",
+            metric="work_queue_backlog_s",
+            severity=AlertSeverity.CRITICAL, threshold=2.5,
+        )
+        assert fleet_wide.evaluate(store, 1.0) == {"": (True, 9.0)}
+        assert broker_health(store, now=1.0, rules=(fleet_wide,)) == {}
 
 
 class TestVerdictFolding:
     def test_worst_signal_wins_and_reasons_sort_worst_first(self):
         store = SeriesStore()
-        store.record("domain_utilization", 1.0, 0.95,
-                     labels={"domain": "A"})
         store.record("work_queue_backlog_s", 1.0, 5.0,
                      labels={"domain": "A"})
-        verdict = evaluate_health(store, "A", now=1.0)
-        assert verdict.status is HealthStatus.CRITICAL
-        assert "backlog" in verdict.reasons()[0]
-        assert any("utilization" in r for r in verdict.reasons()[1:])
+        assert _badge(store, "A", now=1.0) == (
+            "CRITICAL", ["backlog-critical", "backlog-warning"]
+        )
 
-    def test_policy_overrides_thresholds(self):
+    def test_badge_follows_the_rules_it_is_given(self):
         store = SeriesStore()
         store.record("work_queue_backlog_s", 1.0, 0.5,
                      labels={"domain": "A"})
-        strict = HealthPolicy(backlog_degraded_s=0.25,
-                              backlog_critical_s=0.4)
-        assert evaluate_health(store, "A", now=1.0).status \
-            is HealthStatus.GREEN
-        assert evaluate_health(store, "A", now=1.0, policy=strict).status \
-            is HealthStatus.CRITICAL
+        strict = (AlertRule(
+            name="backlog-strict", kind="threshold",
+            metric="work_queue_backlog_s",
+            severity=AlertSeverity.CRITICAL, group_by="domain",
+            threshold=0.4,
+        ),)
+        assert _badge(store, "A", now=1.0)[0] == "green"
+        assert _badge(store, "A", now=1.0, rules=strict)[0] == "CRITICAL"
+        assert _badge(store, "A", now=1.0, rules=())[0] == "green"
 
-    def test_to_dict_round_trips_status_names(self):
-        verdict = evaluate_health(SeriesStore(), "A", now=1.0)
-        payload = verdict.to_dict()
-        assert payload["status"] == "GREEN"
-        assert {s["name"] for s in payload["signals"]} == {
-            "denial_burn", "backlog", "utilization", "breakers",
-        }
-
-    def test_evaluate_fleet_covers_sorted_domains(self):
+    def test_render_top_prints_badge_and_reasons(self):
         store = SeriesStore()
         store.record("work_queue_backlog_s", 1.0, 5.0,
                      labels={"domain": "B"})
-        fleet = evaluate_fleet(store, ["B", "A"], now=1.0)
-        assert list(fleet) == ["A", "B"]
-        assert fleet["A"].status is HealthStatus.GREEN
-        assert fleet["B"].status is HealthStatus.CRITICAL
+        store.record("breaker_state", 1.0, 2.0, labels={"link": "B|C"})
+        text = render_top(store, now=1.0, domains=["A", "B", "C"],
+                          rules=default_rules())
+        rows = {line.split()[0]: line.split()[1]
+                for line in text.splitlines()
+                if line[:1] in "ABC" and len(line.split()) > 5}
+        assert rows == {"A": "green", "B": "CRITICAL", "C": "CRITICAL"}
+        assert "  B: backlog-critical 5.00 (critical)" in text
+        assert "  B: breaker-open/B|C 2.00 (critical)" in text
+        assert "  B: backlog-warning 5.00 (warning)" in text
+        assert "  C: breaker-open/B|C 2.00 (critical)" in text

@@ -104,7 +104,6 @@ class TestRoundTrip:
             "denials_total", {"domain": "A"}) == 3.0
         assert recording.events[0]["kind"] == "deny"
         assert recording.alerts[0]["rule"] == "denial-burn"
-        assert recording.domains() == ("A",)
 
     def test_kinds_written_once_but_apply_forever(self, registry):
         text = self._record(registry)

@@ -4,10 +4,13 @@ Hypothesis generates random fleet histories — admission grants and
 denials, backlog and utilization gauges, breaker states — samples them
 live through the flight recorder into an in-memory recording, then
 replays the recording and asserts the offline pass reproduces the live
-pass **exactly**: identical health verdicts for every domain at every
-frame, and an identical alert-transition stream.  This is the
-determinism contract REP113 (no clock reads in telemetry code) exists
-to protect.
+pass **exactly**: identical health badges (and the breaching rules
+behind them) for every domain at every frame, and an identical
+alert-transition stream.  This is the determinism contract REP113 (no
+clock reads in telemetry code) exists to protect.  A second property
+states what deriving the badge from the rules buys: a broker is
+CRITICAL iff a CRITICAL rule breaches for it, so the badge and the
+pager cannot contradict each other.
 """
 
 import io
@@ -18,11 +21,13 @@ from hypothesis import strategies as st
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
     AlertEngine,
+    AlertSeverity,
     FlightRecorder,
     Recording,
     RecordingWriter,
+    broker_health,
     default_rules,
-    evaluate_fleet,
+    health_badge,
 )
 
 DOMAINS = ("A", "B", "C")
@@ -51,19 +56,25 @@ SETTINGS = settings(
 )
 
 
-def _observe(registry, engine, store, t):
+def _observe(engine, store, t):
     """One frame's worth of live observations, as plain data."""
-    fleet = evaluate_fleet(store, DOMAINS, now=t)
+    health = broker_health(store, now=t, rules=engine.rules)
     transitions = engine.step(store, t)
     return (
-        {d: v.to_dict() for d, v in fleet.items()},
+        {
+            d: (health_badge(health.get(d, ())),
+                [(rule.name, group, value)
+                 for rule, group, value in health.get(d, ())])
+            for d in DOMAINS
+        },
         [tr.to_dict() for tr in transitions],
     )
 
 
-@given(history=history_strategy, breakers=breaker_strategy)
-@SETTINGS
-def test_replay_reproduces_live_verdicts_and_alerts(history, breakers):
+def _record(history, breakers, on_frame):
+    """Drive *history* through registry → flight recorder, calling
+    ``on_frame(store, t)`` after each sampled frame; returns the
+    recorded stream's text."""
     registry = MetricsRegistry()
     admissions = registry.counter("admissions_total")
     backlog = registry.gauge("work_queue_backlog_s")
@@ -73,8 +84,6 @@ def test_replay_reproduces_live_verdicts_and_alerts(history, breakers):
     stream = io.StringIO()
     writer = RecordingWriter(stream, meta={"campaign": "prop"})
     recorder = FlightRecorder(writer=writer)
-    live_engine = AlertEngine(default_rules())
-    live: list = []
 
     for index, step in enumerate(history):
         t = float(index + 1)
@@ -87,16 +96,50 @@ def test_replay_reproduces_live_verdicts_and_alerts(history, breakers):
             utilization.set(load["utilization"], domain=domain)
         breaker.set(breakers[index % len(breakers)], link="A|B")
         recorder.sample(t, registry=registry)
-        live.append(_observe(registry, live_engine, recorder.store, t))
+        on_frame(recorder.store, t)
     writer.close()
+    return stream.getvalue()
 
-    recording = Recording.parse(stream.getvalue().splitlines())
+
+@given(history=history_strategy, breakers=breaker_strategy)
+@SETTINGS
+def test_replay_reproduces_live_verdicts_and_alerts(history, breakers):
+    live_engine = AlertEngine(default_rules())
+    live: list = []
+    text = _record(
+        history, breakers,
+        lambda store, t: live.append(_observe(live_engine, store, t)),
+    )
+
+    recording = Recording.parse(text.splitlines())
     assert len(recording.frames) == len(history)
 
     replay_engine = AlertEngine(default_rules())
     replayed = [
-        _observe(registry, replay_engine, store, t)
+        _observe(replay_engine, store, t)
         for t, store in recording.replay()
     ]
 
     assert replayed == live
+
+
+@given(history=history_strategy, breakers=breaker_strategy)
+@SETTINGS
+def test_badge_is_critical_iff_a_critical_rule_breaches(history, breakers):
+    """Stated against ``AlertRule.evaluate`` directly, not through
+    ``broker_health``: the badge adds no threshold of its own."""
+    rules = default_rules()
+
+    def check(store, t):
+        health = broker_health(store, now=t, rules=rules)
+        for domain in DOMAINS:
+            paged = any(
+                breached and domain in group.split("|")
+                for rule in rules
+                if rule.severity is AlertSeverity.CRITICAL
+                for group, (breached, _) in rule.evaluate(store, t).items()
+            )
+            badge = health_badge(health.get(domain, ()))
+            assert (badge == "CRITICAL") == paged
+
+    _record(history, breakers, check)

@@ -308,6 +308,16 @@ class TestTelemetryCLI:
         capsys.readouterr()
         assert rc == 0
 
+        # While denial-burn/A is FIRING the badge says so too: the
+        # health column is a view of the same rules.
+        rc = main(["top", "--replay", str(recording), "--at", "55"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "denial-burn/A FIRING" in out
+        row = next(l for l in out.splitlines() if l.startswith("A "))
+        assert row.split()[1] == "CRITICAL"
+        assert "  A: denial-burn " in out
+
         rc = main(["timeline", "40:60", "--replay", str(recording)])
         out = capsys.readouterr().out
         assert rc == 0
@@ -343,11 +353,17 @@ class TestTelemetryCLI:
         assert rc == 0
         assert "telemetry:" in out
         assert "0 critical firing(s)" in out
+        verdicts = [l.strip() for l in out.splitlines()
+                    if l.strip().startswith(("OK ", "FAIL "))]
+        assert len(verdicts) == 3
 
+        # The recording read back prints the rows the run printed.
         rc = main(["slo", "--record", str(recording)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "frame" in out
+        assert [l.strip() for l in out.splitlines()
+                if l.startswith(("OK ", "FAIL "))] == verdicts
 
     def test_chaos_fail_on_critical_requires_record(self, capsys):
         rc = main(["chaos", "--trials", "5", "--fail-on-critical"])
