@@ -41,8 +41,9 @@ def test_fig2_end_to_end_reservation(benchmark, testbed, report):
 
 
 def test_fig2_with_real_rsa(benchmark, report):
-    """The same reservation with genuine 512-bit RSA signatures everywhere
-    (the crypto cost the 2001 deployment would have paid)."""
+    """The same reservation with genuine RSA-1024 signatures everywhere
+    (the registered default scheme; the crypto cost the 2001 deployment
+    would have paid)."""
     tb = build_linear_testbed(["A", "B", "C"], scheme="rsa")
     alice = tb.add_user("A", "Alice")
 
@@ -55,4 +56,4 @@ def test_fig2_with_real_rsa(benchmark, report):
 
     outcome = benchmark(run)
     assert outcome.granted
-    report.append("Figure 2 with real RSA-512 signatures: granted")
+    report.append("Figure 2 with real RSA-1024 signatures: granted")

@@ -7,9 +7,10 @@ interchangeable implementations behind the :class:`SignatureScheme`
 protocol:
 
 * :class:`RSAScheme` — genuine textbook RSA with Miller–Rabin key
-  generation and hash-then-sign (``sig = H(m)^d mod n``).  Keys default to
-  1024 bits, adequate for a simulation substrate and fast enough to
-  generate in bulk.  This is the reproduction's stand-in for the OpenSSL
+  generation and hash-then-sign (``sig = H(m)^d mod n``, computed modulo
+  each prime and recombined by the CRT).  Keys default to 1024 bits,
+  adequate for a simulation substrate and fast enough to generate in
+  bulk.  This is the reproduction's stand-in for the OpenSSL
   RSA keys the 2001 deployment would have used.
 * :class:`SimulatedScheme` — a *non-cryptographic* scheme for large-scale
   benchmarks.  Signing hashes the private seed with the message; the
@@ -29,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, NamedTuple, Protocol, runtime_checkable
 
 from repro.errors import CryptoError
 
@@ -156,14 +157,30 @@ def _random_prime(bits: int, rng: random.Random) -> int:
             return candidate
 
 
+class _RSAPrivate(NamedTuple):
+    """An RSA private key in CRT form: ``d`` itself is not kept."""
+
+    n: int
+    e: int
+    p: int
+    q: int
+    dp: int  # d mod (p - 1)
+    dq: int  # d mod (q - 1)
+    qinv: int  # q^-1 mod p
+
+
 class RSAScheme:
     """Textbook RSA with hash-then-sign.
 
-    The signature is ``pow(int(SHA-256(message)), d, n)``.  Verification
-    recomputes the digest and checks ``pow(sig, e, n)`` against it.  No
-    padding is applied; for the threat model of a protocol simulation
-    (tamper evidence, key binding) this is sufficient and keeps the
-    implementation transparent.
+    The signature is ``pow(int(SHA-256(message)), d, n)``, computed by the
+    Chinese remainder theorem: one half-size exponentiation modulo each
+    prime, recombined with Garner's formula — the same integer at about a
+    third of the cost.  Before it is returned the signature is checked
+    with the public exponent, so a faulted half can never leak a factor
+    of ``n``.  Verification recomputes the digest and checks
+    ``pow(sig, e, n)`` against it.  No padding is applied; for the threat
+    model of a protocol simulation (tamper evidence, key binding) this is
+    sufficient and keeps the implementation transparent.
     """
 
     name = "rsa"
@@ -191,7 +208,9 @@ class RSAScheme:
             except ValueError:
                 continue
             public = PublicKey(self.name, (n, self.e))
-            private = PrivateKey(self.name, (n, d))
+            private = PrivateKey(self.name, _RSAPrivate(
+                n, self.e, p, q, d % (p - 1), d % (q - 1), pow(q, -1, p),
+            ))
             return KeyPair(private, public)
 
     @staticmethod
@@ -201,9 +220,18 @@ class RSAScheme:
     def sign(self, private: PrivateKey, message: bytes) -> bytes:
         if private.scheme != self.name:
             raise CryptoError(f"key scheme {private.scheme!r} != {self.name!r}")
-        n, d = private.material
+        try:
+            n, e, p, q, dp, dq, qinv = _RSAPrivate(*private.material)
+        except TypeError:
+            raise CryptoError(
+                "RSA private key material must be (n, e, p, q, dp, dq, qinv)"
+            ) from None
         h = self._digest_int(message, n)
-        sig = pow(h, d, n)
+        m1 = pow(h, dp, p)
+        m2 = pow(h, dq, q)
+        sig = m2 + q * ((qinv * (m1 - m2)) % p)
+        if pow(sig, e, n) != h:
+            raise CryptoError("RSA signature failed its own check (faulty key)")
         return sig.to_bytes((n.bit_length() + 7) // 8, "big")
 
     def verify(self, public: PublicKey, message: bytes, signature: bytes) -> bool:

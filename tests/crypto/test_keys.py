@@ -1,5 +1,6 @@
 """Tests for key pairs and signature schemes (RSA + simulated)."""
 
+import functools
 import random
 
 import pytest
@@ -15,6 +16,8 @@ from repro.crypto.keys import (
     register_scheme,
 )
 from repro.errors import CryptoError
+
+from tests.crypto._oracle import textbook_sign
 
 
 class TestMillerRabin:
@@ -101,6 +104,60 @@ class TestRSA:
         assert not scheme.verify(kp.public, message + b"x", sig)
 
 
+@functools.lru_cache(maxsize=None)
+def _rsa_keypair(bits, seed):
+    return RSAScheme(bits=bits).generate(random.Random(seed))
+
+
+class TestRSACRT:
+    """``sign`` works modulo each prime; it must equal ``pow(h, d, n)``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        bits=st.sampled_from([512, 1024]),
+        seed=st.integers(0, 63),
+        message=st.binary(max_size=300),
+    )
+    def test_crt_sign_equals_textbook_oracle(self, bits, seed, message):
+        scheme = RSAScheme(bits=bits)
+        kp = _rsa_keypair(bits, seed)
+        sig = scheme.sign(kp.private, message)
+        assert sig == textbook_sign(kp.private, message)
+        assert scheme.verify(kp.public, message, sig)
+
+    # Pinned from the last commit that signed with ``pow(h, d, n)``: key
+    # generation must draw from the RNG exactly as it did then, or every
+    # key id, certificate and golden vector moves with it.
+    @pytest.mark.parametrize("bits, seed, key_id, n_hex", [
+        (512, 7, "49eb27423adba7ab",
+         "bbe8b0f07364dc27c4f2a74926288c596f449a323de12537ba547554a9d55529"
+         "e06d2a0c3d6044d31f33aef282c4a05dd980e829c893e3b2b48419ecf7d63e4d"),
+        (1024, 5, "e6f7106fb48149b9",
+         "89c5cf6eb63333d36f5516785e772264cd3484f45ce12f066345c06c32e1e76d"
+         "6ddeb87e24b24c35e69a47539146cbf95860d6950a41badd0f5ea8cd0d23326d"
+         "61c3b77f59fb5be9f7fcb3b5b148173943f60d7f2c3c1acc42244403407303012d"
+         "51eb72e7d43bf65120eac22cd0b831b1e8c6921aa3be61120f8cd910fbc163"),
+    ], ids=["rsa512-seed7", "rsa1024-seed5"])
+    def test_keygen_pinned(self, bits, seed, key_id, n_hex):
+        kp = _rsa_keypair(bits, seed)
+        assert kp.public.key_id == key_id
+        assert kp.public.material == (int(n_hex, 16), 65537)
+        assert kp.private.material.n == int(n_hex, 16)
+
+    @pytest.mark.parametrize("component", ["dp", "dq", "qinv"])
+    def test_faulty_crt_component_refused(self, rsa512, keypool, component):
+        material = keypool[0].private.material
+        bad = material._replace(**{component: getattr(material, component) + 1})
+        with pytest.raises(CryptoError, match="faulty key"):
+            rsa512.sign(PrivateKey("rsa", bad), b"msg")
+
+    def test_old_two_element_key_refused(self, rsa512, keypool):
+        material = keypool[0].private.material
+        d = pow(material.e, -1, (material.p - 1) * (material.q - 1))
+        with pytest.raises(CryptoError, match="must be"):
+            rsa512.sign(PrivateKey("rsa", (material.n, d)), b"msg")
+
+
 class TestSimulated:
     def test_roundtrip(self, simulated, rng):
         kp = simulated.generate(rng)
@@ -162,5 +219,11 @@ class TestKeyIdentity:
         assert keypool[0].public.key_id != keypool[1].public.key_id
 
     def test_private_repr_hides_material(self, keypool):
-        assert "secret" in repr(keypool[0].private)
-        assert str(keypool[0].private.material[1]) not in repr(keypool[0].private)
+        private = keypool[0].private
+        text = repr(private)
+        assert "secret" in text
+        m = private.material
+        d = pow(m.e, -1, (m.p - 1) * (m.q - 1))
+        for secret in (d, m.p, m.q, m.dp, m.dq, m.qinv):
+            assert str(secret) not in text
+            assert hex(secret)[2:] not in text
