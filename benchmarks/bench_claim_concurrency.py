@@ -3,22 +3,22 @@
 The north star ("heavy traffic from millions of users") turns on the
 engine property this benchmark measures — **parallelism across disjoint
 paths**: eight reservations spanning eight disjoint domain pairs of a
-16-domain chain have no admission ledger in common, so a
-:class:`~repro.core.concurrent.ConcurrentSignaller` with 8 workers
+16-domain chain have no admission ledger in common, so
+:func:`~repro.core.concurrent.run_batch` with 8 modelled workers
 completes the batch in roughly one reservation's modelled latency while
-a serial loop pays the sum (the >= 2x claim).
+one modelled worker pays the sum (the >= 2x claim).
 
 Throughput is **modelled time** (the greedy domain/worker schedule
-documented in :mod:`repro.core.concurrent`), so the claim is about the
-system model, not the GIL.
+documented in :mod:`repro.core.concurrent`); the signalling itself runs
+on one thread, so the claim is about the system model, not about threads.
 """
 
 import pytest
 
-from repro.core.concurrent import ReservationJob, run_serial
+from repro.core.concurrent import ReservationJob, run_batch
 from repro.core.testbed import build_linear_testbed
 
-#: Worker threads for the headline batch.
+#: Modelled workers for the headline batch.
 CONCURRENCY = 8
 
 DOMAINS = [f"D{i:02d}" for i in range(16)]
@@ -67,23 +67,21 @@ def test_c5_concurrent_throughput(benchmark, setup, report):
     tb, users = setup
     jobs = disjoint_jobs(tb, users)
 
-    # Serial baseline (not benchmarked): same jobs, one at a time.
-    serial = run_serial(tb.hop_by_hop, jobs)
+    # Serial baseline (not benchmarked): same jobs, one modelled worker.
+    serial = run_batch(tb.hop_by_hop, jobs)
     assert all(s.granted for s in serial.scheduled), [
         s.error for s in serial.scheduled
     ]
     release_all(tb, serial)
 
-    signaller = tb.concurrent_signaller(concurrency=CONCURRENCY)
-
-    def run_batch():
-        batch = signaller.run(jobs)
+    def run_concurrent():
+        batch = run_batch(tb.hop_by_hop, jobs, concurrency=CONCURRENCY)
         release_all(tb, batch)
         return batch
 
-    batch = benchmark(run_batch)
+    batch = benchmark(run_concurrent)
 
-    # Identical decisions: concurrency must not change what is admitted.
+    # Identical decisions: the worker count must not change what is admitted.
     assert [s.granted for s in batch.scheduled] == [
         s.granted for s in serial.scheduled
     ]
@@ -101,9 +99,9 @@ def test_c5_concurrent_throughput(benchmark, setup, report):
 
 
 def test_c5_shared_path_matches_serial(benchmark, setup, report):
-    """Jobs contending for one bottleneck domain pair: the ticket
-    discipline serializes them, so grants/denials and the capacity
-    ledger match the serial run exactly (here: the link fits 7 of 8)."""
+    """Jobs contending for one bottleneck domain pair: they run in
+    submission order, so grants/denials and the capacity ledger match the
+    one-worker run exactly (here: the link fits 7 of 8)."""
     tb, users = setup
     src, dst = DOMAINS[0], DOMAINS[1]
     user = users[src]
@@ -118,23 +116,21 @@ def test_c5_shared_path_matches_serial(benchmark, setup, report):
         for _ in range(8)
     ]
 
-    serial = run_serial(tb.hop_by_hop, jobs)
+    serial = run_batch(tb.hop_by_hop, jobs)
     serial_granted = [s.granted for s in serial.scheduled]
     release_all(tb, serial)
 
-    signaller = tb.concurrent_signaller(concurrency=CONCURRENCY)
-
-    def run_batch():
-        batch = signaller.run(jobs)
+    def run_concurrent():
+        batch = run_batch(tb.hop_by_hop, jobs, concurrency=CONCURRENCY)
         granted = [s.granted for s in batch.scheduled]
         release_all(tb, batch)
         return granted
 
-    granted = benchmark(run_batch)
+    granted = benchmark(run_concurrent)
     assert granted == serial_granted
     # 155 Mb/s inter-domain link, 20 Mb/s each: exactly 7 fit.
     assert granted.count(True) == 7
     report.append(
         f"C5 bottleneck batch: {granted.count(True)}/8 granted, "
-        f"identical to serial under concurrency {CONCURRENCY}"
+        f"identical to serial under {CONCURRENCY} modelled workers"
     )

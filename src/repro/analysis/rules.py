@@ -722,9 +722,3 @@ class TelemetryClockRule(_ImportAwareRule):
             )
         self.generic_visit(node)
 
-
-# The whole-program concurrency rules (REP120 lock-order cycles, REP121
-# unguarded guarded-state access) live in their own subpackage; import
-# it here so the registry and ``repro lint --list-rules`` always know
-# them.  Their findings come from ``repro lint --concurrency``.
-from repro.analysis import concurrency as _concurrency  # noqa: E402,F401

@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -67,17 +66,11 @@ class CapacitySchedule:
         self._times: list[float] = []
         self._deltas: list[float] = []
         self._ids = itertools.count(1)
-        # Reentrant: ``book`` calls ``available`` -> ``peak_load`` while
-        # already holding the lock.  Check-then-book must be one
-        # critical section or two concurrent signalling workers could
-        # both see the same spare capacity and oversubscribe the
-        # resource.
-        self._lock = threading.RLock()
 
     # -- the boundary index ------------------------------------------------------------
 
     def _position(self, when: float, delta: float) -> int:
-        """Leftmost slot for ``(when, delta)``; the lock is held."""
+        """Leftmost slot for ``(when, delta)``."""
         return bisect_left(
             self._deltas, delta,
             bisect_left(self._times, when), bisect_right(self._times, when),
@@ -99,24 +92,22 @@ class CapacitySchedule:
 
     def load_at(self, when: float) -> float:
         """Total booked rate at instant *when* (bookings are [start, end))."""
-        with self._lock:
-            # Exactly rounded and recomputed per query: every booking
-            # that has ended by *when* cancels to nothing, whatever was
-            # booked and released before.
-            return math.fsum(self._deltas[:bisect_right(self._times, when)])
+        # Exactly rounded and recomputed per query: every booking that
+        # has ended by *when* cancels to nothing, whatever was booked
+        # and released before.
+        return math.fsum(self._deltas[:bisect_right(self._times, when)])
 
     def peak_load(self, start: float, end: float) -> float:
         """Maximum total booked rate over [start, end)."""
-        with self._lock:
-            # Load only changes at booking boundaries: the load at the
-            # window start, then one running sum over the boundaries
-            # strictly inside the window.
-            first = bisect_right(self._times, start)
-            last = bisect_left(self._times, end, first)
-            return max(itertools.accumulate(
-                self._deltas[first:last],
-                initial=math.fsum(self._deltas[:first]),
-            ))
+        # Load only changes at booking boundaries: the load at the window
+        # start, then one running sum over the boundaries strictly inside
+        # the window.
+        first = bisect_right(self._times, start)
+        last = bisect_left(self._times, end, first)
+        return max(itertools.accumulate(
+            self._deltas[first:last],
+            initial=math.fsum(self._deltas[:first]),
+        ))
 
     def available(self, start: float, end: float) -> float:
         """Worst-case spare capacity over [start, end)."""
@@ -131,8 +122,7 @@ class CapacitySchedule:
 
     @property
     def bookings(self) -> tuple[Booking, ...]:
-        with self._lock:
-            return tuple(self._bookings.values())
+        return tuple(self._bookings.values())
 
     # -- mutation --------------------------------------------------------------------
 
@@ -143,31 +133,29 @@ class CapacitySchedule:
         if not (math.isfinite(rate_mbps) and rate_mbps > 0):
             raise AdmissionError("booked rate must be positive and finite")
         registry = obs_metrics.get_registry()
-        with self._lock:
-            spare = self.available(start, end)
-            if rate_mbps > spare + 1e-9:
-                if registry is not None:
-                    registry.counter(
-                        "booking_failures_total",
-                        "Capacity bookings refused for lack of spare capacity",
-                    ).inc(resource=self.name)
-                logger.debug(
-                    "%s: booking of %.1f Mb/s refused (%.3f spare)",
-                    self.name, rate_mbps, max(spare, 0.0),
-                )
-                raise CapacityExceededError(
-                    f"{self.name}: requested {rate_mbps} Mb/s over "
-                    f"[{start}, {end}) "
-                    f"but only {max(spare, 0.0):.3f} Mb/s available "
-                    f"(capacity {self.capacity_mbps})"
-                )
-            booking = Booking(next(self._ids), start, end, rate_mbps, tag)
-            self._bookings[booking.booking_id] = booking
-            self._insert(start, rate_mbps)
-            self._insert(end, -rate_mbps)
+        spare = self.available(start, end)
+        if rate_mbps > spare + 1e-9:
             if registry is not None:
-                load_now = self.load_at(start)
+                registry.counter(
+                    "booking_failures_total",
+                    "Capacity bookings refused for lack of spare capacity",
+                ).inc(resource=self.name)
+            logger.debug(
+                "%s: booking of %.1f Mb/s refused (%.3f spare)",
+                self.name, rate_mbps, max(spare, 0.0),
+            )
+            raise CapacityExceededError(
+                f"{self.name}: requested {rate_mbps} Mb/s over "
+                f"[{start}, {end}) "
+                f"but only {max(spare, 0.0):.3f} Mb/s available "
+                f"(capacity {self.capacity_mbps})"
+            )
+        booking = Booking(next(self._ids), start, end, rate_mbps, tag)
+        self._bookings[booking.booking_id] = booking
+        self._insert(start, rate_mbps)
+        self._insert(end, -rate_mbps)
         if registry is not None:
+            load_now = self.load_at(start)
             registry.counter(
                 "bookings_total", "Capacity bookings admitted, by resource",
             ).inc(resource=self.name)
@@ -178,14 +166,13 @@ class CapacitySchedule:
         return booking
 
     def release(self, booking_id: int) -> None:
-        with self._lock:
-            booking = self._bookings.pop(booking_id, None)
-            if booking is None:
-                raise AdmissionError(
-                    f"{self.name}: unknown booking {booking_id}"
-                )
-            self._remove(booking.start, booking.rate_mbps)
-            self._remove(booking.end, -booking.rate_mbps)
+        booking = self._bookings.pop(booking_id, None)
+        if booking is None:
+            raise AdmissionError(
+                f"{self.name}: unknown booking {booking_id}"
+            )
+        self._remove(booking.start, booking.rate_mbps)
+        self._remove(booking.end, -booking.rate_mbps)
 
 
 class AdmissionController:
@@ -193,28 +180,22 @@ class AdmissionController:
 
     def __init__(self) -> None:
         self._schedules: dict[str, CapacitySchedule] = {}
-        # Guards the schedule map *and* makes multi-resource book_all
-        # atomic against other book_all/release_all calls.
-        self._lock = threading.RLock()
 
     def add_resource(self, name: str, capacity_mbps: float) -> CapacitySchedule:
-        with self._lock:
-            if name in self._schedules:
-                raise AdmissionError(f"duplicate resource {name!r}")
-            schedule = CapacitySchedule(name, capacity_mbps)
-            self._schedules[name] = schedule
-            return schedule
+        if name in self._schedules:
+            raise AdmissionError(f"duplicate resource {name!r}")
+        schedule = CapacitySchedule(name, capacity_mbps)
+        self._schedules[name] = schedule
+        return schedule
 
     def schedule(self, name: str) -> CapacitySchedule:
-        with self._lock:
-            try:
-                return self._schedules[name]
-            except KeyError:
-                raise AdmissionError(f"unknown resource {name!r}") from None
+        try:
+            return self._schedules[name]
+        except KeyError:
+            raise AdmissionError(f"unknown resource {name!r}") from None
 
     def resources(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(self._schedules)
+        return tuple(self._schedules)
 
     def available(self, names: list[str], start: float, end: float) -> float:
         """Bottleneck spare capacity across the named resources."""
@@ -235,20 +216,18 @@ class AdmissionController:
         failure, already-made bookings are rolled back and the error is
         re-raised.  Returns ``((resource, booking_id), ...)``."""
         made: list[tuple[str, int]] = []
-        with self._lock:
-            try:
-                for name in names:
-                    booking = self.schedule(name).book(
-                        start, end, rate_mbps, tag=tag
-                    )
-                    made.append((name, booking.booking_id))
-            except AdmissionError:
-                for name, bid in made:
-                    self.schedule(name).release(bid)
-                raise
+        try:
+            for name in names:
+                booking = self.schedule(name).book(
+                    start, end, rate_mbps, tag=tag
+                )
+                made.append((name, booking.booking_id))
+        except AdmissionError:
+            for name, bid in made:
+                self.schedule(name).release(bid)
+            raise
         return tuple(made)
 
     def release_all(self, bookings: tuple[tuple[str, int], ...]) -> None:
-        with self._lock:
-            for name, bid in bookings:
-                self.schedule(name).release(bid)
+        for name, bid in bookings:
+            self.schedule(name).release(bid)

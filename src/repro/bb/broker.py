@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import logging
 import random
-import threading
 import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
@@ -159,13 +158,6 @@ class BandwidthBroker:
         #: Optional admission-plane defenses (rate limits live in the
         #: signalling engine; this broker consults the quota half).
         self.defense: DomainDefense | None = None
-        # One reentrant lock serializes every state-mutating broker
-        # operation (admit / claim / cancel / refresh / sweep).  The
-        # concurrent signaller already orders whole reservations per
-        # domain; this lock makes each individual operation atomic so
-        # _booking_map, the reservation table and the admission ledger can
-        # never interleave mid-update.
-        self._lock = threading.RLock()
 
     # -- peering -----------------------------------------------------------------
 
@@ -326,22 +318,21 @@ class BandwidthBroker:
         leaves a stuck reservation behind.
         """
         self._check_up()
-        with self._lock:
-            resv = self.reservations.create(request, verified.user, now=at_time)
-            resv.upstream = upstream
-            resv.downstream = downstream
-            resv.correlation_id = obs_events.current_correlation_id() or ""
-            try:
-                return self._admit_pipeline(
-                    resv, request, verified, at_time=at_time,
-                    upstream=upstream, downstream=downstream,
+        resv = self.reservations.create(request, verified.user, now=at_time)
+        resv.upstream = upstream
+        resv.downstream = downstream
+        resv.correlation_id = obs_events.current_correlation_id() or ""
+        try:
+            return self._admit_pipeline(
+                resv, request, verified, at_time=at_time,
+                upstream=upstream, downstream=downstream,
+            )
+        except Exception:
+            if resv.state is ReservationState.PENDING:
+                self.reservations.transition(
+                    resv.handle, ReservationState.CANCELLED
                 )
-            except Exception:
-                if resv.state is ReservationState.PENDING:
-                    self.reservations.transition(
-                        resv.handle, ReservationState.CANCELLED
-                    )
-                raise
+            raise
 
     def _admit_pipeline(
         self,
@@ -447,19 +438,18 @@ class BandwidthBroker:
     def claim(self, handle: str, *, at_time: float = 0.0) -> Reservation:
         """Bind a granted reservation to traffic: configure edge routers."""
         self._check_up()
-        with self._lock:
-            resv = self.reservations.transition(handle, ReservationState.ACTIVE)
-            if self.soft_state_ttl_s is not None:
-                self.reservations.refresh(
-                    handle, now=at_time, ttl_s=self.soft_state_ttl_s
-                )
-            self._audit("claim", resv, at_time=at_time)
-            if self.configurator is not None:
-                if resv.upstream is None:
-                    # We are the source domain: per-flow classification.
-                    self.configurator.provision_flow(self.domain, resv)
-                self._refresh_ingress(resv.request.service_class)
-            return resv
+        resv = self.reservations.transition(handle, ReservationState.ACTIVE)
+        if self.soft_state_ttl_s is not None:
+            self.reservations.refresh(
+                handle, now=at_time, ttl_s=self.soft_state_ttl_s
+            )
+        self._audit("claim", resv, at_time=at_time)
+        if self.configurator is not None:
+            if resv.upstream is None:
+                # We are the source domain: per-flow classification.
+                self.configurator.provision_flow(self.domain, resv)
+            self._refresh_ingress(resv.request.service_class)
+        return resv
 
     def cancel(
         self,
@@ -473,33 +463,31 @@ class BandwidthBroker:
         balancing a downstream denial, so the audit ledger and event
         log agree on why the capacity came back."""
         self._check_up()
-        with self._lock:
-            resv = self.reservations.get(handle)
-            was_active = resv.state is ReservationState.ACTIVE
-            resv = self.reservations.transition(
-                handle, ReservationState.CANCELLED
-            )
-            self._audit("cancel", resv, reason=reason,
-                        reason_code=reason_code)
-            bookings = self._booking_map.pop(handle, ())
-            if bookings:
-                self.admission.release_all(bookings)
-            if self.configurator is not None:
-                if was_active and resv.upstream is None:
-                    self.configurator.teardown_flow(self.domain, resv)
-                self._refresh_ingress(resv.request.service_class)
-            return resv
+        resv = self.reservations.get(handle)
+        was_active = resv.state is ReservationState.ACTIVE
+        resv = self.reservations.transition(
+            handle, ReservationState.CANCELLED
+        )
+        self._audit("cancel", resv, reason=reason,
+                    reason_code=reason_code)
+        bookings = self._booking_map.pop(handle, ())
+        if bookings:
+            self.admission.release_all(bookings)
+        if self.configurator is not None:
+            if was_active and resv.upstream is None:
+                self.configurator.teardown_flow(self.domain, resv)
+            self._refresh_ingress(resv.request.service_class)
+        return resv
 
     def refresh(self, handle: str, *, at_time: float = 0.0) -> Reservation:
         """Renew a reservation's soft-state lease (RSVP-style refresh).
         A no-op lease-wise when the broker runs hard state."""
         self._check_up()
-        with self._lock:
-            if self.soft_state_ttl_s is None:
-                return self.reservations.get(handle)
-            return self.reservations.refresh(
-                handle, now=at_time, ttl_s=self.soft_state_ttl_s
-            )
+        if self.soft_state_ttl_s is None:
+            return self.reservations.get(handle)
+        return self.reservations.refresh(
+            handle, now=at_time, ttl_s=self.soft_state_ttl_s
+        )
 
     def sweep_soft_state(self, now: float) -> tuple[Reservation, ...]:
         """Reclaim reservations whose soft-state lease lapsed: release
@@ -518,21 +506,20 @@ class BandwidthBroker:
                 trace_id=obs_spans.mint_correlation_id(),
                 domain=self.domain,
             )
-        with self._lock:
-            lapsed = self.reservations.sweep_expired(now)
-            for resv in lapsed:
-                bookings = self._booking_map.pop(resv.handle, ())
-                if bookings:
-                    self.admission.release_all(bookings)
-                if self.configurator is not None:
-                    if resv.upstream is None:
-                        self.configurator.teardown_flow(self.domain, resv)
-                    self._refresh_ingress(resv.request.service_class)
-                self._audit(
-                    "expire", resv,
-                    reason="soft-state lease expired", at_time=now,
-                    reason_code=ReasonCode.SOFT_STATE_EXPIRED,
-                )
+        lapsed = self.reservations.sweep_expired(now)
+        for resv in lapsed:
+            bookings = self._booking_map.pop(resv.handle, ())
+            if bookings:
+                self.admission.release_all(bookings)
+            if self.configurator is not None:
+                if resv.upstream is None:
+                    self.configurator.teardown_flow(self.domain, resv)
+                self._refresh_ingress(resv.request.service_class)
+            self._audit(
+                "expire", resv,
+                reason="soft-state lease expired", at_time=now,
+                reason_code=ReasonCode.SOFT_STATE_EXPIRED,
+            )
         if tracer is not None and sweep_span is not None:
             tracer.end(sweep_span, reclaimed=len(lapsed))
         return lapsed

@@ -42,7 +42,6 @@ clock or global RNG.
 from __future__ import annotations
 
 import hashlib
-import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 
@@ -213,8 +212,7 @@ class DomainDefense:
     Attached to a broker as ``broker.defense``; the hop-by-hop engine
     runs :meth:`admit_signal` at the top of per-hop processing (before
     verification), and the broker runs :meth:`check_quota` at the top of
-    its admission pipeline.  Thread-safe: the concurrent signaller drives
-    several reservations through one broker at once.
+    its admission pipeline.
     """
 
     def __init__(self, policy: DefensePolicy | None = None, *,
@@ -228,7 +226,6 @@ class DomainDefense:
         #: Modelled arrival times of recent signals (the pending-queue
         #: estimate for the shed watermark).
         self._arrivals: deque[float] = deque()
-        self._lock = threading.RLock()
         self.stats = DefenseStats()
 
     # -- bookkeeping ---------------------------------------------------------------
@@ -290,38 +287,37 @@ class DomainDefense:
         picks the bucket class: ``"domain"`` for contracted SLA
         neighbours, ``"user"`` (the default) for everything else.
         """
-        with self._lock:
-            bucket = self._bucket_for(peer, now, peer_kind)
-            if not bucket.take(now):
-                self.stats.rate_limited += 1
-                self._meter("rate_limited")
-                raise RateLimitedError(
-                    f"{self.domain}: peer {peer!r} exceeded "
-                    f"{bucket.rate_per_s:g}/s signalling rate "
-                    f"(burst {bucket.burst:g})"
-                )
-            if envelope_digest is not None:
-                try:
-                    self.replay_guard.check(envelope_digest, now)
-                except ReplayRejectedError:
-                    self.stats.replay_rejected += 1
-                    self._meter("replay_rejected")
-                    raise
-            # check() raises on replay, so from here the signal is fresh.
-            horizon = now - self.policy.shed_window_s
-            while self._arrivals and self._arrivals[0] < horizon:
-                self._arrivals.popleft()
-            if (operation not in PROTECTED_OPERATIONS
-                    and len(self._arrivals) >= self.pending_watermark):
-                self.stats.shed_overload += 1
-                self._meter("shed_overload")
-                raise OverloadShedError(
-                    f"{self.domain}: pending signalling "
-                    f"{len(self._arrivals)} past watermark "
-                    f"{self.pending_watermark} — shedding new admissions "
-                    "(refresh/teardown still serviced)"
-                )
-            self._arrivals.append(now)
+        bucket = self._bucket_for(peer, now, peer_kind)
+        if not bucket.take(now):
+            self.stats.rate_limited += 1
+            self._meter("rate_limited")
+            raise RateLimitedError(
+                f"{self.domain}: peer {peer!r} exceeded "
+                f"{bucket.rate_per_s:g}/s signalling rate "
+                f"(burst {bucket.burst:g})"
+            )
+        if envelope_digest is not None:
+            try:
+                self.replay_guard.check(envelope_digest, now)
+            except ReplayRejectedError:
+                self.stats.replay_rejected += 1
+                self._meter("replay_rejected")
+                raise
+        # check() raises on replay, so from here the signal is fresh.
+        horizon = now - self.policy.shed_window_s
+        while self._arrivals and self._arrivals[0] < horizon:
+            self._arrivals.popleft()
+        if (operation not in PROTECTED_OPERATIONS
+                and len(self._arrivals) >= self.pending_watermark):
+            self.stats.shed_overload += 1
+            self._meter("shed_overload")
+            raise OverloadShedError(
+                f"{self.domain}: pending signalling "
+                f"{len(self._arrivals)} past watermark "
+                f"{self.pending_watermark} — shedding new admissions "
+                "(refresh/teardown still serviced)"
+            )
+        self._arrivals.append(now)
 
     @property
     def pending_watermark(self) -> int:
@@ -341,20 +337,19 @@ class DomainDefense:
         reservation would exceed the per-user or per-ingress quota.
         The caller supplies the live counts (excluding the candidate);
         this module never reaches into broker tables."""
-        with self._lock:
-            if user_count >= self.policy.per_user_quota:
-                self.stats.quota_exceeded += 1
-                self._meter("quota_exceeded")
-                raise QuotaExceededError(
-                    f"{self.domain}: user {user!r} holds {user_count} live "
-                    f"reservations (quota {self.policy.per_user_quota})"
-                )
-            if (upstream is not None
-                    and ingress_count >= self.policy.per_ingress_quota):
-                self.stats.quota_exceeded += 1
-                self._meter("quota_exceeded")
-                raise QuotaExceededError(
-                    f"{self.domain}: ingress {upstream!r} carries "
-                    f"{ingress_count} live reservations "
-                    f"(quota {self.policy.per_ingress_quota})"
-                )
+        if user_count >= self.policy.per_user_quota:
+            self.stats.quota_exceeded += 1
+            self._meter("quota_exceeded")
+            raise QuotaExceededError(
+                f"{self.domain}: user {user!r} holds {user_count} live "
+                f"reservations (quota {self.policy.per_user_quota})"
+            )
+        if (upstream is not None
+                and ingress_count >= self.policy.per_ingress_quota):
+            self.stats.quota_exceeded += 1
+            self._meter("quota_exceeded")
+            raise QuotaExceededError(
+                f"{self.domain}: ingress {upstream!r} carries "
+                f"{ingress_count} live reservations "
+                f"(quota {self.policy.per_ingress_quota})"
+            )

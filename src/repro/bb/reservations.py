@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -171,10 +170,6 @@ class ReservationTable:
     def __init__(self, domain: str):
         self.domain = domain
         self._by_handle: dict[str, Reservation] = {}
-        # Reentrant: transition/refresh call ``get`` under the lock.
-        # State transitions are check-then-set and must not interleave
-        # between concurrent signalling workers.
-        self._lock = threading.RLock()
 
     def create(
         self,
@@ -186,62 +181,53 @@ class ReservationTable:
     ) -> Reservation:
         if handle is None:
             handle = _new_handle(self.domain)
-        with self._lock:
-            if handle in self._by_handle:
-                raise ReservationStateError(f"duplicate handle {handle!r}")
-            resv = Reservation(handle, request, owner, created_at=now)
-            self._by_handle[handle] = resv
-            return resv
+        if handle in self._by_handle:
+            raise ReservationStateError(f"duplicate handle {handle!r}")
+        resv = Reservation(handle, request, owner, created_at=now)
+        self._by_handle[handle] = resv
+        return resv
 
     def get(self, handle: str) -> Reservation:
-        with self._lock:
-            try:
-                return self._by_handle[handle]
-            except KeyError:
-                raise UnknownReservationError(
-                    f"no reservation {handle!r} in domain {self.domain}"
-                ) from None
+        try:
+            return self._by_handle[handle]
+        except KeyError:
+            raise UnknownReservationError(
+                f"no reservation {handle!r} in domain {self.domain}"
+            ) from None
 
     def __contains__(self, handle: str) -> bool:
-        with self._lock:
-            return handle in self._by_handle
+        return handle in self._by_handle
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._by_handle)
+        return len(self._by_handle)
 
     def transition(self, handle: str, new_state: ReservationState) -> Reservation:
-        with self._lock:
-            resv = self.get(handle)
-            if new_state not in _TRANSITIONS[resv.state]:
-                raise ReservationStateError(
-                    f"{handle}: illegal transition {resv.state.value} -> "
-                    f"{new_state.value}"
-                )
-            resv.state = new_state
-            return resv
+        resv = self.get(handle)
+        if new_state not in _TRANSITIONS[resv.state]:
+            raise ReservationStateError(
+                f"{handle}: illegal transition {resv.state.value} -> "
+                f"{new_state.value}"
+            )
+        resv.state = new_state
+        return resv
 
     def all(self) -> tuple[Reservation, ...]:
-        with self._lock:
-            return tuple(self._by_handle.values())
+        return tuple(self._by_handle.values())
 
     def in_state(self, *states: ReservationState) -> tuple[Reservation, ...]:
-        with self._lock:
-            return tuple(
-                r for r in self._by_handle.values() if r.state in states
-            )
+        return tuple(
+            r for r in self._by_handle.values() if r.state in states
+        )
 
     def active_at(self, when: float) -> tuple[Reservation, ...]:
-        with self._lock:
-            return tuple(
-                r for r in self._by_handle.values() if r.active_at(when)
-            )
+        return tuple(
+            r for r in self._by_handle.values() if r.active_at(when)
+        )
 
     def is_valid(self, handle: str, *, at_time: float | None = None) -> bool:
         """Online validity check used by interdomain policy dependencies
         (``HasValidCPUResv``): the handle exists and is granted/active."""
-        with self._lock:
-            resv = self._by_handle.get(handle)
+        resv = self._by_handle.get(handle)
         if resv is None:
             return False
         if at_time is not None:
@@ -251,28 +237,26 @@ class ReservationTable:
     def refresh(self, handle: str, *, now: float, ttl_s: float) -> Reservation:
         """Renew the soft-state lease of a live reservation (the periodic
         refresh of RSVP-style soft state)."""
-        with self._lock:
-            resv = self.get(handle)
-            if resv.state not in (
-                ReservationState.GRANTED, ReservationState.ACTIVE
-            ):
-                raise ReservationStateError(
-                    f"{handle}: cannot refresh a {resv.state.value} reservation"
-                )
-            resv.expires_at = now + ttl_s
-            return resv
+        resv = self.get(handle)
+        if resv.state not in (
+            ReservationState.GRANTED, ReservationState.ACTIVE
+        ):
+            raise ReservationStateError(
+                f"{handle}: cannot refresh a {resv.state.value} reservation"
+            )
+        resv.expires_at = now + ttl_s
+        return resv
 
     def sweep_expired(self, now: float) -> tuple[Reservation, ...]:
         """Expire live reservations whose soft-state lease has lapsed;
         returns them so the broker can release their capacity bookings."""
-        with self._lock:
-            lapsed = tuple(
-                resv for resv in self._by_handle.values()
-                if resv.state
-                in (ReservationState.GRANTED, ReservationState.ACTIVE)
-                and resv.expires_at is not None
-                and resv.expires_at <= now
-            )
-            for resv in lapsed:
-                resv.state = ReservationState.EXPIRED
-            return lapsed
+        lapsed = tuple(
+            resv for resv in self._by_handle.values()
+            if resv.state
+            in (ReservationState.GRANTED, ReservationState.ACTIVE)
+            and resv.expires_at is not None
+            and resv.expires_at <= now
+        )
+        for resv in lapsed:
+            resv.state = ReservationState.EXPIRED
+        return lapsed

@@ -25,22 +25,16 @@ Subcommands:
   printing per-objective burn rates;
 * ``lint`` — run the repo's custom AST lint rules (REP101..REP112) over
   the ``repro`` package (or given paths); ``--select``/``--ignore``
-  filter rules; ``--concurrency`` runs the whole-program concurrency
-  pass instead (REP120 lock-order cycles, REP121 unguarded guarded-state
-  access).  Exit codes: 0 clean, 1 findings, 2 analyzer crash/usage;
-* ``lockgraph`` — print the may-acquire-while-holding lock graph the
-  concurrency pass inferred (``--dot`` for Graphviz, ``--json``);
+  filter rules.  Exit codes: 0 clean, 1 findings, 2 analyzer crash/usage;
 * ``lint-policy`` — statically verify policy files in the paper's
   syntax: unreachable branches, contradictory conditions, non-exhaustive
   chains, always-DENY subtrees;
 * ``chaos`` — run the seeded single-fault chaos matrix against fresh
   testbeds and report invariant violations (capacity leaks, stuck
   reservations, unreleased channels); exits nonzero on any violation;
-  ``--witness`` additionally records real lock acquisition orders and
-  cross-checks them against the static lock-order graph; ``--record``
-  samples campaign telemetry per trial into an append-only ``.tsrec``
-  and steps the chaos alert profile over it (``--fail-on-critical``
-  gates on zero CRITICAL firings);
+  ``--record`` samples campaign telemetry per trial into an append-only
+  ``.tsrec`` and steps the chaos alert profile over it
+  (``--fail-on-critical`` gates on zero CRITICAL firings);
 * ``top`` — the fleet health dashboard: per-broker health badges,
   utilization sparklines, admission/denial rates, backlog, and the
   alert table; live over a fresh workload, or ``--replay FILE.tsrec``
@@ -66,11 +60,8 @@ Examples::
     python -m repro trace --domains A,B,C,D --critical-path
     python -m repro slo --runs 20 --spec objectives.json
     python -m repro lint --format json
-    python -m repro lint --concurrency
-    python -m repro lockgraph --dot
     python -m repro lint-policy examples/policies/*.policy
     python -m repro chaos --seed 7 --trials 200
-    python -m repro chaos --seed 7 --trials 50 --witness
     python -m repro chaos --seed 7 --trials 50 --record chaos.tsrec
     python -m repro attack --persona flood --defenses off --record f.tsrec
     python -m repro top --replay f.tsrec --expect-firing
@@ -247,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the repo's AST lint rules; nonzero exit on findings",
         description="Run the repo's AST lint rules. Exit codes: "
                     "0 = clean, 1 = findings, 2 = analyzer crash or "
-                    "bad usage (unknown rule, unreadable baseline).",
+                    "bad usage (unknown rule).",
     )
     lint.add_argument("paths", nargs="*",
                       help="files/directories to lint (default: the "
@@ -263,31 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "after --select)")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalog and exit")
-    lint.add_argument("--concurrency", action="store_true",
-                      help="run the whole-program concurrency pass "
-                           "(REP120 lock-order cycles, REP121 unguarded "
-                           "guarded-state access) instead of the "
-                           "per-file rules")
-    lint.add_argument("--baseline", default=None, metavar="PATH",
-                      help="with --concurrency: baseline file of "
-                           "accepted findings (default: the committed "
-                           "src/repro/analysis/concurrency/baseline.json)")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="with --concurrency: accept all current "
-                           "findings into the baseline file and exit 0")
-
-    lockgraph = sub.add_parser(
-        "lockgraph",
-        help="print the whole-program lock-order graph "
-             "(informational; exit 2 only on analyzer crash)",
-    )
-    lockgraph.add_argument("paths", nargs="*",
-                           help="files/directories to analyze (default: "
-                                "the installed repro package)")
-    lockgraph.add_argument("--dot", action="store_true",
-                           help="emit Graphviz DOT (cycle edges in red)")
-    lockgraph.add_argument("--json", action="store_true",
-                           help="emit the graph as JSON")
 
     lint_policy = sub.add_parser(
         "lint-policy",
@@ -325,11 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--save-ledger", default=None, metavar="PATH",
                        help="with --audit: write the campaign ledger JSON "
                             "here (for repro audit --ledger)")
-    chaos.add_argument("--witness", action="store_true",
-                       help="record real lock acquisition orders during "
-                            "the campaign and cross-check them against "
-                            "the static lock-order graph (inconsistency "
-                            "fails the run)")
     chaos.add_argument("--record", default=None, metavar="FILE.tsrec",
                        help="flight-record campaign telemetry (one frame "
                             "per trial) and step the chaos alert profile "
@@ -883,14 +844,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     paths = [Path(p) for p in args.paths] or None
-
-    if args.concurrency:
-        return _lint_concurrency(args, paths)
-    if args.baseline or args.write_baseline:
-        print("error: --baseline/--write-baseline need --concurrency",
-              file=sys.stderr)
-        return 2
-
     selected = set(args.select) or set(registry)
     selected -= set(args.ignore)
     rules = [registry[r] for r in sorted(selected)]
@@ -901,82 +854,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         return 2
     print(render_findings(findings, output_format=args.format))
     return 1 if findings else 0
-
-
-def _lint_concurrency(args: argparse.Namespace, paths) -> int:
-    from pathlib import Path
-
-    from repro.analysis import render_findings
-    from repro.analysis.concurrency import (
-        CONCURRENCY_RULE_IDS,
-        analyze_paths,
-    )
-    from repro.analysis.concurrency.guarded import (
-        Baseline,
-        default_baseline_path,
-    )
-    from repro.errors import AnalysisError
-
-    rules = [
-        r for r in CONCURRENCY_RULE_IDS
-        if (not args.select or r in args.select) and r not in args.ignore
-    ]
-    baseline_path = (
-        Path(args.baseline) if args.baseline else default_baseline_path()
-    )
-    try:
-        report = analyze_paths(
-            paths, baseline_path=baseline_path, rules=rules
-        )
-    except (AnalysisError, SyntaxError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.write_baseline:
-        baseline = Baseline({
-            "REP120": report.cycle_keys,
-            "REP121": report.rep121_fingerprints,
-        })
-        try:
-            baseline.save(baseline_path)
-        except OSError as exc:
-            print(f"error: {baseline_path}: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {baseline_path} ({len(report.cycle_keys)} cycle(s), "
-              f"{len(report.rep121_fingerprints)} access(es))")
-        return 0
-    print(render_findings(report.findings, output_format=args.format))
-    if args.format == "human":
-        extras = []
-        if report.suppressed:
-            extras.append(f"{report.suppressed} noqa-suppressed")
-        if report.baselined:
-            extras.append(f"{report.baselined} baselined")
-        tail = f" ({', '.join(extras)})" if extras else ""
-        print(report.graph.summary().splitlines()[0] + tail,
-              file=sys.stderr)
-    return 1 if report.findings else 0
-
-
-def cmd_lockgraph(args: argparse.Namespace) -> int:
-    import json as json_mod
-    from pathlib import Path
-
-    from repro.analysis.concurrency import analyze_paths
-    from repro.errors import AnalysisError
-
-    paths = [Path(p) for p in args.paths] or None
-    try:
-        report = analyze_paths(paths, rules=())
-    except (AnalysisError, SyntaxError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.dot:
-        print(report.graph.to_dot())
-    elif args.json:
-        print(json_mod.dumps(report.graph.to_json(), indent=2))
-    else:
-        print(report.graph.summary())
-    return 0
 
 
 def cmd_lint_policy(args: argparse.Namespace) -> int:
@@ -1079,11 +956,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         recorder = _open_recorder(args.record)
         if recorder is None:
             return 2
-    witness = None
-    if args.witness:
-        from repro.analysis.concurrency.witness import LockWitness
-
-        witness = LockWitness().install()
     try:
         report = run_chaos(
             seed=args.seed,
@@ -1096,20 +968,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             recorder=recorder,
         )
     finally:
-        if witness is not None:
-            witness.uninstall()
         if recorder is not None:
             recorder.writer.close()
-    if witness is not None:
-        from repro.analysis.concurrency import analyze_paths
-
-        static = analyze_paths(rules=())
-        problems = witness.check_against(static.graph)
-        print(witness.summary())
-        for problem in problems:
-            print(f"witness: {problem}", file=sys.stderr)
-        if problems:
-            return 1
     if args.show_trials:
         for trial in report.trials:
             verdict = "granted" if trial.granted else "denied "
@@ -1542,8 +1402,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_slo(args)
         if args.command == "lint":
             return cmd_lint(args)
-        if args.command == "lockgraph":
-            return cmd_lockgraph(args)
         if args.command == "lint-policy":
             return cmd_lint_policy(args)
         if args.command == "chaos":

@@ -25,7 +25,6 @@ Endpoints are duck-typed: anything with ``dn``, ``certificate`` and
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.crypto.dn import DistinguishedName
@@ -86,16 +85,10 @@ class SecureChannel:
         self.bytes = 0
         #: Messages lost on the wire (tamper hooks or injected faults).
         self.drops = 0
-        #: Extra one-way delay the most recent delivery suffered from an
-        #: injected DELAY fault; senders compare it to their hop timeout.
-        self.last_delay_s = 0.0
         #: Optional message transformer simulating an on-path attacker.
         self.tamper_hook: Callable[[Any], Any] | None = None
         #: Optional deterministic fault injector (set registry-wide).
         self.injector: FaultInjector | None = None
-        # Guards the accounting counters: two concurrent senders of the
-        # same link must not tear messages/bytes read-modify-writes.
-        self._lock = threading.Lock()
 
     @property
     def endpoints(self) -> tuple[DistinguishedName, ...]:
@@ -125,22 +118,16 @@ class SecureChannel:
     def transmit_timed(
         self, sender: DistinguishedName, message: Any
     ) -> tuple[Any, float]:
-        """:meth:`transmit`, also returning the injected extra delay of
-        *this* delivery.
-
-        The returned delay is the race-free way to read it: with two
-        concurrent senders on one link, ``last_delay_s`` may already
-        belong to the other sender's delivery by the time it is read.
-        """
+        """:meth:`transmit`, also returning the extra one-way delay this
+        delivery suffered from an injected DELAY fault; senders compare
+        it to their hop timeout."""
         if sender not in self._ends:
             raise ChannelError(f"{sender} is not an endpoint of this channel")
         delay_s = 0.0
         if self.tamper_hook is not None:
             message = self.tamper_hook(message)
             if message is None:
-                with self._lock:
-                    self.drops += 1
-                    self.last_delay_s = delay_s
+                self.drops += 1
                 raise MessageDroppedError(
                     f"message from {sender} dropped on link {self.link} "
                     "by the tamper hook"
@@ -151,28 +138,17 @@ class SecureChannel:
                     self.link, message
                 )
             except MessageDroppedError:
-                with self._lock:
-                    self.drops += 1
-                    self.last_delay_s = delay_s
+                self.drops += 1
                 raise
         size = getattr(message, "wire_size", None)
-        with self._lock:
-            self.messages += 1
-            self.bytes += size() if callable(size) else 0
-            self.last_delay_s = delay_s
+        self.messages += 1
+        self.bytes += size() if callable(size) else 0
         return message, delay_s
 
-    def counter_snapshot(self) -> tuple[int, int, int]:
-        """A consistent ``(messages, bytes, drops)`` snapshot."""
-        with self._lock:
-            return self.messages, self.bytes, self.drops
-
     def reset_counters(self) -> None:
-        with self._lock:
-            self.messages = 0
-            self.bytes = 0
-            self.drops = 0
-            self.last_delay_s = 0.0
+        self.messages = 0
+        self.bytes = 0
+        self.drops = 0
 
 
 class ChannelRegistry:
@@ -183,59 +159,52 @@ class ChannelRegistry:
         #: Registry-wide fault injector; seeded into every channel (also
         #: channels opened after it is set).
         self.injector: FaultInjector | None = None
-        self._lock = threading.RLock()
 
     def set_injector(self, injector: FaultInjector | None) -> None:
         """Attach (or with ``None`` detach) a fault injector to every
         channel, present and future."""
-        with self._lock:
-            self.injector = injector
-            for channel in self._channels.values():
-                channel.injector = injector
+        self.injector = injector
+        for channel in self._channels.values():
+            channel.injector = injector
 
     def add(self, channel: SecureChannel) -> None:
         key = frozenset(channel.endpoints)
-        with self._lock:
-            channel.injector = self.injector
-            self._channels[key] = channel
+        channel.injector = self.injector
+        self._channels[key] = channel
 
     def connect(self, a: Any, b: Any, *, latency_s: float = 0.005,
                 at_time: float = 0.0) -> SecureChannel:
         """Open (or return the existing) channel between *a* and *b*."""
         key = frozenset({a.dn, b.dn})
-        with self._lock:
-            existing = self._channels.get(key)
-            if existing is not None:
-                return existing
-            channel = SecureChannel(a, b, latency_s=latency_s, at_time=at_time)
-            channel.injector = self.injector
-            self._channels[key] = channel
-            return channel
+        existing = self._channels.get(key)
+        if existing is not None:
+            return existing
+        channel = SecureChannel(a, b, latency_s=latency_s, at_time=at_time)
+        channel.injector = self.injector
+        self._channels[key] = channel
+        return channel
 
     def between(
         self, a: DistinguishedName, b: DistinguishedName
     ) -> SecureChannel:
-        with self._lock:
-            try:
-                return self._channels[frozenset({a, b})]
-            except KeyError:
-                raise ChannelError(
-                    f"no channel between {a} and {b}"
-                ) from None
+        try:
+            return self._channels[frozenset({a, b})]
+        except KeyError:
+            raise ChannelError(
+                f"no channel between {a} and {b}"
+            ) from None
 
     def has(self, a: DistinguishedName, b: DistinguishedName) -> bool:
-        with self._lock:
-            return frozenset({a, b}) in self._channels
+        return frozenset({a, b}) in self._channels
 
     def all(self) -> tuple[SecureChannel, ...]:
-        with self._lock:
-            return tuple(self._channels.values())
+        return tuple(self._channels.values())
 
     def total_messages(self) -> int:
-        return sum(c.counter_snapshot()[0] for c in self.all())
+        return sum(c.messages for c in self.all())
 
     def total_bytes(self) -> int:
-        return sum(c.counter_snapshot()[1] for c in self.all())
+        return sum(c.bytes for c in self.all())
 
     def reset_counters(self) -> None:
         for c in self.all():

@@ -51,7 +51,6 @@ these along the actual message trajectory.
 from __future__ import annotations
 
 import logging
-import threading
 import random
 import zlib
 from dataclasses import dataclass, field, replace
@@ -391,7 +390,6 @@ class HopByHopProtocol:
         #: One circuit breaker per channel link, persisting across
         #: requests so a proven-dead link fails fast.
         self._breakers: dict[str, CircuitBreaker] = {}
-        self._breakers_lock = threading.Lock()
         #: Signature-verification walks performed by :meth:`process_ingress`
         #: (the replay-guard acceptance test asserts replayed envelopes
         #: never move this counter).
@@ -406,22 +404,20 @@ class HopByHopProtocol:
             raise SignallingError(f"no bandwidth broker for domain {domain!r}") from None
 
     def _breaker_for(self, link: str) -> CircuitBreaker:
-        with self._breakers_lock:
-            breaker = self._breakers.get(link)
-            if breaker is None:
-                breaker = CircuitBreaker(link, self.breaker_policy)
-                self._breakers[link] = breaker
-            return breaker
+        breaker = self._breakers.get(link)
+        if breaker is None:
+            breaker = CircuitBreaker(link, self.breaker_policy)
+            self._breakers[link] = breaker
+        return breaker
 
     def breaker_snapshot(self) -> dict[str, str]:
         """Current state of every per-link circuit breaker, keyed by
         the canonical ``a|b`` link label — the telemetry probe's view
         (the flight recorder samples it each frame)."""
-        with self._breakers_lock:
-            return {
-                link: breaker.state
-                for link, breaker in sorted(self._breakers.items())
-            }
+        return {
+            link: breaker.state
+            for link, breaker in sorted(self._breakers.items())
+        }
 
     def _back_off(
         self, att: _Attempt, attempt: int, *, what: str, target: str,
@@ -644,8 +640,8 @@ class HopByHopProtocol:
         nest it.
         """
         correlation_id = obs_spans.mint_correlation_id()
-        # Worker threads are reused across requests: start the audit
-        # pending-check buffer from a clean slate for this one.
+        # An earlier request may have left check notes undrained: start
+        # the audit pending-check buffer from a clean slate for this one.
         obs_audit.discard_pending()
         tracer = obs_spans.get_tracer()
         root = None
@@ -1401,7 +1397,7 @@ class HopByHopProtocol:
             reason, code = refusal.reason, refusal.code
         else:
             # Accepted: no record drains the check notes, and they must
-            # not attach to this thread's next denial.
+            # not attach to the next denial.
             obs_audit.discard_pending()
         if work_units == WORK_VERIFY:
             self.ingress_verifications += 1

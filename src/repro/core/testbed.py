@@ -32,7 +32,6 @@ from repro.bb.reservations import Reservation, ReservationRequest
 from repro.bb.sla import SLA, SLS
 from repro.core.agent import UserAgent
 from repro.core.channel import ChannelRegistry
-from repro.core.concurrent import ConcurrentSignaller
 from repro.core.hopbyhop import HopByHopProtocol, SignallingOutcome
 from repro.core.sourcedomain import EndToEndAgent
 from repro.core.stars import ReservationCoordinator
@@ -176,12 +175,6 @@ class Testbed:
         )
         self.tunnels = TunnelService(self.hop_by_hop, self.channels)
         self._coordinators: dict[str, ReservationCoordinator] = {}
-
-    def concurrent_signaller(self, concurrency: int = 4) -> ConcurrentSignaller:
-        """A concurrent engine over this testbed's hop-by-hop protocol
-        (brokers, channels and tables are lock-safe; see
-        docs/CONCURRENCY.md for the ordering guarantees)."""
-        return ConcurrentSignaller(self.hop_by_hop, concurrency=concurrency)
 
     # -- construction ------------------------------------------------------------
 

@@ -24,7 +24,6 @@ in :attr:`triggered` and emitted as a ``FAULT`` event plus a
 from __future__ import annotations
 
 import logging
-import threading
 from typing import Any
 
 from repro.errors import (
@@ -58,17 +57,13 @@ class FaultInjector:
         self._op_counts: dict[tuple[TargetKind, str], int] = {}
         #: Every fault actually delivered, as ``(spec, op_index)``.
         self.triggered: list[tuple[FaultSpec, int]] = []
-        # Concurrent signalling workers share one injector; the op
-        # counters are read-modify-write, so they take a lock.
-        self._lock = threading.Lock()
 
     # -- bookkeeping -------------------------------------------------------------
 
     def _next_op(self, target_kind: TargetKind, target: str) -> int:
         key = (target_kind, target)
-        with self._lock:
-            op = self._op_counts.get(key, 0)
-            self._op_counts[key] = op + 1
+        op = self._op_counts.get(key, 0)
+        self._op_counts[key] = op + 1
         return op
 
     def _active(
@@ -80,8 +75,7 @@ class FaultInjector:
         )
 
     def _record(self, spec: FaultSpec, op: int) -> None:
-        with self._lock:
-            self.triggered.append((spec, op))
+        self.triggered.append((spec, op))
         logger.info("fault injected: %s (op %d)", spec.describe(), op)
         decisions.record(
             "fault", reason=spec.describe(), target=spec.target, op=op,
@@ -90,8 +84,7 @@ class FaultInjector:
 
     def op_count(self, target_kind: TargetKind, target: str) -> int:
         """Operations seen so far against one target (test hook)."""
-        with self._lock:
-            return self._op_counts.get((target_kind, target), 0)
+        return self._op_counts.get((target_kind, target), 0)
 
     # -- injection points --------------------------------------------------------
 

@@ -3,7 +3,7 @@
 Three pillars, each individually switchable and all off by default:
 
 * :mod:`repro.obs.metrics` — counters, gauges, fixed-bucket histograms
-  in a thread-safe registry, exported by :mod:`repro.obs.export` as
+  in a registry, exported by :mod:`repro.obs.export` as
   Prometheus text or JSON;
 * :mod:`repro.obs.spans` — span-based tracing with a per-request
   correlation ID minted when the user agent signs ``RAR_U``; the span

@@ -1,4 +1,4 @@
-"""The append-only, thread-safe DecisionRecord ledger.
+"""The append-only DecisionRecord ledger.
 
 Two layers cooperate to build one record:
 
@@ -6,14 +6,13 @@ Two layers cooperate to build one record:
   (:mod:`repro.core.trust`, :mod:`repro.crypto.capability`, the policy
   server) calls :func:`note_check` / :func:`note_retry` /
   :func:`note_recovery` as it works.  The notes accumulate in a
-  :mod:`contextvars` buffer, so concurrent requests on worker threads
-  never cross-contaminate, and no call signature in the protocol stack
+  :mod:`contextvars` buffer, so no call signature in the protocol stack
   had to grow a "ledger" argument.
 * **Record finalisation** — the decision points state the decision to
   :func:`repro.obs.decisions.record`, whose :meth:`DecisionLedger.record`
   call drains the pending buffer into an immutable
-  :class:`DecisionRecord` and appends it under the ledger lock with a
-  monotonically increasing sequence number.
+  :class:`DecisionRecord` and appends it with a monotonically
+  increasing sequence number.
 
 Everything no-ops when no ledger is installed: ``note_check`` costs one
 ``None`` check, and the buffer is only ever created while a ledger is
@@ -26,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import enum
 import json
-import threading
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Iterator
@@ -216,7 +214,7 @@ class DecisionRecord:
 
 
 class DecisionLedger:
-    """Append-only, thread-safe store of :class:`DecisionRecord`.
+    """Append-only store of :class:`DecisionRecord`.
 
     Unlike the event log there is **no eviction**: reconciliation is only
     sound over a complete history, so the ledger holds every record for
@@ -224,7 +222,6 @@ class DecisionLedger:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
         self._records: list[DecisionRecord] = []
 
     def record(
@@ -255,44 +252,42 @@ class DecisionLedger:
             correlation_id = obs_events.current_correlation_id() or ""
         pending = _drain_pending()
         record_checks = (*pending.checks, *checks)
-        with self._lock:
-            entry = DecisionRecord(
-                seq=len(self._records),
-                kind=RecordKind(kind),
-                at_time=at_time,
-                domain=domain,
-                handle=handle,
-                user=user,
-                correlation_id=correlation_id,
-                granted=granted,
-                reason=reason,
-                reason_code=reason_code,
-                rate_mbps=rate_mbps,
-                window=window,
-                upstream=upstream,
-                downstream=downstream,
-                matched_rule=matched_rule,
-                rules_fired=rules_fired,
-                checks=record_checks,
-                retries=pending.retries,
-                breaker_state=pending.breaker_state,
-                deadline_remaining_s=pending.deadline_remaining_s,
-                attributes=tuple(
-                    sorted((k, str(v)) for k, v in attributes.items())
-                ),
-            )
-            self._records.append(entry)
+        entry = DecisionRecord(
+            seq=len(self._records),
+            kind=RecordKind(kind),
+            at_time=at_time,
+            domain=domain,
+            handle=handle,
+            user=user,
+            correlation_id=correlation_id,
+            granted=granted,
+            reason=reason,
+            reason_code=reason_code,
+            rate_mbps=rate_mbps,
+            window=window,
+            upstream=upstream,
+            downstream=downstream,
+            matched_rule=matched_rule,
+            rules_fired=rules_fired,
+            checks=record_checks,
+            retries=pending.retries,
+            breaker_state=pending.breaker_state,
+            deadline_remaining_s=pending.deadline_remaining_s,
+            attributes=tuple(
+                sorted((k, str(v)) for k, v in attributes.items())
+            ),
+        )
+        self._records.append(entry)
         return entry
 
     def append(self, record: DecisionRecord) -> DecisionRecord:
         """Append a pre-built record (ledger import), re-sequencing it."""
-        with self._lock:
-            entry = DecisionRecord(**{
-                **{f: getattr(record, f)
-                   for f in record.__dataclass_fields__},
-                "seq": len(self._records),
-            })
-            self._records.append(entry)
+        entry = DecisionRecord(**{
+            **{f: getattr(record, f)
+               for f in record.__dataclass_fields__},
+            "seq": len(self._records),
+        })
+        self._records.append(entry)
         return entry
 
     def records(
@@ -304,8 +299,7 @@ class DecisionLedger:
         handle: str | None = None,
         user: str | None = None,
     ) -> tuple[DecisionRecord, ...]:
-        with self._lock:
-            snapshot = tuple(self._records)
+        snapshot = tuple(self._records)
         return tuple(
             r for r in snapshot
             if (kind is None or r.kind is kind)
@@ -316,18 +310,15 @@ class DecisionLedger:
         )
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        return len(self._records)
 
     def __iter__(self) -> Iterator[DecisionRecord]:
-        with self._lock:
-            return iter(tuple(self._records))
+        return iter(tuple(self._records))
 
     # -- persistence -------------------------------------------------------------
 
     def to_json(self, *, indent: int | None = 2) -> str:
-        with self._lock:
-            snapshot = tuple(self._records)
+        snapshot = tuple(self._records)
         return json.dumps(
             {"records": [r.to_dict() for r in snapshot]}, indent=indent
         )
@@ -342,7 +333,7 @@ class DecisionLedger:
 
 
 # ---------------------------------------------------------------------------
-# Pending-check buffer (contextvar: per-thread / per-task isolation)
+# Pending-check buffer (contextvar)
 # ---------------------------------------------------------------------------
 
 
@@ -380,7 +371,7 @@ def _drain_pending() -> _Pending:
 def discard_pending() -> None:
     """Drop any notes left over from an earlier request on this context
     (the signalling engine calls this at the top of every operation, so
-    reused worker threads start from a clean buffer)."""
+    each request starts from a clean buffer)."""
     _pending.set(None)
 
 

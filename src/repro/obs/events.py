@@ -9,8 +9,8 @@ The correlation ID travels implicitly: the signalling engine scopes it
 with :func:`correlation_scope`, and deeper layers (the broker's audit
 hook, the trust verifier) pick it up via :func:`current_correlation_id`
 without threading an argument through every call signature.  The scope
-uses :mod:`contextvars`, so concurrent requests on different threads (or
-tasks) never cross-tag each other's events.
+uses :mod:`contextvars`, so leaving a nested scope restores the outer
+request's id.
 
 Disabled by default; free when off (the usual ``None`` check).
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import enum
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from contextvars import ContextVar
@@ -188,14 +187,13 @@ class Event:
 
 
 class EventLog:
-    """Bounded, thread-safe, append-only event store.
+    """Bounded, append-only event store.
 
     *max_events* bounds memory on long scenario runs; the oldest records
     are evicted first (operators wanting full retention can raise it).
     """
 
     def __init__(self, max_events: int = 100_000):
-        self._lock = threading.RLock()
         self._events: deque[Event] = deque(maxlen=max_events)
         self.emitted = 0  # total ever emitted, survives eviction
 
@@ -228,9 +226,8 @@ class EventLog:
                          else reason_code),
             attributes=tuple(sorted((k, str(v)) for k, v in attributes.items())),
         )
-        with self._lock:
-            self._events.append(event)
-            self.emitted += 1
+        self._events.append(event)
+        self.emitted += 1
         return event
 
     def events(
@@ -240,8 +237,7 @@ class EventLog:
         domain: str | None = None,
         correlation_id: str | None = None,
     ) -> tuple[Event, ...]:
-        with self._lock:
-            snapshot = tuple(self._events)
+        snapshot = tuple(self._events)
         return tuple(
             e for e in snapshot
             if (kind is None or e.kind is kind)
@@ -250,17 +246,14 @@ class EventLog:
         )
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
+        return len(self._events)
 
     def __iter__(self) -> Iterator[Event]:
-        with self._lock:
-            return iter(tuple(self._events))
+        return iter(tuple(self._events))
 
     def reset(self) -> None:
-        with self._lock:
-            self._events.clear()
-            self.emitted = 0
+        self._events.clear()
+        self.emitted = 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,8 @@ Every instrument supports label dimensions given as keyword arguments
 (``counter.inc(domain="A", granted="true")``); each distinct label set is
 an independent series, Prometheus-style.
 
-Design constraints (ISSUE 1): zero third-party dependencies, thread-safe
-(one registry lock shared by its instruments — operations are tiny
-dictionary updates, so a single lock is cheaper than per-series locks),
-and free when disabled — instrumented code asks :func:`get_registry`
+Design constraints: zero third-party dependencies, and free when
+disabled — instrumented code asks :func:`get_registry`
 first, and a ``None`` check is the entire disabled-path cost.
 
 Usage::
@@ -31,7 +29,6 @@ Usage::
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import AbstractContextManager
 from typing import Iterator, Mapping, Sequence
@@ -95,14 +92,13 @@ def interpolate_quantile(
 
 
 class _Instrument:
-    """Shared plumbing: name, help text, and the registry's lock."""
+    """Shared plumbing: name and help text."""
 
     kind = "untyped"
 
-    def __init__(self, name: str, help: str, lock: threading.RLock):
+    def __init__(self, name: str, help: str):
         self.name = name
         self.help = help
-        self._lock = lock
 
 
 class Counter(_Instrument):
@@ -110,8 +106,8 @@ class Counter(_Instrument):
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str, lock: threading.RLock):
-        super().__init__(name, help, lock)
+    def __init__(self, name: str, help: str):
+        super().__init__(name, help)
         self._series: dict[LabelKey, float] = {}
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
@@ -120,21 +116,17 @@ class Counter(_Instrument):
                 f"counter {self.name!r} cannot decrease (inc by {amount})"
             )
         key = _label_key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
+        self._series[key] = self._series.get(key, 0.0) + amount
 
     def value(self, **labels: object) -> float:
-        with self._lock:
-            return self._series.get(_label_key(labels), 0.0)
+        return self._series.get(_label_key(labels), 0.0)
 
     def total(self) -> float:
         """Sum over every label set."""
-        with self._lock:
-            return sum(self._series.values())
+        return sum(self._series.values())
 
     def series(self) -> dict[LabelKey, float]:
-        with self._lock:
-            return dict(self._series)
+        return dict(self._series)
 
 
 class Gauge(_Instrument):
@@ -142,29 +134,25 @@ class Gauge(_Instrument):
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str, lock: threading.RLock):
-        super().__init__(name, help, lock)
+    def __init__(self, name: str, help: str):
+        super().__init__(name, help)
         self._series: dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: object) -> None:
-        with self._lock:
-            self._series[_label_key(labels)] = float(value)
+        self._series[_label_key(labels)] = float(value)
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         key = _label_key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
+        self._series[key] = self._series.get(key, 0.0) + amount
 
     def dec(self, amount: float = 1.0, **labels: object) -> None:
         self.inc(-amount, **labels)
 
     def value(self, **labels: object) -> float:
-        with self._lock:
-            return self._series.get(_label_key(labels), 0.0)
+        return self._series.get(_label_key(labels), 0.0)
 
     def series(self) -> dict[LabelKey, float]:
-        with self._lock:
-            return dict(self._series)
+        return dict(self._series)
 
 
 class _HistogramSeries:
@@ -188,10 +176,9 @@ class Histogram(_Instrument):
         self,
         name: str,
         help: str,
-        lock: threading.RLock,
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
     ):
-        super().__init__(name, help, lock)
+        super().__init__(name, help)
         bounds = tuple(sorted(float(b) for b in buckets))
         if not bounds:
             raise ObservabilityError(f"histogram {self.name!r} needs at least one bucket")
@@ -202,64 +189,58 @@ class Histogram(_Instrument):
 
     def observe(self, value: float, **labels: object) -> None:
         key = _label_key(labels)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = _HistogramSeries(len(self.buckets))
-            series.sum += value
-            series.count += 1
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    series.bucket_counts[i] += 1
-                    break
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = _HistogramSeries(len(self.buckets))
+        series.sum += value
+        series.count += 1
+        for i, bound in enumerate(self.buckets):
+            if value <= bound:
+                series.bucket_counts[i] += 1
+                break
 
     def cumulative_buckets(self, **labels: object) -> list[tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` per finite bucket; the
         ``+Inf`` bucket equals :meth:`count`."""
-        with self._lock:
-            series = self._series.get(_label_key(labels))
-            if series is None:
-                return [(b, 0) for b in self.buckets]
-            out, running = [], 0
-            for bound, n in zip(self.buckets, series.bucket_counts):
-                running += n
-                out.append((bound, running))
-            return out
+        series = self._series.get(_label_key(labels))
+        if series is None:
+            return [(b, 0) for b in self.buckets]
+        out, running = [], 0
+        for bound, n in zip(self.buckets, series.bucket_counts):
+            running += n
+            out.append((bound, running))
+        return out
 
     def quantile(self, q: float, **labels: object) -> float:
         """Estimate the *q*-quantile (``0 <= q <= 1``) of one series via
         :func:`interpolate_quantile`.  An absent series estimates
         ``0.0``; a quantile falling in the implicit ``+Inf`` bucket
         clamps to the largest finite bound."""
-        with self._lock:
-            series = self._series.get(_label_key(labels))
-            counts = (
-                [0] * len(self.buckets)
-                if series is None
-                else list(series.bucket_counts)
-            )
+        series = self._series.get(_label_key(labels))
+        counts = (
+            [0] * len(self.buckets)
+            if series is None
+            else list(series.bucket_counts)
+        )
         return interpolate_quantile(self.buckets, counts, q)
 
     def aggregate_quantile(self, q: float) -> float:
         """The *q*-quantile over ALL label sets of this histogram merged
         into one distribution (sound: every series shares the bucket
         bounds)."""
-        with self._lock:
-            summed = [0] * len(self.buckets)
-            for series in self._series.values():
-                for i, n in enumerate(series.bucket_counts):
-                    summed[i] += n
+        summed = [0] * len(self.buckets)
+        for series in self._series.values():
+            for i, n in enumerate(series.bucket_counts):
+                summed[i] += n
         return interpolate_quantile(self.buckets, summed, q)
 
     def count(self, **labels: object) -> int:
-        with self._lock:
-            series = self._series.get(_label_key(labels))
-            return 0 if series is None else series.count
+        series = self._series.get(_label_key(labels))
+        return 0 if series is None else series.count
 
     def sum(self, **labels: object) -> float:
-        with self._lock:
-            series = self._series.get(_label_key(labels))
-            return 0.0 if series is None else series.sum
+        series = self._series.get(_label_key(labels))
+        return 0.0 if series is None else series.sum
 
     def time(self, **labels: object) -> _HistogramTimer:
         """Context manager observing the block's wall-clock duration
@@ -270,8 +251,7 @@ class Histogram(_Instrument):
         return _HistogramTimer(self, labels)
 
     def series(self) -> dict[LabelKey, _HistogramSeries]:
-        with self._lock:
-            return dict(self._series)
+        return dict(self._series)
 
 
 class _HistogramTimer:
@@ -306,22 +286,20 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
         self._metrics: dict[str, _Instrument] = {}
 
     def _get_or_create(self, cls, name: str, help: str, **kwargs) -> _Instrument:
-        with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if not isinstance(existing, cls):
-                    raise ObservabilityError(
-                        f"metric {name!r} already registered as "
-                        f"{existing.kind}, not {cls.kind}"
-                    )
-                return existing
-            instrument = cls(name, help, self._lock, **kwargs)
-            self._metrics[name] = instrument
-            return instrument
+        existing = self._metrics.get(name)
+        if existing is not None:
+            if not isinstance(existing, cls):
+                raise ObservabilityError(
+                    f"metric {name!r} already registered as "
+                    f"{existing.kind}, not {cls.kind}"
+                )
+            return existing
+        instrument = cls(name, help, **kwargs)
+        self._metrics[name] = instrument
+        return instrument
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(Counter, name, help)
@@ -338,23 +316,19 @@ class MetricsRegistry:
         return self._get_or_create(Histogram, name, help, buckets=buckets)
 
     def get(self, name: str) -> _Instrument | None:
-        with self._lock:
-            return self._metrics.get(name)
+        return self._metrics.get(name)
 
     def collect(self) -> Iterator[_Instrument]:
         """Instruments in name order (stable export output)."""
-        with self._lock:
-            items = sorted(self._metrics.items())
+        items = sorted(self._metrics.items())
         for _, instrument in items:
             yield instrument
 
     def reset(self) -> None:
-        with self._lock:
-            self._metrics.clear()
+        self._metrics.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._metrics)
+        return len(self._metrics)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ off: call sites ask :func:`get_tracer` and skip everything on ``None``.
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
@@ -103,7 +102,6 @@ class Tracer:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
         self._ids = itertools.count(1)
         self._spans: dict[str, list[Span]] = {}
 
@@ -134,18 +132,13 @@ class Tracer:
                 start_wall if start_wall is not None else time.perf_counter()
             ),
         )
-        with self._lock:
-            self._spans.setdefault(trace_id, []).append(span)
+        self._spans.setdefault(trace_id, []).append(span)
         return span
 
     def end(self, span: Span, *, status: str = "ok", **attributes: object) -> Span:
-        # Span mutation takes the tracer lock: concurrent signalling
-        # workers may end sibling spans while a reader renders the trace,
-        # and an unlocked dict.update would be a torn write.
-        with self._lock:
-            span.end_wall = time.perf_counter()
-            span.status = status
-            span.attributes.update(attributes)
+        span.end_wall = time.perf_counter()
+        span.status = status
+        span.attributes.update(attributes)
         return span
 
     def record(
@@ -161,25 +154,21 @@ class Tracer:
         (a ``time.perf_counter`` reading) and closes now."""
         span = self.begin(name, trace_id=parent.trace_id, parent=parent,
                           **attributes)
-        with self._lock:
-            span.start_wall = start_wall
+        span.start_wall = start_wall
         return self.end(span, status=status)
 
     # -- queries -----------------------------------------------------------------
 
     def traces(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(self._spans)
+        return tuple(self._spans)
 
     def spans_for(self, trace_id: str) -> tuple[Span, ...]:
-        with self._lock:
-            return tuple(self._spans.get(trace_id, ()))
+        return tuple(self._spans.get(trace_id, ()))
 
     def latest_trace(self) -> str | None:
-        with self._lock:
-            if not self._spans:
-                return None
-            return next(reversed(self._spans))
+        if not self._spans:
+            return None
+        return next(reversed(self._spans))
 
     def children_of(self, span: Span) -> tuple[Span, ...]:
         return tuple(
@@ -238,12 +227,10 @@ class Tracer:
         return "\n".join(lines)
 
     def reset(self) -> None:
-        with self._lock:
-            self._spans.clear()
+        self._spans.clear()
 
     def __iter__(self) -> Iterator[Span]:
-        with self._lock:
-            flat = [s for spans in self._spans.values() for s in spans]
+        flat = [s for spans in self._spans.values() for s in spans]
         return iter(flat)
 
 

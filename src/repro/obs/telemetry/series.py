@@ -4,8 +4,8 @@ One :class:`TimeSeries` holds the sampled history of a single metric
 series (one name + one label set) as ``(time, value)`` points in a
 ``deque(maxlen=capacity)`` — the ring-buffer bound that keeps a
 long-running recorder's memory constant no matter how many frames it
-takes.  A :class:`SeriesStore` owns many of them behind one lock and is
-the substrate the alert rules evaluate over.
+takes.  A :class:`SeriesStore` owns many of them and is the substrate
+the alert rules evaluate over.
 
 Counters are stored **raw** (the cumulative totals the registry
 reports); the *derivation* into rates is delta-aware and happens at
@@ -23,7 +23,6 @@ REP113 bans wall-clock and raw monotonic reads in this package.
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -94,9 +93,8 @@ class SeriesKey:
 class TimeSeries:
     """One bounded series of ``(time, value)`` samples.
 
-    Not internally locked — the owning :class:`SeriesStore` serialises
-    access.  Appends must not move time backwards (the simulated clock
-    never does; a recording that did would be corrupt).
+    Appends must not move time backwards (the simulated clock never
+    does; a recording that did would be corrupt).
     """
 
     __slots__ = ("key", "kind", "_points")
@@ -135,19 +133,14 @@ class TimeSeries:
 
 
 class SeriesStore:
-    """A keyed collection of bounded time series behind one lock.
+    """A keyed collection of bounded time series.
 
-    The single lock mirrors :class:`~repro.obs.metrics.MetricsRegistry`:
-    operations are tiny deque appends, so one lock is cheaper than
-    per-series locks, and a whole *frame* (many series sampled at the
-    same instant) can be recorded atomically with :meth:`record_frame`
-    — concurrent readers never see half a frame (the "torn read" the
-    sampler stress test hunts for).
+    A whole *frame* (many series sampled at the same instant) is
+    recorded in one call with :meth:`record_frame`.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         self.capacity = capacity
-        self._lock = threading.RLock()
         self._series: dict[SeriesKey, TimeSeries] = {}
 
     # -- writing -----------------------------------------------------------------
@@ -165,8 +158,7 @@ class SeriesStore:
         kind: str = "gauge", labels: Mapping[str, object] | None = None,
     ) -> None:
         key = SeriesKey.make(name, labels)
-        with self._lock:
-            self._series_for(key, kind).append(t, value)
+        self._series_for(key, kind).append(t, value)
 
     def record_frame(
         self,
@@ -174,23 +166,20 @@ class SeriesStore:
         samples: Mapping[SeriesKey, float],
         kinds: Mapping[SeriesKey, str] | None = None,
     ) -> None:
-        """Append one whole frame atomically (all series at time *t*)."""
+        """Append one whole frame (all series at time *t*)."""
         kinds = kinds or {}
-        with self._lock:
-            for key in sorted(samples):
-                self._series_for(
-                    key, kinds.get(key, "gauge")
-                ).append(t, samples[key])
+        for key in sorted(samples):
+            self._series_for(
+                key, kinds.get(key, "gauge")
+            ).append(t, samples[key])
 
     # -- reading -----------------------------------------------------------------
 
     def keys(self) -> tuple[SeriesKey, ...]:
-        with self._lock:
-            return tuple(sorted(self._series))
+        return tuple(sorted(self._series))
 
     def get(self, key: SeriesKey) -> TimeSeries | None:
-        with self._lock:
-            return self._series.get(key)
+        return self._series.get(key)
 
     def series(self, name: str, labels: Mapping[str, object] | None = None
                ) -> TimeSeries | None:
@@ -200,30 +189,24 @@ class SeriesStore:
         self, name: str, where: Mapping[str, str] | None = None
     ) -> tuple[TimeSeries, ...]:
         """Every series with metric *name* whose labels satisfy *where*."""
-        with self._lock:
-            return tuple(
-                s for k, s in sorted(self._series.items())
-                if k.matches(name, where)
-            )
+        return tuple(
+            s for k, s in sorted(self._series.items())
+            if k.matches(name, where)
+        )
 
     def last_points(
         self, name: str | None = None,
         where: Mapping[str, str] | None = None,
     ) -> dict[SeriesKey, tuple[float, float]]:
-        """Latest ``(t, value)`` per matching series, read atomically
-        under the store lock.  This is the consistent read the sampler
-        stress test relies on: two separate ``.last()`` calls could
-        straddle a writer's in-progress :meth:`record_frame` and see
-        half a frame, which this cannot."""
-        with self._lock:
-            out: dict[SeriesKey, tuple[float, float]] = {}
-            for key, series in sorted(self._series.items()):
-                if name is not None and not key.matches(name, where):
-                    continue
-                last = series.last()
-                if last is not None:
-                    out[key] = last
-            return out
+        """Latest ``(t, value)`` per matching series."""
+        out: dict[SeriesKey, tuple[float, float]] = {}
+        for key, series in sorted(self._series.items()):
+            if name is not None and not key.matches(name, where):
+                continue
+            last = series.last()
+            if last is not None:
+                out[key] = last
+        return out
 
     def last_value(
         self, name: str, where: Mapping[str, str] | None = None,
@@ -306,12 +289,10 @@ class SeriesStore:
         return num / den if den > 0 else 0.0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._series)
+        return len(self._series)
 
     def __iter__(self) -> Iterator[TimeSeries]:
-        with self._lock:
-            items = sorted(self._series.items())
+        items = sorted(self._series.items())
         return iter(tuple(s for _, s in items))
 
 

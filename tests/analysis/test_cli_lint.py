@@ -124,137 +124,6 @@ class TestLintPolicy:
         assert doc["findings"][0]["kind"] == "contradiction"
 
 
-DEADLOCK_MODULE = (
-    "import threading\n"
-    "\n"
-    "\n"
-    "class A:\n"
-    "    def __init__(self):\n"
-    "        self._lock = threading.Lock()\n"
-    "\n"
-    "\n"
-    "class B:\n"
-    "    def __init__(self):\n"
-    "        self._lock = threading.Lock()\n"
-    "\n"
-    "\n"
-    "class System:\n"
-    "    def __init__(self):\n"
-    "        self.a = A()\n"
-    "        self.b = B()\n"
-    "\n"
-    "    def forward(self):\n"
-    "        with self.a._lock:\n"
-    "            with self.b._lock:\n"
-    "                pass\n"
-    "\n"
-    "    def backward(self):\n"
-    "        with self.b._lock:\n"
-    "            with self.a._lock:\n"
-    "                pass\n"
-)
-
-UNGUARDED_MODULE = (
-    "import threading\n"
-    "\n"
-    "\n"
-    "class Counter:\n"
-    "    def __init__(self):\n"
-    "        self._lock = threading.Lock()\n"
-    "        self.count = 0\n"
-    "\n"
-    "    def bump(self):\n"
-    "        with self._lock:\n"
-    "            self.count += 1\n"
-    "\n"
-    "    def unbump(self):\n"
-    "        with self._lock:\n"
-    "            self.count -= 1\n"
-    "\n"
-    "    def sneak(self):\n"
-    "        self.count = 5\n"
-)
-
-
-class TestLintConcurrency:
-    def test_deadlock_fixture_exits_one(self, tmp_path, capsys):
-        target = _in_fake_package(tmp_path, DEADLOCK_MODULE)
-        rc = main(["lint", "--concurrency", str(target)])
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "REP120" in out
-        assert "potential deadlock" in out
-
-    def test_unguarded_fixture_exits_one(self, tmp_path, capsys):
-        target = _in_fake_package(tmp_path, UNGUARDED_MODULE)
-        rc = main(["lint", "--concurrency", str(target)])
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "REP121" in out
-
-    def test_select_narrows_concurrency_rules(self, tmp_path, capsys):
-        target = _in_fake_package(
-            tmp_path, DEADLOCK_MODULE + "\n\n" + UNGUARDED_MODULE
-        )
-        rc = main(["lint", "--concurrency", "--select", "REP121",
-                   str(target)])
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "REP121" in out
-        assert "REP120" not in out
-
-    def test_ignore_drops_concurrency_rule(self, tmp_path, capsys):
-        target = _in_fake_package(tmp_path, UNGUARDED_MODULE)
-        rc = main(["lint", "--concurrency", "--ignore", "REP121",
-                   str(target)])
-        assert rc == 0
-
-    def test_json_format(self, tmp_path, capsys):
-        target = _in_fake_package(tmp_path, DEADLOCK_MODULE)
-        rc = main(["lint", "--concurrency", "--format", "json",
-                   str(target)])
-        doc = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        assert doc["count"] == 1
-        assert doc["findings"][0]["rule"] == "REP120"
-
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        target = _in_fake_package(tmp_path, UNGUARDED_MODULE)
-        baseline = tmp_path / "baseline.json"
-        rc = main(["lint", "--concurrency", "--write-baseline",
-                   "--baseline", str(baseline), str(target)])
-        assert rc == 0
-        assert baseline.exists()
-        capsys.readouterr()
-        rc = main(["lint", "--concurrency", "--baseline", str(baseline),
-                   str(target)])
-        assert rc == 0
-
-    def test_unreadable_baseline_exits_two(self, tmp_path, capsys):
-        target = _in_fake_package(tmp_path, UNGUARDED_MODULE)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text("{not json")
-        rc = main(["lint", "--concurrency", "--baseline", str(baseline),
-                   str(target)])
-        assert rc == 2
-
-    def test_baseline_flag_requires_concurrency(self, tmp_path, capsys):
-        rc = main(["lint", "--write-baseline"])
-        assert rc == 2
-
-    def test_whole_package_is_concurrency_clean(self, capsys):
-        # The merge gate: no unsuppressed cycles, no unbaselined
-        # guarded-state violations in the shipped package.
-        assert main(["lint", "--concurrency"]) == 0
-
-    def test_catalog_lists_concurrency_rules(self, capsys):
-        rc = main(["lint", "--list-rules"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "REP120" in out
-        assert "REP121" in out
-
-
 class TestLintSelectIgnore:
     def test_ignore_drops_rule(self, tmp_path, capsys):
         target = _in_fake_package(
@@ -279,27 +148,3 @@ class TestLintSelectIgnore:
     def test_unknown_ignore_exits_two(self, capsys):
         assert main(["lint", "--ignore", "REP999"]) == 2
 
-
-class TestLockgraphCLI:
-    def test_summary_mentions_broker_lock(self, capsys):
-        rc = main(["lockgraph"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "bb.broker.BandwidthBroker._lock" in out
-        assert "0 cycle(s)" in out
-
-    def test_dot_output(self, tmp_path, capsys):
-        target = _in_fake_package(tmp_path, DEADLOCK_MODULE)
-        rc = main(["lockgraph", "--dot", str(target)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert out.startswith("digraph lockorder")
-        assert "color=red" in out  # the cycle edges are highlighted
-
-    def test_json_output(self, tmp_path, capsys):
-        target = _in_fake_package(tmp_path, DEADLOCK_MODULE)
-        rc = main(["lockgraph", "--json", str(target)])
-        doc = json.loads(capsys.readouterr().out)
-        assert rc == 0
-        assert len(doc["cycles"]) == 1
-        assert any(e["witnesses"] for e in doc["edges"])

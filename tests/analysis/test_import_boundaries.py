@@ -24,6 +24,11 @@ production decoder loop over ``codec._SCHEMA`` instead of spelling the
 four object kinds' field lists out, only the reference half calls
 ``unpack``, and ``WireView.materialize`` re-encodes what it decoded
 exactly once — the encoder is the decoder's specification.
+
+The fifth keeps the library on one thread, by rule: no module under
+``src/repro`` imports ``threading``, ``_thread``, ``concurrent.futures``
+or ``multiprocessing``.  Batch parallelism is a modelled schedule
+(``core/concurrent.py``), so nothing in the library needs a lock.
 """
 
 import ast
@@ -70,6 +75,46 @@ def _reference_uses(tree: ast.AST) -> list[tuple[int, str]]:
     return uses
 
 
+#: Modules that would start a second thread (or process) of control.
+THREAD_MODULES = ("threading", "_thread", "concurrent.futures", "multiprocessing")
+
+
+def _is_thread_module(dotted: str) -> bool:
+    return any(
+        dotted == name or dotted.startswith(f"{name}.")
+        for name in THREAD_MODULES
+    )
+
+
+def _thread_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, dotted name)`` for every import of a thread module, at
+    any nesting depth, including ``from concurrent import futures`` and
+    ``importlib.import_module("threading")``."""
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [node.module] if _is_thread_module(node.module) else [
+                f"{node.module}.{alias.name}" for alias in node.names
+            ]
+        elif (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1]
+            in ("import_module", "__import__")
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+        ):
+            names = [node.args[0].value]
+        else:
+            continue
+        found += [
+            (node.lineno, name) for name in names if _is_thread_module(name)
+        ]
+    return found
+
+
 def test_detector_sees_every_spelling():
     sample = ast.parse(
         "from repro.core.codec import from_wire\n"
@@ -89,6 +134,28 @@ def test_detector_sees_every_spelling():
         (6, "repro.crypto.canonical.decode"),
         (7, "repro.crypto.canonical.decode"),
     ]
+    threads = ast.parse(
+        "import threading\n"
+        "import _thread as t\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from concurrent import futures\n"
+        "def f():\n"
+        "    import multiprocessing.pool\n"
+        "importlib.import_module('threading')\n"
+        "from repro.core.concurrent import run_batch\n"
+        "from repro.core import concurrent\n"
+        "from . import threading\n"
+        "import threadingx, concurrent_tools, multiprocessing\n"
+    )
+    assert sorted(_thread_imports(threads)) == [
+        (1, "threading"),
+        (2, "_thread"),
+        (3, "concurrent.futures"),
+        (4, "concurrent.futures"),
+        (6, "multiprocessing.pool"),
+        (7, "threading"),
+        (11, "multiprocessing"),
+    ]
 
 
 def test_only_codec_touches_the_reference_decoder():
@@ -105,6 +172,20 @@ def test_only_codec_touches_the_reference_decoder():
         "production code reaches the reference decoder (decode received "
         "bytes with WireView.parse(...).materialize()):\n"
         + "\n".join(offenders)
+    )
+
+
+def test_the_library_runs_on_one_thread():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        offenders += [
+            f"{path.relative_to(SRC.parent)}:{line}: {name}"
+            for line, name in _thread_imports(tree)
+        ]
+    assert not offenders, (
+        "one thread, by rule: batch parallelism is the modelled schedule "
+        "in core/concurrent.py, not a thread pool:\n" + "\n".join(offenders)
     )
 
 

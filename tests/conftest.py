@@ -38,15 +38,6 @@ def pytest_addoption(parser):
              "hidden inter-test order dependence; same seed = same order)",
     )
     parser.addoption(
-        "--lock-witness",
-        action="store_true",
-        default=False,
-        help="wrap every lock created during the session in the runtime "
-             "lock witness and fail at the end if the observed "
-             "acquisition orders contradict the static lock-order graph "
-             "(repro lint --concurrency)",
-    )
-    parser.addoption(
         "--full-sweeps",
         action="store_true",
         default=False,
@@ -55,35 +46,6 @@ def pytest_addoption(parser):
              "(tests/differential; tier-1 samples one seeded bit per "
              "byte of those two, ~35 s less)",
     )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _session_lock_witness(request):
-    """Opt-in ThreadSanitizer-lite: ``pytest --lock-witness``.
-
-    Locks created at import time (module globals) predate the patch and
-    are not observed; every broker/registry the tests construct is.
-    """
-    if not request.config.getoption("--lock-witness"):
-        yield None
-        return
-    from repro.analysis.concurrency.witness import LockWitness
-
-    witness = LockWitness().install()
-    try:
-        yield witness
-    finally:
-        witness.uninstall()
-    from repro.analysis.concurrency import analyze_paths
-
-    static = analyze_paths(rules=())
-    problems = witness.check_against(static.graph)
-    print(f"\n{witness.summary()}")
-    if problems:
-        pytest.fail(
-            "lock witness saw acquisition orders the static graph "
-            "does not model:\n  " + "\n  ".join(problems)
-        )
 
 
 def pytest_collection_modifyitems(config, items):

@@ -7,7 +7,7 @@ ingress bytes, and a chaos slice with zero violations.
 """
 
 from repro.core.codec import to_wire
-from repro.core.concurrent import ReservationJob
+from repro.core.concurrent import ReservationJob, run_batch
 from repro.core.messages import (
     F_INNER_DIGEST,
     make_user_rar,
@@ -126,7 +126,7 @@ class TestMisreservationAttack:
 
 
 class TestConcurrentBatch:
-    """A ConcurrentSignaller burst (the batched-crypto consumer)."""
+    """A run_batch burst (the batched-crypto consumer)."""
 
     def test_batch_outcomes_identical(self):
         testbed = build_linear_testbed(["A", "B", "C", "D"])
@@ -144,7 +144,7 @@ class TestConcurrentBatch:
             )
             for i, user in enumerate(users)
         ]
-        result = testbed.concurrent_signaller(concurrency=4).run(jobs)
+        result = run_batch(testbed.hop_by_hop, jobs, concurrency=4)
         assert all(item.error == "" for item in result.scheduled)
         assert all(item.outcome.granted for item in result.scheduled)
 

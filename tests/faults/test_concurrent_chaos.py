@@ -1,15 +1,15 @@
-"""Chaos under concurrency: faults + parallel signalling + invariants.
+"""Chaos under a batch: faults + modelled parallel signalling + invariants.
 
-Extends the chaos harness to the :class:`ConcurrentSignaller`: a batch
-of contended reservations runs on a thread pool while the fault
-injector drops messages, crashes a broker window and makes a policy
-server unavailable.  Afterwards the run must satisfy exactly the
-invariants ``repro chaos`` enforces for the serial engine — every
-failure path released its capacity, no reservation is stuck mid-state,
-and the injector is detached.
+Extends the chaos harness to :func:`~repro.core.concurrent.run_batch`: a
+batch of contended reservations runs while the fault injector drops
+messages, crashes a broker window and makes a policy server
+unavailable.  Afterwards the run must satisfy exactly the invariants
+``repro chaos`` enforces for the serial engine — every failure path
+released its capacity, no reservation is stuck mid-state, and the
+injector is detached.
 """
 
-from repro.core.concurrent import ConcurrentSignaller, ReservationJob
+from repro.core.concurrent import ReservationJob, run_batch
 from repro.core.testbed import build_linear_testbed
 from repro.faults.chaos import _check_invariants
 from repro.faults.injector import FaultInjector
@@ -68,9 +68,9 @@ def run_trial(concurrency):
     injector = FaultInjector(chaos_plan())
     tb.attach_injector(injector)
     try:
-        batch = ConcurrentSignaller(
-            tb.hop_by_hop, concurrency=concurrency
-        ).run(make_jobs(tb, users, 16))
+        batch = run_batch(
+            tb.hop_by_hop, make_jobs(tb, users, 16), concurrency=concurrency
+        )
     finally:
         tb.detach_injector()
     return tb, injector, batch
@@ -94,8 +94,8 @@ def test_concurrent_chaos_trial_keeps_invariants():
 
 
 def test_faulted_jobs_report_errors_not_crashes():
-    """A worker hitting an injected fault records the failure on its own
-    job; the batch itself always completes."""
+    """A job hitting an injected fault records the failure on itself;
+    the batch always completes."""
     tb, injector, batch = run_trial(concurrency=4)
     assert len(batch.scheduled) == 16
     for item in batch.scheduled:
@@ -122,8 +122,8 @@ def test_chaos_identical_serial_when_faults_exhausted():
     tb.sweep_soft_state(tb.sim.now + 10_000.0)
 
     users = {d: tb.users[f"user-{d}"] for d in DOMAINS}
-    followup = ConcurrentSignaller(tb.hop_by_hop, concurrency=4).run(
-        make_jobs(tb, users, 8)
+    followup = run_batch(
+        tb.hop_by_hop, make_jobs(tb, users, 8), concurrency=4
     )
     assert all(s.error == "" for s in followup.scheduled), [
         s.error for s in followup.scheduled
@@ -134,3 +134,27 @@ def test_chaos_identical_serial_when_faults_exhausted():
             tb.hop_by_hop.cancel(item.outcome)
     tb.sweep_soft_state(tb.sim.now + 20_000.0)
     assert _check_invariants(tb) == []
+
+
+def test_unroutable_job_does_not_sink_the_batch():
+    """A job to an unknown domain records its RoutingError and holds no
+    domain in the schedule; the routable job beside it is granted."""
+    tb = build_linear_testbed(["A", "B", "C"])
+    user = tb.add_user("A", "user-A")
+    good = tb.make_request(source="A", destination="C", bandwidth_mbps=10.0)
+    bad = tb.make_request(
+        source="A", destination="Z", bandwidth_mbps=10.0,
+        destination_host="h0.Z",
+    )
+    batch = run_batch(
+        tb.hop_by_hop,
+        [ReservationJob(user=user, request=good),
+         ReservationJob(user=user, request=bad)],
+        concurrency=2,
+    )
+    ok, lost = batch.scheduled
+    assert ok.granted
+    assert lost.outcome is None
+    assert lost.error == "RoutingError: unknown domain 'Z'"
+    assert lost.start_s == lost.end_s
+    assert batch.makespan_s == ok.end_s - ok.start_s

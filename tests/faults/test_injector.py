@@ -154,10 +154,8 @@ class TestChannelIntegration:
             )
         )
         sender = testbed.brokers["A"].dn
-        channel.transmit(sender, "late")
-        assert channel.last_delay_s == 0.4
-        channel.transmit(sender, "on time")
-        assert channel.last_delay_s == 0.0
+        assert channel.transmit_timed(sender, "late") == ("late", 0.4)
+        assert channel.transmit_timed(sender, "on time") == ("on time", 0.0)
 
     def test_attach_detach_covers_all_channels(self, testbed):
         injector = injector_for()

@@ -1,7 +1,5 @@
 """Unit tests for the decision-provenance ledger and chain stitching."""
 
-import threading
-
 from repro.core.testbed import build_linear_testbed
 from repro.obs import audit as obs_audit
 from repro.obs import events as obs_events
@@ -111,34 +109,6 @@ def test_json_roundtrip_preserves_everything():
     )
     clone = obs_audit.DecisionLedger.from_json(led.to_json())
     assert [r.to_dict() for r in clone] == [r.to_dict() for r in led]
-
-
-def test_pending_buffer_is_thread_isolated():
-    failures = []
-    with obs_audit.use_ledger() as led:
-        barrier = threading.Barrier(2)
-
-        def worker(name):
-            try:
-                obs_audit.discard_pending()
-                obs_audit.note_check("certificate", subject=name)
-                barrier.wait(timeout=10)
-                rec = led.record(
-                    obs_audit.RecordKind.ADMIT, domain=name, granted=True,
-                )
-                if [c.subject for c in rec.checks] != [name]:
-                    failures.append((name, rec.checks))
-            except Exception as exc:  # pragma: no cover - diagnostic
-                failures.append((name, exc))
-
-        threads = [
-            threading.Thread(target=worker, args=(n,)) for n in ("t1", "t2")
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    assert not failures
 
 
 def test_four_domain_chain_reconstruction():

@@ -1,7 +1,6 @@
 """Registry semantics: instrument behaviour, globals, and exporters."""
 
 import json
-import threading
 
 import pytest
 
@@ -94,20 +93,6 @@ class TestRegistry:
         registry.counter("zeta")
         registry.gauge("alpha")
         assert [m.name for m in registry.collect()] == ["alpha", "zeta"]
-
-    def test_thread_safety(self, registry):
-        c = registry.counter("contended_total")
-
-        def hammer():
-            for _ in range(1000):
-                c.inc(worker="w")
-
-        threads = [threading.Thread(target=hammer) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert c.value(worker="w") == 4000
 
 
 class TestGlobals:

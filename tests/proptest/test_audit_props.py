@@ -1,16 +1,16 @@
 """Property suite: the decision-provenance ledger is complete.
 
 Hypothesis drives random topologies and reservation batches through the
-hop-by-hop protocol — serially and through the concurrent engine — and
-checks the audit contract: every admitted reservation stitches into a
-complete per-hop chain (one admission per path domain, in travel
-order), and the ledger-internal invariants reconcile clean.
+hop-by-hop protocol — one reservation at a time and as a scheduled
+batch — and checks the audit contract: every admitted reservation
+stitches into a complete per-hop chain (one admission per path domain,
+in travel order), and the ledger-internal invariants reconcile clean.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.concurrent import ConcurrentSignaller, ReservationJob
+from repro.core.concurrent import ReservationJob, run_batch
 from repro.core.testbed import build_linear_testbed
 from repro.obs import audit as obs_audit
 
@@ -18,14 +18,14 @@ RATES = (10.0, 40.0, 60.0, 100.0)
 
 SETTINGS = settings(
     max_examples=200,
-    deadline=None,  # thread scheduling makes per-example timing noisy
+    deadline=None,  # testbed construction time varies per example
     suppress_health_check=[HealthCheck.too_slow],
 )
 
 
 @st.composite
 def worlds(draw):
-    """(domain names, job specs, concurrency) for one example."""
+    """(domain names, job specs) for one example."""
     n_domains = draw(st.integers(min_value=2, max_value=4))
     domains = [f"D{i}" for i in range(n_domains)]
     n_jobs = draw(st.integers(min_value=1, max_value=8))
@@ -40,8 +40,7 @@ def worlds(draw):
         rate = draw(st.sampled_from(RATES))
         start = draw(st.sampled_from((0.0, 1800.0)))
         jobs.append((domains[src], domains[dst], rate, start))
-    concurrency = draw(st.integers(min_value=1, max_value=4))
-    return domains, jobs, concurrency
+    return domains, jobs
 
 
 def build_world(domains, specs):
@@ -89,7 +88,7 @@ def assert_complete_chains(ledger, outcomes):
 def test_serial_chains_complete(world):
     """P1: a serial batch leaves one complete, stitchable chain per
     reservation, and the ledger invariants reconcile clean."""
-    domains, specs, _ = world
+    domains, specs = world
     tb, jobs = build_world(domains, specs)
     with obs_audit.use_ledger() as ledger:
         outcomes = [
@@ -98,17 +97,16 @@ def test_serial_chains_complete(world):
     assert_complete_chains(ledger, outcomes)
 
 
-@given(worlds())
+@given(worlds(), st.integers(min_value=1, max_value=4))
 @SETTINGS
-def test_concurrent_chains_complete(world):
-    """P2: interleaved workers never mix their chains — the contextvar
-    pending-check buffer keeps each reservation's provenance intact."""
-    domains, specs, concurrency = world
+def test_concurrent_chains_complete(world, concurrency):
+    """P2: a batch through ``run_batch`` leaves the same complete chains
+    at any modelled worker count — the schedule never touches the
+    ledger."""
+    domains, specs = world
     tb, jobs = build_world(domains, specs)
     with obs_audit.use_ledger() as ledger:
-        batch = ConcurrentSignaller(
-            tb.hop_by_hop, concurrency=concurrency
-        ).run(jobs)
+        batch = run_batch(tb.hop_by_hop, jobs, concurrency=concurrency)
     outcomes = [
         item.outcome for item in batch.scheduled if item.outcome is not None
     ]
