@@ -555,8 +555,9 @@ _DECISION_CONSTRUCTORS = frozenset({"AdmitOutcome", "make_denial"})
 
 #: Call names that prove the function talks to the provenance recorder:
 #: the one decision writer (``repro.obs.decisions.record`` — by basename,
-#: so a ledger handle's ``.record`` counts too), the broker's ``_audit``
-#: that calls it, or the :mod:`repro.obs.audit` module helpers.
+#: so a ledger handle's ``.record`` counts too) and its
+#: ``record_revocation``, the broker's ``_audit`` that calls it, or the
+#: :mod:`repro.obs.audit` ledger helpers.
 _PROVENANCE_RECORDERS = frozenset(
     {
         "_audit",

@@ -1148,7 +1148,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
         else:
             correlation = args.target
 
-    audit_records = ()
+    records: list[dict] = []
     if args.ledger is not None:
         from repro.obs import audit as obs_audit
 
@@ -1158,7 +1158,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"error: {args.ledger}: {exc}", file=sys.stderr)
             return 2
-        audit_records = ledger.records(None)
+        records = [r.to_dict() for r in ledger]
 
     if args.replay is not None:
         from repro.obs.telemetry import Recording
@@ -1169,8 +1169,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
             print(f"error: {args.replay}: {exc}", file=sys.stderr)
             return 2
         entries = merge_timeline(
-            events=recording.events, alerts=recording.alerts,
-            audit_records=audit_records,
+            records=[*recording.events, *records], alerts=recording.alerts,
             correlation=correlation, window=window,
         )
         scope = correlation or (
@@ -1181,8 +1180,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
 
     if args.ledger is not None:
         entries = merge_timeline(
-            audit_records=audit_records,
-            correlation=correlation, window=window,
+            records=records, correlation=correlation, window=window,
         )
         scope = correlation or (
             f"{window[0]:.1f}..{window[1]:.1f}s" if window else "all")
@@ -1190,29 +1188,26 @@ def cmd_timeline(args: argparse.Namespace) -> int:
             entries, title=f"timeline [{scope}] — {args.ledger}"))
         return 0
 
-    # Live demo: one reservation under all three pillars plus the
-    # decision ledger, stitched into a single timeline.
+    # Live demo: one reservation under all three pillars, its decision
+    # records and spans stitched into a single timeline.
     from repro import obs
-    from repro.obs import audit as obs_audit
 
     domains = [d.strip() for d in args.domains.split(",") if d.strip()]
     if not domains:
         print("error: need at least one domain", file=sys.stderr)
         return 2
     with obs.observed() as (_registry, tracer, event_log):
-        with obs_audit.use_ledger() as ledger:
-            testbed = build_linear_testbed(domains)
-            user = testbed.add_user(domains[0], "Alice")
-            outcome = testbed.reserve(
-                user, source=domains[0], destination=domains[-1],
-                bandwidth_mbps=10.0, duration=3600.0,
-            )
+        testbed = build_linear_testbed(domains)
+        user = testbed.add_user(domains[0], "Alice")
+        outcome = testbed.reserve(
+            user, source=domains[0], destination=domains[-1],
+            bandwidth_mbps=10.0, duration=3600.0,
+        )
     if correlation is None and window is None:
         correlation = outcome.correlation_id
     spans = (tracer.spans_for(correlation) if correlation else ())
     entries = merge_timeline(
-        events=[e.to_dict() for e in event_log.events()],
-        audit_records=ledger.records(None),
+        records=[r.to_dict() for r in event_log],
         spans=spans,
         correlation=correlation, window=window,
     )
@@ -1307,10 +1302,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
             return 2
         kind = None
         if args.kind is not None:
-            try:
-                kind = obs_audit.RecordKind(args.kind.lower())
-            except ValueError:
-                valid = ", ".join(k.value for k in obs_audit.RecordKind)
+            kinds = [k for k in obs_audit.RecordKind
+                     if k in obs_audit.LEDGER_KINDS]
+            kind = next((k for k in kinds if k.value == args.kind.lower()),
+                        None)
+            if kind is None:
+                valid = ", ".join(k.value for k in kinds)
                 print(f"error: unknown record kind {args.kind!r} "
                       f"(one of: {valid})", file=sys.stderr)
                 return 2

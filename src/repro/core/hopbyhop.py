@@ -117,7 +117,7 @@ from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs.audit import ledger as obs_audit
-from repro.obs.events import EventKind, ReasonCode, reason_code_for
+from repro.obs.events import ReasonCode, reason_code_for
 from repro.obs.propagation import (
     TraceContext,
     format_traceparent,
@@ -324,7 +324,6 @@ class _Refused(Exception):
         *,
         signer: BandwidthBroker | None = None,
         segment: tuple[str, obs_spans.Span | None, float] | None = None,
-        event: EventKind = EventKind.DENY,
         work: float = WORK_VERIFY,
     ) -> None:
         super().__init__(reason)
@@ -340,8 +339,6 @@ class _Refused(Exception):
         self.signer = signer
         #: ``(name, parent span, start)`` of the phase that failed.
         self.segment = segment
-        #: ``DENY``, or ``TRUST_FAILURE`` for an unverifiable message.
-        self.event = event
         #: What reaching the refusing stage cost the receiver (``WORK_*``).
         self.work = work
 
@@ -958,7 +955,7 @@ class HopByHopProtocol:
             str(failure) if isinstance(failure, _DELIVERY_FAILURES)
             else f"trust verification failed: {failure}",
             failure, signer=hop.bb, segment=("verify", hop.span, hop.t0),
-            event=EventKind.TRUST_FAILURE, work=work,
+            work=work,
         )
 
     def _gate(self, att: _Attempt, hop: _Hop, received: object) -> None:
@@ -1311,10 +1308,9 @@ class HopByHopProtocol:
 
     def _deny(self, att: _Attempt, refusal: _Refused) -> SignedEnvelope | None:
         """The one place a refusal is written down: the span error
-        segment of the stage that refused, the decision (a ``DENY`` or
-        ``TRUST_FAILURE`` event and a ledger ``DENY`` record, whichever
-        is on) and the signed denial, when a live broker is there to
-        sign it."""
+        segment of the stage that refused, the ``deny`` decision with its
+        reason code and the signed denial, when a live broker is there
+        to sign it."""
         domain, reason, code = refusal.domain, refusal.reason, refusal.code
         logger.info("%s: refused: %s", domain, reason)
         if refusal.segment is not None:
@@ -1324,9 +1320,7 @@ class HopByHopProtocol:
             )
         if code is not None:
             decisions.record(
-                "trust_failure" if refusal.event is EventKind.TRUST_FAILURE
-                else "deny",
-                at_time=att.at_time, domain=domain, user=att.user,
+                "deny", at_time=att.at_time, domain=domain, user=att.user,
                 reason=reason, reason_code=code, rate_mbps=att.rate_mbps,
             )
         signer = refusal.signer

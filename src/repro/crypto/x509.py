@@ -19,7 +19,7 @@ from hashlib import sha256 as hashlib_sha256
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.crypto import canonical
-from repro.obs.audit import ledger as obs_audit
+from repro.obs import decisions
 from repro.crypto.dn import DN, DistinguishedName
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey, get_scheme
 from repro.errors import (
@@ -284,7 +284,7 @@ class CertificateAuthority:
             raise CertificateError(f"serial {serial} was not issued by {self.name}")
         self._revoked.add(serial)
         cert = self._issued[serial]
-        obs_audit.record_revocation(
+        decisions.record_revocation(
             fingerprint=cert.fingerprint,
             subject=str(cert.subject),
             authority=str(self.name),

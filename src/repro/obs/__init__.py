@@ -8,12 +8,14 @@ Three pillars, each individually switchable and all off by default:
 * :mod:`repro.obs.spans` — span-based tracing with a per-request
   correlation ID minted when the user agent signs ``RAR_U``; the span
   tree nests exactly like the signature envelopes;
-* :mod:`repro.obs.events` — a structured log of typed lifecycle records
-  (admit / deny / claim / cancel / release / trust failure).
+* :mod:`repro.obs.events` — the one decision record type
+  (``DecisionRecord``, kinds admit / deny / claim / cancel / release /
+  ...) and the bounded event log that keeps every kind.
 
-A decision is written once: :mod:`repro.obs.decisions` fans it out to
-the counters, the event log and the :mod:`repro.obs.audit` ledger, so
-those views agree by construction.
+A decision is written once: :mod:`repro.obs.decisions` counts it and
+builds one record, which the event log and the :mod:`repro.obs.audit`
+ledger (complete, for the decision kinds) both keep — the same object,
+so those views agree by construction.
 
 Layered on top of the pillars (ISSUE 4):
 

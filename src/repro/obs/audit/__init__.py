@@ -1,9 +1,10 @@
 """repro.obs.audit — the decision-provenance ledger (ISSUE 6).
 
-Metrics say *where time went* and events say *what happened*; the audit
-ledger says **why decisions happened**.  Every admission, denial, claim,
-cancel, expiry, unwind, and fallback at every hop appends one immutable
-:class:`DecisionRecord` carrying the full evaluation provenance:
+Metrics say *where time went* and the event log *what happened*, lately;
+the audit ledger keeps **every decision, and why**.  Every admission,
+denial, claim, cancel, expiry, unwind, fallback, revocation and outcome
+at every hop is one immutable :class:`DecisionRecord` — the same object
+the event log holds — carrying the full evaluation provenance:
 
 * the policy rule ids that fired (:mod:`repro.policy.engine` traces its
   evaluation path and stamps ``matched_rule`` / ``rules_fired``);
@@ -27,10 +28,8 @@ check when off, scoped installation via :class:`use_ledger`.
 from __future__ import annotations
 
 from repro.obs.audit.ledger import (
-    CheckRecord,
+    LEDGER_KINDS,
     DecisionLedger,
-    DecisionRecord,
-    RecordKind,
     disable,
     discard_pending,
     enable,
@@ -39,9 +38,9 @@ from repro.obs.audit.ledger import (
     note_recovery,
     note_retry,
     record_decision,
-    record_revocation,
     use_ledger,
 )
+from repro.obs.events import CheckRecord, DecisionRecord, RecordKind
 from repro.obs.audit.explain import (
     DecisionChain,
     chain_to_dict,
@@ -63,6 +62,7 @@ __all__ = [
     "DecisionRecord",
     "DecisionLedger",
     "RecordKind",
+    "LEDGER_KINDS",
     "enable",
     "disable",
     "get_ledger",
@@ -72,7 +72,6 @@ __all__ = [
     "note_recovery",
     "discard_pending",
     "record_decision",
-    "record_revocation",
     "DecisionChain",
     "stitch",
     "resolve_correlation",

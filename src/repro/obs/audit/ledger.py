@@ -1,4 +1,4 @@
-"""The append-only DecisionRecord ledger.
+"""The append-only decision ledger.
 
 Two layers cooperate to build one record:
 
@@ -9,10 +9,10 @@ Two layers cooperate to build one record:
   :mod:`contextvars` buffer, so no call signature in the protocol stack
   had to grow a "ledger" argument.
 * **Record finalisation** — the decision points state the decision to
-  :func:`repro.obs.decisions.record`, whose :meth:`DecisionLedger.record`
-  call drains the pending buffer into an immutable
-  :class:`DecisionRecord` and appends it with a monotonically
-  increasing sequence number.
+  :func:`repro.obs.decisions.record`, which drains the pending buffer
+  into one immutable :class:`~repro.obs.events.DecisionRecord`,
+  sequenced by the ledger, and appends that same object to the event
+  log and, for the kinds in :data:`LEDGER_KINDS`, here.
 
 Everything no-ops when no ledger is installed: ``note_check`` costs one
 ``None`` check, and the buffer is only ever created while a ledger is
@@ -23,19 +23,18 @@ workload measures the enabled overhead).
 from __future__ import annotations
 
 import contextlib
-import enum
+import dataclasses
 import json
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Iterator
 
-from repro.obs import events as obs_events
 from repro.obs._holder import Holder
+from repro.obs.events import (
+    CheckRecord, DecisionRecord, RecordKind, RecordStore,
+)
 
 __all__ = [
-    "RecordKind",
-    "CheckRecord",
-    "DecisionRecord",
+    "LEDGER_KINDS",
     "DecisionLedger",
     "enable",
     "disable",
@@ -44,177 +43,24 @@ __all__ = [
     "note_check",
     "note_retry",
     "note_recovery",
+    "NOTHING_PENDING",
+    "drain_pending",
     "discard_pending",
     "record_decision",
-    "record_revocation",
 ]
 
-
-class RecordKind(str, enum.Enum):
-    """What kind of decision a record captures."""
-
-    #: A broker admitted the request into its capacity schedule.
-    ADMIT = "admit"
-    #: A broker (or the signalling engine on its behalf) denied it.
-    DENY = "deny"
-    #: A granted reservation was claimed (service started).
-    CLAIM = "claim"
-    #: A reservation was cancelled (user action or unwind release).
-    CANCEL = "cancel"
-    #: A soft-state lease lapsed and the broker reclaimed capacity.
-    EXPIRE = "expire"
-    #: An explicit unwind release failed (soft state will reclaim).
-    UNWIND_FAILED = "unwind_failed"
-    #: Graceful degradation engaged (tunnel -> per-flow signalling).
-    FALLBACK = "fallback"
-    #: A certificate/credential was revoked at its authority.
-    REVOKE = "revoke"
-    #: The end-to-end verdict the source domain returned to the user.
-    OUTCOME = "outcome"
+#: The kinds a ledger keeps: the decisions reconciliation and
+#: ``audit --explain`` reason about.  Releases, retries, breaker
+#: transitions, faults and alerts are the event log's alone.
+LEDGER_KINDS = frozenset({
+    RecordKind.ADMIT, RecordKind.DENY, RecordKind.CLAIM, RecordKind.CANCEL,
+    RecordKind.EXPIRE, RecordKind.UNWIND_FAILED, RecordKind.FALLBACK,
+    RecordKind.REVOKE, RecordKind.OUTCOME,
+})
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    """One certificate / delegation / assertion check inside a decision.
-
-    ``source`` is the provenance of the verdict: ``"fresh"`` for a
-    cryptographic verification, ``"authority"`` for a revocation stated
-    by its issuer, or ``""`` for non-crypto notes such as retries.
-    """
-
-    kind: str
-    subject: str = ""
-    fingerprint: str = ""
-    verdict: str = "ok"
-    source: str = "fresh"
-    detail: str = ""
-
-    def to_dict(self) -> dict[str, str]:
-        return {
-            "kind": self.kind,
-            "subject": self.subject,
-            "fingerprint": self.fingerprint,
-            "verdict": self.verdict,
-            "source": self.source,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CheckRecord":
-        return cls(
-            kind=str(data.get("kind", "")),
-            subject=str(data.get("subject", "")),
-            fingerprint=str(data.get("fingerprint", "")),
-            verdict=str(data.get("verdict", "")),
-            source=str(data.get("source", "")),
-            detail=str(data.get("detail", "")),
-        )
-
-
-@dataclass(frozen=True)
-class DecisionRecord:
-    """One immutable entry in the ledger."""
-
-    #: Ledger-assigned, strictly increasing.  Revocation ordering and
-    #: unwind balancing reason about ``seq``, not wall-clock time.
-    seq: int
-    kind: RecordKind
-    at_time: float
-    domain: str = ""
-    handle: str = ""
-    user: str = ""
-    correlation_id: str = ""
-    granted: bool = False
-    reason: str = ""
-    #: Stable machine cause (:class:`repro.obs.events.ReasonCode` value).
-    reason_code: str = ""
-    rate_mbps: float = 0.0
-    window: tuple[float, float] = (0.0, 0.0)
-    upstream: str | None = None
-    downstream: str | None = None
-    #: Policy-rule id that produced the verdict (e.g. ``policy/1.then.0``).
-    matched_rule: str = ""
-    #: Every rule node visited on the way, in evaluation order.
-    rules_fired: tuple[str, ...] = ()
-    #: Certificates / delegations / assertions checked for this decision.
-    checks: tuple[CheckRecord, ...] = ()
-    #: Transient-failure retries absorbed on the way to this decision.
-    retries: int = 0
-    #: Circuit-breaker state of the inbound link ("closed", "open", ...).
-    breaker_state: str = ""
-    #: Seconds left on the end-to-end deadline, or None when unbounded.
-    deadline_remaining_s: float | None = None
-    attributes: tuple[tuple[str, str], ...] = ()
-
-    def attribute(self, name: str, default: str = "") -> str:
-        for key, value in self.attributes:
-            if key == name:
-                return value
-        return default
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "kind": self.kind.value,
-            "at_time": self.at_time,
-            "domain": self.domain,
-            "handle": self.handle,
-            "user": self.user,
-            "correlation_id": self.correlation_id,
-            "granted": self.granted,
-            "reason": self.reason,
-            "reason_code": self.reason_code,
-            "rate_mbps": self.rate_mbps,
-            "window": list(self.window),
-            "upstream": self.upstream,
-            "downstream": self.downstream,
-            "matched_rule": self.matched_rule,
-            "rules_fired": list(self.rules_fired),
-            "checks": [c.to_dict() for c in self.checks],
-            "retries": self.retries,
-            "breaker_state": self.breaker_state,
-            "deadline_remaining_s": self.deadline_remaining_s,
-            "attributes": dict(self.attributes),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "DecisionRecord":
-        window = data.get("window") or (0.0, 0.0)
-        deadline = data.get("deadline_remaining_s")
-        return cls(
-            seq=int(data["seq"]),
-            kind=RecordKind(data["kind"]),
-            at_time=float(data.get("at_time", 0.0)),
-            domain=str(data.get("domain", "")),
-            handle=str(data.get("handle", "")),
-            user=str(data.get("user", "")),
-            correlation_id=str(data.get("correlation_id", "")),
-            granted=bool(data.get("granted", False)),
-            reason=str(data.get("reason", "")),
-            reason_code=str(data.get("reason_code", "")),
-            rate_mbps=float(data.get("rate_mbps", 0.0)),
-            window=(float(window[0]), float(window[1])),
-            upstream=data.get("upstream"),
-            downstream=data.get("downstream"),
-            matched_rule=str(data.get("matched_rule", "")),
-            rules_fired=tuple(data.get("rules_fired") or ()),
-            checks=tuple(
-                CheckRecord.from_dict(c) for c in data.get("checks") or ()
-            ),
-            retries=int(data.get("retries", 0)),
-            breaker_state=str(data.get("breaker_state", "")),
-            deadline_remaining_s=(
-                None if deadline is None else float(deadline)
-            ),
-            attributes=tuple(
-                sorted((str(k), str(v))
-                       for k, v in (data.get("attributes") or {}).items())
-            ),
-        )
-
-
-class DecisionLedger:
-    """Append-only store of :class:`DecisionRecord`.
+class DecisionLedger(RecordStore):
+    """Complete store of the :data:`LEDGER_KINDS` records.
 
     Unlike the event log there is **no eviction**: reconciliation is only
     sound over a complete history, so the ledger holds every record for
@@ -224,96 +70,13 @@ class DecisionLedger:
     def __init__(self) -> None:
         self._records: list[DecisionRecord] = []
 
-    def record(
-        self,
-        kind: RecordKind | str,
-        /,  # positional-only: an attribute may itself be named ``kind``
-        *,
-        at_time: float = 0.0,
-        domain: str = "",
-        handle: str = "",
-        user: str = "",
-        correlation_id: str | None = None,
-        granted: bool = False,
-        reason: str = "",
-        reason_code: str = "",
-        rate_mbps: float = 0.0,
-        window: tuple[float, float] = (0.0, 0.0),
-        upstream: str | None = None,
-        downstream: str | None = None,
-        matched_rule: str = "",
-        rules_fired: tuple[str, ...] = (),
-        checks: tuple[CheckRecord, ...] = (),
-        **attributes: object,
-    ) -> DecisionRecord:
-        """Finalise one decision: drain the pending-check buffer and
-        append the assembled record."""
-        if correlation_id is None:
-            correlation_id = obs_events.current_correlation_id() or ""
-        pending = _drain_pending()
-        record_checks = (*pending.checks, *checks)
-        entry = DecisionRecord(
-            seq=len(self._records),
-            kind=RecordKind(kind),
-            at_time=at_time,
-            domain=domain,
-            handle=handle,
-            user=user,
-            correlation_id=correlation_id,
-            granted=granted,
-            reason=reason,
-            reason_code=reason_code,
-            rate_mbps=rate_mbps,
-            window=window,
-            upstream=upstream,
-            downstream=downstream,
-            matched_rule=matched_rule,
-            rules_fired=rules_fired,
-            checks=record_checks,
-            retries=pending.retries,
-            breaker_state=pending.breaker_state,
-            deadline_remaining_s=pending.deadline_remaining_s,
-            attributes=tuple(
-                sorted((k, str(v)) for k, v in attributes.items())
-            ),
-        )
+    def record(self, entry: DecisionRecord) -> DecisionRecord:
+        """Append *entry*.  One whose ``seq`` is not the next position
+        (an imported or hand-built record) is appended re-sequenced."""
+        if entry.seq != len(self._records):
+            entry = dataclasses.replace(entry, seq=len(self._records))
         self._records.append(entry)
         return entry
-
-    def append(self, record: DecisionRecord) -> DecisionRecord:
-        """Append a pre-built record (ledger import), re-sequencing it."""
-        entry = DecisionRecord(**{
-            **{f: getattr(record, f)
-               for f in record.__dataclass_fields__},
-            "seq": len(self._records),
-        })
-        self._records.append(entry)
-        return entry
-
-    def records(
-        self,
-        kind: RecordKind | None = None,
-        *,
-        domain: str | None = None,
-        correlation_id: str | None = None,
-        handle: str | None = None,
-        user: str | None = None,
-    ) -> tuple[DecisionRecord, ...]:
-        snapshot = tuple(self._records)
-        return tuple(
-            r for r in snapshot
-            if (kind is None or r.kind is kind)
-            and (domain is None or r.domain == domain)
-            and (correlation_id is None or r.correlation_id == correlation_id)
-            and (handle is None or r.handle == handle)
-            and (user is None or r.user == user)
-        )
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[DecisionRecord]:
-        return iter(tuple(self._records))
 
     # -- persistence -------------------------------------------------------------
 
@@ -328,7 +91,7 @@ class DecisionLedger:
         payload = json.loads(text)
         ledger = cls()
         for data in payload.get("records", ()):
-            ledger.append(DecisionRecord.from_dict(data))
+            ledger.record(DecisionRecord.from_dict(data))
         return ledger
 
 
@@ -345,7 +108,8 @@ class _Pending:
     deadline_remaining_s: float | None = None
 
 
-_EMPTY = _Pending()
+#: What a record takes when no notes were gathered for it.
+NOTHING_PENDING = _Pending()
 
 _pending: ContextVar[_Pending | None] = ContextVar(
     "repro_audit_pending", default=None
@@ -360,10 +124,11 @@ def _current_pending() -> _Pending:
     return buffer
 
 
-def _drain_pending() -> _Pending:
+def drain_pending() -> _Pending:
+    """Take the notes gathered for the decision being recorded."""
     buffer = _pending.get()
     if buffer is None:
-        return _EMPTY
+        return NOTHING_PENDING
     _pending.set(None)
     return buffer
 
@@ -431,38 +196,12 @@ def note_recovery(
 # ---------------------------------------------------------------------------
 
 
-def record_decision(
-    kind: RecordKind | str, **kwargs: Any
-) -> DecisionRecord | None:
-    """Append one record to the active ledger, or no-op when off."""
+def record_decision(entry: DecisionRecord) -> DecisionRecord | None:
+    """Append *entry* to the active ledger, or no-op when off."""
     ledger = get_ledger()
     if ledger is None:
         return None
-    return ledger.record(kind, **kwargs)
-
-
-def record_revocation(
-    *,
-    fingerprint: str,
-    subject: str = "",
-    authority: str = "",
-    at_time: float = 0.0,
-) -> DecisionRecord | None:
-    """Record a certificate/credential revocation at its authority."""
-    ledger = get_ledger()
-    if ledger is None:
-        return None
-    return ledger.record(
-        RecordKind.REVOKE,
-        at_time=at_time,
-        domain=authority,
-        user=subject,
-        reason=f"revoked by {authority}" if authority else "revoked",
-        checks=(CheckRecord(
-            kind="revocation", subject=subject, fingerprint=fingerprint,
-            verdict="revoked", source="authority",
-        ),),
-    )
+    return ledger.record(entry)
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,30 @@
 """The one decision writer.
 
-A call site states what was decided and :func:`record` writes it to every
-view that is on, so the decision counters, the event log and the audit
-ledger agree by construction.  :data:`DECISIONS` is the single source for
-the event kind, ledger record kind and metrics of each decision kind
-(``docs/OBSERVABILITY.md`` tabulates it).
+A call site states what was decided and :func:`record` counts it and
+builds one :class:`~repro.obs.events.DecisionRecord`, which the event log
+and, for its kinds, the audit ledger both keep — the same object, so the
+views agree by construction.  :data:`DECISIONS` is the single source for
+the record kind and metrics of each decision (``docs/OBSERVABILITY.md``
+tabulates it).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from repro.obs.audit.ledger import RecordKind, get_ledger
+from repro.obs.audit.ledger import (
+    LEDGER_KINDS, NOTHING_PENDING, drain_pending, get_ledger,
+)
 from repro.obs.events import (
-    EventKind, ReasonCode, current_correlation_id, get_event_log,
+    CheckRecord, DecisionRecord, ReasonCode, RecordKind,
+    current_correlation_id, get_event_log,
 )
 from repro.obs.metrics import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.policy.engine import PolicyDecision
 
-__all__ = ["DECISIONS", "record"]
+__all__ = ["DECISIONS", "record", "record_revocation"]
 
 
 class _Metric(NamedTuple):
@@ -36,8 +40,7 @@ class _Metric(NamedTuple):
 
 
 class _Kind(NamedTuple):
-    event: EventKind | None
-    record: RecordKind | None
+    kind: RecordKind
     metrics: tuple[_Metric, ...] = ()
 
 
@@ -59,47 +62,46 @@ _OUTCOME = (
             measure="latency_s", histogram=True),
 )
 
-#: decision kind -> event kind, ledger record kind, metrics.  Counters
-#: follow the kind the caller states: a broker's refusal is an admission
-#: attempt ("admit_denied"), the signalling engine's ("deny") is not.
+#: decision -> record kind, metrics.  Counters follow the decision the
+#: caller states: a broker's refusal is an admission attempt
+#: ("admit_denied"), the signalling engine's ("deny") is not.
 DECISIONS: dict[str, _Kind] = {
-    "admit": _Kind(EventKind.ADMIT, RecordKind.ADMIT, _ADMISSIONS),
-    "admit_denied": _Kind(EventKind.DENY, RecordKind.DENY, _ADMISSIONS),
-    "deny": _Kind(EventKind.DENY, RecordKind.DENY),
-    "trust_failure": _Kind(EventKind.TRUST_FAILURE, RecordKind.DENY),
-    "claim": _Kind(EventKind.CLAIM, RecordKind.CLAIM, (_Metric(
+    "admit": _Kind(RecordKind.ADMIT, _ADMISSIONS),
+    "admit_denied": _Kind(RecordKind.DENY, _ADMISSIONS),
+    "deny": _Kind(RecordKind.DENY),
+    "claim": _Kind(RecordKind.CLAIM, (_Metric(
         "claims_total", "Reservations claimed (activated)", _DOMAIN),)),
-    "cancel": _Kind(EventKind.CANCEL, RecordKind.CANCEL, (_Metric(
+    "cancel": _Kind(RecordKind.CANCEL, (_Metric(
         "cancellations_total", "Reservations cancelled", _DOMAIN),)),
-    "expire": _Kind(EventKind.EXPIRE, RecordKind.EXPIRE, (_Metric(
+    "expire": _Kind(RecordKind.EXPIRE, (_Metric(
         "soft_state_expirations_total",
         "Reservations reclaimed by soft-state expiry", _DOMAIN),)),
-    "release": _Kind(EventKind.RELEASE, None, (_Metric(
+    "release": _Kind(RecordKind.RELEASE, (_Metric(
         "releases_total",
         "Partial-path reservations released after a downstream denial",
         _DOMAIN),)),
-    "unwind_failed": _Kind(
-        EventKind.UNWIND_FAILED, RecordKind.UNWIND_FAILED, (_Metric(
-            "unwind_failures_total",
-            "Partial-path releases that failed (left to soft-state expiry)",
-            _DOMAIN),)),
-    "retry": _Kind(EventKind.RETRY, None, (_Metric(
+    "unwind_failed": _Kind(RecordKind.UNWIND_FAILED, (_Metric(
+        "unwind_failures_total",
+        "Partial-path releases that failed (left to soft-state expiry)",
+        _DOMAIN),)),
+    "retry": _Kind(RecordKind.RETRY, (_Metric(
         "signalling_retries_total",
         "Transient-failure retries during hop-by-hop signalling",
         ("target",)),)),
-    "breaker": _Kind(EventKind.BREAKER, None, (_Metric(
+    "breaker": _Kind(RecordKind.BREAKER, (_Metric(
         "breaker_transitions_total",
         "Circuit-breaker state transitions, by link and new state",
         ("link", "to")),)),
-    "fault": _Kind(EventKind.FAULT, None, (_Metric(
+    "fault": _Kind(RecordKind.FAULT, (_Metric(
         "faults_injected_total",
         "Faults delivered by the injector, by target kind and kind",
         ("target_kind", "kind")),)),
-    "fallback": _Kind(EventKind.FALLBACK, RecordKind.FALLBACK, (_Metric(
+    "fallback": _Kind(RecordKind.FALLBACK, (_Metric(
         "tunnel_fallbacks_total",
         "Intra-tunnel flows degraded to per-flow signalling", ("tunnel",)),)),
-    "outcome": _Kind(None, RecordKind.OUTCOME, _OUTCOME),
-    "outcome_denied": _Kind(None, RecordKind.OUTCOME, (*_OUTCOME, _Metric(
+    "revoke": _Kind(RecordKind.REVOKE),
+    "outcome": _Kind(RecordKind.OUTCOME, _OUTCOME),
+    "outcome_denied": _Kind(RecordKind.OUTCOME, (*_OUTCOME, _Metric(
         "denials_total", "Reservations denied, by denying domain", _DOMAIN))),
 }
 
@@ -107,27 +109,26 @@ DECISIONS: dict[str, _Kind] = {
 def record(
     kind: str, /, *, at_time: float = 0.0, domain: str = "", user: str = "",
     handle: str = "", reason: str = "", reason_code: ReasonCode | str = "",
-    correlation_id: str = "", granted: bool = False,
-    rate_mbps: float | None = None, window: tuple[float, float] = (0.0, 0.0),
+    correlation_id: str = "", granted: bool = False, rate_mbps: float = 0.0,
+    window: tuple[float, float] = (0.0, 0.0),
     upstream: str | None = None, downstream: str | None = None,
     decision: PolicyDecision | None = None,
+    checks: tuple[CheckRecord, ...] = (),
     measures: Mapping[str, float] | None = None, **attributes: object,
-) -> None:
+) -> DecisionRecord | None:
     """Write one decision of *kind* (a :data:`DECISIONS` key) to every
     store that is on; with all off, three ``None`` checks and out.
+    Returns the record, or ``None`` when no store keeps it.
 
     *correlation_id* is only the fallback for a decision taken outside
     any request scope (the sweep passes the id stashed at admission).
-    *rate_mbps* is a ledger field and an event attribute, *measures*
-    feed metrics only, *attributes* go to the event and the ledger
-    record and supply metric labels."""
+    *measures* feed metrics only, *attributes* go to the record and
+    supply metric labels.  A record the ledger keeps also takes the
+    checks noted for it (:func:`repro.obs.audit.note_check`)."""
     registry, event_log, ledger = get_registry(), get_event_log(), get_ledger()
     if registry is None and event_log is None and ledger is None:
-        return
+        return None
     row = DECISIONS[kind]
-    correlation_id = current_correlation_id() or correlation_id
-    if isinstance(reason_code, ReasonCode):
-        reason_code = reason_code.value
     if registry is not None and row.metrics:
         fields = {
             "domain": domain, "granted": str(granted).lower(),
@@ -140,22 +141,44 @@ def record(
                 registry.histogram(metric.name, metric.help).observe(amount, **labels)
             else:
                 registry.counter(metric.name, metric.help).inc(amount, **labels)
-    if event_log is not None and row.event is not None:
-        event_log.emit(
-            row.event, at_time=at_time, domain=domain, user=user,
-            handle=handle, reason=reason, reason_code=reason_code,
-            correlation_id=correlation_id,
-            **(attributes if rate_mbps is None
-               else {**attributes, "rate_mbps": rate_mbps}),
-        )
-    if ledger is not None and row.record is not None:
-        ledger.record(
-            row.record, at_time=at_time, domain=domain, handle=handle,
-            user=user, correlation_id=correlation_id, granted=granted,
-            reason=reason, reason_code=reason_code,
-            rate_mbps=rate_mbps or 0.0, window=window,
-            upstream=upstream, downstream=downstream,
-            matched_rule=decision.matched_rule if decision else "",
-            rules_fired=decision.rules_fired if decision else (),
-            **attributes,
-        )
+    if ledger is not None and row.kind not in LEDGER_KINDS:
+        ledger = None
+    if event_log is None and ledger is None:
+        return None
+    pending = NOTHING_PENDING if ledger is None else drain_pending()
+    entry = DecisionRecord(
+        row.kind, at_time, seq=-1 if ledger is None else len(ledger),
+        domain=domain, handle=handle, user=user,
+        correlation_id=current_correlation_id() or correlation_id,
+        granted=granted, reason=reason,
+        reason_code=(reason_code.value if isinstance(reason_code, ReasonCode)
+                     else reason_code),
+        rate_mbps=rate_mbps, window=window,
+        upstream=upstream, downstream=downstream,
+        matched_rule=decision.matched_rule if decision else "",
+        rules_fired=decision.rules_fired if decision else (),
+        checks=(*pending.checks, *checks), retries=pending.retries,
+        breaker_state=pending.breaker_state,
+        deadline_remaining_s=pending.deadline_remaining_s,
+        attributes=tuple(sorted((k, str(v)) for k, v in attributes.items())),
+    )
+    if event_log is not None:
+        event_log.emit(entry)
+    if ledger is not None:
+        ledger.record(entry)
+    return entry
+
+
+def record_revocation(
+    *, fingerprint: str, subject: str = "", authority: str = "",
+    at_time: float = 0.0,
+) -> DecisionRecord | None:
+    """Record a certificate/credential revocation at its authority."""
+    return record(
+        "revoke", at_time=at_time, domain=authority, user=subject,
+        reason=f"revoked by {authority}" if authority else "revoked",
+        checks=(CheckRecord(
+            kind="revocation", subject=subject, fingerprint=fingerprint,
+            verdict="revoked", source="authority",
+        ),),
+    )

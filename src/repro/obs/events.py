@@ -1,9 +1,14 @@
-"""Structured event log: typed records for reservation-lifecycle events.
+"""The decision record, its vocabulary, and the bounded event log.
 
-Where metrics aggregate and spans time, events *narrate*: every admit,
-deny, claim, cancel, release, and trust failure in the fabric appends one
-typed record, correlated back to the originating request through the
-correlation ID minted when the user agent signed ``RAR_U``.
+Every admit, deny, claim, cancel, release, retry, fault and alert in the
+fabric is one immutable :class:`DecisionRecord` of a :class:`RecordKind`,
+correlated back to the originating request through the correlation ID
+minted when the user agent signed ``RAR_U``.
+:func:`repro.obs.decisions.record` builds each record once and hands the
+same object to every store that is on: the :class:`EventLog` here
+(bounded, every kind) and the
+:class:`~repro.obs.audit.ledger.DecisionLedger` (complete, the decision
+kinds in :data:`~repro.obs.audit.ledger.LEDGER_KINDS`).
 
 The correlation ID travels implicitly: the signalling engine scopes it
 with :func:`correlation_scope`, and deeper layers (the broker's audit
@@ -20,16 +25,18 @@ from __future__ import annotations
 import contextlib
 import enum
 from collections import deque
-from dataclasses import dataclass, field
 from contextvars import ContextVar
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Any, Iterator, MutableSequence
 
 from repro.obs._holder import Holder
 
 __all__ = [
-    "EventKind",
+    "RecordKind",
     "ReasonCode",
-    "Event",
+    "CheckRecord",
+    "DecisionRecord",
+    "RecordStore",
     "EventLog",
     "enable",
     "disable",
@@ -41,23 +48,27 @@ __all__ = [
 ]
 
 
-class EventKind(str, enum.Enum):
-    """The typed vocabulary of fabric events."""
+class RecordKind(str, enum.Enum):
+    """The typed vocabulary of decisions and lifecycle events."""
 
+    #: A broker admitted the request into its capacity schedule.
     ADMIT = "admit"
+    #: A broker (or the signalling engine on its behalf) denied it; the
+    #: reason code says why, ``trust_failure`` for an unverifiable message.
     DENY = "deny"
+    #: A granted reservation was claimed (service started).
     CLAIM = "claim"
+    #: A reservation was cancelled (user action or unwind release).
     CANCEL = "cancel"
     #: A granted partial-path reservation torn down after a downstream denial.
     RELEASE = "release"
-    TRUST_FAILURE = "trust_failure"
     #: The fault injector delivered a fault.
     FAULT = "fault"
     #: A signalling operation failed transiently and will be retried.
     RETRY = "retry"
     #: A per-link circuit breaker changed state.
     BREAKER = "breaker"
-    #: A soft-state lease lapsed and the reservation was reclaimed.
+    #: A soft-state lease lapsed and the broker reclaimed capacity.
     EXPIRE = "expire"
     #: An explicit release during unwind failed (soft state will reclaim).
     UNWIND_FAILED = "unwind_failed"
@@ -66,6 +77,10 @@ class EventKind(str, enum.Enum):
     #: An alert-engine lifecycle transition (pending/firing/resolved);
     #: the correlation id is the incident id minted at first firing.
     ALERT = "alert"
+    #: A certificate/credential was revoked at its authority.
+    REVOKE = "revoke"
+    #: The end-to-end verdict the source domain returned to the user.
+    OUTCOME = "outcome"
 
 
 class ReasonCode(str, enum.Enum):
@@ -158,102 +173,195 @@ def reason_code_for(exc: BaseException) -> ReasonCode:
 
 
 @dataclass(frozen=True)
-class Event:
-    """One structured record."""
+class CheckRecord:
+    """One certificate / delegation / assertion check inside a decision.
 
-    kind: EventKind
-    at_time: float
+    ``source`` is the provenance of the verdict: ``"fresh"`` for a
+    cryptographic verification, ``"authority"`` for a revocation stated
+    by its issuer, or ``""`` for non-crypto notes such as retries.
+    """
+
+    kind: str
+    subject: str = ""
+    fingerprint: str = ""
+    verdict: str = "ok"
+    source: str = "fresh"
+    detail: str = ""
+
+    def to_dict(self) -> dict[str, str]:
+        return {
+            "kind": self.kind,
+            "subject": self.subject,
+            "fingerprint": self.fingerprint,
+            "verdict": self.verdict,
+            "source": self.source,
+            "detail": self.detail,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "CheckRecord":
+        return cls(
+            kind=str(data.get("kind", "")),
+            subject=str(data.get("subject", "")),
+            fingerprint=str(data.get("fingerprint", "")),
+            verdict=str(data.get("verdict", "")),
+            source=str(data.get("source", "")),
+            detail=str(data.get("detail", "")),
+        )
+
+
+@dataclass(frozen=True)
+class DecisionRecord:
+    """One decision, as every store keeps it: the event log and the
+    ledger hold the same object."""
+
+    kind: RecordKind
+    at_time: float = 0.0
+    #: The record's position in the ledger, or -1 when no ledger keeps
+    #: it.  Revocation ordering and unwind balancing reason about
+    #: ``seq``, not simulated time.
+    seq: int = -1
     domain: str = ""
-    correlation_id: str = ""
-    user: str = ""
     handle: str = ""
+    user: str = ""
+    correlation_id: str = ""
+    granted: bool = False
     reason: str = ""
     #: Stable machine-readable cause (a :class:`ReasonCode` value), or "".
     reason_code: str = ""
+    rate_mbps: float = 0.0
+    window: tuple[float, float] = (0.0, 0.0)
+    upstream: str | None = None
+    downstream: str | None = None
+    #: Policy-rule id that produced the verdict (e.g. ``policy/1.then.0``).
+    matched_rule: str = ""
+    #: Every rule node visited on the way, in evaluation order.
+    rules_fired: tuple[str, ...] = ()
+    #: Certificates / delegations / assertions checked for this decision.
+    checks: tuple[CheckRecord, ...] = ()
+    #: Transient-failure retries absorbed on the way to this decision.
+    retries: int = 0
+    #: Circuit-breaker state of the inbound link ("closed", "open", ...).
+    breaker_state: str = ""
+    #: Seconds left on the end-to-end deadline, or None when unbounded.
+    deadline_remaining_s: float | None = None
     attributes: tuple[tuple[str, str], ...] = ()
 
-    def to_dict(self) -> dict[str, object]:
+    def attribute(self, name: str, default: str = "") -> str:
+        for key, value in self.attributes:
+            if key == name:
+                return value
+        return default
+
+    def to_dict(self) -> dict[str, Any]:
         return {
+            "seq": self.seq,
             "kind": self.kind.value,
             "at_time": self.at_time,
             "domain": self.domain,
-            "correlation_id": self.correlation_id,
-            "user": self.user,
             "handle": self.handle,
+            "user": self.user,
+            "correlation_id": self.correlation_id,
+            "granted": self.granted,
             "reason": self.reason,
             "reason_code": self.reason_code,
+            "rate_mbps": self.rate_mbps,
+            "window": list(self.window),
+            "upstream": self.upstream,
+            "downstream": self.downstream,
+            "matched_rule": self.matched_rule,
+            "rules_fired": list(self.rules_fired),
+            "checks": [c.to_dict() for c in self.checks],
+            "retries": self.retries,
+            "breaker_state": self.breaker_state,
+            "deadline_remaining_s": self.deadline_remaining_s,
             "attributes": dict(self.attributes),
         }
 
-
-class EventLog:
-    """Bounded, append-only event store.
-
-    *max_events* bounds memory on long scenario runs; the oldest records
-    are evicted first (operators wanting full retention can raise it).
-    """
-
-    def __init__(self, max_events: int = 100_000):
-        self._events: deque[Event] = deque(maxlen=max_events)
-        self.emitted = 0  # total ever emitted, survives eviction
-
-    def emit(
-        self,
-        kind: EventKind,
-        /,  # positional-only: an attribute may itself be named ``kind``
-        *,
-        at_time: float = 0.0,
-        domain: str = "",
-        user: str = "",
-        handle: str = "",
-        reason: str = "",
-        reason_code: str | ReasonCode = "",
-        correlation_id: str | None = None,
-        **attributes: object,
-    ) -> Event:
-        if correlation_id is None:
-            correlation_id = current_correlation_id() or ""
-        event = Event(
-            kind=kind,
-            at_time=at_time,
-            domain=domain,
-            correlation_id=correlation_id,
-            user=user,
-            handle=handle,
-            reason=reason,
-            reason_code=(reason_code.value
-                         if isinstance(reason_code, ReasonCode)
-                         else reason_code),
-            attributes=tuple(sorted((k, str(v)) for k, v in attributes.items())),
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "DecisionRecord":
+        window = data.get("window") or (0.0, 0.0)
+        deadline = data.get("deadline_remaining_s")
+        return cls(
+            seq=int(data["seq"]),
+            kind=RecordKind(data["kind"]),
+            at_time=float(data.get("at_time", 0.0)),
+            domain=str(data.get("domain", "")),
+            handle=str(data.get("handle", "")),
+            user=str(data.get("user", "")),
+            correlation_id=str(data.get("correlation_id", "")),
+            granted=bool(data.get("granted", False)),
+            reason=str(data.get("reason", "")),
+            reason_code=str(data.get("reason_code", "")),
+            rate_mbps=float(data.get("rate_mbps", 0.0)),
+            window=(float(window[0]), float(window[1])),
+            upstream=data.get("upstream"),
+            downstream=data.get("downstream"),
+            matched_rule=str(data.get("matched_rule", "")),
+            rules_fired=tuple(data.get("rules_fired") or ()),
+            checks=tuple(
+                CheckRecord.from_dict(c) for c in data.get("checks") or ()
+            ),
+            retries=int(data.get("retries", 0)),
+            breaker_state=str(data.get("breaker_state", "")),
+            deadline_remaining_s=(
+                None if deadline is None else float(deadline)
+            ),
+            attributes=tuple(
+                sorted((str(k), str(v))
+                       for k, v in (data.get("attributes") or {}).items())
+            ),
         )
-        self._events.append(event)
-        self.emitted += 1
-        return event
 
-    def events(
+
+class RecordStore:
+    """What the event log and the ledger share: records in arrival
+    order, filterable.  They differ only in how long they keep records
+    and which kinds they keep."""
+
+    _records: MutableSequence[DecisionRecord]
+
+    def records(
         self,
-        kind: EventKind | None = None,
+        kind: RecordKind | None = None,
         *,
         domain: str | None = None,
         correlation_id: str | None = None,
-    ) -> tuple[Event, ...]:
-        snapshot = tuple(self._events)
+        handle: str | None = None,
+        user: str | None = None,
+    ) -> tuple[DecisionRecord, ...]:
         return tuple(
-            e for e in snapshot
-            if (kind is None or e.kind is kind)
-            and (domain is None or e.domain == domain)
-            and (correlation_id is None or e.correlation_id == correlation_id)
+            r for r in tuple(self._records)
+            if (kind is None or r.kind is kind)
+            and (domain is None or r.domain == domain)
+            and (correlation_id is None or r.correlation_id == correlation_id)
+            and (handle is None or r.handle == handle)
+            and (user is None or r.user == user)
         )
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._records)
 
-    def __iter__(self) -> Iterator[Event]:
-        return iter(tuple(self._events))
+    def __iter__(self) -> Iterator[DecisionRecord]:
+        return iter(tuple(self._records))
 
-    def reset(self) -> None:
-        self._events.clear()
-        self.emitted = 0
+
+class EventLog(RecordStore):
+    """Bounded store of every kind of :class:`DecisionRecord`.
+
+    *max_events* bounds memory on long scenario runs; the oldest records
+    are evicted first (operators wanting full retention can raise it, or
+    read the ledger, which keeps the decision kinds complete).
+    """
+
+    def __init__(self, max_events: int = 100_000):
+        self._records = deque(maxlen=max_events)
+        self.emitted = 0  # total ever emitted, survives eviction
+
+    def emit(self, record: DecisionRecord) -> DecisionRecord:
+        self._records.append(record)
+        self.emitted += 1
+        return record
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ recording agree.  Three objective kinds cover the reproduction's needs:
 * ``latency_quantile`` — a histogram quantile (via
   :meth:`~repro.obs.metrics.Histogram.aggregate_quantile`) must not
   exceed a threshold in seconds;
-* ``denial_rate`` — ``DENY`` events as a fraction of all admission
-  decisions (``ADMIT`` + ``DENY``) must not exceed a ratio;
+* ``denial_rate`` — ``DENY`` records (whatever their reason code) as a
+  fraction of all admission decisions (``ADMIT`` + ``DENY``) must not
+  exceed a ratio;
 * ``breaker_open_rate`` — ``BREAKER`` open transitions per admission
   decision must not exceed a ratio.
 
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.errors import ObservabilityError
-from repro.obs.events import EventKind, EventLog
+from repro.obs.events import EventLog, RecordKind
 from repro.obs.metrics import Histogram, MetricsRegistry
 
 __all__ = [
@@ -209,11 +210,11 @@ def _tally(events: Iterable[tuple[str, str]]) -> tuple[int, int, int]:
     """``(admits, denies, breaker opens)`` among ``(kind, reason)`` pairs."""
     admits = denies = opens = 0
     for kind, reason in events:
-        if kind == EventKind.ADMIT.value:
+        if kind == RecordKind.ADMIT.value:
             admits += 1
-        elif kind == EventKind.DENY.value:
+        elif kind == RecordKind.DENY.value:
             denies += 1
-        elif kind == EventKind.BREAKER.value and reason.endswith("-> open"):
+        elif kind == RecordKind.BREAKER.value and reason.endswith("-> open"):
             opens += 1
     return admits, denies, opens
 

@@ -18,7 +18,7 @@ randomness) so even a blip's events stitch; a breach that persists for
 ``for_s`` moves PENDING → FIRING; recovery moves
 FIRING → RESOLVED → INACTIVE.  Every transition is returned to
 the caller, appended to the ``.tsrec`` recording, and emitted as an
-:class:`~repro.obs.events.EventKind.ALERT` obs event carrying the
+:class:`~repro.obs.events.RecordKind.ALERT` record carrying the
 incident's correlation id — which is exactly what lets ``repro
 timeline`` stitch alerts into audit DecisionChains as one incident
 timeline.
@@ -395,19 +395,18 @@ class AlertEngine:
             event_log = obs_events.get_event_log()
         for t in taken:
             if event_log is not None:
-                event_log.emit(
-                    obs_events.EventKind.ALERT,
-                    at_time=t.at_time,
-                    domain=t.group,
+                event_log.emit(obs_events.DecisionRecord(
+                    obs_events.RecordKind.ALERT, t.at_time, domain=t.group,
                     correlation_id=t.correlation_id,
                     reason=(
                         f"{t.rule}: {t.from_state.value} -> "
                         f"{t.to_state.value} (value {t.value:.3f})"
                     ),
-                    rule=t.rule,
-                    state=t.to_state.value,
-                    severity=t.severity.value,
-                )
+                    attributes=(
+                        ("rule", t.rule), ("severity", t.severity.value),
+                        ("state", t.to_state.value),
+                    ),
+                ))
             if recorder is not None:
                 recorder.record_alert(t.at_time, t.to_dict())
 

@@ -9,12 +9,12 @@ the firing-alert table.  The badge is a view of the rules
 (:func:`broker_health`): a broker is as unhealthy as the worst rule
 breaching for it right now, so badge and pager cannot disagree.
 
-:func:`merge_timeline` is the incident-forensics view: obs events,
-alert transitions, audit :class:`DecisionRecord`\\ s, and trace spans
-are normalised into one time-sorted stream, filterable by correlation
-id (an incident's ``alert-…`` id or a request's ``req-…`` id) or a
-time window — the "what happened around t=40s" question answered in
-one place.
+:func:`merge_timeline` is the incident-forensics view: decision
+records (from the event log, a recording or a saved ledger), alert
+transitions and trace spans are normalised into one time-sorted
+stream, filterable by correlation id (an incident's ``alert-…`` id or a
+request's ``req-…`` id) or a time window — the "what happened around
+t=40s" question answered in one place.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ class TimelineEntry:
     """One normalised line of the merged incident timeline."""
 
     at_time: float
-    source: str  # "event" | "alert" | "audit" | "span"
+    source: str  # "event" | "alert" | "span"
     text: str = field(compare=False)
     correlation_id: str = field(default="", compare=False)
 
@@ -220,23 +220,19 @@ class TimelineEntry:
         return f"t={self.at_time:9.3f}s {tag} {self.text}{corr}"
 
 
-def _event_entry(event: Mapping[str, Any]) -> TimelineEntry:
-    kind = str(event.get("kind", "?"))
-    domain = str(event.get("domain", ""))
-    reason = str(event.get("reason", ""))
-    code = str(event.get("reason_code", ""))
-    bits = [kind.upper()]
-    if domain:
-        bits.append(f"@{domain}")
-    if code:
-        bits.append(f"[{code}]")
-    if reason:
-        bits.append(reason)
+def _record_entry(record: Mapping[str, Any]) -> TimelineEntry:
+    """A decision record, live (``DecisionRecord.to_dict()``) or read
+    back from a ``.tsrec`` or a saved ledger."""
+    bits = [str(record.get("kind", "?")).upper()]
+    for name, shown in (("domain", "@{}"), ("handle", "{}"),
+                        ("reason_code", "[{}]"), ("reason", "{}")):
+        if record.get(name):
+            bits.append(shown.format(record[name]))
     return TimelineEntry(
-        at_time=float(event.get("at_time", 0.0)),
+        at_time=float(record.get("at_time", 0.0)),
         source="event",
         text=" ".join(bits),
-        correlation_id=str(event.get("correlation_id", "")),
+        correlation_id=str(record.get("correlation_id", "")),
     )
 
 
@@ -255,25 +251,6 @@ def _alert_entry(alert: Mapping[str, Any]) -> TimelineEntry:
     )
 
 
-def _audit_entry(record: Any) -> TimelineEntry:
-    kind = getattr(record.kind, "value", record.kind)
-    bits = [str(kind).upper()]
-    if record.domain:
-        bits.append(f"@{record.domain}")
-    if record.handle:
-        bits.append(str(record.handle))
-    if record.reason_code:
-        bits.append(f"[{record.reason_code}]")
-    if record.reason:
-        bits.append(record.reason)
-    return TimelineEntry(
-        at_time=float(record.at_time),
-        source="audit",
-        text=" ".join(bits),
-        correlation_id=record.correlation_id,
-    )
-
-
 def _span_entries(span: Any) -> TimelineEntry:
     duration = (
         f" ({span.sim_latency_s * 1000:.1f} ms sim)"
@@ -289,18 +266,16 @@ def _span_entries(span: Any) -> TimelineEntry:
 
 def merge_timeline(
     *,
-    events: Iterable[Mapping[str, Any]] = (),
+    records: Iterable[Mapping[str, Any]] = (),
     alerts: Iterable[Mapping[str, Any]] = (),
-    audit_records: Iterable[Any] = (),
     spans: Iterable[Any] = (),
     correlation: str | None = None,
     window: tuple[float, float] | None = None,
 ) -> list[TimelineEntry]:
-    """Normalise and merge the four streams, then filter and sort."""
+    """Normalise and merge the three streams, then filter and sort."""
     entries: list[TimelineEntry] = []
-    entries.extend(_event_entry(e) for e in events)
+    entries.extend(_record_entry(r) for r in records)
     entries.extend(_alert_entry(a) for a in alerts)
-    entries.extend(_audit_entry(r) for r in audit_records)
     entries.extend(_span_entries(s) for s in spans)
     if correlation is not None:
         entries = [e for e in entries if e.correlation_id == correlation]

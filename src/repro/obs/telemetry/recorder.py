@@ -24,7 +24,7 @@ Hypothesis replay property in ``tests/proptest`` pins that equivalence.
 
     {"schema": "repro-tsrec/1", "meta": {...}}      # header, line 1
     {"t": 12.0, "f": {"denials_total{domain=B}": 4.0}, "k": {...}}
-    {"t": 12.4, "e": {"kind": "deny", ...}}          # obs event
+    {"t": 12.4, "e": {"kind": "deny", ...}}          # decision record
     {"t": 13.0, "a": {"name": "...", "state": "firing", ...}}
     {"m": {"attack_onset_s": 3.25}}                  # late metadata
 
@@ -165,7 +165,7 @@ class FlightRecorder:
 
     # -- pass-through event/alert/meta capture -------------------------------------
 
-    def record_event(self, event: "obs_events.Event") -> None:
+    def record_event(self, event: "obs_events.DecisionRecord") -> None:
         if self.writer is not None:
             self.writer.write_event(event)
 
@@ -220,7 +220,7 @@ class RecordingWriter:
             }
         self._write(line)
 
-    def write_event(self, event: "obs_events.Event") -> None:
+    def write_event(self, event: "obs_events.DecisionRecord") -> None:
         self._write({"t": event.at_time, "e": event.to_dict()})
 
     def write_alert(self, t: float, payload: Mapping[str, Any]) -> None:

@@ -24,7 +24,7 @@ from repro.crypto.dn import DN, DistinguishedName
 from repro.crypto.keys import KeyPair, PublicKey, get_scheme
 from repro.crypto.x509 import Certificate
 from repro.errors import PolicyError
-from repro.obs.audit import ledger as obs_audit
+from repro.obs import decisions
 
 __all__ = ["CommunityAuthorizationServer"]
 
@@ -83,7 +83,7 @@ class CommunityAuthorizationServer:
                 f"community {self.community!r}"
             )
         self._revoked_serials.add(certificate.serial)
-        obs_audit.record_revocation(
+        decisions.record_revocation(
             fingerprint=certificate.fingerprint,
             subject=str(certificate.subject),
             authority=f"CAS:{self.community}",

@@ -51,7 +51,7 @@ from repro.errors import SimulationError
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs.audit import ledger as obs_audit
-from repro.obs.events import EventKind, EventLog, ReasonCode
+from repro.obs.events import DecisionRecord, EventLog, ReasonCode, RecordKind
 from repro.obs.slo import SLO, SLOReport, evaluate_slos
 from repro.workloads.attackers import AttackPersona, PERSONAS, make_persona
 
@@ -365,12 +365,12 @@ def run_survivability(
                         "Honest end-to-end signalling latency (victim "
                         "queueing + protocol)",
                     ).observe(wait)
-                    honest_log.emit(
-                        EventKind.DENY, at_time=now, domain=spec.victim,
+                    honest_log.emit(DecisionRecord(
+                        RecordKind.DENY, now, domain=spec.victim,
                         user=str(user.dn), reason="signalling timed out "
                         "behind the victim's work queue",
-                        reason_code=ReasonCode.DEADLINE_EXCEEDED,
-                    )
+                        reason_code=ReasonCode.DEADLINE_EXCEEDED.value,
+                    ))
                     return
                 outcome = testbed.reserve(
                     user, source=source, destination=destination,
@@ -385,18 +385,18 @@ def run_survivability(
                 ).observe(latency)
                 if outcome.granted and latency <= spec.honest_deadline_s:
                     report.honest_admitted += 1
-                    honest_log.emit(
-                        EventKind.ADMIT, at_time=now, domain=destination,
+                    honest_log.emit(DecisionRecord(
+                        RecordKind.ADMIT, now, domain=destination,
                         user=str(user.dn),
-                    )
+                    ))
                     testbed.schedule_activation(outcome)
                 else:
                     report.honest_denied += 1
-                    honest_log.emit(
-                        EventKind.DENY, at_time=now,
+                    honest_log.emit(DecisionRecord(
+                        RecordKind.DENY, now,
                         domain=outcome.denial_domain or spec.victim,
                         user=str(user.dn), reason=outcome.denial_reason,
-                    )
+                    ))
 
         def attack_arrival() -> None:
             now = sim.now
@@ -468,15 +468,10 @@ def run_survivability(
 
         # Breaker opens affect honest traffic no matter who tripped
         # them: fold them into the honest event log for the SLO.
-        for breaker_event in event_log.events(EventKind.BREAKER):
-            if breaker_event.reason.endswith("-> open"):
+        for breaker in event_log.records(RecordKind.BREAKER):
+            if breaker.reason.endswith("-> open"):
                 report.breaker_opens += 1
-                honest_log.emit(
-                    EventKind.BREAKER,
-                    at_time=breaker_event.at_time,
-                    domain=breaker_event.domain,
-                    reason=breaker_event.reason,
-                )
+                honest_log.emit(breaker)
         report.honest_p99_latency_s = _percentile(honest_latencies, 0.99)
         report.max_backlog_s = queue.max_backlog_s
         report.attacker = persona.stats.to_dict()

@@ -581,9 +581,9 @@ class TestProvenanceBypass:
             """
             from repro.obs.audit import ledger as obs_audit
             def deny(domain, reason, bb):
-                obs_audit.record_decision(
+                obs_audit.record_decision(obs_audit.DecisionRecord(
                     obs_audit.RecordKind.DENY, domain=domain, reason=reason,
-                )
+                ))
                 return make_denial(domain=domain, reason=reason)
             """,
             ProvenanceBypassRule,

@@ -2,16 +2,22 @@
 
 from repro.core.testbed import build_linear_testbed
 from repro.obs import audit as obs_audit
+from repro.obs import decisions
 from repro.obs import events as obs_events
+
+from tests.obs._records import record
 
 
 def test_record_assigns_sequence_and_attributes():
     led = obs_audit.DecisionLedger()
-    first = led.record(
+    first = led.record(record(
         obs_audit.RecordKind.ADMIT, domain="A", handle="R1", granted=True,
         matched_rule="A/0", note="hello",
-    )
-    second = led.record("deny", domain="B", reason="no", reason_code="policy_denied")
+    ))
+    second = led.record(record(
+        obs_audit.RecordKind.DENY, domain="B", reason="no",
+        reason_code="policy_denied",
+    ))
     assert (first.seq, second.seq) == (0, 1)
     assert first.attribute("note") == "hello"
     assert first.attribute("missing", "x") == "x"
@@ -22,18 +28,18 @@ def test_record_assigns_sequence_and_attributes():
 
 
 def test_record_picks_up_correlation_scope():
-    led = obs_audit.DecisionLedger()
-    with obs_events.correlation_scope("req-test-1"):
-        rec = led.record(obs_audit.RecordKind.ADMIT, domain="A")
+    with obs_audit.use_ledger():
+        with obs_events.correlation_scope("req-test-1"):
+            rec = decisions.record("admit", domain="A")
+        explicit = decisions.record(
+            "admit", domain="A", correlation_id="req-other"
+        )
     assert rec.correlation_id == "req-test-1"
-    explicit = led.record(
-        obs_audit.RecordKind.ADMIT, domain="A", correlation_id="req-other"
-    )
     assert explicit.correlation_id == "req-other"
 
 
 def test_pending_buffer_drains_into_next_record():
-    with obs_audit.use_ledger() as led:
+    with obs_audit.use_ledger():
         obs_audit.discard_pending()
         obs_audit.note_check(
             "certificate", subject="alice", fingerprint="fp1",
@@ -42,21 +48,23 @@ def test_pending_buffer_drains_into_next_record():
         obs_audit.note_recovery(
             breaker_state="half_open", deadline_remaining_s=1.5,
         )
-        rec = led.record(obs_audit.RecordKind.ADMIT, domain="A", granted=True)
+        # A kind the ledger does not keep leaves the notes pending.
+        assert decisions.record("release", domain="A") is None
+        rec = decisions.record("admit", domain="A", granted=True)
         assert [c.kind for c in rec.checks] == ["certificate", "retry"]
         assert rec.retries == 1
         assert rec.breaker_state == "half_open"
         assert rec.deadline_remaining_s == 1.5
         # Drained: the next record starts from a clean buffer.
-        rec2 = led.record(obs_audit.RecordKind.ADMIT, domain="B", granted=True)
+        rec2 = decisions.record("admit", domain="B", granted=True)
         assert rec2.checks == () and rec2.retries == 0
 
 
 def test_discard_pending_drops_stale_notes():
-    with obs_audit.use_ledger() as led:
+    with obs_audit.use_ledger():
         obs_audit.note_check("certificate", subject="stale")
         obs_audit.discard_pending()
-        rec = led.record(obs_audit.RecordKind.ADMIT, domain="A")
+        rec = decisions.record("admit", domain="A")
         assert rec.checks == ()
 
 
@@ -66,18 +74,19 @@ def test_everything_is_a_noop_when_disabled():
     obs_audit.note_retry()
     obs_audit.note_recovery(breaker_state="open")
     assert obs_audit.record_decision(
-        obs_audit.RecordKind.DENY, domain="A"
+        record(obs_audit.RecordKind.DENY, domain="A")
     ) is None
-    assert obs_audit.record_revocation(fingerprint="fp") is None
-    with obs_audit.use_ledger() as led:
-        rec = led.record(obs_audit.RecordKind.ADMIT, domain="A")
+    assert decisions.record("deny", domain="A") is None
+    assert decisions.record_revocation(fingerprint="fp") is None
+    with obs_audit.use_ledger():
+        rec = decisions.record("admit", domain="A")
         # Nothing noted while disabled leaks into the enabled ledger.
         assert rec.checks == ()
 
 
 def test_revocation_record_shape():
     with obs_audit.use_ledger() as led:
-        rec = obs_audit.record_revocation(
+        rec = decisions.record_revocation(
             fingerprint="fp-1", subject="/CN=Alice", authority="CA-A",
             at_time=7.0,
         )
@@ -87,12 +96,12 @@ def test_revocation_record_shape():
     assert check.kind == "revocation"
     assert check.fingerprint == "fp-1"
     assert check.verdict == "revoked"
-    assert len(led) == 1
+    assert led.records() == (rec,)
 
 
 def test_json_roundtrip_preserves_everything():
     led = obs_audit.DecisionLedger()
-    led.record(
+    led.record(record(
         obs_audit.RecordKind.ADMIT, at_time=1.0, domain="A", handle="R1",
         user="/CN=Alice", correlation_id="req-1", granted=True,
         rate_mbps=10.0, window=(0.0, 3600.0), upstream=None, downstream="B",
@@ -102,11 +111,11 @@ def test_json_roundtrip_preserves_everything():
             source="authority",
         ),),
         path="A>B",
-    )
-    led.record(
+    ))
+    led.record(record(
         obs_audit.RecordKind.DENY, domain="B", reason="no capacity",
         reason_code="capacity_exceeded", correlation_id="req-1",
-    )
+    ))
     clone = obs_audit.DecisionLedger.from_json(led.to_json())
     assert [r.to_dict() for r in clone] == [r.to_dict() for r in led]
 

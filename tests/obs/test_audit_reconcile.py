@@ -10,7 +10,9 @@ from types import SimpleNamespace
 from repro.accounting.billing import TransitiveBilling
 from repro.core.testbed import build_linear_testbed
 from repro.obs import audit as obs_audit
-from repro.obs.audit import CheckRecord, DecisionLedger, RecordKind
+from repro.obs.audit import DecisionLedger, RecordKind
+
+from tests.obs._records import record
 
 
 def invariants(violations):
@@ -42,73 +44,77 @@ def test_healthy_run_reconciles_clean():
 
 def test_admission_without_rule_is_flagged():
     led = DecisionLedger()
-    led.record(
+    led.record(record(
         RecordKind.ADMIT, domain="A", handle="R1", granted=True,
         correlation_id="c1",
-    )
+    ))
     assert invariants(obs_audit.reconcile_ledger(led)) == ["policy-evaluation"]
 
 
 def test_claim_without_admission_is_flagged():
     led = DecisionLedger()
-    led.record(RecordKind.CLAIM, domain="A", handle="R9", correlation_id="c1")
+    led.record(record(
+        RecordKind.CLAIM, domain="A", handle="R9", correlation_id="c1",
+    ))
     assert "claim-provenance" in invariants(obs_audit.reconcile_ledger(led))
 
 
 def test_granted_outcome_with_missing_hop_is_flagged():
     led = DecisionLedger()
-    led.record(
+    led.record(record(
         RecordKind.ADMIT, domain="A", handle="R1", granted=True,
         matched_rule="A/0", correlation_id="c1",
-    )
-    led.record(
+    ))
+    led.record(record(
         RecordKind.OUTCOME, granted=True, correlation_id="c1", path="A>B",
-    )
+    ))
     assert "provenance-chain" in invariants(obs_audit.reconcile_ledger(led))
 
 
 def test_admissions_out_of_travel_order_are_flagged():
     led = DecisionLedger()
-    led.record(
+    led.record(record(
         RecordKind.ADMIT, domain="B", handle="R2", granted=True,
         matched_rule="B/0", correlation_id="c1",
-    )
-    led.record(
+    ))
+    led.record(record(
         RecordKind.ADMIT, domain="A", handle="R1", granted=True,
         matched_rule="A/0", correlation_id="c1",
-    )
-    led.record(
+    ))
+    led.record(record(
         RecordKind.OUTCOME, granted=True, correlation_id="c1", path="A>B",
-    )
+    ))
     assert "provenance-chain" in invariants(obs_audit.reconcile_ledger(led))
 
 
 def test_denied_outcome_without_denial_record_is_flagged():
     led = DecisionLedger()
-    led.record(
+    led.record(record(
         RecordKind.OUTCOME, domain="B", granted=False, correlation_id="c1",
         reason="denied by B", path="A>B",
-    )
+    ))
     assert "provenance-chain" in invariants(obs_audit.reconcile_ledger(led))
 
 
 def test_denied_run_with_unbalanced_admission_is_flagged():
     led = DecisionLedger()
-    led.record(
+    led.record(record(
         RecordKind.ADMIT, domain="A", handle="R1", granted=True,
         matched_rule="A/0", correlation_id="c1",
-    )
-    led.record(
+    ))
+    led.record(record(
         RecordKind.DENY, domain="B", reason="full", correlation_id="c1",
-    )
-    led.record(
+    ))
+    led.record(record(
         RecordKind.OUTCOME, domain="B", granted=False, correlation_id="c1",
         path="A>B",
-    )
+    ))
     assert "unwind-balance" in invariants(obs_audit.reconcile_ledger(led))
 
     # The same run with the unwind recorded reconciles clean.
-    led.record(RecordKind.CANCEL, domain="A", handle="R1", correlation_id="c1")
+    led.record(record(
+        RecordKind.CANCEL, domain="A", handle="R1", correlation_id="c1",
+    ))
     assert "unwind-balance" not in invariants(obs_audit.reconcile_ledger(led))
 
 
@@ -126,10 +132,10 @@ def test_broker_state_unknown_to_ledger_is_flagged():
 
 def test_accounting_mismatch_is_flagged():
     led = DecisionLedger()
-    led.record(
+    led.record(record(
         RecordKind.ADMIT, domain="A", handle="R1", granted=True,
         matched_rule="A/0", correlation_id="c1",
-    )
+    ))
     run = SimpleNamespace(correlation_id="c1", path=("A", "B"))
     violations = obs_audit.reconcile_accounting(led, [run])
     assert invariants(violations) == ["accounting"]

@@ -1,10 +1,11 @@
 """The views of a decision agree.
 
 Every admit / deny / lifecycle / recovery decision is written once
-(:func:`repro.obs.decisions.record`); the event log, the audit ledger
-and the decision counters are views of that write.  These checks run the
-scenario table of ``test_event_coverage`` with all three stores on and
-compare the views against each other — no new scenarios.
+(:func:`repro.obs.decisions.record`) as one record; the event log and the
+audit ledger keep that same object, and the decision counters count it.
+These checks run the scenario table of ``test_event_coverage`` with all
+three stores on and compare the views against each other — no new
+scenarios.
 """
 
 from collections import Counter
@@ -12,42 +13,28 @@ from collections import Counter
 import pytest
 
 from repro.obs import events, metrics
-from repro.obs.audit import RecordKind, use_ledger
-from repro.obs.events import EventKind
+from repro.obs.audit import LEDGER_KINDS, RecordKind, use_ledger
 
 from tests.obs.test_event_coverage import SCENARIOS
 
-#: Ledger record kind -> the event kinds that narrate the same decision.
-RECORDED_AND_NARRATED = {
-    RecordKind.ADMIT: (EventKind.ADMIT,),
-    RecordKind.DENY: (EventKind.DENY, EventKind.TRUST_FAILURE),
-    RecordKind.CLAIM: (EventKind.CLAIM,),
-    RecordKind.CANCEL: (EventKind.CANCEL,),
-    RecordKind.EXPIRE: (EventKind.EXPIRE,),
-    RecordKind.UNWIND_FAILED: (EventKind.UNWIND_FAILED,),
-    RecordKind.FALLBACK: (EventKind.FALLBACK,),
+#: The kinds only the event log keeps.
+EVENT_LOG_ONLY = {
+    RecordKind.RELEASE, RecordKind.RETRY, RecordKind.BREAKER,
+    RecordKind.FAULT, RecordKind.ALERT,
 }
 
-#: Counters whose decision kind maps to exactly one event kind.
+#: Counters whose decision kind maps to exactly one record kind.
 ONE_TO_ONE_COUNTERS = {
-    "claims_total": EventKind.CLAIM,
-    "cancellations_total": EventKind.CANCEL,
-    "releases_total": EventKind.RELEASE,
-    "unwind_failures_total": EventKind.UNWIND_FAILED,
-    "signalling_retries_total": EventKind.RETRY,
-    "breaker_transitions_total": EventKind.BREAKER,
-    "faults_injected_total": EventKind.FAULT,
-    "tunnel_fallbacks_total": EventKind.FALLBACK,
-    "soft_state_expirations_total": EventKind.EXPIRE,
+    "claims_total": RecordKind.CLAIM,
+    "cancellations_total": RecordKind.CANCEL,
+    "releases_total": RecordKind.RELEASE,
+    "unwind_failures_total": RecordKind.UNWIND_FAILED,
+    "signalling_retries_total": RecordKind.RETRY,
+    "breaker_transitions_total": RecordKind.BREAKER,
+    "faults_injected_total": RecordKind.FAULT,
+    "tunnel_fallbacks_total": RecordKind.FALLBACK,
+    "soft_state_expirations_total": RecordKind.EXPIRE,
 }
-
-
-def _identity(kind, entry):
-    """What a record and its event must have in common."""
-    return (
-        kind, entry.correlation_id, entry.domain, entry.user, entry.handle,
-        entry.reason, entry.reason_code,
-    )
 
 
 def _series(registry, name):
@@ -67,20 +54,20 @@ def views(request):
     return registry, log, ledger
 
 
-def test_every_recorded_decision_is_narrated_once_and_conversely(views):
+def test_the_ledger_keeps_the_event_logs_own_records(views):
     _, log, ledger = views
-    recorded = Counter(
-        _identity(record.kind, record)
-        for record in ledger if record.kind in RECORDED_AND_NARRATED
-    )
-    narrated = Counter(
-        _identity(record_kind, event)
-        for record_kind, event_kinds in RECORDED_AND_NARRATED.items()
-        for event_kind in event_kinds
-        for event in log.events(event_kind)
-    )
-    assert recorded == narrated
-    assert all(count == 1 for count in recorded.values()), recorded
+    kept = [record for record in log if record.kind in LEDGER_KINDS]
+    assert len(kept) == len(ledger)
+    assert all(mine is theirs for mine, theirs in zip(ledger, kept))
+    assert [record.seq for record in ledger] == list(range(len(ledger)))
+
+
+def test_only_the_event_log_keeps_the_non_decisions(views):
+    _, log, _ = views
+    assert set(RecordKind) - LEDGER_KINDS == EVENT_LOG_ONLY
+    assert {record.kind for record in log} - LEDGER_KINDS <= EVENT_LOG_ONLY
+    assert all(record.seq == -1 for record in log
+               if record.kind in EVENT_LOG_ONLY)
 
 
 def test_one_to_one_counters_equal_their_event_counts(views):
@@ -90,7 +77,7 @@ def test_one_to_one_counters_equal_their_event_counts(views):
         for name in ONE_TO_ONE_COUNTERS
     }
     narrated = {
-        name: len(log.events(kind))
+        name: len(log.records(kind))
         for name, kind in ONE_TO_ONE_COUNTERS.items()
     }
     assert counted == narrated

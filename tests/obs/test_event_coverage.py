@@ -1,8 +1,8 @@
-"""Correlation coverage: EVERY event kind the fabric can emit must carry
+"""Correlation coverage: EVERY record kind the fabric can emit must carry
 a correlation ID that joins it to its originating trace.  The test is
-parametrized over the full ``EventKind`` enum via a scenario table, so
+parametrized over the full ``RecordKind`` enum via a scenario table, so
 adding a new kind without teaching this test how to produce it fails
-loudly instead of silently shipping uncorrelated events."""
+loudly instead of silently shipping uncorrelated records."""
 
 import pytest
 
@@ -11,7 +11,7 @@ from repro.errors import ReproError, TunnelError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec, TargetKind
 from repro.obs import events, spans
-from repro.obs.events import EventKind, ReasonCode
+from repro.obs.events import ReasonCode, RecordKind
 
 
 def inject(testbed, *specs):
@@ -19,7 +19,7 @@ def inject(testbed, *specs):
 
 
 # ---------------------------------------------------------------------------
-# One scenario per EventKind: run under an event log, return that log.
+# One scenario per RecordKind: run under an event log, return that log.
 # ---------------------------------------------------------------------------
 
 
@@ -72,6 +72,23 @@ def scenario_trust_failure():
         user, source="A", destination="C", bandwidth_mbps=10.0,
     )
     assert not outcome.granted
+
+
+def scenario_revocation():
+    """A user's certificate revoked at its CA after a grant (REVOKE);
+    the next request is refused at A."""
+    testbed = build_linear_testbed(["A", "B", "C"])
+    user = testbed.add_user("A", "Alice")
+    ca = testbed.domain_cas["A"]
+    for broker in testbed.brokers.values():
+        broker.truststore.add_revocation_checker(ca.is_revoked)
+    assert testbed.reserve(
+        user, source="A", destination="C", bandwidth_mbps=5.0,
+    ).granted
+    ca.revoke(user.certificate.serial)
+    assert not testbed.reserve(
+        user, source="A", destination="C", bandwidth_mbps=5.0,
+    ).granted
 
 
 def scenario_transient_fault_and_retry():
@@ -180,41 +197,46 @@ def scenario_alert_firing():
 #: Which scenario produces each kind.  A kind missing here makes the
 #: parametrized test fail with a KeyError — the desired tripwire.
 SCENARIOS = {
-    EventKind.ADMIT: scenario_grant_lifecycle,
-    EventKind.CLAIM: scenario_grant_lifecycle,
-    EventKind.CANCEL: scenario_grant_lifecycle,
-    EventKind.DENY: scenario_deny_and_release,
-    EventKind.RELEASE: scenario_deny_and_release,
-    EventKind.TRUST_FAILURE: scenario_trust_failure,
-    EventKind.FAULT: scenario_transient_fault_and_retry,
-    EventKind.RETRY: scenario_transient_fault_and_retry,
-    EventKind.BREAKER: scenario_breaker_opens,
-    EventKind.UNWIND_FAILED: scenario_unwind_failure,
-    EventKind.EXPIRE: scenario_soft_state_expiry,
-    EventKind.FALLBACK: scenario_tunnel_fallback,
-    EventKind.ALERT: scenario_alert_firing,
+    RecordKind.ADMIT: scenario_grant_lifecycle,
+    RecordKind.CLAIM: scenario_grant_lifecycle,
+    RecordKind.CANCEL: scenario_grant_lifecycle,
+    RecordKind.DENY: scenario_deny_and_release,
+    RecordKind.RELEASE: scenario_deny_and_release,
+    # The denied outcome of a request no hop could verify.
+    RecordKind.OUTCOME: scenario_trust_failure,
+    RecordKind.FAULT: scenario_transient_fault_and_retry,
+    RecordKind.RETRY: scenario_transient_fault_and_retry,
+    RecordKind.BREAKER: scenario_breaker_opens,
+    RecordKind.UNWIND_FAILED: scenario_unwind_failure,
+    RecordKind.EXPIRE: scenario_soft_state_expiry,
+    RecordKind.FALLBACK: scenario_tunnel_fallback,
+    RecordKind.ALERT: scenario_alert_firing,
+    RecordKind.REVOKE: scenario_revocation,
 }
+
+#: Kinds stated outside any request: an authority revokes on its own
+#: schedule, so there is no trace to join.
+UNCORRELATED = {RecordKind.REVOKE}
 
 
 class TestEveryKindCarriesACorrelationId:
-    @pytest.mark.parametrize("kind", list(EventKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("kind", list(RecordKind), ids=lambda k: k.value)
     def test_kind_emitted_and_correlated(self, kind):
         scenario = SCENARIOS[kind]  # KeyError = untestable new kind
         with events.use_event_log() as log:
             scenario()
-        emitted = log.events(kind)
+        emitted = log.records(kind)
         assert emitted, f"scenario produced no {kind.value} events"
-        for event in emitted:
+        for event in emitted if kind not in UNCORRELATED else ():
             assert event.correlation_id, (
                 f"{kind.value} event has no correlation id: {event}"
             )
 
     def test_scenario_table_covers_the_enum(self):
-        assert set(SCENARIOS) == set(EventKind)
+        assert set(SCENARIOS) == set(RecordKind)
 
     @pytest.mark.parametrize(
-        "kind",
-        [EventKind.DENY, EventKind.TRUST_FAILURE, EventKind.UNWIND_FAILED],
+        "kind", [RecordKind.DENY, RecordKind.UNWIND_FAILED],
         ids=lambda k: k.value,
     )
     def test_every_refusal_event_carries_a_reason_code(self, kind):
@@ -223,12 +245,25 @@ class TestEveryKindCarriesACorrelationId:
         for scenario in dict.fromkeys(SCENARIOS.values()):
             with events.use_event_log() as log:
                 scenario()
-            for event in log.events(kind):
+            for event in log.records(kind):
                 assert event.reason_code, (
                     f"{scenario.__name__}: {kind.value} event without a "
                     f"reason code: {event}"
                 )
 
+
+    def test_trust_failure_is_a_deny_with_its_reason_code(self):
+        """A message no hop can verify is refused like any other
+        request: one DENY, naming the hop whose check failed, coded
+        ``trust_failure``."""
+        with events.use_event_log() as log:
+            scenario_trust_failure()
+        denials = log.records(RecordKind.DENY)
+        assert [(e.domain, e.reason_code) for e in denials] == [
+            ("C", ReasonCode.TRUST_FAILURE.value)
+        ]
+        assert denials[0].reason.startswith("trust verification failed")
+        assert denials[0].correlation_id
 
     def test_breaker_scenario_ends_in_one_link_unreachable_denial(self):
         """The request the dead link killed is refused in the event log
@@ -236,7 +271,7 @@ class TestEveryKindCarriesACorrelationId:
         upstream but naming C, with the machine-readable cause."""
         with events.use_event_log() as log:
             scenario_breaker_opens()
-        denials = log.events(EventKind.DENY)
+        denials = log.records(RecordKind.DENY)
         assert [(e.domain, e.reason_code) for e in denials] == [
             ("C", ReasonCode.LINK_UNREACHABLE.value)
         ]
@@ -254,7 +289,7 @@ class TestExpireJoinsTheOriginatingTrace:
             )
             assert outcome.granted
             testbed.sweep_soft_state(61.0)
-        expires = log.events(EventKind.EXPIRE)
+        expires = log.records(RecordKind.EXPIRE)
         assert len(expires) == 2
         assert {e.correlation_id for e in expires} == {outcome.correlation_id}
 
@@ -300,7 +335,7 @@ class TestBackgroundWorkOpensSpans:
         # The degradation span links to the per-flow reservation's own
         # trace, and the FALLBACK event shares the degradation's ID.
         assert span.attributes["link"].startswith("req-")
-        fallback_events = log.events(EventKind.FALLBACK)
+        fallback_events = log.records(RecordKind.FALLBACK)
         assert len(fallback_events) == 1
         assert fallback_events[0].correlation_id == span.trace_id
 

@@ -4,47 +4,51 @@ paths, correlation tagging, and log bounds."""
 import pytest
 
 from repro.core.testbed import build_linear_testbed
-from repro.obs import events
-from repro.obs.events import EventKind, EventLog, correlation_scope
+from repro.obs import decisions, events
+from repro.obs.events import (
+    DecisionRecord, EventLog, RecordKind, correlation_scope,
+)
 
 
 class TestEventLog:
     def test_emit_and_filter(self):
         log = EventLog()
-        log.emit(EventKind.ADMIT, domain="A", handle="H-1")
-        log.emit(EventKind.DENY, domain="B", reason="policy")
-        log.emit(EventKind.ADMIT, domain="B")
+        log.emit(DecisionRecord(RecordKind.ADMIT, domain="A", handle="H-1"))
+        log.emit(DecisionRecord(RecordKind.DENY, domain="B", reason="policy"))
+        log.emit(DecisionRecord(RecordKind.ADMIT, domain="B"))
         assert len(log) == 3
-        assert len(log.events(EventKind.ADMIT)) == 2
-        assert log.events(EventKind.DENY)[0].reason == "policy"
-        assert len(log.events(domain="B")) == 2
+        assert len(log.records(RecordKind.ADMIT)) == 2
+        assert log.records(RecordKind.DENY)[0].reason == "policy"
+        assert len(log.records(domain="B")) == 2
 
     def test_bounded_retention(self):
         log = EventLog(max_events=10)
         for i in range(25):
-            log.emit(EventKind.CLAIM, handle=f"H-{i}")
+            log.emit(DecisionRecord(RecordKind.CLAIM, handle=f"H-{i}"))
         assert len(log) == 10
         assert log.emitted == 25
-        assert log.events()[0].handle == "H-15"
+        assert log.records()[0].handle == "H-15"
 
     def test_correlation_scope_tags_events(self):
-        log = EventLog()
-        with correlation_scope("req-000042"):
-            log.emit(EventKind.ADMIT, domain="A")
-        log.emit(EventKind.ADMIT, domain="B")
-        tagged = log.events(correlation_id="req-000042")
+        with events.use_event_log() as log:
+            with correlation_scope("req-000042"):
+                decisions.record("claim", domain="A")
+            decisions.record("claim", domain="B")
+        tagged = log.records(correlation_id="req-000042")
         assert len(tagged) == 1 and tagged[0].domain == "A"
-        assert log.events(domain="B")[0].correlation_id == ""
+        assert log.records(domain="B")[0].correlation_id == ""
 
     def test_to_dict(self):
-        log = EventLog()
-        event = log.emit(
-            EventKind.RELEASE, at_time=5.0, domain="B", handle="H-9",
-            reason="denied by C", rate_mbps=10.0,
-        )
-        d = event.to_dict()
+        with events.use_event_log() as log:
+            record = decisions.record(
+                "release", at_time=5.0, domain="B", handle="H-9",
+                reason="denied by C", rate_mbps=10.0,
+            )
+        assert log.records() == (record,)
+        d = record.to_dict()
         assert d["kind"] == "release"
-        assert d["attributes"] == {"rate_mbps": "10.0"}
+        assert d["rate_mbps"] == 10.0
+        assert d["attributes"] == {}
 
     def test_disabled_by_default(self):
         assert events.get_event_log() is None
@@ -62,14 +66,14 @@ class TestGrantPath:
             testbed.hop_by_hop.claim(outcome)
             testbed.hop_by_hop.cancel(outcome)
 
-        admits = log.events(EventKind.ADMIT,
+        admits = log.records(RecordKind.ADMIT,
                             correlation_id=outcome.correlation_id)
         assert [e.domain for e in admits] == ["A", "B", "C"]
         assert all(e.handle for e in admits)
-        assert {e.domain for e in log.events(EventKind.CLAIM)} == {"A", "B", "C"}
-        assert {e.domain for e in log.events(EventKind.CANCEL)} == {"A", "B", "C"}
-        assert not log.events(EventKind.DENY)
-        assert not log.events(EventKind.RELEASE)
+        for kind in (RecordKind.CLAIM, RecordKind.CANCEL):
+            assert {e.domain for e in log.records(kind)} == {"A", "B", "C"}
+        assert not log.records(RecordKind.DENY)
+        assert not log.records(RecordKind.RELEASE)
 
 
 class TestDenyPath:
@@ -83,10 +87,10 @@ class TestDenyPath:
             )
         assert not outcome.granted
 
-        denies = log.events(EventKind.DENY,
+        denies = log.records(RecordKind.DENY,
                             correlation_id=outcome.correlation_id)
         assert [e.domain for e in denies] == ["C"]
-        releases = log.events(EventKind.RELEASE,
+        releases = log.records(RecordKind.RELEASE,
                               correlation_id=outcome.correlation_id)
         # A and B granted before the denial; both partial grants released.
         assert {e.domain for e in releases} == {"A", "B"}

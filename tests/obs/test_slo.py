@@ -7,7 +7,7 @@ import io
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs.events import EventKind, EventLog
+from repro.obs.events import DecisionRecord, EventLog, RecordKind
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import (
     SLO,
@@ -17,6 +17,10 @@ from repro.obs.slo import (
     parse_slo_spec,
 )
 from repro.obs.telemetry import FlightRecorder, Recording, RecordingWriter
+
+
+def _emit(log: EventLog, kind: RecordKind, **fields) -> None:
+    log.emit(DecisionRecord(kind, **fields))
 
 
 class TestSLOValidation:
@@ -105,9 +109,9 @@ class TestEvaluation:
     def test_denial_rate(self):
         log = EventLog()
         for _ in range(8):
-            log.emit(EventKind.ADMIT, domain="A")
+            _emit(log, RecordKind.ADMIT, domain="A")
         for _ in range(2):
-            log.emit(EventKind.DENY, domain="B", reason="policy")
+            _emit(log, RecordKind.DENY, domain="B", reason="policy")
         slo = SLO(name="denials", kind="denial_rate", threshold=0.1)
         result = evaluate_slos(
             (slo,), registry=None, event_log=log
@@ -120,10 +124,10 @@ class TestEvaluation:
     def test_breaker_open_rate_counts_only_opens(self):
         log = EventLog()
         for _ in range(10):
-            log.emit(EventKind.ADMIT, domain="A")
-        log.emit(EventKind.BREAKER, reason="closed -> open", link="A|B")
-        log.emit(EventKind.BREAKER, reason="open -> half_open", link="A|B")
-        log.emit(EventKind.BREAKER, reason="half_open -> closed", link="A|B")
+            _emit(log, RecordKind.ADMIT, domain="A")
+        _emit(log, RecordKind.BREAKER, reason="closed -> open")
+        _emit(log, RecordKind.BREAKER, reason="open -> half_open")
+        _emit(log, RecordKind.BREAKER, reason="half_open -> closed")
         slo = SLO(name="breakers", kind="breaker_open_rate", threshold=0.25)
         result = evaluate_slos(
             (slo,), registry=None, event_log=log
@@ -139,8 +143,8 @@ class TestEvaluation:
 
     def test_zero_threshold_burn_rate(self):
         log = EventLog()
-        log.emit(EventKind.ADMIT, domain="A")
-        log.emit(EventKind.DENY, domain="A", reason="x")
+        _emit(log, RecordKind.ADMIT, domain="A")
+        _emit(log, RecordKind.DENY, domain="A", reason="x")
         slo = SLO(name="no-denials", kind="denial_rate", threshold=0.0)
         result = evaluate_slos(
             (slo,), registry=None, event_log=log
@@ -150,7 +154,7 @@ class TestEvaluation:
 
     def test_render_table(self):
         log = EventLog()
-        log.emit(EventKind.ADMIT, domain="A")
+        _emit(log, RecordKind.ADMIT, domain="A")
         report = evaluate_slos(
             (SLO(name="denials", kind="denial_rate", threshold=0.1),),
             registry=None, event_log=log,
@@ -173,6 +177,18 @@ class TestChaosIntegration:
             "decisions" in r.detail for r in report.slo_report.results
         )
         assert "SLO verdicts:" in report.summary()
+
+    def test_denial_rate_counts_every_denial(self):
+        """A refusal of an unverifiable message is a denial like any
+        other: the SLO's count equals the campaign's denied trials."""
+        from repro.faults.chaos import run_chaos
+
+        report = run_chaos(seed=7, trials=5)
+        denied = sum(1 for t in report.trials if not t.granted)
+        assert denied == 1
+        (denial_rate,) = [r for r in report.slo_report.results
+                          if r.slo.kind == "denial_rate"]
+        assert denial_rate.detail.startswith(f"{denied} denials / ")
 
     def test_chaos_accepts_custom_slos(self):
         from repro.faults.chaos import run_chaos
@@ -226,11 +242,11 @@ class TestRecordedTwin:
             hist.observe(5.0)
         log = EventLog()
         for _ in range(7):
-            log.emit(EventKind.ADMIT, domain="A")
+            _emit(log, RecordKind.ADMIT, domain="A")
         for _ in range(3):
-            log.emit(EventKind.DENY, domain="B", reason="policy")
-        log.emit(EventKind.BREAKER, reason="closed -> open", link="A|B")
-        log.emit(EventKind.BREAKER, reason="open -> half_open", link="A|B")
+            _emit(log, RecordKind.DENY, domain="B", reason="policy")
+        _emit(log, RecordKind.BREAKER, reason="closed -> open")
+        _emit(log, RecordKind.BREAKER, reason="open -> half_open")
 
         live = evaluate_slos(self.SLOS, registry=registry, event_log=log)
         recorded = evaluate_slos_from_recording(

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs.events import EventKind, EventLog
+from repro.obs.events import EventLog, RecordKind
 from repro.obs.telemetry import (
     AlertEngine,
     AlertRule,
@@ -227,7 +227,7 @@ class TestEmission:
         log = EventLog()
         _set_backlog(store, 1.0, 3.0)
         engine.step(store, 1.0, event_log=log)
-        events = log.events(EventKind.ALERT)
+        events = log.records(RecordKind.ALERT)
         assert [dict(e.attributes)["state"] for e in events] \
             == ["pending", "firing"]
         assert events[-1].correlation_id == "alert-backlog-0001"

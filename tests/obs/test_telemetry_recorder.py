@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.testbed import build_linear_testbed
 from repro.errors import ObservabilityError
-from repro.obs.events import Event, EventKind
+from repro.obs.events import DecisionRecord, RecordKind
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
     BREAKER_STATE_VALUES,
@@ -79,8 +79,8 @@ class TestRoundTrip:
         for t in range(1, 4):
             counter.inc(domain="A")
             recorder.sample(float(t), registry=registry)
-        recorder.record_event(Event(
-            kind=EventKind.DENY, at_time=2.5, domain="A",
+        recorder.record_event(DecisionRecord(
+            RecordKind.DENY, at_time=2.5, domain="A",
             reason="capacity", correlation_id="req-1",
         ))
         recorder.record_alert(3.0, {"rule": "denial-burn",

@@ -336,10 +336,13 @@ class TestTelemetryCLI:
         assert rc == 2
 
     def test_timeline_live(self, capsys):
-        rc = main(["timeline"])
+        rc = main(["timeline", "--domains", "A,B,C"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "admit" in out or "grant" in out or "timeline" in out
+        # Each decision is one record, printed once.
+        admits = [line.split(" ADMIT ")[1].split()[0]
+                  for line in out.splitlines() if " ADMIT @" in line]
+        assert admits == ["@A", "@B", "@C"]
 
     def test_chaos_record_gates_clean_and_slo_replays(
         self, tmp_path, capsys
