@@ -503,7 +503,7 @@ class BandwidthBroker:
             # back to the originating trace via its stashed ID.
             sweep_span = tracer.begin(
                 "sweep",
-                trace_id=obs_spans.mint_correlation_id(),
+                trace_id=obs_spans.mint_trace_id("sweep"),
                 domain=self.domain,
             )
         lapsed = self.reservations.sweep_expired(now)

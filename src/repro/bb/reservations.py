@@ -10,7 +10,6 @@ reservation (``CPU_Reservation_ID=111`` in Figure 6).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -21,6 +20,7 @@ from repro.errors import (
     UnknownReservationError,
 )
 from repro.net.packet import DSCP
+from repro.obs import context
 
 __all__ = ["ReservationState", "ReservationRequest", "Reservation", "ReservationTable"]
 
@@ -122,11 +122,8 @@ class ReservationRequest:
         return replace(self, attributes=tuple(sorted(merged.items())))
 
 
-_handle_counter = itertools.count(1)
-
-
 def _new_handle(domain: str) -> str:
-    return f"RES-{domain}-{next(_handle_counter):06d}"
+    return f"RES-{domain}-{next(context.current().handles):06d}"
 
 
 @dataclass

@@ -121,7 +121,7 @@ def run_batch(
     if tracer is not None:
         span = tracer.begin(
             "concurrent_batch",
-            trace_id=obs_spans.mint_correlation_id(),
+            trace_id=obs_spans.mint_trace_id("batch"),
             jobs=len(jobs),
             concurrency=concurrency,
         )

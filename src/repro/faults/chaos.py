@@ -18,7 +18,6 @@ the reproducibility receipt.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import logging
 import random
@@ -40,9 +39,10 @@ from repro.faults.plan import (
     single_fault_matrix,
 )
 from repro.obs import audit as obs_audit
-from repro.obs import events as obs_events
-from repro.obs import metrics as obs_metrics
 from repro.obs.audit import DecisionLedger, ReconciliationReport
+from repro.obs.context import fresh_context
+from repro.obs.events import EventLog
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLO, SLOReport, default_slos, evaluate_slos
 
 __all__ = ["TrialResult", "ChaosReport", "run_chaos"]
@@ -341,16 +341,13 @@ def run_chaos(
         "chaos: %d trials over %d matrix cases (digest %s)",
         trials, len(matrix), report.schedule_digest,
     )
-    ledger_scope: contextlib.AbstractContextManager[DecisionLedger | None] = (
-        obs_audit.use_ledger() if audit else contextlib.nullcontext()
-    )
+    registry, event_log = MetricsRegistry(), EventLog()
+    ledger = DecisionLedger() if audit else None
     engine = None
     if recorder is not None:
         from repro.obs.telemetry import AlertEngine, chaos_rules
         engine = AlertEngine(chaos_rules())
-    with obs_metrics.use_registry() as registry, \
-            obs_events.use_event_log() as event_log, \
-            ledger_scope as ledger:
+    with fresh_context(registry=registry, event_log=event_log, ledger=ledger):
         recorded_events = 0
         if recorder is not None:
             recorder.record_meta(

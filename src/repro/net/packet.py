@@ -8,9 +8,10 @@ RSVP's per-flow-state scaling problem (paper §2).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import IntEnum
+
+from repro.obs import context
 
 __all__ = ["DSCP", "PHB", "phb_for_dscp", "Packet"]
 
@@ -54,9 +55,6 @@ def phb_for_dscp(dscp: DSCP) -> PHB:
     return _PHB_MAP.get(dscp, PHB.DEFAULT)
 
 
-_packet_ids = itertools.count()
-
-
 @dataclass
 class Packet:
     """One simulated packet.
@@ -72,7 +70,7 @@ class Packet:
     size_bits: int
     dscp: DSCP = DSCP.BE
     created: float = 0.0
-    uid: int = field(default_factory=lambda: next(_packet_ids))
+    uid: int = field(default_factory=lambda: next(context.current().packets))
     #: Number of router hops traversed so far (loop guard + diagnostics).
     hops: int = 0
     #: True once a policer has downgraded the packet out of its original class.

@@ -27,6 +27,7 @@ Layered on top of the pillars (ISSUE 4):
   evaluated over the registry and event log (``repro slo``; the chaos
   harness attaches verdicts to every run).
 
+Each store is a slot of the one current :mod:`repro.obs.context`.
 Instrumented modules pay a ``None`` check per store when observability is
 disabled, so the substrate adds no measurable overhead to the signalling
 hot paths (benchmark C1 guards this).
@@ -50,13 +51,15 @@ import logging
 import sys
 from typing import IO, Iterator
 
-from repro.obs import events, export, metrics, perf, propagation, slo, spans
+from repro.obs import context, events, export, metrics, perf, propagation
+from repro.obs import slo, spans
 from repro.obs import audit
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer
 
 __all__ = [
+    "context",
     "metrics",
     "spans",
     "events",
@@ -72,12 +75,13 @@ __all__ = [
 
 @contextlib.contextmanager
 def observed() -> Iterator[tuple[MetricsRegistry, Tracer, EventLog]]:
-    """Enable all three pillars for a ``with`` block, restoring the
-    previous global state afterwards."""
-    with metrics.use_registry() as registry:
-        with spans.use_tracer() as tracer:
-            with events.use_event_log() as event_log:
-                yield registry, tracer, event_log
+    """Enable all three pillars in a fresh context for a ``with`` block,
+    restoring the previous context afterwards."""
+    registry, tracer, event_log = MetricsRegistry(), Tracer(), EventLog()
+    with context.fresh_context(
+        registry=registry, tracer=tracer, event_log=event_log,
+    ):
+        yield registry, tracer, event_log
 
 
 _LOG_FORMAT = "%(asctime)s %(levelname)-7s %(name)s: %(message)s"

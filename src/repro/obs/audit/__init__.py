@@ -30,9 +30,7 @@ from __future__ import annotations
 from repro.obs.audit.ledger import (
     LEDGER_KINDS,
     DecisionLedger,
-    disable,
     discard_pending,
-    enable,
     get_ledger,
     note_check,
     note_recovery,
@@ -63,8 +61,6 @@ __all__ = [
     "DecisionLedger",
     "RecordKind",
     "LEDGER_KINDS",
-    "enable",
-    "disable",
     "get_ledger",
     "use_ledger",
     "note_check",

@@ -5,9 +5,9 @@ Two layers cooperate to build one record:
 * **Pending-check buffer** — verification code deep in the stack
   (:mod:`repro.core.trust`, :mod:`repro.crypto.capability`, the policy
   server) calls :func:`note_check` / :func:`note_retry` /
-  :func:`note_recovery` as it works.  The notes accumulate in a
-  :mod:`contextvars` buffer, so no call signature in the protocol stack
-  had to grow a "ledger" argument.
+  :func:`note_recovery` as it works.  The notes accumulate on the
+  current :mod:`repro.obs.context`, beside the ledger itself, so no call
+  signature in the protocol stack had to grow a "ledger" argument.
 * **Record finalisation** — the decision points state the decision to
   :func:`repro.obs.decisions.record`, which drains the pending buffer
   into one immutable :class:`~repro.obs.events.DecisionRecord`,
@@ -25,10 +25,9 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
-from repro.obs._holder import Holder
+from repro.obs import context
 from repro.obs.events import (
     CheckRecord, DecisionRecord, RecordKind, RecordStore,
 )
@@ -36,8 +35,6 @@ from repro.obs.events import (
 __all__ = [
     "LEDGER_KINDS",
     "DecisionLedger",
-    "enable",
-    "disable",
     "get_ledger",
     "use_ledger",
     "note_check",
@@ -96,7 +93,7 @@ class DecisionLedger(RecordStore):
 
 
 # ---------------------------------------------------------------------------
-# Pending-check buffer (contextvar)
+# Pending-check buffer
 # ---------------------------------------------------------------------------
 
 
@@ -111,33 +108,29 @@ class _Pending:
 #: What a record takes when no notes were gathered for it.
 NOTHING_PENDING = _Pending()
 
-_pending: ContextVar[_Pending | None] = ContextVar(
-    "repro_audit_pending", default=None
-)
 
-
-def _current_pending() -> _Pending:
-    buffer = _pending.get()
-    if buffer is None:
-        buffer = _Pending()
-        _pending.set(buffer)
-    return buffer
+def _noting() -> _Pending | None:
+    """The buffer to note into, or ``None`` when the ledger is off."""
+    scope = context.current()
+    if scope.ledger is None:
+        return None
+    if scope.pending is None:
+        scope.pending = _Pending()
+    return scope.pending
 
 
 def drain_pending() -> _Pending:
     """Take the notes gathered for the decision being recorded."""
-    buffer = _pending.get()
-    if buffer is None:
-        return NOTHING_PENDING
-    _pending.set(None)
-    return buffer
+    scope = context.current()
+    buffer, scope.pending = scope.pending, None
+    return NOTHING_PENDING if buffer is None else buffer
 
 
 def discard_pending() -> None:
-    """Drop any notes left over from an earlier request on this context
+    """Drop any notes left over from an earlier request in this context
     (the signalling engine calls this at the top of every operation, so
     each request starts from a clean buffer)."""
-    _pending.set(None)
+    context.current().pending = None
 
 
 def note_check(
@@ -151,9 +144,10 @@ def note_check(
 ) -> None:
     """Note one certificate/delegation/assertion check for the decision
     currently being evaluated.  No-op when the ledger is off."""
-    if _holder.active is None:
+    buffer = _noting()
+    if buffer is None:
         return
-    _current_pending().checks.append(CheckRecord(
+    buffer.checks.append(CheckRecord(
         kind=kind,
         subject=subject,
         fingerprint=fingerprint,
@@ -165,9 +159,9 @@ def note_check(
 
 def note_retry(target: str = "", reason: str = "") -> None:
     """Note one absorbed transient failure (mirrors the RETRY event)."""
-    if _holder.active is None:
+    buffer = _noting()
+    if buffer is None:
         return
-    buffer = _current_pending()
     buffer.retries += 1
     buffer.checks.append(CheckRecord(
         kind="retry", subject=target, verdict="retried", source="",
@@ -182,9 +176,9 @@ def note_recovery(
 ) -> None:
     """Note the recovery context (breaker state of the inbound link,
     remaining end-to-end deadline) for the decision in flight."""
-    if _holder.active is None:
+    buffer = _noting()
+    if buffer is None:
         return
-    buffer = _current_pending()
     if breaker_state is not None:
         buffer.breaker_state = breaker_state
     if deadline_remaining_s is not None:
@@ -204,31 +198,15 @@ def record_decision(entry: DecisionRecord) -> DecisionRecord | None:
     return ledger.record(entry)
 
 
-# ---------------------------------------------------------------------------
-# Process-global ledger (disabled by default)
-# ---------------------------------------------------------------------------
-
-_holder: Holder[DecisionLedger] = Holder()
-
-
-def enable(ledger: DecisionLedger | None = None) -> DecisionLedger:
-    """Install *ledger* (or a fresh one) as the process-global ledger."""
-    ledger = ledger if ledger is not None else DecisionLedger()
-    _holder.swap(ledger)
-    return ledger
-
-
-def disable() -> None:
-    _holder.swap(None)
-
-
 def get_ledger() -> DecisionLedger | None:
-    """The active global decision ledger, or ``None`` when off."""
-    return _holder.active
+    """The current context's decision ledger, or ``None`` when off."""
+    return context.current().ledger
 
 
 def use_ledger(
     ledger: DecisionLedger | None = None,
 ) -> contextlib.AbstractContextManager[DecisionLedger]:
     """Scoped ledger installation (mirror of ``events.use_event_log``)."""
-    return _holder.use(ledger if ledger is not None else DecisionLedger())
+    return context.use(
+        "ledger", ledger if ledger is not None else DecisionLedger()
+    )

@@ -12,14 +12,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from repro.obs.audit.ledger import (
-    LEDGER_KINDS, NOTHING_PENDING, drain_pending, get_ledger,
-)
-from repro.obs.events import (
-    CheckRecord, DecisionRecord, ReasonCode, RecordKind,
-    current_correlation_id, get_event_log,
-)
-from repro.obs.metrics import get_registry
+from repro.obs import context
+from repro.obs.audit.ledger import LEDGER_KINDS, NOTHING_PENDING, drain_pending
+from repro.obs.events import CheckRecord, DecisionRecord, ReasonCode, RecordKind
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.policy.engine import PolicyDecision
@@ -117,7 +112,7 @@ def record(
     measures: Mapping[str, float] | None = None, **attributes: object,
 ) -> DecisionRecord | None:
     """Write one decision of *kind* (a :data:`DECISIONS` key) to every
-    store that is on; with all off, three ``None`` checks and out.
+    store that is on; with all off, one context read and out.
     Returns the record, or ``None`` when no store keeps it.
 
     *correlation_id* is only the fallback for a decision taken outside
@@ -125,7 +120,8 @@ def record(
     *measures* feed metrics only, *attributes* go to the record and
     supply metric labels.  A record the ledger keeps also takes the
     checks noted for it (:func:`repro.obs.audit.note_check`)."""
-    registry, event_log, ledger = get_registry(), get_event_log(), get_ledger()
+    scope = context.current()
+    registry, event_log, ledger = scope.registry, scope.event_log, scope.ledger
     if registry is None and event_log is None and ledger is None:
         return None
     row = DECISIONS[kind]
@@ -149,7 +145,7 @@ def record(
     entry = DecisionRecord(
         row.kind, at_time, seq=-1 if ledger is None else len(ledger),
         domain=domain, handle=handle, user=user,
-        correlation_id=current_correlation_id() or correlation_id,
+        correlation_id=scope.correlation_id or correlation_id,
         granted=granted, reason=reason,
         reason_code=(reason_code.value if isinstance(reason_code, ReasonCode)
                      else reason_code),

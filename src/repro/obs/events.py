@@ -13,9 +13,9 @@ kinds in :data:`~repro.obs.audit.ledger.LEDGER_KINDS`).
 The correlation ID travels implicitly: the signalling engine scopes it
 with :func:`correlation_scope`, and deeper layers (the broker's audit
 hook, the trust verifier) pick it up via :func:`current_correlation_id`
-without threading an argument through every call signature.  The scope
-uses :mod:`contextvars`, so leaving a nested scope restores the outer
-request's id.
+without threading an argument through every call signature.  The id is
+held by the current :mod:`repro.obs.context`; leaving a nested scope
+restores the outer request's id.
 
 Disabled by default; free when off (the usual ``None`` check).
 """
@@ -25,11 +25,10 @@ from __future__ import annotations
 import contextlib
 import enum
 from collections import deque
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Iterator, MutableSequence
 
-from repro.obs._holder import Holder
+from repro.obs import context
 
 __all__ = [
     "RecordKind",
@@ -38,8 +37,6 @@ __all__ = [
     "DecisionRecord",
     "RecordStore",
     "EventLog",
-    "enable",
-    "disable",
     "get_event_log",
     "use_event_log",
     "reason_code_for",
@@ -368,51 +365,31 @@ class EventLog(RecordStore):
 # Correlation-ID propagation
 # ---------------------------------------------------------------------------
 
-_correlation: ContextVar[str | None] = ContextVar("repro_correlation_id",
-                                                  default=None)
-
 
 def current_correlation_id() -> str | None:
     """The correlation ID of the request currently being processed (set
     by the signalling engine), or ``None`` outside any request scope."""
-    return _correlation.get()
+    return context.current().correlation_id
 
 
 @contextlib.contextmanager
-def correlation_scope(correlation_id: str):
+def correlation_scope(correlation_id: str) -> Iterator[None]:
     """Tag every event emitted inside the block with *correlation_id*."""
-    token = _correlation.set(correlation_id)
+    scope = context.current()
+    outer, scope.correlation_id = scope.correlation_id, correlation_id
     try:
         yield
     finally:
-        _correlation.reset(token)
-
-
-# ---------------------------------------------------------------------------
-# Process-global event log (disabled by default)
-# ---------------------------------------------------------------------------
-
-_holder: Holder[EventLog] = Holder()
-
-
-def enable(log: EventLog | None = None) -> EventLog:
-    """Install *log* (or a fresh one) as the process-global event log."""
-    log = log if log is not None else EventLog()
-    _holder.swap(log)
-    return log
-
-
-def disable() -> None:
-    _holder.swap(None)
+        scope.correlation_id = outer
 
 
 def get_event_log() -> EventLog | None:
-    """The active global event log, or ``None`` when off."""
-    return _holder.active
+    """The current context's event log, or ``None`` when off."""
+    return context.current().event_log
 
 
 def use_event_log(
     log: EventLog | None = None,
 ) -> contextlib.AbstractContextManager[EventLog]:
     """Scoped event-log installation (mirror of ``metrics.use_registry``)."""
-    return _holder.use(log if log is not None else EventLog())
+    return context.use("event_log", log if log is not None else EventLog())

@@ -20,11 +20,11 @@ first, and a ``None`` check is the entire disabled-path cost.
 
 Usage::
 
-    registry = enable()                     # install a process-global registry
-    ...
-    reg = get_registry()
-    if reg is not None:
-        reg.counter("admissions_total").inc(domain="A", granted="true")
+    with use_registry() as registry:        # on for this block
+        ...
+        reg = get_registry()
+        if reg is not None:
+            reg.counter("admissions_total").inc(domain="A", granted="true")
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from contextlib import AbstractContextManager
 from typing import Iterator, Mapping, Sequence
 
 from repro.errors import ObservabilityError
-from repro.obs._holder import Holder
+from repro.obs import context
 
 __all__ = [
     "Counter",
@@ -43,8 +43,6 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
     "interpolate_quantile",
-    "enable",
-    "disable",
     "get_registry",
     "use_registry",
 ]
@@ -331,30 +329,10 @@ class MetricsRegistry:
         return len(self._metrics)
 
 
-# ---------------------------------------------------------------------------
-# Process-global registry (disabled by default)
-# ---------------------------------------------------------------------------
-
-_holder: Holder[MetricsRegistry] = Holder()
-
-
-def enable(registry: MetricsRegistry | None = None) -> MetricsRegistry:
-    """Install *registry* (or a fresh one) as the process-global registry
-    and return it.  Instrumented code starts recording immediately."""
-    registry = registry if registry is not None else MetricsRegistry()
-    _holder.swap(registry)
-    return registry
-
-
-def disable() -> None:
-    """Remove the global registry; instrumentation reverts to no-ops."""
-    _holder.swap(None)
-
-
 def get_registry() -> MetricsRegistry | None:
-    """The active global registry, or ``None`` when observability is off.
-    Instrumented call sites must treat ``None`` as "record nothing"."""
-    return _holder.active
+    """The current context's registry, or ``None`` when observability is
+    off.  Instrumented call sites must treat ``None`` as "record nothing"."""
+    return context.current().registry
 
 
 def use_registry(
@@ -365,6 +343,8 @@ def use_registry(
 
         with use_registry() as reg:
             ...
-        # previous global state restored
+        # previous registry restored
     """
-    return _holder.use(registry if registry is not None else MetricsRegistry())
+    return context.use(
+        "registry", registry if registry is not None else MetricsRegistry()
+    )

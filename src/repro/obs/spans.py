@@ -20,6 +20,7 @@ Spans carry two time axes:
 
 Like the metrics registry, tracing is disabled by default and free when
 off: call sites ask :func:`get_tracer` and skip everything on ``None``.
+The tracer and the ids it is keyed by come from :mod:`repro.obs.context`.
 """
 
 from __future__ import annotations
@@ -31,16 +32,15 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.errors import ObservabilityError
-from repro.obs._holder import Holder
+from repro.obs import context
 
 __all__ = [
     "Span",
     "Tracer",
-    "enable",
-    "disable",
     "get_tracer",
     "use_tracer",
     "mint_correlation_id",
+    "mint_trace_id",
     "phase_clock",
 ]
 
@@ -54,14 +54,17 @@ def phase_clock() -> float:
     timing flows through the obs layer (lint rule REP110)."""
     return time.perf_counter()
 
-#: Correlation IDs stay unique across tracers (and when tracing is off),
-#: so event logs from different runs never collide within one process.
-_correlation_counter = itertools.count(1)
-
 
 def mint_correlation_id() -> str:
-    """A fresh per-request correlation ID (process-unique)."""
-    return f"req-{next(_correlation_counter):06d}"
+    """A fresh per-request correlation ID, unique within the current
+    context (so across tracers, and with tracing off)."""
+    return f"req-{next(context.current().requests):06d}"
+
+
+def mint_trace_id(kind: str) -> str:
+    """A trace ID for work outside any request (``sweep``, ``batch``),
+    from a sequence of its own: tracing never renumbers requests."""
+    return f"{kind}-{next(context.current().traces):06d}"
 
 
 @dataclass
@@ -234,29 +237,11 @@ class Tracer:
         return iter(flat)
 
 
-# ---------------------------------------------------------------------------
-# Process-global tracer (disabled by default)
-# ---------------------------------------------------------------------------
-
-_holder: Holder[Tracer] = Holder()
-
-
-def enable(tracer: Tracer | None = None) -> Tracer:
-    """Install *tracer* (or a fresh one) as the process-global tracer."""
-    tracer = tracer if tracer is not None else Tracer()
-    _holder.swap(tracer)
-    return tracer
-
-
-def disable() -> None:
-    _holder.swap(None)
-
-
 def get_tracer() -> Tracer | None:
-    """The active global tracer, or ``None`` when tracing is off."""
-    return _holder.active
+    """The current context's tracer, or ``None`` when tracing is off."""
+    return context.current().tracer
 
 
 def use_tracer(tracer: Tracer | None = None) -> AbstractContextManager[Tracer]:
     """Scoped tracer installation (mirror of ``metrics.use_registry``)."""
-    return _holder.use(tracer if tracer is not None else Tracer())
+    return context.use("tracer", tracer if tracer is not None else Tracer())

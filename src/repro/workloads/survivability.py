@@ -48,10 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from repro.bb.defense import DefensePolicy
 from repro.core.testbed import build_linear_testbed
 from repro.errors import SimulationError
-from repro.obs import events as obs_events
-from repro.obs import metrics as obs_metrics
-from repro.obs.audit import ledger as obs_audit
+from repro.obs.audit import DecisionLedger
+from repro.obs.context import fresh_context
 from repro.obs.events import DecisionRecord, EventLog, ReasonCode, RecordKind
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLO, SLOReport, evaluate_slos
 from repro.workloads.attackers import AttackPersona, PERSONAS, make_persona
 
@@ -319,9 +319,8 @@ def run_survivability(
     queue = _WorkQueue()
     honest_latencies: list[float] = []
 
-    with obs_metrics.use_registry() as registry, \
-            obs_events.use_event_log() as event_log, \
-            obs_audit.use_ledger() as ledger:
+    registry, event_log, ledger = MetricsRegistry(), EventLog(), DecisionLedger()
+    with fresh_context(registry=registry, event_log=event_log, ledger=ledger):
         testbed = build_linear_testbed(list(spec.domains))
         if defenses_on:
             testbed.arm_defenses(

@@ -13,10 +13,12 @@ entry points ``bench/trace.py::TARGETS`` wraps.  Everything it names
 must still resolve, so deleting one fails here and not in the bench job
 after the fact.
 
-The third keeps process-global state where it is: the four observer
-handles (metrics, events, spans, audit ledger) are the only module-level
-``Holder()`` instances, nothing outside ``repro.obs`` imports the holder,
-and a signature verdict is computed from its arguments — the two
+The third keeps process-global state in one place: the one module-level
+``Context()`` in ``obs/context.py`` holds the observer stores, the
+request scope and the id sequences, and nothing under ``src/repro``
+builds an ``itertools.count``, a ``ContextVar`` or a ``Holder`` at import
+time — so a campaign in a fresh context owes nothing to what ran before
+it.  And a signature verdict is computed from its arguments — the two
 signature primitives have no branch that could read one from elsewhere.
 
 The fourth keeps the wire schema in one place: ``codec.pack`` and the
@@ -115,6 +117,59 @@ def _thread_imports(tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
+#: Constructors of process-global state when called at import time.
+PROCESS_STATE = ("itertools.count", "contextvars.ContextVar")
+#: The one allowed: the current context.
+CONTEXT = "repro.obs.context.Context"
+
+
+def _import_time_calls(tree: ast.Module) -> list[ast.Call]:
+    """Every call evaluated when the module is imported: module and class
+    bodies, decorators and argument defaults — not function bodies."""
+    calls, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack += [*node.args.defaults, *filter(None, node.args.kw_defaults)]
+            stack += getattr(node, "decorator_list", [])
+            continue
+        if isinstance(node, ast.Call):
+            calls.append(node)
+        stack += ast.iter_child_nodes(node)
+    return calls
+
+
+def _process_state(tree: ast.Module, module: str) -> list[tuple[int, str]]:
+    """``(line, dotted name)`` for every import-time call that builds a
+    counter, a ``ContextVar``, a ``Holder`` or a ``Context``, through any
+    import alias.  A name not imported resolves inside *module*."""
+    aliases: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+                else:
+                    head = alias.name.split(".")[0]
+                    aliases[head] = head
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = (
+                    f"{node.module}.{alias.name}" if node.module else alias.name
+                )
+    found = []
+    for call in _import_time_calls(tree):
+        head, dot, rest = ast.unparse(call.func).partition(".")
+        dotted = aliases.get(head, f"{module}.{head}") + dot + rest
+        if (
+            dotted in PROCESS_STATE
+            or dotted == CONTEXT
+            or dotted.rsplit(".", 1)[-1] == "Holder"
+        ):
+            found.append((call.lineno, dotted))
+    return sorted(found)
+
+
 def test_detector_sees_every_spelling():
     sample = ast.parse(
         "from repro.core.codec import from_wire\n"
@@ -156,6 +211,49 @@ def test_detector_sees_every_spelling():
         (7, "threading"),
         (11, "multiprocessing"),
     ]
+    state = ast.parse(
+        "import itertools\n"
+        "import itertools as it\n"
+        "from itertools import count\n"
+        "from itertools import count as tick\n"
+        "from contextvars import ContextVar\n"
+        "import contextvars\n"
+        "from repro.obs import context\n"
+        "from repro.obs._holder import Holder\n"
+        "a = itertools.count(1)\n"
+        "b: object = it.count()\n"
+        "c = next(count())\n"
+        "if a:\n"
+        "    d = tick(5)\n"
+        "e = ContextVar('e')\n"
+        "f = contextvars.ContextVar('f', default=None)\n"
+        "g = Holder()\n"
+        "h = context.Context()\n"
+        "class K:\n"
+        "    ids = count()\n"
+        "    def __init__(self):\n"
+        "        self.ids = count()\n"
+        "def f(x=it.count()):\n"
+        "    return itertools.count()\n"
+        "new = lambda: count()\n"
+        "text.count('a')\n"
+        "counts = [n.count() for n in names]\n"
+    )
+    assert _process_state(state, "repro.sample") == [
+        (9, "itertools.count"),
+        (10, "itertools.count"),
+        (11, "itertools.count"),
+        (13, "itertools.count"),
+        (14, "contextvars.ContextVar"),
+        (15, "contextvars.ContextVar"),
+        (16, "repro.obs._holder.Holder"),
+        (17, "repro.obs.context.Context"),
+        (19, "itertools.count"),
+        (22, "itertools.count"),
+    ]
+    assert _process_state(
+        ast.parse("_current = Context()\n"), "repro.obs.context"
+    ) == [(1, CONTEXT)]
 
 
 def test_only_codec_touches_the_reference_decoder():
@@ -260,36 +358,22 @@ def _src_trees():
         yield module, ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
-def test_only_the_observers_hold_a_process_global_handle():
-    holders, importers = [], []
-    for module, tree in _src_trees():
-        for node in tree.body:
-            value = getattr(node, "value", None)
-            if (
-                isinstance(node, (ast.Assign, ast.AnnAssign))
-                and isinstance(value, ast.Call)
-                and ast.unparse(value.func).split(".")[-1] == "Holder"
-            ):
-                holders.append(module)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                names = {node.module or ""} | {
-                    f"{node.module}.{a.name}" for a in node.names
-                }
-            elif isinstance(node, ast.Import):
-                names = {a.name for a in node.names}
-            else:
-                continue
-            if "repro.obs._holder" in names:
-                importers.append(module)
-    assert sorted(holders) == [
-        "repro.obs.audit.ledger",
-        "repro.obs.events",
-        "repro.obs.metrics",
-        "repro.obs.spans",
+def test_one_context_is_the_only_process_global_state():
+    found = [
+        (module, line, name)
+        for module, tree in _src_trees()
+        for line, name in _process_state(tree, module)
     ]
-    outside = [m for m in importers if not m.startswith("repro.obs.")]
-    assert not outside, f"process-global holder used outside repro.obs: {outside}"
+    contexts = [(module, name) for module, _, name in found if name == CONTEXT]
+    assert contexts == [("repro.obs.context", CONTEXT)]
+    others = [
+        f"{module}:{line}: {name}"
+        for module, line, name in found if name != CONTEXT
+    ]
+    assert not others, (
+        "process-global state outside the one context (draw ids from "
+        "repro.obs.context.current()):\n" + "\n".join(others)
+    )
 
 
 def test_signature_primitives_do_not_branch():

@@ -13,6 +13,7 @@ import zlib
 import pytest
 
 from repro.crypto.keys import RSAScheme, SimulatedScheme
+from repro.obs import context as obs_context
 
 
 @pytest.fixture(autouse=True)
@@ -27,6 +28,31 @@ def _isolate_repro_logging():
     logger.setLevel(saved[0])
     logger.handlers[:] = saved[1]
     logger.propagate = saved[2]
+
+
+@pytest.fixture(autouse=True)
+def _isolate_obs_context():
+    """Fail the test that leaks runtime context: a different current
+    context left installed, an observer store left on, or a correlation
+    scope left open.  Every later test would otherwise record into it or
+    number its ids after it.  The leak is undone first, so it fails only
+    the test that caused it."""
+    outer = obs_context.current()
+    yield
+    leaked = obs_context.current()
+    found = [] if leaked is outer else ["a different current context"]
+    found += [
+        f"the {slot}" for slot in ("registry", "tracer", "event_log", "ledger")
+        if getattr(leaked, slot) is not None
+    ]
+    if leaked.correlation_id is not None:
+        found.append(f"correlation scope {leaked.correlation_id!r}")
+    if found:
+        obs_context._current = outer
+        for slot in ("registry", "tracer", "event_log", "ledger",
+                     "correlation_id"):
+            setattr(outer, slot, None)
+        pytest.fail("test leaked " + ", ".join(found), pytrace=False)
 
 
 def pytest_addoption(parser):

@@ -100,14 +100,11 @@ class TestGlobals:
         assert metrics.get_registry() is None
 
     def test_use_registry_restores_previous(self):
-        outer = metrics.enable()
-        try:
+        with metrics.use_registry() as outer:
             with metrics.use_registry() as inner:
                 assert metrics.get_registry() is inner
                 assert inner is not outer
             assert metrics.get_registry() is outer
-        finally:
-            metrics.disable()
         assert metrics.get_registry() is None
 
 
