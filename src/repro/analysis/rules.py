@@ -28,9 +28,9 @@ Each rule encodes an invariant the reproduction depends on:
   circuit breaker; see :mod:`repro.core.recovery`).
 * ``REP110`` — no raw monotonic timers (``time.perf_counter`` and
   friends) outside :mod:`repro.obs`: hand-rolled ``t0``/``t1`` pairs
-  bypass the timing helpers (``Histogram.time()``, spans,
-  ``obs_spans.phase_clock()``), so the cost they measure never reaches
-  the metrics registry or a trace.
+  bypass the span clock (``Tracer`` spans, ``obs_spans.phase_clock()``),
+  so the cost they measure never reaches a trace.  Measuring cost is
+  ``bench/``'s job.
 * ``REP111`` — every function in the broker/signalling layer that mints
   an admission or denial (``AdmitOutcome(...)``, ``make_denial(...)``)
   must also talk to the decision-provenance recorder
@@ -523,9 +523,9 @@ class RawTimerRule(_ImportAwareRule):
     severity = Severity.ERROR
     packages = ("repro",)
 
-    #: The observability layer implements the blessed timing surfaces
-    #: (``Histogram.time()``, ``Tracer``/``phase_clock``), so the raw
-    #: clocks are its building material — exempt.
+    #: The observability layer implements the span clock
+    #: (``Tracer``/``phase_clock``), so the raw clocks are its building
+    #: material — exempt.
     EXEMPT_PACKAGES = ("repro.obs",)
 
     @classmethod
@@ -543,9 +543,8 @@ class RawTimerRule(_ImportAwareRule):
             self.report(
                 node,
                 f"{target}() hand-rolls a timer that bypasses the "
-                "observability helpers; time histogram observations with "
-                "Histogram.time(), phases with Tracer spans or "
-                "repro.obs.spans.phase_clock()",
+                "span clock; time phases with Tracer spans or "
+                "repro.obs.spans.phase_clock(), and measure cost in bench/",
             )
         self.generic_visit(node)
 

@@ -34,7 +34,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from repro.errors import AdmissionError, CapacityExceededError
-from repro.obs import metrics as obs_metrics
 
 __all__ = ["Booking", "CapacitySchedule", "AdmissionController"]
 
@@ -132,14 +131,8 @@ class CapacitySchedule:
         """Admit a booking or raise :class:`CapacityExceededError`."""
         if not (math.isfinite(rate_mbps) and rate_mbps > 0):
             raise AdmissionError("booked rate must be positive and finite")
-        registry = obs_metrics.get_registry()
         spare = self.available(start, end)
         if rate_mbps > spare + 1e-9:
-            if registry is not None:
-                registry.counter(
-                    "booking_failures_total",
-                    "Capacity bookings refused for lack of spare capacity",
-                ).inc(resource=self.name)
             logger.debug(
                 "%s: booking of %.1f Mb/s refused (%.3f spare)",
                 self.name, rate_mbps, max(spare, 0.0),
@@ -154,15 +147,6 @@ class CapacitySchedule:
         self._bookings[booking.booking_id] = booking
         self._insert(start, rate_mbps)
         self._insert(end, -rate_mbps)
-        if registry is not None:
-            load_now = self.load_at(start)
-            registry.counter(
-                "bookings_total", "Capacity bookings admitted, by resource",
-            ).inc(resource=self.name)
-            registry.gauge(
-                "booked_load_mbps",
-                "Total booked rate at the start of the latest booking",
-            ).set(load_now, resource=self.name)
         return booking
 
     def release(self, booking_id: int) -> None:

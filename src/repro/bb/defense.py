@@ -51,7 +51,6 @@ from repro.errors import (
     ReplayRejectedError,
     QuotaExceededError,
 )
-from repro.obs import metrics as obs_metrics
 
 __all__ = [
     "DefensePolicy",
@@ -230,25 +229,6 @@ class DomainDefense:
 
     # -- bookkeeping ---------------------------------------------------------------
 
-    def _meter(self, kind: str) -> None:
-        registry = obs_metrics.get_registry()
-        if registry is not None:
-            # ``kind`` doubles as the stable ReasonCode value
-            # (rate_limited / quota_exceeded / replay_rejected /
-            # shed_overload); exporting it under both labels keeps the
-            # legacy ``kind`` selector working while per-attack
-            # breakdowns join against event/audit reason codes.
-            registry.counter(
-                "defense_rejections_total",
-                "Admission-plane defense rejections by domain and kind",
-            ).inc(domain=self.domain, kind=kind, reason_code=kind)
-            if kind == "replay_rejected":
-                registry.counter(
-                    "replay_guard_rejections_total",
-                    "Envelopes rejected by the replay guard before "
-                    "signature verification",
-                ).inc(domain=self.domain, reason_code=kind)
-
     def _bucket_for(self, peer: str, now: float, kind: str) -> TokenBucket:
         bucket = self._buckets.get(peer)
         if bucket is None:
@@ -290,7 +270,6 @@ class DomainDefense:
         bucket = self._bucket_for(peer, now, peer_kind)
         if not bucket.take(now):
             self.stats.rate_limited += 1
-            self._meter("rate_limited")
             raise RateLimitedError(
                 f"{self.domain}: peer {peer!r} exceeded "
                 f"{bucket.rate_per_s:g}/s signalling rate "
@@ -301,7 +280,6 @@ class DomainDefense:
                 self.replay_guard.check(envelope_digest, now)
             except ReplayRejectedError:
                 self.stats.replay_rejected += 1
-                self._meter("replay_rejected")
                 raise
         # check() raises on replay, so from here the signal is fresh.
         horizon = now - self.policy.shed_window_s
@@ -310,7 +288,6 @@ class DomainDefense:
         if (operation not in PROTECTED_OPERATIONS
                 and len(self._arrivals) >= self.pending_watermark):
             self.stats.shed_overload += 1
-            self._meter("shed_overload")
             raise OverloadShedError(
                 f"{self.domain}: pending signalling "
                 f"{len(self._arrivals)} past watermark "
@@ -339,7 +316,6 @@ class DomainDefense:
         this module never reaches into broker tables."""
         if user_count >= self.policy.per_user_quota:
             self.stats.quota_exceeded += 1
-            self._meter("quota_exceeded")
             raise QuotaExceededError(
                 f"{self.domain}: user {user!r} holds {user_count} live "
                 f"reservations (quota {self.policy.per_user_quota})"
@@ -347,7 +323,6 @@ class DomainDefense:
         if (upstream is not None
                 and ingress_count >= self.policy.per_ingress_quota):
             self.stats.quota_exceeded += 1
-            self._meter("quota_exceeded")
             raise QuotaExceededError(
                 f"{self.domain}: ingress {upstream!r} carries "
                 f"{ingress_count} live reservations "

@@ -41,7 +41,6 @@ from repro.crypto.dn import DistinguishedName
 from repro.crypto.keys import PublicKey
 from repro.crypto.x509 import Certificate
 from repro.errors import DelegationError
-from repro.obs import metrics as obs_metrics
 from repro.obs.audit import ledger as obs_audit
 from repro.policy.engine import (
     Decision,
@@ -61,14 +60,8 @@ __all__ = ["VerifiedInfo", "PolicyServer", "AkentiPolicyServer"]
 logger = logging.getLogger(__name__)
 
 
-def _record_decision(domain: str, decision: PolicyDecision) -> None:
-    """Shared decision telemetry for every policy-server flavour."""
-    registry = obs_metrics.get_registry()
-    if registry is not None:
-        registry.counter(
-            "policy_decisions_total",
-            "Policy-engine decisions, by domain and outcome",
-        ).inc(domain=domain, decision=decision.decision.name.lower())
+def _log_decision(domain: str, decision: PolicyDecision) -> None:
+    """Shared decision log line for every policy-server flavour."""
     logger.debug("%s: policy %s (%s)", domain, decision.decision.name,
                  decision.reason)
 
@@ -122,17 +115,8 @@ class PolicyServer:
             if engine.nodes
             else []
         )
-        if self.policy_findings:
-            registry = obs_metrics.get_registry()
-            if registry is not None:
-                registry.counter(
-                    "policy_lint_findings_total",
-                    "Static-verifier findings on loaded policies",
-                ).inc(len(self.policy_findings), domain=domain)
-            for finding in self.policy_findings:
-                logger.warning(
-                    "%s: policy verifier: %s", domain, finding.format()
-                )
+        for finding in self.policy_findings:
+            logger.warning("%s: policy verifier: %s", domain, finding.format())
         self._group_servers = {gs.name: gs for gs in group_servers}
         self._trusted_communities = dict(trusted_communities or {})
         self._predicates = dict(predicates or {})
@@ -246,15 +230,8 @@ class PolicyServer:
             restrictions |= result.restrictions
             issuers.add(_community_of(result.issuer))
 
-        if rejected:
-            registry = obs_metrics.get_registry()
-            if registry is not None:
-                registry.counter(
-                    "credential_rejections_total",
-                    "Claimed credentials that failed verification",
-                ).inc(len(rejected), domain=self.domain)
-            for why in rejected:
-                logger.info("%s: rejected credential: %s", self.domain, why)
+        for why in rejected:
+            logger.info("%s: rejected credential: %s", self.domain, why)
         return VerifiedInfo(
             user=user,
             groups=frozenset(groups),
@@ -322,7 +299,7 @@ class PolicyServer:
                 decision,
                 modifications=tuple(sorted(self.domain_attributes.items())),
             )
-        _record_decision(self.domain, decision)
+        _log_decision(self.domain, decision)
         return decision
 
 
@@ -388,5 +365,5 @@ class AkentiPolicyServer(PolicyServer):
                 reason=f"akenti: use conditions on {self.resource!r} not satisfied",
                 matched_rule=rule_id, rules_fired=(rule_id,),
             )
-        _record_decision(self.domain, decision)
+        _log_decision(self.domain, decision)
         return decision

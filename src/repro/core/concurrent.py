@@ -30,7 +30,6 @@ from repro.bb.reservations import ReservationRequest
 from repro.core.agent import UserAgent
 from repro.core.hopbyhop import HopByHopProtocol, SignallingOutcome
 from repro.errors import ReproError, SignallingError
-from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.policy.attributes import SignedAssertion
 
@@ -153,21 +152,6 @@ def run_batch(
 
     result = BatchResult(concurrency=concurrency)
     _schedule(concurrency, jobs, paths, results, into=result)
-    registry = obs_metrics.get_registry()
-    if registry is not None:
-        counter = registry.counter(
-            "concurrent_jobs_total",
-            "Jobs driven through the batch signaller, by result",
-        )
-        for item in result.scheduled:
-            counter.inc(
-                result="granted" if item.granted
-                else ("error" if item.error else "denied")
-            )
-        registry.histogram(
-            "concurrent_batch_makespan_seconds",
-            "Modelled makespan of signalling batches",
-        ).observe(result.makespan_s)
     return result
 
 

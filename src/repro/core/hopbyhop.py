@@ -114,7 +114,6 @@ from repro.errors import (
 )
 from repro.obs import decisions
 from repro.obs import events as obs_events
-from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs.audit import ledger as obs_audit
 from repro.obs.events import ReasonCode, reason_code_for
@@ -286,8 +285,6 @@ class _Hop:
     span: obs_spans.Span | None = None
     #: Phase clock: where the stage now running started.
     t0: float = 0.0
-    #: Modelled inbound crossing + processing + repository lookups.
-    sim_latency_s: float = 0.0
 
 
 @dataclass
@@ -663,22 +660,12 @@ class HopByHopProtocol:
             ),
             rate_mbps=request.rate_mbps, tracer=tracer, root=root,
         )
-        registry = obs_metrics.get_registry()
-        if registry is not None:
-            registry.gauge(
-                "signalling_inflight",
-                "Reservations currently in hop-by-hop signalling",
-            ).inc()
         outcome = att.outcome
         with obs_events.correlation_scope(correlation_id):
-            try:
-                self._signal(
-                    att, user, request, assertions=assertions,
-                    restrictions=restrictions, deadline_s=deadline_s,
-                )
-            finally:
-                if registry is not None:
-                    registry.gauge("signalling_inflight").dec()
+            self._signal(
+                att, user, request, assertions=assertions,
+                restrictions=restrictions, deadline_s=deadline_s,
+            )
             if tracer is not None and root is not None:
                 tracer.end(
                     root,
@@ -858,7 +845,6 @@ class HopByHopProtocol:
             peer_kind="domain" if upstream is not None else "user",
             peer_certificate=channel.peer_certificate(bb.dn),
             resend=(channel, sender, sent), t0=t0,
-            sim_latency_s=channel.latency_s + self.processing_delay_s,
         )
         if att.tracer is not None and att.root is not None:
             # Parent under the span id the *envelope* names (the
@@ -1020,10 +1006,8 @@ class HopByHopProtocol:
             # The repository stayed down through the whole retry budget:
             # the hop reports the outage itself, not the retry count.
             raise (exc.__cause__ or exc) from exc
-        lookup_latency_s = lookups * repository.lookup_latency_s
         att.outcome.repository_lookups += lookups
-        att.outcome.latency_s += lookup_latency_s
-        hop.sim_latency_s += lookup_latency_s
+        att.outcome.latency_s += lookups * repository.lookup_latency_s
         return verified
 
     def _decide(
@@ -1095,13 +1079,6 @@ class HopByHopProtocol:
         # negotiation are attributed to it.
         hop.t0 = obs_spans.phase_clock()
         att.outcome.handles[domain] = handle
-        registry = obs_metrics.get_registry()
-        if registry is not None:
-            registry.histogram(
-                "hop_latency_seconds",
-                "Modelled per-hop signalling latency (inbound channel "
-                "crossing + processing + repository lookups)",
-            ).observe(hop.sim_latency_s, domain=domain)
         if not admit.granted:
             # The broker's admission pipeline recorded its own denial.
             raise _Refused(domain, admit.reason, None, signer=bb)
@@ -1395,16 +1372,6 @@ class HopByHopProtocol:
             obs_audit.discard_pending()
         if work_units == WORK_VERIFY:
             self.ingress_verifications += 1
-        registry = obs_metrics.get_registry()
-        if registry is not None:
-            registry.counter(
-                "ingress_messages_total",
-                "Unsolicited inbound signalling messages by domain "
-                "and outcome",
-            ).inc(
-                domain=domain,
-                outcome="accepted" if accepted else "rejected",
-            )
         # Trace/deadline metadata of the outer layer, when it decoded
         # (scalars only).
         rar = hop.rar

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 from repro.bb.reservations import ReservationRequest
 from repro.crypto.dn import DistinguishedName
@@ -50,7 +50,6 @@ from repro.errors import (
     SignallingError,
     TamperedMessageError,
 )
-from repro.obs import metrics as obs_metrics
 from repro.obs.audit import ledger as obs_audit
 from repro.policy.attributes import SignedAssertion
 
@@ -59,50 +58,6 @@ __all__ = ["VerifiedRAR", "verify_rar", "verify_rar_with_repository"]
 logger = logging.getLogger(__name__)
 
 _T = TypeVar("_T")
-
-#: Buckets for the introduction-depth histogram (layers below the outer).
-_DEPTH_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-
-
-def _meter_verification(
-    fn: Callable[[], "VerifiedRAR"], mode: str
-) -> "VerifiedRAR":
-    """Wrap a RAR verifier with signature/depth/timing telemetry.
-
-    Counts every verification attempt (``rar_verifications_total`` with a
-    ``result`` label), the individual signature checks it implied (one
-    per envelope layer), the introduction depth distribution, and the
-    wall-clock cost — all skipped entirely when no registry is active.
-    """
-    registry = obs_metrics.get_registry()
-    if registry is None:
-        return fn()
-    timer = registry.histogram(
-        "rar_verification_seconds",
-        "Wall-clock cost of one transitive-trust verification",
-    )
-    verifications = registry.counter(
-        "rar_verifications_total",
-        "Transitive-trust RAR verifications, by result",
-    )
-    try:
-        with timer.time():
-            verified = fn()
-    except ReproError as exc:
-        verifications.inc(result="fail", mode=mode)
-        logger.debug("RAR verification failed (%s): %s", mode, exc)
-        raise
-    verifications.inc(result="ok", mode=mode)
-    registry.counter(
-        "signature_verifications_total",
-        "Individual envelope-signature checks performed",
-    ).inc(verified.depth + 1)
-    registry.histogram(
-        "rar_verification_depth",
-        "Introduction depth of verified RARs",
-        buckets=_DEPTH_BUCKETS,
-    ).observe(verified.depth)
-    return verified
 
 
 def _note_rar_checks(
@@ -228,20 +183,21 @@ def _verify(
     at_time: float,
     repository: CertificateRepository | None,
 ) -> VerifiedRAR:
-    """One full walk with its telemetry and audit notes."""
+    """One full walk with its audit notes."""
     try:
-        verified = _meter_verification(
-            lambda: _walk_layers(
-                rar,
-                verifier=verifier,
-                peer_certificate=peer_certificate,
-                truststore=truststore,
-                at_time=at_time,
-                repository=repository,
-            ),
-            "introduction" if repository is None else "repository",
+        verified = _walk_layers(
+            rar,
+            verifier=verifier,
+            peer_certificate=peer_certificate,
+            truststore=truststore,
+            at_time=at_time,
+            repository=repository,
         )
     except ReproError as exc:
+        logger.debug(
+            "RAR verification failed (%s): %s",
+            "introduction" if repository is None else "repository", exc,
+        )
         obs_audit.note_check(
             "rar_trust",
             fingerprint=peer_certificate.fingerprint,

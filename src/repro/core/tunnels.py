@@ -31,7 +31,6 @@ from repro.crypto.dn import DistinguishedName
 from repro.errors import ChannelError, TunnelError
 from repro.obs import decisions
 from repro.obs import events as obs_events
-from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs.events import ReasonCode
 
@@ -135,13 +134,7 @@ class TunnelService:
         source↔destination channel using the traced identity information."""
         tagged = request.with_attributes(tunnel=True)
         outcome = self.protocol.reserve(user, tagged)
-        registry = obs_metrics.get_registry()
         if not outcome.granted:
-            if registry is not None:
-                registry.counter(
-                    "tunnels_established_total",
-                    "Tunnel establishment attempts, by result",
-                ).inc(result="denied")
             logger.info(
                 "tunnel %s->%s denied: %s",
                 request.source_domain, request.destination_domain,
@@ -182,11 +175,6 @@ class TunnelService:
             direct_channel=direct,
         )
         self._tunnels[tunnel.tunnel_id] = tunnel
-        if registry is not None:
-            registry.counter(
-                "tunnels_established_total",
-                "Tunnel establishment attempts, by result",
-            ).inc(result="ok")
         logger.info(
             "established %s: %.1f Mb/s %s->%s",
             tunnel.tunnel_id, tunnel.capacity_mbps,
@@ -214,28 +202,13 @@ class TunnelService:
         :class:`~repro.errors.TunnelError` on authorization, window, or
         headroom failure.
         """
-        registry = obs_metrics.get_registry()
         try:
             allocation, latency, messages = self._allocate_flow(
                 tunnel_id, user, rate_mbps, start=start, end=end
             )
         except TunnelError as exc:
-            if registry is not None:
-                registry.counter(
-                    "tunnel_flow_allocations_total",
-                    "Intra-tunnel flow allocations, by result",
-                ).inc(result="rejected")
             logger.info("flow allocation on %s rejected: %s", tunnel_id, exc)
             raise
-        if registry is not None:
-            registry.counter(
-                "tunnel_flow_allocations_total",
-                "Intra-tunnel flow allocations, by result",
-            ).inc(result="ok")
-            registry.gauge(
-                "tunnel_allocations_active",
-                "Live flow allocations per tunnel",
-            ).set(len(self.get(tunnel_id).allocations), tunnel=tunnel_id)
         logger.debug(
             "allocated %s: %.1f Mb/s on %s (%d msgs)",
             allocation.allocation_id, rate_mbps, tunnel_id, messages,
@@ -403,15 +376,6 @@ class TunnelService:
         fallback = self._fallbacks.pop(allocation_id, None)
         if fallback is not None:
             self.protocol.cancel(fallback)
-        registry = obs_metrics.get_registry()
-        if registry is not None:
-            registry.counter(
-                "tunnel_flow_releases_total", "Flow allocations released",
-            ).inc()
-            registry.gauge(
-                "tunnel_allocations_active",
-                "Live flow allocations per tunnel",
-            ).set(len(tunnel.allocations), tunnel=tunnel_id)
         logger.debug("released %s from %s", allocation_id, tunnel_id)
 
     def teardown(self, tunnel_id: str) -> None:

@@ -35,7 +35,6 @@ from repro.crypto.dn import DistinguishedName
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey, get_scheme
 from repro.crypto.x509 import Certificate, sign_certificate
 from repro.errors import DelegationError
-from repro.obs import metrics as obs_metrics
 from repro.obs.audit import ledger as obs_audit
 
 __all__ = [
@@ -67,9 +66,6 @@ EXT_RESTRICTIONS = "restrictions"
 CAPABILITY_CN_TAG = " (capability)"
 
 logger = logging.getLogger(__name__)
-
-#: Buckets for delegation-chain lengths (certificates per chain).
-_CHAIN_LENGTH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0)
 
 
 @dataclass(frozen=True)
@@ -188,11 +184,6 @@ def delegate(
             EXT_RESTRICTIONS: tuple(sorted(restrictions)),
         },
     )
-    registry = obs_metrics.get_registry()
-    if registry is not None:
-        registry.counter(
-            "delegations_total", "Capability delegations minted",
-        ).inc()
     logger.debug(
         "delegated %d capabilities from %s to %s",
         len(caps), parent.subject, delegate_subject,
@@ -300,7 +291,7 @@ def verify_delegation_chain(
     Raises :class:`~repro.errors.DelegationError` on any violation.
     """
     try:
-        result = _verify_delegation_chain_metered(
+        result = _verify_delegation_chain_impl(
             chain,
             trusted_issuers=trusted_issuers,
             at_time=at_time,
@@ -309,6 +300,7 @@ def verify_delegation_chain(
             revocation_checker=revocation_checker,
         )
     except DelegationError as exc:
+        logger.debug("delegation chain rejected: %s", exc)
         obs_audit.note_check(
             "delegation",
             fingerprint=chain[-1].fingerprint if chain else "",
@@ -319,58 +311,6 @@ def verify_delegation_chain(
         raise
     if obs_audit.get_ledger() is not None:
         _note_chain_checks(chain)
-    return result
-
-
-def _verify_delegation_chain_metered(
-    chain: Sequence[Certificate],
-    *,
-    trusted_issuers: dict[DistinguishedName, PublicKey],
-    at_time: float,
-    possession_nonce: bytes | None,
-    possession_prover: PossessionProver | None,
-    revocation_checker: RevocationOracle | None,
-) -> DelegationResult:
-    registry = obs_metrics.get_registry()
-    if registry is None:
-        return _verify_delegation_chain_impl(
-            chain,
-            trusted_issuers=trusted_issuers,
-            at_time=at_time,
-            possession_nonce=possession_nonce,
-            possession_prover=possession_prover,
-            revocation_checker=revocation_checker,
-        )
-    timer = registry.histogram(
-        "delegation_chain_verify_seconds",
-        "Wall-clock cost of one delegation-chain verification",
-    )
-    try:
-        with timer.time():
-            result = _verify_delegation_chain_impl(
-                chain,
-                trusted_issuers=trusted_issuers,
-                at_time=at_time,
-                possession_nonce=possession_nonce,
-                possession_prover=possession_prover,
-                revocation_checker=revocation_checker,
-            )
-    except DelegationError as exc:
-        registry.counter(
-            "delegation_chain_verifications_total",
-            "Capability delegation-chain verifications, by result",
-        ).inc(result="fail")
-        logger.debug("delegation chain rejected: %s", exc)
-        raise
-    registry.counter(
-        "delegation_chain_verifications_total",
-        "Capability delegation-chain verifications, by result",
-    ).inc(result="ok")
-    registry.histogram(
-        "delegation_chain_length",
-        "Certificates per verified delegation chain",
-        buckets=_CHAIN_LENGTH_BUCKETS,
-    ).observe(len(chain))
     return result
 
 

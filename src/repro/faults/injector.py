@@ -17,8 +17,9 @@ method per operation:
 The injector never imports the subsystems it breaks (corruption is
 duck-typed through ``with_tampered_field``), so ``repro.faults`` sits
 beside ``repro.core``, not above it.  Every triggered fault is recorded
-in :attr:`triggered` and emitted as a ``FAULT`` event plus a
-``faults_injected_total`` counter.
+in :attr:`triggered` and written as one ``fault`` decision
+(:func:`repro.obs.decisions.record`), whose row counts it in
+``faults_injected_total``.
 """
 
 from __future__ import annotations

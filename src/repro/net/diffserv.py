@@ -29,7 +29,6 @@ from enum import Enum
 
 from repro.errors import RoutingError, SimulationError
 from repro.net.flows import FlowStats
-from repro.obs import metrics as obs_metrics
 from repro.net.packet import DSCP, Packet
 from repro.net.queues import PriorityScheduler
 from repro.net.simulator import Simulator
@@ -218,21 +217,6 @@ class NetworkModel:
         key = (where, reason)
         self.drop_ledger[key] = self.drop_ledger.get(key, 0) + 1
         self.stats_for(packet.flow_id).on_drop()
-        registry = obs_metrics.get_registry()
-        if registry is not None:
-            # Drops are rare relative to forwards, so metering here keeps
-            # the per-packet fast path free of registry lookups.
-            registry.counter(
-                "packet_drops_total", "Packets dropped in the data plane",
-            ).inc(where=where, reason=reason)
-            if reason == "queue-overflow":
-                for (u, _v), port in self._ports.items():
-                    if u == where:
-                        registry.gauge(
-                            "queue_depth_bits",
-                            "Scheduler occupancy at the dropping router",
-                        ).set(port.scheduler.backlog_bits, router=where)
-                        break
 
     def _next_hop(self, at: str, dst: str) -> str:
         key = (at, dst)

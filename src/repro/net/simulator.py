@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import SimulationError
-from repro.obs import metrics as obs_metrics
 
 __all__ = ["Simulator", "Event", "Trace"]
 
@@ -100,7 +99,6 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        # Metered outside the event loop so the hot path stays untouched.
         events_before = self.events_processed
         try:
             processed = 0
@@ -124,22 +122,10 @@ class Simulator:
                 self._now = until
         finally:
             self._running = False
-            registry = obs_metrics.get_registry()
-            if registry is not None:
-                processed_now = self.events_processed - events_before
-                if processed_now:
-                    registry.counter(
-                        "sim_events_processed_total",
-                        "Discrete events executed by the simulator",
-                    ).inc(processed_now)
-                registry.gauge(
-                    "sim_pending_events",
-                    "Events still queued when the last run() returned",
-                ).set(self.pending)
-                logger.debug(
-                    "run() processed %d events, %d pending, t=%.6f",
-                    processed_now, self.pending, self._now,
-                )
+            logger.debug(
+                "run() processed %d events, %d pending, t=%.6f",
+                self.events_processed - events_before, self.pending, self._now,
+            )
 
     @property
     def pending(self) -> int:

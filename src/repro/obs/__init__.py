@@ -15,7 +15,10 @@ Three pillars, each individually switchable and all off by default:
 A decision is written once: :mod:`repro.obs.decisions` counts it and
 builds one record, which the event log and the :mod:`repro.obs.audit`
 ledger (complete, for the decision kinds) both keep — the same object,
-so those views agree by construction.
+so those views agree by construction.  A metric is a decision's count
+(a row of ``decisions.DECISIONS``) or a flight-recorder probe's sample
+(``telemetry.testbed_probes``); no module outside ``repro.obs`` asks
+for the registry.
 
 Layered on top of the pillars (ISSUE 4):
 

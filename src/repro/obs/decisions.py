@@ -32,6 +32,8 @@ class _Metric(NamedTuple):
     measure: str = ""
     #: Observe the measure in a histogram instead.
     histogram: bool = False
+    #: Count only records with one of these reason codes (empty: all).
+    codes: frozenset[str] = frozenset()
 
 
 class _Kind(NamedTuple):
@@ -43,6 +45,13 @@ _DOMAIN = ("domain",)
 _ADMISSIONS = (_Metric(
     "admissions_total", "Local admission attempts, by domain and outcome",
     ("domain", "granted")),)
+#: The gate's refusals (``deny``) and the quota's (``admit_denied``).
+_DEFENSE = (_Metric(
+    "defense_rejections_total",
+    "Admission-plane defense rejections by domain and kind",
+    ("domain", "kind", "reason_code"),
+    codes=frozenset({"rate_limited", "replay_rejected", "shed_overload",
+                     "quota_exceeded"})),)
 _OUTCOME = (
     _Metric("reservations_total",
             "End-to-end hop-by-hop reservation attempts", ("result",)),
@@ -62,8 +71,8 @@ _OUTCOME = (
 #: ("admit_denied"), the signalling engine's ("deny") is not.
 DECISIONS: dict[str, _Kind] = {
     "admit": _Kind(RecordKind.ADMIT, _ADMISSIONS),
-    "admit_denied": _Kind(RecordKind.DENY, _ADMISSIONS),
-    "deny": _Kind(RecordKind.DENY),
+    "admit_denied": _Kind(RecordKind.DENY, (*_ADMISSIONS, *_DEFENSE)),
+    "deny": _Kind(RecordKind.DENY, _DEFENSE),
     "claim": _Kind(RecordKind.CLAIM, (_Metric(
         "claims_total", "Reservations claimed (activated)", _DOMAIN),)),
     "cancel": _Kind(RecordKind.CANCEL, (_Metric(
@@ -125,12 +134,18 @@ def record(
     if registry is None and event_log is None and ledger is None:
         return None
     row = DECISIONS[kind]
+    code = (reason_code.value if isinstance(reason_code, ReasonCode)
+            else reason_code)
     if registry is not None and row.metrics:
         fields = {
             "domain": domain, "granted": str(granted).lower(),
-            "result": "granted" if granted else "denied", **attributes,
+            "result": "granted" if granted else "denied",
+            # A defense rejection's kind is its reason code.
+            "reason_code": code, "kind": code, **attributes,
         }
         for metric in row.metrics:
+            if metric.codes and code not in metric.codes:
+                continue
             labels = {name: fields[name] for name in metric.labels}
             amount = measures[metric.measure] if measures and metric.measure else 1.0
             if metric.histogram:
@@ -147,8 +162,7 @@ def record(
         domain=domain, handle=handle, user=user,
         correlation_id=scope.correlation_id or correlation_id,
         granted=granted, reason=reason,
-        reason_code=(reason_code.value if isinstance(reason_code, ReasonCode)
-                     else reason_code),
+        reason_code=code,
         rate_mbps=rate_mbps, window=window,
         upstream=upstream, downstream=downstream,
         matched_rule=decision.matched_rule if decision else "",

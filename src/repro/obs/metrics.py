@@ -1,35 +1,39 @@
 """Metrics registry: counters, gauges, and fixed-bucket histograms.
 
 The fabric's quantitative telemetry lives here.  Three instrument kinds
-cover everything the reproduction needs to observe about itself:
+cover everything the reproduction counts about itself:
 
-* :class:`Counter` — monotonically increasing totals (verifications,
-  admissions, messages, bytes);
-* :class:`Gauge` — point-in-time values that move both ways (simulator
-  queue depth, active tunnel allocations);
-* :class:`Histogram` — fixed-bucket distributions (per-hop signalling
-  latency, delegation-chain verification wall time).
+* :class:`Counter` — monotonically increasing totals (admissions,
+  messages, bytes, defense rejections);
+* :class:`Gauge` — point-in-time values that move both ways;
+* :class:`Histogram` — fixed-bucket distributions (modelled end-to-end
+  signalling latency).
 
 Every instrument supports label dimensions given as keyword arguments
 (``counter.inc(domain="A", granted="true")``); each distinct label set is
 an independent series, Prometheus-style.
 
-Design constraints: zero third-party dependencies, and free when
-disabled — instrumented code asks :func:`get_registry`
-first, and a ``None`` check is the entire disabled-path cost.
+A metric is written in one of two places: by
+:func:`repro.obs.decisions.record`, from the decision table's row, or by
+a campaign harness on a registry it created itself.  Fabric state that
+no decision counts (utilization, table sizes, breaker states, queued
+simulator events) is a flight-recorder probe
+(:func:`repro.obs.telemetry.testbed_probes`), sampled at frame time.
+Wall-clock timing is ``bench/``'s job, not a metric's.
+
+Zero third-party dependencies, and free when disabled: the writer asks
+the current context for its registry, and a ``None`` check is the entire
+disabled-path cost.
 
 Usage::
 
     with use_registry() as registry:        # on for this block
-        ...
-        reg = get_registry()
-        if reg is not None:
-            reg.counter("admissions_total").inc(domain="A", granted="true")
+        testbed.reserve(...)
+    registry.counter("admissions_total").value(domain="A", granted="true")
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import AbstractContextManager
 from typing import Iterator, Mapping, Sequence
 
@@ -240,37 +244,8 @@ class Histogram(_Instrument):
         series = self._series.get(_label_key(labels))
         return 0.0 if series is None else series.sum
 
-    def time(self, **labels: object) -> _HistogramTimer:
-        """Context manager observing the block's wall-clock duration
-        (``time.perf_counter``) into this histogram on clean exit; a
-        block that raises records nothing.  The blessed way to meter a
-        code section — manual ``perf_counter()`` pairs outside the obs
-        layer trip lint rule REP110."""
-        return _HistogramTimer(self, labels)
-
     def series(self) -> dict[LabelKey, _HistogramSeries]:
         return dict(self._series)
-
-
-class _HistogramTimer:
-    """See :meth:`Histogram.time`."""
-
-    __slots__ = ("_histogram", "_labels", "_t0")
-
-    def __init__(self, histogram: Histogram, labels: Mapping[str, object]):
-        self._histogram = histogram
-        self._labels = dict(labels)
-        self._t0 = 0.0
-
-    def __enter__(self) -> _HistogramTimer:
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type: object, *exc: object) -> None:
-        if exc_type is None:
-            self._histogram.observe(
-                time.perf_counter() - self._t0, **self._labels
-            )
 
 
 class MetricsRegistry:

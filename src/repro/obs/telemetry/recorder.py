@@ -12,7 +12,8 @@ call scrapes two sources into one atomic frame of the underlying
 * registered *probes* — callables ``probe(now) -> {name: value}`` or
   ``{(name, labels): value}`` — for state the registry does not carry
   (per-domain utilization from the admission schedules, live
-  reservation counts, breaker states, work-queue backlog).
+  reservation counts, breaker states, simulator queue, work-queue
+  backlog).
 
 Frames are optionally streamed to an append-only ``.tsrec`` file (one
 JSON object per line) by :class:`RecordingWriter`; :class:`Recording`
@@ -351,7 +352,8 @@ class Recording:
 def testbed_probes(testbed) -> list[Probe]:
     """Probes for the state the registry does not carry: per-domain
     resource utilization (admission schedules at *now*), live
-    reservation-table sizes, and per-link breaker states."""
+    reservation-table sizes, per-link breaker states, and the
+    simulator's queued events."""
 
     def utilization(now: float) -> dict:
         out = {}
@@ -381,4 +383,7 @@ def testbed_probes(testbed) -> list[Probe]:
             for link, state in sorted(snapshot.items())
         }
 
-    return [utilization, reservations, breakers]
+    def simulator(now: float) -> dict:
+        return {"sim_pending_events": float(testbed.sim.pending)}
+
+    return [utilization, reservations, breakers, simulator]

@@ -31,6 +31,11 @@ The fifth keeps the library on one thread, by rule: no module under
 ``src/repro`` imports ``threading``, ``_thread``, ``concurrent.futures``
 or ``multiprocessing``.  Batch parallelism is a modelled schedule
 (``core/concurrent.py``), so nothing in the library needs a lock.
+
+The sixth keeps metric writes in ``repro.obs``: a metric is a decision's
+count (``obs/decisions.py``) or a flight-recorder probe's sample, so no
+module under ``src/repro`` outside ``repro/obs/`` reaches for the
+registry with ``get_registry``, in any spelling.
 """
 
 import ast
@@ -115,6 +120,35 @@ def _thread_imports(tree: ast.AST) -> list[tuple[int, str]]:
             (node.lineno, name) for name in names if _is_thread_module(name)
         ]
     return found
+
+
+def _registry_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, spelling)`` for every use of ``get_registry``: imported,
+    named (also under an import alias), reached as a module attribute at
+    any depth, or fetched with ``getattr``."""
+    names = {"get_registry"}
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name == "get_registry":
+                    names.add(alias.asname or alias.name)
+                    found.append((node.lineno, f"import {alias.name}"))
+    for node in ast.walk(tree):
+        if (
+            (isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, ast.Attribute) and node.attr == "get_registry")
+            or (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "getattr"
+                and any(
+                    isinstance(arg, ast.Constant) and arg.value == "get_registry"
+                    for arg in node.args
+                )
+            )
+        ):
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
 
 
 #: Constructors of process-global state when called at import time.
@@ -254,6 +288,32 @@ def test_detector_sees_every_spelling():
     assert _process_state(
         ast.parse("_current = Context()\n"), "repro.obs.context"
     ) == [(1, CONTEXT)]
+    registry = ast.parse(
+        "from repro.obs import metrics as m\n"
+        "from repro.obs.metrics import get_registry\n"
+        "from repro.obs.metrics import get_registry as reg\n"
+        "import repro.obs.metrics\n"
+        "m.get_registry()\n"
+        "get_registry()\n"
+        "reg()\n"
+        "repro.obs.metrics.get_registry()\n"
+        "def f():\n"
+        "    fetch = m.get_registry\n"
+        "getattr(m, 'get_registry')()\n"
+        "m.use_registry()\n"
+        "ACCESSORS = {'get_registry'}\n"
+        "registry.counter('x').inc()\n"
+    )
+    assert _registry_uses(registry) == [
+        (2, "import get_registry"),
+        (3, "import get_registry"),
+        (5, "m.get_registry"),
+        (6, "get_registry"),
+        (7, "reg"),
+        (8, "repro.obs.metrics.get_registry"),
+        (10, "m.get_registry"),
+        (11, "getattr(m, 'get_registry')"),
+    ]
 
 
 def test_only_codec_touches_the_reference_decoder():
@@ -284,6 +344,23 @@ def test_the_library_runs_on_one_thread():
     assert not offenders, (
         "one thread, by rule: batch parallelism is the modelled schedule "
         "in core/concurrent.py, not a thread pool:\n" + "\n".join(offenders)
+    )
+
+
+def test_only_obs_fetches_the_registry():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        if SRC / "obs" in path.parents:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        offenders += [
+            f"{path.relative_to(SRC.parent)}:{line}: {name}"
+            for line, name in _registry_uses(tree)
+        ]
+    assert not offenders, (
+        "a metric is a row of repro.obs.decisions.DECISIONS or a probe in "
+        "repro.obs.telemetry.testbed_probes, not a get_registry() block:\n"
+        + "\n".join(offenders)
     )
 
 

@@ -468,7 +468,7 @@ class TestRawTimer:
         )
         assert len(findings) == 2
         assert findings[0].rule == "REP110"
-        assert "Histogram.time()" in findings[0].message
+        assert "phase_clock()" in findings[0].message
 
     def test_resolves_from_import(self):
         findings = lint(
@@ -509,11 +509,9 @@ class TestRawTimer:
         findings = lint(
             """
             from repro.obs import spans as obs_spans
-            def f(hist):
+            def f():
                 t0 = obs_spans.phase_clock()
-                with hist.time(op="x"):
-                    pass
-                return t0
+                return obs_spans.phase_clock() - t0
             """,
             RawTimerRule,
             module="repro.core.hopbyhop",

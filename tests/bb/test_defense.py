@@ -9,6 +9,7 @@ from repro.bb.defense import (
     ReplayGuard,
     TokenBucket,
 )
+from repro.core.testbed import build_linear_testbed
 from repro.errors import (
     DefenseError,
     OverloadShedError,
@@ -83,20 +84,31 @@ class TestReplayGuard:
 
 class TestAdmitSignal:
     def test_rate_limit_trips_and_meters(self):
-        defense = DomainDefense(
-            DefensePolicy(peer_burst=2.0, peer_rate_per_s=0.0), domain="B"
-        )
-        with obs_metrics.use_registry() as registry:
+        policy = DefensePolicy(peer_burst=2.0, peer_rate_per_s=0.0)
+        defense = DomainDefense(policy, domain="B")
+        defense.admit_signal(peer="mallory", now=0.0)
+        defense.admit_signal(peer="mallory", now=0.0)
+        with pytest.raises(RateLimitedError):
             defense.admit_signal(peer="mallory", now=0.0)
-            defense.admit_signal(peer="mallory", now=0.0)
-            with pytest.raises(RateLimitedError):
-                defense.admit_signal(peer="mallory", now=0.0)
-            counter = registry.get("defense_rejections_total")
-            assert counter.value(
-                domain="B", kind="rate_limited", reason_code="rate_limited"
-            ) == 1
         assert defense.stats.rate_limited == 1
         assert defense.stats.total == 1
+
+        # The metric counts the gate's deny decision on the real path.
+        with obs_metrics.use_registry() as registry:
+            testbed = build_linear_testbed(["A", "B"])
+            armed = testbed.arm_defenses(policy)
+            codes = [
+                testbed.hop_by_hop.process_ingress(
+                    "B", f"junk {i}".encode(), peer="mallory", at_time=0.0,
+                ).reason_code
+                for i in range(3)
+            ]
+        assert codes[-1] == "rate_limited"
+        counter = registry.get("defense_rejections_total")
+        assert counter.value(
+            domain="B", kind="rate_limited", reason_code="rate_limited"
+        ) == 1 == armed["B"].stats.rate_limited
+        assert counter.total() == armed["B"].stats.total == 1
 
     def test_buckets_are_per_peer(self):
         defense = DomainDefense(

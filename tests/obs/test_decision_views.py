@@ -14,6 +14,7 @@ import pytest
 
 from repro.obs import events, metrics
 from repro.obs.audit import LEDGER_KINDS, RecordKind, use_ledger
+from repro.obs.decisions import DECISIONS
 
 from tests.obs.test_event_coverage import SCENARIOS
 
@@ -109,3 +110,14 @@ def test_outcome_counters_equal_the_outcome_records(views):
     )
     assert _series(registry, "reservations_total") == dict(attempts)
     assert _series(registry, "denials_total") == dict(denials)
+
+
+def test_every_metric_is_a_decision_metric(views):
+    """A metric is a decision's count: after any scenario the registry
+    holds no instrument that a row of the decision table does not name
+    (fabric state is a flight-recorder probe, not a metric)."""
+    registry, _, _ = views
+    named = {
+        metric.name for row in DECISIONS.values() for metric in row.metrics
+    }
+    assert {instrument.name for instrument in registry.collect()} <= named

@@ -8,38 +8,51 @@ snapshot-diff half pins the "snapshots come off disk" hardening:
 one-sided metrics and malformed entries are reported, never raised.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.bb.defense import DefensePolicy, DomainDefense
-from repro.errors import RateLimitedError, ReplayRejectedError
+from repro.bb.defense import DefensePolicy, DefenseStats
+from repro.bb.policyserver import VerifiedInfo
+from repro.core.testbed import build_linear_testbed
 from repro.obs import metrics as obs_metrics
 from repro.obs.export import diff_snapshots, json_snapshot, prometheus_text
 
 
 @pytest.fixture()
-def rejecting_registry():
-    """A registry that has seen one rate-limit and one replay rejection
-    on domain B, produced through the real defense path."""
-    defense = DomainDefense(
-        DefensePolicy(peer_burst=1.0, peer_rate_per_s=0.0,
-                      replay_window_s=60.0),
-        domain="B",
-    )
+def rejections():
+    """The registry and the per-domain defenses of an armed A-B testbed
+    after one rate-limit and one replay rejection at B's ingress gate
+    and one quota refusal in A's admission, each through the real
+    signalling path."""
     with obs_metrics.use_registry() as registry:
-        defense.admit_signal(peer="mallory", now=0.0,
-                             envelope_digest=b"d1")
-        with pytest.raises(RateLimitedError):
-            defense.admit_signal(peer="mallory", now=0.0,
-                                 envelope_digest=b"d2")
-        with pytest.raises(ReplayRejectedError):
-            defense.admit_signal(peer="alice", now=1.0,
-                                 envelope_digest=b"d1")
-        yield registry
+        testbed = build_linear_testbed(["A", "B"])
+        defenses = testbed.arm_defenses(DefensePolicy(
+            peer_burst=1.0, peer_rate_per_s=0.0, replay_window_s=60.0,
+            per_user_quota=1,
+        ))
+        ingress = testbed.hop_by_hop.process_ingress
+        codes = [
+            ingress("B", b"junk", peer="mallory", at_time=0.0).reason_code,
+            ingress("B", b"more junk", peer="mallory", at_time=0.0).reason_code,
+            ingress("B", b"junk", peer="alice", at_time=1.0).reason_code,
+        ]
+        assert codes == ["trust_failure", "rate_limited", "replay_rejected"]
+        user = testbed.add_user("A", "Alice")
+        request = testbed.make_request(
+            source="A", destination="B", bandwidth_mbps=1.0,
+        )
+        verified = VerifiedInfo(user=user.dn)
+        broker = testbed.brokers["A"]
+        assert broker.admit(request, verified, downstream="B").granted
+        assert not broker.admit(request, verified, downstream="B").granted
+        yield registry, defenses
 
 
 class TestPrometheusDefenseLines:
-    def test_exact_defense_rejection_lines(self, rejecting_registry):
-        text = prometheus_text(rejecting_registry)
+    def test_exact_defense_rejection_lines(self, rejections):
+        registry, _ = rejections
+        text = prometheus_text(registry)
         lines = text.splitlines()
         assert "# TYPE defense_rejections_total counter" in lines
         assert (
@@ -51,28 +64,32 @@ class TestPrometheusDefenseLines:
             'reason_code="replay_rejected"} 1'
         ) in lines
 
-    def test_exact_replay_guard_lines(self, rejecting_registry):
-        lines = prometheus_text(rejecting_registry).splitlines()
-        assert "# TYPE replay_guard_rejections_total counter" in lines
-        assert (
-            'replay_guard_rejections_total{domain="B",'
-            'reason_code="replay_rejected"} 1'
-        ) in lines
-
-    def test_replay_guard_counts_only_replays(self, rejecting_registry):
-        """The rate-limit rejection must not leak into the replay-guard
-        counter: its total is exactly the replay count."""
-        counter = rejecting_registry.get("replay_guard_rejections_total")
-        assert sum(counter.series().values()) == 1
-
-    def test_json_snapshot_carries_the_same_labels(self, rejecting_registry):
-        snapshot = json_snapshot(rejecting_registry)
+    def test_json_snapshot_carries_the_same_labels(self, rejections):
+        registry, _ = rejections
+        snapshot = json_snapshot(registry)
         series = snapshot["defense_rejections_total"]["series"]
         labels = [entry["labels"] for entry in series]
         assert {"domain": "B", "kind": "rate_limited",
                 "reason_code": "rate_limited"} in labels
         assert {"domain": "B", "kind": "replay_rejected",
                 "reason_code": "replay_rejected"} in labels
+
+    def test_counts_equal_defense_stats(self, rejections):
+        """Each ``(domain, kind)`` series is exactly that domain's
+        :class:`DefenseStats` counter, and nothing else is counted."""
+        registry, defenses = rejections
+        counter = registry.get("defense_rejections_total")
+        kinds = [f.name for f in dataclasses.fields(DefenseStats)]
+        expected = {
+            (domain, kind): getattr(defense.stats, kind)
+            for domain, defense in defenses.items() for kind in kinds
+        }
+        assert {
+            key: counter.value(domain=key[0], kind=key[1], reason_code=key[1])
+            for key in expected
+        } == expected
+        assert counter.total() == sum(expected.values()) == 3
+        assert defenses["A"].stats.quota_exceeded == 1
 
 
 def _metric(series):

@@ -1,6 +1,5 @@
-"""Histogram quantiles and the exporters that surface them, the
-snapshot differ behind ``repro metrics --diff``, and the
-``Histogram.time()`` context manager."""
+"""Histogram quantiles and the exporters that surface them, and the
+snapshot differ behind ``repro metrics --diff``."""
 
 import pytest
 
@@ -122,19 +121,3 @@ class TestDiffSnapshots:
         assert any("+ metric only_in_b" in l for l in lines)
         lines = diff_snapshots(b, a)
         assert any("- metric only_in_b" in l for l in lines)
-
-
-class TestHistogramTimer:
-    def test_observes_on_clean_exit(self, registry):
-        hist = registry.histogram("op_seconds", buckets=(0.1, 1.0))
-        with hist.time(op="x"):
-            pass
-        assert hist.count(op="x") == 1
-        assert hist.sum(op="x") >= 0.0
-
-    def test_records_nothing_when_the_block_raises(self, registry):
-        hist = registry.histogram("op_seconds", buckets=(0.1, 1.0))
-        with pytest.raises(ValueError):
-            with hist.time(op="x"):
-                raise ValueError("boom")
-        assert hist.count(op="x") == 0

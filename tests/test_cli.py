@@ -130,9 +130,9 @@ class TestMetrics:
         rc = main(["metrics", "--domains", "A,B,C", "--runs", "2"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert 'rar_verifications_total{mode="introduction",result="ok"} 6' in out
         assert 'admissions_total{domain="C",granted="true"} 2' in out
-        assert "hop_latency_seconds_bucket" in out
+        assert 'reservations_total{result="granted"} 2' in out
+        assert 'signalling_latency_seconds_bucket{le="+Inf"} 2' in out
 
     def test_json_dump(self, capsys):
         import json

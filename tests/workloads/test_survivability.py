@@ -157,3 +157,18 @@ class TestTimeToDetect:
         assert recording.meta["persona"] == "flood"
         assert len(recording.frames) >= int(spec.horizon_s) - 1
         assert recording.meta.get("attack_onset_s") is not None
+
+    def test_pending_events_sampled_in_every_frame(self):
+        """The simulator's queue is a probe read at frame time, so a
+        recorder sampling from inside the run sees it at every frame."""
+        from repro.obs.telemetry import FlightRecorder
+
+        recorder = FlightRecorder()
+        run_survivability(
+            SurvivabilitySpec(persona="flood", seed=2001, horizon_s=30.0),
+            defenses_on=False, recorder=recorder,
+        )
+        points = recorder.store.points("sim_pending_events")
+        assert recorder.frames > 0
+        assert len(points) == recorder.frames
+        assert any(value > 0 for _, value in points)
