@@ -14,6 +14,13 @@ The library passes Python objects rather than bytes between simulated
 parties; the canonical encoding (DESIGN.md: our stand-in for DER) is what
 signatures cover, so any tampering with any nested field invalidates the
 enclosing signatures exactly as it would on the wire.
+
+Each layer is encoded once.  :func:`seal` encodes the body it signs and
+carries those bytes to the signed envelope; :meth:`SignedEnvelope.cbe_bytes`
+encodes the whole envelope once.  Both hand the encoder the payload's
+names, certificates, assertions and inner envelopes as objects, so their
+memoised bytes are spliced rather than rebuilt, and a later hop verifies
+and forwards a layer without encoding it again.
 """
 
 from __future__ import annotations
@@ -54,26 +61,6 @@ def chain_link_digest(inner: "SignedEnvelope") -> bytes:
     return hashlib.sha256(inner.cbe_bytes()).digest()
 
 
-def _to_cbe_value(value: Any) -> Any:
-    """Recursively render payload values canonically encodable.
-
-    Objects that memoize their canonical bytes (``cbe_bytes``) are passed
-    through untouched: :func:`repro.crypto.canonical.encode` splices the
-    cached bytes directly, which is what keeps sealing and verifying a
-    deeply nested chain linear — eagerly calling ``to_cbe()`` here would
-    re-encode every certificate and inner envelope at every layer.
-    """
-    if hasattr(value, "cbe_bytes"):
-        return value
-    if hasattr(value, "to_cbe"):
-        return value.to_cbe()
-    if isinstance(value, (tuple, list)):
-        return [_to_cbe_value(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _to_cbe_value(v) for k, v in value.items()}
-    return value
-
-
 @dataclass(frozen=True)
 class SignedEnvelope:
     """An immutable signed collection of named fields."""
@@ -102,7 +89,7 @@ class SignedEnvelope:
 
     # -- encoding ------------------------------------------------------------------
 
-    def body_cbe(self) -> dict:
+    def body_cbe(self) -> dict[str, Any]:
         """The signed portion (payload + signer identity).
 
         In an append-only chain layer (payload carries
@@ -112,45 +99,39 @@ class SignedEnvelope:
         O(whole chain).  The mode is self-describing and itself signed:
         an attacker can neither add nor strip the link field without
         breaking this layer's signature.
+
+        Payload values and the signer stay objects: the encoder splices
+        the memoised bytes of every name, key, certificate, assertion and
+        inner envelope, so no layer re-encodes what an earlier hop did.
         """
         linked = LINKED_FIELD if self.get(LINK_DIGEST_FIELD) is not None else None
         return {
-            "payload": {
-                k: _to_cbe_value(v)
-                for k, v in self.payload
-                if k != linked
-            },
-            "signer": self.signer.to_cbe(),
+            "payload": {k: v for k, v in self.payload if k != linked},
+            "signer": self.signer,
         }
 
-    def to_cbe(self) -> dict:
+    def to_cbe(self) -> dict[str, Any]:
         """The full envelope (always includes the inner message: the wire
         representation is identical in both chain modes' shape)."""
-        data = {
-            "payload": {k: _to_cbe_value(v) for k, v in self.payload},
-            "signer": self.signer.to_cbe(),
+        return {
+            "payload": dict(self.payload),
+            "signer": self.signer,
+            "signature": self.signature,
+            "scheme": self.scheme,
         }
-        data["signature"] = self.signature
-        data["scheme"] = self.scheme
-        return data
 
+    @canonical.memoised
     def body_bytes(self) -> bytes:
-        """Canonical bytes of the signed portion (memoized: the envelope is
-        immutable, and nested RARs re-verify inner layers at every hop)."""
-        cached = getattr(self, "_body_bytes_cache", None)
-        if cached is None:
-            cached = canonical.encode(self.body_cbe())
-            object.__setattr__(self, "_body_bytes_cache", cached)
-        return cached
+        """Canonical bytes of the signed portion: encoded once when the
+        envelope is sealed (:func:`seal` carries them to the signed copy)
+        and verified from the memo at every later hop."""
+        return canonical.encode(self.body_cbe())
 
+    @canonical.memoised
     def cbe_bytes(self) -> bytes:
-        """Canonical bytes of the full envelope (memoized; spliced directly
+        """Canonical bytes of the full envelope (memoised; spliced directly
         into enclosing encodings by :mod:`repro.crypto.canonical`)."""
-        cached = getattr(self, "_cbe_bytes_cache", None)
-        if cached is None:
-            cached = canonical.encode(self.to_cbe())
-            object.__setattr__(self, "_cbe_bytes_cache", cached)
-        return cached
+        return canonical.encode(self.to_cbe())
 
     def wire_size(self) -> int:
         """Bytes this envelope would occupy on the wire."""
@@ -199,5 +180,5 @@ def seal(
     signature = scheme.sign(key, envelope.body_bytes())
     signed = replace(envelope, signature=signature)
     # The signed portion is identical; carry the memo across.
-    object.__setattr__(signed, "_body_bytes_cache", envelope.body_bytes())
+    canonical.carry_memo("body_bytes", envelope, signed)
     return signed

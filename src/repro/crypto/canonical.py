@@ -18,18 +18,28 @@ encoding) with the following properties:
   encodings matches equality of values.
 
 Supported types: ``None``, ``bool``, ``int``, ``float``, ``str``,
-``bytes``, ``tuple``/``list`` (both encode as sequences), ``dict`` with
-string keys, and any object exposing ``to_cbe()`` returning a supported
-value (the hook used by certificates and envelopes).
+``bytes`` (and ``bytearray``/``memoryview``), ``tuple``/``list`` (both
+encode as sequences), ``dict`` with string keys, and any object exposing
+``to_cbe()`` returning a supported value.  An instance of a subclass of a
+supported type (an ``IntEnum`` or ``str`` enum member, a named tuple)
+encodes as its base type.
 
-Performance: objects may additionally expose ``cbe_bytes()`` returning
-their *already encoded* canonical bytes; the encoder splices those in
-directly.  Because the encoding is compositional (a container's encoding
-is the concatenation of its items' encodings under a tagged length
-prefix), this is semantically identical to re-encoding ``to_cbe()`` —
-immutable protocol objects (certificates, signed envelopes) memoize
-their bytes this way, which is what keeps deeply nested RAR verification
-linear instead of quadratic.
+**Encode once.**  :func:`encode` is the one encoder.  It writes frames
+into one buffer, picking each value's handler by looking its *exact* type
+up in :data:`_HANDLERS`; any other type takes :func:`_encode_other`, the
+``isinstance`` checks.  A container's length is filled in after its
+items, so nested items are never copied twice.  An object that exposes
+``cbe_bytes()`` has its *already encoded* bytes spliced in directly.
+Because the encoding is compositional (a container's encoding is the
+concatenation of its items' encodings under a tagged length prefix),
+this is byte-identical to encoding ``to_cbe()``.  The immutable protocol
+values — names, public keys, certificates, assertions, signed envelopes
+— memoise their bytes with :func:`memoised`.  So a value is encoded
+once, when it is first needed, and every certificate, envelope and
+message that carries it splices those bytes.  A memo belongs to one
+object and is derived from its own fields; the only other way one is
+set is :func:`carry_memo`, from the unsigned object to its signed copy.
+There is no cache keyed by content and no process-wide table.
 
 The encoding is *not* meant to be a wire format for interoperability with
 other software — it is the reproduction's stand-in for DER.
@@ -37,13 +47,20 @@ other software — it is the reproduction's stand-in for DER.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 import struct
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 from repro.errors import EncodingError
 
-__all__ = ["encode", "decode", "digest", "fingerprint"]
+__all__ = [
+    "encode", "decode", "digest", "fingerprint", "memoised", "carry_memo",
+]
+
+_S = TypeVar("_S")
+_R = TypeVar("_R")
 
 # One-byte type tags.  Kept stable forever: signatures depend on them.
 _TAG_NONE = b"N"
@@ -57,69 +74,191 @@ _TAG_SEQ = b"L"
 _TAG_MAP = b"M"
 
 
-def _emit(parts: list[bytes], tag: bytes, payload: bytes) -> None:
-    parts.append(tag)
-    parts.append(struct.pack(">I", len(payload)))
-    parts.append(payload)
+#: A frame header: the type tag, then the payload length (big-endian).
+_head = struct.Struct(">cI").pack
+#: Fills in a container's length once its items are written.
+_pack_length = struct.Struct(">I").pack_into
 
 
-def _encode_into(value: Any, parts: list[bytes], depth: int) -> None:
-    if depth > 200:
-        raise EncodingError("value nesting exceeds maximum depth 200")
-    if value is None:
-        _emit(parts, _TAG_NONE, b"")
-    elif value is True:
-        _emit(parts, _TAG_TRUE, b"")
-    elif value is False:
-        _emit(parts, _TAG_FALSE, b"")
-    elif isinstance(value, int):
-        # Sign-magnitude decimal keeps arbitrary precision and determinism.
-        _emit(parts, _TAG_INT, str(value).encode("ascii"))
-    elif isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            raise EncodingError("non-finite floats are not encodable")
-        _emit(parts, _TAG_FLOAT, value.hex().encode("ascii"))
-    elif isinstance(value, str):
-        _emit(parts, _TAG_STR, value.encode("utf-8"))
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        _emit(parts, _TAG_BYTES, bytes(value))
-    elif isinstance(value, (tuple, list)):
-        inner: list[bytes] = []
-        for item in value:
-            _encode_into(item, inner, depth + 1)
-        _emit(parts, _TAG_SEQ, b"".join(inner))
-    elif isinstance(value, dict):
-        inner = []
+def _encode_int(value: int, buf: bytearray, depth: int) -> None:
+    # Sign-magnitude decimal keeps arbitrary precision and determinism.
+    try:
+        digits = str(value).encode("ascii")
+    except ValueError as exc:  # beyond sys.get_int_max_str_digits()
+        raise EncodingError(
+            "integer is too large to encode in decimal"
+        ) from exc
+    buf += _head(_TAG_INT, len(digits))
+    buf += digits
+
+
+def _encode_float(value: float, buf: bytearray, depth: int) -> None:
+    if not math.isfinite(value):
+        raise EncodingError("non-finite floats are not encodable")
+    text = value.hex().encode("ascii")
+    buf += _head(_TAG_FLOAT, len(text))
+    buf += text
+
+
+def _encode_str(value: str, buf: bytearray, depth: int) -> None:
+    try:
+        data = value.encode()
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        raise EncodingError("string is not valid unicode") from exc
+    buf += _head(_TAG_STR, len(data))
+    buf += data
+
+
+def _encode_bytes(value: bytes, buf: bytearray, depth: int) -> None:
+    buf += _head(_TAG_BYTES, len(value))
+    buf += value
+
+
+def _too_deep() -> EncodingError:
+    return EncodingError("value nesting exceeds maximum depth 200")
+
+
+def _encode_seq(value: tuple[Any, ...] | list[Any], buf: bytearray, depth: int) -> None:
+    if value and depth >= 200:
+        raise _too_deep()
+    at = len(buf)
+    buf += _head(_TAG_SEQ, 0)
+    depth += 1
+    handler = _HANDLERS.get
+    for item in value:
+        handler(type(item), _encode_other)(item, buf, depth)
+    _pack_length(buf, at + 1, len(buf) - at - 5)
+
+
+def _encode_map(value: dict[Any, Any], buf: bytearray, depth: int) -> None:
+    try:
+        keys = sorted(value)
+    except TypeError as exc:  # mixed / non-string keys
+        raise EncodingError("mapping keys must be strings") from exc
+    at = len(buf)
+    buf += _head(_TAG_MAP, 0)
+    depth += 1
+    handler = _HANDLERS.get
+    for key in keys:
+        if not isinstance(key, str):
+            raise EncodingError(
+                f"mapping keys must be strings, got {type(key).__name__}"
+            )
+        if depth > 200:
+            raise _too_deep()
+        # The key inline, as _encode_str would write it: this loop is
+        # the encoder's hottest.
         try:
-            keys = sorted(value.keys())
-        except TypeError as exc:  # mixed / non-string keys
-            raise EncodingError("mapping keys must be strings") from exc
-        for key in keys:
-            if not isinstance(key, str):
-                raise EncodingError(
-                    f"mapping keys must be strings, got {type(key).__name__}"
-                )
-            _encode_into(key, inner, depth + 1)
-            _encode_into(value[key], inner, depth + 1)
-        _emit(parts, _TAG_MAP, b"".join(inner))
-    elif hasattr(value, "cbe_bytes"):
-        # Pre-encoded immutable object: splice its cached bytes in.
-        parts.append(value.cbe_bytes())
-    elif hasattr(value, "to_cbe"):
-        _encode_into(value.to_cbe(), parts, depth + 1)
+            data = key.encode()
+        except UnicodeEncodeError as exc:
+            raise EncodingError("string is not valid unicode") from exc
+        buf += _head(_TAG_STR, len(data))
+        buf += data
+        item = value[key]
+        handler(type(item), _encode_other)(item, buf, depth)
+    _pack_length(buf, at + 1, len(buf) - at - 5)
+
+
+#: The supported types; an instance of a subclass of one is encoded as one.
+_SUPPORTED = (int, float, str, bytes, bytearray, memoryview, tuple, list, dict)
+
+
+def _encode_other(value: Any, buf: bytearray, depth: int) -> None:
+    """Every type without an exact entry in :data:`_HANDLERS`: subclasses
+    of the supported types (``IntEnum``, ``str`` enums, ``bytearray``,
+    ``memoryview``, named tuples, ...), then protocol objects."""
+    if not isinstance(value, _SUPPORTED):
+        if hasattr(value, "cbe_bytes"):
+            # An immutable object that memoises its encoding: splice it.
+            buf += value.cbe_bytes()
+        elif hasattr(value, "to_cbe"):
+            plain = value.to_cbe()
+            if depth >= 200:
+                raise _too_deep()
+            _HANDLERS.get(type(plain), _encode_other)(plain, buf, depth + 1)
+        else:
+            raise EncodingError(f"type {type(value).__name__} is not encodable")
+    elif isinstance(value, int):
+        _encode_int(value, buf, depth)
+    elif isinstance(value, float):
+        _encode_float(value, buf, depth)
+    elif isinstance(value, str):
+        _encode_str(value, buf, depth)
+    elif isinstance(value, (tuple, list)):
+        _encode_seq(value, buf, depth)
+    elif isinstance(value, dict):
+        _encode_map(value, buf, depth)
     else:
-        raise EncodingError(f"type {type(value).__name__} is not encodable")
+        _encode_bytes(bytes(value), buf, depth)
+
+
+def _encode_none(value: None, buf: bytearray, depth: int) -> None:
+    buf += _head(_TAG_NONE, 0)
+
+
+def _encode_bool(value: bool, buf: bytearray, depth: int) -> None:
+    buf += _head(_TAG_TRUE if value else _TAG_FALSE, 0)
+
+
+#: The handler for each supported type, looked up by the value's *exact*
+#: type; anything else goes through :func:`_encode_other`.
+_HANDLERS: dict[type[Any], Callable[[Any, bytearray, int], None]] = {
+    type(None): _encode_none,
+    bool: _encode_bool,
+    int: _encode_int,
+    float: _encode_float,
+    str: _encode_str,
+    bytes: _encode_bytes,
+    tuple: _encode_seq,
+    list: _encode_seq,
+    dict: _encode_map,
+}
 
 
 def encode(value: Any) -> bytes:
     """Return the canonical byte encoding of *value*.
 
     Raises :class:`~repro.errors.EncodingError` for unsupported types,
-    non-finite floats, non-string mapping keys, or excessive nesting.
+    non-finite floats, integers beyond the interpreter's decimal limit,
+    strings that are not valid unicode, non-string mapping keys, or
+    excessive nesting.
     """
-    parts: list[bytes] = []
-    _encode_into(value, parts, 0)
-    return b"".join(parts)
+    buf = bytearray()
+    _HANDLERS.get(type(value), _encode_other)(value, buf, 0)
+    return bytes(buf)
+
+
+def memoised(method: Callable[[_S], _R]) -> Callable[[_S], _R]:
+    """Memoise a no-argument method of an immutable object.
+
+    The value is kept in the object's own ``__dict__``, so it is derived
+    from that object's fields and dies with it; ``dataclasses.replace``
+    builds a new object that computes its own.  :func:`carry_memo` is
+    the one other way a memo is set.
+    """
+    slot = f"_{method.__name__}_memo"
+
+    @functools.wraps(method)
+    def read(self: _S) -> _R:
+        try:
+            value: _R = self.__dict__[slot]
+        except KeyError:
+            value = self.__dict__[slot] = method(self)
+        return value
+
+    return read
+
+
+def carry_memo(name: str, source: object, target: object) -> None:
+    """Give *target* the memo *source* holds for its method *name*.
+
+    Used where signing makes *target* from *source* with
+    ``dataclasses.replace(source, signature=...)`` right after signing
+    that method's bytes: they do not cover the signature, so they are
+    the same by construction.  *source* must already hold the memo.
+    """
+    slot = f"_{name}_memo"
+    target.__dict__[slot] = source.__dict__[slot]
 
 
 def _decode_at(data: bytes, pos: int, depth: int) -> tuple[Any, int]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import total_ordering
 
+from repro.crypto import canonical
 from repro.errors import CryptoError
 
 __all__ = ["DistinguishedName", "DN"]
@@ -123,6 +124,12 @@ class DistinguishedName:
 
     def to_cbe(self) -> list[list[str]]:
         return [list(pair) for pair in self.rdns]
+
+    @canonical.memoised
+    def cbe_bytes(self) -> bytes:
+        """Canonical bytes of :meth:`to_cbe`, encoded once per name and
+        spliced into every certificate and envelope that carries it."""
+        return canonical.encode(self.to_cbe())
 
     def __str__(self) -> str:
         return "".join(f"/{a}={v}" for a, v in self.rdns)

@@ -32,6 +32,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Protocol, runtime_checkable
 
+from repro.crypto import canonical
 from repro.errors import CryptoError
 
 __all__ = [
@@ -62,6 +63,12 @@ class PublicKey:
 
     def to_cbe(self) -> Any:
         return {"scheme": self.scheme, "material": [str(m) for m in self.material]}
+
+    @canonical.memoised
+    def cbe_bytes(self) -> bytes:
+        """Canonical bytes of :meth:`to_cbe`, encoded once per key and
+        spliced into every certificate that binds it."""
+        return canonical.encode(self.to_cbe())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PublicKey({self.scheme}, id={self.key_id})"

@@ -8,6 +8,13 @@ Akenti-style engine for attribute certificates).
 
 Timestamps are plain floats on the simulation clock (seconds); the library
 never reads the wall clock, keeping every scenario deterministic.
+
+A certificate is encoded once.  Its to-be-signed bytes are encoded when
+it is signed, and :func:`sign_certificate` carries them to the signed
+copy, so every later ``verify_signature`` reads the memo.  The whole
+certificate's bytes are memoised too, for splicing into the envelopes
+that carry it.  Both encodings take the issuer and subject names and the
+public key as objects, whose own memoised bytes are spliced.
 """
 
 from __future__ import annotations
@@ -66,41 +73,37 @@ class Certificate:
 
     # -- structure -----------------------------------------------------------
 
-    def tbs(self) -> dict:
-        """The to-be-signed portion as a canonical mapping."""
+    def tbs(self) -> dict[str, Any]:
+        """The to-be-signed portion as a canonical mapping.  The names and
+        the key stay objects: the encoder splices their memoised bytes."""
         return {
             "serial": self.serial,
-            "issuer": self.issuer.to_cbe(),
-            "subject": self.subject.to_cbe(),
-            "public_key": self.public_key.to_cbe(),
+            "issuer": self.issuer,
+            "subject": self.subject,
+            "public_key": self.public_key,
             "not_before": self.not_before,
             "not_after": self.not_after,
-            "extensions": {k: _ext_cbe(v) for k, v in self.extensions},
+            "extensions": dict(self.extensions),
         }
 
+    @canonical.memoised
     def tbs_bytes(self) -> bytes:
-        """Canonical bytes of the to-be-signed portion (memoized — the
-        certificate is immutable and gets re-verified at every hop)."""
-        cached = getattr(self, "_tbs_bytes_cache", None)
-        if cached is None:
-            cached = canonical.encode(self.tbs())
-            object.__setattr__(self, "_tbs_bytes_cache", cached)
-        return cached
+        """Canonical bytes of the to-be-signed portion: encoded once when
+        the certificate is signed (:func:`sign_certificate` carries them
+        to the signed copy) and re-verified from the memo at every hop."""
+        return canonical.encode(self.tbs())
 
-    def to_cbe(self) -> dict:
+    def to_cbe(self) -> dict[str, Any]:
         data = self.tbs()
         data["signature"] = self.signature
         data["signature_scheme"] = self.signature_scheme
         return data
 
+    @canonical.memoised
     def cbe_bytes(self) -> bytes:
-        """Canonical bytes of the full certificate (memoized; spliced into
+        """Canonical bytes of the full certificate (memoised; spliced into
         enclosing encodings by :mod:`repro.crypto.canonical`)."""
-        cached = getattr(self, "_cbe_bytes_cache", None)
-        if cached is None:
-            cached = canonical.encode(self.to_cbe())
-            object.__setattr__(self, "_cbe_bytes_cache", cached)
-        return cached
+        return canonical.encode(self.to_cbe())
 
     # -- accessors -----------------------------------------------------------
 
@@ -116,11 +119,11 @@ class Certificate:
 
     @property
     def fingerprint(self) -> str:
-        cached = getattr(self, "_fingerprint_cache", None)
-        if cached is None:
-            cached = hashlib_sha256(self.cbe_bytes()).hexdigest()[:16]
-            object.__setattr__(self, "_fingerprint_cache", cached)
-        return cached
+        return self._fingerprint()
+
+    @canonical.memoised
+    def _fingerprint(self) -> str:
+        return hashlib_sha256(self.cbe_bytes()).hexdigest()[:16]
 
     def valid_at(self, when: float) -> bool:
         return self.not_before <= when <= self.not_after
@@ -152,15 +155,6 @@ class Certificate:
             f"Certificate(subject={self.subject}, issuer={self.issuer}, "
             f"serial={self.serial})"
         )
-
-
-def _ext_cbe(value: Any) -> Any:
-    """Convert extension values to canonically encodable form."""
-    if isinstance(value, tuple):
-        return [_ext_cbe(v) for v in value]
-    if hasattr(value, "to_cbe"):
-        return value.to_cbe()
-    return value
 
 
 def _freeze_extensions(extensions: Mapping[str, Any] | None) -> tuple[tuple[str, Any], ...]:
@@ -196,7 +190,10 @@ def sign_certificate(
     )
     scheme = get_scheme(signing_key.scheme)
     signature = scheme.sign(signing_key, unsigned.tbs_bytes())
-    return replace(unsigned, signature=signature)
+    signed = replace(unsigned, signature=signature)
+    # The signed portion is identical; carry the memo across.
+    canonical.carry_memo("tbs_bytes", unsigned, signed)
+    return signed
 
 
 class CertificateAuthority:

@@ -41,8 +41,8 @@ class SignedAssertion:
 
     def payload(self) -> dict:
         return {
-            "issuer": self.issuer.to_cbe(),
-            "subject": self.subject.to_cbe(),
+            "issuer": self.issuer,
+            "subject": self.subject,
             "attributes": dict(self.attributes),
             "valid_from": self.valid_from,
             # inf is not canonically encodable; use a sentinel string.
@@ -55,15 +55,12 @@ class SignedAssertion:
         data["signature_scheme"] = self.signature_scheme
         return data
 
+    @canonical.memoised
     def cbe_bytes(self) -> bytes:
-        """Canonical bytes, memoized (the assertion is immutable and is
-        re-encoded inside every envelope layer that carries it; the
-        canonical encoder splices these bytes directly)."""
-        cached = getattr(self, "_cbe_bytes_cache", None)
-        if cached is None:
-            cached = canonical.encode(self.to_cbe())
-            object.__setattr__(self, "_cbe_bytes_cache", cached)
-        return cached
+        """Canonical bytes, memoised (the assertion is immutable and is
+        carried inside every envelope layer after it; the canonical
+        encoder splices these bytes directly)."""
+        return canonical.encode(self.to_cbe())
 
     def verify(self, issuer_public: PublicKey, *, at_time: float = 0.0) -> bool:
         """True iff the signature verifies and the assertion is in validity."""
