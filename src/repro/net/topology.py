@@ -7,6 +7,14 @@ inside.  A :class:`Topology` is a static annotated graph (networkx under
 the hood); the dynamic packet behaviour lives in
 :mod:`repro.net.diffserv`.
 
+Because it is static, the domain-level answers — the inter-domain links,
+the border routers of each ``(domain, towards)`` pair and the domain
+graph — are kept in one private index instead of rescanning every link
+on every hop.  The index is built from ``graph.edges``, in their
+iteration order, on the first query after the topology changes, so each
+answer and its order is what the scan gives; :meth:`Topology.add_node`
+and :meth:`Topology.add_link`, the only writers of ``graph``, drop it.
+
 Link attributes: ``capacity_mbps`` (transmission rate) and ``delay_s``
 (propagation delay).  All links are bidirectional with symmetric
 attributes; the data plane treats each direction independently.
@@ -50,12 +58,22 @@ class NodeInfo:
         return self.kind is not NodeKind.HOST
 
 
+@dataclass(frozen=True)
+class _DomainIndex:
+    """The domain-level view of a topology's links, in link order."""
+
+    links: tuple[tuple[str, str], ...]
+    borders: dict[tuple[str, str], tuple[str, ...]]
+    graph: nx.Graph
+
+
 class Topology:
     """An annotated multi-domain graph."""
 
     def __init__(self) -> None:
         self.graph = nx.Graph()
         self._nodes: dict[str, NodeInfo] = {}
+        self._index: _DomainIndex | None = None
 
     # -- construction -----------------------------------------------------------
 
@@ -65,6 +83,7 @@ class Topology:
         info = NodeInfo(name, domain, kind)
         self._nodes[name] = info
         self.graph.add_node(name)
+        self._index = None
         return info
 
     def add_host(self, name: str, domain: str) -> NodeInfo:
@@ -83,9 +102,12 @@ class Topology:
         for n in (a, b):
             if n not in self._nodes:
                 raise RoutingError(f"unknown node {n!r}")
+        if a == b:
+            raise RoutingError(f"a link needs two distinct nodes, got {a!r} twice")
         if capacity_mbps <= 0 or delay_s < 0:
             raise RoutingError("link needs capacity > 0 and delay >= 0")
         self.graph.add_edge(a, b, capacity_mbps=capacity_mbps, delay_s=delay_s)
+        self._index = None
 
     # -- queries ------------------------------------------------------------------
 
@@ -120,33 +142,38 @@ class Topology:
         except KeyError:
             raise RoutingError(f"no link {a!r}-{b!r}") from None
 
+    def _domain_index(self) -> _DomainIndex:
+        """The index, built from one pass over the links if it was dropped."""
+        if self._index is None:
+            links: list[tuple[str, str]] = []
+            borders: dict[tuple[str, str], dict[str, None]] = {}
+            graph = nx.Graph()
+            graph.add_nodes_from(self.domains())
+            for a, b in self.graph.edges:
+                da, db = self._nodes[a].domain, self._nodes[b].domain
+                if da != db:
+                    links.append((a, b))
+                    borders.setdefault((da, db), {})[a] = None
+                    borders.setdefault((db, da), {})[b] = None
+                    graph.add_edge(da, db)
+            self._index = _DomainIndex(
+                tuple(links),
+                {pair: tuple(routers) for pair, routers in borders.items()},
+                graph,
+            )
+        return self._index
+
     def interdomain_links(self) -> list[tuple[str, str]]:
         """All links whose endpoints belong to different domains."""
-        out = []
-        for a, b in self.graph.edges:
-            if self._nodes[a].domain != self._nodes[b].domain:
-                out.append((a, b))
-        return out
+        return list(self._domain_index().links)
 
     def border_routers(self, domain: str, towards: str) -> tuple[str, ...]:
         """Edge routers of *domain* with a direct link into *towards*."""
-        result = []
-        for a, b in self.interdomain_links():
-            for inside, outside in ((a, b), (b, a)):
-                if (
-                    self._nodes[inside].domain == domain
-                    and self._nodes[outside].domain == towards
-                ):
-                    result.append(inside)
-        return tuple(dict.fromkeys(result))
+        return self._domain_index().borders.get((domain, towards), ())
 
     def domain_graph(self) -> nx.Graph:
         """The domain-level adjacency graph (for BB path computation)."""
-        g = nx.Graph()
-        g.add_nodes_from(self.domains())
-        for a, b in self.interdomain_links():
-            g.add_edge(self._nodes[a].domain, self._nodes[b].domain)
-        return g
+        return self._domain_index().graph.copy()
 
     # -- routing helpers -----------------------------------------------------------
 
@@ -162,7 +189,7 @@ class Topology:
 
     def domain_path(self, src_domain: str, dst_domain: str) -> list[str]:
         """The sequence of domains a reservation must traverse."""
-        g = self.domain_graph()
+        g = self._domain_index().graph
         for d in (src_domain, dst_domain):
             if d not in g:
                 raise RoutingError(f"unknown domain {d!r}")

@@ -37,6 +37,15 @@ class TestConstruction:
         with pytest.raises(RoutingError):
             t.add_link("h1", "h2", capacity_mbps=1.0, delay_s=-1.0)
 
+    def test_self_loop_rejected(self):
+        """A link from a node to itself is no link: accepting one made
+        the loop the domain's narrowest intra-domain link, so domain B
+        below would admit at most 1 Mb/s."""
+        t = linear_domain_chain(["A", "B", "C"])
+        with pytest.raises(RoutingError, match="two distinct nodes"):
+            t.add_link("core.B", "core.B", capacity_mbps=1)
+        assert not t.graph.has_edge("core.B", "core.B")
+
     def test_unknown_node_lookup(self):
         with pytest.raises(RoutingError):
             Topology().node("nope")
