@@ -14,6 +14,9 @@ Subcommands:
   reporting what honest traffic retains with defenses off vs on;
   ``--gate`` exits nonzero on honest-SLO violations or audit
   reconciliation failures;
+* ``workload`` — an offered-load sweep: Poisson reservation arrivals
+  against admission on a three-domain chain, with the Erlang-B
+  prediction beside the measured acceptance;
 * ``metrics`` — run reservations with the observability substrate
   enabled and dump the metrics registry (Prometheus text or JSON);
   ``--diff A.json B.json`` instead diffs two saved JSON snapshots;
@@ -23,7 +26,7 @@ Subcommands:
 * ``slo`` — run reservations under observability and evaluate the
   declarative SLOs (latency quantiles, denial rate, breaker opens),
   printing per-objective burn rates;
-* ``lint`` — run the repo's custom AST lint rules (REP101..REP112) over
+* ``lint`` — run the repo's custom AST lint rules (REP101..REP113) over
   the ``repro`` package (or given paths); ``--select``/``--ignore``
   filter rules.  Exit codes: 0 clean, 1 findings, 2 analyzer crash/usage;
 * ``lint-policy`` — statically verify policy files in the paper's
@@ -44,7 +47,17 @@ Subcommands:
 * ``timeline`` — one merged, time-ordered view of obs events, alert
   transitions, audit decision records, and spans, filtered to a
   correlation id or a ``START:END`` window; reads a recording via
-  ``--replay`` and/or a saved ledger via ``--ledger``.
+  ``--replay`` and/or a saved ledger via ``--ledger``;
+* ``audit`` — the decision-provenance ledger: ``query`` its records or
+  ``explain`` one reservation's per-hop chain (without ``--ledger``,
+  over one fresh reservation), or ``--reconcile --ledger`` a saved
+  ledger against the audit invariants.  The seeded campaign that writes
+  one is ``chaos --audit --save-ledger``.
+
+``reserve``, ``metrics``, ``trace``, ``slo``, ``top``, ``timeline`` and
+``audit explain`` without a saved file share one demo run: a linear
+testbed over ``--domains`` and ``--runs`` reservations from the first
+domain to the last.
 
 ``-v`` / ``-vv`` (before the subcommand) raises logging to INFO / DEBUG.
 
@@ -54,6 +67,7 @@ Examples::
     python -m repro policy-check policy.txt --user Alice --bw 8 --time 14
     python -m repro attack
     python -m repro attack --persona flood --seed 2001 --gate
+    python -m repro workload --load 0.5 --horizon 2000
     python -m repro metrics --domains A,B,C --runs 5 --format prom
     python -m repro metrics --diff before.json after.json
     python -m repro -v trace --domains A,B,C,D
@@ -66,6 +80,9 @@ Examples::
     python -m repro attack --persona flood --defenses off --record f.tsrec
     python -m repro top --replay f.tsrec --expect-firing
     python -m repro timeline 40:80 --replay f.tsrec
+    python -m repro chaos --seed 7 --trials 200 --audit --save-ledger l.json
+    python -m repro audit --reconcile --ledger l.json
+    python -m repro audit explain --domains A,B,C,D
 """
 
 from __future__ import annotations
@@ -73,7 +90,10 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from typing import Any, Callable, Iterator
 
+from repro.bb.reservations import ReservationRequest
+from repro.core.hopbyhop import SignallingOutcome
 from repro.core.testbed import build_linear_testbed
 from repro.errors import PolicySyntaxError, ReproError
 
@@ -370,15 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "or audit --save); explain without it signals "
                             "one fresh reservation over --domains")
     audit.add_argument("--reconcile", action="store_true",
-                       help="check the audit invariants; without --ledger, "
-                            "first run the seeded chaos campaign under a "
-                            "ledger; exit 1 on violations")
-    audit.add_argument("--seed", type=int, default=7,
-                       help="chaos schedule seed for --reconcile")
-    audit.add_argument("--trials", type=int, default=200,
-                       help="chaos trials for --reconcile")
+                       help="check the audit invariants of the --ledger "
+                            "file; exit 1 on violations")
     audit.add_argument("--domains", default="A,B,C,D",
-                       help="comma-separated chain of domains")
+                       help="explain without --ledger: comma-separated "
+                            "chain of domains")
     audit.add_argument("--save", default=None, metavar="PATH",
                        help="write the resulting ledger JSON here")
     audit.add_argument("--json", action="store_true", dest="as_json",
@@ -399,42 +415,72 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_reserve(args: argparse.Namespace) -> int:
-    domains = [d.strip() for d in args.domains.split(",") if d.strip()]
-    if len(domains) < 1:
-        print("error: need at least one domain", file=sys.stderr)
-        return 2
-    source = args.source or domains[0]
-    dest = args.dest or domains[-1]
-    testbed = build_linear_testbed(domains)
-    user = testbed.add_user(source, args.user)
+class _Demo:
+    """The live run of the demo subcommands: a linear testbed over
+    ``--domains`` with ``--user`` in the ``--source`` domain.  Iterating
+    it signals ``--runs`` hop-by-hop reservations of ``--rate`` Mb/s for
+    ``--duration`` s to ``--dest`` and yields each outcome as it lands.
+    A flag the subcommand does not have takes its default; a bad value
+    raises :class:`~repro.errors.ReproError` (exit 2)."""
 
-    if args.approach == "hop":
-        outcome = testbed.reserve(
-            user, source=source, destination=dest,
-            bandwidth_mbps=args.rate, duration=args.duration,
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.domains = [d.strip() for d in args.domains.split(",")
+                        if d.strip()]
+        if not self.domains:
+            raise ReproError("need at least one domain")
+        self.runs = getattr(args, "runs", 1)
+        if self.runs < 1:
+            raise ReproError("--runs must be >= 1")
+        self.source = getattr(args, "source", None) or self.domains[0]
+        self.dest = getattr(args, "dest", None) or self.domains[-1]
+        self.rate = getattr(args, "rate", 10.0)
+        self.duration = getattr(args, "duration", 3600.0)
+        self.testbed = build_linear_testbed(self.domains)
+        self.user = self.testbed.add_user(
+            self.source, getattr(args, "user", "Alice")
         )
+
+    def __iter__(self) -> Iterator[SignallingOutcome]:
+        for _ in range(self.runs):
+            yield self.testbed.hop_by_hop.reserve(self.user, self.request())
+
+    def request(self) -> ReservationRequest:
+        return self.testbed.make_request(
+            source=self.source, destination=self.dest,
+            bandwidth_mbps=self.rate, duration=self.duration,
+        )
+
+
+def _load(path: str, load: Callable[[str], Any]) -> Any:
+    """``load(path)`` — a saved ledger or ``.tsrec`` recording — or
+    ``None``, the error already printed, when the file cannot be read
+    or parsed."""
+    try:
+        return load(path)
+    except (OSError, ReproError) as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_reserve(args: argparse.Namespace) -> int:
+    demo = _Demo(args)
+    testbed, user = demo.testbed, demo.user
+    if args.approach == "hop":
+        (outcome,) = demo
         granted, detail = outcome.granted, outcome
     elif args.approach in ("agent", "agent-concurrent"):
-        for d in domains:
-            if d != source:
+        for d in demo.domains:
+            if d != demo.source:
                 testbed.introduce_user_to(user, d)
-        request = testbed.make_request(
-            source=source, destination=dest, bandwidth_mbps=args.rate,
-            duration=args.duration,
-        )
         outcome = testbed.end_to_end_agent.reserve(
-            user, request, concurrent=args.approach.endswith("concurrent")
+            user, demo.request(),
+            concurrent=args.approach.endswith("concurrent"),
         )
         granted, detail = outcome.complete, outcome
     else:  # stars
-        rc = testbed.coordinator(source)
+        rc = testbed.coordinator(demo.source)
         rc.enroll_user(user)
-        request = testbed.make_request(
-            source=source, destination=dest, bandwidth_mbps=args.rate,
-            duration=args.duration,
-        )
-        outcome = rc.reserve(user, request)
+        outcome = rc.reserve(user, demo.request())
         granted, detail = outcome.complete, outcome
 
     print(f"approach : {args.approach}")
@@ -757,26 +803,13 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
     if args.diff is not None:
         return _diff_metric_snapshots(*args.diff)
-    domains = [d.strip() for d in args.domains.split(",") if d.strip()]
-    if not domains:
-        print("error: need at least one domain", file=sys.stderr)
-        return 2
-    source, dest = domains[0], domains[-1]
-    granted = 0
     with obs.observed() as (registry, _tracer, _events):
-        testbed = build_linear_testbed(domains)
-        user = testbed.add_user(source, args.user)
-        for _ in range(max(args.runs, 1)):
-            outcome = testbed.reserve(
-                user, source=source, destination=dest,
-                bandwidth_mbps=args.rate, duration=args.duration,
-            )
-            granted += int(outcome.granted)
+        granted = sum(outcome.granted for outcome in _Demo(args))
     if args.format == "json":
         print(obs.export.json_text(registry))
     else:
         print(obs.export.prometheus_text(registry), end="")
-    print(f"# {granted}/{max(args.runs, 1)} reservations granted",
+    print(f"# {granted}/{args.runs} reservations granted",
           file=sys.stderr)
     return 0 if granted else 1
 
@@ -785,19 +818,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.core.tracing import trace_request_path
 
-    domains = [d.strip() for d in args.domains.split(",") if d.strip()]
-    if not domains:
-        print("error: need at least one domain", file=sys.stderr)
-        return 2
-    source = args.source or domains[0]
-    dest = args.dest or domains[-1]
     with obs.observed() as (_registry, tracer, _events):
-        testbed = build_linear_testbed(domains)
-        user = testbed.add_user(source, args.user)
-        outcome = testbed.reserve(
-            user, source=source, destination=dest,
-            bandwidth_mbps=args.rate, duration=args.duration,
-        )
+        (outcome,) = _Demo(args)
     trace_id = outcome.correlation_id or tracer.latest_trace()
     if not trace_id:
         print("error: no spans were recorded", file=sys.stderr)
@@ -909,10 +931,8 @@ def cmd_slo(args: argparse.Namespace) -> int:
     if args.record is not None:
         from repro.obs.telemetry import Recording
 
-        try:
-            recording = Recording.load(args.record)
-        except OSError as exc:
-            print(f"error: {args.record}: {exc}", file=sys.stderr)
+        recording = _load(args.record, Recording.load)
+        if recording is None:
             return 2
         report = evaluate_slos_from_recording(slos, recording)
         print(f"objectives over {args.record} "
@@ -920,18 +940,9 @@ def cmd_slo(args: argparse.Namespace) -> int:
               f"t={recording.start:.1f}..{recording.end:.1f}s)")
         print(report.render())
         return 0 if report.ok else 1
-    domains = [d.strip() for d in args.domains.split(",") if d.strip()]
-    if not domains:
-        print("error: need at least one domain", file=sys.stderr)
-        return 2
     with obs.observed() as (registry, _tracer, event_log):
-        testbed = build_linear_testbed(domains)
-        user = testbed.add_user(domains[0], args.user)
-        for _ in range(max(args.runs, 1)):
-            testbed.reserve(
-                user, source=domains[0], destination=domains[-1],
-                bandwidth_mbps=args.rate, duration=args.duration,
-            )
+        for _ in _Demo(args):
+            pass
     report = evaluate_slos(slos, registry=registry, event_log=event_log)
     print(report.render())
     return 0 if report.ok else 1
@@ -1052,10 +1063,8 @@ def cmd_top(args: argparse.Namespace) -> int:
     )
 
     if args.replay is not None:
-        try:
-            recording = Recording.load(args.replay)
-        except OSError as exc:
-            print(f"error: {args.replay}: {exc}", file=sys.stderr)
+        recording = _load(args.replay, Recording.load)
+        if recording is None:
             return 2
         if not recording.frames:
             print(f"error: {args.replay} has no telemetry frames",
@@ -1107,29 +1116,18 @@ def cmd_top(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.obs.telemetry import FlightRecorder, testbed_probes
 
-    domains = [d.strip() for d in args.domains.split(",") if d.strip()]
-    if not domains:
-        print("error: need at least one domain", file=sys.stderr)
-        return 2
     rules = default_rules()
     engine = AlertEngine(rules)
     recorder = FlightRecorder()
     with obs.observed() as (registry, _tracer, event_log):
-        testbed = build_linear_testbed(domains)
-        for probe in testbed_probes(testbed):
+        demo = _Demo(args)
+        for probe in testbed_probes(demo.testbed):
             recorder.add_probe(probe)
-        user = testbed.add_user(domains[0], args.user)
-        for index in range(max(args.runs, 1)):
-            testbed.reserve(
-                user, source=domains[0], destination=domains[-1],
-                bandwidth_mbps=args.rate, duration=3600.0,
-            )
-            now = float(index + 1)
-            recorder.sample(now, registry=registry)
-            engine.step(recorder.store, now, event_log=event_log)
-    now = float(max(args.runs, 1))
-    print(render_top(recorder.store, now=now, rules=rules,
-                     alerts=engine.transitions, domains=domains,
+        for index, _ in enumerate(demo, start=1):
+            recorder.sample(float(index), registry=registry)
+            engine.step(recorder.store, float(index), event_log=event_log)
+    print(render_top(recorder.store, now=float(demo.runs), rules=rules,
+                     alerts=engine.transitions, domains=demo.domains,
                      title="repro top — live"))
     return 1 if _top_gates(args, engine.transitions) else 0
 
@@ -1147,72 +1145,49 @@ def cmd_timeline(args: argparse.Namespace) -> int:
                 correlation = args.target
         else:
             correlation = args.target
+    if window is not None and window[1] < window[0]:
+        print(f"error: window {args.target} ends before it starts",
+              file=sys.stderr)
+        return 2
 
     records: list[dict] = []
+    alerts: list[dict] = []
+    spans: Any = ()
     if args.ledger is not None:
-        from repro.obs import audit as obs_audit
+        from repro.obs.audit import DecisionLedger
 
-        try:
-            with open(args.ledger, encoding="utf-8") as fh:
-                ledger = obs_audit.DecisionLedger.from_json(fh.read())
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"error: {args.ledger}: {exc}", file=sys.stderr)
+        ledger = _load(args.ledger, DecisionLedger.load)
+        if ledger is None:
             return 2
         records = [r.to_dict() for r in ledger]
-
     if args.replay is not None:
         from repro.obs.telemetry import Recording
 
-        try:
-            recording = Recording.load(args.replay)
-        except OSError as exc:
-            print(f"error: {args.replay}: {exc}", file=sys.stderr)
+        recording = _load(args.replay, Recording.load)
+        if recording is None:
             return 2
-        entries = merge_timeline(
-            records=[*recording.events, *records], alerts=recording.alerts,
-            correlation=correlation, window=window,
-        )
-        scope = correlation or (
-            f"{window[0]:.1f}..{window[1]:.1f}s" if window else "all")
-        print(render_timeline(
-            entries, title=f"timeline [{scope}] — {args.replay}"))
-        return 0
+        records = [*recording.events, *records]
+        alerts = recording.alerts
+    source = args.replay or args.ledger
+    if source is None:
+        # Live demo: one reservation under all three pillars, its
+        # decision records and spans stitched into a single timeline.
+        from repro import obs
 
-    if args.ledger is not None:
-        entries = merge_timeline(
-            records=records, correlation=correlation, window=window,
-        )
-        scope = correlation or (
-            f"{window[0]:.1f}..{window[1]:.1f}s" if window else "all")
-        print(render_timeline(
-            entries, title=f"timeline [{scope}] — {args.ledger}"))
-        return 0
-
-    # Live demo: one reservation under all three pillars, its decision
-    # records and spans stitched into a single timeline.
-    from repro import obs
-
-    domains = [d.strip() for d in args.domains.split(",") if d.strip()]
-    if not domains:
-        print("error: need at least one domain", file=sys.stderr)
-        return 2
-    with obs.observed() as (_registry, tracer, event_log):
-        testbed = build_linear_testbed(domains)
-        user = testbed.add_user(domains[0], "Alice")
-        outcome = testbed.reserve(
-            user, source=domains[0], destination=domains[-1],
-            bandwidth_mbps=10.0, duration=3600.0,
-        )
-    if correlation is None and window is None:
-        correlation = outcome.correlation_id
-    spans = (tracer.spans_for(correlation) if correlation else ())
+        with obs.observed() as (_registry, tracer, event_log):
+            (outcome,) = _Demo(args)
+        if correlation is None and window is None:
+            correlation = outcome.correlation_id
+        records = [r.to_dict() for r in event_log]
+        spans = tracer.spans_for(correlation) if correlation else ()
+        source = "live"
     entries = merge_timeline(
-        records=[r.to_dict() for r in event_log],
-        spans=spans,
+        records=records, alerts=alerts, spans=spans,
         correlation=correlation, window=window,
     )
-    scope = correlation or f"{window[0]:.1f}..{window[1]:.1f}s"
-    print(render_timeline(entries, title=f"timeline [{scope}] — live"))
+    scope = correlation or (
+        f"{window[0]:.1f}..{window[1]:.1f}s" if window else "all")
+    print(render_timeline(entries, title=f"timeline [{scope}] — {source}"))
     return 0
 
 
@@ -1220,19 +1195,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
     import json as json_mod
 
     from repro.obs import audit as obs_audit
-
-    domains = [d.strip() for d in args.domains.split(",") if d.strip()]
-    if len(domains) < 2:
-        print("error: audit needs at least two domains", file=sys.stderr)
-        return 2
-
-    def load_ledger(path: str) -> obs_audit.DecisionLedger | None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return obs_audit.DecisionLedger.from_json(fh.read())
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return None
 
     def save_ledger(ledger: obs_audit.DecisionLedger) -> bool:
         if not args.save:
@@ -1251,53 +1213,27 @@ def cmd_audit(args: argparse.Namespace) -> int:
             print("error: --reconcile takes no query/explain mode",
                   file=sys.stderr)
             return 2
-        extra_violations: list[str] = []
-        if args.ledger is not None:
-            ledger = load_ledger(args.ledger)
-            if ledger is None:
-                return 2
-            report = obs_audit.reconcile(ledger)
-        else:
-            # No saved ledger: run the seeded chaos campaign under one.
-            # Brokers are reconciled per trial (while they exist), the
-            # whole ledger once at the end.
-            from repro.faults import run_chaos
-
-            print(f"running {args.trials} chaos trials (seed {args.seed}) "
-                  "under the decision ledger...", file=sys.stderr)
-            chaos = run_chaos(
-                seed=args.seed, trials=args.trials, domains=domains,
-                audit=True,
-            )
-            ledger = chaos.ledger
-            assert ledger is not None and chaos.audit_report is not None
-            report = chaos.audit_report
-            extra_violations = [
-                v for trial in chaos.trials
-                for v in (
-                    f"trial {trial.index} [{trial.spec.describe()}]: {x}"
-                    for x in trial.audit_violations
-                )
-            ]
-        if not save_ledger(ledger):
+        if args.ledger is None:
+            print("error: --reconcile needs --ledger PATH; the seeded "
+                  "campaign writes one: repro chaos --seed 7 --trials 200 "
+                  "--audit --save-ledger ledger.json, then repro audit "
+                  "--reconcile --ledger ledger.json", file=sys.stderr)
             return 2
-        ok = report.ok and not extra_violations
+        ledger = _load(args.ledger, obs_audit.DecisionLedger.load)
+        if ledger is None or not save_ledger(ledger):
+            return 2
+        report = obs_audit.reconcile(ledger)
         if args.as_json:
-            doc = report.to_dict()
-            doc["broker_violations"] = extra_violations
-            doc["ok"] = ok
-            print(json_mod.dumps(doc, indent=2))
+            print(json_mod.dumps(report.to_dict(), indent=2))
         else:
             print(report.render())
-            for violation in extra_violations:
-                print(f"  VIOLATION broker: {violation}")
-        return 0 if ok else 1
+        return 0 if report.ok else 1
 
     if args.mode == "query":
         if args.ledger is None:
             print("error: query needs --ledger PATH", file=sys.stderr)
             return 2
-        ledger = load_ledger(args.ledger)
+        ledger = _load(args.ledger, obs_audit.DecisionLedger.load)
         if ledger is None:
             return 2
         kind = None
@@ -1337,7 +1273,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if args.mode == "explain":
         target = args.target
         if args.ledger is not None:
-            ledger = load_ledger(args.ledger)
+            ledger = _load(args.ledger, obs_audit.DecisionLedger.load)
             if ledger is None:
                 return 2
             if target is None:
@@ -1346,14 +1282,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 return 2
         else:
             # Live demo: signal one reservation across --domains under a
-            # fresh ledger, then explain it.
+            # fresh ledger, then explain it.  (audit's --user filters
+            # queries; the demo user stays the default.)
             with obs_audit.use_ledger() as ledger:
-                testbed = build_linear_testbed(domains)
-                user = testbed.add_user(domains[0], "Alice")
-                outcome = testbed.reserve(
-                    user, source=domains[0], destination=domains[-1],
-                    bandwidth_mbps=10.0, duration=3600.0,
-                )
+                (outcome,) = _Demo(argparse.Namespace(domains=args.domains))
             if target is None:
                 target = outcome.correlation_id
         if not save_ledger(ledger):

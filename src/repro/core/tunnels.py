@@ -21,14 +21,16 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 
+from repro.bb.admission import CapacitySchedule
 from repro.bb.reservations import ReservationRequest
 from repro.core.agent import UserAgent
 from repro.core.channel import ChannelRegistry, SecureChannel
 from repro.core.hopbyhop import HopByHopProtocol, SignallingOutcome
 from repro.crypto.dn import DistinguishedName
-from repro.errors import ChannelError, TunnelError
+from repro.errors import CapacityExceededError, ChannelError, TunnelError
 from repro.obs import decisions
 from repro.obs import events as obs_events
 from repro.obs import spans as obs_spans
@@ -53,6 +55,9 @@ class FlowAllocation:
     #: direct end-domain signalling failed and the flow fell back to an
     #: ordinary hop-by-hop reservation (graceful degradation).
     via: str = "tunnel"
+    #: The slice's booking in :attr:`Tunnel.schedule`; ``None`` for a
+    #: per-flow fallback, which holds no tunnel capacity.
+    booking_id: int | None = None
 
 
 @dataclass
@@ -73,30 +78,20 @@ class Tunnel:
     allocations: dict[str, FlowAllocation] = field(default_factory=dict)
     #: The direct end-to-end signalling channel (source BB <-> dest BB).
     direct_channel: SecureChannel | None = None
+    #: The aggregate's capacity over time: one booking per ``"tunnel"``
+    #: slice.  Fallback (per-flow) allocations hold their own hop-by-hop
+    #: reservations and book nothing here.
+    schedule: CapacitySchedule = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.schedule = CapacitySchedule(self.tunnel_id, self.capacity_mbps)
 
     def allocated_mbps(self, start: float, end: float) -> float:
-        """Peak allocation over [start, end).  Piecewise-constant sweep over
-        allocation boundaries, like the admission controller.  Fallback
-        (per-flow) allocations hold their own hop-by-hop reservations and
-        do not consume tunnel capacity."""
-        slices = [
-            a for a in self.allocations.values() if a.via == "tunnel"
-        ]
-        points = {start}
-        for a in slices:
-            if a.end > start and a.start < end:
-                points.add(max(a.start, start))
-        peak = 0.0
-        for p in points:
-            load = sum(
-                a.rate_mbps for a in slices
-                if a.start <= p < a.end
-            )
-            peak = max(peak, load)
-        return peak
+        """Peak allocation over [start, end)."""
+        return self.schedule.peak_load(start, end)
 
     def headroom(self, start: float, end: float) -> float:
-        return self.capacity_mbps - self.allocated_mbps(start, end)
+        return self.schedule.available(start, end)
 
     def may_allocate(self, who: DistinguishedName) -> bool:
         return who == self.owner or who in self.authorized
@@ -229,24 +224,33 @@ class TunnelService:
         end = tunnel.end if end is None else end
         if not tunnel.may_allocate(user.dn):
             raise TunnelError(f"{user.dn} is not authorized for {tunnel_id}")
-        if start < tunnel.start or end > tunnel.end or end <= start:
+        if not tunnel.start <= start < end <= tunnel.end:
             raise TunnelError(
                 f"allocation window [{start}, {end}) outside tunnel window "
                 f"[{tunnel.start}, {tunnel.end})"
             )
-        if rate_mbps <= 0:
-            raise TunnelError("allocation rate must be positive")
-        headroom = tunnel.headroom(start, end)
-        if rate_mbps > headroom + 1e-9:
+        if not (math.isfinite(rate_mbps) and rate_mbps > 0):
+            raise TunnelError("allocation rate must be positive and finite")
+        # Book before signalling, so a refused flow costs no message.
+        try:
+            booking = tunnel.schedule.book(start, end, rate_mbps)
+        except CapacityExceededError:
+            headroom = tunnel.headroom(start, end)
             raise TunnelError(
                 f"tunnel {tunnel_id} has {max(headroom, 0.0):.3f} Mb/s headroom, "
                 f"requested {rate_mbps}"
-            )
+            ) from None
         # Signalling: user -> source BB, source BB -> dest BB (direct), and
         # the two replies.  Intermediate domains are never touched.
         source_bb = self.protocol.brokers[tunnel.source_domain]
         dest_bb = self.protocol.brokers[tunnel.destination_domain]
-        user_channel = self.channels.connect(user, source_bb)
+        try:
+            user_channel = self.channels.connect(user, source_bb)
+        except ChannelError:
+            # No channel to the user, no flow (a failed handshake is not
+            # an unreachable end domain, so nothing falls back).
+            tunnel.schedule.release(booking.booking_id)
+            raise
         direct = tunnel.direct_channel
         assert direct is not None
         messages = 0
@@ -267,7 +271,9 @@ class TunnelService:
             # exchange fails — a tunnel end-domain unreachable — the flow
             # falls back to ordinary per-flow hop-by-hop signalling
             # through the intermediate domains, which brings retries and
-            # its own admission along.
+            # its own admission along.  The flow then holds no tunnel
+            # capacity.
+            tunnel.schedule.release(booking.booking_id)
             return self._fallback_per_flow(
                 tunnel, user, rate_mbps, start=start, end=end,
                 cause=exc, spent_latency_s=latency, spent_messages=messages,
@@ -281,6 +287,7 @@ class TunnelService:
             rate_mbps=rate_mbps,
             start=start,
             end=end,
+            booking_id=booking.booking_id,
         )
         tunnel.allocations[allocation.allocation_id] = allocation
         return allocation, latency, messages
@@ -370,22 +377,27 @@ class TunnelService:
 
     def release_flow(self, tunnel_id: str, allocation_id: str) -> None:
         tunnel = self.get(tunnel_id)
-        if allocation_id not in tunnel.allocations:
+        allocation = tunnel.allocations.pop(allocation_id, None)
+        if allocation is None:
             raise TunnelError(f"unknown allocation {allocation_id!r}")
-        del tunnel.allocations[allocation_id]
-        fallback = self._fallbacks.pop(allocation_id, None)
-        if fallback is not None:
-            self.protocol.cancel(fallback)
+        self._release(tunnel, allocation)
         logger.debug("released %s from %s", allocation_id, tunnel_id)
 
     def teardown(self, tunnel_id: str) -> None:
         """Cancel the aggregate reservation in every domain (plus any
         fallback per-flow reservations still alive)."""
         tunnel = self.get(tunnel_id)
-        for allocation_id in list(tunnel.allocations):
-            fallback = self._fallbacks.pop(allocation_id, None)
-            if fallback is not None:
-                self.protocol.cancel(fallback)
+        for allocation in tunnel.allocations.values():
+            self._release(tunnel, allocation)
         for domain, handle in tunnel.handles.items():
             self.protocol.brokers[domain].cancel(handle)
         del self._tunnels[tunnel_id]
+
+    def _release(self, tunnel: Tunnel, allocation: FlowAllocation) -> None:
+        """Give back what *allocation* holds: its tunnel booking, or its
+        fallback per-flow reservation."""
+        if allocation.booking_id is not None:
+            tunnel.schedule.release(allocation.booking_id)
+        fallback = self._fallbacks.pop(allocation.allocation_id, None)
+        if fallback is not None:
+            self.protocol.cancel(fallback)

@@ -27,6 +27,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
+from repro.errors import ObservabilityError
 from repro.obs import context
 from repro.obs.events import (
     CheckRecord, DecisionRecord, RecordKind, RecordStore,
@@ -84,11 +85,38 @@ class DecisionLedger(RecordStore):
         )
 
     @classmethod
+    def load(cls, path: str) -> "DecisionLedger":
+        with open(path, encoding="utf-8") as stream:
+            return cls.from_json(stream.read())
+
+    @classmethod
     def from_json(cls, text: str) -> "DecisionLedger":
-        payload = json.loads(text)
+        """Inverse of :meth:`to_json`.  Raises
+        :class:`~repro.errors.ObservabilityError` naming the record and
+        the field that cannot be read."""
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ObservabilityError(f"ledger: invalid JSON ({exc})") from exc
+        if not isinstance(payload, dict) or not isinstance(
+            payload.get("records", []), list
+        ):
+            raise ObservabilityError(
+                "ledger: expected an object with a 'records' list"
+            )
         ledger = cls()
-        for data in payload.get("records", ()):
-            ledger.record(DecisionRecord.from_dict(data))
+        for index, data in enumerate(payload.get("records", [])):
+            if not isinstance(data, dict):
+                raise ObservabilityError(
+                    f"ledger record {index}: expected an object, "
+                    f"got {type(data).__name__}"
+                )
+            try:
+                ledger.record(DecisionRecord.from_dict(data))
+            except ObservabilityError as exc:
+                raise ObservabilityError(
+                    f"ledger record {index}: {exc}"
+                ) from exc
         return ledger
 
 

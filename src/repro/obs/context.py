@@ -44,7 +44,7 @@ class Context:
         self.pending: _Pending | None = None  # audit notes for the next record
         self.handles = itertools.count(1)  # RES-<domain>-NNNNNN
         self.requests = itertools.count(1)  # req-NNNNNN
-        self.traces = itertools.count(1)  # sweep-/batch-NNNNNN (no request)
+        self.traces = itertools.count(1)  # sweep-NNNNNN (no request)
         self.packets = itertools.count()  # Packet.uid
 
 

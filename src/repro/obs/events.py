@@ -28,6 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterator, MutableSequence
 
+from repro.errors import ObservabilityError
 from repro.obs import context
 
 __all__ = [
@@ -277,38 +278,60 @@ class DecisionRecord:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "DecisionRecord":
-        window = data.get("window") or (0.0, 0.0)
-        deadline = data.get("deadline_remaining_s")
-        return cls(
-            seq=int(data["seq"]),
-            kind=RecordKind(data["kind"]),
-            at_time=float(data.get("at_time", 0.0)),
-            domain=str(data.get("domain", "")),
-            handle=str(data.get("handle", "")),
-            user=str(data.get("user", "")),
-            correlation_id=str(data.get("correlation_id", "")),
-            granted=bool(data.get("granted", False)),
-            reason=str(data.get("reason", "")),
-            reason_code=str(data.get("reason_code", "")),
-            rate_mbps=float(data.get("rate_mbps", 0.0)),
-            window=(float(window[0]), float(window[1])),
-            upstream=data.get("upstream"),
-            downstream=data.get("downstream"),
-            matched_rule=str(data.get("matched_rule", "")),
-            rules_fired=tuple(data.get("rules_fired") or ()),
-            checks=tuple(
-                CheckRecord.from_dict(c) for c in data.get("checks") or ()
-            ),
-            retries=int(data.get("retries", 0)),
-            breaker_state=str(data.get("breaker_state", "")),
-            deadline_remaining_s=(
-                None if deadline is None else float(deadline)
-            ),
-            attributes=tuple(
-                sorted((str(k), str(v))
-                       for k, v in (data.get("attributes") or {}).items())
-            ),
-        )
+        """Inverse of :meth:`to_dict`.  A field absent from *data* takes
+        its default; one that is missing but required, or cannot be
+        read, raises :class:`~repro.errors.ObservabilityError` naming it."""
+        fields: dict[str, Any] = {}
+        for name, read in _FIELD_READERS.items():
+            if name not in data:
+                if name in ("seq", "kind"):
+                    raise ObservabilityError(f"missing field {name!r}")
+                continue
+            try:
+                fields[name] = read(data[name])
+            except (TypeError, ValueError, AttributeError, IndexError) as exc:
+                raise ObservabilityError(
+                    f"field {name!r}: {type(exc).__name__}: {exc}"
+                ) from exc
+        return cls(**fields)
+
+
+def _read_window(value: Any) -> tuple[float, float]:
+    window = value or (0.0, 0.0)
+    return float(window[0]), float(window[1])
+
+
+#: How :meth:`DecisionRecord.from_dict` reads each field of a
+#: :meth:`DecisionRecord.to_dict` document.
+_FIELD_READERS: dict[str, Any] = {
+    "seq": int,
+    "kind": RecordKind,
+    "at_time": float,
+    "domain": str,
+    "handle": str,
+    "user": str,
+    "correlation_id": str,
+    "granted": bool,
+    "reason": str,
+    "reason_code": str,
+    "rate_mbps": float,
+    "window": _read_window,
+    "upstream": lambda value: value,
+    "downstream": lambda value: value,
+    "matched_rule": str,
+    "rules_fired": lambda value: tuple(value or ()),
+    "checks": lambda value: tuple(
+        CheckRecord.from_dict(c) for c in value or ()
+    ),
+    "retries": int,
+    "breaker_state": str,
+    "deadline_remaining_s": lambda value: (
+        None if value is None else float(value)
+    ),
+    "attributes": lambda value: tuple(
+        sorted((str(k), str(v)) for k, v in (value or {}).items())
+    ),
+}
 
 
 class RecordStore:

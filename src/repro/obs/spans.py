@@ -62,8 +62,9 @@ def mint_correlation_id() -> str:
 
 
 def mint_trace_id(kind: str) -> str:
-    """A trace ID for work outside any request (``sweep``, ``batch``),
-    from a sequence of its own: tracing never renumbers requests."""
+    """A trace ID for work outside any request (the soft-state
+    ``sweep``), from a sequence of its own: tracing never renumbers
+    requests."""
     return f"{kind}-{next(context.current().traces):06d}"
 
 

@@ -29,8 +29,9 @@ exactly once — the encoder is the decoder's specification.
 
 The fifth keeps the library on one thread, by rule: no module under
 ``src/repro`` imports ``threading``, ``_thread``, ``concurrent.futures``
-or ``multiprocessing``.  Batch parallelism is a modelled schedule
-(``core/concurrent.py``), so nothing in the library needs a lock.
+or ``multiprocessing``.  Parallelism is modelled time (the concurrent
+source-domain approach takes the slowest domain's latency), so nothing
+in the library needs a lock.
 
 The sixth keeps metric writes in ``repro.obs``: a metric is a decision's
 count (``obs/decisions.py``) or a flight-recorder probe's sample, so no
@@ -342,8 +343,8 @@ def test_the_library_runs_on_one_thread():
             for line, name in _thread_imports(tree)
         ]
     assert not offenders, (
-        "one thread, by rule: batch parallelism is the modelled schedule "
-        "in core/concurrent.py, not a thread pool:\n" + "\n".join(offenders)
+        "one thread, by rule: parallelism is modelled time, not a "
+        "thread pool:\n" + "\n".join(offenders)
     )
 
 

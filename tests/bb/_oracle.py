@@ -1,6 +1,8 @@
 """The brute-force capacity scan ``CapacitySchedule`` used until PR 22,
 kept verbatim as the reference its boundary index is tested against: a
-list of bookings and two functions, no lock, no index."""
+list of bookings and two functions, no lock, no index.  The tunnel's
+own copy of the same sweep, which ``Tunnel.allocated_mbps`` ran until
+tunnels booked into a ``CapacitySchedule``, is the third."""
 
 from repro.bb.admission import Booking
 
@@ -26,3 +28,12 @@ def peak_load(bookings: list[Booking], start: float, end: float) -> float:
     for p in points:
         peak = max(peak, load_at(bookings, p))
     return peak
+
+
+def tunnel_allocated(allocations, start: float, end: float) -> float:
+    """Peak load of a tunnel's slices over [start, end).  Fallback
+    (``via="per-flow"``) allocations hold their own hop-by-hop
+    reservations and do not consume tunnel capacity."""
+    return peak_load(
+        [a for a in allocations if a.via == "tunnel"], start, end
+    )

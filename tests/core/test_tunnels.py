@@ -1,9 +1,12 @@
 """Tests for tunnels: aggregate reservations with end-domain-only flows."""
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.core.testbed import build_linear_testbed
-from repro.errors import TunnelError
+from repro.errors import HandshakeError, TunnelError
+from tests.bb import _oracle
 
 
 @pytest.fixture()
@@ -109,6 +112,17 @@ class TestFlowAllocation:
         alloc, _, _ = testbed.tunnels.allocate_flow(tunnel.tunnel_id, bob, 1.0)
         assert alloc.owner == bob.dn
 
+    def test_failed_handshake_holds_no_capacity(self, testbed, tunnel):
+        """A user the source BB cannot open a channel with gets no slice:
+        headroom is still checked first, and nothing stays booked."""
+        carol = testbed.add_user("C", "Carol")
+        testbed.tunnels.authorize(tunnel.tunnel_id, carol.dn)
+        with pytest.raises(TunnelError, match="headroom"):
+            testbed.tunnels.allocate_flow(tunnel.tunnel_id, carol, 60.0)
+        with pytest.raises(HandshakeError):
+            testbed.tunnels.allocate_flow(tunnel.tunnel_id, carol, 10.0)
+        assert tunnel.headroom(tunnel.start, tunnel.end) == 50.0
+
     def test_window_enforced(self, testbed, alice, tunnel):
         with pytest.raises(TunnelError, match="window"):
             testbed.tunnels.allocate_flow(
@@ -162,3 +176,81 @@ class TestScalability:
         assert testbed.brokers["B"].admission.schedule("intra").load_at(1.0) == 0.0
         with pytest.raises(TunnelError):
             testbed.tunnels.get(tunnel.tunnel_id)
+
+
+# A step allocates a slice over one window of a quarter-hour grid (with
+# the direct end-domain link up or cut) twice as often as it releases
+# one.  Four 20 Mb/s slices overfill the 50 Mb/s tunnel, so sequences
+# mix grants, refusals and fallbacks.
+_GRID = [0.0, 900.0, 1800.0, 2700.0, 3600.0]
+_WINDOWS = [(a, b) for a in _GRID for b in _GRID if a < b]
+_ALLOCATE = st.tuples(
+    st.sampled_from(_WINDOWS), st.sampled_from([5.0, 12.5, 20.0, 30.0]),
+    st.booleans(),
+)
+_RELEASE = st.integers(min_value=0, max_value=20)
+
+
+def _drop_everything(message):
+    return None
+
+
+@seed(2001)
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(_ALLOCATE, _ALLOCATE, _RELEASE), max_size=12))
+def test_tunnel_matches_point_sweep_oracle(steps):
+    """After every allocate or release, the tunnel's load and headroom
+    over any window are the point sweep's over its live slices; a flow
+    refused for headroom sends no message, and a flow whose direct
+    signalling fails holds no tunnel capacity."""
+    testbed = build_linear_testbed(["A", "B", "C"])
+    alice = testbed.add_user("A", "Alice")
+    tunnel, _ = testbed.tunnels.establish(alice, testbed.make_request(
+        source="A", destination="C", bandwidth_mbps=50.0,
+    ))
+    direct = tunnel.direct_channel
+    for step in steps:
+        if isinstance(step, int):
+            if tunnel.allocations:
+                ids = sorted(tunnel.allocations)
+                testbed.tunnels.release_flow(
+                    tunnel.tunnel_id, ids[step % len(ids)]
+                )
+        else:
+            (start, end), rate, cut = step
+            spare = tunnel.capacity_mbps - _oracle.tunnel_allocated(
+                tunnel.allocations.values(), start, end
+            )
+            before = testbed.channels.total_messages()
+            direct.tamper_hook = _drop_everything if cut else None
+            try:
+                if rate > spare + 1e-9:
+                    with pytest.raises(TunnelError, match="headroom"):
+                        testbed.tunnels.allocate_flow(
+                            tunnel.tunnel_id, alice, rate,
+                            start=start, end=end,
+                        )
+                    assert testbed.channels.total_messages() == before
+                else:
+                    try:
+                        alloc, _, _ = testbed.tunnels.allocate_flow(
+                            tunnel.tunnel_id, alice, rate,
+                            start=start, end=end,
+                        )
+                    except TunnelError as exc:
+                        # Only the per-flow fallback can refuse a flow
+                        # that fits the tunnel.
+                        assert cut and "fallback was denied" in str(exc)
+                    else:
+                        assert alloc.via == ("per-flow" if cut else "tunnel")
+            finally:
+                direct.tamper_hook = None
+        live = tunnel.allocations.values()
+        for window in _WINDOWS:
+            expected = _oracle.tunnel_allocated(live, *window)
+            assert tunnel.allocated_mbps(*window) == pytest.approx(
+                expected, abs=1e-9
+            )
+            assert tunnel.headroom(*window) == pytest.approx(
+                tunnel.capacity_mbps - expected, abs=1e-9
+            )

@@ -7,7 +7,6 @@ ingress bytes, and a chaos slice with zero violations.
 """
 
 from repro.core.codec import to_wire
-from repro.core.concurrent import ReservationJob, run_batch
 from repro.core.messages import (
     F_INNER_DIGEST,
     make_user_rar,
@@ -126,7 +125,7 @@ class TestMisreservationAttack:
 
 
 class TestConcurrentBatch:
-    """A run_batch burst (the batched-crypto consumer)."""
+    """A burst of back-to-back reservations from four users."""
 
     def test_batch_outcomes_identical(self):
         testbed = build_linear_testbed(["A", "B", "C", "D"])
@@ -134,19 +133,14 @@ class TestConcurrentBatch:
             testbed.add_user("A", name)
             for name in ("U0", "U1", "U2", "U3")
         ]
-        jobs = [
-            ReservationJob(
-                user=user,
-                request=testbed.make_request(
-                    source="A", destination="D",
-                    bandwidth_mbps=20.0 + 5.0 * i,
-                ),
-            )
+        outcomes = [
+            testbed.hop_by_hop.reserve(user, testbed.make_request(
+                source="A", destination="D",
+                bandwidth_mbps=20.0 + 5.0 * i,
+            ))
             for i, user in enumerate(users)
         ]
-        result = run_batch(testbed.hop_by_hop, jobs, concurrency=4)
-        assert all(item.error == "" for item in result.scheduled)
-        assert all(item.outcome.granted for item in result.scheduled)
+        assert all(outcome.granted for outcome in outcomes)
 
 
 class TestIngressDifferential:

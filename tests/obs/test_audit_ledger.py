@@ -1,6 +1,9 @@
 """Unit tests for the decision-provenance ledger and chain stitching."""
 
+import pytest
+
 from repro.core.testbed import build_linear_testbed
+from repro.errors import ObservabilityError
 from repro.obs import audit as obs_audit
 from repro.obs import decisions
 from repro.obs import events as obs_events
@@ -118,6 +121,28 @@ def test_json_roundtrip_preserves_everything():
     ))
     clone = obs_audit.DecisionLedger.from_json(led.to_json())
     assert [r.to_dict() for r in clone] == [r.to_dict() for r in led]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "ledger: expected an object with a 'records' list"),
+    ('"x"', "ledger: expected an object with a 'records' list"),
+    ('{"records": 3}', "ledger: expected an object with a 'records' list"),
+    ("{not json", "ledger: invalid JSON"),
+    ('{"records": [1]}', "ledger record 0: expected an object, got int"),
+    ('{"records": [{}]}', "ledger record 0: missing field 'seq'"),
+    ('{"records": [{"seq": 0, "kind": "admit"}, {"seq": 1}]}',
+     "ledger record 1: missing field 'kind'"),
+    ('{"records": [{"seq": 0, "kind": "bogus"}]}',
+     "ledger record 0: field 'kind': ValueError"),
+    ('{"records": [{"seq": 0, "kind": "admit", "window": 5}]}',
+     "ledger record 0: field 'window': TypeError"),
+    ('{"records": [{"seq": 0, "kind": "admit", "checks": [1]}]}',
+     "ledger record 0: field 'checks': AttributeError"),
+])
+def test_from_json_names_the_bad_record_and_field(text, message):
+    with pytest.raises(ObservabilityError) as excinfo:
+        obs_audit.DecisionLedger.from_json(text)
+    assert str(excinfo.value).startswith(message)
 
 
 def test_four_domain_chain_reconstruction():

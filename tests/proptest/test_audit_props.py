@@ -1,8 +1,8 @@
 """Property suite: the decision-provenance ledger is complete.
 
 Hypothesis drives random topologies and reservation batches through the
-hop-by-hop protocol — one reservation at a time and as a scheduled
-batch — and checks the audit contract: every admitted reservation
+hop-by-hop protocol, one reservation at a time, and checks the audit
+contract: every admitted reservation
 stitches into a complete per-hop chain (one admission per path domain,
 in travel order), and the ledger-internal invariants reconcile clean.
 """
@@ -10,7 +10,6 @@ in travel order), and the ledger-internal invariants reconcile clean.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.concurrent import ReservationJob, run_batch
 from repro.core.testbed import build_linear_testbed
 from repro.obs import audit as obs_audit
 
@@ -44,14 +43,15 @@ def worlds(draw):
 
 
 def build_world(domains, specs):
-    """A testbed plus the ReservationJobs for *specs* (deterministic:
-    same inputs produce byte-identical certificates and requests)."""
+    """A testbed plus the (user, request) pairs for *specs*
+    (deterministic: same inputs produce byte-identical certificates and
+    requests)."""
     tb = build_linear_testbed(list(domains))
     users = {d: tb.add_user(d, f"user-{d}") for d in domains}
     jobs = [
-        ReservationJob(
-            user=users[src],
-            request=tb.make_request(
+        (
+            users[src],
+            tb.make_request(
                 source=src, destination=dst, bandwidth_mbps=rate,
                 start=start, duration=3600.0,
             ),
@@ -92,22 +92,7 @@ def test_serial_chains_complete(world):
     tb, jobs = build_world(domains, specs)
     with obs_audit.use_ledger() as ledger:
         outcomes = [
-            tb.hop_by_hop.reserve(job.user, job.request) for job in jobs
+            tb.hop_by_hop.reserve(user, request) for user, request in jobs
         ]
     assert_complete_chains(ledger, outcomes)
 
-
-@given(worlds(), st.integers(min_value=1, max_value=4))
-@SETTINGS
-def test_concurrent_chains_complete(world, concurrency):
-    """P2: a batch through ``run_batch`` leaves the same complete chains
-    at any modelled worker count — the schedule never touches the
-    ledger."""
-    domains, specs = world
-    tb, jobs = build_world(domains, specs)
-    with obs_audit.use_ledger() as ledger:
-        batch = run_batch(tb.hop_by_hop, jobs, concurrency=concurrency)
-    outcomes = [
-        item.outcome for item in batch.scheduled if item.outcome is not None
-    ]
-    assert_complete_chains(ledger, outcomes)

@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+import repro.cli
+from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestReserve:
@@ -237,11 +244,32 @@ class TestAudit:
         docs = json.loads(out)
         assert docs and all("kind" in d for d in docs)
 
-    def test_reconcile_runs_chaos_campaign(self, capsys):
-        rc = main(["audit", "--reconcile", "--trials", "5", "--seed", "3"])
+    def test_reconcile_runs_chaos_campaign(self, capsys, tmp_path):
+        """``audit --reconcile`` reads a ledger; without one it names the
+        campaign that writes it, and that two-step command reconciles."""
+        rc = main(["audit", "--reconcile"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "chaos --seed 7 --trials 200 --audit --save-ledger" in err
+        ledger_path = str(tmp_path / "ledger.json")
+        assert main(["chaos", "--trials", "5", "--seed", "3", "--audit",
+                     "--save-ledger", ledger_path]) == 0
+        capsys.readouterr()
+        rc = main(["audit", "--reconcile", "--ledger", ledger_path])
         out = capsys.readouterr().out
         assert rc == 0
         assert "audit reconciliation: OK" in out
+
+    def test_query_ignores_domains(self, capsys, tmp_path):
+        """--domains only shapes the live explain demo: a query over a
+        saved ledger builds no testbed, so one domain is fine."""
+        ledger_path = str(tmp_path / "ledger.json")
+        main(["audit", "explain", "--save", ledger_path])
+        capsys.readouterr()
+        rc = main(["audit", "query", "--ledger", ledger_path,
+                   "--domains", "A"])
+        capsys.readouterr()
+        assert rc == 0
 
     def test_error_paths(self, capsys):
         assert main(["audit", "query"]) == 2  # no --ledger
@@ -263,6 +291,96 @@ class TestAudit:
         capsys.readouterr()
         assert main(["audit", "query", "--ledger", ledger_path,
                      "--kind", "bogus"]) == 2
+
+
+class TestMalformedLedger:
+    """A ledger file that is not one is a usage error naming what is
+    wrong with it, never a traceback."""
+
+    @pytest.mark.parametrize("command", [
+        ["timeline"], ["audit", "query"],
+    ])
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "expected an object with a 'records' list"),
+        ('"x"', "expected an object with a 'records' list"),
+        ('{"records": [1]}', "ledger record 0: expected an object"),
+        ('{"records": [{}]}', "ledger record 0: missing field 'seq'"),
+    ])
+    def test_exits_two_with_the_reason(
+        self, capsys, tmp_path, command, text, message
+    ):
+        path = tmp_path / "ledger.json"
+        path.write_text(text, encoding="utf-8")
+        rc = main([*command, "--ledger", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {path}: " in err
+        assert message in err
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("command", ["metrics", "slo", "top"])
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_runs_below_one_is_a_usage_error(self, capsys, command, runs):
+        rc = main([command, "--runs", runs])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "--runs must be >= 1" in err
+
+    def test_timeline_window_ending_before_it_starts(self, capsys):
+        rc = main(["timeline", "5:1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "ends before it starts" in err
+
+
+def _documented_command_lines():
+    """Every ``python -m repro ...`` command line in the README, the
+    docs, the CLI module docstring and the CI workflow, as
+    ``(where, argv)``; a line ending in a backslash continues on the
+    next.  Lines with a placeholder (``<...>`` or ``...``) are skipped."""
+    texts = [
+        (path.relative_to(ROOT), path.read_text(encoding="utf-8"))
+        for path in [
+            ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
+            ROOT / ".github" / "workflows" / "ci.yml",
+        ]
+    ]
+    texts.append(("repro/cli.py docstring", repro.cli.__doc__))
+    command = re.compile(r"^\s*(?:\$ |run: )?python -m repro\b(.*)$")
+    found = []
+    for where, text in texts:
+        logical = ""
+        for line in text.splitlines():
+            if line.endswith("\\"):
+                logical += line[:-1] + " "
+                continue
+            match = command.match(logical + line)
+            logical = ""
+            if match is None:
+                continue
+            rest = match.group(1).split(" #")[0]
+            if not re.search(r"<[^>]*>|\.\.\.", rest):
+                found.append((f"{where}: python -m repro{rest}",
+                              shlex.split(rest)))
+    return found
+
+
+def test_documented_command_lines_parse():
+    """A flag removed without a doc edit fails here."""
+    lines = _documented_command_lines()
+    assert len(lines) > 50
+    parser = build_parser()
+    unparsed = []
+    for where, argv in lines:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            unparsed.append(where)
+    assert not unparsed, (
+        "documented command lines that no longer parse:\n"
+        + "\n".join(unparsed)
+    )
 
 
 class TestChaosAudit:
