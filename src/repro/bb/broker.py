@@ -422,15 +422,16 @@ class BandwidthBroker:
         user = str(resv.owner) if resv.owner else ""
         user_count = 0
         ingress_count = 0
-        for state in (ReservationState.PENDING, ReservationState.GRANTED,
-                      ReservationState.ACTIVE):
-            for other in self.reservations.in_state(state):
-                if other.handle == resv.handle:
-                    continue
-                if user and str(other.owner) == user:
-                    user_count += 1
-                if resv.upstream is not None and other.upstream == resv.upstream:
-                    ingress_count += 1
+        for other in self.reservations.in_state(
+            ReservationState.PENDING, ReservationState.GRANTED,
+            ReservationState.ACTIVE,
+        ):
+            if other.handle == resv.handle:
+                continue
+            if user and str(other.owner) == user:
+                user_count += 1
+            if resv.upstream is not None and other.upstream == resv.upstream:
+                ingress_count += 1
         return user_count, ingress_count
 
     # -- lifecycle ----------------------------------------------------------------------

@@ -55,6 +55,11 @@ _TRANSITIONS = {
     ReservationState.DENIED: set(),
 }
 
+#: The non-terminal states: a row in one of them is in the live index.
+_LIVE = frozenset(
+    (ReservationState.PENDING, ReservationState.GRANTED, ReservationState.ACTIVE)
+)
+
 
 @dataclass(frozen=True)
 class ReservationRequest:
@@ -162,11 +167,22 @@ class Reservation:
 
 
 class ReservationTable:
-    """Handle-indexed reservation store with checked state transitions."""
+    """Handle-indexed reservation store with checked state transitions.
+
+    Two dicts keep the rows.  ``_by_handle`` is the full history: every
+    row ever created, terminal ones included (``get``, ``all``, ``len``
+    and the ledger reconciliation read it).  ``_live`` is the live index:
+    it holds exactly the non-terminal (pending, granted, active) rows, in
+    creation order, so a live-set query costs O(live) however many
+    reservations have ended.  ``create`` inserts into it and only the
+    state setter :meth:`_set_state` (used by :meth:`transition` and
+    :meth:`sweep_expired`) removes from it; nothing else writes it.
+    """
 
     def __init__(self, domain: str):
         self.domain = domain
         self._by_handle: dict[str, Reservation] = {}
+        self._live: dict[str, Reservation] = {}
 
     def create(
         self,
@@ -182,6 +198,7 @@ class ReservationTable:
             raise ReservationStateError(f"duplicate handle {handle!r}")
         resv = Reservation(handle, request, owner, created_at=now)
         self._by_handle[handle] = resv
+        self._live[handle] = resv
         return resv
 
     def get(self, handle: str) -> Reservation:
@@ -198,6 +215,13 @@ class ReservationTable:
     def __len__(self) -> int:
         return len(self._by_handle)
 
+    def _set_state(self, resv: Reservation, new_state: ReservationState) -> None:
+        """The one writer of a row's state: a row that turns terminal
+        leaves the live index."""
+        resv.state = new_state
+        if new_state not in _LIVE:
+            del self._live[resv.handle]
+
     def transition(self, handle: str, new_state: ReservationState) -> Reservation:
         resv = self.get(handle)
         if new_state not in _TRANSITIONS[resv.state]:
@@ -205,21 +229,25 @@ class ReservationTable:
                 f"{handle}: illegal transition {resv.state.value} -> "
                 f"{new_state.value}"
             )
-        resv.state = new_state
+        self._set_state(resv, new_state)
         return resv
 
     def all(self) -> tuple[Reservation, ...]:
         return tuple(self._by_handle.values())
 
     def in_state(self, *states: ReservationState) -> tuple[Reservation, ...]:
-        return tuple(
-            r for r in self._by_handle.values() if r.state in states
-        )
+        """The live rows in any of *states*, in creation order.  Only live
+        states (pending, granted, active) can be asked for: a terminal
+        state raises :class:`~repro.errors.ReservationStateError`."""
+        if not _LIVE.issuperset(states):
+            raise ReservationStateError(
+                "in_state answers live states only, not "
+                + ", ".join(s.value for s in states if s not in _LIVE)
+            )
+        return tuple(r for r in self._live.values() if r.state in states)
 
     def active_at(self, when: float) -> tuple[Reservation, ...]:
-        return tuple(
-            r for r in self._by_handle.values() if r.active_at(when)
-        )
+        return tuple(r for r in self._live.values() if r.active_at(when))
 
     def is_valid(self, handle: str, *, at_time: float | None = None) -> bool:
         """Online validity check used by interdomain policy dependencies
@@ -248,12 +276,12 @@ class ReservationTable:
         """Expire live reservations whose soft-state lease has lapsed;
         returns them so the broker can release their capacity bookings."""
         lapsed = tuple(
-            resv for resv in self._by_handle.values()
+            resv for resv in self._live.values()
             if resv.state
             in (ReservationState.GRANTED, ReservationState.ACTIVE)
             and resv.expires_at is not None
             and resv.expires_at <= now
         )
         for resv in lapsed:
-            resv.state = ReservationState.EXPIRED
+            self._set_state(resv, ReservationState.EXPIRED)
         return lapsed

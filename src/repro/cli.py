@@ -962,6 +962,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print("error: --fail-on-critical needs --record FILE.tsrec",
               file=sys.stderr)
         return 2
+    if args.save_ledger and not args.audit:
+        print("error: --save-ledger needs --audit (no ledger is kept "
+              "without it)", file=sys.stderr)
+        return 2
     recorder = None
     if args.record:
         recorder = _open_recorder(args.record)
@@ -988,7 +992,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 else "VIOLATION"
             print(f"  [{trial.index:4d}] {verdict} inj={trial.injected} "
                   f"retry={trial.retries} {health}  {trial.spec.describe()}")
-    if args.save_ledger and report.ledger is not None:
+    if args.save_ledger:
         try:
             with open(args.save_ledger, "w", encoding="utf-8") as fh:
                 fh.write(report.ledger.to_json())

@@ -271,6 +271,8 @@ class Recording:
 
     @classmethod
     def parse(cls, lines: Iterable[str]) -> "Recording":
+        """Read a ``.tsrec`` stream.  Any line that cannot be read raises
+        :class:`~repro.errors.ObservabilityError` naming its number."""
         recording: Recording | None = None
         kinds_seen: dict[SeriesKey, str] = {}
         for lineno, raw in enumerate(lines, start=1):
@@ -283,47 +285,60 @@ class Recording:
                 raise ObservabilityError(
                     f"tsrec line {lineno}: invalid JSON ({exc})"
                 ) from exc
-            if recording is None:
-                if obj.get("schema") != TSREC_SCHEMA:
+            try:
+                if not isinstance(obj, dict):
                     raise ObservabilityError(
-                        f"tsrec line 1: expected schema {TSREC_SCHEMA!r}, "
-                        f"got {obj.get('schema')!r}"
+                        f"expected an object, got {type(obj).__name__}"
                     )
-                recording = cls(meta=obj.get("meta"))
-                continue
-            if "f" in obj:
-                t = float(obj["t"])
-                frame = {
-                    SeriesKey.parse(k): float(v)
-                    for k, v in obj["f"].items()
-                }
-                fresh = {
-                    SeriesKey.parse(k): str(kind)
-                    for k, kind in obj.get("k", {}).items()
-                }
-                kinds_seen.update(fresh)
-                kinds = {
-                    k: kinds_seen.get(k, "gauge") for k in frame
-                }
-                recording.frames.append((t, frame, kinds))
-                recording.store.record_frame(t, frame, kinds)
-            elif "e" in obj:
-                event = dict(obj["e"])
-                event.setdefault("at_time", obj.get("t"))
-                recording.events.append(event)
-            elif "a" in obj:
-                alert = dict(obj["a"])
-                alert.setdefault("at_time", obj.get("t"))
-                recording.alerts.append(alert)
-            elif "m" in obj:
-                recording.meta.update(obj["m"])
-            else:
+                if recording is None:
+                    if obj.get("schema") != TSREC_SCHEMA:
+                        raise ObservabilityError(
+                            f"expected schema {TSREC_SCHEMA!r}, "
+                            f"got {obj.get('schema')!r}"
+                        )
+                    recording = cls(meta=obj.get("meta"))
+                else:
+                    recording._add(obj, kinds_seen)
+            except ObservabilityError as exc:
+                raise ObservabilityError(f"tsrec line {lineno}: {exc}") from exc
+            except (TypeError, ValueError, AttributeError, KeyError) as exc:
                 raise ObservabilityError(
-                    f"tsrec line {lineno}: unrecognised record {obj!r}"
-                )
+                    f"tsrec line {lineno}: {type(exc).__name__}: {exc}"
+                ) from exc
         if recording is None:
             raise ObservabilityError("tsrec file is empty (no header line)")
         return recording
+
+    def _add(self, obj: dict[str, Any], kinds_seen: dict[SeriesKey, str]) -> None:
+        """Append one record line after the header."""
+        if "f" in obj:
+            t = float(obj["t"])
+            frame = {
+                SeriesKey.parse(k): float(v)
+                for k, v in obj["f"].items()
+            }
+            fresh = {
+                SeriesKey.parse(k): str(kind)
+                for k, kind in obj.get("k", {}).items()
+            }
+            kinds_seen.update(fresh)
+            kinds = {
+                k: kinds_seen.get(k, "gauge") for k in frame
+            }
+            self.frames.append((t, frame, kinds))
+            self.store.record_frame(t, frame, kinds)
+        elif "e" in obj:
+            event = dict(obj["e"])
+            event.setdefault("at_time", obj.get("t"))
+            self.events.append(event)
+        elif "a" in obj:
+            alert = dict(obj["a"])
+            alert.setdefault("at_time", obj.get("t"))
+            self.alerts.append(alert)
+        elif "m" in obj:
+            self.meta.update(obj["m"])
+        else:
+            raise ObservabilityError(f"unrecognised record {obj!r}")
 
     # -- derived views -----------------------------------------------------------
 

@@ -1,10 +1,18 @@
-"""The brute-force capacity scan ``CapacitySchedule`` used until PR 22,
-kept verbatim as the reference its boundary index is tested against: a
-list of bookings and two functions, no lock, no index.  The tunnel's
+"""Brute-force references the broker's indexes are tested against.
+
+The capacity scan ``CapacitySchedule`` used until PR 22, kept verbatim:
+a list of bookings and two functions, no lock, no index.  The tunnel's
 own copy of the same sweep, which ``Tunnel.allocated_mbps`` ran until
-tunnels booked into a ``CapacitySchedule``, is the third."""
+tunnels booked into a ``CapacitySchedule``, is the third.
+
+The reservation table's full-history filters, which ``in_state``,
+``active_at`` and ``sweep_expired`` ran until the table kept a live
+index, and ``BandwidthBroker._live_counts``' three ``in_state`` passes
+over them.  Each takes the table's full history (``table.all()``).
+"""
 
 from repro.bb.admission import Booking
+from repro.bb.reservations import ReservationState
 
 
 def load_at(bookings: list[Booking], when: float) -> float:
@@ -37,3 +45,45 @@ def tunnel_allocated(allocations, start: float, end: float) -> float:
     return peak_load(
         [a for a in allocations if a.via == "tunnel"], start, end
     )
+
+
+def in_state(rows, *states):
+    return tuple(
+        r for r in rows if r.state in states
+    )
+
+
+def active_at(rows, when):
+    return tuple(
+        r for r in rows if r.active_at(when)
+    )
+
+
+def lapsed(rows, now):
+    """The rows ``sweep_expired(now)`` expires, in the order it returns
+    them (it then sets each one's state to EXPIRED)."""
+    return tuple(
+        resv for resv in rows
+        if resv.state
+        in (ReservationState.GRANTED, ReservationState.ACTIVE)
+        and resv.expires_at is not None
+        and resv.expires_at <= now
+    )
+
+
+def live_counts(rows, resv):
+    """Live reservations held by *resv*'s owner and arriving over its
+    ingress, excluding *resv* itself."""
+    user = str(resv.owner) if resv.owner else ""
+    user_count = 0
+    ingress_count = 0
+    for state in (ReservationState.PENDING, ReservationState.GRANTED,
+                  ReservationState.ACTIVE):
+        for other in in_state(rows, state):
+            if other.handle == resv.handle:
+                continue
+            if user and str(other.owner) == user:
+                user_count += 1
+            if resv.upstream is not None and other.upstream == resv.upstream:
+                ingress_count += 1
+    return user_count, ingress_count

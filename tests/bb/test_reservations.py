@@ -131,3 +131,11 @@ class TestTable:
         assert t.in_state(ReservationState.GRANTED) == (r1,)
         both = t.in_state(ReservationState.GRANTED, ReservationState.PENDING)
         assert r1 in both and r2 in both and len(both) == 2
+        # Only live states can be asked for: ended rows are history.
+        t.transition(r2.handle, ReservationState.DENIED)
+        for terminal in (ReservationState.CANCELLED, ReservationState.EXPIRED,
+                         ReservationState.DENIED):
+            with pytest.raises(ReservationStateError, match=terminal.value):
+                t.in_state(ReservationState.GRANTED, terminal)
+        assert t.in_state(ReservationState.GRANTED,
+                          ReservationState.PENDING) == (r1,)

@@ -164,6 +164,27 @@ class TestParseErrors:
             Recording.parse(lines)
 
 
+    @pytest.mark.parametrize("lines, message", [
+        (["[1]"], "tsrec line 1: expected an object, got list"),
+        ([json.dumps({"schema": TSREC_SCHEMA, "meta": {}}), "", "5"],
+         "tsrec line 3: expected an object, got int"),
+        ([json.dumps({"schema": TSREC_SCHEMA, "meta": {}}),
+          '{"t":1,"f":{"a":"zz"}}'],
+         "tsrec line 2: ValueError"),
+    ], ids=["list-header", "number-line", "non-numeric-value"])
+    def test_malformed_line_is_typed_and_numbered(self, lines, message):
+        with pytest.raises(ObservabilityError, match=message):
+            Recording.parse(lines)
+
+    def test_frame_without_time_names_the_line(self):
+        lines = [
+            json.dumps({"schema": TSREC_SCHEMA, "meta": {}}),
+            json.dumps({"f": {"a": 1.0}}),
+        ]
+        with pytest.raises(ObservabilityError, match="tsrec line 2: KeyError"):
+            Recording.parse(lines)
+
+
 class TestFabricProbes:
     def test_probe_frame_covers_fabric_state(self):
         testbed = build_linear_testbed(["A", "B", "C"])

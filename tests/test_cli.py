@@ -318,7 +318,41 @@ class TestMalformedLedger:
         assert message in err
 
 
+class TestMalformedRecording:
+    """A ``.tsrec`` file that is not one is a usage error naming the
+    line that cannot be read, never a traceback."""
+
+    HEADER = '{"schema": "repro-tsrec/1", "meta": {}}'
+
+    @pytest.mark.parametrize("command", [
+        ["top", "--replay"], ["slo", "--record"], ["timeline", "--replay"],
+    ], ids=["top", "slo", "timeline"])
+    @pytest.mark.parametrize("lines, message", [
+        (["[1]"], "tsrec line 1: expected an object, got list"),
+        ([HEADER, "5"], "tsrec line 2: expected an object, got int"),
+        ([HEADER, '{"t":1,"f":{"a":"zz"}}'], "tsrec line 2: ValueError"),
+    ], ids=["list-header", "number-line", "non-numeric-value"])
+    def test_exits_two_with_the_line(
+        self, capsys, tmp_path, command, lines, message
+    ):
+        path = tmp_path / "bad.tsrec"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = main([*command, str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {path}: " in err
+        assert message in err
+
+
 class TestArgumentChecks:
+    def test_save_ledger_needs_audit(self, capsys, tmp_path):
+        path = tmp_path / "ledger.json"
+        rc = main(["chaos", "--trials", "1", "--save-ledger", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "--save-ledger needs --audit" in err
+        assert not path.exists()
+
     @pytest.mark.parametrize("command", ["metrics", "slo", "top"])
     @pytest.mark.parametrize("runs", ["0", "-3"])
     def test_runs_below_one_is_a_usage_error(self, capsys, command, runs):
