@@ -145,8 +145,6 @@ class BandwidthBroker:
         self.slas_in: dict[str, ServiceLevelAgreement] = {}
         #: SLAs keyed by peer domain: traffic *to* peer (we are upstream).
         self.slas_out: dict[str, ServiceLevelAgreement] = {}
-        #: handle -> ((resource, booking_id), ...) backing each reservation.
-        self._booking_map: dict[str, tuple[tuple[str, int], ...]] = {}
         #: Validators for linked reservations of other resource kinds.
         self._linked_validators: dict[str, object] = {}
         #: RSVP-style soft-state lease length.  When set, every grant
@@ -390,8 +388,7 @@ class BandwidthBroker:
                     resv, str(exc), ReasonCode.CAPACITY_EXCEEDED, at_time,
                     decision,
                 )
-            resv.bookings = tuple(b for _, b in bookings)
-            self._booking_map[resv.handle] = bookings
+            resv.bookings = bookings
         if self.soft_state_ttl_s is not None:
             resv.expires_at = at_time + self.soft_state_ttl_s
         self.reservations.transition(resv.handle, ReservationState.GRANTED)
@@ -471,9 +468,7 @@ class BandwidthBroker:
         )
         self._audit("cancel", resv, reason=reason,
                     reason_code=reason_code)
-        bookings = self._booking_map.pop(handle, ())
-        if bookings:
-            self.admission.release_all(bookings)
+        self.admission.release_all(resv.bookings)
         if self.configurator is not None:
             if was_active and resv.upstream is None:
                 self.configurator.teardown_flow(self.domain, resv)
@@ -509,9 +504,7 @@ class BandwidthBroker:
             )
         lapsed = self.reservations.sweep_expired(now)
         for resv in lapsed:
-            bookings = self._booking_map.pop(resv.handle, ())
-            if bookings:
-                self.admission.release_all(bookings)
+            self.admission.release_all(resv.bookings)
             if self.configurator is not None:
                 if resv.upstream is None:
                     self.configurator.teardown_flow(self.domain, resv)

@@ -55,7 +55,7 @@ _TRANSITIONS = {
     ReservationState.DENIED: set(),
 }
 
-#: The non-terminal states: a row in one of them is in the live index.
+#: The non-terminal states: a row in one of them is in the table.
 _LIVE = frozenset(
     (ReservationState.PENDING, ReservationState.GRANTED, ReservationState.ACTIVE)
 )
@@ -139,9 +139,10 @@ class Reservation:
     request: ReservationRequest
     owner: DistinguishedName | None
     state: ReservationState = ReservationState.PENDING
-    #: Capacity bookings (admission-controller booking ids) backing this
-    #: reservation; released on cancel/expire.
-    bookings: tuple[int, ...] = ()
+    #: Capacity bookings ``((resource, booking_id), ...)`` backing this
+    #: reservation, as ``AdmissionController.book_all`` returns them;
+    #: released on cancel/expire.
+    bookings: tuple[tuple[str, int], ...] = ()
     #: Why the reservation was denied, when it was.
     denial_reason: str = ""
     created_at: float = 0.0
@@ -167,22 +168,23 @@ class Reservation:
 
 
 class ReservationTable:
-    """Handle-indexed reservation store with checked state transitions.
+    """Handle-indexed store of a broker's live reservations, with checked
+    state transitions.
 
-    Two dicts keep the rows.  ``_by_handle`` is the full history: every
-    row ever created, terminal ones included (``get``, ``all``, ``len``
-    and the ledger reconciliation read it).  ``_live`` is the live index:
-    it holds exactly the non-terminal (pending, granted, active) rows, in
-    creation order, so a live-set query costs O(live) however many
-    reservations have ended.  ``create`` inserts into it and only the
-    state setter :meth:`_set_state` (used by :meth:`transition` and
-    :meth:`sweep_expired`) removes from it; nothing else writes it.
+    One dict, ``_rows``, holds exactly the non-terminal (pending,
+    granted, active) rows, in creation order.  :meth:`create` inserts a
+    row, and the one state setter :meth:`_set_state` (used by
+    :meth:`transition` and :meth:`sweep_expired`) drops a row the moment
+    it turns cancelled, expired or denied; nothing else writes the dict.
+    ``get``, ``in``, ``all`` and ``len`` therefore see live rows only,
+    and every query costs O(live) however many reservations have ended.
+    An ended reservation's history is the decision ledger's, not the
+    table's: its handle is unknown here.
     """
 
     def __init__(self, domain: str):
         self.domain = domain
-        self._by_handle: dict[str, Reservation] = {}
-        self._live: dict[str, Reservation] = {}
+        self._rows: dict[str, Reservation] = {}
 
     def create(
         self,
@@ -194,33 +196,32 @@ class ReservationTable:
     ) -> Reservation:
         if handle is None:
             handle = _new_handle(self.domain)
-        if handle in self._by_handle:
+        if handle in self._rows:
             raise ReservationStateError(f"duplicate handle {handle!r}")
         resv = Reservation(handle, request, owner, created_at=now)
-        self._by_handle[handle] = resv
-        self._live[handle] = resv
+        self._rows[handle] = resv
         return resv
 
     def get(self, handle: str) -> Reservation:
         try:
-            return self._by_handle[handle]
+            return self._rows[handle]
         except KeyError:
             raise UnknownReservationError(
-                f"no reservation {handle!r} in domain {self.domain}"
+                f"no live reservation {handle!r} in domain {self.domain}"
             ) from None
 
     def __contains__(self, handle: str) -> bool:
-        return handle in self._by_handle
+        return handle in self._rows
 
     def __len__(self) -> int:
-        return len(self._by_handle)
+        return len(self._rows)
 
     def _set_state(self, resv: Reservation, new_state: ReservationState) -> None:
         """The one writer of a row's state: a row that turns terminal
-        leaves the live index."""
+        leaves the table."""
         resv.state = new_state
         if new_state not in _LIVE:
-            del self._live[resv.handle]
+            del self._rows[resv.handle]
 
     def transition(self, handle: str, new_state: ReservationState) -> Reservation:
         resv = self.get(handle)
@@ -233,7 +234,7 @@ class ReservationTable:
         return resv
 
     def all(self) -> tuple[Reservation, ...]:
-        return tuple(self._by_handle.values())
+        return tuple(self._rows.values())
 
     def in_state(self, *states: ReservationState) -> tuple[Reservation, ...]:
         """The live rows in any of *states*, in creation order.  Only live
@@ -244,15 +245,15 @@ class ReservationTable:
                 "in_state answers live states only, not "
                 + ", ".join(s.value for s in states if s not in _LIVE)
             )
-        return tuple(r for r in self._live.values() if r.state in states)
+        return tuple(r for r in self._rows.values() if r.state in states)
 
     def active_at(self, when: float) -> tuple[Reservation, ...]:
-        return tuple(r for r in self._live.values() if r.active_at(when))
+        return tuple(r for r in self._rows.values() if r.active_at(when))
 
     def is_valid(self, handle: str, *, at_time: float | None = None) -> bool:
         """Online validity check used by interdomain policy dependencies
-        (``HasValidCPUResv``): the handle exists and is granted/active."""
-        resv = self._by_handle.get(handle)
+        (``HasValidCPUResv``): the handle is held and granted/active."""
+        resv = self._rows.get(handle)
         if resv is None:
             return False
         if at_time is not None:
@@ -276,7 +277,7 @@ class ReservationTable:
         """Expire live reservations whose soft-state lease has lapsed;
         returns them so the broker can release their capacity bookings."""
         lapsed = tuple(
-            resv for resv in self._live.values()
+            resv for resv in self._rows.values()
             if resv.state
             in (ReservationState.GRANTED, ReservationState.ACTIVE)
             and resv.expires_at is not None

@@ -604,7 +604,6 @@ def cmd_attack_survivability(args: argparse.Namespace) -> int:
     import json as json_mod
 
     from repro.errors import SimulationError
-    from repro.obs import audit as obs_audit
     from repro.obs.slo import parse_slo_spec
     from repro.workloads.survivability import (
         SurvivabilitySpec, run_survivability,
@@ -672,7 +671,8 @@ def cmd_attack_survivability(args: argparse.Namespace) -> int:
     if not args.gate:
         return 0
     # Gate: honest traffic must meet its SLOs with defenses on, and the
-    # attack run's decision ledger must reconcile clean.
+    # attack run's decision ledger must reconcile clean against itself
+    # and against the run's broker tables and bookings.
     failures = 0
     for report in reports:
         if report.defenses_on and (
@@ -681,7 +681,7 @@ def cmd_attack_survivability(args: argparse.Namespace) -> int:
             print("GATE: honest SLOs violated with defenses on",
                   file=sys.stderr)
             failures += 1
-        audit_report = obs_audit.reconcile(report.ledger)
+        audit_report = report.audit_report
         if not audit_report.ok:
             state = "on" if report.defenses_on else "off"
             print(f"GATE: audit reconciliation (defenses {state}):",

@@ -1403,6 +1403,11 @@ class HopByHopProtocol:
                 )
 
     def cancel(self, outcome: SignallingOutcome) -> None:
+        """Release a granted end-to-end reservation in every domain.  A
+        denied outcome holds nothing to cancel: its partial path was
+        unwound while it was signalled."""
+        if not outcome.granted:
+            raise SignallingError("cannot cancel a denied reservation")
         logger.info("%s: cancelling along %s", outcome.correlation_id,
                     " -> ".join(outcome.path))
         with obs_events.correlation_scope(outcome.correlation_id):

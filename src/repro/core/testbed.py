@@ -28,7 +28,11 @@ from repro.bb.broker import (
     ingress_resource,
 )
 from repro.bb.policyserver import PolicyServer
-from repro.bb.reservations import Reservation, ReservationRequest
+from repro.bb.reservations import (
+    Reservation,
+    ReservationRequest,
+    ReservationState,
+)
 from repro.bb.sla import SLA, SLS
 from repro.core.agent import UserAgent
 from repro.core.channel import ChannelRegistry
@@ -487,22 +491,24 @@ class Testbed:
 
         def claim() -> None:
             # Tolerate a manual cancel between granting and the window
-            # opening: only claim reservations still in GRANTED state.
-            states = {
-                self.brokers[d].reservations.get(outcome.handles[d]).state
+            # opening: claim only when every domain still holds the row
+            # (a cancelled row has left its table) and none is claimed.
+            tables = [
+                (self.brokers[d].reservations, outcome.handles[d])
                 for d in outcome.path
-            }
-            from repro.bb.reservations import ReservationState
-
-            if states == {ReservationState.GRANTED}:
+            ]
+            if all(
+                handle in table
+                and table.get(handle).state is ReservationState.GRANTED
+                for table, handle in tables
+            ):
                 self.hop_by_hop.claim(outcome)
 
         def expire() -> None:
             for domain in outcome.path:
                 broker = self.brokers[domain]
                 handle = outcome.handles[domain]
-                resv = broker.reservations.get(handle)
-                if resv.state.value in ("granted", "active"):
+                if handle in broker.reservations:
                     broker.cancel(handle)
 
         self.sim.at(max(self.sim.now, request.start), claim)

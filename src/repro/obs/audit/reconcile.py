@@ -16,11 +16,11 @@ families of invariants:
   record (soft state reclaims the latter).
 * ``claim-provenance`` — nothing is claimed that was never admitted.
 
-**Broker state** (:func:`reconcile_brokers`): the reservation tables
-and capacity bookings of live brokers agree with the ledger — granted
-state has an unbalanced ADMIT, denied state a DENY, expired state an
-EXPIRE, and every capacity booking is tagged by a still-admitted
-handle.
+**Broker state** (:func:`reconcile_brokers`): a reservation table
+holds live rows only, and the ledger's unbalanced ADMIT records are the
+same set — every granted/active row has one, every one at a domain is
+a row of that domain's table, and every capacity booking is tagged by
+one.  A terminal reservation's history is the ledger's alone.
 
 **Accounting** (:func:`reconcile_accounting`): every billing run's
 path is fully covered by admissions of the billed signalling run.
@@ -218,25 +218,22 @@ def reconcile_ledger(ledger: DecisionLedger) -> list[AuditViolation]:
 
 
 # ---------------------------------------------------------------------------
-# Broker reservation tables, capacity bookings, soft-state leases
+# Broker reservation tables and capacity bookings
 # ---------------------------------------------------------------------------
 
 
-def _is_live(
-    ledger_records: tuple[DecisionRecord, ...], handle: str
-) -> bool:
-    """True when *handle* has an admission not balanced by teardown."""
-    admit_seq = None
-    for r in ledger_records:
-        if r.kind is RecordKind.ADMIT and r.handle == handle:
-            admit_seq = r.seq
-            break
-    if admit_seq is None:
-        return False
-    return not any(
-        r.kind in _BALANCING and r.handle == handle and r.seq > admit_seq
-        for r in ledger_records
-    )
+def _live_admissions(
+    records: Iterable[DecisionRecord],
+) -> dict[str, DecisionRecord]:
+    """The ledger's live admissions by handle, in one pass over it: an
+    ADMIT adds its handle and a :data:`_BALANCING` record removes it."""
+    live: dict[str, DecisionRecord] = {}
+    for r in records:
+        if r.kind is RecordKind.ADMIT and r.handle:
+            live[r.handle] = r
+        elif r.kind in _BALANCING:
+            live.pop(r.handle, None)
+    return live
 
 
 def reconcile_brokers(
@@ -247,76 +244,47 @@ def reconcile_brokers(
 ) -> list[AuditViolation]:
     """Check broker reservation tables and bookings against the ledger.
 
-    *brokers* is duck-typed: each value needs ``.reservations.all()``
-    and ``.admission`` with ``resources()`` / ``schedule(r).bookings``.
+    A table holds live rows only, so the table and the ledger must name
+    the same set of reservations: every granted/active row has a live
+    admission, every live admission at a domain is a row of its table,
+    and every capacity booking is tagged by a live admission.
+
+    *brokers* is duck-typed: each value needs ``.reservations`` (``in``
+    and ``all()``) and ``.admission`` with ``resources()`` /
+    ``schedule(r).bookings``.
     """
     violations: list[AuditViolation] = []
-    records = tuple(ledger)
-    admits = _admits_by_handle(records)
-    by_kind_handle: dict[tuple[RecordKind, str], DecisionRecord] = {}
-    for r in records:
-        if r.handle:
-            by_kind_handle.setdefault((r.kind, r.handle), r)
+    live = _live_admissions(ledger)
 
     for domain, broker in brokers.items():
-        for resv in broker.reservations.all():
+        table = broker.reservations
+        for resv in table.all():
             if report is not None:
                 report.checked_reservations += 1
             state = resv.state.value
-            handle = resv.handle
-            if state in ("granted", "active"):
-                if handle not in admits:
-                    violations.append(AuditViolation(
-                        "table-ledger",
-                        f"{state} reservation in {domain} has no "
-                        "admission record",
-                        handle=handle,
-                    ))
-                elif not _is_live(records, handle):
-                    violations.append(AuditViolation(
-                        "table-ledger",
-                        f"ledger shows {handle} torn down but {domain} "
-                        f"still holds it {state}",
-                        handle=handle,
-                    ))
-            elif state == "denied":
-                if (RecordKind.DENY, handle) not in by_kind_handle:
-                    violations.append(AuditViolation(
-                        "table-ledger",
-                        f"denied reservation in {domain} has no denial "
-                        "record",
-                        handle=handle,
-                    ))
-            elif state == "expired":
-                if handle in admits and (
-                    (RecordKind.EXPIRE, handle) not in by_kind_handle
-                ):
-                    violations.append(AuditViolation(
-                        "table-ledger",
-                        f"expired reservation in {domain} was admitted "
-                        "but never recorded an expiry",
-                        handle=handle,
-                    ))
-            elif state == "cancelled":
-                if handle in admits and not any(
-                    (k, handle) in by_kind_handle
-                    for k in _BALANCING
-                ):
-                    violations.append(AuditViolation(
-                        "table-ledger",
-                        f"cancelled reservation in {domain} was admitted "
-                        "but never recorded a teardown",
-                        handle=handle,
-                    ))
+            if state in ("granted", "active") and resv.handle not in live:
+                violations.append(AuditViolation(
+                    "table-ledger",
+                    f"{domain} holds {resv.handle} {state} but the ledger "
+                    "has no live admission for it",
+                    handle=resv.handle,
+                ))
+        for handle, admit in live.items():
+            if admit.domain == domain and handle not in table:
+                violations.append(AuditViolation(
+                    "table-ledger",
+                    f"ledger admission at {domain} was never balanced but "
+                    "the table does not hold it",
+                    correlation_id=admit.correlation_id,
+                    handle=handle,
+                ))
 
         for resource in broker.admission.resources():
             for booking in broker.admission.schedule(resource).bookings:
                 if report is not None:
                     report.checked_bookings += 1
                 tag = booking.tag
-                if not tag:
-                    continue
-                if not _is_live(records, tag):
+                if tag and tag not in live:
                     violations.append(AuditViolation(
                         "booking-ledger",
                         f"capacity booking on {resource} tagged {tag} "

@@ -48,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from repro.bb.defense import DefensePolicy
 from repro.core.testbed import build_linear_testbed
 from repro.errors import SimulationError
-from repro.obs.audit import DecisionLedger
+from repro.obs.audit import DecisionLedger, ReconciliationReport, reconcile
 from repro.obs.context import fresh_context
 from repro.obs.events import DecisionRecord, EventLog, ReasonCode, RecordKind
 from repro.obs.metrics import MetricsRegistry
@@ -147,8 +147,11 @@ class SurvivabilityReport:
     attacker: dict[str, int] = field(default_factory=dict)
     defense_rejections: dict[str, int] = field(default_factory=dict)
     slo_report: SLOReport | None = None
-    #: The run's decision-provenance ledger (for audit reconciliation).
+    #: The run's decision-provenance ledger, and its reconciliation
+    #: against the run's brokers (tables and bookings), made while the
+    #: testbed still existed.
     ledger: object | None = None
+    audit_report: ReconciliationReport | None = None
     #: Modelled time of the first attack signal (None: attack never
     #: started inside the horizon).
     attack_onset_s: float | None = None
@@ -494,6 +497,7 @@ def run_survivability(
             registry=registry,
             event_log=honest_log,
         )
+        report.audit_report = reconcile(ledger, brokers=testbed.brokers)
     report.ledger = ledger
     return report
 

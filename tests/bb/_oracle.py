@@ -6,9 +6,11 @@ own copy of the same sweep, which ``Tunnel.allocated_mbps`` ran until
 tunnels booked into a ``CapacitySchedule``, is the third.
 
 The reservation table's full-history filters, which ``in_state``,
-``active_at`` and ``sweep_expired`` ran until the table kept a live
-index, and ``BandwidthBroker._live_counts``' three ``in_state`` passes
-over them.  Each takes the table's full history (``table.all()``).
+``active_at`` and ``sweep_expired`` ran while the table still kept every
+row it had made, and ``BandwidthBroker._live_counts``' three
+``in_state`` passes over them.  The table now holds live rows only, so
+each takes a list the caller keeps of every row the table created,
+terminal ones included.
 """
 
 from repro.bb.admission import Booking

@@ -100,8 +100,10 @@ class TestTable:
         with pytest.raises(ReservationStateError):
             t.transition(r.handle, ReservationState.ACTIVE)  # skip GRANTED
         t.transition(r.handle, ReservationState.DENIED)
-        with pytest.raises(ReservationStateError):
-            t.transition(r.handle, ReservationState.GRANTED)  # terminal
+        # A terminal row has left the table: its handle is unknown.
+        assert r.handle not in t
+        with pytest.raises(UnknownReservationError):
+            t.transition(r.handle, ReservationState.GRANTED)
 
     def test_active_at(self):
         t = ReservationTable("A")

@@ -7,6 +7,8 @@ from repro.core.testbed import build_linear_testbed
 from repro.core.tracing import trace_approval_chain, trace_request_path
 from repro.crypto.dn import DN
 from repro.errors import SignallingError
+from repro.obs import audit as obs_audit
+from repro.obs.audit import RecordKind
 
 FIG6_A = """
 If User = Alice
@@ -130,15 +132,33 @@ class TestDenials:
 
     def test_denial_releases_partial_path(self, testbed, alice):
         testbed.set_policy("C", "Return DENY")
-        outcome = testbed.reserve(
-            alice, source="A", destination="C", bandwidth_mbps=10.0
-        )
+        with obs_audit.use_ledger() as ledger:
+            outcome = testbed.reserve(
+                alice, source="A", destination="C", bandwidth_mbps=10.0
+            )
         assert not outcome.granted
         # A and B were granted then released.
         assert testbed.brokers["A"].admission.schedule("egress:B").load_at(1.0) == 0.0
         assert testbed.brokers["B"].admission.schedule("ingress:A").load_at(1.0) == 0.0
-        resv_a = testbed.brokers["A"].reservations.get(outcome.handles["A"])
-        assert resv_a.state is ReservationState.CANCELLED
+        # The released rows left the tables; the ledger keeps the release.
+        for domain in "AB":
+            handle = outcome.handles[domain]
+            assert handle not in testbed.brokers[domain].reservations
+            assert ledger.records(RecordKind.CANCEL, domain=domain,
+                                  handle=handle)
+
+    def test_cancel_of_denied_outcome_is_refused(self, testbed, alice):
+        """A denied outcome holds nothing: cancelling it is a signalling
+        error raised before any broker is touched."""
+        testbed.set_policy("C", "Return DENY")
+        with obs_audit.use_ledger() as ledger:
+            outcome = testbed.reserve(
+                alice, source="A", destination="C", bandwidth_mbps=10.0
+            )
+            recorded = len(ledger)
+            with pytest.raises(SignallingError, match="denied"):
+                testbed.hop_by_hop.cancel(outcome)
+        assert len(ledger) == recorded
 
     def test_capacity_denial(self, testbed, alice):
         first = testbed.reserve(

@@ -3,8 +3,8 @@ coordinator — including the trust-scaling flaw and Figure 4 misreservation."""
 
 import pytest
 
-from repro.bb.reservations import ReservationState
 from repro.core.testbed import build_linear_testbed
+from repro.obs.audit import RecordKind, use_ledger
 
 
 @pytest.fixture()
@@ -126,16 +126,18 @@ class TestMisreservation:
         reaches C through B or not at all."""
         david = testbed.add_user("A", "David")
         testbed.set_policy("C", "Return DENY")  # C would refuse David
-        outcome = testbed.reserve(
-            david, source="A", destination="C", bandwidth_mbps=10.0
-        )
-        assert not outcome.granted
-        # Nothing stays reserved anywhere.
-        for domain in "AB":
-            resv = testbed.brokers[domain].reservations.get(
-                outcome.handles[domain]
+        with use_ledger() as ledger:
+            outcome = testbed.reserve(
+                david, source="A", destination="C", bandwidth_mbps=10.0
             )
-            assert resv.state is ReservationState.CANCELLED
+        assert not outcome.granted
+        # Nothing stays reserved anywhere: the partial grants left their
+        # tables, and the ledger records each release.
+        for domain in "AB":
+            handle = outcome.handles[domain]
+            assert handle not in testbed.brokers[domain].reservations
+            assert ledger.records(RecordKind.CANCEL, domain=domain,
+                                  handle=handle)
 
 
 class TestCoordinator:

@@ -1,13 +1,17 @@
-"""Differential suite: the reservation table's live index against the
+"""Differential suite: the live-rows-only reservation table against the
 full-history scans it replaced (``tests/bb/_oracle.py``).
 
 Hypothesis drives one table through random create / legal and illegal
-``transition`` / ``refresh`` / ``sweep_expired(now)`` sequences.  After
-every step, ``in_state`` (every set of live states), ``active_at`` and
-the rows ``sweep_expired`` returns must equal the oracle's over
-``table.all()``, order included, and so must ``_live_counts`` of a broker
-with armed defenses that holds the table.  Tier-1 runs a small budget;
-``pytest --full-sweeps`` (the differential CI job) a deep one.
+``transition`` / ``refresh`` / ``sweep_expired(now)`` sequences, and the
+test keeps its own list of every row it creates.  After every step,
+``in_state`` (every set of live states), ``active_at`` and the rows
+``sweep_expired`` returns must equal the oracle's over that list, order
+included, and so must ``_live_counts`` of a broker with armed defenses
+that holds the table.  A terminal row must be gone: its handle is not
+``in`` the table, ``get`` raises ``UnknownReservationError``,
+``is_valid`` is False, and ``len`` is the live count.  Tier-1 runs a
+small budget; ``pytest --full-sweeps`` (the differential CI job) a deep
+one.
 """
 
 import itertools
@@ -26,7 +30,7 @@ from repro.bb.reservations import (
     ReservationTable,
 )
 from repro.crypto.dn import DN
-from repro.errors import ReservationStateError
+from repro.errors import ReservationStateError, UnknownReservationError
 from repro.policy.language import compile_policy
 
 from tests.bb import _oracle
@@ -81,9 +85,8 @@ ops = st.one_of(
 )
 
 
-def _step(table: ReservationTable, op: tuple) -> None:
+def _step(table: ReservationTable, rows: list, op: tuple) -> None:
     kind = op[0]
-    rows = table.all()
     if kind == "create":
         _, owner, upstream, start, length = op
         resv = table.create(
@@ -95,6 +98,7 @@ def _step(table: ReservationTable, op: tuple) -> None:
             OWNERS[owner],
         )
         resv.upstream = upstream
+        rows.append(resv)
     elif kind == "sweep":
         expected = _oracle.lapsed(rows, op[1])
         swept = table.sweep_expired(op[1])
@@ -108,12 +112,15 @@ def _step(table: ReservationTable, op: tuple) -> None:
                 table.transition(resv.handle, op[2])
             else:
                 table.refresh(resv.handle, now=op[2], ttl_s=op[3])
+        except UnknownReservationError:
+            assert before in TERMINAL
         except ReservationStateError:
             assert resv.state is before
 
 
-def _check(table: ReservationTable, broker: BandwidthBroker) -> None:
-    rows = table.all()
+def _check(
+    table: ReservationTable, broker: BandwidthBroker, rows: list
+) -> None:
     for states in LIVE_SUBSETS:
         assert table.in_state(*states) == _oracle.in_state(rows, *states)
     for state in TERMINAL:
@@ -123,8 +130,19 @@ def _check(table: ReservationTable, broker: BandwidthBroker) -> None:
         assert table.active_at(when) == _oracle.active_at(rows, when)
     for resv in rows:
         assert broker._live_counts(resv) == _oracle.live_counts(rows, resv)
-    # The index holds exactly the non-terminal rows, in creation order.
-    assert tuple(table._live.values()) == _oracle.in_state(rows, *LIVE)
+    # The table holds exactly the non-terminal rows, in creation order;
+    # a terminal row is gone from it.
+    live = _oracle.in_state(rows, *LIVE)
+    assert table.all() == live
+    assert len(table) == len(live)
+    for resv in rows:
+        if resv.state in TERMINAL:
+            assert resv.handle not in table
+            with pytest.raises(UnknownReservationError):
+                table.get(resv.handle)
+            assert not table.is_valid(resv.handle)
+        else:
+            assert table.get(resv.handle) is resv
 
 
 def test_live_index_matches_full_history_scans(request):
@@ -135,8 +153,9 @@ def test_live_index_matches_full_history_scans(request):
     def check(sequence):
         table = ReservationTable("B")
         broker.reservations = table
+        rows: list = []
         for op in sequence:
-            _step(table, op)
-            _check(table, broker)
+            _step(table, rows, op)
+            _check(table, broker, rows)
 
     check()

@@ -30,13 +30,19 @@ def test_healthy_run_reconciles_clean():
         assert outcome.granted
         tb.hop_by_hop.claim(outcome)
         billing.bill(outcome)
+        # While the reservation is live, each domain holds its row.
+        live = obs_audit.reconcile(led, brokers=tb.brokers)
+        assert live.ok, live.render()
+        assert live.checked_reservations == 4
+        assert live.checked_bookings > 0
         tb.hop_by_hop.cancel(outcome)
     report = obs_audit.reconcile(
         led, brokers=tb.brokers, billing_runs=billing.ledger,
     )
     assert report.ok, report.render()
     assert report.checked_records == len(led)
-    assert report.checked_reservations >= 4
+    # Cancelled, the rows left their tables: the ledger holds the history.
+    assert report.checked_reservations == 0
     assert report.checked_billing_runs == 1
     assert "OK" in report.render()
     assert report.to_dict()["ok"] is True
@@ -127,6 +133,45 @@ def test_broker_state_unknown_to_ledger_is_flagged():
     violations = obs_audit.reconcile_brokers(DecisionLedger(), tb.brokers)
     kinds = invariants(violations)
     assert "table-ledger" in kinds
+    assert "booking-ledger" in kinds
+
+
+def test_unbalanced_admission_missing_from_table_is_flagged():
+    """The ledger says B still holds R1, but B's table does not."""
+    tb = build_linear_testbed(["A", "B"])
+    led = DecisionLedger()
+    led.record(record(
+        RecordKind.ADMIT, domain="B", handle="R1", granted=True,
+        matched_rule="B/0", correlation_id="c1",
+    ))
+    violations = obs_audit.reconcile_brokers(led, tb.brokers)
+    assert invariants(violations) == ["table-ledger"]
+    assert violations[0].handle == "R1"
+    # Balanced, the same admission owes the table nothing.
+    led.record(record(
+        RecordKind.CANCEL, domain="B", handle="R1", correlation_id="c1",
+    ))
+    assert obs_audit.reconcile_brokers(led, tb.brokers) == []
+
+
+def test_held_row_whose_admission_was_balanced_is_flagged():
+    """Every domain still holds its granted row, but the ledger records
+    the reservation torn down everywhere."""
+    tb = build_linear_testbed(["A", "B"])
+    user = tb.add_user("A", "Alice")
+    with obs_audit.use_ledger() as led:
+        outcome = tb.reserve(
+            user, source="A", destination="B", bandwidth_mbps=10.0,
+        )
+    assert outcome.granted
+    assert obs_audit.reconcile_brokers(led, tb.brokers) == []
+    for domain, handle in outcome.handles.items():
+        led.record(record(
+            RecordKind.CANCEL, domain=domain, handle=handle,
+            correlation_id=outcome.correlation_id,
+        ))
+    kinds = invariants(obs_audit.reconcile_brokers(led, tb.brokers))
+    assert kinds.count("table-ledger") == 2
     assert "booking-ledger" in kinds
 
 

@@ -86,6 +86,12 @@ class TestRuns:
         on = run_survivability(spec, defenses_on=True)
         assert on.ledger is not None and len(on.ledger) > 0
         assert reconcile(on.ledger).ok
+        # Reconciled against the run's brokers while they existed: the
+        # attacker's long reservations are still live rows.
+        audit = on.audit_report
+        assert audit.ok, audit.render()
+        assert audit.checked_records == len(on.ledger)
+        assert audit.checked_reservations > 0
 
     def test_report_dict_shape(self):
         spec = SurvivabilitySpec(persona="flood", horizon_s=20.0)
