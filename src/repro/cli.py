@@ -12,8 +12,8 @@ Subcommands:
   a seeded survivability run mixing honest load with one attack persona
   (flood, byzantine-broker, tunnel-squatter) and
   reporting what honest traffic retains with defenses off vs on;
-  ``--gate`` exits nonzero on honest-SLO violations or audit
-  reconciliation failures;
+  ``--gate`` exits nonzero on honest-SLO violations, audit
+  reconciliation failures or a defenses-on run with no honest request;
 * ``workload`` — an offered-load sweep: Poisson reservation arrivals
   against admission on a three-domain chain, with the Erlang-B
   prediction beside the measured acceptance;
@@ -34,7 +34,9 @@ Subcommands:
   chains, always-DENY subtrees;
 * ``chaos`` — run the seeded single-fault chaos matrix against fresh
   testbeds and report invariant violations (capacity leaks, stuck
-  reservations, unreleased channels); exits nonzero on any violation;
+  reservations, unreleased channels), reconcile the campaign's decision
+  ledger and judge the default SLOs; exits nonzero on any violation or
+  violated objective;
   ``--record`` samples campaign telemetry per trial into an append-only
   ``.tsrec`` and steps the chaos alert profile over it
   (``--fail-on-critical`` gates on zero CRITICAL firings);
@@ -52,7 +54,7 @@ Subcommands:
   ``explain`` one reservation's per-hop chain (without ``--ledger``,
   over one fresh reservation), or ``--reconcile --ledger`` a saved
   ledger against the audit invariants.  The seeded campaign that writes
-  one is ``chaos --audit --save-ledger``.
+  one is ``chaos --save-ledger``.
 
 ``reserve``, ``metrics``, ``trace``, ``slo``, ``top``, ``timeline`` and
 ``audit explain`` without a saved file share one demo run: a linear
@@ -80,7 +82,7 @@ Examples::
     python -m repro attack --persona flood --defenses off --record f.tsrec
     python -m repro top --replay f.tsrec --expect-firing
     python -m repro timeline 40:80 --replay f.tsrec
-    python -m repro chaos --seed 7 --trials 200 --audit --save-ledger l.json
+    python -m repro chaos --seed 7 --trials 200 --save-ledger l.json
     python -m repro audit --reconcile --ledger l.json
     python -m repro audit explain --domains A,B,C,D
 """
@@ -137,14 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--bw", type=float, default=10.0, help="Mb/s")
     check.add_argument("--time", type=float, default=12.0,
                        help="time of day in hours (0-24)")
-    check.add_argument("--avail-bw", type=float, default=float("inf"))
     check.add_argument("--group", action="append", default=[],
                        help="verified group membership (repeatable)")
     check.add_argument("--capability-issuer", action="append", default=[],
                        help="verified capability community (repeatable)")
     check.add_argument("--linked", action="append", default=[],
                        help="linked reservation as kind=handle (repeatable)")
-    check.add_argument("--reservation-type", default="Network")
 
     attack = sub.add_parser(
         "attack",
@@ -158,10 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="attack persona for a mixed honest+attack survivability "
              "run; omit for the legacy Figure 4 scenario")
     attack.add_argument("--seed", type=int, default=2001)
-    attack.add_argument(
-        "--attack-fraction", type=float, default=None,
-        help="attack signals as a fraction of all signals, in (0,1); "
-             "default is the persona's own intensity")
     attack.add_argument("--horizon", type=float, default=120.0,
                         help="simulated seconds of mixed load")
     attack.add_argument(
@@ -176,9 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit the report(s) as JSON")
     attack.add_argument(
         "--gate", action="store_true",
-        help="exit non-zero unless honest traffic meets its SLOs with "
-             "defenses on; also reconciles the attack run's audit "
-             "ledger")
+        help="exit non-zero unless a defenses-on run offered honest "
+             "traffic and it met its SLOs, and every run's audit ledger "
+             "reconciles")
     attack.add_argument(
         "--record", default=None, metavar="FILE.tsrec",
         help="flight-record the survivability run (telemetry frames, "
@@ -192,9 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="offered-load sweep: Poisson reservation arrivals vs admission",
     )
     workload.add_argument("--load", type=float, default=1.0,
-                          help="offered load as a multiple of the bottleneck")
-    workload.add_argument("--bottleneck", type=float, default=100.0,
-                          help="interdomain capacity, Mb/s")
+                          help="offered load as a multiple of the 100 Mb/s "
+                               "bottleneck")
     workload.add_argument("--horizon", type=float, default=6000.0,
                           help="simulated seconds of arrivals")
     workload.add_argument("--seed", type=int, default=11)
@@ -287,29 +282,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos",
-        help="seeded fault-injection matrix; nonzero exit on invariant "
-             "violations",
+        help="seeded fault-injection matrix; nonzero exit on invariant, "
+             "audit or SLO violations",
     )
     chaos.add_argument("--seed", type=int, default=7,
                        help="schedule seed (same seed = same faults)")
     chaos.add_argument("--trials", type=int, default=200,
                        help="number of single-fault trials")
-    chaos.add_argument("--domains", default="A,B,C,D",
-                       help="comma-separated chain of domains")
-    chaos.add_argument("--rate", type=float, default=10.0,
-                       help="bandwidth per trial, Mb/s")
-    chaos.add_argument("--deadline", type=float, default=30.0,
-                       help="end-to-end signalling deadline, seconds")
-    chaos.add_argument("--ttl", type=float, default=60.0,
-                       help="soft-state lease length, seconds")
     chaos.add_argument("--show-trials", action="store_true",
                        help="print one line per trial")
-    chaos.add_argument("--audit", action="store_true",
-                       help="keep a decision-provenance ledger for the "
-                            "campaign and reconcile it (violations also "
-                            "fail the run)")
     chaos.add_argument("--save-ledger", default=None, metavar="PATH",
-                       help="with --audit: write the campaign ledger JSON "
+                       help="write the campaign's decision ledger JSON "
                             "here (for repro audit --ledger)")
     chaos.add_argument("--record", default=None, metavar="FILE.tsrec",
                        help="flight-record campaign telemetry (one frame "
@@ -407,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="query: filter by domain")
     audit.add_argument("--correlation", default=None,
                        help="query: filter by correlation id")
-    audit.add_argument("--handle", default=None,
-                       help="query: filter by reservation handle")
     audit.add_argument("--user", default=None,
                        help="query: filter by user DN")
 
@@ -535,8 +516,7 @@ def cmd_policy_check(args: argparse.Namespace) -> int:
         user=DN.make("Grid", "cli", args.user),
         bandwidth_mbps=args.bw,
         time_of_day_h=args.time,
-        available_bandwidth_mbps=args.avail_bw,
-        reservation_type=args.reservation_type,
+        reservation_type="Network",
         groups=frozenset(args.group),
         capability_issuers=frozenset(args.capability_issuer),
         linked_reservations=tuple(linked),
@@ -547,17 +527,64 @@ def cmd_policy_check(args: argparse.Namespace) -> int:
     return 0 if decision.granted else 1
 
 
-def _open_recorder(path: str):
-    """A flight recorder streaming to the ``.tsrec`` file *path* (the
-    caller closes ``recorder.writer``), or ``None`` — error already
+def _recorded(path: str | None, run: Callable[[Any], Any]):
+    """``run(recorder)`` with a flight recorder streaming to the
+    ``.tsrec`` file *path* (``None`` without a path), the file closed
+    after; returns ``(result, recorder)``, or ``None`` — error already
     printed — when the file cannot be opened."""
+    if path is None:
+        return run(None), None
     from repro.obs.telemetry import FlightRecorder, RecordingWriter
 
     try:
-        return FlightRecorder(writer=RecordingWriter.open(path))
+        recorder = FlightRecorder(writer=RecordingWriter.open(path))
     except OSError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return None
+    try:
+        return run(recorder), recorder
+    finally:
+        recorder.writer.close()
+
+
+def _gate(
+    part, *, when: Callable[[float], str] = lambda t: f"t={t:.1f}s",
+    slos: bool = True, fail_on_critical: bool = False,
+    expect_firing: bool = False, label: str = "",
+) -> int:
+    """The one CI gate of ``chaos``, ``attack --gate`` and ``top`` over a
+    campaign's report part: print a ``GATE:`` line to stderr for each
+    failed check and return how many failed.  A violated SLO (when
+    *slos*) and an audit violation always fail; a CRITICAL firing fails
+    with *fail_on_critical*, and no firing at all with *expect_firing*.
+    *when* renders a transition's time on the command's axis; *label*
+    names the run."""
+    from repro.obs.telemetry import AlertSeverity
+
+    failures = 0
+    critical = part.firings(AlertSeverity.CRITICAL)
+    if fail_on_critical and critical:
+        for t in critical:
+            print(f"GATE: CRITICAL {t.rule}[{t.group}] fired at "
+                  f"{when(t.at_time)} (value {t.value:.3f})",
+                  file=sys.stderr)
+        failures += 1
+    if expect_firing and not part.firings():
+        print("GATE: expected at least one firing alert, saw none",
+              file=sys.stderr)
+        failures += 1
+    if slos and part.slo_report is not None and not part.slo_report.ok:
+        print(f"GATE: SLOs violated{label}: " + "; ".join(
+            r.slo.name for r in part.slo_report.failing), file=sys.stderr)
+        failures += 1
+    audit = part.audit_violations
+    if audit:
+        print(f"GATE: audit reconciliation{label}: "
+              f"{len(audit)} violation(s)", file=sys.stderr)
+        for violation in audit:
+            print(f"  VIOLATION {violation}", file=sys.stderr)
+        failures += 1
+    return failures
 
 
 def _render_detection(report) -> str:
@@ -571,7 +598,7 @@ def _render_detection(report) -> str:
            if report.time_to_detect_s is not None else "inf")
     return (f"detection: onset {onset}, first CRITICAL {first}, "
             f"time-to-detect {ttd}, "
-            f"{report.alert_transitions} alert transition(s)")
+            f"{len(report.alert_transitions)} alert transition(s)")
 
 
 def _render_survivability(report) -> str:
@@ -619,10 +646,7 @@ def cmd_attack_survivability(args: argparse.Namespace) -> int:
             return 2
     try:
         spec = SurvivabilitySpec(
-            persona=args.persona,
-            seed=args.seed,
-            attack_fraction=args.attack_fraction,
-            horizon_s=args.horizon,
+            persona=args.persona, seed=args.seed, horizon_s=args.horizon,
         )
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -630,7 +654,7 @@ def cmd_attack_survivability(args: argparse.Namespace) -> int:
     modes = {"off": (False,), "on": (True,), "both": (False, True)}
     states = modes[args.defenses]
     record_paths: dict[bool, str] = {}
-    if getattr(args, "record", None):
+    if args.record:
         import os.path
 
         for on in states:
@@ -642,20 +666,15 @@ def cmd_attack_survivability(args: argparse.Namespace) -> int:
                                    f"{ext or '.tsrec'}"
     reports = []
     for on in states:
-        recorder = None
-        if record_paths:
-            recorder = _open_recorder(record_paths[on])
-            if recorder is None:
-                return 2
-        try:
-            reports.append(
-                run_survivability(
-                    spec, defenses_on=on, slos=slos, recorder=recorder
-                )
-            )
-        finally:
-            if recorder is not None:
-                recorder.writer.close()
+        recorded = _recorded(
+            record_paths.get(on),
+            lambda recorder: run_survivability(
+                spec, defenses_on=on, slos=slos, recorder=recorder
+            ),
+        )
+        if recorded is None:
+            return 2
+        reports.append(recorded[0])
     if args.json:
         print(json_mod.dumps([r.to_dict() for r in reports], indent=2))
     else:
@@ -670,23 +689,16 @@ def cmd_attack_survivability(args: argparse.Namespace) -> int:
         print(f"wrote {path}", file=sys.stderr)
     if not args.gate:
         return 0
-    # Gate: honest traffic must meet its SLOs with defenses on, and the
-    # attack run's decision ledger must reconcile clean against itself
-    # and against the run's broker tables and bookings.
+    # Gate: with defenses on, honest traffic must have been offered and
+    # must meet its SLOs; every run's decision ledger must reconcile
+    # clean against itself and the run's broker tables and bookings.
     failures = 0
     for report in reports:
-        if report.defenses_on and (
-            report.slo_report is None or not report.slo_report.ok
-        ):
-            print("GATE: honest SLOs violated with defenses on",
+        label = f" (defenses {'on' if report.defenses_on else 'off'})"
+        failures += _gate(report, slos=report.defenses_on, label=label)
+        if report.defenses_on and not report.honest_offered:
+            print(f"GATE: no honest request offered{label}",
                   file=sys.stderr)
-            failures += 1
-        audit_report = report.audit_report
-        if not audit_report.ok:
-            state = "on" if report.defenses_on else "off"
-            print(f"GATE: audit reconciliation (defenses {state}):",
-                  file=sys.stderr)
-            print(audit_report.render(), file=sys.stderr)
             failures += 1
     if not any(r.defenses_on for r in reports):
         print("GATE: --gate needs a defenses-on run (--defenses on|both)",
@@ -745,11 +757,11 @@ def cmd_workload(args: argparse.Namespace) -> int:
     from repro.workloads.analysis import predicted_acceptance
     from repro.workloads.generator import ReservationWorkload, WorkloadSpec
 
-    mean_rate, mean_hold = 10.0, 300.0
-    arrival = args.load * args.bottleneck / (mean_rate * mean_hold)
+    bottleneck, mean_rate, mean_hold = 100.0, 10.0, 300.0
+    arrival = args.load * bottleneck / (mean_rate * mean_hold)
     testbed = build_linear_testbed(
         ["A", "B", "C"], hosts_per_domain=1,
-        inter_capacity_mbps=args.bottleneck,
+        inter_capacity_mbps=bottleneck,
     )
     spec = WorkloadSpec(
         arrival_rate_per_s=arrival,
@@ -763,9 +775,9 @@ def cmd_workload(args: argparse.Namespace) -> int:
     ).run()
     predicted = predicted_acceptance(
         arrival_rate_per_s=arrival, mean_duration_s=mean_hold,
-        mean_rate_mbps=mean_rate, bottleneck_mbps=args.bottleneck,
+        mean_rate_mbps=mean_rate, bottleneck_mbps=bottleneck,
     )
-    print(f"offered load      : {args.load:.2f} x {args.bottleneck:.0f} Mb/s")
+    print(f"offered load      : {args.load:.2f} x {bottleneck:.0f} Mb/s")
     print(f"requests offered  : {result.offered}")
     print(f"requests accepted : {result.accepted}")
     print(f"acceptance ratio  : {result.acceptance_ratio:.2f} "
@@ -950,11 +962,8 @@ def cmd_slo(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults import run_chaos
+    from repro.obs.telemetry import AlertSeverity
 
-    domains = [d.strip() for d in args.domains.split(",") if d.strip()]
-    if len(domains) < 2:
-        print("error: chaos needs at least two domains", file=sys.stderr)
-        return 2
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
         return 2
@@ -962,29 +971,15 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print("error: --fail-on-critical needs --record FILE.tsrec",
               file=sys.stderr)
         return 2
-    if args.save_ledger and not args.audit:
-        print("error: --save-ledger needs --audit (no ledger is kept "
-              "without it)", file=sys.stderr)
+    recorded = _recorded(
+        args.record,
+        lambda recorder: run_chaos(
+            seed=args.seed, trials=args.trials, recorder=recorder
+        ),
+    )
+    if recorded is None:
         return 2
-    recorder = None
-    if args.record:
-        recorder = _open_recorder(args.record)
-        if recorder is None:
-            return 2
-    try:
-        report = run_chaos(
-            seed=args.seed,
-            trials=args.trials,
-            domains=domains,
-            rate_mbps=args.rate,
-            deadline_s=args.deadline,
-            soft_state_ttl_s=args.ttl,
-            audit=args.audit,
-            recorder=recorder,
-        )
-    finally:
-        if recorder is not None:
-            recorder.writer.close()
+    report, recorder = recorded
     if args.show_trials:
         for trial in report.trials:
             verdict = "granted" if trial.granted else "denied "
@@ -1000,62 +995,23 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             print(f"error: {args.save_ledger}: {exc}", file=sys.stderr)
             return 2
         print(f"wrote {args.save_ledger} ({len(report.ledger)} records)")
-    telemetry_failures = 0
     if recorder is not None:
-        transitions = report.alert_transitions
         print(f"telemetry: {recorder.frames} frame(s), "
-              f"{len(transitions)} alert transition(s), "
-              f"{len(_firings(transitions, critical=True))} "
+              f"{len(report.alert_transitions)} alert transition(s), "
+              f"{len(report.firings(AlertSeverity.CRITICAL))} "
               "critical firing(s)")
         print(f"wrote {args.record}")
-        telemetry_failures = _alert_gates(
-            transitions, when=lambda t: f"trial {t:.0f}",
-            fail_on_critical=args.fail_on_critical,
-        )
     print(report.summary())
-    failed = (report.violations or report.audit_violations
-              or telemetry_failures)
-    return 1 if failed else 0
+    failures = _gate(report, when=lambda t: f"trial {t:.0f}",
+                     fail_on_critical=args.fail_on_critical)
+    return 1 if report.violations or failures else 0
 
 
-def _firings(transitions, *, critical: bool = False) -> list:
-    """The FIRING edges among *transitions* (only CRITICAL ones on
-    request)."""
-    from repro.obs.telemetry import AlertSeverity, AlertState
+def _top_gate(args: argparse.Namespace, transitions) -> int:
+    from repro.workloads.campaign import CampaignReport
 
-    return [
-        t for t in transitions
-        if t.to_state == AlertState.FIRING
-        and (not critical or t.severity == AlertSeverity.CRITICAL)
-    ]
-
-
-def _alert_gates(
-    transitions, *, when, fail_on_critical: bool,
-    expect_firing: bool = False,
-) -> int:
-    """Apply the --fail-on-critical / --expect-firing CI gates of
-    ``repro chaos`` and ``repro top`` to a stream of alert transitions;
-    returns the number of failures.  *when* renders a transition's time
-    on the command's axis."""
-    failures = 0
-    critical = _firings(transitions, critical=True)
-    if fail_on_critical and critical:
-        for t in critical:
-            print(f"GATE: CRITICAL {t.rule}[{t.group}] fired at "
-                  f"{when(t.at_time)} (value {t.value:.3f})",
-                  file=sys.stderr)
-        failures += 1
-    if expect_firing and not _firings(transitions):
-        print("GATE: expected at least one firing alert, saw none",
-              file=sys.stderr)
-        failures += 1
-    return failures
-
-
-def _top_gates(args: argparse.Namespace, transitions) -> int:
-    return _alert_gates(
-        transitions, when=lambda t: f"t={t:.1f}s",
+    return _gate(
+        CampaignReport(alert_transitions=tuple(transitions)),
         fail_on_critical=args.fail_on_critical,
         expect_firing=args.expect_firing,
     )
@@ -1097,9 +1053,10 @@ def cmd_top(args: argparse.Namespace) -> int:
                 print()
                 next_render = t + max(args.interval, 1e-9)
         if final is None:
-            print(f"error: no frames at or before t={target}",
+            print(f"error: no frames at or before t={target} (the "
+                  f"recording starts at t={recording.start})",
                   file=sys.stderr)
-            return 1
+            return 2
         t, snapshot = final
         if not args.follow:
             print(render_top(snapshot, now=t, rules=rules,
@@ -1113,7 +1070,7 @@ def cmd_top(args: argparse.Namespace) -> int:
         if interesting:
             print("meta: " + ", ".join(
                 f"{k}={v}" for k, v in sorted(interesting.items())))
-        return 1 if _top_gates(args, engine.transitions) else 0
+        return 1 if _top_gate(args, engine.transitions) else 0
 
     # Live mode: signal --runs reservations under observability, sample
     # a telemetry frame after each, and render the resulting dashboard.
@@ -1133,7 +1090,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     print(render_top(recorder.store, now=float(demo.runs), rules=rules,
                      alerts=engine.transitions, domains=demo.domains,
                      title="repro top — live"))
-    return 1 if _top_gates(args, engine.transitions) else 0
+    return 1 if _top_gate(args, engine.transitions) else 0
 
 
 def cmd_timeline(args: argparse.Namespace) -> int:
@@ -1220,7 +1177,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         if args.ledger is None:
             print("error: --reconcile needs --ledger PATH; the seeded "
                   "campaign writes one: repro chaos --seed 7 --trials 200 "
-                  "--audit --save-ledger ledger.json, then repro audit "
+                  "--save-ledger ledger.json, then repro audit "
                   "--reconcile --ledger ledger.json", file=sys.stderr)
             return 2
         ledger = _load(args.ledger, obs_audit.DecisionLedger.load)
@@ -1253,7 +1210,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 return 2
         records = ledger.records(
             kind, domain=args.domain, correlation_id=args.correlation,
-            handle=args.handle, user=args.user,
+            user=args.user,
         )
         if args.as_json:
             print(json_mod.dumps([r.to_dict() for r in records], indent=2))

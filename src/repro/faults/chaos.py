@@ -19,14 +19,10 @@ the reproducibility receipt.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.telemetry import AlertTransition, FlightRecorder
+from typing import Sequence
 
 from repro.core.testbed import Testbed, build_linear_testbed
 from repro.crypto.repository import CertificateRepository
@@ -38,12 +34,10 @@ from repro.faults.plan import (
     TargetKind,
     single_fault_matrix,
 )
-from repro.obs import audit as obs_audit
-from repro.obs.audit import DecisionLedger, ReconciliationReport
-from repro.obs.context import fresh_context
-from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SLO, SLOReport, default_slos, evaluate_slos
+from repro.obs.audit import DecisionLedger, reconcile_brokers
+from repro.obs.slo import SLO, default_slos
+from repro.obs.telemetry import FlightRecorder, chaos_rules
+from repro.workloads.campaign import Campaign, CampaignReport
 
 __all__ = ["TrialResult", "ChaosReport", "run_chaos"]
 
@@ -52,6 +46,15 @@ logger = logging.getLogger(__name__)
 #: Far-future instant for the post-trial soft-state sweep: any lease
 #: still pending at trial end has certainly lapsed by then.
 _SWEEP_AT = 1e9
+
+#: Every trial: one 10 Mb/s reservation with a 30 s signalling deadline
+#: over a fresh A-B-C-D chain with 60 s soft-state leases; repository
+#: trials publish the certificates to one repository.
+DOMAINS = ("A", "B", "C", "D")
+RATE_MBPS = 10.0
+DEADLINE_S = 30.0
+SOFT_STATE_TTL_S = 60.0
+REPOSITORY_NAME = "ldap.grid"
 
 
 @dataclass(frozen=True)
@@ -68,50 +71,32 @@ class TrialResult:
     retries: int
     #: Invariant violations found after recovery (empty = healthy).
     violations: tuple[str, ...]
-    #: Ledger-vs-broker reconciliation violations for this trial, when
-    #: the run kept a decision ledger (``run_chaos(audit=True)``).
-    audit_violations: tuple[str, ...] = ()
+    #: Ledger-vs-broker reconciliation violations for this trial.
+    audit_violations: tuple[str, ...]
 
 
 @dataclass
-class ChaosReport:
+class ChaosReport(CampaignReport):
     """Aggregate of one chaos run."""
 
     seed: int
     schedule_digest: str
     trials: list[TrialResult] = field(default_factory=list)
-    #: SLO verdicts over the whole campaign's metrics + events (the
-    #: harness runs every trial under a scoped registry and event log).
-    slo_report: SLOReport | None = None
-    #: The campaign's decision ledger (``audit=True`` runs only).
-    ledger: DecisionLedger | None = None
-    #: Ledger-internal reconciliation over the whole campaign.
-    audit_report: ReconciliationReport | None = None
-    #: Every alert lifecycle edge of a flight-recorded campaign.
-    alert_transitions: tuple["AlertTransition", ...] = ()
+
+    def _per_trial(self, kind: str) -> list[str]:
+        return [
+            f"trial {t.index} [{t.spec.describe()}]: {v}"
+            for t in self.trials for v in getattr(t, kind)
+        ]
 
     @property
     def violations(self) -> list[str]:
-        out = []
-        for trial in self.trials:
-            out.extend(
-                f"trial {trial.index} [{trial.spec.describe()}]: {v}"
-                for v in trial.violations
-            )
-        return out
+        return self._per_trial("violations")
 
     @property
     def audit_violations(self) -> list[str]:
         """Per-trial broker reconciliation + campaign ledger invariants."""
-        out = []
-        for trial in self.trials:
-            out.extend(
-                f"trial {trial.index} [{trial.spec.describe()}]: {v}"
-                for v in trial.audit_violations
-            )
-        if self.audit_report is not None:
-            out.extend(v.render() for v in self.audit_report.violations)
-        return out
+        return self._per_trial("audit_violations") + super().audit_violations
 
     @property
     def granted_count(self) -> int:
@@ -135,24 +120,26 @@ class ChaosReport:
             f"  denied          : {len(self.trials) - self.granted_count}",
             f"  violations      : {len(self.violations)}",
         ]
-        lines.extend(f"    {v}" for v in self.violations[:20])
-        if len(self.violations) > 20:
-            lines.append(f"    ... and {len(self.violations) - 20} more")
+        _list_some(lines, self.violations)
         if self.ledger is not None:
             audit = self.audit_violations
             lines.append(
                 f"  audit           : {len(self.ledger)} ledger records, "
                 f"{len(audit)} violation(s)"
             )
-            lines.extend(f"    {v}" for v in audit[:20])
-            if len(audit) > 20:
-                lines.append(f"    ... and {len(audit) - 20} more")
+            _list_some(lines, audit)
         if self.slo_report is not None:
             lines.append("  SLO verdicts:")
             lines.extend(
                 f"    {line}" for line in self.slo_report.render().splitlines()
             )
         return "\n".join(lines)
+
+
+def _list_some(lines: list[str], items: list[str], limit: int = 20) -> None:
+    lines.extend(f"    {v}" for v in items[:limit])
+    if len(items) > limit:
+        lines.append(f"    ... and {len(items) - limit} more")
 
 
 def _check_invariants(testbed: Testbed) -> list[str]:
@@ -180,28 +167,47 @@ def _check_invariants(testbed: Testbed) -> list[str]:
     return violations
 
 
+def _matrix() -> list[FaultSpec]:
+    """The single-fault matrix over :data:`DOMAINS`: every channel,
+    broker, policy server and the repository, broken every valid way."""
+    user_link = "|".join(sorted((DOMAINS[0], "Alice")))
+    inter_links = [
+        "|".join(sorted((a, b))) for a, b in zip(DOMAINS, DOMAINS[1:])
+    ]
+    matrix = single_fault_matrix(
+        channel_links=[user_link, *inter_links],
+        broker_domains=DOMAINS,
+        policy_domains=DOMAINS,
+        repository_names=[REPOSITORY_NAME],
+    )
+    # Bounded windows are always survivable by bounded retries; the
+    # *persistent* variants force retry exhaustion, dead-hop denials, and
+    # partial-path unwinds — exactly where capacity leaks would hide.
+    matrix.extend(
+        FaultSpec(
+            s.target_kind, s.target, s.kind,
+            start_op=s.start_op, ops=None, delay_s=s.delay_s,
+        )
+        for s in list(matrix)
+        if s.ops == 1
+    )
+    return matrix
+
+
 def _run_trial(
-    index: int,
-    spec: FaultSpec,
-    *,
-    seed: int,
-    domains: Sequence[str],
-    rate_mbps: float,
-    deadline_s: float,
-    soft_state_ttl_s: float,
-    repository_name: str,
+    index: int, spec: FaultSpec, *, seed: int, ledger: DecisionLedger
 ) -> TrialResult:
     testbed = build_linear_testbed(
-        list(domains), soft_state_ttl_s=soft_state_ttl_s
+        list(DOMAINS), soft_state_ttl_s=SOFT_STATE_TTL_S
     )
     if spec.target_kind is TargetKind.REPOSITORY:
         # Repository trials run the protocol in §6.4-alternative-2 mode so
         # the repository is actually on the critical path.
-        repository = CertificateRepository(name=repository_name)
+        repository = CertificateRepository(name=REPOSITORY_NAME)
         for broker in testbed.brokers.values():
             repository.publish(broker.certificate)
         testbed.hop_by_hop.repository = repository
-    user = testbed.add_user(domains[0], "Alice")
+    user = testbed.add_user(DOMAINS[0], "Alice")
     if testbed.hop_by_hop.repository is not None:
         testbed.hop_by_hop.repository.publish(user.certificate)
 
@@ -213,10 +219,10 @@ def _run_trial(
     try:
         outcome = testbed.reserve(
             user,
-            source=domains[0],
-            destination=domains[-1],
-            bandwidth_mbps=rate_mbps,
-            deadline_s=deadline_s,
+            source=DOMAINS[0],
+            destination=DOMAINS[-1],
+            bandwidth_mbps=RATE_MBPS,
+            deadline_s=DEADLINE_S,
         )
         granted = outcome.granted
         denial_reason = outcome.denial_reason
@@ -240,13 +246,9 @@ def _run_trial(
     violations = _check_invariants(testbed)
     # Ledger-vs-broker reconciliation must run per trial, while the
     # trial's testbed (reservation tables, bookings) still exists.
-    audit_violations: tuple[str, ...] = ()
-    ledger = obs_audit.get_ledger()
-    if ledger is not None:
-        audit_violations = tuple(
-            v.render()
-            for v in obs_audit.reconcile_brokers(ledger, testbed.brokers)
-        )
+    audit_violations = tuple(
+        v.render() for v in reconcile_brokers(ledger, testbed.brokers)
+    )
     return TrialResult(
         index=index,
         spec=spec,
@@ -263,29 +265,20 @@ def run_chaos(
     *,
     seed: int = 7,
     trials: int = 200,
-    domains: Sequence[str] = ("A", "B", "C", "D"),
-    rate_mbps: float = 10.0,
-    deadline_s: float = 30.0,
-    soft_state_ttl_s: float = 60.0,
-    repository_name: str = "ldap.grid",
     slos: Sequence[SLO] | None = None,
-    audit: bool = False,
-    recorder: "FlightRecorder | None" = None,
+    recorder: FlightRecorder | None = None,
 ) -> ChaosReport:
     """Run *trials* single-fault chaos trials; the schedule (and every
     backoff-jitter draw downstream of it) is determined by *seed*.
 
-    The whole campaign runs under a scoped metrics registry and event
-    log, and the report carries SLO verdicts over them (*slos*, or
+    The campaign (:class:`~repro.workloads.campaign.Campaign`) keeps a
+    metrics registry, event log and decision ledger: every trial is
+    reconciled against its brokers while they still exist, the whole
+    ledger is reconciled at the end, and the report carries SLO
+    verdicts over the campaign (*slos*, or
     :func:`~repro.obs.slo.default_slos`) — so a run answers "did
     recovery keep us inside the objectives?" as well as "did the
     invariants hold?".
-
-    With ``audit=True`` the campaign also keeps a decision-provenance
-    ledger: every trial is reconciled against its brokers while they
-    still exist, the whole ledger is reconciled at the end, and the
-    report carries both the ledger and the
-    :class:`~repro.obs.audit.ReconciliationReport`.
 
     With a *recorder* the campaign is also flight-recorded: each trial's
     per-domain testbed clock restarts at zero, so the recorder samples
@@ -298,27 +291,7 @@ def run_chaos(
     the recording carries what the SLOs are judged on and ``repro slo
     --record`` reads back this run's verdicts.
     """
-    user_link = "|".join(sorted((domains[0], "Alice")))
-    inter_links = [
-        "|".join(sorted((a, b))) for a, b in zip(domains, domains[1:])
-    ]
-    matrix = single_fault_matrix(
-        channel_links=[user_link, *inter_links],
-        broker_domains=domains,
-        policy_domains=domains,
-        repository_names=[repository_name],
-    )
-    # Bounded windows are always survivable by bounded retries; the
-    # *persistent* variants force retry exhaustion, dead-hop denials, and
-    # partial-path unwinds — exactly where capacity leaks would hide.
-    matrix.extend(
-        FaultSpec(
-            s.target_kind, s.target, s.kind,
-            start_op=s.start_op, ops=None, delay_s=s.delay_s,
-        )
-        for s in list(matrix)
-        if s.ops == 1
-    )
+    matrix = _matrix()
     rng = random.Random(seed)
     schedule = [matrix[rng.randrange(len(matrix))] for _ in range(trials)]
     report = ChaosReport(
@@ -329,55 +302,16 @@ def run_chaos(
         "chaos: %d trials over %d matrix cases (digest %s)",
         trials, len(matrix), report.schedule_digest,
     )
-    registry, event_log = MetricsRegistry(), EventLog()
-    ledger = DecisionLedger() if audit else None
-    engine = None
-    if recorder is not None:
-        from repro.obs.telemetry import AlertEngine, chaos_rules
-        engine = AlertEngine(chaos_rules())
-    with fresh_context(registry=registry, event_log=event_log, ledger=ledger):
-        recorded_events = 0
-        if recorder is not None:
-            recorder.record_meta(
-                campaign="chaos", seed=seed, trials=trials,
-                schedule_digest=report.schedule_digest,
-            )
-        for index, spec in enumerate(schedule):
-            report.trials.append(
-                _run_trial(
-                    index, spec,
-                    seed=seed,
-                    domains=domains,
-                    rate_mbps=rate_mbps,
-                    deadline_s=deadline_s,
-                    soft_state_ttl_s=soft_state_ttl_s,
-                    repository_name=repository_name,
-                )
-            )
-            if recorder is not None and engine is not None:
-                frame_t = float(index + 1)
-                recorder.sample(frame_t, registry=registry)
-                engine.step(
-                    recorder.store, frame_t,
-                    event_log=event_log, recorder=recorder,
-                )
-                # ``emitted`` survives eviction, so the trial's events
-                # are the log's newest ``emitted - recorded_events``.
-                events = tuple(event_log)
-                fresh = event_log.emitted - recorded_events
-                recorded_events += fresh
-                for event in events[max(len(events) - fresh, 0):]:
-                    recorder.record_event(
-                        dataclasses.replace(event, at_time=frame_t)
-                    )
-    if engine is not None:
-        report.alert_transitions = tuple(engine.transitions)
-    if ledger is not None:
-        report.ledger = ledger
-        report.audit_report = obs_audit.reconcile(ledger)
-    report.slo_report = evaluate_slos(
-        tuple(slos) if slos is not None else default_slos(),
-        registry=registry,
-        event_log=event_log,
+    campaign = Campaign(
+        report, rules=chaos_rules, recorder=recorder,
+        meta=dict(campaign="chaos", seed=seed, trials=trials,
+                  schedule_digest=report.schedule_digest),
     )
+    with campaign.stores():
+        for index, spec in enumerate(schedule):
+            report.trials.append(_run_trial(
+                index, spec, seed=seed, ledger=campaign.ledger
+            ))
+            campaign.frame(float(index + 1), stamp=True)
+        campaign.close(default_slos() if slos is None else slos)
     return report

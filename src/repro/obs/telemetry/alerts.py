@@ -410,19 +410,6 @@ class AlertEngine:
             if recorder is not None:
                 recorder.record_alert(t.at_time, t.to_dict())
 
-    # -- incident summary --------------------------------------------------------
-
-    def first_firing(
-        self, severity: AlertSeverity | None = None
-    ) -> AlertTransition | None:
-        by_name = {r.name: r for r in self.rules}
-        for t in self.transitions:
-            if t.to_state != AlertState.FIRING:
-                continue
-            if severity is None or by_name[t.rule].severity == severity:
-                return t
-        return None
-
 
 # ---------------------------------------------------------------------------
 # Stock rule sets

@@ -15,7 +15,7 @@ The victim's *processing* is modelled as a fluid work queue: every
 attack signal charges the work units the victim actually spent on it
 (:class:`~repro.core.hopbyhop.IngressReport` work accounting — a full
 signature walk with defenses off, a dict lookup when the gate rejects),
-scaled by ``work_unit_s`` seconds per unit, and the queue drains in
+scaled by :data:`WORK_UNIT_S` seconds per unit, and the queue drains in
 real (modelled) time.  An honest request arriving to a backlog longer
 than its signalling deadline times out — which is exactly how
 queue-drain attacks kill honest traffic without ever being *granted*
@@ -40,26 +40,27 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.telemetry import FlightRecorder
 
 from repro.bb.defense import DefensePolicy
 from repro.core.testbed import build_linear_testbed
 from repro.errors import SimulationError
-from repro.obs.audit import DecisionLedger, ReconciliationReport, reconcile
-from repro.obs.context import fresh_context
 from repro.obs.events import DecisionRecord, EventLog, ReasonCode, RecordKind
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SLO, SLOReport, evaluate_slos
+from repro.obs.slo import SLO
+from repro.obs.telemetry import (
+    AlertSeverity,
+    FlightRecorder,
+    SeriesKey,
+    default_rules,
+    testbed_probes,
+)
 from repro.workloads.attackers import AttackPersona, PERSONAS, make_persona
+from repro.workloads.campaign import Campaign, CampaignReport
 
 __all__ = [
+    "HONEST_SLOS",
     "SurvivabilitySpec",
     "SurvivabilityReport",
     "harness_defense_policy",
-    "honest_slos",
     "run_survivability",
     "run_survivability_pair",
 ]
@@ -71,6 +72,23 @@ HONEST_LATENCY_METRIC = "honest_signalling_latency_seconds"
 #: Modelled seconds between flight-recorder frames of a recorded run.
 SAMPLE_INTERVAL_S = 1.0
 
+#: The honest path and the victim on it (downstream of the source).
+DOMAINS = ("A", "B", "C")
+VICTIM = "B"
+#: Honest Poisson arrival intensity (requests per modelled second),
+#: spread over this many users, each asking for one of these rates for
+#: an exponential holding time of this mean.
+HONEST_RATE_PER_S = 0.4
+HONEST_USERS = 8
+HONEST_RATE_CHOICES_MBPS = (2.0, 3.0)
+HONEST_MEAN_DURATION_S = 10.0
+#: Honest requests arriving to a victim backlog beyond this time out
+#: (and count as denied).
+HONEST_DEADLINE_S = 2.5
+#: Modelled seconds one unit of victim work (= one full envelope
+#: verification) takes; scales attack work into queueing delay.
+WORK_UNIT_S = 0.25
+
 
 @dataclass(frozen=True)
 class SurvivabilitySpec:
@@ -78,25 +96,7 @@ class SurvivabilitySpec:
 
     persona: str
     seed: int = 2001
-    #: Attack signals as a fraction of all signals; ``None`` uses the
-    #: persona's :attr:`~repro.workloads.attackers.AttackPersona.
-    #: default_attack_fraction` (each persona needs a different
-    #: intensity to express its harm).
-    attack_fraction: float | None = None
     horizon_s: float = 120.0
-    #: Honest Poisson arrival intensity (requests per modelled second).
-    honest_rate_per_s: float = 0.4
-    #: Honest requests arriving to a victim backlog beyond this time
-    #: out (and count as denied).
-    honest_deadline_s: float = 2.5
-    #: Modelled seconds one unit of victim work (= one full envelope
-    #: verification) takes; scales attack work into queueing delay.
-    work_unit_s: float = 0.25
-    domains: tuple[str, ...] = ("A", "B", "C")
-    victim: str = "B"
-    honest_users: int = 8
-    honest_rate_choices_mbps: tuple[float, ...] = (2.0, 3.0)
-    honest_mean_duration_s: float = 10.0
 
     def __post_init__(self) -> None:
         if self.persona not in PERSONAS:
@@ -104,34 +104,32 @@ class SurvivabilitySpec:
                 f"unknown persona {self.persona!r} "
                 f"(expected one of {', '.join(sorted(PERSONAS))})"
             )
-        if self.attack_fraction is not None and not (
-            0.0 < self.attack_fraction < 1.0
-        ):
-            raise SimulationError("attack_fraction must be in (0, 1)")
-        if self.victim not in self.domains:
+        if not self.horizon_s > 0:
             raise SimulationError(
-                f"victim {self.victim!r} not on the honest path"
-            )
-        if self.victim == self.domains[0]:
-            raise SimulationError(
-                "the victim must be downstream of the honest source"
+                f"horizon must be > 0 s (got {self.horizon_s})"
             )
 
     @property
     def fraction(self) -> float:
-        if self.attack_fraction is not None:
-            return self.attack_fraction
+        """Attack signals as a fraction of all signals: the persona's
+        :attr:`~repro.workloads.attackers.AttackPersona.
+        default_attack_fraction` (each persona needs a different
+        intensity to express its harm)."""
         return PERSONAS[self.persona].default_attack_fraction
 
     @property
     def attack_rate_per_s(self) -> float:
         f = self.fraction
-        return self.honest_rate_per_s * f / (1.0 - f)
+        return HONEST_RATE_PER_S * f / (1.0 - f)
 
 
 @dataclass
-class SurvivabilityReport:
-    """What honest traffic retained under one attack run."""
+class SurvivabilityReport(CampaignReport):
+    """What honest traffic retained under one attack run.
+
+    Its ledger is reconciled against the run's brokers (tables and
+    bookings) while the testbed still exists.
+    """
 
     persona: str
     seed: int
@@ -146,20 +144,9 @@ class SurvivabilityReport:
     max_backlog_s: float = 0.0
     attacker: dict[str, int] = field(default_factory=dict)
     defense_rejections: dict[str, int] = field(default_factory=dict)
-    slo_report: SLOReport | None = None
-    #: The run's decision-provenance ledger, and its reconciliation
-    #: against the run's brokers (tables and bookings), made while the
-    #: testbed still existed.
-    ledger: object | None = None
-    audit_report: ReconciliationReport | None = None
     #: Modelled time of the first attack signal (None: attack never
     #: started inside the horizon).
     attack_onset_s: float | None = None
-    #: When the first CRITICAL alert fired, and the detection latency
-    #: relative to the onset — the telemetry plane's headline number.
-    first_critical_alert_s: float | None = None
-    time_to_detect_s: float | None = None
-    alert_transitions: int = 0
 
     @property
     def honest_admission_rate(self) -> float:
@@ -174,6 +161,22 @@ class SurvivabilityReport:
             self.breaker_opens / self.honest_offered
             if self.honest_offered else 0.0
         )
+
+    @property
+    def first_critical_alert_s(self) -> float | None:
+        """When the first CRITICAL alert fired (None: never, or the run
+        was not flight-recorded)."""
+        critical = self.firings(AlertSeverity.CRITICAL)
+        return critical[0].at_time if critical else None
+
+    @property
+    def time_to_detect_s(self) -> float | None:
+        """The first CRITICAL firing relative to the attack onset — the
+        telemetry plane's headline number."""
+        first = self.first_critical_alert_s
+        if first is None or self.attack_onset_s is None:
+            return None
+        return first - self.attack_onset_s
 
     def to_dict(self) -> dict[str, object]:
         slos: dict[str, object] = {}
@@ -206,7 +209,7 @@ class SurvivabilityReport:
             "attack_onset_s": self.attack_onset_s,
             "first_critical_alert_s": self.first_critical_alert_s,
             "time_to_detect_s": self.time_to_detect_s,
-            "alert_transitions": self.alert_transitions,
+            "alert_transitions": len(self.alert_transitions),
         }
 
 
@@ -234,29 +237,25 @@ def harness_defense_policy() -> DefensePolicy:
     )
 
 
-def honest_slos(spec: SurvivabilitySpec) -> tuple[SLO, ...]:
-    """The survivability objectives for *honest* traffic.
-
-    Evaluated against honest-only telemetry (the harness keeps a
-    separate event log for honest admit/deny), so attack denials —
-    which defenses-on produces by the hundreds, correctly — never burn
-    the honest error budget.
-    """
-    return (
-        SLO(
-            name="honest-latency-p99",
-            kind="latency_quantile",
-            metric=HONEST_LATENCY_METRIC,
-            quantile=0.99,
-            threshold=spec.honest_deadline_s,
-        ),
-        SLO(name="honest-denial-rate", kind="denial_rate", threshold=0.10),
-        SLO(
-            name="honest-breaker-open-rate",
-            kind="breaker_open_rate",
-            threshold=0.25,
-        ),
-    )
+#: The survivability objectives for *honest* traffic.  Evaluated against
+#: honest-only telemetry (the harness keeps a separate event log for
+#: honest admit/deny), so attack denials — which defenses-on produces by
+#: the hundreds, correctly — never burn the honest error budget.
+HONEST_SLOS = (
+    SLO(
+        name="honest-latency-p99",
+        kind="latency_quantile",
+        metric=HONEST_LATENCY_METRIC,
+        quantile=0.99,
+        threshold=HONEST_DEADLINE_S,
+    ),
+    SLO(name="honest-denial-rate", kind="denial_rate", threshold=0.10),
+    SLO(
+        name="honest-breaker-open-rate",
+        kind="breaker_open_rate",
+        threshold=0.25,
+    ),
+)
 
 
 class _WorkQueue:
@@ -291,18 +290,20 @@ def run_survivability(
     spec: SurvivabilitySpec,
     *,
     defenses_on: bool,
-    policy: DefensePolicy | None = None,
     slos: tuple[SLO, ...] | None = None,
-    recorder: "FlightRecorder | None" = None,
+    recorder: FlightRecorder | None = None,
 ) -> SurvivabilityReport:
     """Run one mixed honest+attack scenario and measure what survived.
+
+    With defenses on, the brokers arm :func:`harness_defense_policy`.
+    The honest objectives are *slos*, or :data:`HONEST_SLOS`.
 
     With a *recorder*, the run becomes a monitored incident: the flight
     recorder samples registry + fabric probes every
     :data:`SAMPLE_INTERVAL_S` of modelled time, an alert engine on the
-    fleet profile steps after each frame, and the report gains
-    the attack onset, the first CRITICAL firing, and their difference —
-    **time-to-detect**, the number the ISSUE's acceptance gate reads.
+    fleet profile steps after each frame, and the report's alert
+    transitions give the first CRITICAL firing and its distance from
+    the attack onset: **time-to-detect**.
     """
     report = SurvivabilityReport(
         persona=spec.persona,
@@ -322,21 +323,25 @@ def run_survivability(
     queue = _WorkQueue()
     honest_latencies: list[float] = []
 
-    registry, event_log, ledger = MetricsRegistry(), EventLog(), DecisionLedger()
-    with fresh_context(registry=registry, event_log=event_log, ledger=ledger):
-        testbed = build_linear_testbed(list(spec.domains))
+    campaign = Campaign(
+        report, rules=default_rules, recorder=recorder,
+        meta=dict(persona=spec.persona, seed=spec.seed,
+                  defenses_on=defenses_on, victim=VICTIM,
+                  horizon_s=spec.horizon_s),
+    )
+    registry = campaign.registry
+    with campaign.stores():
+        testbed = build_linear_testbed(list(DOMAINS))
         if defenses_on:
-            testbed.arm_defenses(
-                policy if policy is not None else harness_defense_policy()
-            )
-        source, destination = spec.domains[0], spec.domains[-1]
+            testbed.arm_defenses(harness_defense_policy())
+        source, destination = DOMAINS[0], DOMAINS[-1]
         users = [
             testbed.add_user(source, f"honest-{i}")
-            for i in range(spec.honest_users)
+            for i in range(HONEST_USERS)
         ]
         persona: AttackPersona = make_persona(
             spec.persona, testbed,
-            victim=spec.victim, source=source, rng=attack_rng,
+            victim=VICTIM, source=source, rng=attack_rng,
         )
         persona.prepare(testbed.sim.now)
         sim = testbed.sim
@@ -344,61 +349,55 @@ def run_survivability(
         def honest_arrival() -> None:
             now = sim.now
             if now < spec.horizon_s:
-                gap = honest_rng.expovariate(spec.honest_rate_per_s)
+                gap = honest_rng.expovariate(HONEST_RATE_PER_S)
                 if now + gap < spec.horizon_s:
                     sim.schedule(gap, honest_arrival)
                 wait = queue.drain(now)
                 report.honest_offered += 1
                 user = honest_rng.choice(users)
-                rate = honest_rng.choice(spec.honest_rate_choices_mbps)
+                rate = honest_rng.choice(HONEST_RATE_CHOICES_MBPS)
                 duration = max(
                     1.0,
-                    honest_rng.expovariate(
-                        1.0 / spec.honest_mean_duration_s
-                    ),
+                    honest_rng.expovariate(1.0 / HONEST_MEAN_DURATION_S),
                 )
-                if wait > spec.honest_deadline_s:
+                if wait > HONEST_DEADLINE_S:
                     # The victim's work queue is longer than the
                     # signalling deadline: the request dies waiting.
                     report.honest_timed_out += 1
-                    honest_latencies.append(wait)
-                    registry.histogram(
-                        HONEST_LATENCY_METRIC,
-                        "Honest end-to-end signalling latency (victim "
-                        "queueing + protocol)",
-                    ).observe(wait)
-                    honest_log.emit(DecisionRecord(
-                        RecordKind.DENY, now, domain=spec.victim,
+                    latency = wait
+                    decision = DecisionRecord(
+                        RecordKind.DENY, now, domain=VICTIM,
                         user=str(user.dn), reason="signalling timed out "
                         "behind the victim's work queue",
                         reason_code=ReasonCode.DEADLINE_EXCEEDED.value,
-                    ))
-                    return
-                outcome = testbed.reserve(
-                    user, source=source, destination=destination,
-                    bandwidth_mbps=rate, start=now, duration=duration,
-                )
-                latency = wait + outcome.latency_s
+                    )
+                else:
+                    outcome = testbed.reserve(
+                        user, source=source, destination=destination,
+                        bandwidth_mbps=rate, start=now, duration=duration,
+                    )
+                    latency = wait + outcome.latency_s
+                    if outcome.granted and latency <= HONEST_DEADLINE_S:
+                        report.honest_admitted += 1
+                        decision = DecisionRecord(
+                            RecordKind.ADMIT, now, domain=destination,
+                            user=str(user.dn),
+                        )
+                        testbed.schedule_activation(outcome)
+                    else:
+                        report.honest_denied += 1
+                        decision = DecisionRecord(
+                            RecordKind.DENY, now,
+                            domain=outcome.denial_domain or VICTIM,
+                            user=str(user.dn), reason=outcome.denial_reason,
+                        )
                 honest_latencies.append(latency)
                 registry.histogram(
                     HONEST_LATENCY_METRIC,
                     "Honest end-to-end signalling latency (victim "
                     "queueing + protocol)",
                 ).observe(latency)
-                if outcome.granted and latency <= spec.honest_deadline_s:
-                    report.honest_admitted += 1
-                    honest_log.emit(DecisionRecord(
-                        RecordKind.ADMIT, now, domain=destination,
-                        user=str(user.dn),
-                    ))
-                    testbed.schedule_activation(outcome)
-                else:
-                    report.honest_denied += 1
-                    honest_log.emit(DecisionRecord(
-                        RecordKind.DENY, now,
-                        domain=outcome.denial_domain or spec.victim,
-                        user=str(user.dn), reason=outcome.denial_reason,
-                    ))
+                honest_log.emit(decision)
 
         def attack_arrival() -> None:
             now = sim.now
@@ -411,66 +410,37 @@ def run_survivability(
                     if recorder is not None:
                         recorder.record_meta(attack_onset_s=now)
                 work_units = persona.fire(now)
-                queue.charge(now, work_units * spec.work_unit_s)
+                queue.charge(now, work_units * WORK_UNIT_S)
 
-        engine = None
         if recorder is not None:
-            from repro.obs.telemetry import (
-                AlertEngine, SeriesKey, default_rules, testbed_probes,
-            )
-            engine = AlertEngine(default_rules())
             for probe in testbed_probes(testbed):
                 recorder.add_probe(probe)
             backlog_key = SeriesKey.make(
-                "work_queue_backlog_s", {"domain": spec.victim}
+                "work_queue_backlog_s", {"domain": VICTIM}
             )
             recorder.add_probe(
                 lambda now: {backlog_key: queue.drain(now)}
             )
-            recorder.record_meta(
-                persona=spec.persona, seed=spec.seed,
-                defenses_on=defenses_on, victim=spec.victim,
-                horizon_s=spec.horizon_s,
-            )
 
             def telemetry_tick() -> None:
                 now = sim.now
-                recorder.sample(now, registry=registry)
-                engine.step(
-                    recorder.store, now,
-                    event_log=event_log, recorder=recorder,
-                )
+                campaign.frame(now)
                 if now + SAMPLE_INTERVAL_S <= spec.horizon_s:
                     sim.schedule(SAMPLE_INTERVAL_S, telemetry_tick)
 
             sim.schedule(SAMPLE_INTERVAL_S, telemetry_tick)
 
         sim.schedule(
-            honest_rng.expovariate(spec.honest_rate_per_s), honest_arrival
+            honest_rng.expovariate(HONEST_RATE_PER_S), honest_arrival
         )
         sim.schedule(
             attack_rng.expovariate(spec.attack_rate_per_s), attack_arrival
         )
         sim.run()
 
-        if recorder is not None and engine is not None:
-            from repro.obs.telemetry import AlertSeverity
-            report.alert_transitions = len(engine.transitions)
-            first = engine.first_firing(AlertSeverity.CRITICAL)
-            if first is not None:
-                report.first_critical_alert_s = first.at_time
-                if report.attack_onset_s is not None:
-                    report.time_to_detect_s = (
-                        first.at_time - report.attack_onset_s
-                    )
-            # Persist the run's obs events so `repro timeline --replay`
-            # can merge them with the recorded alert transitions.
-            for event in event_log:
-                recorder.record_event(event)
-
         # Breaker opens affect honest traffic no matter who tripped
         # them: fold them into the honest event log for the SLO.
-        for breaker in event_log.records(RecordKind.BREAKER):
+        for breaker in campaign.event_log.records(RecordKind.BREAKER):
             if breaker.reason.endswith("-> open"):
                 report.breaker_opens += 1
                 honest_log.emit(breaker)
@@ -492,28 +462,20 @@ def run_survivability(
                     report.defense_rejections[kind] = (
                         report.defense_rejections.get(kind, 0) + count
                     )
-        report.slo_report = evaluate_slos(
-            slos if slos is not None else honest_slos(spec),
-            registry=registry,
-            event_log=honest_log,
+        campaign.close(
+            HONEST_SLOS if slos is None else slos,
+            event_log=honest_log, brokers=testbed.brokers,
         )
-        report.audit_report = reconcile(ledger, brokers=testbed.brokers)
-    report.ledger = ledger
     return report
 
 
 def run_survivability_pair(
     spec: SurvivabilitySpec,
     *,
-    policy: DefensePolicy | None = None,
     slos: tuple[SLO, ...] | None = None,
 ) -> tuple[SurvivabilityReport, SurvivabilityReport]:
     """The headline experiment: the same seeded scenario with the
     admission-plane defenses off, then on."""
-    off = run_survivability(
-        spec, defenses_on=False, policy=policy, slos=slos
-    )
-    on = run_survivability(
-        spec, defenses_on=True, policy=policy, slos=slos
-    )
+    off = run_survivability(spec, defenses_on=False, slos=slos)
+    on = run_survivability(spec, defenses_on=True, slos=slos)
     return off, on

@@ -158,6 +158,55 @@ class TestReserveFormula:
         assert seconds == [1673] * len(seconds)
 
 
+def _measure_agent(d: int, concurrent: bool) -> list[Cost]:
+    """REPEATS warm Approach 1 reservations, each released after."""
+    testbed, user, names = _chain(d)
+    # The home domain knows the user through its CA; every other domain
+    # needs the out-of-band introduction Approach 1 is built on.
+    for domain in names[1:]:
+        testbed.introduce_user_to(user, domain)
+    agent = testbed.end_to_end_agent
+    costs = []
+    for _ in range(REPEATS):
+        request = testbed.make_request(source=names[0], destination=names[-1],
+                                       bandwidth_mbps=1.0)
+        with _counting(testbed) as read:
+            outcome = agent.reserve(user, request, concurrent=concurrent)
+            cost = read()
+        assert outcome.complete
+        assert outcome.messages == cost.messages
+        agent.release(outcome)
+        costs.append(cost)
+    return costs
+
+
+@pytest.fixture(scope="module")
+def agent_costs() -> dict[tuple[int, bool], list[Cost]]:
+    return {(d, concurrent): _measure_agent(d, concurrent)
+            for d in DEPTHS for concurrent in (False, True)}
+
+
+@pytest.mark.parametrize("concurrent", [False, True],
+                         ids=["sequential", "concurrent"])
+def test_approach1_is_linear(agent_costs, concurrent):
+    """Approach 1 (``EndToEndAgent.reserve``, the GARA library contacting
+    every BB itself) beside the formulas above: per domain the user signs
+    one RAR and one capability delegation, sends one request and gets one
+    reply; the BB verifies the RAR's seal and the two links of the
+    capability chain (the CAS grant and the user's delegation), and the
+    home domain checks the user's certificate against its CA once.
+    Nothing nests, so every count is linear in d, and concurrency changes
+    only the modelled latency."""
+    for d in DEPTHS:
+        costs = agent_costs[d, concurrent]
+        assert all(c == costs[0] for c in costs), f"d={d}: counts vary {costs}"
+    assert {d: agent_costs[d, concurrent][0] for d in DEPTHS} == {
+        d: Cost(signs=2 * d, verifies=3 * d + 1, encodes=4 * d,
+                messages=2 * d, bytes_encoded=4534 * d)
+        for d in DEPTHS
+    }
+
+
 def test_cancel_costs_nothing_signed(costs):
     """A cancel releases locally at every domain: no signature, no
     verification, no encode, no message, at every depth."""

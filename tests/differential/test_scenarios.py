@@ -205,7 +205,7 @@ class TestChaosSlice:
     """A deterministic slice of the single-fault chaos matrix."""
 
     def test_chaos_trials_identical(self):
-        report = run_chaos(seed=3, trials=12, audit=True)
+        report = run_chaos(seed=3, trials=12)
         assert len(report.trials) == 12
         assert report.ledger is not None and decision_rows(report.ledger)
         assert not report.violations

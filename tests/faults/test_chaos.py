@@ -72,15 +72,8 @@ class TestReport:
 
 
 class TestAudit:
-    def test_audit_off_by_default(self):
-        report = run_chaos(seed=5, trials=4)
-        assert report.ledger is None
-        assert report.audit_report is None
-        assert report.audit_violations == []
-        assert all(t.audit_violations == () for t in report.trials)
-
     def test_audited_run_reconciles_clean(self):
-        report = run_chaos(seed=11, trials=30, audit=True)
+        report = run_chaos(seed=11, trials=30)
         assert report.ledger is not None and len(report.ledger) > 0
         assert report.audit_report is not None
         assert report.audit_violations == [], report.audit_violations
@@ -91,8 +84,8 @@ class TestAudit:
         assert 0 < report.granted_count < 30
 
     def test_audited_run_is_ledger_deterministic(self):
-        first = run_chaos(seed=3, trials=10, audit=True)
-        second = run_chaos(seed=3, trials=10, audit=True)
+        first = run_chaos(seed=3, trials=10)
+        second = run_chaos(seed=3, trials=10)
 
         def shape(ledger):
             return [

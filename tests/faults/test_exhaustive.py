@@ -7,58 +7,28 @@ every valid way at every early operation offset — plus the persistent
 variant of every one-shot fault, which forces retry exhaustion and the
 denial/unwind paths.  Whatever the protocol decides (grant after
 retries, or a clean denial), the safety invariants must hold afterwards:
-no capacity leak, no reservation stuck in a live state.
+no capacity leak, no reservation stuck in a live state, and the trial's
+decision ledger reconciles against its brokers.
 """
 
 import pytest
 
-from repro.faults.chaos import _run_trial
-from repro.faults.plan import FaultSpec, single_fault_matrix
+from repro.faults.chaos import DOMAINS, REPOSITORY_NAME, _matrix, _run_trial
+from repro.obs.audit import DecisionLedger
+from repro.obs.context import fresh_context
 
-DOMAINS = ("A", "B", "C", "D")
-REPOSITORY = "ldap.grid"
-
-
-def _full_matrix():
-    user_link = "|".join(sorted((DOMAINS[0], "Alice")))
-    inter_links = [
-        "|".join(sorted((a, b))) for a, b in zip(DOMAINS, DOMAINS[1:])
-    ]
-    matrix = single_fault_matrix(
-        channel_links=[user_link, *inter_links],
-        broker_domains=DOMAINS,
-        policy_domains=DOMAINS,
-        repository_names=[REPOSITORY],
-    )
-    matrix.extend(
-        FaultSpec(
-            s.target_kind, s.target, s.kind,
-            start_op=s.start_op, ops=None, delay_s=s.delay_s,
-        )
-        for s in list(matrix)
-        if s.ops == 1
-    )
-    return matrix
-
-
-MATRIX = _full_matrix()
+MATRIX = _matrix()
 
 
 @pytest.mark.parametrize(
     "spec", MATRIX, ids=[s.describe().replace(" ", "_") for s in MATRIX]
 )
 def test_single_fault_leaves_no_leak_or_stuck_state(spec):
-    result = _run_trial(
-        0,
-        spec,
-        seed=7,
-        domains=DOMAINS,
-        rate_mbps=10.0,
-        deadline_s=30.0,
-        soft_state_ttl_s=60.0,
-        repository_name=REPOSITORY,
-    )
+    ledger = DecisionLedger()
+    with fresh_context(ledger=ledger):
+        result = _run_trial(0, spec, seed=7, ledger=ledger)
     assert result.violations == ()
+    assert result.audit_violations == ()
 
 
 def test_matrix_is_exhaustive_over_hops_and_phases():
@@ -71,4 +41,4 @@ def test_matrix_is_exhaustive_over_hops_and_phases():
     for domain in DOMAINS:
         assert ("broker", domain) in targets
         assert ("policy", domain) in targets
-    assert ("repository", REPOSITORY) in targets
+    assert ("repository", REPOSITORY_NAME) in targets

@@ -79,7 +79,7 @@ class TestLifecycle:
         assert firing.correlation_id == "alert-backlog-0001"
         assert engine.firing_count() == 1
         assert engine.firing_count(AlertSeverity.CRITICAL) == 1
-        assert engine.first_firing() is firing
+        assert engine.active() == (firing,)
 
         _set_backlog(store, 5.0, 3.5)  # FIRING stays FIRING, quietly
         assert engine.step(store, 5.0) == ()
@@ -101,7 +101,8 @@ class TestLifecycle:
         assert back.from_state is AlertState.PENDING
         assert back.to_state is AlertState.INACTIVE
         assert back.correlation_id == "alert-backlog-0001"
-        assert engine.first_firing() is None
+        assert all(t.to_state is not AlertState.FIRING
+                   for t in engine.transitions)
 
     def test_zero_for_s_fires_immediately(self):
         engine = AlertEngine([_backlog_rule(for_s=0.0)])

@@ -250,9 +250,9 @@ class TestAudit:
         rc = main(["audit", "--reconcile"])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "chaos --seed 7 --trials 200 --audit --save-ledger" in err
+        assert "chaos --seed 7 --trials 200 --save-ledger" in err
         ledger_path = str(tmp_path / "ledger.json")
-        assert main(["chaos", "--trials", "5", "--seed", "3", "--audit",
+        assert main(["chaos", "--trials", "5", "--seed", "3",
                      "--save-ledger", ledger_path]) == 0
         capsys.readouterr()
         rc = main(["audit", "--reconcile", "--ledger", ledger_path])
@@ -345,13 +345,33 @@ class TestMalformedRecording:
 
 
 class TestArgumentChecks:
-    def test_save_ledger_needs_audit(self, capsys, tmp_path):
+    def test_save_ledger_alone_writes_the_ledger(self, capsys, tmp_path):
+        """Every campaign keeps its ledger, so ``--save-ledger`` needs no
+        other flag."""
         path = tmp_path / "ledger.json"
         rc = main(["chaos", "--trials", "1", "--save-ledger", str(path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert f"wrote {path}" in out
+        assert path.exists()
+
+    @pytest.mark.parametrize("horizon", ["0", "-5"])
+    def test_attack_horizon_must_be_positive(self, capsys, horizon):
+        rc = main(["attack", "--persona", "flood", "--horizon", horizon,
+                   "--defenses", "on", "--gate"])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "--save-ledger needs --audit" in err
-        assert not path.exists()
+        assert "horizon must be > 0" in err
+
+    def test_top_at_before_the_first_frame(self, capsys, tmp_path):
+        recording = tmp_path / "chaos.tsrec"
+        assert main(["chaos", "--trials", "2", "--record",
+                     str(recording)]) == 0
+        capsys.readouterr()
+        rc = main(["top", "--replay", str(recording), "--at", "0.5"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "no frames at or before t=0.5" in err
 
     @pytest.mark.parametrize("command", ["metrics", "slo", "top"])
     @pytest.mark.parametrize("runs", ["0", "-3"])
@@ -420,7 +440,7 @@ def test_documented_command_lines_parse():
 class TestChaosAudit:
     def test_chaos_audit_flag_and_ledger_save(self, capsys, tmp_path):
         ledger_path = str(tmp_path / "chaos-ledger.json")
-        rc = main(["chaos", "--trials", "4", "--seed", "3", "--audit",
+        rc = main(["chaos", "--trials", "4", "--seed", "3",
                    "--save-ledger", ledger_path])
         out = capsys.readouterr().out
         assert rc == 0
@@ -430,6 +450,37 @@ class TestChaosAudit:
         out = capsys.readouterr().out
         assert rc == 0
         assert "audit reconciliation: OK" in out
+
+
+class TestGate:
+    """``chaos``, ``attack --gate`` and ``top`` share one gate."""
+
+    def test_chaos_fails_on_a_violated_objective(
+        self, capsys, monkeypatch
+    ):
+        from repro.faults import chaos
+        from repro.obs.slo import SLO
+
+        impossible = SLO(name="no-denials", kind="denial_rate",
+                         threshold=0.0)
+        monkeypatch.setattr(chaos, "default_slos", lambda: (impossible,))
+        rc = main(["chaos", "--seed", "7", "--trials", "5"])
+        captured = capsys.readouterr()
+        assert "violations      : 0" in captured.out
+        assert rc == 1
+        assert "GATE: SLOs violated: no-denials" in captured.err
+
+    def test_attack_fails_without_honest_traffic(self, capsys):
+        """A horizon shorter than the first honest arrival offers no
+        honest request: nothing was shown to survive."""
+        rc = main(["attack", "--persona", "flood", "--horizon", "0.01",
+                   "--defenses", "on", "--gate"])
+        captured = capsys.readouterr()
+        assert "honest admission 0/0" in captured.out
+        assert rc == 1
+        assert "GATE: no honest request offered (defenses on)" in \
+            captured.err
+        assert "GATE: ok" not in captured.out
 
 
 class TestTelemetryCLI:
