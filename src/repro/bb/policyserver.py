@@ -32,15 +32,10 @@ from typing import (
 )
 
 from repro.analysis.policycheck import verify_policy
-from repro.crypto.capability import (
-    DelegationResult,
-    PossessionProver,
-    verify_delegation_chain,
-)
+from repro.crypto.capability import CheckedChain, verify_capability_chains
 from repro.crypto.dn import DistinguishedName
 from repro.crypto.keys import PublicKey
 from repro.crypto.x509 import Certificate
-from repro.errors import DelegationError
 from repro.obs.audit import ledger as obs_audit
 from repro.policy.engine import (
     Decision,
@@ -81,6 +76,10 @@ class VerifiedInfo:
     capability_restrictions: frozenset[str] = frozenset()
     #: Diagnostic: claims that failed verification, with reasons.
     rejected: tuple[str, ...] = ()
+    #: Every capability delegation chain found in the request, each with
+    #: its verdict — the final holder reads its §6.5 results here instead
+    #: of walking the chains again.
+    capability_chains: tuple[CheckedChain, ...] = ()
     #: Every assertion as received (unfiltered) — policy engines that do
     #: their own certificate evaluation (the Akenti adapter) consume these.
     raw_assertions: tuple[SignedAssertion, ...] = ()
@@ -144,44 +143,24 @@ class PolicyServer:
 
     # -- credential verification ----------------------------------------------------
 
-    def verify_chain(
-        self,
-        chain: Sequence[Certificate],
-        *,
-        at_time: float = 0.0,
-        possession_nonce: bytes | None = None,
-        possession_prover: PossessionProver | None = None,
-    ) -> DelegationResult:
-        """Verify one capability chain against this domain's trusted
-        communities and revocation oracle (§6.5 checks 1–6); with a nonce
-        and prover, the final holder also proves possession of its proxy
-        key — the destination's check.  Raises
-        :class:`~repro.errors.DelegationError` on any violation."""
-        return verify_delegation_chain(
-            list(chain),
-            trusted_issuers=self._trusted_communities,
-            at_time=at_time,
-            possession_nonce=possession_nonce,
-            possession_prover=possession_prover,
-            revocation_checker=self.revocation_checker,
-        )
-
     def verify_credentials(
         self,
         *,
         user: DistinguishedName | None,
         assertions: Sequence[SignedAssertion] = (),
-        capability_chains: Sequence[Sequence[Certificate]] = (),
+        capability_certs: Sequence[Certificate] = (),
         at_time: float = 0.0,
     ) -> VerifiedInfo:
         """Turn claimed credentials into verified facts.
 
         Group assertions are accepted when their issuer is a registered
-        group server and the server still vouches for them; capability
-        chains when they verify against a trusted community key
-        (:func:`~repro.crypto.capability.verify_delegation_chain`, checks
-        1–6 of §6.5).  Bad credentials are recorded in ``rejected``, not
-        fatal — policy simply sees fewer verified facts.
+        group server and the server still vouches for them.  The flat
+        list of capability certificates is sorted into delegation chains
+        and each chain is accepted when it verifies against a trusted
+        community key and this domain's revocation oracle
+        (:func:`~repro.crypto.capability.verify_capability_chains`, §6.5
+        checks 1–4 and 6).  Bad credentials are recorded in ``rejected``,
+        not fatal — policy simply sees fewer verified facts.
         """
         self._check_up()
         groups: set[str] = set()
@@ -220,11 +199,16 @@ class PolicyServer:
         capabilities: set[str] = set()
         issuers: set[str] = set()
         restrictions: set[str] = set()
-        for chain in capability_chains:
-            try:
-                result = self.verify_chain(chain, at_time=at_time)
-            except DelegationError as exc:
-                rejected.append(f"capability chain rejected: {exc}")
+        chains = verify_capability_chains(
+            capability_certs,
+            trusted_issuers=self._trusted_communities,
+            at_time=at_time,
+            revocation_checker=self.revocation_checker,
+        )
+        for checked in chains:
+            result = checked.result
+            if result is None:
+                rejected.append(f"capability chain rejected: {checked.reason}")
                 continue
             capabilities |= result.capabilities
             restrictions |= result.restrictions
@@ -239,6 +223,7 @@ class PolicyServer:
             capability_issuers=frozenset(issuers),
             capability_restrictions=frozenset(restrictions),
             rejected=tuple(rejected),
+            capability_chains=chains,
             raw_assertions=tuple(assertions),
         )
 

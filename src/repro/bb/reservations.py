@@ -10,9 +10,11 @@ reservation (``CPU_Reservation_ID=111`` in Figure 6).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 
 from repro.crypto.dn import DistinguishedName
 from repro.errors import (
@@ -159,6 +161,8 @@ class Reservation:
     #: request scope (the soft-state sweep above all) still join the
     #: originating trace.  Empty when admitted with observability off.
     correlation_id: str = ""
+    #: Its place in its table's creation order.
+    serial: int = field(default=0, repr=False, compare=False)
 
     def active_at(self, when: float) -> bool:
         return (
@@ -180,11 +184,17 @@ class ReservationTable:
     and every query costs O(live) however many reservations have ended.
     An ended reservation's history is the decision ledger's, not the
     table's: its handle is unknown here.
+
+    ``_active`` indexes the ACTIVE rows, which the broker re-sums on
+    every claim, cancel and expiry; :meth:`_set_state` is its one
+    writer too, so ``in_state(ACTIVE)`` reads only active rows.
     """
 
     def __init__(self, domain: str):
         self.domain = domain
         self._rows: dict[str, Reservation] = {}
+        self._active: dict[str, Reservation] = {}
+        self._serials = itertools.count()
 
     def create(
         self,
@@ -198,7 +208,9 @@ class ReservationTable:
             handle = _new_handle(self.domain)
         if handle in self._rows:
             raise ReservationStateError(f"duplicate handle {handle!r}")
-        resv = Reservation(handle, request, owner, created_at=now)
+        resv = Reservation(
+            handle, request, owner, created_at=now, serial=next(self._serials),
+        )
         self._rows[handle] = resv
         return resv
 
@@ -218,8 +230,12 @@ class ReservationTable:
 
     def _set_state(self, resv: Reservation, new_state: ReservationState) -> None:
         """The one writer of a row's state: a row that turns terminal
-        leaves the table."""
+        leaves the table, and only an ACTIVE row is in ``_active``."""
         resv.state = new_state
+        if new_state is ReservationState.ACTIVE:
+            self._active[resv.handle] = resv
+        else:
+            self._active.pop(resv.handle, None)
         if new_state not in _LIVE:
             del self._rows[resv.handle]
 
@@ -239,12 +255,17 @@ class ReservationTable:
     def in_state(self, *states: ReservationState) -> tuple[Reservation, ...]:
         """The live rows in any of *states*, in creation order.  Only live
         states (pending, granted, active) can be asked for: a terminal
-        state raises :class:`~repro.errors.ReservationStateError`."""
+        state raises :class:`~repro.errors.ReservationStateError`.
+        ACTIVE alone is read from its index: rows may turn active in any
+        order, so they are put back in creation order, which keeps the
+        broker's float sums over them exactly as a scan would add."""
         if not _LIVE.issuperset(states):
             raise ReservationStateError(
                 "in_state answers live states only, not "
                 + ", ".join(s.value for s in states if s not in _LIVE)
             )
+        if set(states) == {ReservationState.ACTIVE}:
+            return tuple(sorted(self._active.values(), key=attrgetter("serial")))
         return tuple(r for r in self._rows.values() if r.state in states)
 
     def active_at(self, when: float) -> tuple[Reservation, ...]:

@@ -15,10 +15,10 @@ parties; the canonical encoding (DESIGN.md: our stand-in for DER) is what
 signatures cover, so any tampering with any nested field invalidates the
 enclosing signatures exactly as it would on the wire.
 
-Each layer is encoded once.  :func:`seal` encodes the body it signs and
-carries those bytes to the signed envelope; :meth:`SignedEnvelope.cbe_bytes`
-encodes the whole envelope once.  Both hand the encoder the payload's
-names, certificates, assertions and inner envelopes as objects, so their
+Each layer is encoded once.  :func:`seal` encodes every payload value
+once, builds the body it signs and the whole envelope from those bytes,
+and gives the signed envelope both as memos.  The payload's names,
+certificates, assertions and inner envelopes stay objects, so their
 memoised bytes are spliced rather than rebuilt, and a later hop verifies
 and forwards a layer without encoding it again.
 """
@@ -104,11 +104,7 @@ class SignedEnvelope:
         the memoised bytes of every name, key, certificate, assertion and
         inner envelope, so no layer re-encodes what an earlier hop did.
         """
-        linked = LINKED_FIELD if self.get(LINK_DIGEST_FIELD) is not None else None
-        return {
-            "payload": {k: v for k, v in self.payload if k != linked},
-            "signer": self.signer,
-        }
+        return _body(dict(self.payload), self.signer, self.get(LINK_DIGEST_FIELD))
 
     def to_cbe(self) -> dict[str, Any]:
         """The full envelope (always includes the inner message: the wire
@@ -122,15 +118,16 @@ class SignedEnvelope:
 
     @canonical.memoised
     def body_bytes(self) -> bytes:
-        """Canonical bytes of the signed portion: encoded once when the
-        envelope is sealed (:func:`seal` carries them to the signed copy)
-        and verified from the memo at every later hop."""
+        """Canonical bytes of the signed portion: set when the envelope
+        is sealed (:func:`seal`) and verified from the memo at every
+        later hop."""
         return canonical.encode(self.body_cbe())
 
     @canonical.memoised
     def cbe_bytes(self) -> bytes:
-        """Canonical bytes of the full envelope (memoised; spliced directly
-        into enclosing encodings by :mod:`repro.crypto.canonical`)."""
+        """Canonical bytes of the full envelope (set when sealed, else
+        memoised; spliced directly into enclosing encodings by
+        :mod:`repro.crypto.canonical`)."""
         return canonical.encode(self.to_cbe())
 
     def wire_size(self) -> int:
@@ -163,22 +160,44 @@ class SignedEnvelope:
         return replace(self, payload=payload)
 
 
+def _body(
+    fields: Mapping[str, Any], signer: Any, link_digest: Any
+) -> dict[str, Any]:
+    """The signed portion of an envelope with payload *fields*: all of
+    them but, in an append-only chain layer (*link_digest* is not
+    ``None``), the inner envelope, whose digest link is signed instead."""
+    linked = LINKED_FIELD if link_digest is not None else None
+    return {
+        "payload": {k: v for k, v in fields.items() if k != linked},
+        "signer": signer,
+    }
+
+
 def seal(
     payload: Mapping[str, Any],
     *,
     signer: DistinguishedName,
     key: PrivateKey,
 ) -> SignedEnvelope:
-    """Sign *payload* as *signer*: the paper's ``sign_pkey(attributes)``."""
-    envelope = SignedEnvelope(
-        payload=tuple(sorted(payload.items())),
-        signer=signer,
-        signature=b"",
-        scheme=key.scheme,
+    """Sign *payload* as *signer*: the paper's ``sign_pkey(attributes)``.
+
+    Every payload value is encoded once.  The signed body and then the
+    whole envelope are built from those bytes, and the signed envelope
+    holds both as memos.
+    """
+    items = tuple(sorted(payload.items()))
+    # Payload values sit two mappings deep: envelope, then payload.
+    values = canonical.encode_values(dict(items), depth=2)
+    body = canonical.encode(_body(values, signer, payload.get(LINK_DIGEST_FIELD)))
+    signature = get_scheme(key.scheme).sign(key, body)
+    signed = SignedEnvelope(
+        payload=items, signer=signer, signature=signature, scheme=key.scheme,
     )
-    scheme = get_scheme(key.scheme)
-    signature = scheme.sign(key, envelope.body_bytes())
-    signed = replace(envelope, signature=signature)
-    # The signed portion is identical; carry the memo across.
-    canonical.carry_memo("body_bytes", envelope, signed)
+    canonical.set_memo(signed, "body_bytes", body)
+    canonical.set_memo(signed, "cbe_bytes", canonical.encode({
+        "payload": values,
+        "signer": signer,
+        "signature": signature,
+        "scheme": key.scheme,
+    }))
     return signed

@@ -22,10 +22,10 @@ once (docs/PROTOCOL.md §5 tabulates its stages):
    that into the span segment, the recorded decision and the signed
    denial, which propagates back upstream with its reason (``_reply``);
    already granted reservations along the partial path are released;
-4. the destination runs the full §6.5 capability-chain verification
-   (``_finish_at_destination``, including its own proof of possession)
-   and, on success, the approval propagates back the same way with each
-   BB adding its signed layer.
+4. the destination keeps the capability chains its policy server
+   verified that end at its own key (``_finish_at_destination``: §6.5's
+   final-holder check, settled by the channel handshake) and the approval
+   propagates back the same way with each BB adding its signed layer.
 
 :meth:`HopByHopProtocol.reserve` is the loop that carries the request
 from one hop's step to the next; :meth:`HopByHopProtocol.process_ingress`
@@ -84,12 +84,7 @@ from repro.core.trust import (
     verify_rar,
     verify_rar_with_repository,
 )
-from repro.crypto.capability import (
-    ProxyCredential,
-    delegate,
-    prove_possession,
-    split_capability_chains,
-)
+from repro.crypto.capability import CheckedChain, ProxyCredential, delegate
 from repro.crypto.repository import CertificateRepository
 from repro.crypto.x509 import Certificate
 from repro.errors import (
@@ -99,7 +94,6 @@ from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
     DefenseError,
-    DelegationError,
     EncodingError,
     MalformedMessageError,
     MessageDroppedError,
@@ -710,7 +704,9 @@ class HopByHopProtocol:
                 outcome.latency_s * 1e3, outcome.messages,
             )
         else:
-            logger.warning(
+            # A denial is a decision like a grant: the ledger records it,
+            # and it is logged at the same level.
+            logger.info(
                 "%s: denied by %s: %s", outcome.correlation_id,
                 outcome.denial_domain, outcome.denial_reason,
             )
@@ -1012,20 +1008,19 @@ class HopByHopProtocol:
 
     def _decide(
         self, att: _Attempt, hop: _Hop, verified: VerifiedRAR
-    ) -> tuple[AdmitOutcome, list[tuple[Certificate, ...]]]:
+    ) -> tuple[AdmitOutcome, tuple[CheckedChain, ...]]:
         """Credentials → path assertions → admit → cost ceiling: the
         local decision pipeline, with recovery.  The policy server and
         this hop's own broker may be down transiently; a hop whose
         broker stays down cannot even sign a denial, so the upstream hop
         synthesizes one.  Raises :class:`_Refused`."""
         bb, domain = hop.bb, hop.domain
-        chains = split_capability_chains(verified.capability_chain)
         try:
             info = self._call_with_retries(
                 lambda: bb.policy_server.verify_credentials(
                     user=verified.user,
                     assertions=verified.assertions,
-                    capability_chains=chains,
+                    capability_certs=verified.capability_chain,
                     at_time=att.at_time,
                 ),
                 att, what=f"credential verification at {domain}", target=domain,
@@ -1040,7 +1035,8 @@ class HopByHopProtocol:
             )
             self._segment(
                 att, "policy", hop.span, hop.t0,
-                chains=len(chains), rejected=len(info.rejected),
+                chains=len(info.capability_chains),
+                rejected=len(info.rejected),
             )
             hop.t0 = obs_spans.phase_clock()
             admit = self._call_with_retries(
@@ -1084,7 +1080,7 @@ class HopByHopProtocol:
             raise _Refused(domain, admit.reason, None, signer=bb)
         att.granted.append((bb, handle))
         self._charge(att, hop, verified.request, handle)
-        return admit, chains
+        return admit, info.capability_chains
 
     def _charge(
         self, att: _Attempt, hop: _Hop, request: ReservationRequest,
@@ -1115,26 +1111,21 @@ class HopByHopProtocol:
 
     def _finish_at_destination(
         self, att: _Attempt, hop: _Hop, verified: VerifiedRAR,
-        chains: Sequence[Sequence[Certificate]],
+        chains: Sequence[CheckedChain],
     ) -> None:
-        """Destination domain: the full §6.5 check — every chain, with
-        proof of possession by this BB."""
+        """Destination domain, the final holder: of the chains its policy
+        server verified (§6.5 checks 1–4 and 6), it keeps those that end
+        at its own key.  That is check 5 here: the mutual channel
+        handshake proved this BB holds the key, and the upstream hop
+        delegated to exactly that handshake key (docs/PROTOCOL.md §4)."""
         bb, outcome = hop.bb, att.outcome
         outcome.final_rar = hop.rar
         outcome.verified = verified
-        results = []
-        for chain in chains:
-            try:
-                results.append(bb.policy_server.verify_chain(
-                    chain,
-                    at_time=att.at_time,
-                    possession_nonce=b"hop-by-hop-final",
-                    possession_prover=lambda nonce: prove_possession(
-                        bb.keypair.private, nonce
-                    ),
-                ))
-            except DelegationError:
-                continue
+        results = [
+            checked.result for checked in chains
+            if checked.result is not None
+            and checked.chain[-1].public_key == bb.keypair.public
+        ]
         outcome.delegations = tuple(results)
         outcome.delegation = results[0] if results else None
         self._segment(
@@ -1144,7 +1135,7 @@ class HopByHopProtocol:
 
     def _forward(
         self, att: _Attempt, hop: _Hop, verified: VerifiedRAR,
-        admit: AdmitOutcome, chains: Sequence[Sequence[Certificate]],
+        admit: AdmitOutcome, chains: Sequence[CheckedChain],
     ) -> tuple[_Hop, object]:
         """Wrap and send downstream: delegate every capability chain
         this BB holds, introduce the upstream certificate, sign
@@ -1160,12 +1151,12 @@ class HopByHopProtocol:
         # several community credentials yields several chains.
         forwarded_caps: tuple[Certificate, ...] = tuple(
             delegate(
-                ProxyCredential(chain[-1], bb.keypair.private),
+                ProxyCredential(checked.chain[-1], bb.keypair.private),
                 delegate_subject=next_bb.dn,
                 delegate_public_key=next_public_key,
             )
-            for chain in chains
-            if chain and chain[-1].subject == bb.dn
+            for checked in chains
+            if checked.chain[-1].subject == bb.dn
         )
         added_assertions: tuple[SignedAssertion, ...] = ()
         if admit.decision is not None and admit.decision.modifications:

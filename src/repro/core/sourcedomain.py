@@ -121,9 +121,7 @@ class EndToEndAgent:
         info = bb.policy_server.verify_credentials(
             user=verified.user,
             assertions=verified.assertions,
-            capability_chains=(
-                [verified.capability_chain] if verified.capability_chain else []
-            ),
+            capability_certs=verified.capability_chain,
             at_time=at_time,
         )
         outcome = bb.admit(

@@ -38,8 +38,12 @@ values — names, public keys, certificates, assertions, signed envelopes
 once, when it is first needed, and every certificate, envelope and
 message that carries it splices those bytes.  A memo belongs to one
 object and is derived from its own fields; the only other way one is
-set is :func:`carry_memo`, from the unsigned object to its signed copy.
-There is no cache keyed by content and no process-wide table.
+set is :func:`set_memo`, by the signer that has just built the signed
+object's bytes.  A signer builds two mappings that share their values —
+the signed portion and the whole object — so it encodes the values once
+(:func:`encode_values`) and each mapping splices them as
+:class:`Encoded`.  There is no cache keyed by content and no
+process-wide table.
 
 The encoding is *not* meant to be a wire format for interoperability with
 other software — it is the reproduction's stand-in for DER.
@@ -51,12 +55,13 @@ import functools
 import hashlib
 import math
 import struct
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Mapping, TypeVar
 
 from repro.errors import EncodingError
 
 __all__ = [
-    "encode", "decode", "digest", "fingerprint", "memoised", "carry_memo",
+    "encode", "decode", "digest", "fingerprint", "memoised", "set_memo",
+    "Encoded", "encode_values",
 ]
 
 _S = TypeVar("_S")
@@ -192,6 +197,20 @@ def _encode_other(value: Any, buf: bytearray, depth: int) -> None:
         _encode_bytes(bytes(value), buf, depth)
 
 
+class Encoded:
+    """One value's canonical bytes, already written: :func:`encode`
+    splices them unchanged wherever the value stands."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+
+def _encode_encoded(value: Encoded, buf: bytearray, depth: int) -> None:
+    buf += value.data
+
+
 def _encode_none(value: None, buf: bytearray, depth: int) -> None:
     buf += _head(_TAG_NONE, 0)
 
@@ -212,6 +231,7 @@ _HANDLERS: dict[type[Any], Callable[[Any, bytearray, int], None]] = {
     tuple: _encode_seq,
     list: _encode_seq,
     dict: _encode_map,
+    Encoded: _encode_encoded,
 }
 
 
@@ -228,13 +248,29 @@ def encode(value: Any) -> bytes:
     return bytes(buf)
 
 
+def encode_values(mapping: Mapping[str, Any], depth: int) -> dict[str, Any]:
+    """*mapping* with each value encoded once, as :func:`encode` writes it
+    *depth* containers deep: an :class:`Encoded`, or the value itself when
+    it memoises its own bytes.  Mappings built from the result encode
+    byte-identically to the same mappings built from *mapping*."""
+    out: dict[str, Any] = {}
+    for key, value in mapping.items():
+        if hasattr(value, "cbe_bytes"):
+            out[key] = value
+            continue
+        buf = bytearray()
+        _HANDLERS.get(type(value), _encode_other)(value, buf, depth)
+        out[key] = Encoded(bytes(buf))
+    return out
+
+
 def memoised(method: Callable[[_S], _R]) -> Callable[[_S], _R]:
     """Memoise a no-argument method of an immutable object.
 
     The value is kept in the object's own ``__dict__``, so it is derived
     from that object's fields and dies with it; ``dataclasses.replace``
-    builds a new object that computes its own.  :func:`carry_memo` is
-    the one other way a memo is set.
+    builds a new object that computes its own.  :func:`set_memo` is the
+    one other way a memo is set.
     """
     slot = f"_{method.__name__}_memo"
 
@@ -249,16 +285,14 @@ def memoised(method: Callable[[_S], _R]) -> Callable[[_S], _R]:
     return read
 
 
-def carry_memo(name: str, source: object, target: object) -> None:
-    """Give *target* the memo *source* holds for its method *name*.
+def set_memo(target: object, name: str, value: Any) -> None:
+    """Give *target* *value* as the memo of its method *name*.
 
-    Used where signing makes *target* from *source* with
-    ``dataclasses.replace(source, signature=...)`` right after signing
-    that method's bytes: they do not cover the signature, so they are
-    the same by construction.  *source* must already hold the memo.
+    Used only where signing makes *target*: the signer has just encoded
+    the signed portion and the whole object from *target*'s own fields,
+    so *value* is what the method would compute.
     """
-    slot = f"_{name}_memo"
-    target.__dict__[slot] = source.__dict__[slot]
+    target.__dict__[f"_{name}_memo"] = value
 
 
 def _decode_at(data: bytes, pos: int, depth: int) -> tuple[Any, int]:

@@ -21,6 +21,10 @@ Authorization Server (CAS) travels hop-by-hop to the end domain:
   possession by the final holder, and tamper detection on the capability
   sets); check 7 — actually *using* the capabilities for authorization —
   is the policy engine's job (:mod:`repro.policy`).
+* A BB receives the certificates of all the user's chains as one flat
+  list.  :func:`verify_capability_chains` sorts them into chains and
+  checks each in the same walk, verifying every link's signature once;
+  the final holder's check 5 is its own (``docs/PROTOCOL.md`` §4).
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ __all__ = [
     "DelegationResult",
     "RevocationOracle",
     "verify_delegation_chain",
-    "split_capability_chains",
+    "CheckedChain",
+    "verify_capability_chains",
     "prove_possession",
     "check_possession",
     "capability_set",
@@ -291,38 +296,137 @@ def verify_delegation_chain(
     Raises :class:`~repro.errors.DelegationError` on any violation.
     """
     try:
-        result = _verify_delegation_chain_impl(
-            chain,
-            trusted_issuers=trusted_issuers,
-            at_time=at_time,
-            possession_nonce=possession_nonce,
-            possession_prover=possession_prover,
+        for prev, cert in zip(chain, chain[1:]):
+            fault = _link_fault(prev, cert)
+            if fault is not None:
+                raise DelegationError(fault)
+        result = _accept(
+            chain, trusted_issuers=trusted_issuers, at_time=at_time,
             revocation_checker=revocation_checker,
         )
+        # Check 5: proof of possession by the final holder.
+        if possession_nonce is not None:
+            if possession_prover is None:
+                raise DelegationError("possession nonce supplied without a prover")
+            proof = possession_prover(possession_nonce)
+            if not check_possession(chain[-1], possession_nonce, proof):
+                raise DelegationError(
+                    f"final holder failed proof of possession for {chain[-1].subject}"
+                )
     except DelegationError as exc:
-        logger.debug("delegation chain rejected: %s", exc)
-        obs_audit.note_check(
-            "delegation",
-            fingerprint=chain[-1].fingerprint if chain else "",
-            verdict="rejected",
-            source="fresh",
-            detail=str(exc),
-        )
+        _note_rejected(chain, exc)
         raise
     if obs_audit.get_ledger() is not None:
         _note_chain_checks(chain)
     return result
 
 
-def _verify_delegation_chain_impl(
-    chain: Sequence[Certificate],
+@dataclass(frozen=True)
+class CheckedChain:
+    """One delegation chain found in a flat certificate list, with its
+    verdict: the :class:`DelegationResult` when every check passed, else
+    ``None`` and the reason it was rejected."""
+
+    chain: tuple[Certificate, ...]
+    result: DelegationResult | None
+    reason: str = ""
+
+
+def verify_capability_chains(
+    certs: Sequence[Certificate],
     *,
     trusted_issuers: dict[DistinguishedName, PublicKey],
     at_time: float = 0.0,
-    possession_nonce: bytes | None = None,
-    possession_prover: PossessionProver | None = None,
     revocation_checker: RevocationOracle | None = None,
+) -> tuple[CheckedChain, ...]:
+    """Partition a flat capability-certificate list into delegation chains
+    and verify each one (§6.5 checks 1–4 and 6, validity, revocation),
+    verifying every link's signature once.
+
+    A user may hold credentials from several communities; all their
+    certificates travel together in the RAR.  Each certificate attaches to
+    the first chain whose current tip it chains from: issuer DN matches
+    the tip's subject, the capabilities do not widen, *and* the signature
+    verifies under the tip's (proxy) public key — the only reliable
+    discriminator when one holder delegates several communities to the
+    same next hop.  That signature is checks 2–4 for the link, so it is
+    not verified again.  Certificates that chain from nothing seen so far
+    start new chains (the CAS-issued roots).
+
+    A chain that fails a check is returned with ``result=None`` and the
+    reason; nothing is raised.  Check 5 (possession) is the final
+    holder's, and is not run here.
+    """
+    chains: list[list[Certificate]] = []
+    for cert in certs:
+        for chain in chains:
+            if _link_fault(chain[-1], cert) is None:
+                chain.append(cert)
+                break
+        else:
+            chains.append([cert])
+    checked = []
+    for chain in chains:
+        try:
+            result = _accept(
+                chain, trusted_issuers=trusted_issuers, at_time=at_time,
+                revocation_checker=revocation_checker,
+            )
+        except DelegationError as exc:
+            _note_rejected(chain, exc)
+            checked.append(CheckedChain(tuple(chain), None, str(exc)))
+            continue
+        if obs_audit.get_ledger() is not None:
+            _note_chain_checks(chain)
+        checked.append(CheckedChain(tuple(chain), result))
+    return tuple(checked)
+
+
+def _note_rejected(chain: Sequence[Certificate], exc: DelegationError) -> None:
+    logger.debug("delegation chain rejected: %s", exc)
+    obs_audit.note_check(
+        "delegation",
+        fingerprint=chain[-1].fingerprint if chain else "",
+        verdict="rejected",
+        source="fresh",
+        detail=str(exc),
+    )
+
+
+def _link_fault(prev: Certificate, cert: Certificate) -> str | None:
+    """Why *cert* is not a delegation from *prev*'s holder, or ``None``
+    when it is: it names *prev*'s subject as issuer, does not widen the
+    capabilities (check 6) and is signed with the key matching *prev*'s
+    subject public key (checks 2–4, the proxy-key cascade).  The
+    signature is checked last, so a certificate that cannot link costs
+    no verification."""
+    if cert.issuer != prev.subject:
+        return (
+            f"{cert.subject} names issuer {cert.issuer}, expected the "
+            f"previous subject {prev.subject}"
+        )
+    widened = capability_set(cert) - capability_set(prev)
+    if widened:
+        return f"delegation to {cert.subject} widens capabilities: {sorted(widened)}"
+    if not cert.verify_signature(prev.public_key):
+        return (
+            f"delegation to {cert.subject} was not signed with the proxy key "
+            f"of {prev.subject}"
+        )
+    return None
+
+
+def _accept(
+    chain: Sequence[Certificate],
+    *,
+    trusted_issuers: dict[DistinguishedName, PublicKey],
+    at_time: float,
+    revocation_checker: RevocationOracle | None,
 ) -> DelegationResult:
+    """The checks of a chain whose links are already known to link
+    (:func:`_link_fault`): revocation, check 1 on the root, and for every
+    element the capability flag, validity, a non-empty capability set and
+    restrictions that only grow (check 6)."""
     if not chain:
         raise DelegationError("empty delegation chain")
 
@@ -346,11 +450,7 @@ def _verify_delegation_chain_impl(
             f"root capability signature does not verify under issuer {root.issuer}"
         )
 
-    caps = capability_set(root)
     restrictions = restriction_set(root)
-    holders = [root.subject]
-
-    prev = root
     for idx, cert in enumerate(chain[1:], start=1):
         if not is_capability_certificate(cert):
             raise DelegationError(f"chain element {idx} lacks the capability flag")
@@ -358,26 +458,7 @@ def _verify_delegation_chain_impl(
             raise DelegationError(
                 f"chain element {idx} ({cert.subject}) not valid at t={at_time}"
             )
-        if cert.issuer != prev.subject:
-            raise DelegationError(
-                f"chain element {idx} names issuer {cert.issuer}, expected the "
-                f"previous subject {prev.subject}"
-            )
-        # Checks 2–4: signed with the key matching the previous certificate's
-        # subject public key (the proxy-key cascade).
-        if not cert.verify_signature(prev.public_key):
-            raise DelegationError(
-                f"delegation to {cert.subject} was not signed with the proxy key "
-                f"of {prev.subject}"
-            )
-        # Check 6: capability sets may only narrow; restrictions only grow.
-        child_caps = capability_set(cert)
-        if not child_caps <= caps:
-            raise DelegationError(
-                f"delegation to {cert.subject} widens capabilities: "
-                f"{sorted(child_caps - caps)}"
-            )
-        if not child_caps:
+        if not capability_set(cert):
             raise DelegationError(f"delegation to {cert.subject} carries no capabilities")
         child_restrictions = restriction_set(cert)
         if not restrictions <= child_restrictions:
@@ -385,58 +466,14 @@ def _verify_delegation_chain_impl(
                 f"delegation to {cert.subject} drops restrictions: "
                 f"{sorted(restrictions - child_restrictions)}"
             )
-        caps = child_caps
         restrictions = child_restrictions
-        holders.append(cert.subject)
-        prev = cert
 
     if not root.valid_at(at_time):
         raise DelegationError(f"root capability not valid at t={at_time}")
 
-    # Check 5: proof of possession by the final holder.
-    if possession_nonce is not None:
-        if possession_prover is None:
-            raise DelegationError("possession nonce supplied without a prover")
-        proof = possession_prover(possession_nonce)
-        if not check_possession(chain[-1], possession_nonce, proof):
-            raise DelegationError(
-                f"final holder failed proof of possession for {chain[-1].subject}"
-            )
-
     return DelegationResult(
-        capabilities=frozenset(caps),
-        restrictions=frozenset(restrictions),
-        holders=tuple(holders),
+        capabilities=capability_set(chain[-1]),
+        restrictions=restrictions,
+        holders=tuple(cert.subject for cert in chain),
         issuer=root.issuer,
     )
-
-
-def split_capability_chains(
-    certs: Sequence[Certificate],
-) -> list[tuple[Certificate, ...]]:
-    """Partition a flat capability-certificate list into delegation chains.
-
-    A user may hold credentials from several communities; all their
-    certificates travel together in the RAR.  Each certificate attaches to
-    the chain whose current tip it chains from — issuer DN matches the
-    tip's subject *and* the signature verifies under the tip's (proxy)
-    public key (the only reliable discriminator when one holder delegates
-    several communities to the same next hop).  Certificates that chain
-    from nothing seen so far start new chains (the CAS-issued roots).
-    """
-    chains: list[list[Certificate]] = []
-    for cert in certs:
-        attached = False
-        for chain in chains:
-            tip = chain[-1]
-            if (
-                cert.issuer == tip.subject
-                and capability_set(cert) <= capability_set(tip)
-                and cert.verify_signature(tip.public_key)
-            ):
-                chain.append(cert)
-                attached = True
-                break
-        if not attached:
-            chains.append([cert])
-    return [tuple(chain) for chain in chains]

@@ -9,12 +9,13 @@ Akenti-style engine for attribute certificates).
 Timestamps are plain floats on the simulation clock (seconds); the library
 never reads the wall clock, keeping every scenario deterministic.
 
-A certificate is encoded once.  Its to-be-signed bytes are encoded when
-it is signed, and :func:`sign_certificate` carries them to the signed
-copy, so every later ``verify_signature`` reads the memo.  The whole
-certificate's bytes are memoised too, for splicing into the envelopes
-that carry it.  Both encodings take the issuer and subject names and the
-public key as objects, whose own memoised bytes are spliced.
+A certificate is encoded once.  :func:`sign_certificate` encodes every
+field once, builds the to-be-signed bytes and then the whole
+certificate's bytes from them, and gives the signed certificate both as
+memos: every later ``verify_signature`` reads the first, and the
+envelopes that carry the certificate splice the second.  The issuer and
+subject names and the public key stay objects, whose own memoised bytes
+are spliced.
 """
 
 from __future__ import annotations
@@ -88,9 +89,9 @@ class Certificate:
 
     @canonical.memoised
     def tbs_bytes(self) -> bytes:
-        """Canonical bytes of the to-be-signed portion: encoded once when
-        the certificate is signed (:func:`sign_certificate` carries them
-        to the signed copy) and re-verified from the memo at every hop."""
+        """Canonical bytes of the to-be-signed portion: set when the
+        certificate is signed (:func:`sign_certificate`) and re-verified
+        from the memo at every hop."""
         return canonical.encode(self.tbs())
 
     def to_cbe(self) -> dict[str, Any]:
@@ -174,7 +175,11 @@ def sign_certificate(
     not_after: float = DEFAULT_VALIDITY,
     extensions: Mapping[str, Any] | None = None,
 ) -> Certificate:
-    """Build and sign a certificate (low-level; prefer a CA's ``issue``)."""
+    """Build and sign a certificate (low-level; prefer a CA's ``issue``).
+
+    Every field is encoded once; the to-be-signed bytes and then the
+    whole certificate's bytes are built from them, and the signed
+    certificate holds both as memos."""
     if not_after <= not_before:
         raise CertificateError("not_after must exceed not_before")
     unsigned = Certificate(
@@ -188,11 +193,17 @@ def sign_certificate(
         signature=b"",
         signature_scheme=signing_key.scheme,
     )
-    scheme = get_scheme(signing_key.scheme)
-    signature = scheme.sign(signing_key, unsigned.tbs_bytes())
+    # The fields sit one mapping deep.
+    values = canonical.encode_values(unsigned.tbs(), depth=1)
+    tbs = canonical.encode(values)
+    signature = get_scheme(signing_key.scheme).sign(signing_key, tbs)
     signed = replace(unsigned, signature=signature)
-    # The signed portion is identical; carry the memo across.
-    canonical.carry_memo("tbs_bytes", unsigned, signed)
+    canonical.set_memo(signed, "tbs_bytes", tbs)
+    canonical.set_memo(signed, "cbe_bytes", canonical.encode({
+        **values,
+        "signature": signature,
+        "signature_scheme": signing_key.scheme,
+    }))
     return signed
 
 

@@ -10,7 +10,9 @@ The reservation table's full-history filters, which ``in_state``,
 row it had made, and ``BandwidthBroker._live_counts``' three
 ``in_state`` passes over them.  The table now holds live rows only, so
 each takes a list the caller keeps of every row the table created,
-terminal ones included.
+terminal ones included.  :func:`ingress_total` is the sum
+``BandwidthBroker._refresh_ingress`` provisions, over that full scan in
+creation order.
 """
 
 from repro.bb.admission import Booking
@@ -89,3 +91,13 @@ def live_counts(rows, resv):
             if resv.upstream is not None and other.upstream == resv.upstream:
                 ingress_count += 1
     return user_count, ingress_count
+
+
+def ingress_total(rows, upstream, service_class):
+    """The ACTIVE rate arriving over *upstream* in *service_class*, added
+    up in creation order."""
+    total = 0.0
+    for resv in in_state(rows, ReservationState.ACTIVE):
+        if resv.upstream == upstream and resv.request.service_class == service_class:
+            total = total + resv.request.rate_mbps
+    return total

@@ -97,7 +97,7 @@ class TestVerifyCredentials:
     def test_good_capability_chain(self, server, cas):
         cred = cas.grid_login(ALICE)
         v = server.verify_credentials(
-            user=ALICE, capability_chains=[[cred.certificate]]
+            user=ALICE, capability_certs=[cred.certificate]
         )
         assert v.capabilities == {"ESnet:member"}
         assert v.capability_issuers == {"ESnet"}
@@ -112,7 +112,7 @@ class TestVerifyCredentials:
             extra_restrictions=["valid-for:RAR-7"],
         )
         v = server.verify_credentials(
-            user=ALICE, capability_chains=[[cred.certificate, cert_a]]
+            user=ALICE, capability_certs=[cred.certificate, cert_a]
         )
         assert v.capability_issuers == {"ESnet"}
         assert v.capability_restrictions == {"valid-for:RAR-7"}
@@ -125,7 +125,7 @@ class TestVerifyCredentials:
         )
         cred = other_cas.grid_login(ALICE)
         v = server.verify_credentials(
-            user=ALICE, capability_chains=[[cred.certificate]]
+            user=ALICE, capability_certs=[cred.certificate]
         )
         assert v.capability_issuers == frozenset()
         assert any("rejected" in r for r in v.rejected)
@@ -133,7 +133,7 @@ class TestVerifyCredentials:
     def test_expired_capability(self, server, cas):
         cred = cas.grid_login(ALICE, at_time=0.0, validity_s=10.0)
         v = server.verify_credentials(
-            user=ALICE, capability_chains=[[cred.certificate]], at_time=100.0
+            user=ALICE, capability_certs=[cred.certificate], at_time=100.0
         )
         assert v.capability_issuers == frozenset()
 

@@ -119,31 +119,43 @@ def _reserve(costs: dict, d: int) -> Cost:
 
 
 class TestReserveFormula:
-    def test_signs_are_3d_plus_1(self, costs):
+    def test_signs_are_3d(self, costs):
+        """The user signs ``RAR_U`` and its delegation to the source BB;
+        each transit BB signs its RAR layer, its delegation to the next
+        BB and its approval layer; the destination signs its approval.
+        It proves possession of its key to nobody: the chain ends at its
+        handshake key, which the channel has already proved it holds."""
         assert {d: _reserve(costs, d).signs for d in DEPTHS} == {
-            d: 3 * d + 1 for d in DEPTHS
+            d: 3 * d for d in DEPTHS
         }
 
     def test_verifies_are_quadratic(self, costs):
+        """Per hop i (1…d): the RAR layers and introductions beneath it
+        ((d² + d + 2)/2 summed, unchanged), plus one verify per
+        certificate of its capability chain — the CAS root and i links —
+        because sorting the certificates into chains checks each link's
+        signature once and the destination reads its policy server's
+        results.  The sum is (d + 1)²."""
         assert {d: _reserve(costs, d).verifies for d in DEPTHS} == {
-            d: (3 * d * d + 7 * d + 6) // 2 for d in DEPTHS
+            d: (d + 1) ** 2 for d in DEPTHS
         }
 
     def test_encodes_are_linear(self, costs):
         """Per domain: two envelopes sealed, each body encoded once at
-        signing and each whole envelope once; one delegation certificate
-        signed, its tbs bytes carried to the signed copy (the next hop
-        verifies from that memo) and its whole bytes encoded once to be
-        spliced.  Plus the possession proof and its check."""
+        signing and each whole envelope once, from the same encoded
+        payload values; one delegation certificate signed, its tbs bytes
+        and its whole bytes encoded once at signing from the same encoded
+        fields (the next hop verifies from the first memo, envelopes
+        splice the second)."""
         assert {d: _reserve(costs, d).encodes for d in DEPTHS} == {
-            d: 6 * d + 2 for d in DEPTHS
+            d: 6 * d for d in DEPTHS
         }
 
     def test_bytes_encoded_are_quadratic(self, costs):
         """What the encodes above return, summed: quadratic because each
         whole envelope splices the chain beneath it."""
         assert {d: _reserve(costs, d).bytes_encoded for d in DEPTHS} == {
-            d: 974 * d * d + 3574 * d + 546 for d in DEPTHS
+            d: 974 * d * d + 3574 * d + 430 for d in DEPTHS
         }
 
     def test_messages_are_2d(self, costs):

@@ -1,5 +1,7 @@
 """End-to-end tests for hop-by-hop signalling on a wired testbed."""
 
+import logging
+
 import pytest
 
 from repro.bb.reservations import ReservationState
@@ -159,6 +161,23 @@ class TestDenials:
             with pytest.raises(SignallingError, match="denied"):
                 testbed.hop_by_hop.cancel(outcome)
         assert len(ledger) == recorded
+
+    def test_denial_is_logged_below_warning(self, testbed, alice, caplog):
+        """A denial is a decision, logged at INFO like a grant; the
+        ledger holds it."""
+        testbed.set_policy("C", "Return DENY")
+        with caplog.at_level(logging.INFO, logger="repro"), \
+                obs_audit.use_ledger() as ledger:
+            outcome = testbed.reserve(
+                alice, source="A", destination="C", bandwidth_mbps=10.0
+            )
+        assert not outcome.granted
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert any(
+            r.levelno == logging.INFO and "denied by C" in r.getMessage()
+            for r in caplog.records
+        )
+        assert ledger.records(RecordKind.DENY, domain="C")
 
     def test_capacity_denial(self, testbed, alice):
         first = testbed.reserve(

@@ -9,14 +9,30 @@
   encoder that ``repro.crypto.canonical.encode`` replaced, unchanged.
   The production encoder must write the same bytes and raise the same
   :class:`~repro.errors.EncodingError` for every value this one handles.
+* :func:`split_capability_chains` and :func:`verify_delegation_chain` —
+  the two passes a hop ran over a flat capability-certificate list until
+  ``repro.crypto.capability.verify_capability_chains`` fused them: the
+  partition (which verified each link's signature to attach it) and then
+  the §6.5 walk of each chain (which verified every signature again),
+  unchanged but for the audit notes.  :func:`checked_chains` runs the
+  two: the fused walk must find the same chains, accept the same ones
+  with equal results and reject the others.
 """
 
 import hashlib
 import struct
-from typing import Any
+from typing import Any, Sequence
 
+from repro.crypto.capability import (
+    DelegationResult,
+    capability_set,
+    check_possession,
+    is_capability_certificate,
+    restriction_set,
+)
 from repro.crypto.keys import PrivateKey
-from repro.errors import EncodingError
+from repro.crypto.x509 import Certificate
+from repro.errors import DelegationError, EncodingError
 
 
 def textbook_sign(private: PrivateKey, message: bytes) -> bytes:
@@ -86,3 +102,138 @@ def reference_encode(value: Any) -> bytes:
     parts: list[bytes] = []
     _encode_into(value, parts, 0)
     return b"".join(parts)
+
+
+def split_capability_chains(
+    certs: Sequence[Certificate],
+) -> list[tuple[Certificate, ...]]:
+    """Partition a flat capability-certificate list into delegation chains.
+
+    Each certificate attaches to the chain whose current tip it chains
+    from — issuer DN matches the tip's subject *and* the signature
+    verifies under the tip's (proxy) public key.  Certificates that chain
+    from nothing seen so far start new chains (the CAS-issued roots).
+    """
+    chains: list[list[Certificate]] = []
+    for cert in certs:
+        attached = False
+        for chain in chains:
+            tip = chain[-1]
+            if (
+                cert.issuer == tip.subject
+                and capability_set(cert) <= capability_set(tip)
+                and cert.verify_signature(tip.public_key)
+            ):
+                chain.append(cert)
+                attached = True
+                break
+        if not attached:
+            chains.append([cert])
+    return [tuple(chain) for chain in chains]
+
+
+def verify_delegation_chain(
+    chain,
+    *,
+    trusted_issuers,
+    at_time=0.0,
+    possession_nonce=None,
+    possession_prover=None,
+    revocation_checker=None,
+) -> DelegationResult:
+    """§6.5 checks 1–6 over one chain, root first; every link's signature
+    is verified.  Raises :class:`~repro.errors.DelegationError`."""
+    if not chain:
+        raise DelegationError("empty delegation chain")
+
+    if revocation_checker is not None:
+        for idx, cert in enumerate(chain):
+            if revocation_checker(cert):
+                raise DelegationError(
+                    f"chain element {idx} ({cert.subject}, serial "
+                    f"{cert.serial}) has been revoked"
+                )
+
+    root = chain[0]
+    if not is_capability_certificate(root):
+        raise DelegationError("root certificate lacks the capability flag")
+    issuer_key = trusted_issuers.get(root.issuer)
+    if issuer_key is None:
+        raise DelegationError(f"capability issuer {root.issuer} is not trusted")
+    if not root.verify_signature(issuer_key):
+        raise DelegationError(
+            f"root capability signature does not verify under issuer {root.issuer}"
+        )
+
+    caps = capability_set(root)
+    restrictions = restriction_set(root)
+    holders = [root.subject]
+
+    prev = root
+    for idx, cert in enumerate(chain[1:], start=1):
+        if not is_capability_certificate(cert):
+            raise DelegationError(f"chain element {idx} lacks the capability flag")
+        if not cert.valid_at(at_time):
+            raise DelegationError(
+                f"chain element {idx} ({cert.subject}) not valid at t={at_time}"
+            )
+        if cert.issuer != prev.subject:
+            raise DelegationError(
+                f"chain element {idx} names issuer {cert.issuer}, expected the "
+                f"previous subject {prev.subject}"
+            )
+        if not cert.verify_signature(prev.public_key):
+            raise DelegationError(
+                f"delegation to {cert.subject} was not signed with the proxy key "
+                f"of {prev.subject}"
+            )
+        child_caps = capability_set(cert)
+        if not child_caps <= caps:
+            raise DelegationError(
+                f"delegation to {cert.subject} widens capabilities: "
+                f"{sorted(child_caps - caps)}"
+            )
+        if not child_caps:
+            raise DelegationError(f"delegation to {cert.subject} carries no capabilities")
+        child_restrictions = restriction_set(cert)
+        if not restrictions <= child_restrictions:
+            raise DelegationError(
+                f"delegation to {cert.subject} drops restrictions: "
+                f"{sorted(restrictions - child_restrictions)}"
+            )
+        caps = child_caps
+        restrictions = child_restrictions
+        holders.append(cert.subject)
+        prev = cert
+
+    if not root.valid_at(at_time):
+        raise DelegationError(f"root capability not valid at t={at_time}")
+
+    if possession_nonce is not None:
+        if possession_prover is None:
+            raise DelegationError("possession nonce supplied without a prover")
+        proof = possession_prover(possession_nonce)
+        if not check_possession(chain[-1], possession_nonce, proof):
+            raise DelegationError(
+                f"final holder failed proof of possession for {chain[-1].subject}"
+            )
+
+    return DelegationResult(
+        capabilities=frozenset(caps),
+        restrictions=frozenset(restrictions),
+        holders=tuple(holders),
+        issuer=root.issuer,
+    )
+
+
+def checked_chains(certs, **verify_kwargs):
+    """``[(chain, result, reason)]``: the partition, then each chain's
+    verdict — its result, or ``None`` and the reason
+    :func:`verify_delegation_chain` rejected it."""
+    out = []
+    for chain in split_capability_chains(certs):
+        try:
+            out.append((chain, verify_delegation_chain(chain, **verify_kwargs), ""))
+        except DelegationError as exc:
+            out.append((chain, None, str(exc)))
+    return out

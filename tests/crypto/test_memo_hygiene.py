@@ -8,7 +8,9 @@ copy's memoised bytes equal the reference encoder's bytes of the copy's
 fields, expanded through ``to_cbe`` without touching any memo.  The memo
 that signing carries to the signed copy (:func:`seal`,
 :func:`sign_certificate`) must equal the same fresh encoding, and be
-read without encoding again.
+read without encoding again — and so must the whole-object memo
+(``cbe_bytes``) that signing now sets too, built from the same encoded
+fields.
 """
 
 import dataclasses
@@ -17,11 +19,12 @@ import random
 
 import pytest
 
-from repro.core.envelope import LINK_DIGEST_FIELD, LINKED_FIELD, seal
+from repro.core.envelope import LINK_DIGEST_FIELD, LINKED_FIELD, SignedEnvelope, seal
 from repro.crypto import canonical
 from repro.crypto.dn import DN
 from repro.crypto.keys import PublicKey, SimulatedScheme
 from repro.crypto.x509 import sign_certificate
+from repro.errors import EncodingError
 from repro.policy.attributes import make_assertion
 
 from tests.crypto._oracle import reference_encode
@@ -201,3 +204,63 @@ def test_public_key_memo_is_per_object(keys):
     twin = PublicKey(keys[0].public.scheme, keys[0].public.material)
     assert twin == keys[0].public
     assert twin.cbe_bytes() == keys[0].public.cbe_bytes() == _fresh(twin)
+
+
+def test_sign_certificate_sets_the_whole_memo(keys):
+    cert = _certificate(keys)
+    whole, encodes = _encodes_during(cert.cbe_bytes)
+    assert encodes == 0
+    assert whole == _fresh(cert)
+    assert cert.fingerprint == hashlib.sha256(_fresh(cert)).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("linked", [True, False], ids=["linked", "nested"])
+def test_seal_sets_the_whole_memo(keys, linked):
+    """A linked layer signs the digest instead of the inner envelope, a
+    nested one signs the inner envelope: either way the whole envelope
+    carries it, and both memos equal fresh encodings."""
+    envelope = _envelope(keys)
+    if not linked:
+        envelope = seal(
+            {k: v for k, v in envelope.payload if k != LINK_DIGEST_FIELD},
+            signer=ISSUER, key=keys[0].private,
+        )
+    whole, encodes = _encodes_during(envelope.cbe_bytes)
+    assert encodes == 0
+    assert whole == _fresh(envelope)
+    assert envelope.body_bytes() == _fresh(envelope.body_cbe())
+    assert (LINKED_FIELD in envelope.body_cbe()["payload"]) is not linked
+    assert envelope.verify(keys[0].public)
+
+
+def test_a_digest_field_of_none_signs_the_inner_envelope(keys):
+    """Only a digest that is there unlinks the inner envelope."""
+    inner = seal({"x": 1}, signer=OTHER, key=keys[1].private)
+    envelope = seal({LINKED_FIELD: inner, LINK_DIGEST_FIELD: None},
+                    signer=ISSUER, key=keys[0].private)
+    assert envelope.body_bytes() == _fresh(envelope.body_cbe())
+    assert LINKED_FIELD in envelope.body_cbe()["payload"]
+    assert envelope.cbe_bytes() == _fresh(envelope)
+
+
+def _nested(depth):
+    value = 0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("depth", range(195, 201))
+def test_seal_refuses_the_depth_the_encoder_refuses(keys, depth):
+    """Payload values are encoded two mappings deep, as in the body: a
+    payload too deep for the reference encoder is an EncodingError."""
+    payload = {"deep": _nested(depth)}
+    unsigned = SignedEnvelope(tuple(payload.items()), ISSUER, b"", "simulated")
+    try:
+        reference_encode(_expand(unsigned.to_cbe()))
+    except EncodingError:
+        with pytest.raises(EncodingError):
+            seal(payload, signer=ISSUER, key=keys[0].private)
+        return
+    envelope = seal(payload, signer=ISSUER, key=keys[0].private)
+    assert envelope.cbe_bytes() == _fresh(envelope)

@@ -9,21 +9,28 @@ test keeps its own list of every row it creates.  After every step,
 included, and so must ``_live_counts`` of a broker with armed defenses
 that holds the table.  A terminal row must be gone: its handle is not
 ``in`` the table, ``get`` raises ``UnknownReservationError``,
-``is_valid`` is False, and ``len`` is the live count.  Tier-1 runs a
-small budget; ``pytest --full-sweeps`` (the differential CI job) a deep
-one.
+``is_valid`` is False, and ``len`` is the live count.
+
+A second suite drives a broker with an edge configurator through
+admit / claim / cancel / soft-state sweep in random orders, with rates
+whose float sums depend on their order.  After every step, each
+upstream's provisioned ingress total (summed over the table's index of
+ACTIVE rows) must be bit-identical to the creation-order sum over every
+row the broker made.  Tier-1 runs a small budget; ``pytest
+--full-sweeps`` (the differential CI job) a deep one.
 """
 
 import itertools
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.bb.admission import AdmissionController
 from repro.bb.broker import BandwidthBroker
+from repro.bb.sla import SLA
 from repro.bb.defense import DomainDefense
-from repro.bb.policyserver import PolicyServer
+from repro.bb.policyserver import PolicyServer, VerifiedInfo
 from repro.bb.reservations import (
     ReservationRequest,
     ReservationState,
@@ -157,5 +164,105 @@ def test_live_index_matches_full_history_scans(request):
         for op in sequence:
             _step(table, rows, op)
             _check(table, broker, rows)
+
+    check()
+
+
+#: Rates whose float sum depends on the order they are added in.
+RATES = (0.1, 0.2, 0.3, 1 / 3, 2 / 3, 7.7, 1e-3, 99.99)
+INGRESS = ("A", "B")
+
+
+class _Configurator:
+    def __init__(self):
+        self.ingress: dict = {}
+
+    def provision_flow(self, domain, reservation):
+        pass
+
+    def teardown_flow(self, domain, reservation):
+        pass
+
+    def provision_ingress(self, domain, upstream, service_class, total_rate_mbps):
+        self.ingress[upstream, service_class] = total_rate_mbps
+
+
+def _edge_broker() -> BandwidthBroker:
+    admission = AdmissionController()
+    admission.add_resource("intra", 1e6)
+    for upstream in INGRESS:
+        admission.add_resource(f"ingress:{upstream}", 1e6)
+    broker = BandwidthBroker(
+        "C",
+        policy_server=PolicyServer("C", compile_policy("Return GRANT", name="C")),
+        admission=admission,
+        scheme="simulated",
+        soft_state_ttl_s=10.0,
+    )
+    for upstream in INGRESS:
+        broker.register_sla(SLA(upstream, "C"))
+    broker.configurator = _Configurator()
+    return broker
+
+
+_admit = st.tuples(st.just("admit"), st.sampled_from(INGRESS),
+                  st.sampled_from(RATES))
+_claim = st.tuples(st.just("claim"), st.integers(min_value=0, max_value=63))
+#: Admits and claims outweigh cancels and clock ticks, so that several
+#: rows of one upstream turn active out of their creation order.
+edge_ops = st.one_of(
+    _admit, _admit, _admit, _claim, _claim,
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=63)),
+    st.tuples(st.just("tick"), st.integers(min_value=1, max_value=4)),
+)
+
+
+def test_ingress_totals_match_the_creation_order_scan(request):
+    """``_refresh_ingress`` reads ``in_state(ACTIVE)`` from the index;
+    the totals it provisions equal, bit for bit, the sums the full scan
+    of every created row gives (``_oracle.ingress_total``)."""
+
+    @_budget(request, tier1=40, full=1500)
+    @given(st.lists(edge_ops, max_size=50))
+    # Activated 0.2, 0.3, 0.1 but created 0.2, 0.1, 0.3: the two orders
+    # add up to different floats.
+    @example([("admit", "B", 0.2), ("claim", 0), ("admit", "B", 0.1),
+              ("admit", "B", 0.3), ("claim", 0), ("claim", 0)])
+    def check(sequence):
+        broker = _edge_broker()
+        rows: list = []
+        now = 0.0
+        for op in sequence:
+            kind = op[0]
+            if kind == "admit":
+                outcome = broker.admit(
+                    ReservationRequest(
+                        source_host="h0.A", destination_host="h0.C",
+                        source_domain="A", destination_domain="C",
+                        rate_mbps=op[2], start=0.0, end=1000.0,
+                    ),
+                    VerifiedInfo(user=OWNERS[1]), at_time=now, upstream=op[1],
+                )
+                assert outcome.granted
+                rows.append(outcome.reservation)
+            elif kind == "tick":
+                now += op[1]
+                broker.sweep_soft_state(now)
+            elif kind == "claim":
+                # Newest first (Hypothesis favours small picks), so
+                # rows turn active out of their creation order.
+                granted = broker.reservations.in_state(ReservationState.GRANTED)
+                if granted:
+                    broker.claim(granted[-1 - op[1] % len(granted)].handle,
+                                 at_time=now)
+            elif rows:
+                resv = rows[op[1] % len(rows)]
+                if resv.handle in broker.reservations:
+                    broker.cancel(resv.handle)
+            provisioned = broker.configurator.ingress
+            for upstream in INGRESS:
+                key = (upstream, rows[0].request.service_class) if rows else None
+                expected = _oracle.ingress_total(rows, *key) if key else 0.0
+                assert provisioned.get(key, 0.0).hex() == expected.hex()
 
     check()
