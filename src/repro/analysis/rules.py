@@ -28,8 +28,9 @@ Each rule encodes an invariant the reproduction depends on:
   circuit breaker; see :mod:`repro.core.recovery`).
 * ``REP110`` — no raw monotonic timers (``time.perf_counter`` and
   friends) outside :mod:`repro.obs`: hand-rolled ``t0``/``t1`` pairs
-  bypass the span clock (``Tracer`` spans, ``obs_spans.phase_clock()``),
-  so the cost they measure never reaches a trace.  Measuring cost is
+  bypass the span clock (``obs_spans.open_span``/``phase``/``close_span``,
+  which time what they record), so the cost they measure never reaches a
+  trace.  Measuring cost is
   ``bench/``'s job.
 * ``REP111`` — every function in the broker/signalling layer that mints
   an admission or denial (``AdmitOutcome(...)``, ``make_denial(...)``)
@@ -523,8 +524,8 @@ class RawTimerRule(_ImportAwareRule):
     severity = Severity.ERROR
     packages = ("repro",)
 
-    #: The observability layer implements the span clock
-    #: (``Tracer``/``phase_clock``), so the raw clocks are its building
+    #: The observability layer implements the span clock (``Tracer`` and
+    #: the ``repro.obs.spans`` calls), so the raw clocks are its building
     #: material — exempt.
     EXEMPT_PACKAGES = ("repro.obs",)
 
@@ -543,8 +544,9 @@ class RawTimerRule(_ImportAwareRule):
             self.report(
                 node,
                 f"{target}() hand-rolls a timer that bypasses the "
-                "span clock; time phases with Tracer spans or "
-                "repro.obs.spans.phase_clock(), and measure cost in bench/",
+                "span clock; mark phases with repro.obs.spans.phase() "
+                "(spans with open_span()/close_span()), and measure cost "
+                "in bench/",
             )
         self.generic_visit(node)
 

@@ -491,17 +491,10 @@ class BandwidthBroker:
         that frees upstream admissions when a failed hop prevented the
         explicit unwind from reaching this domain.
         """
-        tracer = obs_spans.get_tracer()
-        sweep_span = None
-        if tracer is not None:
-            # The sweep runs outside any request, so it gets a trace of
-            # its own; each reclaimed reservation's EXPIRE event links
-            # back to the originating trace via its stashed ID.
-            sweep_span = tracer.begin(
-                "sweep",
-                trace_id=obs_spans.mint_trace_id("sweep"),
-                domain=self.domain,
-            )
+        # The sweep runs outside any request, so it gets a trace of its
+        # own; each reclaimed reservation's EXPIRE event links back to
+        # the originating trace via its stashed ID.
+        obs_spans.open_span("sweep", trace="sweep", domain=self.domain)
         lapsed = self.reservations.sweep_expired(now)
         for resv in lapsed:
             self.admission.release_all(resv.bookings)
@@ -514,8 +507,7 @@ class BandwidthBroker:
                 reason="soft-state lease expired", at_time=now,
                 reason_code=ReasonCode.SOFT_STATE_EXPIRED,
             )
-        if tracer is not None and sweep_span is not None:
-            tracer.end(sweep_span, reclaimed=len(lapsed))
+        obs_spans.close_span(reclaimed=len(lapsed))
         return lapsed
 
     def _refresh_ingress(self, service_class) -> None:

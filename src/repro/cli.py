@@ -217,11 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace one reservation and print its span tree",
     )
     trace.add_argument("--domains", default="A,B,C")
-    trace.add_argument("--source", default=None)
-    trace.add_argument("--dest", default=None)
-    trace.add_argument("--rate", type=float, default=10.0)
-    trace.add_argument("--duration", type=float, default=3600.0)
-    trace.add_argument("--user", default="Alice")
     trace.add_argument("--critical-path", action="store_true",
                        help="attribute end-to-end wall time to named "
                             "hop/phase segments instead of printing the "

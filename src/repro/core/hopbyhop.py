@@ -19,7 +19,7 @@ once (docs/PROTOCOL.md §5 tabulates its stages):
    introduces the upstream certificate, and forwards ``RAR_{N+1}``
    downstream (``_forward``);
 3. a stage refuses by raising ``_Refused``; one writer (``_deny``) turns
-   that into the span segment, the recorded decision and the signed
+   that into the failed phase, the recorded decision and the signed
    denial, which propagates back upstream with its reason (``_reply``);
    already granted reservations along the partial path are released;
 4. the destination keeps the capability chains its policy server
@@ -97,7 +97,6 @@ from repro.errors import (
     EncodingError,
     MalformedMessageError,
     MessageDroppedError,
-    ObservabilityError,
     PolicyUnavailableError,
     RepositoryUnavailableError,
     ReproError,
@@ -111,11 +110,6 @@ from repro.obs import events as obs_events
 from repro.obs import spans as obs_spans
 from repro.obs.audit import ledger as obs_audit
 from repro.obs.events import ReasonCode, reason_code_for
-from repro.obs.propagation import (
-    TraceContext,
-    format_traceparent,
-    parse_traceparent,
-)
 from repro.policy.attributes import SignedAssertion, make_assertion
 
 __all__ = ["SignallingOutcome", "IngressReport", "HopByHopProtocol"]
@@ -150,25 +144,6 @@ WORK_DECODE = 0.15
 WORK_VERIFY = 1.0
 
 
-def _carried_parent_span_id(received: object) -> int | None:
-    """The parent span id named by the received envelope's trace context
-    (:data:`~repro.core.messages.F_TRACEPARENT`), or ``None`` when the
-    field is absent or malformed, or the message is still raw bytes
-    (the hop span opens before the gate, nothing is decoded for it) —
-    the hop then parents under the local in-process chain instead of
-    guessing."""
-    carried = (
-        received.get(F_TRACEPARENT)
-        if isinstance(received, SignedEnvelope) else None
-    )
-    if not isinstance(carried, str):
-        return None
-    try:
-        return parse_traceparent(carried).span_id
-    except ObservabilityError:
-        return None
-
-
 def _carried_deadline(rar: SignedEnvelope) -> float | None:
     """The end-to-end deadline the envelope's outer layer claims
     (:data:`~repro.core.messages.F_DEADLINE`; scalar numeric only — a
@@ -177,16 +152,6 @@ def _carried_deadline(rar: SignedEnvelope) -> float | None:
     if isinstance(carried, (int, float)) and not isinstance(carried, bool):
         return float(carried)
     return None
-
-
-def _traceparent_of(span: obs_spans.Span | None) -> str | None:
-    """The trace context naming *span* as parent, for the envelope a
-    sender is about to sign (``None`` with tracing off)."""
-    if span is None:
-        return None
-    return format_traceparent(
-        TraceContext(trace_id=span.trace_id, span_id=span.span_id)
-    )
 
 
 @dataclass
@@ -275,10 +240,6 @@ class _Hop:
     resend: tuple[SecureChannel, DistinguishedName, SignedEnvelope] | None = None
     #: The request as decoded at this hop (set by ``_receive``).
     rar: SignedEnvelope | None = None
-    #: The open ``hop`` span; closes when the reply passes back through.
-    span: obs_spans.Span | None = None
-    #: Phase clock: where the stage now running started.
-    t0: float = 0.0
 
 
 @dataclass
@@ -292,8 +253,6 @@ class _Attempt:
     rate_mbps: float = 0.0
     operation: str = "reserve"
     deadline: Deadline | None = None
-    tracer: obs_spans.Tracer | None = None
-    root: obs_spans.Span | None = None
     #: Hops opened so far with their inbound channels, in travel order;
     #: the reply walks them back.
     walked: list[tuple[_Hop, SecureChannel]] = field(default_factory=list)
@@ -314,7 +273,7 @@ class _Refused(Exception):
         cause: ReproError | ReasonCode | None,
         *,
         signer: BandwidthBroker | None = None,
-        segment: tuple[str, obs_spans.Span | None, float] | None = None,
+        phase: str | None = None,
         work: float = WORK_VERIFY,
     ) -> None:
         super().__init__(reason)
@@ -328,8 +287,8 @@ class _Refused(Exception):
         )
         #: The live broker that signs the denial, if any can.
         self.signer = signer
-        #: ``(name, parent span, start)`` of the phase that failed.
-        self.segment = segment
+        #: The phase that failed, recorded as an error span.
+        self.phase = phase
         #: What reaching the refusing stage cost the receiver (``WORK_*``).
         self.work = work
 
@@ -422,17 +381,6 @@ class HopByHopProtocol:
             "retry", at_time=att.at_time + outcome.latency_s,
             reason=reason, target=target, what=what, attempt=attempt,
         )
-
-    def _segment(
-        self, att: _Attempt, name: str, parent: obs_spans.Span | None,
-        start_wall: float, **attributes: object,
-    ) -> None:
-        """Record a finished phase as a span under *parent* (no-op with
-        tracing off, which is also when there is no parent)."""
-        if att.tracer is not None and parent is not None:
-            att.tracer.record(
-                name, parent=parent, start_wall=start_wall, **attributes
-            )
 
     @staticmethod
     def _decode_received(received: object, *, what: str) -> SignedEnvelope:
@@ -622,26 +570,14 @@ class HopByHopProtocol:
 
         Observability: a per-request correlation ID is minted here (the
         moment the user agent signs ``RAR_U``), every event emitted while
-        the request is in flight carries it, and — when tracing is
-        enabled — a ``reserve`` root span plus one nested ``hop`` span
-        per BB record the trajectory exactly as the signature envelopes
-        nest it.
+        the request is in flight carries it, and a ``reserve`` root span
+        plus one nested ``hop`` span per BB record the trajectory exactly
+        as the signature envelopes nest it (when a tracer listens).
         """
         correlation_id = obs_spans.mint_correlation_id()
         # An earlier request may have left check notes undrained: start
         # the audit pending-check buffer from a clean slate for this one.
         obs_audit.discard_pending()
-        tracer = obs_spans.get_tracer()
-        root = None
-        if tracer is not None:
-            root = tracer.begin(
-                "reserve",
-                trace_id=correlation_id,
-                user=str(user.dn),
-                source=request.source_domain,
-                destination=request.destination_domain,
-                rate_mbps=request.rate_mbps,
-            )
         logger.info(
             "%s: reserve %s -> %s rate=%.1f Mb/s user=%s",
             correlation_id, request.source_domain,
@@ -652,22 +588,24 @@ class HopByHopProtocol:
             outcome=SignallingOutcome(
                 granted=False, correlation_id=correlation_id
             ),
-            rate_mbps=request.rate_mbps, tracer=tracer, root=root,
+            rate_mbps=request.rate_mbps,
         )
         outcome = att.outcome
         with obs_events.correlation_scope(correlation_id):
+            obs_spans.open_span(
+                "reserve", user=user.dn, source=request.source_domain,
+                destination=request.destination_domain,
+                rate_mbps=request.rate_mbps,
+            )
             self._signal(
                 att, user, request, assertions=assertions,
                 restrictions=restrictions, deadline_s=deadline_s,
             )
-            if tracer is not None and root is not None:
-                tracer.end(
-                    root,
-                    status="ok" if outcome.granted else "denied",
-                    granted=outcome.granted,
-                    sim_latency_s=outcome.latency_s,
-                    messages=outcome.messages,
-                )
+            obs_spans.close_span(
+                "ok" if outcome.granted else "denied",
+                granted=outcome.granted, sim_latency_s=outcome.latency_s,
+                messages=outcome.messages,
+            )
             # Still inside the scope: the verdict is this request's.
             self._report_outcome(user, request, outcome)
         return outcome
@@ -724,15 +662,13 @@ class HopByHopProtocol:
         """Route, prepare ``RAR_U``, then carry it from broker to broker:
         every hop runs the same receive → decide → forward step, and the
         reply walks back over the hops the request opened."""
-        outcome, root = att.outcome, att.root
-        route_t0 = obs_spans.phase_clock()
+        outcome = att.outcome
         path = self.domain_path(request.source_domain, request.destination_domain)
         outcome.path = tuple(path)
-        self._segment(att, "route", root, route_t0, hops=len(path))
+        obs_spans.phase("route", hops=len(path))
 
         # User-side preparation: channel setup, capability delegation to
         # the source BB, and the signing of RAR_U itself.
-        prepare_t0 = obs_spans.phase_clock()
         source_bb = self._broker(path[0])
         channel = self.channels.connect(user, source_bb, at_time=att.at_time)
         capability_certs = user.delegate_capabilities_to(
@@ -749,11 +685,9 @@ class HopByHopProtocol:
             user=user.dn,
             user_key=user.keypair.private,
             deadline=att.deadline.expires_at if att.deadline else None,
-            traceparent=_traceparent_of(root),
+            traceparent=obs_spans.traceparent(),
         )
-        self._segment(
-            att, "prepare", root, prepare_t0, delegations=len(capability_certs),
-        )
+        obs_spans.phase("prepare", delegations=len(capability_certs))
 
         try:
             hop, received = self._submit(att, channel, user.dn, rar)
@@ -792,7 +726,6 @@ class HopByHopProtocol:
         sender: DistinguishedName, rar: SignedEnvelope,
     ) -> tuple[_Hop, object]:
         """The user's agent hands ``RAR_U`` to the source broker."""
-        t0 = obs_spans.phase_clock()
         try:
             received = self._deliver(
                 att, channel, sender, rar,
@@ -802,23 +735,20 @@ class HopByHopProtocol:
             # Nobody past the user was reached: nobody signs this one.
             raise _Refused(
                 att.outcome.path[0], f"source broker unreachable: {exc}", exc,
-                segment=("submit", att.root, t0),
+                phase="submit",
             ) from exc
-        self._segment(
-            att, "submit", att.root, t0, sim_latency_s=channel.latency_s,
-        )
-        return self._open_hop(att, channel, sender, rar, received), received
+        obs_spans.phase("submit", sim_latency_s=channel.latency_s)
+        return self._open_hop(att, channel, sender, rar), received
 
     def _open_hop(
         self, att: _Attempt, channel: SecureChannel,
-        sender: DistinguishedName, sent: SignedEnvelope, received: object,
+        sender: DistinguishedName, sent: SignedEnvelope,
     ) -> _Hop:
         """Start the next broker's turn: its context, the recovery note
-        for its decision record, its processing delay, its ``hop`` span.
-        Accounting starts the moment the previous instrumented stretch
-        ended, so channel/certificate bookkeeping between hops lands in
-        a named segment instead of pooling as untracked self-time."""
-        t0 = obs_spans.phase_clock()
+        for its decision record, its processing delay, its ``hop`` span
+        (under the span that sent the request, the one the envelope's
+        trace context names — as each signature layer wraps the
+        upstream RAR)."""
         outcome, path, index = att.outcome, att.outcome.path, len(att.walked)
         bb = self._broker(path[index])
         upstream = path[index - 1] if index > 0 else None
@@ -840,25 +770,9 @@ class HopByHopProtocol:
             peer=upstream if upstream is not None else att.user,
             peer_kind="domain" if upstream is not None else "user",
             peer_certificate=channel.peer_certificate(bb.dn),
-            resend=(channel, sender, sent), t0=t0,
+            resend=(channel, sender, sent),
         )
-        if att.tracer is not None and att.root is not None:
-            # Parent under the span id the *envelope* names (the
-            # upstream hop's span, carried in F_TRACEPARENT), exactly
-            # as each signature layer wraps the upstream RAR; the
-            # in-process chain is only a fallback for envelopes built
-            # while tracing was off.
-            carried = _carried_parent_span_id(received)
-            local = att.walked[-1][0].span if att.walked else att.root
-            hop.span = att.tracer.begin(
-                "hop",
-                trace_id=att.root.trace_id,
-                parent=local if carried is None else None,
-                parent_span_id=carried,
-                start_wall=t0,
-                domain=hop.domain,
-                bb=str(bb.dn),
-            )
+        obs_spans.open_span("hop", domain=hop.domain, bb=bb.dn)
         att.walked.append((hop, channel))
         return hop
 
@@ -871,9 +785,8 @@ class HopByHopProtocol:
         Verification recovers where it can: a tampered copy triggers a
         bounded retransmission request upstream, a repository outage
         backs off and retries (:meth:`_verify`); genuine trust failures
-        deny immediately.  The ``verify`` phase opens at the hop's
-        start, so it also owns the bookkeeping since the previous
-        hop's ``forward``.
+        deny immediately.  The ``verify`` phase runs from the hop's
+        start, so it also owns the hop's opening bookkeeping.
         """
         self._gate(att, hop, received)
         domain = hop.domain
@@ -918,12 +831,9 @@ class HopByHopProtocol:
                 # failure instead of escaping as a raw decode error.
                 raise self._untrusted(hop, exc, work) from exc
             else:
-                if hop.span is not None:  # (formats a DN: not when untraced)
-                    self._segment(
-                        att, "verify", hop.span, hop.t0,
-                        depth=verified.depth, signer=str(verified.user),
-                    )
-                hop.t0 = obs_spans.phase_clock()
+                obs_spans.phase(
+                    "verify", depth=verified.depth, signer=verified.user,
+                )
                 return verified
 
     @staticmethod
@@ -936,8 +846,7 @@ class HopByHopProtocol:
             hop.domain,
             str(failure) if isinstance(failure, _DELIVERY_FAILURES)
             else f"trust verification failed: {failure}",
-            failure, signer=hop.bb, segment=("verify", hop.span, hop.t0),
-            work=work,
+            failure, signer=hop.bb, phase="verify", work=work,
         )
 
     def _gate(self, att: _Attempt, hop: _Hop, received: object) -> None:
@@ -962,8 +871,8 @@ class HopByHopProtocol:
             )
         except DefenseError as exc:
             raise _Refused(
-                hop.domain, str(exc), exc, signer=hop.bb,
-                segment=("defense", hop.span, hop.t0), work=WORK_GATE,
+                hop.domain, str(exc), exc, signer=hop.bb, phase="defense",
+                work=WORK_GATE,
             ) from exc
 
     def _verify(
@@ -1033,12 +942,10 @@ class HopByHopProtocol:
                 if path_attrs
                 else verified.request
             )
-            self._segment(
-                att, "policy", hop.span, hop.t0,
-                chains=len(info.capability_chains),
+            obs_spans.phase(
+                "policy", chains=len(info.capability_chains),
                 rejected=len(info.rejected),
             )
-            hop.t0 = obs_spans.phase_clock()
             admit = self._call_with_retries(
                 lambda: bb.admit(
                     local_request, info, at_time=att.at_time,
@@ -1055,25 +962,20 @@ class HopByHopProtocol:
             # This hop's BB is gone: it cannot sign anything.  The
             # upstream hop detects the silence and synthesizes the
             # denial (the user-facing report when it IS the source).
+            reason = str(exc)
             logger.warning(
-                "%s: broker unavailable, upstream reports: %s", domain, exc
+                "%s: broker unavailable, upstream reports: %s", domain, reason
             )
-            if att.tracer is not None and hop.span is not None:
-                att.tracer.end(hop.span, status="failed", error=str(exc))
+            obs_spans.close_span("failed", error=reason)
             att.walked.pop()
             raise _Refused(
-                domain, str(exc), ReasonCode.BROKER_UNREACHABLE,
+                domain, reason, ReasonCode.BROKER_UNREACHABLE,
                 signer=att.walked[-1][0].bb if att.walked else None,
             ) from exc
         handle = admit.reservation.handle
-        self._segment(
-            att, "admission", hop.span, hop.t0,
-            granted=admit.granted, handle=handle,
-        )
         # The next phase (delegation at the destination, forward
-        # everywhere else) opens here so that metering and cost
-        # negotiation are attributed to it.
-        hop.t0 = obs_spans.phase_clock()
+        # everywhere else) owns metering and cost negotiation.
+        obs_spans.phase("admission", granted=admit.granted, handle=handle)
         att.outcome.handles[domain] = handle
         if not admit.granted:
             # The broker's admission pipeline recorded its own denial.
@@ -1128,17 +1030,15 @@ class HopByHopProtocol:
         ]
         outcome.delegations = tuple(results)
         outcome.delegation = results[0] if results else None
-        self._segment(
-            att, "delegation", hop.span, hop.t0,
-            chains=len(chains), verified=len(results),
-        )
+        obs_spans.phase("delegation", chains=len(chains), verified=len(results))
 
     def _forward(
         self, att: _Attempt, hop: _Hop, verified: VerifiedRAR,
         admit: AdmitOutcome, chains: Sequence[CheckedChain],
     ) -> tuple[_Hop, object]:
-        """Wrap and send downstream: delegate every capability chain
-        this BB holds, introduce the upstream certificate, sign
+        """Wrap and send downstream: delegate every capability chain this
+        BB holds and its policy server accepted, introduce the upstream
+        certificate, sign
         ``RAR_{N+1}`` and deliver it.  Returns the next hop's context
         and what arrived there.  Raises :class:`_Refused`."""
         bb, downstream, rar = hop.bb, hop.downstream, hop.rar
@@ -1146,9 +1046,10 @@ class HopByHopProtocol:
         next_bb = self._broker(downstream)
         channel = self.channels.connect(bb, next_bb, at_time=att.at_time)
         next_public_key = channel.peer_certificate(bb.dn).public_key
-        # One proxy credential per delegation chain whose tip names this
-        # broker as subject (delegated by the upstream hop); a user with
-        # several community credentials yields several chains.
+        # One proxy credential per accepted delegation chain whose tip
+        # names this broker as subject (delegated by the upstream hop); a
+        # user with several community credentials yields several chains.
+        # A chain this hop's policy server rejected is not extended.
         forwarded_caps: tuple[Certificate, ...] = tuple(
             delegate(
                 ProxyCredential(checked.chain[-1], bb.keypair.private),
@@ -1156,7 +1057,7 @@ class HopByHopProtocol:
                 delegate_public_key=next_public_key,
             )
             for checked in chains
-            if checked.chain[-1].subject == bb.dn
+            if checked.result is not None and checked.chain[-1].subject == bb.dn
         )
         added_assertions: tuple[SignedAssertion, ...] = ()
         if admit.decision is not None and admit.decision.modifications:
@@ -1184,7 +1085,7 @@ class HopByHopProtocol:
             # Rewrite the trace context: the downstream hop's spans
             # hang under THIS hop's span, mirroring how this layer
             # wraps the upstream RAR.
-            traceparent=_traceparent_of(hop.span),
+            traceparent=obs_spans.traceparent(),
         )
         try:
             received = self._deliver(
@@ -1198,12 +1099,10 @@ class HopByHopProtocol:
                 downstream, f"domain {downstream} unreachable: {exc}", exc,
                 signer=bb,
             ) from exc
-        self._segment(
-            att, "forward", hop.span, hop.t0,
-            downstream=downstream, sim_latency_s=channel.latency_s,
+        obs_spans.phase(
+            "forward", downstream=downstream, sim_latency_s=channel.latency_s,
         )
-        next_hop = self._open_hop(att, channel, bb.dn, forward_rar, received)
-        return next_hop, received
+        return self._open_hop(att, channel, bb.dn, forward_rar), received
 
     # -- the reply leg and the denial writer -----------------------------------------
 
@@ -1223,11 +1122,11 @@ class HopByHopProtocol:
         every admission and raises :class:`_Refused` (deny, don't leak).
         """
         what = "denial reply" if denial is not None else "approval reply"
-        handles, tracer = att.outcome.handles, att.tracer
+        handles = att.outcome.handles
+        denier = denial[F_DOMAIN] if denial is not None else None
         reply = denial
         for index in range(len(att.walked) - 1, -1, -1):
             hop, channel = att.walked[index]
-            t0 = obs_spans.phase_clock()
             if denial is None or reply is None:  # (None only when approving)
                 reply = make_approval(
                     handle=handles[hop.domain], domain=hop.domain,
@@ -1242,50 +1141,42 @@ class HopByHopProtocol:
                     what=what,
                 )
             except SignallingError as exc:
-                self._segment(
-                    att, "reply", hop.span, t0, status="error", error=str(exc),
-                )
-                if tracer is not None:
-                    for passed, _ in reversed(att.walked[:index + 1]):
-                        if passed.span is not None:
-                            tracer.end(passed.span, status="released")
+                error = str(exc)
+                obs_spans.phase("reply", "error", error=error)
+                # This hop and every one it passed back through.
+                for _ in range(index + 1):
+                    obs_spans.close_span("released")
                 if denial is not None:
                     logger.warning(
                         "denial by %s lost on link %s: %s",
-                        denial[F_DOMAIN], channel.link, exc,
+                        denier, channel.link, error,
                     )
                     return None
                 self._release_granted(
                     att, f"approval undeliverable at {hop.domain}"
                 )
                 raise _Refused(
-                    hop.domain, f"approval could not be delivered: {exc}", exc,
+                    hop.domain, f"approval could not be delivered: {error}",
+                    exc,
                 ) from exc
-            self._segment(
-                att, "reply", hop.span, t0, sim_latency_s=channel.latency_s,
-            )
-            if tracer is not None and hop.span is not None:
-                if denial is None:
-                    tracer.end(hop.span, handle=handles[hop.domain])
-                else:
-                    tracer.end(hop.span, status=(
-                        "denied" if hop.domain == denial[F_DOMAIN]
-                        else "released"
-                    ))
+            obs_spans.phase("reply", sim_latency_s=channel.latency_s)
+            if denial is None:
+                obs_spans.close_span(handle=handles[hop.domain])
+            else:
+                obs_spans.close_span(
+                    "denied" if hop.domain == denier else "released"
+                )
         return reply
 
     def _deny(self, att: _Attempt, refusal: _Refused) -> SignedEnvelope | None:
-        """The one place a refusal is written down: the span error
-        segment of the stage that refused, the ``deny`` decision with its
-        reason code and the signed denial, when a live broker is there
-        to sign it."""
+        """The one place a refusal is written down: the failed phase of
+        the stage that refused, the ``deny`` decision with its reason
+        code and the signed denial, when a live broker is there to sign
+        it."""
         domain, reason, code = refusal.domain, refusal.reason, refusal.code
         logger.info("%s: refused: %s", domain, reason)
-        if refusal.segment is not None:
-            name, parent, start_wall = refusal.segment
-            self._segment(
-                att, name, parent, start_wall, status="error", error=reason,
-            )
+        if refusal.phase is not None:
+            obs_spans.phase(refusal.phase, "error", error=reason)
         if code is not None:
             decisions.record(
                 "deny", at_time=att.at_time, domain=domain, user=att.user,

@@ -309,23 +309,11 @@ class TunnelService:
         The per-flow reservation crosses every intermediate domain (losing
         the tunnel's message savings for this flow, keeping its service),
         is tracked against the allocation id, and is released with it."""
+        reason = str(cause)
         logger.warning(
             "%s: direct end-domain signalling failed (%s); falling back to "
-            "per-flow hop-by-hop", tunnel.tunnel_id, cause,
+            "per-flow hop-by-hop", tunnel.tunnel_id, reason,
         )
-        # The degradation gets a correlation ID and a span of its own: the
-        # FALLBACK event carries the ID, and the span links to the
-        # per-flow reservation's trace once that has run.
-        fallback_cid = obs_spans.mint_correlation_id()
-        tracer = obs_spans.get_tracer()
-        fallback_span = None
-        if tracer is not None:
-            fallback_span = tracer.begin(
-                "tunnel_fallback",
-                trace_id=fallback_cid,
-                tunnel=tunnel.tunnel_id,
-                cause=str(cause),
-            )
         request = ReservationRequest(
             source_host=f"h0.{tunnel.source_domain}",
             destination_host=f"h0.{tunnel.destination_domain}",
@@ -335,29 +323,34 @@ class TunnelService:
             start=start,
             end=end,
         )
-        with obs_events.correlation_scope(fallback_cid):
+        # The degradation gets a correlation ID and a span of its own: the
+        # FALLBACK event carries the ID, and the span links to the
+        # per-flow reservation's trace once that has run.
+        with obs_events.correlation_scope(obs_spans.mint_correlation_id()):
+            obs_spans.open_span(
+                "tunnel_fallback", tunnel=tunnel.tunnel_id, cause=reason,
+            )
             decisions.record(
                 "fallback", domain=tunnel.source_domain, user=str(user.dn),
-                reason=str(cause),
+                reason=reason,
                 reason_code=ReasonCode.TUNNEL_DIRECT_FAILED,
                 rate_mbps=rate_mbps,
                 tunnel=tunnel.tunnel_id, target=tunnel.tunnel_id,
             )
             outcome = self.protocol.reserve(user, request)
-        if not outcome.granted:
-            if tracer is not None and fallback_span is not None:
-                tracer.end(
-                    fallback_span, status="error",
-                    error=outcome.denial_reason,
+            if outcome.granted:
+                obs_spans.close_span(link=outcome.correlation_id)
+            else:
+                obs_spans.close_span(
+                    "error", error=outcome.denial_reason,
                     link=outcome.correlation_id,
                 )
+        if not outcome.granted:
             raise TunnelError(
                 f"tunnel {tunnel.tunnel_id} direct signalling failed "
                 f"({cause}) and the per-flow fallback was denied by "
                 f"{outcome.denial_domain}: {outcome.denial_reason}"
             ) from cause
-        if tracer is not None and fallback_span is not None:
-            tracer.end(fallback_span, link=outcome.correlation_id)
         allocation = FlowAllocation(
             allocation_id=f"ALC-{next(self._alloc_ids):05d}",
             tunnel_id=tunnel.tunnel_id,

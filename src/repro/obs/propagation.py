@@ -1,13 +1,14 @@
 """Cross-domain trace context propagation (W3C ``traceparent`` style).
 
-PR 1's tracer stitches spans *inside one process* by passing ``Span``
-objects down the call stack.  That breaks exactly where the paper's
-architecture is interesting: a reservation crosses administrative
-domains, and each bandwidth broker only sees the envelope it received.
-The fix mirrors the paper's own mechanism — just as every BB nests the
-upstream RAR inside its own signed envelope (§6.4), every BB embeds a
-*trace context* field in the envelope it forwards, naming the span under
-which the downstream hop's work should hang.
+The tracer stitches spans *inside one process* from the open-span stack
+it keeps per request (:mod:`repro.obs.spans`).  That stops exactly where
+the paper's architecture is interesting: a reservation crosses
+administrative domains, and each bandwidth broker only sees the
+envelope it received.  The field mirrors the paper's own mechanism —
+just as every BB nests the upstream RAR inside its own signed envelope
+(§6.4), every BB embeds a *trace context* field in the envelope it
+forwards, naming the span under which the downstream hop's work should
+hang.
 
 The wire format is the W3C Trace Context ``traceparent`` header::
 
@@ -114,9 +115,8 @@ def parse_traceparent(value: str) -> TraceContext:
     """Parse a ``traceparent`` string back into a :class:`TraceContext`.
 
     Raises :class:`~repro.errors.ObservabilityError` on anything
-    malformed (wrong shape, unknown version, all-zero ids) — a
-    forwarding BB treats that the same as an absent field and starts a
-    fresh local parent rather than guessing.
+    malformed (wrong shape, unknown version, all-zero ids) — a reader
+    treats that the same as an absent field rather than guessing.
     """
     if not isinstance(value, str):
         raise ObservabilityError(

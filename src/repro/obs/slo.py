@@ -258,10 +258,12 @@ def _evaluate_one(
     slo: SLO, counts: tuple[int, int, int], quantile: _Quantile
 ) -> SLOResult:
     """The verdict for one objective over what was observed: admit /
-    deny / breaker-open counts and a quantile lookup."""
+    deny / breaker-open counts and a quantile lookup.  An objective that
+    saw nothing fails: an objective met over no traffic says nothing."""
     if slo.kind == "latency_quantile":
         actual, total = quantile(slo.metric, slo.quantile)
-        if total:
+        seen = bool(total)
+        if seen:
             detail = f"p{int(slo.quantile * 100)} of {total} observations"
         else:
             actual, detail = 0.0, f"metric {slo.metric!r} has no data"
@@ -269,11 +271,15 @@ def _evaluate_one(
         admits, denies, opens = counts
         decisions = admits + denies
         if slo.kind == "denial_rate":
+            seen = decisions > 0
             actual = denies / decisions if decisions else 0.0
             detail = f"{denies} denials / {decisions} decisions"
         else:  # breaker_open_rate
+            seen = decisions > 0 or opens > 0
             actual = opens / decisions if decisions else float(opens)
             detail = f"{opens} breaker opens / {decisions} decisions"
+        if not seen:
+            detail = f"no data ({detail})"
     if slo.threshold > 0:
         burn = actual / slo.threshold
     else:
@@ -282,7 +288,7 @@ def _evaluate_one(
         slo=slo,
         actual=actual,
         burn_rate=burn,
-        ok=actual <= slo.threshold,
+        ok=seen and actual <= slo.threshold,
         detail=detail,
     )
 
@@ -295,7 +301,7 @@ def evaluate_slos(
 ) -> SLOReport:
     """Evaluate every objective over what *registry* and *event_log*
     recorded.  Either source may be ``None`` (its objectives then see no
-    data and pass vacuously at actual 0.0)."""
+    data and fail, reading actual 0.0)."""
     seen = _read_live(registry, event_log)
     return SLOReport(tuple(_evaluate_one(slo, *seen) for slo in slos))
 

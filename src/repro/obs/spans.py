@@ -18,9 +18,17 @@ Spans carry two time axes:
 * **simulated latency** (``sim_latency_s`` attribute) — the modelled
   network/processing delay the signalling engines account for.
 
-Like the metrics registry, tracing is disabled by default and free when
-off: call sites ask :func:`get_tracer` and skip everything on ``None``.
-The tracer and the ids it is keyed by come from :mod:`repro.obs.context`.
+Spans have one writer, this module.  Instrumented code never holds a
+span: it calls :func:`open_span`, :func:`phase` and :func:`close_span`,
+which keep the stack of open spans and the *phase mark* (where the phase
+now running started) in the tracer, keyed by the correlation id in
+scope.  :func:`phase` records the phase that ran since the mark under the
+top span and moves the mark; :func:`traceparent` names the top span for
+the envelope a sender is about to sign.  Each call reads the context
+once and returns at once when no tracer is installed, so the caller
+neither checks nor formats anything: attributes are passed as objects
+and only a tracer keeps them.  The tracer and the ids it is keyed by
+come from :mod:`repro.obs.context`.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from typing import Iterator
 
 from repro.errors import ObservabilityError
 from repro.obs import context
+from repro.obs.propagation import TraceContext, format_traceparent
 
 __all__ = [
     "Span",
@@ -41,18 +50,11 @@ __all__ = [
     "use_tracer",
     "mint_correlation_id",
     "mint_trace_id",
-    "phase_clock",
+    "open_span",
+    "close_span",
+    "phase",
+    "traceparent",
 ]
-
-
-def phase_clock() -> float:
-    """The monotonic clock reading used for span timing.
-
-    Instrumented code that needs a raw "phase started here" timestamp
-    (to later hand to :meth:`Tracer.record`) must take it from this
-    helper rather than calling ``time.perf_counter()`` directly, so all
-    timing flows through the obs layer (lint rule REP110)."""
-    return time.perf_counter()
 
 
 def mint_correlation_id() -> str:
@@ -96,18 +98,32 @@ class Span:
         return float(self.attributes.get("sim_latency_s", 0.0))  # type: ignore[arg-type]
 
 
+class _Open:
+    """The open spans of one request, innermost last, and the phase mark:
+    where the phase now running started."""
+
+    __slots__ = ("stack", "mark")
+
+    def __init__(self) -> None:
+        self.stack: list[Span] = []
+        self.mark = 0.0
+
+
 class Tracer:
     """Collects spans, grouped by trace (= correlation) ID.
 
-    The instrumentation manages parenting explicitly (a hop span stays
-    open from the request leg until the reply passes back through the
-    hop), so the API is ``begin``/``end`` rather than a context-manager
-    stack; :meth:`record` covers the common already-timed phase case.
+    A hop span stays open from the request leg until the reply passes
+    back through the hop, so the tracer keeps the open spans of each
+    request in scope (:func:`open_span` / :func:`close_span`) rather than
+    a ``with`` block per span.  :meth:`begin`/:meth:`end`/:meth:`record`
+    are the primitives those calls use.
     """
 
     def __init__(self) -> None:
         self._ids = itertools.count(1)
         self._spans: dict[str, list[Span]] = {}
+        #: Open spans per correlation id in scope (``None``: no request).
+        self._open: dict[str | None, _Open] = {}
 
     # -- recording ---------------------------------------------------------------
 
@@ -117,21 +133,15 @@ class Tracer:
         *,
         trace_id: str,
         parent: Span | None = None,
-        parent_span_id: int | None = None,
         start_wall: float | None = None,
         **attributes: object,
     ) -> Span:
-        if parent is not None:
-            parent_span_id = parent.span_id
         span = Span(
             name=name,
             trace_id=trace_id,
             span_id=next(self._ids),
-            parent_id=parent_span_id,
+            parent_id=parent.span_id if parent is not None else None,
             attributes=dict(attributes),
-            # A caller that already holds a phase_clock() reading backdates
-            # the span to it, so cheap bookkeeping between two instrumented
-            # stretches is attributed instead of pooling as self-time.
             start_wall=(
                 start_wall if start_wall is not None else time.perf_counter()
             ),
@@ -157,8 +167,7 @@ class Tracer:
         """Record a phase that already ran: span opens at *start_wall*
         (a ``time.perf_counter`` reading) and closes now."""
         span = self.begin(name, trace_id=parent.trace_id, parent=parent,
-                          **attributes)
-        span.start_wall = start_wall
+                          start_wall=start_wall, **attributes)
         return self.end(span, status=status)
 
     # -- queries -----------------------------------------------------------------
@@ -232,10 +241,89 @@ class Tracer:
 
     def reset(self) -> None:
         self._spans.clear()
+        self._open.clear()
 
     def __iter__(self) -> Iterator[Span]:
         flat = [s for spans in self._spans.values() for s in spans]
         return iter(flat)
+
+
+def open_span(
+    name: str, /, *, trace: str | None = None, **attributes: object,
+) -> None:
+    """Open *name* for the request in scope: under its top span, as the
+    root of its trace when nothing is open yet, or — given a *trace*
+    kind, for work outside any request such as the soft-state sweep — as
+    the root of a trace of its own.  It becomes the top span."""
+    scope = context.current()
+    tracer = scope.tracer
+    if tracer is None:
+        return
+    key = scope.correlation_id
+    opened = tracer._open.get(key)
+    parent = start = None
+    if trace is not None:
+        trace_id = mint_trace_id(trace)
+    elif opened is not None:
+        # A child starts where the last phase ended, so bookkeeping
+        # between two phases is attributed instead of pooling as the
+        # parent's self-time.
+        parent, start = opened.stack[-1], opened.mark
+        trace_id = parent.trace_id
+    elif key is not None:
+        trace_id = key
+    else:
+        raise ObservabilityError(
+            f"span {name!r} opened outside any request or trace"
+        )
+    if opened is None:
+        opened = tracer._open[key] = _Open()
+    span = tracer.begin(name, trace_id=trace_id, parent=parent,
+                        start_wall=start, **attributes)
+    opened.stack.append(span)
+    opened.mark = span.start_wall
+
+
+def close_span(status: str = "ok", /, **attributes: object) -> None:
+    """Close the top span of the request in scope with *status*."""
+    scope = context.current()
+    tracer = scope.tracer
+    opened = None if tracer is None else tracer._open.get(scope.correlation_id)
+    if opened is None:
+        return
+    span = tracer.end(opened.stack.pop(), status=status, **attributes)
+    if opened.stack:
+        opened.mark = span.end_wall  # type: ignore[assignment]
+    else:
+        del tracer._open[scope.correlation_id]
+
+
+def phase(name: str, /, status: str = "ok", **attributes: object) -> None:
+    """Record the phase that ran since the mark as a child of the top
+    span of the request in scope, and move the mark to now.  Nothing is
+    recorded while no span is open in scope (unsolicited ingress)."""
+    scope = context.current()
+    tracer = scope.tracer
+    opened = None if tracer is None else tracer._open.get(scope.correlation_id)
+    if opened is None:
+        return
+    span = tracer.record(name, parent=opened.stack[-1],
+                         start_wall=opened.mark, status=status, **attributes)
+    opened.mark = span.end_wall  # type: ignore[assignment]
+
+
+def traceparent() -> str | None:
+    """The trace context naming the top span of the request in scope, for
+    the envelope a sender is about to sign (``None`` with tracing off)."""
+    scope = context.current()
+    tracer = scope.tracer
+    opened = None if tracer is None else tracer._open.get(scope.correlation_id)
+    if opened is None:
+        return None
+    top = opened.stack[-1]
+    return format_traceparent(
+        TraceContext(trace_id=top.trace_id, span_id=top.span_id)
+    )
 
 
 def get_tracer() -> Tracer | None:

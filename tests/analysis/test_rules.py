@@ -468,7 +468,7 @@ class TestRawTimer:
         )
         assert len(findings) == 2
         assert findings[0].rule == "REP110"
-        assert "phase_clock()" in findings[0].message
+        assert "repro.obs.spans.phase()" in findings[0].message
 
     def test_resolves_from_import(self):
         findings = lint(
@@ -510,8 +510,9 @@ class TestRawTimer:
             """
             from repro.obs import spans as obs_spans
             def f():
-                t0 = obs_spans.phase_clock()
-                return obs_spans.phase_clock() - t0
+                obs_spans.open_span("hop")
+                obs_spans.phase("verify")
+                obs_spans.close_span()
             """,
             RawTimerRule,
             module="repro.core.hopbyhop",

@@ -87,3 +87,25 @@ def test_destination_signs_only_its_approval(monkeypatch):
         approval = approval[F_INNER]
     assert approval.signer == testbed.brokers["C"].dn
     assert signed == [approval.body_bytes()]
+
+
+def test_a_chain_the_hop_rejected_is_not_extended(monkeypatch):
+    """B's policy server rejects the user's chain (its revocation oracle
+    calls every certificate revoked): B signs no delegation of it, so C
+    holds no chain although C itself has no revocation oracle."""
+    testbed, user = _granted_user(["A", "B", "C"])
+    testbed.brokers["B"].policy_server.revocation_checker = lambda cert: True
+    delegated_to = []
+    real = hopbyhop.delegate
+
+    def recording(holder, *, delegate_subject, **kw):
+        delegated_to.append(delegate_subject)
+        return real(holder, delegate_subject=delegate_subject, **kw)
+
+    monkeypatch.setattr(hopbyhop, "delegate", recording)
+    outcome = testbed.reserve(user, source="A", destination="C",
+                              bandwidth_mbps=1.0)
+    assert outcome.granted
+    assert delegated_to == [testbed.brokers["B"].dn]
+    assert outcome.delegations == ()
+    assert outcome.delegation is None

@@ -136,10 +136,15 @@ class TestEvaluation:
         assert result.ok
         assert "1 breaker opens" in result.detail
 
-    def test_no_data_passes_vacuously(self):
+    def test_no_data_fails(self):
+        """An objective that saw nothing is not met: it fails, reads
+        actual 0.0 and says it had no data."""
         report = evaluate_slos(default_slos(), registry=None, event_log=None)
-        assert report.ok
-        assert all(r.actual == 0.0 for r in report.results)
+        assert not report.ok
+        assert report.failing == report.results
+        for result in report.results:
+            assert result.actual == 0.0
+            assert "no data" in result.detail
 
     def test_zero_threshold_burn_rate(self):
         log = EventLog()
@@ -264,8 +269,8 @@ class TestRecordedTwin:
             self.SLOS, self._one_frame_recording(registry, log)
         )
         assert _verdicts(recorded) == _verdicts(live)
-        assert all(r.actual == 0.0 and r.ok for r in live.results)
-        assert "no data" in live.results[0].detail
+        assert all(r.actual == 0.0 and not r.ok for r in live.results)
+        assert all("no data" in r.detail for r in live.results)
 
     def test_a_chaos_run_and_its_recording_agree(self):
         """Fails at the parent of PR 23: the recorded evaluator fell

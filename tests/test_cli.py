@@ -482,6 +482,17 @@ class TestGate:
             captured.err
         assert "GATE: ok" not in captured.out
 
+    def test_no_honest_traffic_meets_no_objective(self, capsys):
+        """Without --gate the run exits 0, but its report must not read
+        OK over 0/0 honest requests."""
+        rc = main(["attack", "--persona", "flood", "--horizon", "0.01",
+                   "--defenses", "on"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "honest admission 0/0" in out
+        assert "honest SLOs: OK" not in out
+        assert "honest SLOs: VIOLATED" in out
+
 
 class TestTelemetryCLI:
     """PR 9 surface: attack --record, top, timeline, chaos/slo --record."""
