@@ -338,19 +338,17 @@ class TunnelService:
                 tunnel=tunnel.tunnel_id, target=tunnel.tunnel_id,
             )
             outcome = self.protocol.reserve(user, request)
-            if outcome.granted:
-                obs_spans.close_span(link=outcome.correlation_id)
-            else:
+            if not outcome.granted:
                 obs_spans.close_span(
                     "error", error=outcome.denial_reason,
                     link=outcome.correlation_id,
                 )
-        if not outcome.granted:
-            raise TunnelError(
-                f"tunnel {tunnel.tunnel_id} direct signalling failed "
-                f"({cause}) and the per-flow fallback was denied by "
-                f"{outcome.denial_domain}: {outcome.denial_reason}"
-            ) from cause
+                raise TunnelError(
+                    f"tunnel {tunnel.tunnel_id} direct signalling failed "
+                    f"({reason}) and the per-flow fallback was denied by "
+                    f"{outcome.denial_domain}: {outcome.denial_reason}"
+                ) from cause
+            obs_spans.close_span(link=outcome.correlation_id)
         allocation = FlowAllocation(
             allocation_id=f"ALC-{next(self._alloc_ids):05d}",
             tunnel_id=tunnel.tunnel_id,
