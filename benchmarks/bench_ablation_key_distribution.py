@@ -24,7 +24,6 @@ import random
 import pytest
 
 from repro.bb.reservations import ReservationRequest
-from repro.core.envelope import seal
 from repro.core.messages import F_INTRODUCED_CERT, make_bb_rar, make_user_rar, unwrap_rar_layers
 from repro.crypto.dn import DN
 from repro.crypto.x509 import CertificateAuthority
@@ -78,18 +77,16 @@ def option2_repository(world):
     from repro.crypto.truststore import TrustPolicy, TrustStore
 
     user_dn, user_kp, user_cert, bbs = world
-    # Build the same nested structure but without certificates: each BB
-    # layer names the downstream hop only.
+    # Build the same chain but without certificates: each BB layer
+    # names the downstream hop only.
     env = _mk_user(
         request=request(), source_bb=bbs[0][0], user=user_dn,
         user_key=user_kp.private,
     )
     for i in range(len(bbs) - 1):
         dn, kp, _ = bbs[i]
-        env = seal(
-            {"type": "rar", "inner_rar": env, "downstream_dn": bbs[i + 1][0]},
-            signer=dn, key=kp.private,
-        )
+        env = make_bb_rar(inner=env, introduced_cert=None,
+                          downstream=bbs[i + 1][0], bb=dn, bb_key=kp.private)
     repo = CertificateRepository()
     repo.publish(user_cert)
     for _, _, cert in bbs:
@@ -117,10 +114,8 @@ def _bare_wire_size(world):
     )
     for i in range(len(bbs) - 1):
         dn, kp, _ = bbs[i]
-        env = seal(
-            {"type": "rar", "inner_rar": env, "downstream_dn": bbs[i + 1][0]},
-            signer=dn, key=kp.private,
-        )
+        env = make_bb_rar(inner=env, introduced_cert=None,
+                          downstream=bbs[i + 1][0], bb=dn, bb_key=kp.private)
     return env.wire_size()
 
 

@@ -21,6 +21,8 @@ from repro.crypto.dn import DN
 from repro.crypto.keys import RSAScheme, SimulatedScheme
 from repro.crypto.truststore import TrustPolicy, TrustStore
 from repro.crypto.x509 import CertificateAuthority
+from repro.errors import MalformedMessageError
+from tests.core._oracle import nested_bb_rar
 
 
 def request():
@@ -46,7 +48,7 @@ def build_world(scheme_name, hops):
     return user_dn, user_kp, user_cert, bbs
 
 
-def build_chain(user_dn, user_kp, user_cert, bbs, *, append=False):
+def build_chain(user_dn, user_kp, user_cert, bbs, *, wrap=make_bb_rar):
     rar = make_user_rar(
         request=request(), source_bb=bbs[0][0], user=user_dn,
         user_key=user_kp.private,
@@ -54,9 +56,9 @@ def build_chain(user_dn, user_kp, user_cert, bbs, *, append=False):
     prev_cert = user_cert
     for i in range(len(bbs) - 1):
         dn, kp, cert = bbs[i]
-        rar = make_bb_rar(
+        rar = wrap(
             inner=rar, introduced_cert=prev_cert, downstream=bbs[i + 1][0],
-            bb=dn, bb_key=kp.private, append=append,
+            bb=dn, bb_key=kp.private,
         )
         prev_cert = cert
     return rar
@@ -111,14 +113,16 @@ def test_c4_wire_size_linear(benchmark, report):
 
 
 def test_c4_misspath_append_chain_signed_bytes(benchmark, report):
-    """Append-only chains bound the per-hop signature input (ISSUE 10).
+    """Append-only chains bound the per-hop signature input.
 
-    A nested chain signs the *whole* accumulated envelope at every hop,
-    so the bytes under the final signature grow linearly with the path;
-    an append chain signs a fixed-size digest link instead.  At 16 hops
-    the final wrap's signed bytes must shrink by at least 10x, while the
-    total wire stays within a few percent (each hop adds one 32-byte
-    link) and verification still accepts both chains."""
+    A nested chain (the paper's §6.4 shape, built by the test oracle)
+    signs the *whole* accumulated envelope at every hop, so the bytes
+    under the final signature grow linearly with the path; an append
+    chain signs a fixed-size digest link instead.  At 16 hops the final
+    wrap's signed bytes must shrink by at least 10x, while the total wire
+    stays within a few percent (each hop adds one 32-byte link).  The
+    verifier accepts the append chain and refuses the nested one: a
+    layer has one accepted spelling."""
     user_dn, user_kp, user_cert, bbs = build_world("simulated", 16)
     verifier_dn, _, _ = bbs[-1]
     _, _, peer_cert = bbs[-2]
@@ -126,29 +130,29 @@ def test_c4_misspath_append_chain_signed_bytes(benchmark, report):
                                    require_ca_issued_peers=False))
     store.add_introduced_peer(peer_cert)
 
-    def measure():
-        out = {}
-        for mode, append in (("nested", False), ("append", True)):
-            rar = build_chain(
-                user_dn, user_kp, user_cert, bbs, append=append,
-            )
-            verified = verify_rar(
-                rar, verifier=verifier_dn, peer_certificate=peer_cert,
-                truststore=store,
-            )
-            out[mode] = (
-                len(canonical.encode(rar.body_cbe())),
-                rar.wire_size(),
-                verified.user,
-                verified.depth,
-            )
-        return out
+    def verify(rar):
+        return verify_rar(
+            rar, verifier=verifier_dn, peer_certificate=peer_cert,
+            truststore=store,
+        )
 
-    sizes = benchmark.pedantic(measure, rounds=1, iterations=1)
-    nested_signed, nested_wire, nested_user, nested_depth = sizes["nested"]
-    append_signed, append_wire, append_user, append_depth = sizes["append"]
-    assert nested_user == append_user == user_dn
-    assert nested_depth == append_depth == len(bbs) - 1
+    def measure():
+        return {
+            mode: build_chain(user_dn, user_kp, user_cert, bbs, wrap=wrap)
+            for mode, wrap in (("nested", nested_bb_rar),
+                               ("append", make_bb_rar))
+        }
+
+    chains = benchmark.pedantic(measure, rounds=1, iterations=1)
+    nested, appended = chains["nested"], chains["append"]
+    verified = verify(appended)
+    assert verified.user == user_dn
+    assert verified.depth == len(bbs) - 1
+    with pytest.raises(MalformedMessageError, match="without a chain link"):
+        verify(nested)
+    nested_signed = len(canonical.encode(nested.body_cbe()))
+    append_signed = len(canonical.encode(appended.body_cbe()))
+    nested_wire, append_wire = nested.wire_size(), appended.wire_size()
     ratio = nested_signed / append_signed
     report.append(
         f"C4 miss-path append chain, 16 hops: final-wrap signed bytes "

@@ -122,9 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="destination domain (default: last)")
     reserve.add_argument("--rate", type=float, default=10.0,
                          help="bandwidth in Mb/s")
-    reserve.add_argument("--duration", type=float, default=3600.0,
-                         help="seconds")
-    reserve.add_argument("--user", default="Alice")
     reserve.add_argument(
         "--approach", choices=("hop", "agent", "agent-concurrent", "stars"),
         default="hop", help="signalling approach",
@@ -164,10 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--defenses", choices=("off", "on", "both"), default="both",
         help="run with admission-plane defenses off, on, or both "
              "(the off/on pair is the survivability experiment)")
-    attack.add_argument(
-        "--slo-spec", default=None, metavar="FILE",
-        help="JSON SLO spec evaluated over honest traffic "
-             "(default: the harness honest SLOs)")
     attack.add_argument("--json", action="store_true",
                         help="emit the report(s) as JSON")
     attack.add_argument(
@@ -192,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "bottleneck")
     workload.add_argument("--horizon", type=float, default=6000.0,
                           help="simulated seconds of arrivals")
-    workload.add_argument("--seed", type=int, default=11)
 
     metrics = sub.add_parser(
         "metrics",
@@ -200,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metrics.add_argument("--domains", default="A,B,C")
     metrics.add_argument("--rate", type=float, default=10.0)
-    metrics.add_argument("--duration", type=float, default=3600.0)
-    metrics.add_argument("--user", default="Alice")
     metrics.add_argument("--runs", type=int, default=3,
                          help="how many reservations to signal")
     metrics.add_argument("--format", choices=("prom", "json"),
@@ -230,10 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     slo.add_argument("--spec", default=None,
                      help="JSON SLO spec file (default: the built-in "
                           "objectives)")
-    slo.add_argument("--domains", default="A,B,C")
-    slo.add_argument("--rate", type=float, default=10.0)
-    slo.add_argument("--duration", type=float, default=3600.0)
-    slo.add_argument("--user", default="Alice")
     slo.add_argument("--runs", type=int, default=5,
                      help="how many reservations to signal")
     slo.add_argument("--record", default=None, metavar="FILE.tsrec",
@@ -284,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="schedule seed (same seed = same faults)")
     chaos.add_argument("--trials", type=int, default=200,
                        help="number of single-fault trials")
-    chaos.add_argument("--show-trials", action="store_true",
-                       help="print one line per trial")
     chaos.add_argument("--save-ledger", default=None, metavar="PATH",
                        help="write the campaign's decision ledger JSON "
                             "here (for repro audit --ledger)")
@@ -318,13 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "rendered frames (default: 10)")
     top.add_argument("--domains", default="A,B,C",
                      help="live mode: comma-separated chain of domains")
-    top.add_argument("--rate", type=float, default=10.0,
-                     help="live mode: bandwidth per reservation, Mb/s")
     top.add_argument("--runs", type=int, default=20,
                      help="live mode: reservations to signal (one "
                           "telemetry frame each)")
-    top.add_argument("--user", default="Alice",
-                     help="live mode: requesting user")
     top.add_argument("--fail-on-critical", action="store_true",
                      help="exit non-zero if any CRITICAL alert fired "
                           "(telemetry gate for honest recordings)")
@@ -385,23 +365,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="query: filter by domain")
     audit.add_argument("--correlation", default=None,
                        help="query: filter by correlation id")
-    audit.add_argument("--user", default=None,
-                       help="query: filter by user DN")
 
     return parser
 
 
 class _Demo:
     """The live run of the demo subcommands: a linear testbed over
-    ``--domains`` with ``--user`` in the ``--source`` domain.  Iterating
+    ``--domains`` with user Alice in the ``--source`` domain.  Iterating
     it signals ``--runs`` hop-by-hop reservations of ``--rate`` Mb/s for
-    ``--duration`` s to ``--dest`` and yields each outcome as it lands.
+    an hour to ``--dest`` and yields each outcome as it lands.
     A flag the subcommand does not have takes its default; a bad value
     raises :class:`~repro.errors.ReproError` (exit 2)."""
 
     def __init__(self, args: argparse.Namespace) -> None:
-        self.domains = [d.strip() for d in args.domains.split(",")
-                        if d.strip()]
+        domains = getattr(args, "domains", "A,B,C")
+        self.domains = [d.strip() for d in domains.split(",") if d.strip()]
         if not self.domains:
             raise ReproError("need at least one domain")
         self.runs = getattr(args, "runs", 1)
@@ -410,11 +388,8 @@ class _Demo:
         self.source = getattr(args, "source", None) or self.domains[0]
         self.dest = getattr(args, "dest", None) or self.domains[-1]
         self.rate = getattr(args, "rate", 10.0)
-        self.duration = getattr(args, "duration", 3600.0)
         self.testbed = build_linear_testbed(self.domains)
-        self.user = self.testbed.add_user(
-            self.source, getattr(args, "user", "Alice")
-        )
+        self.user = self.testbed.add_user(self.source, "Alice")
 
     def __iter__(self) -> Iterator[SignallingOutcome]:
         for _ in range(self.runs):
@@ -423,7 +398,7 @@ class _Demo:
     def request(self) -> ReservationRequest:
         return self.testbed.make_request(
             source=self.source, destination=self.dest,
-            bandwidth_mbps=self.rate, duration=self.duration,
+            bandwidth_mbps=self.rate,
         )
 
 
@@ -626,19 +601,10 @@ def cmd_attack_survivability(args: argparse.Namespace) -> int:
     import json as json_mod
 
     from repro.errors import SimulationError
-    from repro.obs.slo import parse_slo_spec
     from repro.workloads.survivability import (
         SurvivabilitySpec, run_survivability,
     )
 
-    slos = None
-    if args.slo_spec is not None:
-        try:
-            with open(args.slo_spec, encoding="utf-8") as fh:
-                slos = tuple(parse_slo_spec(fh.read()))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
         spec = SurvivabilitySpec(
             persona=args.persona, seed=args.seed, horizon_s=args.horizon,
@@ -664,7 +630,7 @@ def cmd_attack_survivability(args: argparse.Namespace) -> int:
         recorded = _recorded(
             record_paths.get(on),
             lambda recorder: run_survivability(
-                spec, defenses_on=on, slos=slos, recorder=recorder
+                spec, defenses_on=on, recorder=recorder
             ),
         )
         if recorded is None:
@@ -766,7 +732,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
         horizon_s=args.horizon,
     )
     result = ReservationWorkload(
-        testbed, spec, rng=random.Random(args.seed)
+        testbed, spec, rng=random.Random(11)
     ).run()
     predicted = predicted_acceptance(
         arrival_rate_per_s=arrival, mean_duration_s=mean_hold,
@@ -975,13 +941,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if recorded is None:
         return 2
     report, recorder = recorded
-    if args.show_trials:
-        for trial in report.trials:
-            verdict = "granted" if trial.granted else "denied "
-            health = "ok" if not (trial.violations or trial.audit_violations) \
-                else "VIOLATION"
-            print(f"  [{trial.index:4d}] {verdict} inj={trial.injected} "
-                  f"retry={trial.retries} {health}  {trial.spec.describe()}")
     if args.save_ledger:
         try:
             with open(args.save_ledger, "w", encoding="utf-8") as fh:
@@ -1205,7 +1164,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 return 2
         records = ledger.records(
             kind, domain=args.domain, correlation_id=args.correlation,
-            user=args.user,
         )
         if args.as_json:
             print(json_mod.dumps([r.to_dict() for r in records], indent=2))
@@ -1238,8 +1196,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 return 2
         else:
             # Live demo: signal one reservation across --domains under a
-            # fresh ledger, then explain it.  (audit's --user filters
-            # queries; the demo user stays the default.)
+            # fresh ledger, then explain it.
             with obs_audit.use_ledger() as ledger:
                 (outcome,) = _Demo(argparse.Namespace(domains=args.domains))
             if target is None:

@@ -8,12 +8,13 @@ tracking the path taken by a request as it moves from BB to BB."
 A :class:`SignedEnvelope` is a mapping payload plus the signer's DN and a
 signature over the canonical encoding of both.  Payload values may be any
 canonically encodable object — including *nested envelopes*, which is how
-``RAR_B = sign_BBB({RAR_A, cert_A, DN_BBC, ...})`` is built.
+``RAR_B = sign_BBB({RAR_A, cert_A, DN_BBC, ...})`` is built (its signature
+covers ``RAR_A``'s digest link, :data:`LINK_DIGEST_FIELD`).
 
 The library passes Python objects rather than bytes between simulated
 parties; the canonical encoding (DESIGN.md: our stand-in for DER) is what
-signatures cover, so any tampering with any nested field invalidates the
-enclosing signatures exactly as it would on the wire.
+signatures and links cover, so any tampering with any nested field
+invalidates the enclosing layer exactly as it would on the wire.
 
 Each layer is encoded once.  :func:`seal` encodes every payload value
 once, builds the body it signs and the whole envelope from those bytes,
@@ -45,19 +46,19 @@ __all__ = [
 #: The nested-message payload field (``messages.F_INNER`` re-exports it).
 LINKED_FIELD = "inner_rar"
 #: Append-only chain link: the SHA-256 of the inner envelope's canonical
-#: bytes.  When a payload carries this field, the *signature* covers the
-#: digest instead of the inner envelope itself (which stays in the
-#: payload for the wire and for provenance walks) — so a forwarding hop
-#: signs O(own fields) bytes, yet any tampering below still breaks the
-#: chain: the inner layer's bytes no longer hash to the signed link
-#: (``messages.unwrap_rar_layers`` enforces this before any signature
-#: is checked).
+#: bytes.  Every BB layer of a RAR carries it, and the *signature*
+#: covers the digest instead of the inner envelope itself (which stays
+#: in the payload for the wire and for provenance walks) — so a
+#: forwarding hop signs O(own fields) bytes, yet any tampering below
+#: still breaks the chain: the inner layer's bytes no longer hash to the
+#: signed link.  ``messages.unwrap_rar_layers`` enforces this before any
+#: signature is checked, and refuses a RAR layer without the link.
 LINK_DIGEST_FIELD = "inner_digest"
 
 
 def chain_link_digest(inner: "SignedEnvelope") -> bytes:
     """The append-chain commitment to *inner*: SHA-256 of its canonical
-    bytes (the exact bytes a nested-mode signature would have covered)."""
+    bytes."""
     return hashlib.sha256(inner.cbe_bytes()).digest()
 
 
@@ -96,9 +97,9 @@ class SignedEnvelope:
         :data:`LINK_DIGEST_FIELD`) the inner envelope is *excluded* from
         the signed bytes — the signature covers its digest link instead,
         so signing/verifying one layer costs O(that layer), not
-        O(whole chain).  The mode is self-describing and itself signed:
-        an attacker can neither add nor strip the link field without
-        breaking this layer's signature.
+        O(whole chain).  The link is itself signed: an attacker can
+        neither add nor strip it without breaking this layer's
+        signature.
 
         Payload values and the signer stay objects: the encoder splices
         the memoised bytes of every name, key, certificate, assertion and
@@ -107,8 +108,8 @@ class SignedEnvelope:
         return _body(dict(self.payload), self.signer, self.get(LINK_DIGEST_FIELD))
 
     def to_cbe(self) -> dict[str, Any]:
-        """The full envelope (always includes the inner message: the wire
-        representation is identical in both chain modes' shape)."""
+        """The full envelope, inner message included (an append-chain
+        layer leaves only its *signed* bytes without it)."""
         return {
             "payload": dict(self.payload),
             "signer": self.signer,
@@ -165,7 +166,10 @@ def _body(
 ) -> dict[str, Any]:
     """The signed portion of an envelope with payload *fields*: all of
     them but, in an append-only chain layer (*link_digest* is not
-    ``None``), the inner envelope, whose digest link is signed instead."""
+    ``None``), the inner envelope, whose digest link is signed instead.
+    The branch is keyed on the link, not on the message type: every RAR
+    layer above the user's carries one, while an approval carries none
+    and signs the inner approval it endorses directly."""
     linked = LINKED_FIELD if link_digest is not None else None
     return {
         "payload": {k: v for k, v in fields.items() if k != linked},

@@ -1079,9 +1079,6 @@ class HopByHopProtocol:
             assertions=added_assertions,
             bb=bb.dn,
             bb_key=bb.keypair.private,
-            # Append-only chain layer: this BB signs a digest link
-            # to the received bytes, not the re-encoded chain.
-            append=True,
             # Rewrite the trace context: the downstream hop's spans
             # hang under THIS hop's span, mirroring how this layer
             # wraps the upstream RAR.

@@ -6,7 +6,9 @@ The notation from the paper, and its realization here:
   Capability_Cert'_U})`` — :func:`make_user_rar`.
 * ``RAR_A = sign_pkeyBBA({RAR_U, cert_U, DN_BBB, Capability_Cert'_A})``
   and the general step ``RAR_{N+1} = sign_pkeyBB_{N+1}({RAR_N, cert_N,
-  DN_BB_{N+2}, Capability_Cert'_{N+1}})`` — :func:`make_bb_rar`.
+  DN_BB_{N+2}, Capability_Cert'_{N+1}})`` — :func:`make_bb_rar`, whose
+  signature covers ``RAR_N``'s digest link (:data:`F_INNER_DIGEST`): the
+  one spelling of a layer :func:`unwrap_rar_layers` accepts.
 * the approval that "propagates back to the source domain, with each
   intermediate domain referring to local SLA and SLS information",
   each BB "adds its own signed policy information" — :func:`make_approval`.
@@ -31,7 +33,11 @@ from repro.core.envelope import (
     chain_link_digest,
     seal,
 )
-from repro.errors import SignallingError, TamperedMessageError
+from repro.errors import (
+    MalformedMessageError,
+    SignallingError,
+    TamperedMessageError,
+)
 from repro.policy.attributes import SignedAssertion
 
 __all__ = [
@@ -68,11 +74,11 @@ F_CAPABILITY_CERTS = "capability_certs"
 F_ASSERTIONS = "assertions"
 F_INNER = "inner_rar"
 #: Append-only chain link (:data:`repro.core.envelope.LINK_DIGEST_FIELD`):
-#: SHA-256 of the inner envelope's canonical bytes.  Present on every
-#: layer a broker emits; the wrapper's signature covers this digest
-#: instead of the re-encoded inner chain.
-#: :func:`unwrap_rar_layers` re-derives and checks the link on every
-#: unwrap, so tampering any inner byte still voids the chain.
+#: SHA-256 of the inner envelope's canonical bytes.  Present on every BB
+#: layer; the wrapper's signature covers this digest instead of the
+#: re-encoded inner chain.  :func:`unwrap_rar_layers` refuses a layer
+#: that wraps a RAR without one, and re-derives and checks the link on
+#: every unwrap, so tampering any inner byte still voids the chain.
 F_INNER_DIGEST = LINK_DIGEST_FIELD
 F_INTRODUCED_CERT = "introduced_cert"
 F_HANDLE = "handle"
@@ -143,7 +149,6 @@ def make_bb_rar(
     bb: DistinguishedName,
     bb_key: PrivateKey,
     traceparent: str | None = None,
-    append: bool = False,
 ) -> SignedEnvelope:
     """``RAR_{N+1}``: a BB wraps the received RAR, introduces the upstream
     signer's certificate (learned in the SSL handshake), names the next
@@ -157,16 +162,11 @@ def make_bb_rar(
     trace context is rewritten at every hop, unlike the deadline, which
     is copied verbatim from the inner layer).
 
-    ``append=True`` is what every forwarding broker emits: the payload
-    additionally carries :data:`F_INNER_DIGEST` and this BB's signature
+    The payload carries :data:`F_INNER_DIGEST`, and this BB's signature
     covers that digest *instead of* the inner envelope, so wrapping costs
     O(this layer) signature work rather than O(chain).
     :func:`unwrap_rar_layers` checks the link digest, and each layer's
-    own signature is still checked as before.  ``append=False`` is the
-    reference builder for the paper's §6.4 shape (every hop re-signs the
-    whole nested chain): verifiers still read it — the signed digest
-    makes a layer self-describing — and the C4 claim benchmark, the
-    golden vectors and the append-vs-nested property suite build it.
+    own signature is checked against its own fields.
     """
     if inner.get(F_TYPE) != MSG_RAR:
         raise SignallingError("inner message is not a RAR")
@@ -181,9 +181,8 @@ def make_bb_rar(
         F_DOWNSTREAM: downstream,
         F_CAPABILITY_CERTS: tuple(capability_certs),
         F_ASSERTIONS: tuple(assertions),
+        F_INNER_DIGEST: chain_link_digest(inner),
     }
-    if append:
-        payload[F_INNER_DIGEST] = chain_link_digest(inner)
     deadline = inner.get(F_DEADLINE)
     if deadline is not None:
         payload[F_DEADLINE] = deadline
@@ -222,57 +221,57 @@ def make_denial(
     *,
     domain: str,
     reason: str,
-    inner: SignedEnvelope | None = None,
     bb: DistinguishedName,
     bb_key: PrivateKey,
 ) -> SignedEnvelope:
-    """A denial propagating back upstream with its reason (§6.1)."""
-    payload = {
-        F_TYPE: MSG_DENIAL,
-        F_DOMAIN: domain,
-        F_REASON: reason,
-    }
-    if inner is not None:
-        payload[F_INNER] = inner
+    """A denial propagating back upstream with its reason (§6.1).  It
+    wraps nothing: each upstream hop relays it as it was received."""
+    payload = {F_TYPE: MSG_DENIAL, F_DOMAIN: domain, F_REASON: reason}
     return seal(payload, signer=bb, key=bb_key)
 
 
 def unwrap_rar_layers(rar: SignedEnvelope) -> list[SignedEnvelope]:
-    """Return the layers of a nested RAR, outermost first (the user's
-    original request last).
+    """Return the layers of a RAR chain, outermost first (the user's
+    original request last).  Needs no keys; the trust verifiers call it
+    before any signature check.
 
-    Append-chain layers (:data:`F_INNER_DIGEST` present) additionally get
-    their chain link verified here: the inner envelope's canonical bytes
-    must hash to the signed digest.  This runs *before* any signature
-    check in the trust verifiers, so a tampered inner layer fails the
-    chain exactly as it fails the enclosing signature of a §6.4 nested
-    layer.
+    A layer that wraps an inner RAR must carry its chain link
+    (:data:`F_INNER_DIGEST`).  A wrong shape — a non-RAR layer, a
+    non-envelope inner field, a wrapped RAR without a link, more than 64
+    layers — raises :class:`~repro.errors.MalformedMessageError`, which
+    no retransmission can repair; a link that does not match the inner
+    bytes raises :class:`~repro.errors.TamperedMessageError`.
     """
     layers = []
     current: SignedEnvelope | None = rar
     while current is not None:
         if current.get(F_TYPE) != MSG_RAR:
-            raise SignallingError(
+            raise MalformedMessageError(
                 f"layer signed by {current.signer} is not a RAR"
             )
         layers.append(current)
+        if len(layers) > 64:
+            raise MalformedMessageError("RAR nesting exceeds maximum depth 64")
         inner = current.get(F_INNER)
-        if inner is not None and not isinstance(inner, SignedEnvelope):
-            raise SignallingError("inner RAR field holds a non-envelope")
         link = current.get(F_INNER_DIGEST)
-        if link is not None:
-            if not isinstance(inner, SignedEnvelope):
+        if inner is None:
+            if link is not None:
                 raise TamperedMessageError(
                     f"append-chain layer signed by {current.signer} carries "
                     f"a link digest but no inner envelope"
                 )
-            if not isinstance(link, bytes) or link != chain_link_digest(inner):
-                raise TamperedMessageError(
-                    f"append-chain link broken below layer signed by "
-                    f"{current.signer}: inner bytes do not match the "
-                    f"signed digest"
-                )
+        elif not isinstance(inner, SignedEnvelope):
+            raise MalformedMessageError("inner RAR field holds a non-envelope")
+        elif link is None:
+            raise MalformedMessageError(
+                f"layer signed by {current.signer} wraps a RAR without a "
+                f"chain link"
+            )
+        elif not isinstance(link, bytes) or link != chain_link_digest(inner):
+            raise TamperedMessageError(
+                f"append-chain link broken below layer signed by "
+                f"{current.signer}: inner bytes do not match the "
+                f"signed digest"
+            )
         current = inner
-        if len(layers) > 64:
-            raise SignallingError("RAR nesting exceeds maximum depth 64")
     return layers

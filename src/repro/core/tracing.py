@@ -22,7 +22,7 @@ from repro.core.messages import (
     F_INNER,
     F_TYPE,
     MSG_APPROVAL,
-    MSG_RAR,
+    unwrap_rar_layers,
 )
 from repro.errors import SignallingError
 
@@ -42,27 +42,13 @@ class PathTrace:
 
 
 def trace_request_path(rar: SignedEnvelope) -> PathTrace:
-    """Trace the hops of a (possibly nested) RAR, user first.
+    """Trace the hops of a RAR chain, user first.
 
-    Walks the nesting itself with the same depth guard as
-    :func:`trace_approval_chain`, so a maliciously deep (or cyclic)
-    envelope raises :class:`~repro.errors.SignallingError` instead of
-    relying on downstream helpers to bound the walk.
+    The layers come from :func:`~repro.core.messages.unwrap_rar_layers`,
+    so a chain of the wrong shape, or a maliciously deep (or cyclic) one,
+    raises :class:`~repro.errors.SignallingError` as it does at a verifier.
     """
-    layers: list[SignedEnvelope] = []
-    current: SignedEnvelope | None = rar
-    while current is not None:
-        if current.get(F_TYPE) != MSG_RAR:
-            raise SignallingError(
-                f"layer signed by {current.signer} is not a RAR"
-            )
-        layers.append(current)
-        inner = current.get(F_INNER)
-        if inner is not None and not isinstance(inner, SignedEnvelope):
-            raise SignallingError("inner RAR field holds a non-envelope")
-        current = inner
-        if len(layers) > 64:
-            raise SignallingError("RAR nesting exceeds maximum depth")
+    layers = unwrap_rar_layers(rar)
     in_travel_order = list(reversed(layers))
     signers = tuple(layer.signer for layer in in_travel_order)
     addressed = tuple(layer.get(F_DOWNSTREAM) for layer in in_travel_order)

@@ -46,9 +46,8 @@ from repro.core.messages import (
 from repro.errors import (
     ChainTooDeepError,
     IntroductionError,
+    MalformedMessageError,
     ReproError,
-    SignallingError,
-    TamperedMessageError,
 )
 from repro.obs.audit import ledger as obs_audit
 from repro.policy.attributes import SignedAssertion
@@ -116,14 +115,15 @@ def verify_rar(
     truststore: TrustStore,
     at_time: float = 0.0,
 ) -> VerifiedRAR:
-    """Verify a (possibly nested) RAR received from the holder of
-    *peer_certificate* over a mutually authenticated channel.
+    """Verify a RAR chain received from the holder of *peer_certificate*
+    over a mutually authenticated channel.
 
     Raises :class:`~repro.errors.TamperedMessageError` on any signature
-    failure, :class:`~repro.errors.IntroductionError` on broken
-    introductions or path inconsistencies, and
-    :class:`~repro.errors.ChainTooDeepError` when the verifier's trust
-    policy rejects the introduction depth.
+    or link failure, :class:`~repro.errors.MalformedMessageError` on a
+    chain of the wrong shape (:func:`~repro.core.messages.unwrap_rar_layers`),
+    :class:`~repro.errors.IntroductionError` on broken introductions or
+    path inconsistencies, and :class:`~repro.errors.ChainTooDeepError`
+    when the verifier's trust policy rejects the introduction depth.
     """
     return _verify(
         rar,
@@ -345,7 +345,7 @@ def _walk_layers(
     user_layer = layers[-1]
     request = user_layer.get(F_RES_SPEC)
     if not isinstance(request, ReservationRequest):
-        raise SignallingError("innermost RAR carries no reservation spec")
+        raise MalformedMessageError("innermost RAR carries no reservation spec")
 
     return VerifiedRAR(
         user=user_layer.signer,

@@ -290,13 +290,12 @@ def run_survivability(
     spec: SurvivabilitySpec,
     *,
     defenses_on: bool,
-    slos: tuple[SLO, ...] | None = None,
     recorder: FlightRecorder | None = None,
 ) -> SurvivabilityReport:
     """Run one mixed honest+attack scenario and measure what survived.
 
     With defenses on, the brokers arm :func:`harness_defense_policy`.
-    The honest objectives are *slos*, or :data:`HONEST_SLOS`.
+    The honest objectives are :data:`HONEST_SLOS`.
 
     With a *recorder*, the run becomes a monitored incident: the flight
     recorder samples registry + fabric probes every
@@ -463,7 +462,7 @@ def run_survivability(
                         report.defense_rejections.get(kind, 0) + count
                     )
         campaign.close(
-            HONEST_SLOS if slos is None else slos,
+            HONEST_SLOS,
             event_log=honest_log, brokers=testbed.brokers,
         )
     return report
@@ -471,11 +470,9 @@ def run_survivability(
 
 def run_survivability_pair(
     spec: SurvivabilitySpec,
-    *,
-    slos: tuple[SLO, ...] | None = None,
 ) -> tuple[SurvivabilityReport, SurvivabilityReport]:
     """The headline experiment: the same seeded scenario with the
     admission-plane defenses off, then on."""
-    off = run_survivability(spec, defenses_on=False, slos=slos)
-    on = run_survivability(spec, defenses_on=True, slos=slos)
+    off = run_survivability(spec, defenses_on=False)
+    on = run_survivability(spec, defenses_on=True)
     return off, on

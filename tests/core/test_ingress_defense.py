@@ -10,6 +10,10 @@ Covers the two ingress-facing robustness guarantees:
   certificates, assertions) hold something else is refused at the trust
   boundary the same way, before the §6.5 checks or the policy server
   read them;
+* a validly signed message of the wrong *shape* (a user layer without a
+  reservation spec, a chain deeper than the nesting limit, a non-RAR or
+  non-envelope inner layer, a layer in the paper's nested shape instead
+  of the append chain) is a trust failure too, never a link outage;
 * the replay guard rejects a replayed signed envelope **before**
   signature verification spends anything (``verified`` stays False and
   the protocol's verification counter does not move) — and a replay
@@ -21,18 +25,21 @@ import pytest
 
 from repro.bb.defense import DefensePolicy
 from repro.core.codec import from_wire, pack, to_wire
-from repro.core.envelope import seal
+from repro.core.envelope import chain_link_digest, seal
 from repro.core.hopbyhop import WORK_DECODE, WORK_GATE, WORK_VERIFY
 from repro.core.messages import (
     F_ASSERTIONS,
     F_CAPABILITY_CERTS,
     F_RES_SPEC,
+    make_bb_rar,
+    make_denial,
     make_user_rar,
 )
 from repro.core.testbed import build_linear_testbed
 from repro.crypto import canonical
 from repro.obs.audit import RecordKind, use_ledger
 from repro.obs.events import ReasonCode
+from tests.core._oracle import nested_bb_rar
 
 
 @pytest.fixture()
@@ -183,6 +190,72 @@ class TestMalformedCollectedFields:
         assert not outcome.granted
         assert outcome.denial_domain == "A"
         assert "field is malformed" in outcome.denial_reason
+
+
+def _no_res_spec(testbed, a, b):
+    return seal({"type": "rar", "downstream_dn": b.dn},
+                signer=a.dn, key=a.keypair.private)
+
+
+def _too_deep(testbed, a, b):
+    rar = _no_res_spec(testbed, a, b)
+    for _ in range(70):
+        rar = make_bb_rar(inner=rar, introduced_cert=None, downstream=b.dn,
+                          bb=a.dn, bb_key=a.keypair.private)
+    return rar
+
+
+def _non_rar_inner(testbed, a, b):
+    denial = make_denial(domain="A", reason="no", bb=a.dn,
+                         bb_key=a.keypair.private)
+    return seal({"type": "rar", "inner_rar": denial,
+                 "inner_digest": chain_link_digest(denial),
+                 "downstream_dn": b.dn}, signer=a.dn, key=a.keypair.private)
+
+
+def _non_envelope_inner(testbed, a, b):
+    return seal({"type": "rar", "inner_rar": "RAR_U", "downstream_dn": b.dn},
+                signer=a.dn, key=a.keypair.private)
+
+
+def _nested_layer(testbed, a, b):
+    """A's honest wrap of Alice's request, in the §6.4 nested shape."""
+    alice = testbed.add_user("A", "Alice")
+    rar_u = make_user_rar(
+        request=testbed.make_request(source="A", destination="B",
+                                     bandwidth_mbps=5.0),
+        source_bb=a.dn, user=alice.dn, user_key=alice.keypair.private,
+    )
+    return nested_bb_rar(inner=rar_u, introduced_cert=alice.certificate,
+                         downstream=b.dn, bb=a.dn, bb_key=a.keypair.private)
+
+
+class TestStructuralRefusals:
+    """B's channel peer A signs a message of the wrong shape.  The
+    signature is valid, the shape is not: B denies it as a trust failure
+    and records that code, where a retransmission or a link outage
+    would suggest that trying again could help."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(_no_res_spec, id="user-layer-without-res-spec"),
+        pytest.param(_too_deep, id="nested-70-deep"),
+        pytest.param(_non_rar_inner, id="non-rar-inner-layer"),
+        pytest.param(_non_envelope_inner, id="non-envelope-inner-field"),
+        pytest.param(_nested_layer, id="nested-shape-layer"),
+    ])
+    def test_wrong_shape_is_trust_failure(self, testbed, build):
+        a, b = testbed.brokers["A"], testbed.brokers["B"]
+        message = build(testbed, a, b)
+        with use_ledger() as ledger:
+            report = testbed.hop_by_hop.process_ingress(
+                "B", message, peer=str(a.dn), peer_certificate=a.certificate,
+                peer_kind="domain", at_time=0.0,
+            )
+        assert not report.accepted
+        assert report.reason_code == ReasonCode.TRUST_FAILURE.value
+        (denial,) = ledger.records(RecordKind.DENY)
+        assert denial.domain == "B"
+        assert denial.reason_code == ReasonCode.TRUST_FAILURE.value
 
 
 class TestReplayGuardAtIngress:

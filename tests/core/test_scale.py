@@ -31,7 +31,7 @@ class TestLongChains:
     def test_chain_longer_than_nesting_limit_rejected(self):
         """RAR nesting is bounded at 64 layers as a loop guard."""
         from repro.core.messages import unwrap_rar_layers
-        from repro.core.envelope import seal
+        from repro.core.envelope import chain_link_digest, seal
         from repro.crypto.dn import DN
         from repro.crypto.keys import SimulatedScheme
         import random
@@ -40,8 +40,9 @@ class TestLongChains:
         dn = DN.make("Grid", "X", "Y")
         env = seal({"type": "rar"}, signer=dn, key=kp.private)
         for _ in range(70):
-            env = seal({"type": "rar", "inner_rar": env}, signer=dn,
-                       key=kp.private)
+            env = seal({"type": "rar", "inner_rar": env,
+                        "inner_digest": chain_link_digest(env)},
+                       signer=dn, key=kp.private)
         from repro.errors import SignallingError
 
         with pytest.raises(SignallingError, match="depth"):

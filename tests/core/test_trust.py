@@ -17,17 +17,20 @@ import pytest
 
 from repro.bb.reservations import ReservationRequest
 from repro.core.messages import make_bb_rar, make_user_rar
-from repro.core.trust import verify_rar
+from repro.core.trust import verify_rar, verify_rar_with_repository
 from repro.crypto.dn import DN
 from repro.crypto.keys import RSAScheme, SimulatedScheme
+from repro.crypto.repository import CertificateRepository
 from repro.crypto.truststore import TrustPolicy, TrustStore
 from repro.crypto.x509 import CertificateAuthority
 from repro.errors import (
     ChainTooDeepError,
     IntroductionError,
+    MalformedMessageError,
     SignallingError,
     TamperedMessageError,
 )
+from tests.core._oracle import nested_bb_rar
 
 ALICE = DN.make("Grid", "A", "Alice")
 BB = {d: DN.make("Grid", d, f"BB-{d}") for d in "ABC"}
@@ -87,16 +90,17 @@ def request():
     )
 
 
-def build_chain(world):
+def build_chain(world, wrap_a=make_bb_rar, wrap_b=make_bb_rar):
+    """RAR_U, RAR_A and RAR_B, each BB layer built by its *wrap*."""
     rar_u = make_user_rar(
         request=request(), source_bb=BB["A"], user=ALICE,
         user_key=world["alice_keys"].private,
     )
-    rar_a = make_bb_rar(
+    rar_a = wrap_a(
         inner=rar_u, introduced_cert=world["alice_cert"], downstream=BB["B"],
         bb=BB["A"], bb_key=world["keys"]["A"].private,
     )
-    rar_b = make_bb_rar(
+    rar_b = wrap_b(
         inner=rar_a, introduced_cert=world["certs"]["A"], downstream=BB["C"],
         bb=BB["B"], bb_key=world["keys"]["B"].private,
     )
@@ -252,6 +256,35 @@ class TestTamperDetection:
                 peer_certificate=world["certs"]["A"],
                 truststore=world["stores"]["B"],
             )
+
+
+class TestOneSpellingPerLayer:
+    """The append chain is the one accepted spelling of a BB layer.  A
+    layer in the paper's nested shape (built by the test oracle) wraps
+    a RAR without a chain link: it is refused as malformed, not as
+    tampered, since a retransmission cannot repair a shape."""
+
+    @pytest.mark.parametrize("wrap_a, wrap_b", [
+        pytest.param(nested_bb_rar, nested_bb_rar, id="nested-chain"),
+        pytest.param(nested_bb_rar, make_bb_rar, id="nested-inner-layer"),
+        pytest.param(make_bb_rar, nested_bb_rar, id="nested-outer-layer"),
+    ])
+    @pytest.mark.parametrize("mode", ["introduction", "repository"])
+    def test_nested_layer_is_refused(self, world, wrap_a, wrap_b, mode):
+        _, _, rar_b = build_chain(world, wrap_a, wrap_b)
+        check = dict(
+            verifier=BB["C"], peer_certificate=world["certs"]["B"],
+            truststore=world["stores"]["C"],
+        )
+        if mode == "repository":
+            repository = CertificateRepository()
+            for cert in (world["alice_cert"], *world["certs"].values()):
+                repository.publish(cert)
+            check.update(repository=repository)
+        verify = verify_rar if mode == "introduction" else \
+            verify_rar_with_repository
+        with pytest.raises(MalformedMessageError, match="without a chain link"):
+            verify(rar_b, **check)
 
 
 class TestPolicyKnobs:

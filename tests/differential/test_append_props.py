@@ -1,15 +1,18 @@
 """Property suite: append-only chains == rebuilt nested chains.
 
 For random hop chains (length, rates, deadlines drawn by Hypothesis),
-building the chain in append mode (each BB signs the inner layer's
-digest link) and in nested mode (each BB re-signs the whole inner
-envelope) must be observably identical: same layers, same signers, same
-payload fields, same verification verdict at every layer — and the same
-*rejection* when any inner layer is tampered with.
+the append chain every broker emits (each BB signs the inner layer's
+digest link) and the paper's nested shape built by the test oracle
+(each BB re-signs the whole inner envelope, :mod:`tests.core._oracle`)
+must be observably identical: same layers, same signers, same payload
+fields, same verification verdict at every layer — and the same
+*rejection* when any inner layer is tampered with.  The production
+reader accepts only the first: a nested chain is refused as malformed.
 """
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +27,12 @@ from repro.core.messages import (
 )
 from repro.crypto.dn import DN
 from repro.crypto.x509 import CertificateAuthority
-from repro.errors import SignallingError, TamperedMessageError
+from repro.errors import (
+    MalformedMessageError,
+    SignallingError,
+    TamperedMessageError,
+)
+from tests.core._oracle import nested_bb_rar, nested_layers
 
 SETTINGS = settings(
     max_examples=200,
@@ -59,7 +67,7 @@ class Chainyard:
             },
         }
 
-    def build(self, *, hops, rate, deadline, append):
+    def build(self, *, hops, rate, deadline, wrap=make_bb_rar):
         request = ReservationRequest(
             source_host="h0.D0",
             destination_host=f"h0.D{hops}",
@@ -79,13 +87,12 @@ class Chainyard:
         previous_cert = self.user_cert
         for hop in range(hops):
             keys, cert = self.bbs[hop]
-            rar = make_bb_rar(
+            rar = wrap(
                 inner=rar,
                 introduced_cert=previous_cert,
                 downstream=self.bbs[hop + 1][1].subject,
                 bb=cert.subject,
                 bb_key=keys.private,
-                append=append,
             )
             previous_cert = cert
         return rar
@@ -94,11 +101,16 @@ class Chainyard:
 YARD = Chainyard()
 
 
-def chain_ok(rar, keys_of):
-    """Full-chain verdict: unwrap (checking append links) and verify
-    every layer's signature against its signer's key."""
+#: Each shape's reader: the production one (checking append links) and
+#: the oracle's, for the nested shape.
+SHAPES = ((make_bb_rar, unwrap_rar_layers), (nested_bb_rar, nested_layers))
+
+
+def chain_ok(rar, keys_of, layers_of=unwrap_rar_layers):
+    """Full-chain verdict: unwrap with *layers_of* and verify every
+    layer's signature against its signer's key."""
     try:
-        layers = unwrap_rar_layers(rar)
+        layers = layers_of(rar)
     except (TamperedMessageError, SignallingError):
         return False
     return all(
@@ -106,7 +118,7 @@ def chain_ok(rar, keys_of):
     )
 
 
-def layer_facts(rar):
+def layer_facts(layers):
     return [
         (
             str(layer.signer),
@@ -114,7 +126,7 @@ def layer_facts(rar):
             layer.get("deadline"),
             str(layer.get("downstream_dn")),
         )
-        for layer in unwrap_rar_layers(rar)
+        for layer in layers
     ]
 
 
@@ -129,12 +141,17 @@ chain_specs = st.builds(
 @SETTINGS
 @given(spec=chain_specs)
 def test_append_equals_rebuild(spec):
-    appended = YARD.build(append=True, **spec)
-    nested = YARD.build(append=False, **spec)
+    appended = YARD.build(**spec)
+    nested = YARD.build(wrap=nested_bb_rar, **spec)
 
-    assert layer_facts(appended) == layer_facts(nested)
+    assert layer_facts(unwrap_rar_layers(appended)) == layer_facts(
+        nested_layers(nested)
+    )
     assert chain_ok(appended, YARD.keys_of)
-    assert chain_ok(nested, YARD.keys_of)
+    assert chain_ok(nested, YARD.keys_of, nested_layers)
+    # The production reader takes one spelling of a layer.
+    with pytest.raises(MalformedMessageError, match="without a chain link"):
+        unwrap_rar_layers(nested)
 
     # Both shapes survive both codecs byte-stably.
     for rar in (appended, nested):
@@ -152,23 +169,23 @@ def test_tampered_inner_layer_rejected_in_both_modes(spec, tamper_layer):
     """Swapping any inner layer for a differently-signed one breaks the
     append chain's digest link exactly as it breaks the nested chain's
     enclosing signature."""
-    for append in (True, False):
-        rar = YARD.build(append=append, **spec)
-        layers = unwrap_rar_layers(rar)
+    for wrap, layers_of in SHAPES:
+        rar = YARD.build(wrap=wrap, **spec)
+        layers = layers_of(rar)
         index = min(tamper_layer, len(layers) - 1)
         forged = layers[index].with_tampered_field("tampered", True)
         doctored = layers[index - 1].with_tampered_field(F_INNER, forged)
         for outer in reversed(layers[: index - 1]):
             doctored = outer.with_tampered_field(F_INNER, doctored)
-        assert not chain_ok(doctored, YARD.keys_of), (
-            f"append={append}: tampered layer {index} still verifies"
+        assert not chain_ok(doctored, YARD.keys_of, layers_of), (
+            f"{wrap.__name__}: tampered layer {index} still verifies"
         )
 
 
 def test_append_layer_signature_covers_the_link():
     """Stripping the digest link (or the inner envelope) from an
     append-mode layer is itself tamper-evident."""
-    rar = YARD.build(hops=2, rate=25.0, deadline=None, append=True)
+    rar = YARD.build(hops=2, rate=25.0, deadline=None)
     assert rar.get(F_INNER_DIGEST) is not None
 
     stripped_inner = rar.with_tampered_field(F_INNER, None)

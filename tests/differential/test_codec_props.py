@@ -41,7 +41,8 @@ SETTINGS = settings(
 
 
 def _protocol_pool():
-    """Real protocol objects, both envelope chain shapes included."""
+    """Real protocol objects.  The nested chain shape comes in through
+    the golden vectors (``rar_nested_3hop``)."""
     testbed = build_linear_testbed(["A", "B", "C"])
     alice = testbed.add_user("A", "Alice")
     request = testbed.make_request(
@@ -56,22 +57,17 @@ def _protocol_pool():
         traceparent="00-abc-def-01",
     )
     bb_a = testbed.brokers["A"]
-    wrapped = {
-        mode: make_bb_rar(
-            inner=rar_u,
-            introduced_cert=alice.certificate,
-            downstream=testbed.brokers["B"].dn,
-            bb=bb_a.dn,
-            bb_key=bb_a.keypair.private,
-            append=(mode == "append"),
-        )
-        for mode in ("append", "nested")
-    }
+    wrapped = make_bb_rar(
+        inner=rar_u,
+        introduced_cert=alice.certificate,
+        downstream=testbed.brokers["B"].dn,
+        bb=bb_a.dn,
+        bb_key=bb_a.keypair.private,
+    )
     return (
         request,
         rar_u,
-        wrapped["append"],
-        wrapped["nested"],
+        wrapped,
         alice.certificate,
         alice.dn,
         alice.keypair.public,

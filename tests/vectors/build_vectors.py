@@ -15,7 +15,12 @@ regenerating the corpus without noticing.
 from __future__ import annotations
 
 import random
+import sys
 from pathlib import Path
+
+if __package__ in (None, ""):
+    # Run as a script: make the ``tests`` package importable.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
 
 from repro.bb.reservations import ReservationRequest
 from repro.core.codec import to_wire
@@ -28,6 +33,7 @@ from repro.core.messages import (
 from repro.crypto.dn import DN
 from repro.crypto.x509 import CertificateAuthority
 from repro.net.packet import DSCP
+from tests.core._oracle import nested_bb_rar
 
 VECTOR_DIR = Path(__file__).resolve().parent
 
@@ -62,7 +68,9 @@ def _request() -> ReservationRequest:
     )
 
 
-def _chain(append: bool):
+def _chain(wrap=make_bb_rar):
+    """The HOPS-hop chain, each BB layer built by *wrap*: the append
+    chain brokers emit, or the oracle's §6.4 nested shape."""
     user_keys, user_cert, bbs = _yard()
     rar = make_user_rar(
         request=_request(),
@@ -75,13 +83,12 @@ def _chain(append: bool):
     previous = user_cert
     for hop in range(HOPS):
         keys, cert = bbs[hop]
-        rar = make_bb_rar(
+        rar = wrap(
             inner=rar,
             introduced_cert=previous,
             downstream=bbs[hop + 1][1].subject,
             bb=cert.subject,
             bb_key=keys.private,
-            append=append,
         )
         previous = cert
     return rar
@@ -141,9 +148,9 @@ def _scalars():
 VECTORS = {
     "scalars": _scalars,
     "request": _request,
-    "rar_user": lambda: _chain(append=True).get("inner_rar"),
-    "rar_nested_3hop": lambda: _chain(append=False),
-    "rar_append_3hop": lambda: _chain(append=True),
+    "rar_user": lambda: _chain().get("inner_rar"),
+    "rar_nested_3hop": lambda: _chain(nested_bb_rar),
+    "rar_append_3hop": _chain,
     "approval_chain": _approvals,
     "denial": _denial,
 }
@@ -166,8 +173,6 @@ def main(argv: list[str] | None = None) -> int:
     """Regenerate the corpus, or with ``--check`` verify the committed
     files match a fresh deterministic rebuild (exit 1 on any drift,
     missing vector, or stray ``.bin``)."""
-    import sys
-
     args = sys.argv[1:] if argv is None else argv
     fresh = build_all()
     if "--check" in args:
