@@ -262,6 +262,16 @@ class _Attempt:
     cost: float = 0.0
 
 
+def _outage(exc: ReproError) -> ReproError:
+    """The service outage behind a spent retry budget: a policy server
+    or repository that stayed down is reported as itself (its own
+    reason code), not as the retry count.  Any other error is itself."""
+    cause = exc.__cause__
+    if isinstance(exc, RetryExhaustedError) and isinstance(cause, ReproError):
+        return cause
+    return exc
+
+
 class _Refused(Exception):
     """A stage refused the request: everything the denial writer
     (``HopByHopProtocol._deny``) needs, raised from where it happened."""
@@ -908,9 +918,7 @@ class HopByHopProtocol:
                 att, what=what, target=str(repository.name),
             )
         except RetryExhaustedError as exc:
-            # The repository stayed down through the whole retry budget:
-            # the hop reports the outage itself, not the retry count.
-            raise (exc.__cause__ or exc) from exc
+            raise _outage(exc) from exc
         att.outcome.repository_lookups += lookups
         att.outcome.latency_s += lookups * repository.lookup_latency_s
         return verified
@@ -958,7 +966,9 @@ class HopByHopProtocol:
                     and isinstance(exc.__cause__, BrokerUnavailableError)):
                 # Policy server / repository stayed down, or the
                 # deadline passed: this hop is alive and denies.
-                raise _Refused(domain, str(exc), exc, signer=bb) from exc
+                raise _Refused(
+                    domain, str(exc), _outage(exc), signer=bb,
+                ) from exc
             # This hop's BB is gone: it cannot sign anything.  The
             # upstream hop detects the silence and synthesizes the
             # denial (the user-facing report when it IS the source).

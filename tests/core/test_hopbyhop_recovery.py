@@ -139,6 +139,28 @@ class TestPermanentFailures:
         assert not outcome.granted
         assert_no_capacity_booked(testbed)
 
+    def test_policy_outage_is_recorded_as_policy_unavailable(
+        self, testbed, alice
+    ):
+        """The policy server of C stays down past the retry budget: C is
+        alive and denies, and its record names the outage, not a link."""
+        inject(
+            testbed,
+            FaultSpec(
+                TargetKind.POLICY, "C", FaultKind.UNAVAILABLE, ops=None
+            ),
+        )
+        with use_ledger() as ledger:
+            outcome = testbed.reserve(
+                alice, source="A", destination="C", bandwidth_mbps=10.0
+            )
+        assert not outcome.granted
+        assert outcome.denial_domain == "C"
+        assert "after" in outcome.denial_reason
+        (denial,) = ledger.records(RecordKind.DENY)
+        assert denial.domain == "C"
+        assert denial.reason_code == ReasonCode.POLICY_UNAVAILABLE.value
+
     def test_deadline_exceeded_denies_and_releases(self, testbed, alice):
         # A persistent one-second delay dwarfs the 0.25 s hop timeout, so
         # every attempt on A|B is declared lost and the retry budget burns

@@ -14,6 +14,9 @@ Covers the two ingress-facing robustness guarantees:
   reservation spec, a chain deeper than the nesting limit, a non-RAR or
   non-envelope inner layer, a layer in the paper's nested shape instead
   of the append chain) is a trust failure too, never a link outage;
+* a peer that introduces a certificate whose key material is not
+  well-formed for its scheme gets a trust failure: signature
+  verification answers False, it never raises;
 * the replay guard rejects a replayed signed envelope **before**
   signature verification spends anything (``verified`` stays False and
   the protocol's verification counter does not move) — and a replay
@@ -37,6 +40,7 @@ from repro.core.messages import (
 )
 from repro.core.testbed import build_linear_testbed
 from repro.crypto import canonical
+from repro.crypto.keys import PublicKey
 from repro.obs.audit import RecordKind, use_ledger
 from repro.obs.events import ReasonCode
 from tests.core._oracle import nested_bb_rar
@@ -250,6 +254,55 @@ class TestStructuralRefusals:
             report = testbed.hop_by_hop.process_ingress(
                 "B", message, peer=str(a.dn), peer_certificate=a.certificate,
                 peer_kind="domain", at_time=0.0,
+            )
+        assert not report.accepted
+        assert report.reason_code == ReasonCode.TRUST_FAILURE.value
+        (denial,) = ledger.records(RecordKind.DENY)
+        assert denial.domain == "B"
+        assert denial.reason_code == ReasonCode.TRUST_FAILURE.value
+
+
+class TestMalformedKeyMaterial:
+    """B's channel peer A introduces Alice's certificate, but the key it
+    binds is not well-formed for its scheme.  Alice signed her request
+    in that scheme, with the modulus of her RSA key where one is needed,
+    so B's check reaches the scheme's ``verify``: it answers False, it
+    never raises, and B denies as a trust failure and records that code,
+    in object and in wire form alike."""
+
+    @pytest.mark.parametrize("as_wire", [False, True], ids=["object", "wire"])
+    @pytest.mark.parametrize("scheme, material", [
+        pytest.param("rsa", lambda n: (n,), id="rsa-one-element"),
+        pytest.param("rsa", lambda n: (), id="rsa-empty"),
+        pytest.param("rsa", lambda n: (n, 65537, 3), id="rsa-three-elements"),
+        pytest.param("rsa", lambda n: (n, "3"), id="rsa-string-exponent"),
+        pytest.param("simulated", lambda n: (), id="simulated-empty"),
+        pytest.param("simulated", lambda n: (5,), id="simulated-int-seed"),
+        pytest.param("simulated", lambda n: ("seed-ü",),
+                     id="simulated-non-ascii-seed"),
+    ])
+    def test_malformed_material_is_trust_failure(
+        self, testbed, keypool, scheme, material, as_wire
+    ):
+        a, b = testbed.brokers["A"], testbed.brokers["B"]
+        alice = testbed.add_user("A", "Alice")
+        signing = keypool[0] if scheme == "rsa" else alice.keypair
+        hostile = testbed.domain_cas["A"].issue(
+            alice.dn, PublicKey(scheme, material(signing.public.material[0]))
+        )
+        rar_u = make_user_rar(
+            request=testbed.make_request(source="A", destination="B",
+                                         bandwidth_mbps=5.0),
+            source_bb=a.dn, user=alice.dn, user_key=signing.private,
+        )
+        layer = make_bb_rar(inner=rar_u, introduced_cert=hostile,
+                            downstream=b.dn, bb=a.dn,
+                            bb_key=a.keypair.private)
+        with use_ledger() as ledger:
+            report = testbed.hop_by_hop.process_ingress(
+                "B", to_wire(layer) if as_wire else layer, peer=str(a.dn),
+                peer_certificate=a.certificate, peer_kind="domain",
+                at_time=0.0,
             )
         assert not report.accepted
         assert report.reason_code == ReasonCode.TRUST_FAILURE.value

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.keys import (
     PrivateKey,
+    PublicKey,
     RSAScheme,
     SimulatedScheme,
     _is_probable_prime,
@@ -156,6 +157,44 @@ class TestRSACRT:
         d = pow(material.e, -1, (material.p - 1) * (material.q - 1))
         with pytest.raises(CryptoError, match="must be"):
             rsa512.sign(PrivateKey("rsa", (material.n, d)), b"msg")
+
+
+class TestMalformedPublicKey:
+    """Key material comes from peers: a key that is not well-formed for
+    its scheme verifies nothing, and ``verify`` answers False instead of
+    raising — including for what the exponentiation kernel refuses (an
+    even modulus, or one of at most 1) and for exponents outside
+    1 < e < n."""
+
+    @pytest.mark.parametrize("material", [
+        pytest.param(lambda n, e: (n,), id="one-element"),
+        pytest.param(lambda n, e: (), id="empty"),
+        pytest.param(lambda n, e: (n, e, 3), id="three-elements"),
+        pytest.param(lambda n, e: (n, str(e)), id="string-exponent"),
+        pytest.param(lambda n, e: (str(n), e), id="string-modulus"),
+        pytest.param(lambda n, e: (n, True), id="bool-exponent"),
+        pytest.param(lambda n, e: (n + 1, e), id="even-modulus"),
+        pytest.param(lambda n, e: (1, e), id="modulus-one"),
+        pytest.param(lambda n, e: (-n, e), id="negative-modulus"),
+        pytest.param(lambda n, e: (n, 1), id="exponent-one"),
+        pytest.param(lambda n, e: (n, 0), id="exponent-zero"),
+        pytest.param(lambda n, e: (n, -e), id="negative-exponent"),
+        pytest.param(lambda n, e: (n, n), id="exponent-equals-modulus"),
+        pytest.param(lambda n, e: (n, n + 2), id="exponent-above-modulus"),
+    ])
+    def test_rsa_verify_answers_false(self, rsa512, keypool, material):
+        kp = keypool[0]
+        sig = rsa512.sign(kp.private, b"msg")
+        hostile = PublicKey("rsa", material(*kp.public.material))
+        assert rsa512.verify(hostile, b"msg", sig) is False
+
+    @pytest.mark.parametrize("material", [
+        (), (5,), (b"seed",), ("seed-ü",), ("a", "b"),
+    ], ids=["empty", "int", "bytes", "non-ascii", "two-elements"])
+    def test_simulated_verify_answers_false(self, simulated, material):
+        assert simulated.verify(
+            PublicKey("simulated", material), b"msg", bytes(32)
+        ) is False
 
 
 class TestSimulated:
