@@ -496,9 +496,9 @@ class UnboundedRetryRule(Rule):
                     node,
                     f"unbounded retry: 'while True' around "
                     f"{', '.join(sorted(set(calls)))}() with no attempt "
-                    "counter, backoff, or deadline; bound it with "
-                    "repro.core.recovery.RetryPolicy (or an explicit "
-                    "attempt limit)",
+                    "counter, backoff, or deadline; bound it with the "
+                    "attempt budget repro.core.recovery.MAX_ATTEMPTS (or "
+                    "an explicit attempt limit)",
                 )
         self.generic_visit(node)
 

@@ -40,7 +40,7 @@ from repro.bb.reservations import (
     ReservationTable,
 )
 from repro.bb.sla import ServiceLevelAgreement
-from repro.crypto.dn import DN, DistinguishedName
+from repro.crypto.dn import DN
 from repro.crypto.keys import KeyPair, get_scheme
 from repro.crypto.truststore import TrustStore
 from repro.crypto.x509 import Certificate
@@ -117,22 +117,20 @@ class BandwidthBroker:
         *,
         policy_server: PolicyServer,
         admission: AdmissionController,
-        dn: DistinguishedName | None = None,
         keypair: KeyPair | None = None,
         certificate: Certificate | None = None,
         truststore: TrustStore | None = None,
         configurator: EdgeConfigurator | None = None,
         scheme: str = "rsa",
-        rng: random.Random | None = None,
         soft_state_ttl_s: float | None = None,
     ):
         self.domain = domain
-        self.dn = dn if dn is not None else DN.make("Grid", domain, f"BB-{domain}")
+        self.dn = DN.make("Grid", domain, f"BB-{domain}")
         if keypair is None:
             keypair = get_scheme(scheme).generate(
                 # crc32, not hash(): str hashing is salted per process and would
                 # make default keygen nondeterministic across runs (REP108).
-                rng if rng is not None else random.Random(zlib.crc32(domain.encode()))
+                random.Random(zlib.crc32(domain.encode()))
             )
         self.keypair = keypair
         self.certificate = certificate
@@ -325,12 +323,13 @@ class BandwidthBroker:
                 resv, request, verified, at_time=at_time,
                 upstream=upstream, downstream=downstream,
             )
-        except Exception:
+        finally:
+            # Every return leaves the row GRANTED or DENIED; only a
+            # raise leaves it PENDING.
             if resv.state is ReservationState.PENDING:
                 self.reservations.transition(
                     resv.handle, ReservationState.CANCELLED
                 )
-            raise
 
     def _admit_pipeline(
         self,

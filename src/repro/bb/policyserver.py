@@ -100,7 +100,6 @@ class PolicyServer:
         *,
         group_servers: Iterable[GroupServer] = (),
         trusted_communities: Mapping[DistinguishedName, PublicKey] | None = None,
-        predicates: Mapping[str, Callable[[RequestContext], bool]] | None = None,
         domain_attributes: Mapping[str, Any] | None = None,
     ):
         self.domain = domain
@@ -118,7 +117,6 @@ class PolicyServer:
             logger.warning("%s: policy verifier: %s", domain, finding.format())
         self._group_servers = {gs.name: gs for gs in group_servers}
         self._trusted_communities = dict(trusted_communities or {})
-        self._predicates = dict(predicates or {})
         self.domain_attributes = dict(domain_attributes or {})
         #: Counters for the benchmark harness.
         self.decisions = 0
@@ -252,7 +250,6 @@ class PolicyServer:
             capability_issuers=verified.capability_issuers,
             linked_reservations=request.linked_reservations,
             attributes=request.attributes,
-            predicates=self._predicates,
             linked_validator=linked_validator,
         )
 

@@ -36,14 +36,13 @@ class UserAgent:
         certificate: Certificate | None = None,
         truststore: TrustStore | None = None,
         scheme: str = "rsa",
-        rng: random.Random | None = None,
     ) -> None:
         self.dn = DN.parse(dn) if isinstance(dn, str) else dn
         self.domain = domain
         if keypair is None:
             keypair = get_scheme(scheme).generate(
                 # crc32, not hash(): str hashing is salted per process (REP108).
-                rng if rng is not None else random.Random(zlib.crc32(str(dn).encode()))
+                random.Random(zlib.crc32(str(dn).encode()))
             )
         self.keypair = keypair
         self.certificate = certificate

@@ -32,18 +32,19 @@ from one hop's step to the next; :meth:`HopByHopProtocol.process_ingress`
 runs ``_receive`` — the same code, not a copy — on unsolicited traffic.
 
 Failure recovery (the part the paper leaves implicit): every channel
-crossing runs under a per-hop timeout with bounded retries, exponential
-backoff + seeded jitter, and a per-peer-link circuit breaker
-(:mod:`repro.core.recovery`); an optional end-to-end deadline travels in
-the RAR itself (``F_DEADLINE``) so retries at an early hop shrink every
-later hop's budget; a hop whose broker, policy server, or repository
-stays down after retries turns into an upstream-signed denial; and
-partial-path admissions are *always* released — explicitly where
-reachable, tolerantly skipped (``UNWIND_FAILED``) where not, with the
-brokers' soft-state expiry as the backstop.
+crossing runs under the per-hop timeout :data:`HOP_TIMEOUT_S` with the
+retry budget, exponential backoff + seeded jitter and per-peer-link
+circuit breaker of :mod:`repro.core.recovery`; an optional end-to-end
+deadline travels in the RAR itself (``F_DEADLINE``) so retries at an
+early hop shrink every later hop's budget; a hop whose broker, policy
+server, or repository stays down after retries turns into an
+upstream-signed denial; and partial-path admissions are *always*
+released — explicitly where reachable, tolerantly skipped
+(``UNWIND_FAILED``) where not, with the brokers' soft-state expiry as
+the backstop.
 
 Latency accounting (benchmark C1): every channel crossing contributes its
-one-way latency, every BB decision contributes ``processing_delay_s``,
+one-way latency, every BB decision contributes :data:`PROCESSING_DELAY_S`,
 and every timeout/backoff contributes its modelled wait; the engine sums
 these along the actual message trajectory.
 """
@@ -74,10 +75,10 @@ from repro.core.messages import (
     make_user_rar,
 )
 from repro.core.recovery import (
-    BreakerPolicy,
+    MAX_ATTEMPTS,
     CircuitBreaker,
     Deadline,
-    RetryPolicy,
+    backoff_s,
 )
 from repro.core.trust import (
     VerifiedRAR,
@@ -112,11 +113,20 @@ from repro.obs.audit import ledger as obs_audit
 from repro.obs.events import ReasonCode, reason_code_for
 from repro.policy.attributes import SignedAssertion, make_assertion
 
-__all__ = ["SignallingOutcome", "IngressReport", "HopByHopProtocol"]
+__all__ = [
+    "PROCESSING_DELAY_S", "HOP_TIMEOUT_S",
+    "SignallingOutcome", "IngressReport", "HopByHopProtocol",
+]
 
 logger = logging.getLogger(__name__)
 
 _T = TypeVar("_T")
+
+#: Modelled time one BB spends on one admission decision.
+PROCESSING_DELAY_S = 0.001
+#: How long a sender waits for a channel delivery before declaring the
+#: message lost and retrying (modelled seconds).
+HOP_TIMEOUT_S = 0.25
 
 #: Transient faults a hop may retry through (a crashed-and-restarting
 #: broker, a policy server or repository that times out).
@@ -304,7 +314,12 @@ class _Refused(Exception):
 
 
 class HopByHopProtocol:
-    """Drives hop-by-hop signalling across a set of peered brokers."""
+    """Drives hop-by-hop signalling across a set of peered brokers.
+
+    Every hop decision costs :data:`PROCESSING_DELAY_S`, every delivery
+    waits at most :data:`HOP_TIMEOUT_S`, and retries, backoff and
+    breakers follow the one setting of :mod:`repro.core.recovery`.
+    """
 
     def __init__(
         self,
@@ -312,38 +327,21 @@ class HopByHopProtocol:
         channels: ChannelRegistry,
         domain_path: Callable[[str, str], list[str]],
         *,
-        processing_delay_s: float = 0.001,
         clock: Callable[[], float] = lambda: 0.0,
-        repository: CertificateRepository | None = None,
-        retry_policy: RetryPolicy | None = None,
-        breaker_policy: BreakerPolicy | None = None,
-        hop_timeout_s: float = 0.25,
-        rng: random.Random | None = None,
     ) -> None:
         self.brokers = dict(brokers)
         self.channels = channels
         self.domain_path = domain_path
-        self.processing_delay_s = processing_delay_s
         self.clock = clock
-        #: Optional trusted certificate repository (§6.4 alternative 2).
-        #: When set, BBs do NOT carry introduced certificates in the RAR;
-        #: every verifier resolves inner-signer keys by DN instead, paying
-        #: one repository lookup per unknown signer.
-        self.repository = repository
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else RetryPolicy()
-        )
-        self.breaker_policy = (
-            breaker_policy if breaker_policy is not None else BreakerPolicy()
-        )
-        #: How long a sender waits for a channel delivery before declaring
-        #: the message lost and retrying (modelled seconds).
-        self.hop_timeout_s = hop_timeout_s
-        # crc32 seed, not hash(): deterministic across processes (REP108).
-        self.rng = (
-            rng if rng is not None
-            else random.Random(zlib.crc32(b"hopbyhop-recovery"))
-        )
+        #: Optional trusted certificate repository (§6.4 alternative 2),
+        #: assigned after construction.  When set, BBs do NOT carry
+        #: introduced certificates in the RAR; every verifier resolves
+        #: inner-signer keys by DN instead, paying one repository lookup
+        #: per unknown signer.
+        self.repository: CertificateRepository | None = None
+        #: The backoff jitter's RNG.  crc32 seed, not hash():
+        #: deterministic across processes (REP108).
+        self.rng = random.Random(zlib.crc32(b"hopbyhop-recovery"))
         #: One circuit breaker per channel link, persisting across
         #: requests so a proven-dead link fails fast.
         self._breakers: dict[str, CircuitBreaker] = {}
@@ -363,7 +361,7 @@ class HopByHopProtocol:
     def _breaker_for(self, link: str) -> CircuitBreaker:
         breaker = self._breakers.get(link)
         if breaker is None:
-            breaker = CircuitBreaker(link, self.breaker_policy)
+            breaker = CircuitBreaker(link)
             self._breakers[link] = breaker
         return breaker
 
@@ -383,7 +381,7 @@ class HopByHopProtocol:
         """Wait out the retry backoff for a failed *attempt* of *what*
         (modelled, seeded jitter) and note the retry everywhere it shows."""
         outcome = att.outcome
-        outcome.latency_s += self.retry_policy.backoff_s(attempt, self.rng)
+        outcome.latency_s += backoff_s(attempt, self.rng)
         outcome.retries += 1
         obs_audit.note_retry(target=target, reason=reason)
         logger.info("retry %d of %s (%s): %s", attempt, what, target, reason)
@@ -444,9 +442,8 @@ class HopByHopProtocol:
         """
         outcome, at_time = att.outcome, att.at_time
         breaker = self._breaker_for(channel.link)
-        policy = self.retry_policy
         last_exc: ReproError | None = None
-        for attempt in range(1, policy.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             now = at_time + outcome.latency_s
             if deadline is not None:
                 deadline.check(now, what=what)
@@ -456,12 +453,12 @@ class HopByHopProtocol:
             except MessageDroppedError as exc:
                 last_exc = exc
             else:
-                if extra > 0.0 and extra >= self.hop_timeout_s:
+                if extra > 0.0 and extra >= HOP_TIMEOUT_S:
                     # Delivered, but after the sender's timeout fired; the
                     # receiver discards the stale copy as a duplicate.
                     last_exc = ChannelTimeoutError(
                         f"{what}: delivery on {channel.link} took "
-                        f"{extra:.3f}s, over the {self.hop_timeout_s:.3f}s "
+                        f"{extra:.3f}s, over the {HOP_TIMEOUT_S:.3f}s "
                         "hop timeout"
                     )
                 else:
@@ -474,16 +471,16 @@ class HopByHopProtocol:
                     breaker.record_success(at_time + outcome.latency_s)
                     return received
             # The sender waited out its timeout without an acknowledgement.
-            outcome.latency_s += self.hop_timeout_s
+            outcome.latency_s += HOP_TIMEOUT_S
             breaker.record_failure(at_time + outcome.latency_s)
-            if attempt < policy.max_attempts:
+            if attempt < MAX_ATTEMPTS:
                 self._back_off(
                     att, attempt, what=what, target=channel.link,
                     reason=str(last_exc),
                 )
         raise RetryExhaustedError(
             f"{what}: no delivery on link {channel.link} after "
-            f"{policy.max_attempts} attempts: {last_exc}"
+            f"{MAX_ATTEMPTS} attempts: {last_exc}"
         ) from last_exc
 
     def _call_with_retries(
@@ -491,9 +488,8 @@ class HopByHopProtocol:
     ) -> _T:
         """Run *op* with bounded retries over transient service outages
         (crashed broker, policy server / repository timeout)."""
-        max_attempts = self.retry_policy.max_attempts
         last_exc: ReproError | None = None
-        for attempt in range(1, max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             if att.deadline is not None:
                 att.deadline.check(
                     att.at_time + att.outcome.latency_s, what=what
@@ -502,13 +498,13 @@ class HopByHopProtocol:
                 return op()
             except _TRANSIENT_ERRORS as exc:
                 last_exc = exc
-                if attempt < max_attempts:
+                if attempt < MAX_ATTEMPTS:
                     self._back_off(
                         att, attempt, what=what, target=target,
                         reason=str(exc),
                     )
         raise RetryExhaustedError(
-            f"{what} failed after {max_attempts} attempts: {last_exc}"
+            f"{what} failed after {MAX_ATTEMPTS} attempts: {last_exc}"
         ) from last_exc
 
     def _release_granted(self, att: _Attempt, reason: str) -> None:
@@ -773,7 +769,7 @@ class HopByHopProtocol:
                     if att.deadline is not None else None
                 ),
             )
-        outcome.latency_s += self.processing_delay_s
+        outcome.latency_s += PROCESSING_DELAY_S
         hop = _Hop(
             domain=path[index], bb=bb, upstream=upstream,
             downstream=path[index + 1] if index + 1 < len(path) else None,
@@ -820,8 +816,7 @@ class HopByHopProtocol:
             except TamperedMessageError as exc:
                 # Integrity failure on the received copy: ask the
                 # upstream sender to retransmit the original.
-                if (attempt >= self.retry_policy.max_attempts
-                        or hop.resend is None):
+                if attempt >= MAX_ATTEMPTS or hop.resend is None:
                     raise self._untrusted(hop, exc, work) from exc
                 channel, sender, sent = hop.resend
                 self._back_off(

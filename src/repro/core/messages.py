@@ -85,6 +85,9 @@ F_HANDLE = "handle"
 F_HANDLES = "handles"
 F_REASON = "reason"
 F_DOMAIN = "domain"
+#: Always the empty tuple in an approval: no hop attaches policy
+#: information to its approval.  The field stays until the next wire
+#: revision drops it.
 F_POLICY_INFO = "policy_info"
 #: Absolute end-to-end signalling deadline (modelled seconds).  Set by
 #: the user in ``RAR_U`` and copied outward by every BB wrapper, so each
@@ -197,7 +200,6 @@ def make_approval(
     *,
     handle: str,
     domain: str,
-    policy_info: Sequence[SignedAssertion] = (),
     inner: SignedEnvelope | None = None,
     bb: DistinguishedName,
     bb_key: PrivateKey,
@@ -208,7 +210,7 @@ def make_approval(
         F_TYPE: MSG_APPROVAL,
         F_HANDLE: handle,
         F_DOMAIN: domain,
-        F_POLICY_INFO: tuple(policy_info),
+        F_POLICY_INFO: (),
     }
     if inner is not None:
         if inner.get(F_TYPE) != MSG_APPROVAL:

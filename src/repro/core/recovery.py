@@ -5,17 +5,19 @@ adds an independent failure mode: a peer channel can lose or delay a
 message, a neighbouring BB can crash between two admissions, a policy
 server or the certificate repository can stop answering.  This module
 holds the three small, deterministic mechanisms the hop-by-hop engine
-uses to survive them:
+uses to survive them, each with one fixed setting:
 
-* :class:`RetryPolicy` — bounded attempts with exponential backoff and
-  seeded jitter (never a global RNG: the whole schedule must replay
-  under a fixed seed);
+* the retry budget — :data:`MAX_ATTEMPTS` attempts, with the
+  exponential backoff of :func:`backoff_s` and seeded jitter between
+  them (never a global RNG: the whole schedule must replay under a
+  fixed seed);
 * :class:`Deadline` — an absolute end-to-end signalling deadline carried
   in the RAR and checked against *modelled* elapsed time at every hop,
   so retries at an early hop shrink the budget of every later hop;
 * :class:`CircuitBreaker` — a per-peer-link closed/open/half-open gate
-  that fails fast once a link has proven itself down, and probes it
-  again after a quiet period on the simulated clock.
+  that fails fast once :data:`BREAKER_FAILURE_THRESHOLD` failures have
+  proven a link down, and probes it again after
+  :data:`BREAKER_RESET_TIMEOUT_S` of quiet on the simulated clock.
 
 Everything here runs on simulated time supplied by the caller; nothing
 reads a wall clock.
@@ -29,33 +31,39 @@ from dataclasses import dataclass
 from repro.errors import CircuitOpenError, DeadlineExceededError
 from repro.obs import decisions
 
-__all__ = ["RetryPolicy", "Deadline", "CircuitBreaker", "BreakerPolicy"]
+__all__ = [
+    "MAX_ATTEMPTS", "BASE_BACKOFF_S", "BACKOFF_MULTIPLIER", "BACKOFF_JITTER",
+    "BREAKER_FAILURE_THRESHOLD", "BREAKER_RESET_TIMEOUT_S",
+    "backoff_s", "Deadline", "CircuitBreaker",
+]
+
+#: Attempts per channel delivery or service call, the first try
+#: included: one attempt plus at most three retries.
+MAX_ATTEMPTS = 4
+#: Modelled wait before the first retry; each later retry multiplies it
+#: by :data:`BACKOFF_MULTIPLIER`.
+BASE_BACKOFF_S = 0.05
+BACKOFF_MULTIPLIER = 2.0
+#: Seeded jitter stretches a backoff by up to this share of itself,
+#: decorrelating retry storms from concurrent requests.
+BACKOFF_JITTER = 0.5
+#: Consecutive failures that open a link's circuit breaker.
+BREAKER_FAILURE_THRESHOLD = 4
+#: Quiet period after which an open breaker lets one probe through.
+BREAKER_RESET_TIMEOUT_S = 30.0
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retries with exponential backoff and seeded jitter.
-
-    ``max_attempts`` counts the first try: ``max_attempts=4`` means one
-    attempt plus at most three retries.  The backoff before retry *n*
-    (1-based) is ``base_backoff_s * multiplier**(n-1)``, stretched by up
-    to ``jitter`` of itself using the injected RNG — jitter decorrelates
-    retry storms from concurrent requests without breaking determinism.
-    """
-
-    max_attempts: int = 4
-    base_backoff_s: float = 0.05
-    multiplier: float = 2.0
-    jitter: float = 0.5
-
-    def backoff_s(self, attempt: int, rng: random.Random | None = None) -> float:
-        """Modelled delay before retry *attempt* (1 = first retry)."""
-        if attempt < 1:
-            return 0.0
-        base = self.base_backoff_s * self.multiplier ** (attempt - 1)
-        if rng is None or self.jitter <= 0.0:
-            return base
-        return base * (1.0 + self.jitter * rng.random())
+def backoff_s(attempt: int, rng: random.Random | None = None) -> float:
+    """Modelled delay before retry *attempt* (1 = first retry):
+    ``BASE_BACKOFF_S * BACKOFF_MULTIPLIER**(attempt-1)``, stretched by up
+    to :data:`BACKOFF_JITTER` of itself with one draw from *rng* (none
+    without an *rng*)."""
+    if attempt < 1:
+        return 0.0
+    base = BASE_BACKOFF_S * BACKOFF_MULTIPLIER ** (attempt - 1)
+    if rng is None:
+        return base
+    return base * (1.0 + BACKOFF_JITTER * rng.random())
 
 
 @dataclass(frozen=True)
@@ -79,14 +87,6 @@ class Deadline:
             )
 
 
-@dataclass(frozen=True)
-class BreakerPolicy:
-    """Tuning knobs for :class:`CircuitBreaker` instances."""
-
-    failure_threshold: int = 4
-    reset_timeout_s: float = 30.0
-
-
 class CircuitBreaker:
     """A per-peer-link circuit breaker on simulated time.
 
@@ -101,9 +101,8 @@ class CircuitBreaker:
     OPEN = "open"
     HALF_OPEN = "half_open"
 
-    def __init__(self, link: str, policy: BreakerPolicy | None = None) -> None:
+    def __init__(self, link: str) -> None:
         self.link = link
-        self.policy = policy if policy is not None else BreakerPolicy()
         self.state = self.CLOSED
         self.failures = 0
         self.opened_at = 0.0
@@ -125,7 +124,7 @@ class CircuitBreaker:
     def allow(self, now: float) -> bool:
         """May a message be sent over this link right now?"""
         if self.state == self.OPEN:
-            if now - self.opened_at >= self.policy.reset_timeout_s:
+            if now - self.opened_at >= BREAKER_RESET_TIMEOUT_S:
                 self._transition(self.HALF_OPEN, now)
                 return True
             return False
@@ -146,7 +145,7 @@ class CircuitBreaker:
         self.failures += 1
         if (
             self.state == self.HALF_OPEN
-            or self.failures >= self.policy.failure_threshold
+            or self.failures >= BREAKER_FAILURE_THRESHOLD
         ):
             self.opened_at = now
             self._transition(self.OPEN, now)

@@ -36,7 +36,11 @@ from repro.bb.reservations import (
 from repro.bb.sla import SLA, SLS
 from repro.core.agent import UserAgent
 from repro.core.channel import ChannelRegistry
-from repro.core.hopbyhop import HopByHopProtocol, SignallingOutcome
+from repro.core.hopbyhop import (
+    PROCESSING_DELAY_S,
+    HopByHopProtocol,
+    SignallingOutcome,
+)
 from repro.core.sourcedomain import EndToEndAgent
 from repro.core.stars import ReservationCoordinator
 from repro.core.tunnels import TunnelService
@@ -63,6 +67,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector
 
 __all__ = [
+    "CHANNEL_LATENCY_S",
+    "USER_CHANNEL_LATENCY_S",
     "Testbed",
     "build_linear_testbed",
     "build_star_testbed",
@@ -73,6 +79,11 @@ __all__ = [
 #: Default per-request SLS cap: generous so admission, not the SLS,
 #: is normally the binding constraint.
 _DEFAULT_SLS_RATE = 1000.0
+#: One-way latency of every inter-BB channel, and of the out-of-band
+#: channel Approach 1 opens between a user and a remote BB.
+CHANNEL_LATENCY_S = 0.005
+#: One-way latency of the channel between a user and its home BB.
+USER_CHANNEL_LATENCY_S = 0.001
 
 
 class NetworkEdgeConfigurator:
@@ -122,18 +133,21 @@ class NetworkEdgeConfigurator:
 
 
 class Testbed:
-    """A fully wired multi-domain QoS testbed."""
+    """A fully wired multi-domain QoS testbed.
+
+    Channels take :data:`CHANNEL_LATENCY_S` between brokers and
+    :data:`USER_CHANNEL_LATENCY_S` from a user to its home broker; each
+    domain starts with a policy that grants everything, which
+    :meth:`set_policy` (or the mapping form of
+    :func:`build_linear_testbed`) replaces.
+    """
 
     def __init__(
         self,
         topology: Topology,
         *,
         scheme: str = "simulated",
-        channel_latency_s: float = 0.005,
-        user_channel_latency_s: float = 0.001,
-        processing_delay_s: float = 0.001,
         trust_policy: TrustPolicy | None = None,
-        default_policy: str | PolicyEngine | None = None,
         seed: int = 2001,
         soft_state_ttl_s: float | None = None,
     ) -> None:
@@ -142,8 +156,6 @@ class Testbed:
         self.network = NetworkModel(topology, self.sim)
         self.scheme = scheme
         self.rng = random.Random(seed)
-        self.channel_latency_s = channel_latency_s
-        self.user_channel_latency_s = user_channel_latency_s
         self.channels = ChannelRegistry()
         self.users: dict[str, UserAgent] = {}
         self.cas_servers: dict[str, CommunityAuthorizationServer] = {}
@@ -159,7 +171,7 @@ class Testbed:
         self.domain_cas: dict[str, CertificateAuthority] = {}
         self.brokers: dict[str, BandwidthBroker] = {}
         for domain in topology.domains():
-            self._build_domain(domain, default_policy)
+            self._build_domain(domain)
         self._peer_domains()
 
         clock = lambda: self.sim.now  # noqa: E731 - tiny closure
@@ -167,14 +179,13 @@ class Testbed:
             self.brokers,
             self.channels,
             self.topology.domain_path,
-            processing_delay_s=processing_delay_s,
             clock=clock,
         )
         self.end_to_end_agent = EndToEndAgent(
             self.brokers,
             self.channels,
             self.topology.domain_path,
-            processing_delay_s=processing_delay_s,
+            processing_delay_s=PROCESSING_DELAY_S,
             clock=clock,
         )
         self.tunnels = TunnelService(self.hop_by_hop, self.channels)
@@ -182,9 +193,7 @@ class Testbed:
 
     # -- construction ------------------------------------------------------------
 
-    def _build_domain(
-        self, domain: str, default_policy: str | PolicyEngine | None
-    ) -> None:
+    def _build_domain(self, domain: str) -> None:
         ca = CertificateAuthority(
             DN.make("Grid", domain, f"CA-{domain}"),
             rng=self.rng,
@@ -192,14 +201,9 @@ class Testbed:
         )
         self.domain_cas[domain] = ca
 
-        if default_policy is None:
-            engine: PolicyEngine = PolicyEngine(
-                [Return(Decision.GRANT, f"{domain}: default grant")], name=domain
-            )
-        elif isinstance(default_policy, str):
-            engine = compile_policy(default_policy, name=domain)
-        else:
-            engine = default_policy
+        engine = PolicyEngine(
+            [Return(Decision.GRANT, f"{domain}: default grant")], name=domain
+        )
 
         admission = AdmissionController()
         intra_capacity = self._intra_capacity(domain)
@@ -269,7 +273,7 @@ class Testbed:
             )
             self.channels.connect(
                 self.brokers[da], self.brokers[db],
-                latency_s=self.channel_latency_s,
+                latency_s=CHANNEL_LATENCY_S,
             )
 
     # -- admission-plane defenses ------------------------------------------------
@@ -340,7 +344,7 @@ class Testbed:
         # The home BB trusts local users through the shared domain CA anchor;
         # pre-open the user channel so latency config applies.
         self.channels.connect(
-            user, self.brokers[domain], latency_s=self.user_channel_latency_s
+            user, self.brokers[domain], latency_s=USER_CHANNEL_LATENCY_S
         )
         return user
 
@@ -350,7 +354,7 @@ class Testbed:
         bb = self.brokers[domain]
         bb.truststore.add_introduced_peer(user.certificate)
         user.truststore.add_introduced_peer(bb.certificate)
-        self.channels.connect(user, bb, latency_s=self.channel_latency_s)
+        self.channels.connect(user, bb, latency_s=CHANNEL_LATENCY_S)
 
     def add_cas(
         self, community: str, *, domains: Iterable[str] | None = None

@@ -28,7 +28,11 @@ from repro.bb.admission import CapacitySchedule
 from repro.bb.reservations import ReservationRequest
 from repro.core.agent import UserAgent
 from repro.core.channel import ChannelRegistry, SecureChannel
-from repro.core.hopbyhop import HopByHopProtocol, SignallingOutcome
+from repro.core.hopbyhop import (
+    PROCESSING_DELAY_S,
+    HopByHopProtocol,
+    SignallingOutcome,
+)
 from repro.crypto.dn import DistinguishedName
 from repro.errors import CapacityExceededError, ChannelError, TunnelError
 from repro.obs import decisions
@@ -278,7 +282,7 @@ class TunnelService:
                 tunnel, user, rate_mbps, start=start, end=end,
                 cause=exc, spent_latency_s=latency, spent_messages=messages,
             )
-        latency += 2 * self.protocol.processing_delay_s
+        latency += 2 * PROCESSING_DELAY_S
 
         allocation = FlowAllocation(
             allocation_id=f"ALC-{next(self._alloc_ids):05d}",

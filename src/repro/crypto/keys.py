@@ -49,6 +49,8 @@ __all__ = [
     "PrivateKey",
     "KeyPair",
     "SignatureScheme",
+    "RSA_PUBLIC_EXPONENT",
+    "RSA_MAX_MODULUS_BITS",
     "RSAScheme",
     "SimulatedScheme",
     "get_scheme",
@@ -233,6 +235,14 @@ def _random_prime(bits: int, rng: random.Random) -> int:
             return candidate
 
 
+#: The one RSA public exponent: every key this module generates uses
+#: it, and a verifier accepts no other.
+RSA_PUBLIC_EXPONENT = 65537
+#: The widest modulus a verifier accepts.  Key material arrives from
+#: peers, and the cost of a verify grows with the modulus' width.
+RSA_MAX_MODULUS_BITS = 4096
+
+
 class _RSAPrivate(NamedTuple):
     """An RSA private key in CRT form: ``d`` itself is not kept."""
 
@@ -264,14 +274,14 @@ class RSAScheme:
     name = "rsa"
     secure = True
 
-    def __init__(self, bits: int = 1024, public_exponent: int = 65537) -> None:
+    def __init__(self, bits: int = 1024) -> None:
         if bits < 256:
             raise CryptoError("RSA modulus must be at least 256 bits")
         self.bits = bits
-        self.e = public_exponent
 
     def generate(self, rng: random.Random) -> KeyPair:
         half = self.bits // 2
+        e = RSA_PUBLIC_EXPONENT
         while True:
             p = _random_prime(half, rng)
             q = _random_prime(self.bits - half, rng)
@@ -279,15 +289,15 @@ class RSAScheme:
                 continue
             n = p * q
             phi = (p - 1) * (q - 1)
-            if phi % self.e == 0:
+            if phi % e == 0:
                 continue
             try:
-                d = pow(self.e, -1, phi)
+                d = pow(e, -1, phi)
             except ValueError:
                 continue
-            public = PublicKey(self.name, (n, self.e))
+            public = PublicKey(self.name, (n, e))
             private = PrivateKey(self.name, _RSAPrivate(
-                n, self.e, p, q, d % (p - 1), d % (q - 1), pow(q, -1, p),
+                n, e, p, q, d % (p - 1), d % (q - 1), pow(q, -1, p),
             ))
             return KeyPair(private, public)
 
@@ -315,15 +325,17 @@ class RSAScheme:
     def verify(self, public: PublicKey, message: bytes, signature: bytes) -> bool:
         if public.scheme != self.name:
             return False
-        # Two ints the kernel accepts (an odd n > 1, 1 < e < n), or
-        # nothing verifies.
+        # Two ints: an odd 1 < n of at most RSA_MAX_MODULUS_BITS (what
+        # the kernel accepts, at a bounded cost) and the one public
+        # exponent, or nothing verifies.
         try:
             n, e = public.material
         except (TypeError, ValueError):
             return False
         if type(n) is not int or type(e) is not int:
             return False
-        if n <= 1 or n % 2 == 0 or not 1 < e < n:
+        if (n <= 1 or n % 2 == 0 or n.bit_length() > RSA_MAX_MODULUS_BITS
+                or e != RSA_PUBLIC_EXPONENT):
             return False
         try:
             sig = int.from_bytes(signature, "big")

@@ -222,7 +222,6 @@ class CertificateAuthority:
         rng: random.Random | None = None,
         scheme: str = "rsa",
         keypair: KeyPair | None = None,
-        validity: float = DEFAULT_VALIDITY,
     ) -> None:
         self.name = DN.parse(name) if isinstance(name, str) else name
         self._rng = rng if rng is not None else random.Random(0xCA)
@@ -231,14 +230,12 @@ class CertificateAuthority:
         self._serials = itertools.count(1)
         self._revoked: set[int] = set()
         self._issued: dict[int, Certificate] = {}
-        self.validity = validity
         self.certificate = sign_certificate(
             serial=next(self._serials),
             issuer=self.name,
             subject=self.name,
             public_key=self.keypair.public,
             signing_key=self.keypair.private,
-            not_after=validity,
             extensions={EXT_BASIC_CONSTRAINTS_CA: True},
         )
         self._issued[self.certificate.serial] = self.certificate
@@ -267,7 +264,7 @@ class CertificateAuthority:
             public_key=public_key,
             signing_key=self.keypair.private,
             not_before=not_before,
-            not_after=self.validity if not_after is None else not_after,
+            not_after=DEFAULT_VALIDITY if not_after is None else not_after,
             extensions=exts,
         )
         self._issued[cert.serial] = cert

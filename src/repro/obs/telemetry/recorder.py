@@ -88,16 +88,8 @@ class FlightRecorder:
     recorder itself never reads a clock — REP113 enforces that.
     """
 
-    def __init__(
-        self,
-        store: SeriesStore | None = None,
-        *,
-        writer: "RecordingWriter | None" = None,
-        capacity: int | None = None,
-    ):
-        if store is None:
-            store = SeriesStore(**({"capacity": capacity} if capacity else {}))
-        self.store = store
+    def __init__(self, *, writer: "RecordingWriter | None" = None):
+        self.store = SeriesStore()
         self.writer = writer
         self._probes: list[Probe] = []
         self._known_kinds: dict[SeriesKey, str] = {}

@@ -128,6 +128,13 @@ class AttackPersona:
         raise NotImplementedError
 
 
+#: The flooder's first ask and the window it holds each grab for.
+_FLOOD_RATE_MBPS = 32.0
+_FLOOD_DURATION_S = 600.0
+#: The legitimate tunnel the squatter's victim domain terminates.
+_SQUAT_TUNNEL_MBPS = 20.0
+
+
 class FloodAttacker(AttackPersona):
     """Reservation flooding: grab the victim's capacity and sit on it.
 
@@ -147,13 +154,10 @@ class FloodAttacker(AttackPersona):
 
     def __init__(
         self, testbed: Testbed, *, victim: str, source: str,
-        rng: random.Random, rate_mbps: float = 32.0,
-        duration_s: float = 600.0,
+        rng: random.Random,
     ) -> None:
         super().__init__(testbed, victim=victim, source=source, rng=rng)
-        self.rate_mbps = rate_mbps
-        self.duration_s = duration_s
-        self._ask_mbps = rate_mbps
+        self._ask_mbps = _FLOOD_RATE_MBPS
         self._user = None
 
     def prepare(self, now: float = 0.0) -> None:
@@ -169,7 +173,7 @@ class FloodAttacker(AttackPersona):
             destination=self.victim,
             bandwidth_mbps=self._ask_mbps,
             start=now,
-            duration=self.duration_s,
+            duration=_FLOOD_DURATION_S,
         )
         if self._gate_total() > before:
             self.stats.gate_rejected += 1
@@ -288,10 +292,9 @@ class TunnelSquatter(AttackPersona):
 
     def __init__(
         self, testbed: Testbed, *, victim: str, source: str,
-        rng: random.Random, tunnel_mbps: float = 20.0,
+        rng: random.Random,
     ) -> None:
         super().__init__(testbed, victim=victim, source=source, rng=rng)
-        self.tunnel_mbps = tunnel_mbps
         self.tunnel = None
         self._user = None
         self._claim_wire: bytes = b""
@@ -300,7 +303,7 @@ class TunnelSquatter(AttackPersona):
         owner = self.testbed.add_user(self.source, "tunnel-owner")
         request = self.testbed.make_request(
             source=self.source, destination=self.victim,
-            bandwidth_mbps=self.tunnel_mbps,
+            bandwidth_mbps=_SQUAT_TUNNEL_MBPS,
             start=now, duration=7200.0,
         )
         tunnel, outcome = self.testbed.tunnels.establish(owner, request)

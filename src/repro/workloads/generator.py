@@ -37,7 +37,6 @@ class WorkloadSpec:
     rate_choices_mbps: tuple[float, ...]
     pairs: tuple[tuple[str, str], ...]
     horizon_s: float = 3600.0
-    advance_notice_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.arrival_rate_per_s <= 0 or self.mean_duration_s <= 0:
@@ -100,12 +99,11 @@ class ReservationWorkload:
         rate = self.rng.choice(self.spec.rate_choices_mbps)
         duration = self.rng.expovariate(1.0 / self.spec.mean_duration_s)
         duration = max(duration, 1.0)
-        start = now + self.spec.advance_notice_s
         return self.testbed.make_request(
             source=source,
             destination=destination,
             bandwidth_mbps=rate,
-            start=start,
+            start=now,
             duration=duration,
         )
 

@@ -358,7 +358,7 @@ class TestUnboundedRetry:
         assert len(findings) == 1
         assert "unbounded retry" in findings[0].message
         assert "transmit" in findings[0].message
-        assert "RetryPolicy" in findings[0].message
+        assert "MAX_ATTEMPTS" in findings[0].message
 
     def test_flags_while_true_around_admit(self):
         findings = lint(

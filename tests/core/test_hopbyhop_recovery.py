@@ -12,7 +12,7 @@ from repro.bb.reservations import ReservationState
 from repro.core.codec import to_wire
 from repro.core.envelope import SignedEnvelope
 from repro.core.messages import F_TYPE, MSG_APPROVAL, MSG_DENIAL, MSG_RAR
-from repro.core.recovery import CircuitBreaker
+from repro.core.recovery import MAX_ATTEMPTS, CircuitBreaker
 from repro.core.testbed import build_linear_testbed
 from repro.errors import SignallingError
 from repro.faults.injector import FaultInjector
@@ -137,6 +137,25 @@ class TestPermanentFailures:
             alice, source="A", destination="C", bandwidth_mbps=10.0
         )
         assert not outcome.granted
+        assert_no_capacity_booked(testbed)
+
+    def test_policy_outage_mid_admission_leaves_no_row(self, testbed, alice):
+        """C's policy server answers the credential check, then goes
+        down: every admission attempt at C raises after creating its
+        PENDING row, and each row is cancelled before the retry."""
+        injector = inject(
+            testbed,
+            FaultSpec(
+                TargetKind.POLICY, "C", FaultKind.UNAVAILABLE,
+                start_op=1, ops=None,
+            ),
+        )
+        outcome = testbed.reserve(
+            alice, source="A", destination="C", bandwidth_mbps=10.0
+        )
+        assert not outcome.granted
+        assert outcome.denial_domain == "C"
+        assert len(injector.triggered) == MAX_ATTEMPTS
         assert_no_capacity_booked(testbed)
 
     def test_policy_outage_is_recorded_as_policy_unavailable(

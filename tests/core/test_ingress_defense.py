@@ -44,6 +44,7 @@ from repro.crypto.keys import PublicKey
 from repro.obs.audit import RecordKind, use_ledger
 from repro.obs.events import ReasonCode
 from tests.core._oracle import nested_bb_rar
+from tests.crypto._oracle import wide_exponent_key
 
 
 @pytest.fixture()
@@ -284,16 +285,34 @@ class TestMalformedKeyMaterial:
     def test_malformed_material_is_trust_failure(
         self, testbed, keypool, scheme, material, as_wire
     ):
-        a, b = testbed.brokers["A"], testbed.brokers["B"]
         alice = testbed.add_user("A", "Alice")
         signing = keypool[0] if scheme == "rsa" else alice.keypair
-        hostile = testbed.domain_cas["A"].issue(
-            alice.dn, PublicKey(scheme, material(signing.public.material[0]))
+        self._assert_trust_failure(
+            testbed, alice, signing.private,
+            PublicKey(scheme, material(signing.public.material[0])), as_wire,
         )
+
+    @pytest.mark.parametrize("as_wire", [False, True], ids=["object", "wire"])
+    def test_rsa_wide_exponent_is_trust_failure(
+        self, testbed, keypool, as_wire
+    ):
+        """Well-formed RSA material, and Alice's signature under it is
+        correct, but its exponent is not 65 537: a verify under it would
+        cost a full-width exponentiation, so B refuses it unchecked."""
+        alice = testbed.add_user("A", "Alice")
+        wide = wide_exponent_key(keypool[0].private)
+        self._assert_trust_failure(
+            testbed, alice, wide.private, wide.public, as_wire
+        )
+
+    @staticmethod
+    def _assert_trust_failure(testbed, alice, signing_key, public, as_wire):
+        a, b = testbed.brokers["A"], testbed.brokers["B"]
+        hostile = testbed.domain_cas["A"].issue(alice.dn, public)
         rar_u = make_user_rar(
             request=testbed.make_request(source="A", destination="B",
                                          bandwidth_mbps=5.0),
-            source_bb=a.dn, user=alice.dn, user_key=signing.private,
+            source_bb=a.dn, user=alice.dn, user_key=signing_key,
         )
         layer = make_bb_rar(inner=rar_u, introduced_cert=hostile,
                             downstream=b.dn, bb=a.dn,

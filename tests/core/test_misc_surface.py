@@ -109,9 +109,7 @@ class TestTestbedConveniences:
         assert outcome.denial_reason == "custom"
 
     def test_default_policy_string(self):
-        tb = build_linear_testbed(
-            ["A", "B"], default_policy="Return DENY",
-        )
+        tb = build_linear_testbed({"A": "Return DENY", "B": "Return DENY"})
         user = tb.add_user("A", "U")
         outcome = tb.reserve(user, source="A", destination="B",
                              bandwidth_mbps=1.0)

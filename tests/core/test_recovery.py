@@ -5,36 +5,40 @@ import random
 import pytest
 
 from repro.core.recovery import (
-    BreakerPolicy,
+    BACKOFF_JITTER,
+    BACKOFF_MULTIPLIER,
+    BASE_BACKOFF_S,
+    BREAKER_FAILURE_THRESHOLD,
+    BREAKER_RESET_TIMEOUT_S,
     CircuitBreaker,
     Deadline,
-    RetryPolicy,
+    backoff_s,
 )
 from repro.errors import CircuitOpenError, DeadlineExceededError
 
 
 class TestRetryPolicy:
     def test_backoff_grows_exponentially_without_jitter(self):
-        policy = RetryPolicy(base_backoff_s=0.1, multiplier=2.0, jitter=0.0)
-        assert policy.backoff_s(1) == pytest.approx(0.1)
-        assert policy.backoff_s(2) == pytest.approx(0.2)
-        assert policy.backoff_s(3) == pytest.approx(0.4)
+        assert backoff_s(1) == pytest.approx(BASE_BACKOFF_S)
+        assert backoff_s(2) == pytest.approx(BASE_BACKOFF_S * BACKOFF_MULTIPLIER)
+        assert backoff_s(3) == pytest.approx(
+            BASE_BACKOFF_S * BACKOFF_MULTIPLIER ** 2
+        )
 
     def test_non_positive_attempt_is_free(self):
-        assert RetryPolicy().backoff_s(0) == 0.0
+        assert backoff_s(0) == 0.0
 
     def test_jitter_is_bounded_and_seed_deterministic(self):
-        policy = RetryPolicy(base_backoff_s=0.1, multiplier=2.0, jitter=0.5)
-        first = [policy.backoff_s(n, random.Random(42)) for n in (1, 2, 3)]
-        second = [policy.backoff_s(n, random.Random(42)) for n in (1, 2, 3)]
+        first = [backoff_s(n, random.Random(42)) for n in (1, 2, 3)]
+        second = [backoff_s(n, random.Random(42)) for n in (1, 2, 3)]
         assert first == second
         for attempt, value in enumerate(first, start=1):
-            base = 0.1 * 2.0 ** (attempt - 1)
-            assert base <= value <= base * 1.5
+            base = BASE_BACKOFF_S * BACKOFF_MULTIPLIER ** (attempt - 1)
+            assert base <= value <= base * (1.0 + BACKOFF_JITTER)
 
     def test_no_rng_means_no_jitter(self):
-        policy = RetryPolicy(base_backoff_s=0.1, jitter=0.5)
-        assert policy.backoff_s(1) == pytest.approx(0.1)
+        assert backoff_s(1) == BASE_BACKOFF_S
+        assert backoff_s(1, random.Random(42)) > BASE_BACKOFF_S
 
 
 class TestDeadline:
@@ -51,46 +55,47 @@ class TestDeadline:
 
 
 class TestCircuitBreaker:
-    def make(self, threshold=3, reset=10.0):
-        return CircuitBreaker(
-            "A|B", BreakerPolicy(failure_threshold=threshold,
-                                 reset_timeout_s=reset)
-        )
+    def opened(self, at=0.0):
+        """A breaker that has just opened at *at*."""
+        breaker = CircuitBreaker("A|B")
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
+            breaker.record_failure(at)
+        assert breaker.state == CircuitBreaker.OPEN
+        return breaker
 
     def test_opens_after_threshold_failures(self):
-        breaker = self.make(threshold=3)
-        breaker.record_failure(1.0)
-        breaker.record_failure(2.0)
+        breaker = CircuitBreaker("A|B")
+        for n in range(1, BREAKER_FAILURE_THRESHOLD):
+            breaker.record_failure(float(n))
         assert breaker.state == CircuitBreaker.CLOSED
-        breaker.record_failure(3.0)
+        breaker.record_failure(float(BREAKER_FAILURE_THRESHOLD))
         assert breaker.state == CircuitBreaker.OPEN
         with pytest.raises(CircuitOpenError, match="A|B"):
-            breaker.check(4.0)
+            breaker.check(BREAKER_FAILURE_THRESHOLD + 1.0)
 
     def test_half_open_probe_after_reset_timeout(self):
-        breaker = self.make(threshold=1, reset=10.0)
-        breaker.record_failure(0.0)
-        assert not breaker.allow(5.0)
-        assert breaker.allow(10.0)
+        breaker = self.opened(0.0)
+        assert not breaker.allow(BREAKER_RESET_TIMEOUT_S / 2)
+        assert breaker.allow(BREAKER_RESET_TIMEOUT_S)
         assert breaker.state == CircuitBreaker.HALF_OPEN
 
     def test_success_closes_failure_reopens_from_half_open(self):
-        breaker = self.make(threshold=1, reset=10.0)
-        breaker.record_failure(0.0)
-        breaker.allow(10.0)  # -> half-open
-        breaker.record_failure(10.5)  # one failure reopens immediately
+        reset = BREAKER_RESET_TIMEOUT_S
+        breaker = self.opened(0.0)
+        breaker.allow(reset)  # -> half-open
+        breaker.record_failure(reset + 0.5)  # one failure reopens immediately
         assert breaker.state == CircuitBreaker.OPEN
 
-        breaker.allow(25.0)  # -> half-open again
-        breaker.record_success(25.5)
+        breaker.allow(2 * reset + 5.0)  # -> half-open again
+        breaker.record_success(2 * reset + 5.5)
         assert breaker.state == CircuitBreaker.CLOSED
         assert breaker.failures == 0
 
     def test_transitions_recorded(self):
-        breaker = self.make(threshold=1, reset=10.0)
-        breaker.record_failure(1.0)
-        breaker.allow(11.0)
-        breaker.record_success(12.0)
+        reset = BREAKER_RESET_TIMEOUT_S
+        breaker = self.opened(1.0)
+        breaker.allow(reset + 1.0)
+        breaker.record_success(reset + 2.0)
         assert [(a, b) for a, b, _ in breaker.transitions] == [
             ("closed", "open"),
             ("open", "half_open"),

@@ -5,6 +5,10 @@
   ``RSAScheme.sign``'s CRT form is tested against.  ``d`` is rebuilt from
   the key's primes exactly as key generation derives it; the digest is
   recomputed here, not borrowed.
+* :func:`wide_exponent_key` — a valid RSA key pair on a pooled key's
+  primes whose public exponent is almost as wide as the modulus: the
+  hostile key material a verifier must refuse although its signatures
+  are correct.
 * :func:`reference_encode` — the recursive ``isinstance``-chain canonical
   encoder that ``repro.crypto.canonical.encode`` replaced, unchanged.
   The production encoder must write the same bytes and raise the same
@@ -20,6 +24,7 @@
 """
 
 import hashlib
+import math
 import struct
 from typing import Any, Sequence
 
@@ -30,7 +35,7 @@ from repro.crypto.capability import (
     is_capability_certificate,
     restriction_set,
 )
-from repro.crypto.keys import PrivateKey
+from repro.crypto.keys import KeyPair, PrivateKey, PublicKey
 from repro.crypto.x509 import Certificate
 from repro.errors import DelegationError, EncodingError
 
@@ -41,6 +46,21 @@ def textbook_sign(private: PrivateKey, message: bytes) -> bytes:
     d = pow(e, -1, (p - 1) * (q - 1))
     h = int.from_bytes(hashlib.sha256(message).digest(), "big") % n
     return pow(h, d, n).to_bytes((n.bit_length() + 7) // 8, "big")
+
+
+def wide_exponent_key(private: PrivateKey) -> KeyPair:
+    """The RSA key pair on *private*'s primes with the smallest odd
+    public exponent of the modulus' width less four bits that is prime
+    to ``(p - 1)(q - 1)``, in the CRT form ``RSAScheme.sign`` takes."""
+    material = private.material
+    n, p, q = material.n, material.p, material.q
+    phi = (p - 1) * (q - 1)
+    e = (1 << (n.bit_length() - 5)) | 1
+    while math.gcd(e, phi) != 1:
+        e += 2
+    d = pow(e, -1, phi)
+    wide = material._replace(e=e, dp=d % (p - 1), dq=d % (q - 1))
+    return KeyPair(PrivateKey("rsa", wide), PublicKey("rsa", (n, e)))
 
 
 def _emit(parts: list[bytes], tag: bytes, payload: bytes) -> None:

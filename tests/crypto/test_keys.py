@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import keys
 from repro.crypto.keys import (
+    RSA_MAX_MODULUS_BITS,
+    RSA_PUBLIC_EXPONENT,
     PrivateKey,
     PublicKey,
     RSAScheme,
@@ -18,7 +21,7 @@ from repro.crypto.keys import (
 )
 from repro.errors import CryptoError
 
-from tests.crypto._oracle import textbook_sign
+from tests.crypto._oracle import textbook_sign, wide_exponent_key
 
 
 class TestMillerRabin:
@@ -163,8 +166,8 @@ class TestMalformedPublicKey:
     """Key material comes from peers: a key that is not well-formed for
     its scheme verifies nothing, and ``verify`` answers False instead of
     raising — including for what the exponentiation kernel refuses (an
-    even modulus, or one of at most 1) and for exponents outside
-    1 < e < n."""
+    even modulus, or one of at most 1), for a modulus wider than
+    ``RSA_MAX_MODULUS_BITS`` and for any exponent but 65 537."""
 
     @pytest.mark.parametrize("material", [
         pytest.param(lambda n, e: (n,), id="one-element"),
@@ -187,6 +190,33 @@ class TestMalformedPublicKey:
         sig = rsa512.sign(kp.private, b"msg")
         hostile = PublicKey("rsa", material(*kp.public.material))
         assert rsa512.verify(hostile, b"msg", sig) is False
+
+    def test_wide_exponent_answers_false(self, rsa512, keypool):
+        """A correct signature under a valid key whose exponent is not
+        65 537: its verify would cost a full-width exponentiation."""
+        wide = wide_exponent_key(keypool[0].private)
+        assert wide.public.material[1].bit_length() > 500
+        sig = textbook_sign(wide.private, b"msg")
+        assert rsa512.verify(wide.public, b"msg", sig) is False
+
+    @pytest.mark.parametrize("bits, kernel_calls", [
+        pytest.param(RSA_MAX_MODULUS_BITS, 1, id="widest-modulus"),
+        pytest.param(4201, 0, id="oversize-modulus"),
+    ])
+    def test_modulus_width_is_screened_before_the_kernel(
+        self, rsa512, monkeypatch, bits, kernel_calls
+    ):
+        calls = []
+        kernel = keys._modexp
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(keys, "_modexp", counting)
+        hostile = PublicKey("rsa", ((1 << (bits - 1)) | 1, RSA_PUBLIC_EXPONENT))
+        assert rsa512.verify(hostile, b"msg", b"\x01") is False
+        assert len(calls) == kernel_calls
 
     @pytest.mark.parametrize("material", [
         (), (5,), (b"seed",), ("seed-ü",), ("a", "b"),
