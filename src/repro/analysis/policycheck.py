@@ -6,7 +6,7 @@ nested under ``BW > 1Gb/s`` silently never grants, a missing final
 ``Return`` silently falls back to the engine default, a subtree whose
 every leaf is DENY makes its conditions dead weight.  This module
 analyzes parsed :class:`~repro.policy.engine.PolicyNode` trees — the
-same trees the engine evaluates — and reports four classes of defect:
+same trees the engine evaluates — and reports five classes of defect:
 
 * **contradiction** — a branch condition that can never hold given the
   conditions on the path to it (or that is self-contradictory);
@@ -17,7 +17,10 @@ same trees the engine evaluates — and reports four classes of defect:
   a ``Return`` (the engine applies its default, usually DENY, which is
   at best implicit and at worst not what the author meant);
 * **always-deny** — an ``If`` subtree in which every reachable verdict
-  is DENY, so its conditions never change the outcome.
+  is DENY, so its conditions never change the outcome;
+* **unknown-predicate** — a call that is neither built in
+  (``Issued_by``, ``Attribute``, ``HasValid<Kind>Resv``) nor supplied by
+  a policy server, so every request that reaches it is denied.
 
 The analysis is conservative: it only derives constraints from
 comparisons of a policy variable against a literal (numeric intervals,
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.analysis.framework import Severity
 from repro.policy.engine import Condition, Decision, If, PolicyNode, Return
@@ -45,6 +48,7 @@ from repro.policy.rules import (
     Or,
     PredicateCondition,
     Variable,
+    is_builtin_call,
 )
 
 __all__ = [
@@ -59,7 +63,7 @@ __all__ = [
 class PolicyFinding:
     """One defect in a policy tree."""
 
-    kind: str  # contradiction | unreachable | non-exhaustive | always-deny
+    kind: str  # contradiction | unreachable | non-exhaustive | always-deny | unknown-predicate
     message: str
     severity: Severity = Severity.WARNING
 
@@ -428,11 +432,43 @@ class _Verifier:
         return False  # no Else: the If may fall through
 
 
+def _calls(node: object) -> Iterator[Call]:
+    """Every call in a policy tree, statement or condition, in order."""
+    if isinstance(node, Call):
+        yield node
+    elif isinstance(node, If):
+        yield from _calls(node.condition)
+        for child in node.then + node.orelse:
+            yield from _calls(child)
+    elif isinstance(node, Comparison):
+        yield from _calls(node.lhs)
+        yield from _calls(node.rhs)
+    elif isinstance(node, (And, Or)):
+        for part in node.parts:
+            yield from _calls(part)
+    elif isinstance(node, Not):
+        yield from _calls(node.inner)
+    elif isinstance(node, PredicateCondition):
+        yield node.call
+
+
 def verify_policy(
     nodes: Sequence[PolicyNode], *, name: str = "policy"
 ) -> list[PolicyFinding]:
     """Statically verify a parsed policy tree; returns its defects."""
     verifier = _Verifier(name)
+    unknown = {
+        call.name: call for node in nodes for call in _calls(node)
+        if not is_builtin_call(call.name)
+    }
+    for call in unknown.values():
+        verifier.add(
+            "unknown-predicate",
+            f"'{call.describe()}' names no built-in call (Issued_by, "
+            "Attribute, HasValid<Kind>Resv) and no policy server supplies "
+            "it; every request that reaches it is denied",
+            Severity.ERROR,
+        )
     exhaustive = verifier.check_block(tuple(nodes), _Env())
     if not exhaustive:
         verifier.add(

@@ -46,6 +46,7 @@ from repro.crypto.truststore import TrustStore
 from repro.crypto.x509 import Certificate
 from repro.errors import (
     AdmissionError,
+    PolicyEvaluationError,
     QuotaExceededError,
     SLAError,
     SLAViolationError,
@@ -365,10 +366,18 @@ class BandwidthBroker:
                 resv, str(exc), ReasonCode.SLA_VIOLATION, at_time
             )
 
-        decision = self.decide_policy(
-            request, verified, at_time=at_time, upstream=upstream,
-            downstream=downstream,
-        )
+        try:
+            decision = self.decide_policy(
+                request, verified, at_time=at_time, upstream=upstream,
+                downstream=downstream,
+            )
+        except PolicyEvaluationError as exc:
+            # A policy this domain cannot evaluate (an unknown predicate
+            # or variable) grants nothing: fail closed.
+            return self._refuse(
+                resv, f"policy could not be evaluated: {exc}",
+                ReasonCode.POLICY_DENIED, at_time,
+            )
         if not decision.granted:
             return self._refuse(
                 resv, decision.reason, ReasonCode.POLICY_DENIED, at_time,

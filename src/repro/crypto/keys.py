@@ -12,13 +12,14 @@ protocol:
   adequate for a simulation substrate and fast enough to generate in
   bulk.  This is the reproduction's stand-in for the OpenSSL
   RSA keys the 2001 deployment would have used.  The key arithmetic is
-  written here; only the modular exponentiation runs in OpenSSL
-  (:func:`_modexp`, constant-time ``BN_mod_exp_mont_consttime`` from
-  the ``libcrypto`` that :mod:`hashlib` already links).  On a 2-core
-  x86-64 host with OpenSSL 3, one exponentiation modulo a 512-bit prime
-  takes ≈0.1 ms there against ≈0.9 ms in Python's ``pow``, so a
-  1024-bit sign costs ≈0.25 ms, a verify ≈0.06 ms and a key pair
-  ≈10 ms.
+  written here; only the modular exponentiation runs in OpenSSL, in the
+  ``libcrypto`` that :mod:`hashlib` already links (:class:`_Modulus`).
+  A key is put into OpenSSL's form once, the first time it signs or
+  verifies; private exponents then run constant-time
+  (``BN_mod_exp_mont_consttime``) and the public one variable-time
+  (``BN_mod_exp_mont``), as in OpenSSL's own RSA.  On a 2-core x86-64
+  host with OpenSSL 3, a 1024-bit sign costs ≈0.12 ms, a verify
+  ≈0.012 ms and a key pair ≈9 ms.
 * :class:`SimulatedScheme` — a *non-cryptographic* scheme for large-scale
   benchmarks.  Signing hashes the private seed with the message; the
   public key carries the seed so verification can recompute the hash.
@@ -35,11 +36,11 @@ key generation reproducible; no global RNG state is touched.
 from __future__ import annotations
 
 import _hashlib
-import ctypes
 import hashlib
 import random
+import weakref
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple, Protocol, runtime_checkable
+from typing import Any, Callable, NamedTuple, Protocol, TypeVar, runtime_checkable
 
 from repro.crypto import canonical
 from repro.errors import CryptoError
@@ -137,61 +138,148 @@ class SignatureScheme(Protocol):
 # RSA
 # ---------------------------------------------------------------------------
 
-def _open_libcrypto() -> ctypes.CDLL:
-    """OpenSSL's BIGNUM calls, reached through the ``_hashlib`` extension
-    that every CPython with ``hashlib`` loads: ``dlsym`` on its handle
-    also searches the ``libcrypto`` it links, so no library is looked
-    up by name and no package is added."""
-    lib = ctypes.CDLL(_hashlib.__file__)
-    ptr = ctypes.c_void_p
-    for name, restype, argtypes in (
-        ("BN_CTX_new", ptr, []),
-        ("BN_CTX_free", None, [ptr]),
-        ("BN_bin2bn", ptr, [ctypes.c_char_p, ctypes.c_int, ptr]),
-        ("BN_bn2binpad", ctypes.c_int, [ptr, ctypes.c_char_p, ctypes.c_int]),
-        ("BN_clear_free", None, [ptr]),
-        ("BN_mod_exp_mont_consttime", ctypes.c_int, [ptr] * 6),
-        ("ERR_clear_error", None, []),
-    ):
-        func = getattr(lib, name)
-        func.restype = restype
-        func.argtypes = argtypes
-    return lib
+#: OpenSSL's ``BN_FLG_CONSTTIME``: a BIGNUM that carries it takes the
+#: constant-time path in every call that reads it, ``BN_MONT_CTX_set``
+#: included.
+_BN_FLG_CONSTTIME = 0x04
+
+#: OpenSSL's BIGNUM calls, opened by :func:`_libcrypto` on first RSA use
+#: so that simulated-key runs never load ``ctypes``.
+_LIBCRYPTO: Any = None
 
 
-_LIBCRYPTO = _open_libcrypto()
+def _libcrypto() -> Any:
+    """The BIGNUM calls, reached through the ``_hashlib`` extension that
+    every CPython with ``hashlib`` loads: ``dlsym`` on its handle also
+    searches the ``libcrypto`` it links, so no library is looked up by
+    name and no package is added."""
+    global _LIBCRYPTO
+    if _LIBCRYPTO is None:
+        import ctypes
+
+        lib = ctypes.CDLL(_hashlib.__file__)
+        ptr = ctypes.c_void_p
+        for name, restype, argtypes in (
+            ("BN_CTX_new", ptr, []),
+            ("BN_CTX_free", None, [ptr]),
+            ("BN_new", ptr, []),
+            ("BN_bin2bn", ptr, [ctypes.c_char_p, ctypes.c_int, ptr]),
+            ("BN_bn2binpad", ctypes.c_int, [ptr, ctypes.c_char_p, ctypes.c_int]),
+            ("BN_set_flags", None, [ptr, ctypes.c_int]),
+            ("BN_clear_free", None, [ptr]),
+            ("BN_MONT_CTX_new", ptr, []),
+            ("BN_MONT_CTX_set", ctypes.c_int, [ptr, ptr, ptr]),
+            ("BN_MONT_CTX_free", None, [ptr]),
+            ("BN_mod_exp_mont", ctypes.c_int, [ptr] * 6),
+            ("BN_mod_exp_mont_consttime", ctypes.c_int, [ptr] * 6),
+            ("ERR_clear_error", None, []),
+        ):
+            func = getattr(lib, name)
+            func.restype = restype
+            func.argtypes = argtypes
+        _LIBCRYPTO = lib
+    return _LIBCRYPTO
 
 
-def _modexp(base: int, exponent: int, modulus: int) -> int:
-    """``base^exponent mod modulus`` for non-negative *base* and
-    *exponent* and an odd *modulus* > 1, by OpenSSL's constant-time
-    Montgomery exponentiation — every modular exponentiation in this
-    module, secret or public, takes this one path.
+def _refused(lib: Any) -> CryptoError:
+    lib.ERR_clear_error()  # hashlib must not read it as its own
+    return CryptoError("modular exponentiation refused by libcrypto")
 
-    Each call owns its ``BN_CTX`` and its BIGNUMs and clears them
-    (``BN_clear_free``) before it returns, whatever happened.  A refusal
-    by the library (an even modulus, an allocation failure) raises
-    :class:`CryptoError` naming no operand.
+
+def _release(lib: Any, nums: tuple[int | None, ...], mont: int | None) -> None:
+    for num in nums:
+        lib.BN_clear_free(num)
+    lib.BN_MONT_CTX_free(mont)
+
+
+class _Modulus:
+    """An odd modulus > 1 and one exponent in OpenSSL's form, prepared
+    once: two BIGNUMs and the modulus' ``BN_MONT_CTX``.  Each
+    :meth:`pow` converts only its base and its result.
+
+    :meth:`secret` prepares a private operation (a CRT half, a
+    Miller–Rabin witness): both BIGNUMs carry ``BN_FLG_CONSTTIME``
+    before the Montgomery context is set, and :meth:`pow` runs
+    ``BN_mod_exp_mont_consttime``.  :meth:`public` prepares ``e`` modulo
+    ``n``, whose :meth:`pow` runs the variable-time ``BN_mod_exp_mont``
+    — what OpenSSL's own RSA public path does.
+
+    The C memory belongs to this one object: a finalizer clears and
+    frees it when the object dies.  A deep copy is the object itself,
+    and it cannot be pickled.  A modulus the library cannot take (even, or at
+    most 1) raises :class:`CryptoError` naming no operand.
     """
-    lib = _LIBCRYPTO
-    size = (modulus.bit_length() + 7) // 8
-    nums: list[int | None] = []  # result, base, exponent, modulus
-    ctx = lib.BN_CTX_new()
-    try:
-        for value in (0, base, exponent, modulus):
+
+    __slots__ = ("_size", "_buffer", "_exp", "_mod", "_exponent", "_mont",
+                 "finalizer", "__weakref__")
+
+    def __init__(self, modulus: int, exponent: int, *, consttime: bool) -> None:
+        if modulus <= 1 or not modulus & 1:
+            raise CryptoError("modular exponentiation needs an odd modulus > 1")
+        lib = _libcrypto()
+        import ctypes  # loaded by _libcrypto
+
+        self._size = (modulus.bit_length() + 7) // 8
+        self._buffer = ctypes.c_char * self._size
+        self._exp = (lib.BN_mod_exp_mont_consttime if consttime
+                     else lib.BN_mod_exp_mont)
+        nums: list[int | None] = []
+        for value in (modulus, exponent):
             raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
             nums.append(lib.BN_bin2bn(raw, len(raw), None))
-        out = ctypes.create_string_buffer(size)
-        if (ctx is None or None in nums
-                or lib.BN_mod_exp_mont_consttime(*nums, ctx, None) != 1
-                or lib.BN_bn2binpad(nums[0], out, size) != size):
-            lib.ERR_clear_error()  # hashlib must not read it as its own
-            raise CryptoError("modular exponentiation refused by libcrypto")
-        return int.from_bytes(out.raw, "big")
-    finally:
-        for num in nums:
+        self._mod, self._exponent = nums
+        self._mont = lib.BN_MONT_CTX_new()
+        self.finalizer = weakref.finalize(
+            self, _release, lib, (self._mod, self._exponent), self._mont
+        )
+        if None in nums or self._mont is None:
+            raise _refused(lib)
+        if consttime:
+            for num in nums:
+                lib.BN_set_flags(num, _BN_FLG_CONSTTIME)
+        ctx = lib.BN_CTX_new()
+        try:
+            if ctx is None or lib.BN_MONT_CTX_set(self._mont, self._mod, ctx) != 1:
+                raise _refused(lib)
+        finally:
+            lib.BN_CTX_free(ctx)
+
+    @classmethod
+    def secret(cls, modulus: int, exponent: int) -> "_Modulus":
+        return cls(modulus, exponent, consttime=True)
+
+    @classmethod
+    def public(cls, modulus: int, exponent: int) -> "_Modulus":
+        return cls(modulus, exponent, consttime=False)
+
+    def pow(self, base: int) -> int:
+        """``base^exponent mod modulus`` for a non-negative *base*; each
+        call owns its ``BN_CTX`` and two BIGNUMs and clears them before
+        it returns, whatever happened."""
+        lib = _LIBCRYPTO
+        size = self._size
+        raw = base.to_bytes((base.bit_length() + 7) // 8, "big")
+        ctx = lib.BN_CTX_new()
+        num = lib.BN_bin2bn(raw, len(raw), None)
+        result = lib.BN_new()
+        try:
+            out = self._buffer()
+            if (ctx is None or num is None or result is None
+                    or self._exp(result, num, self._exponent, self._mod,
+                                 ctx, self._mont) != 1
+                    or lib.BN_bn2binpad(result, out, size) != size):
+                raise _refused(lib)
+            return int.from_bytes(out.raw, "big")
+        finally:
             lib.BN_clear_free(num)
-        lib.BN_CTX_free(ctx)
+            lib.BN_clear_free(result)
+            lib.BN_CTX_free(ctx)
+
+    def __deepcopy__(self, memo: dict[int, Any]) -> "_Modulus":
+        return self
+
+    def __reduce__(self) -> Any:
+        raise TypeError("a prepared modulus lives in libcrypto; it cannot be pickled")
 
 
 _SMALL_PRIMES = [
@@ -213,9 +301,10 @@ def _is_probable_prime(n: int, rng: random.Random, rounds: int = 24) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
+    witness = _Modulus.secret(n, d)
     for _ in range(rounds):
         a = rng.randrange(2, n - 1)
-        x = _modexp(a, d, n)
+        x = witness.pow(a)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):
@@ -265,7 +354,7 @@ class RSAScheme:
     with the public exponent, so a faulted half can never leak a factor
     of ``n``.  Verification recomputes the digest and checks
     ``sig^e mod n`` against it.  Every exponentiation, the Miller–Rabin
-    witnesses of key generation included, is :func:`_modexp`.  No
+    witnesses of key generation included, is :meth:`_Modulus.pow`.  No
     padding is applied; for the threat model of a protocol simulation
     (tamper evidence, key binding) this is sufficient and keeps the
     implementation transparent.
@@ -308,26 +397,21 @@ class RSAScheme:
     def sign(self, private: PrivateKey, message: bytes) -> bytes:
         if private.scheme != self.name:
             raise CryptoError(f"key scheme {private.scheme!r} != {self.name!r}")
-        try:
-            n, e, p, q, dp, dq, qinv = _RSAPrivate(*private.material)
-        except TypeError:
-            raise CryptoError(
-                "RSA private key material must be (n, e, p, q, dp, dq, qinv)"
-            ) from None
-        h = self._digest_int(message, n)
-        m1 = _modexp(h, dp, p)
-        m2 = _modexp(h, dq, q)
-        sig = m2 + q * ((qinv * (m1 - m2)) % p)
-        if _modexp(sig, e, n) != h:
+        key, half_p, half_q, check = _prepared(private, _prepare_private)
+        h = self._digest_int(message, key.n)
+        m1 = half_p.pow(h)
+        m2 = half_q.pow(h)
+        sig = m2 + key.q * ((key.qinv * (m1 - m2)) % key.p)
+        if check.pow(sig) != h:
             raise CryptoError("RSA signature failed its own check (faulty key)")
-        return sig.to_bytes((n.bit_length() + 7) // 8, "big")
+        return sig.to_bytes((key.n.bit_length() + 7) // 8, "big")
 
     def verify(self, public: PublicKey, message: bytes, signature: bytes) -> bool:
         if public.scheme != self.name:
             return False
         # Two ints: an odd 1 < n of at most RSA_MAX_MODULUS_BITS (what
         # the kernel accepts, at a bounded cost) and the one public
-        # exponent, or nothing verifies.
+        # exponent, or nothing verifies — and nothing is prepared.
         try:
             n, e = public.material
         except (TypeError, ValueError):
@@ -343,7 +427,56 @@ class RSAScheme:
             return False
         if not 0 < sig < n:
             return False
-        return _modexp(sig, e, n) == self._digest_int(message, n)
+        modulus = _prepared(public, _prepare_public)
+        return modulus.pow(sig) == self._digest_int(message, n)
+
+
+class _PreparedPrivate(NamedTuple):
+    """An RSA private key in OpenSSL's form: each CRT half's prime with
+    its exponent, and ``e`` modulo ``n`` for the self-check."""
+
+    key: _RSAPrivate
+    half_p: _Modulus
+    half_q: _Modulus
+    check: _Modulus
+
+
+def _prepare_private(material: tuple) -> _PreparedPrivate:
+    try:
+        key = _RSAPrivate(*material)
+    except TypeError:
+        raise CryptoError(
+            "RSA private key material must be (n, e, p, q, dp, dq, qinv)"
+        ) from None
+    return _PreparedPrivate(
+        key,
+        _Modulus.secret(key.p, key.dp),
+        _Modulus.secret(key.q, key.dq),
+        _Modulus.public(key.n, key.e),
+    )
+
+
+def _prepare_public(material: tuple) -> _Modulus:
+    n, e = material
+    return _Modulus.public(n, e)
+
+
+#: The ``__dict__`` slot that holds a key's prepared form.
+_PREPARED = "_libcrypto_prepared"
+_P = TypeVar("_P")
+
+
+def _prepared(key: PublicKey | PrivateKey, prepare: Callable[[tuple], _P]) -> _P:
+    """*key*'s material in OpenSSL's form, made by *prepare* the first
+    time the key signs or verifies and kept in the key's own
+    ``__dict__``, as :func:`canonical.memoised` keeps bytes: it dies
+    with the key, ``copy.copy`` shares it, and ``dataclasses.replace``
+    builds a key that prepares its own."""
+    try:
+        state: _P = key.__dict__[_PREPARED]
+    except KeyError:
+        state = key.__dict__[_PREPARED] = prepare(key.material)
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,19 @@ __all__ = [
     "Not",
     "PredicateCondition",
     "TrueCondition",
+    "is_builtin_call",
 ]
 
 #: Variables whose value is a set; ``=`` on them means membership.
 _SET_VARIABLES = {"Group", "Capability"}
 
 _LINKED_RESV_RE = re.compile(r"^HasValid([A-Za-z]+)Resv$")
+
+
+def is_builtin_call(name: str) -> bool:
+    """True for a call :meth:`Call.evaluate` answers itself; any other
+    name is an online predicate the request context must supply."""
+    return name in ("Issued_by", "Attribute") or bool(_LINKED_RESV_RE.match(name))
 
 
 class Expr:

@@ -97,6 +97,18 @@ class TestLintPolicy:
         assert rc == 1
         assert "contradiction" in out
 
+    def test_unknown_predicate_exits_one(self, tmp_path, capsys):
+        target = tmp_path / "pred.policy"
+        target.write_text(
+            "If Accredited_Physicist(requestor)\n"
+            "    Return GRANT\n"
+            "Return DENY\n"
+        )
+        rc = main(["lint-policy", str(target)])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "unknown-predicate" in out and "Accredited_Physicist" in out
+
     def test_syntax_error_exits_two(self, tmp_path, capsys):
         target = tmp_path / "broken.policy"
         target.write_text("If BW <<< oops\n")

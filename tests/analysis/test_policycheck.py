@@ -1,5 +1,6 @@
 """The policy static verifier: clean on the paper's policies, loud on
-contradictory / unreachable / non-exhaustive / always-deny trees."""
+contradictory / unreachable / non-exhaustive / always-deny trees and on
+calls no policy server can answer."""
 
 import json
 from pathlib import Path
@@ -158,6 +159,29 @@ class TestAlwaysDeny:
             "Return DENY",
         ))
         assert findings == []
+
+
+class TestUnknownPredicate:
+    def test_unregistered_predicate_is_reported_once(self):
+        findings = verify_policy_source(P(
+            "If Accredited_Physicist(requestor)",
+            "    Return GRANT",
+            "If BW < 5Mb/s and not Accredited_Physicist(requestor)",
+            "    Return GRANT",
+            "Return DENY",
+        ))
+        assert kinds(findings) == ["unknown-predicate"]
+        assert "Accredited_Physicist" in findings[0].message
+        assert findings[0].severity.value == "error"
+
+    def test_builtin_calls_are_known(self):
+        assert verify_policy_source(P(
+            "If Issued_by(Capability) = ESnet and HasValidGPUResv(RAR)",
+            "    Return GRANT",
+            "If Attribute(tier) = gold",
+            "    Return GRANT",
+            "Return DENY",
+        )) == []
 
 
 class TestOutputAndErrors:

@@ -1,8 +1,8 @@
 """Shared fixtures for the test suite.
 
 RSA key generation is the costliest single operation in the library
-(≈4 ms for a 512-bit pair and ≈10 ms for 1 024 bits on a 2-core x86-64
-host, against ≈0.25 ms for an RSA-1024 sign), so session-scoped fixtures
+(≈2 ms for a 512-bit pair and ≈9 ms for 1 024 bits on a 2-core x86-64
+host, against ≈0.12 ms for an RSA-1024 sign), so session-scoped fixtures
 pre-generate a small pool of key pairs and most tests default to 512-bit
 keys (plenty for tamper-evidence tests, fast to mint).  All randomness
 is seeded for reproducibility.

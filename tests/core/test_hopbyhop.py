@@ -149,6 +149,33 @@ class TestDenials:
             assert ledger.records(RecordKind.CANCEL, domain=domain,
                                   handle=handle)
 
+    def test_unknown_predicate_fails_closed(self):
+        """A policy naming a predicate no one registered cannot grant:
+        the domain denies with ``policy_denied``, the upstream hop
+        unwinds, and nothing escapes ``reserve``."""
+        testbed = build_linear_testbed({
+            "A": "Return GRANT",
+            "B": "If Accredited_Physicist(requestor) Return GRANT",
+        })
+        user = testbed.add_user("A", "Alice")
+        with obs_audit.use_ledger() as ledger:
+            outcome = testbed.reserve(
+                user, source="A", destination="B", bandwidth_mbps=1.0
+            )
+        assert not outcome.granted
+        assert outcome.denial_domain == "B"
+        denies = ledger.records(RecordKind.DENY)
+        assert [(r.domain, r.reason_code) for r in denies] == [
+            ("B", "policy_denied")
+        ]
+        assert "Accredited_Physicist" in denies[0].reason
+        assert ledger.records(RecordKind.CANCEL, domain="A",
+                              handle=outcome.handles["A"])
+        assert testbed.brokers["A"].admission.schedule("egress:B").load_at(1.0) == 0.0
+        assert not testbed.brokers["A"].reservations.in_state(
+            ReservationState.PENDING, ReservationState.GRANTED,
+        )
+
     def test_cancel_of_denied_outcome_is_refused(self, testbed, alice):
         """A denied outcome holds nothing: cancelling it is a signalling
         error raised before any broker is touched."""

@@ -1,7 +1,15 @@
 """Tests for key pairs and signature schemes (RSA + simulated)."""
 
+import copy
+import dataclasses
 import functools
+import gc
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +198,7 @@ class TestMalformedPublicKey:
         sig = rsa512.sign(kp.private, b"msg")
         hostile = PublicKey("rsa", material(*kp.public.material))
         assert rsa512.verify(hostile, b"msg", sig) is False
+        assert keys._PREPARED not in hostile.__dict__
 
     def test_wide_exponent_answers_false(self, rsa512, keypool):
         """A correct signature under a valid key whose exponent is not
@@ -198,6 +207,7 @@ class TestMalformedPublicKey:
         assert wide.public.material[1].bit_length() > 500
         sig = textbook_sign(wide.private, b"msg")
         assert rsa512.verify(wide.public, b"msg", sig) is False
+        assert keys._PREPARED not in wide.public.__dict__
 
     @pytest.mark.parametrize("bits, kernel_calls", [
         pytest.param(RSA_MAX_MODULUS_BITS, 1, id="widest-modulus"),
@@ -207,16 +217,17 @@ class TestMalformedPublicKey:
         self, rsa512, monkeypatch, bits, kernel_calls
     ):
         calls = []
-        kernel = keys._modexp
+        kernel = keys._Modulus.pow
 
-        def counting(*args):
-            calls.append(args)
-            return kernel(*args)
+        def counting(modulus, base):
+            calls.append(base)
+            return kernel(modulus, base)
 
-        monkeypatch.setattr(keys, "_modexp", counting)
+        monkeypatch.setattr(keys._Modulus, "pow", counting)
         hostile = PublicKey("rsa", ((1 << (bits - 1)) | 1, RSA_PUBLIC_EXPONENT))
         assert rsa512.verify(hostile, b"msg", b"\x01") is False
         assert len(calls) == kernel_calls
+        assert (keys._PREPARED in hostile.__dict__) == bool(kernel_calls)
 
     @pytest.mark.parametrize("material", [
         (), (5,), (b"seed",), ("seed-ü",), ("a", "b"),
@@ -225,6 +236,151 @@ class TestMalformedPublicKey:
         assert simulated.verify(
             PublicKey("simulated", material), b"msg", bytes(32)
         ) is False
+
+
+class TestPreparedKey:
+    """A key is put into OpenSSL's form the first time it signs or
+    verifies.  The form lives in the key's own ``__dict__``, its C memory
+    belongs to one Python object per modulus, and a finalizer frees it
+    when that object dies."""
+
+    @staticmethod
+    def _fresh(rsa512):
+        """A key pair no fixture holds, so ``del`` can drop it."""
+        return rsa512.generate(random.Random(4321))
+
+    @pytest.fixture
+    def freed(self, monkeypatch):
+        """Every pointer the library's BN_clear_free and BN_MONT_CTX_free
+        are given from here on (an address freed earlier may be reused,
+        so a test clears the list once its keys are prepared)."""
+        lib = keys._libcrypto()
+        pointers = []
+        for name in ("BN_clear_free", "BN_MONT_CTX_free"):
+            real = getattr(lib, name)
+
+            def recording(ptr, real=real):
+                pointers.append(ptr)
+                return real(ptr)
+
+            monkeypatch.setattr(lib, name, recording)
+        return pointers
+
+    @staticmethod
+    def _moduli(key):
+        state = key.__dict__[keys._PREPARED]
+        return [state] if isinstance(state, keys._Modulus) else list(state[1:])
+
+    @staticmethod
+    def _pointers(moduli):
+        return {ptr for m in moduli for ptr in (m._mod, m._exponent, m._mont)}
+
+    def test_state_is_freed_with_the_key(self, rsa512, freed):
+        fresh = self._fresh(rsa512)
+        sig = rsa512.sign(fresh.private, b"msg")
+        assert rsa512.verify(fresh.public, b"msg", sig)
+        moduli = self._moduli(fresh.private) + self._moduli(fresh.public)
+        finalizers = [m.finalizer for m in moduli]
+        # Four moduli, each with its modulus and exponent BIGNUMs.
+        pointers = self._pointers(moduli)
+        assert len(finalizers) == 4 and len(pointers) == 12
+        assert all(f.alive for f in finalizers)
+        freed.clear()
+        del fresh, moduli
+        gc.collect()
+        assert not any(f.alive for f in finalizers)
+        assert pointers <= set(freed)
+        assert all(freed.count(ptr) == 1 for ptr in pointers)
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy])
+    def test_copy_shares_the_state(self, rsa512, freed, copier):
+        fresh = self._fresh(rsa512)
+        sig = rsa512.sign(fresh.private, b"msg")
+        assert rsa512.verify(fresh.public, b"msg", sig)
+        public, private = copier(fresh.public), copier(fresh.private)
+        moduli = self._moduli(fresh.public) + self._moduli(fresh.private)
+        assert self._moduli(public) + self._moduli(private) == moduli
+        pointers = self._pointers(moduli)
+        freed.clear()
+        del fresh
+        gc.collect()
+        assert all(m.finalizer.alive for m in moduli)
+        assert not pointers & set(freed)
+        assert rsa512.sign(private, b"msg") == sig
+        assert rsa512.verify(public, b"msg", sig)
+        del public, private, moduli
+        gc.collect()
+        assert all(freed.count(ptr) == 1 for ptr in pointers)
+
+    def test_prepared_state_is_not_pickled(self, rsa512):
+        fresh = self._fresh(rsa512)
+        rsa512.sign(fresh.private, b"msg")
+        with pytest.raises(TypeError):
+            pickle.dumps(fresh.private)
+
+    def test_replace_rebuilds_the_state(self, rsa512):
+        fresh = self._fresh(rsa512)
+        sig = rsa512.sign(fresh.private, b"msg")
+        assert rsa512.verify(fresh.public, b"msg", sig)
+        public = dataclasses.replace(fresh.public)
+        private = dataclasses.replace(fresh.private)
+        assert keys._PREPARED not in public.__dict__
+        assert keys._PREPARED not in private.__dict__
+        assert rsa512.sign(private, b"msg") == sig
+        assert rsa512.verify(public, b"msg", sig)
+        for new, old in ((public, fresh.public), (private, fresh.private)):
+            assert not set(map(id, self._moduli(new))) & set(map(id, self._moduli(old)))
+
+    def test_secret_exponents_run_constant_time(self, rsa512, monkeypatch):
+        """The CRT halves and the Miller–Rabin witness run
+        ``BN_mod_exp_mont_consttime``; ``verify`` and the self-check
+        of ``sign`` run ``BN_mod_exp_mont``."""
+        lib = keys._libcrypto()
+        calls = []
+        for name in ("BN_mod_exp_mont", "BN_mod_exp_mont_consttime"):
+            real = getattr(lib, name)
+
+            def counting(*args, name=name, real=real):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(lib, name, counting)
+        fresh = self._fresh(rsa512)
+        calls.clear()  # key generation's witnesses
+        sig = rsa512.sign(fresh.private, b"msg")
+        assert sorted(calls) == [
+            "BN_mod_exp_mont", "BN_mod_exp_mont_consttime",
+            "BN_mod_exp_mont_consttime",
+        ]
+        calls.clear()
+        assert rsa512.verify(fresh.public, b"msg", sig)
+        assert calls == ["BN_mod_exp_mont"]
+        calls.clear()
+        assert _is_probable_prime(2 ** 127 - 1, random.Random(1), rounds=5)
+        assert calls == ["BN_mod_exp_mont_consttime"] * 5
+
+
+class TestLibraryOpenedOnFirstUse:
+    def test_simulated_reservation_loads_no_ctypes(self):
+        """Simulated keys never reach libcrypto, so a fresh interpreter
+        that builds a simulated testbed and reserves once has not
+        imported ``ctypes``."""
+        script = (
+            "import sys\n"
+            "from repro.core.testbed import build_linear_testbed\n"
+            "tb = build_linear_testbed(['A', 'B', 'C'], scheme='simulated')\n"
+            "alice = tb.add_user('A', 'Alice')\n"
+            "out = tb.reserve(alice, source='A', destination='C', bandwidth_mbps=1.0)\n"
+            "assert out.granted\n"
+            "print('ctypes' in sys.modules)\n"
+        )
+        src = str(Path(keys.__file__).resolve().parents[2])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestSimulated:

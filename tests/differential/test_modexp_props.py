@@ -1,19 +1,21 @@
-"""Differential suite: the libcrypto modular-exponentiation kernel against
-Python's ``pow``.
+"""Differential suite: the prepared libcrypto modulus against Python's
+``pow``.
 
-``repro.crypto.keys._modexp`` is the one path every RSA sign, verify and
-Miller–Rabin witness takes.  For every odd modulus from 3 up to 1 100
-bits (past the 1 024-bit default key) it must return the integer
-``pow(b, e, m)`` returns, including a zero base, a base at or above the
-modulus and a zero exponent.  Tier-1 runs a small budget;
-``pytest --full-sweeps`` (the differential CI job) a deep one.
+``repro.crypto.keys._Modulus`` is the one path every RSA sign, verify and
+Miller–Rabin witness takes: ``secret`` (constant-time, the CRT halves and
+the witness) and ``public`` (variable-time, ``e`` modulo ``n``).  For
+every odd modulus from 3 up to 1 100 bits (past the 1 024-bit default
+key) both must return the integer ``pow(b, e, m)`` returns, including a
+zero base, a base at or above the modulus and a zero exponent.  Tier-1
+runs a small budget; ``pytest --full-sweeps`` (the differential CI job)
+a deep one.
 """
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.keys import _modexp
+from repro.crypto.keys import _Modulus
 from repro.errors import CryptoError
 
 
@@ -41,6 +43,11 @@ def operands(draw):
     return base, exponent, modulus
 
 
+#: The two ways a modulus is prepared: constant-time for a secret
+#: exponent, variable-time for the public one.
+PREPARE = (_Modulus.secret, _Modulus.public)
+
+
 def test_modexp_equals_pow(request):
     @_budget(request, tier1=60, full=3000)
     @given(operands())
@@ -51,7 +58,8 @@ def test_modexp_equals_pow(request):
     @example((2 ** 1100 + 5, 65537, 2 ** 1099 + 1))
     def check(args):
         base, exponent, modulus = args
-        assert _modexp(base, exponent, modulus) == pow(base, exponent, modulus)
+        for prepare in PREPARE:
+            assert prepare(modulus, exponent).pow(base) == pow(base, exponent, modulus)
 
     check()
 
@@ -59,8 +67,9 @@ def test_modexp_equals_pow(request):
 @pytest.mark.parametrize("modulus", [2, 4, 2 ** 512])
 def test_even_modulus_is_refused_without_operands(modulus):
     secret = 0xC0FFEE
-    with pytest.raises(CryptoError) as caught:
-        _modexp(5, secret, modulus)
-    message = str(caught.value)
-    assert str(secret) not in message and hex(secret) not in message
-    assert str(modulus) not in message
+    for prepare in PREPARE:
+        with pytest.raises(CryptoError) as caught:
+            prepare(modulus, secret)
+        message = str(caught.value)
+        assert str(secret) not in message and hex(secret) not in message
+        assert str(modulus) not in message
