@@ -12,14 +12,10 @@ with hop-by-hop signalling — and asserts the claimed shape: substantial
 loss for the innocent Alice under the attack, zero loss with hop-by-hop.
 """
 
-import random
-
 import pytest
 
 from repro.core.testbed import build_linear_testbed
-from repro.net.flows import FlowSpec
-from repro.net.packet import DSCP
-from repro.net.trafficgen import PoissonSource
+from repro.workloads.misreservation import misreserve, run_flows
 
 DURATION = 1.0
 
@@ -27,43 +23,16 @@ DURATION = 1.0
 def _run_traffic(testbed):
     from repro.net.probes import GoodputProbe
 
-    for seed, (fid, src, dst) in enumerate(
-        [("alice", "h0.A", "h0.C"), ("david", "h1.A", "h1.C")]
-    ):
-        PoissonSource(
-            testbed.network,
-            FlowSpec(fid, src, dst, rate_mbps=10.0, dscp=DSCP.EF),
-            rng=random.Random(seed),
-            stop_time=DURATION,
-        ).start()
     probe = GoodputProbe(testbed.network, "alice", interval_s=0.1,
                          stop_time=DURATION)
     trace = probe.start()
-    testbed.sim.run()
-    return (
-        testbed.network.stats_for("alice"),
-        testbed.network.stats_for("david"),
-        trace,
-    )
+    stats = run_flows(testbed, DURATION)
+    return stats["alice"], stats["david"], trace
 
 
 def attack_scenario():
-    tb = build_linear_testbed(["A", "B", "C"])
-    alice, david = tb.add_user("A", "Alice"), tb.add_user("A", "David")
-    for u, ds in ((alice, ("B", "C")), (david, ("B",))):
-        for d in ds:
-            tb.introduce_user_to(u, d)
-    agent = tb.end_to_end_agent
-    a = agent.reserve(alice, tb.make_request(
-        source="A", destination="C", bandwidth_mbps=10.0,
-        attributes=(("flow_id", "alice"),)))
-    d = agent.reserve(david, tb.make_request(
-        source="A", destination="C", bandwidth_mbps=10.0,
-        source_host="h1.A", destination_host="h1.C",
-        attributes=(("flow_id", "david"),)), skip_domains={"C"})
-    agent.claim(a)
-    agent.claim(d)
-    return _run_traffic(tb)
+    testbed, _, _ = misreserve()
+    return _run_traffic(testbed)
 
 
 def protected_scenario():

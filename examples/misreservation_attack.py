@@ -16,23 +16,10 @@ unharmed.
 Run:  python examples/misreservation_attack.py
 """
 
-import random
-
 from repro import build_linear_testbed
-from repro.net.flows import FlowSpec
-from repro.net.packet import DSCP
-from repro.net.trafficgen import PoissonSource
+from repro.workloads.misreservation import misreserve, run_flows
 
 DURATION = 2.0  # seconds of simulated traffic
-
-
-def run_traffic(testbed, flows):
-    for seed, spec in enumerate(flows):
-        PoissonSource(
-            testbed.network, spec, rng=random.Random(seed), stop_time=DURATION
-        ).start()
-    testbed.sim.run()
-    return {spec.flow_id: testbed.network.stats_for(spec.flow_id) for spec in flows}
 
 
 def report(stats):
@@ -48,39 +35,13 @@ def report(stats):
 
 def scenario_source_domain() -> None:
     print("== Scenario 1: source-domain signalling, David skips domain C ==")
-    testbed = build_linear_testbed(["A", "B", "C"])
-    alice = testbed.add_user("A", "Alice")
-    david = testbed.add_user("A", "David")
-    testbed.introduce_user_to(alice, "B")
-    testbed.introduce_user_to(alice, "C")
-    testbed.introduce_user_to(david, "B")  # David never talks to C
-
-    agent = testbed.end_to_end_agent
-    a_req = testbed.make_request(
-        source="A", destination="C", bandwidth_mbps=10.0,
-        attributes=(("flow_id", "alice"),),
-    )
-    alice_outcome = agent.reserve(alice, a_req)
+    testbed, alice_outcome, david_outcome = misreserve()
     print(f"  Alice reserved in : {sorted(alice_outcome.handles)} "
           f"(complete={alice_outcome.complete})")
-
-    d_req = testbed.make_request(
-        source="A", destination="C", bandwidth_mbps=10.0,
-        source_host="h1.A", destination_host="h1.C",
-        attributes=(("flow_id", "david"),),
-    )
-    david_outcome = agent.reserve(david, d_req, skip_domains={"C"})
     print(f"  David reserved in : {sorted(david_outcome.handles)} "
           f"(complete={david_outcome.complete})  <- misreservation!")
 
-    agent.claim(alice_outcome)
-    agent.claim(david_outcome)
-
-    stats = run_traffic(testbed, [
-        FlowSpec("alice", "h0.A", "h0.C", 10.0, dscp=DSCP.EF),
-        FlowSpec("david", "h1.A", "h1.C", 10.0, dscp=DSCP.EF),
-    ])
-    report(stats)
+    report(run_flows(testbed, DURATION))
     drops = testbed.network.total_drops("aggregate-policer")
     print(f"  EF aggregate drops at C's ingress: {drops}")
     print("  -> Alice loses packets although her reservation was complete.\n")
@@ -112,11 +73,7 @@ def scenario_hop_by_hop() -> None:
     print(f"  David granted     : {david_outcome.granted} "
           f"(denied by {david_outcome.denial_domain}; partial path released)")
 
-    stats = run_traffic(testbed, [
-        FlowSpec("alice", "h0.A", "h0.C", 10.0, dscp=DSCP.EF),
-        FlowSpec("david", "h1.A", "h1.C", 10.0, dscp=DSCP.EF),
-    ])
-    report(stats)
+    report(run_flows(testbed, DURATION))
     print("  -> David's unreserved traffic is demoted at his first hop; "
           "Alice's EF flow is untouched.")
 

@@ -55,7 +55,7 @@ from repro.obs import decisions
 from repro.obs import events as obs_events
 from repro.obs import spans as obs_spans
 from repro.obs.events import ReasonCode
-from repro.policy.engine import PolicyDecision
+from repro.policy.engine import Decision, PolicyDecision
 
 __all__ = ["EdgeConfigurator", "BandwidthBroker", "AdmitOutcome"]
 
@@ -373,10 +373,14 @@ class BandwidthBroker:
             )
         except PolicyEvaluationError as exc:
             # A policy this domain cannot evaluate (an unknown predicate
-            # or variable) grants nothing: fail closed.
+            # or variable) grants nothing: fail closed, naming the ``If``
+            # that could not be evaluated.
+            fired = exc.rules_fired
+            failing = fired[-1].partition("?")[0] if fired else ""
             return self._refuse(
                 resv, f"policy could not be evaluated: {exc}",
                 ReasonCode.POLICY_DENIED, at_time,
+                PolicyDecision(Decision.DENY, matched_rule=failing, rules_fired=fired),
             )
         if not decision.granted:
             return self._refuse(

@@ -418,8 +418,11 @@ def cmd_reserve(args: argparse.Namespace) -> int:
     testbed, user = demo.testbed, demo.user
     if args.approach == "hop":
         (outcome,) = demo
-        granted, detail = outcome.granted, outcome
-    elif args.approach in ("agent", "agent-concurrent"):
+    elif args.approach == "stars":
+        rc = testbed.coordinator(demo.source)
+        rc.enroll_user(user)
+        outcome = rc.reserve(user, demo.request())
+    else:
         for d in demo.domains:
             if d != demo.source:
                 testbed.introduce_user_to(user, d)
@@ -427,30 +430,21 @@ def cmd_reserve(args: argparse.Namespace) -> int:
             user, demo.request(),
             concurrent=args.approach.endswith("concurrent"),
         )
-        granted, detail = outcome.complete, outcome
-    else:  # stars
-        rc = testbed.coordinator(demo.source)
-        rc.enroll_user(user)
-        outcome = rc.reserve(user, demo.request())
-        granted, detail = outcome.complete, outcome
+    # A baseline that holds a subset of the path has not granted (Figure 4).
+    granted = getattr(outcome, "complete", outcome.granted)
 
     print(f"approach : {args.approach}")
-    print(f"path     : {' -> '.join(detail.path)}")
+    print(f"path     : {' -> '.join(outcome.path)}")
     print(f"granted  : {granted}")
-    if getattr(detail, "handles", None):
-        for domain in detail.path:
-            handle = detail.handles.get(domain)
-            if handle:
-                print(f"  {domain}: {handle}")
-    reason = getattr(detail, "denial_reason", "") or ""
-    failures = getattr(detail, "failures", None)
-    if not granted and reason:
-        print(f"denied by {detail.denial_domain}: {reason}")
-    if not granted and failures:
-        for domain, why in failures.items():
-            print(f"  {domain}: {why}")
-    print(f"messages : {detail.messages}")
-    print(f"latency  : {detail.latency_s * 1000:.1f} ms (model)")
+    for domain in outcome.path:
+        if outcome.handles.get(domain):
+            print(f"  {domain}: {outcome.handles[domain]}")
+    if not granted and outcome.denial_reason:
+        print(f"denied by {outcome.denial_domain}: {outcome.denial_reason}")
+    for domain, why in getattr(outcome, "failures", {}).items():
+        print(f"  {domain}: {why}")
+    print(f"messages : {outcome.messages}")
+    print(f"latency  : {outcome.latency_s * 1000:.1f} ms (model)")
     return 0 if granted else 1
 
 
@@ -673,44 +667,17 @@ def cmd_attack_survivability(args: argparse.Namespace) -> int:
 def cmd_attack(args: argparse.Namespace) -> int:
     if getattr(args, "persona", None) is not None:
         return cmd_attack_survivability(args)
-    from repro.net.flows import FlowSpec
-    from repro.net.packet import DSCP
-    from repro.net.trafficgen import PoissonSource
+    from repro.workloads.misreservation import misreserve, run_flows
 
-    testbed = build_linear_testbed(["A", "B", "C"])
-    alice = testbed.add_user("A", "Alice")
-    david = testbed.add_user("A", "David")
-    for u, ds in ((alice, ("B", "C")), (david, ("B",))):
-        for d in ds:
-            testbed.introduce_user_to(u, d)
-    agent = testbed.end_to_end_agent
-    a = agent.reserve(alice, testbed.make_request(
-        source="A", destination="C", bandwidth_mbps=10.0,
-        attributes=(("flow_id", "alice"),)))
-    d = agent.reserve(david, testbed.make_request(
-        source="A", destination="C", bandwidth_mbps=10.0,
-        source_host="h1.A", destination_host="h1.C",
-        attributes=(("flow_id", "david"),)), skip_domains={"C"})
-    agent.claim(a)
-    agent.claim(d)
+    testbed, a, d = misreserve()
     print(f"Alice reserved in {sorted(a.handles)} (complete={a.complete})")
     print(f"David reserved in {sorted(d.handles)} (complete={d.complete})")
-    for seed, (fid, src, dst) in enumerate(
-        [("alice", "h0.A", "h0.C"), ("david", "h1.A", "h1.C")]
-    ):
-        PoissonSource(
-            testbed.network,
-            FlowSpec(fid, src, dst, 10.0, dscp=DSCP.EF),
-            rng=random.Random(seed), stop_time=1.0,
-        ).start()
-    testbed.sim.run()
-    for fid in ("alice", "david"):
-        st = testbed.network.stats_for(fid)
+    stats = run_flows(testbed, 1.0)
+    for fid, st in stats.items():
         print(f"{fid:<6s} loss {st.loss_ratio * 100:5.1f}%  "
               f"goodput {st.goodput_mbps(1.0):5.2f} Mb/s")
-    alice_stats = testbed.network.stats_for("alice")
     print("Figure 4 reproduced: the victim with a complete reservation "
-          f"lost {alice_stats.loss_ratio * 100:.1f}% of her packets.")
+          f"lost {stats['alice'].loss_ratio * 100:.1f}% of her packets.")
     return 0
 
 

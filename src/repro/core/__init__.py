@@ -15,7 +15,7 @@ from repro.core.messages import (
     unwrap_rar_layers,
 )
 from repro.core.sourcedomain import EndToEndAgent, SourceDomainOutcome
-from repro.core.stars import CoordinatorOutcome, ReservationCoordinator
+from repro.core.stars import ReservationCoordinator
 from repro.core.testbed import Testbed, build_linear_testbed
 from repro.core.tracing import PathTrace, trace_approval_chain, trace_request_path
 from repro.core.trust import VerifiedRAR, verify_rar
@@ -39,7 +39,6 @@ __all__ = [
     "EndToEndAgent",
     "SourceDomainOutcome",
     "ReservationCoordinator",
-    "CoordinatorOutcome",
     "Tunnel",
     "TunnelService",
     "FlowAllocation",

@@ -247,7 +247,7 @@ class _Hop:
     peer_certificate: Certificate | None
     #: What a retransmission request re-delivers — inbound channel, its
     #: sending endpoint, the copy sent; ``None`` at unsolicited ingress.
-    resend: tuple[SecureChannel, DistinguishedName, SignedEnvelope] | None = None
+    resend: tuple[SecureChannel, DistinguishedName, object] | None = None
     #: The request as decoded at this hop (set by ``_receive``).
     rar: SignedEnvelope | None = None
 
@@ -425,7 +425,7 @@ class HopByHopProtocol:
         att: _Attempt,
         channel: SecureChannel,
         sender: DistinguishedName,
-        message: SignedEnvelope,
+        message: object,
         *,
         deadline: Deadline | None,
         what: str,

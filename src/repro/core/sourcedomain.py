@@ -20,191 +20,208 @@ This module implements that baseline faithfully, flaws included:
   signalling, because the reservations for each domain can be made in
   parallel": latency is the *maximum* instead of the *sum* of per-domain
   round trips.
+
+Each BB the agent contacts runs the hop engine's own per-domain step on
+the user's ``RAR_U`` (gate → decode → verify → credentials → path
+assertions → admit → charge) on a hop whose peer is the user.  Delivery,
+refusals and rollback are the engine's too: every refusal is a ledger
+record with a reason code, every rollback release is ``unwound``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.bb.broker import BandwidthBroker
 from repro.bb.reservations import ReservationRequest
 from repro.core.agent import UserAgent
-from repro.core.channel import ChannelRegistry
+from repro.core.channel import SecureChannel
+from repro.core.hopbyhop import (
+    _DELIVERY_FAILURES,
+    PROCESSING_DELAY_S,
+    HopByHopProtocol,
+    SignallingOutcome,
+    _Attempt,
+    _Hop,
+    _Refused,
+)
 from repro.core.messages import make_user_rar
-from repro.core.trust import verify_rar
-from repro.errors import HandshakeError, SignallingError, TrustError, TamperedMessageError
+from repro.crypto.dn import DistinguishedName
+from repro.errors import HandshakeError
+from repro.obs.events import ReasonCode
 from repro.policy.attributes import SignedAssertion
 
 __all__ = ["SourceDomainOutcome", "EndToEndAgent"]
 
 
 @dataclass
-class SourceDomainOutcome:
-    """Result of a source-domain-based (Approach 1) reservation attempt."""
+class SourceDomainOutcome(SignallingOutcome):
+    """Result of a source-domain reservation attempt (Approach 1 or the
+    STARS coordinator); ``handles`` holds the reservations kept."""
 
-    granted: bool
     #: True only when every domain on the path holds a reservation — a
     #: malicious/accidental caller may be 'granted' on a subset (Figure 4).
-    complete: bool
-    handles: dict[str, str] = field(default_factory=dict)
+    complete: bool = False
     failures: dict[str, str] = field(default_factory=dict)
     skipped: tuple[str, ...] = ()
-    latency_s: float = 0.0
-    messages: int = 0
-    bytes: int = 0
-    path: tuple[str, ...] = ()
 
 
-class EndToEndAgent:
-    """The GARA end-to-end reservation library: contacts every BB itself."""
+class FanOut:
+    """The driver both baselines share: the path walk, ``skip_domains``,
+    one contact per domain — sequentially, stopping at the first
+    refusal, or concurrently, taking the slowest contact's latency —
+    and the rollback.  One :class:`_Attempt` spans the whole fan-out, so
+    its admissions and its path cost are the reservation's."""
 
-    def __init__(
-        self,
-        brokers: Mapping[str, BandwidthBroker],
-        channels: ChannelRegistry,
-        domain_path: Callable[[str, str], list[str]],
-        *,
-        processing_delay_s: float = 0.001,
-        clock: Callable[[], float] = lambda: 0.0,
-    ) -> None:
-        self.brokers = dict(brokers)
-        self.channels = channels
-        self.domain_path = domain_path
-        self.processing_delay_s = processing_delay_s
-        self.clock = clock
+    def __init__(self, protocol: HopByHopProtocol) -> None:
+        self.protocol = protocol
 
-    def _contact(
-        self,
-        user: UserAgent,
-        bb: BandwidthBroker,
-        request: ReservationRequest,
-        *,
-        upstream: str | None,
-        downstream: str | None,
-        assertions: Sequence[SignedAssertion],
-        at_time: float,
-    ) -> tuple[bool, str, float, int, int]:
-        """One direct user→BB exchange.  Returns (granted, handle-or-reason,
-        round-trip latency, messages, bytes)."""
-        try:
-            channel = self.channels.connect(user, bb, at_time=at_time)
-        except HandshakeError as exc:
-            # The scaling flaw: this BB has no trust relationship with the
-            # user, so it cannot even authenticate the request.
-            return False, f"no trust relationship: {exc}", 0.0, 0, 0
-
-        capability_certs = user.delegate_capabilities_to(
-            bb.dn, channel.peer_certificate(user.dn).public_key
-        )
-        rar = make_user_rar(
-            request=request,
-            source_bb=bb.dn,
-            capability_certs=capability_certs,
-            assertions=tuple(assertions) + tuple(user.assertions),
-            user=user.dn,
-            user_key=user.keypair.private,
-        )
-        rar = channel.transmit(user.dn, rar)
-        nbytes = rar.wire_size()
-        try:
-            verified = verify_rar(
-                rar,
-                verifier=bb.dn,
-                peer_certificate=channel.peer_certificate(bb.dn),
-                truststore=bb.truststore,
-                at_time=at_time,
-            )
-        except (TrustError, TamperedMessageError, SignallingError) as exc:
-            return False, f"verification failed: {exc}", 2 * channel.latency_s, 2, nbytes
-
-        info = bb.policy_server.verify_credentials(
-            user=verified.user,
-            assertions=verified.assertions,
-            capability_certs=verified.capability_chain,
-            at_time=at_time,
-        )
-        outcome = bb.admit(
-            verified.request, info, at_time=at_time,
-            upstream=upstream, downstream=downstream,
-        )
-        # Reply message (grant or denial) crosses the channel back.
-        channel.transmit(bb.dn, outcome.reservation.handle)
-        rtt = 2 * channel.latency_s + self.processing_delay_s
-        if outcome.granted:
-            return True, outcome.reservation.handle, rtt, 2, nbytes
-        return False, outcome.reason, rtt, 2, nbytes
-
-    def reserve(
-        self,
-        user: UserAgent,
-        request: ReservationRequest,
-        *,
-        assertions: Sequence[SignedAssertion] = (),
-        concurrent: bool = False,
+    def _start(
+        self, user: UserAgent, request: ReservationRequest,
         skip_domains: Iterable[str] = (),
-        rollback_on_failure: bool = True,
-    ) -> SourceDomainOutcome:
-        """Contact every BB on the path (except ``skip_domains``) directly."""
-        at_time = self.clock()
-        path = self.domain_path(request.source_domain, request.destination_domain)
-        skipped = tuple(d for d in path if d in set(skip_domains))
+    ) -> tuple[_Attempt, SourceDomainOutcome]:
+        path = self.protocol.domain_path(
+            request.source_domain, request.destination_domain
+        )
+        skip = set(skip_domains)
         outcome = SourceDomainOutcome(
-            granted=False, complete=False, path=tuple(path), skipped=skipped
+            granted=False, path=tuple(path),
+            skipped=tuple(d for d in path if d in skip),
         )
-        latencies: list[float] = []
+        return _Attempt(str(user.dn), self.protocol.clock(), outcome,
+                        rate_mbps=request.rate_mbps), outcome
 
+    def _fan_out(
+        self, att: _Attempt, outcome: SourceDomainOutcome, sender: Any,
+        message: Callable[[SecureChannel, BandwidthBroker], object],
+        decide: Callable[[_Attempt, _Hop, object], str], *, concurrent: bool,
+    ) -> None:
+        """Contact every BB on the path but the skipped ones: open the
+        channel, deliver what *message* builds, let *decide* run the BB's
+        step (a handle, or :class:`_Refused`), carry the handle back."""
+        protocol, path = self.protocol, outcome.path
+        start, legs = outcome.latency_s, []
         for index, domain in enumerate(path):
-            if domain in skipped:
+            if domain in outcome.skipped:
                 continue
-            bb = self.brokers.get(domain)
-            if bb is None:
-                outcome.failures[domain] = "no bandwidth broker"
-                continue
-            upstream = path[index - 1] if index > 0 else None
-            downstream = (
-                path[index + 1] if index + 1 < len(path) else None
-            )
-            granted, result, rtt, msgs, nbytes = self._contact(
-                user, bb, request,
-                upstream=upstream, downstream=downstream,
-                assertions=assertions, at_time=at_time,
-            )
-            latencies.append(rtt)
-            outcome.messages += msgs
-            outcome.bytes += nbytes
-            if granted:
-                outcome.handles[domain] = result
-            else:
-                outcome.failures[domain] = result
+            try:
+                bb = protocol.brokers.get(domain)
+                if bb is None:
+                    raise _Refused(domain, "no bandwidth broker",
+                                   ReasonCode.BROKER_UNREACHABLE)
+                try:
+                    channel = protocol.channels.connect(
+                        sender, bb, at_time=att.at_time
+                    )
+                except HandshakeError as exc:
+                    # The scaling flaw: this BB has no trust relationship
+                    # with the sender, so it cannot even authenticate it.
+                    raise _Refused(domain, f"no trust relationship: {exc}",
+                                   ReasonCode.TRUST_FAILURE) from exc
+                sent = message(channel, bb)
+                hop = _Hop(
+                    domain, bb, path[index - 1] if index > 0 else None,
+                    path[index + 1] if index + 1 < len(path) else None,
+                    peer=att.user, peer_kind="user",
+                    peer_certificate=channel.peer_certificate(bb.dn),
+                    resend=(channel, sender.dn, sent),
+                )
+                received = self._send(att, channel, sender.dn, sent, domain,
+                                      what=f"request to {domain}")
+                outcome.latency_s += PROCESSING_DELAY_S
+                att.walked = [(hop, channel)]
+                handle = decide(att, hop, received)
+                self._send(att, channel, bb.dn, handle, domain,
+                           what=f"reply from {domain}")
+            except _Refused as refusal:
+                self._refuse(att, outcome, refusal)
                 if not concurrent:
-                    # A sequential agent stops at the first failure.
+                    # A sequential agent stops at the first refusal.
                     break
+            if concurrent:
+                # Every contact starts at once; the slowest one counts.
+                legs.append(outcome.latency_s - start)
+                outcome.latency_s = start
+        if concurrent:
+            outcome.latency_s = start + max(legs, default=0.0)
 
-        outcome.latency_s = (
-            max(latencies, default=0.0) if concurrent else sum(latencies)
-        )
-        contacted = [d for d in path if d not in skipped]
+    def _send(
+        self, att: _Attempt, channel: SecureChannel, sender: DistinguishedName,
+        message: object, domain: str, *, what: str,
+    ) -> object:
+        """One delivery through the engine (per-hop timeout, retries,
+        breaker, latency); a spent budget refuses at *domain*."""
+        try:
+            return self.protocol._deliver(
+                att, channel, sender, message, deadline=att.deadline, what=what,
+            )
+        except _DELIVERY_FAILURES as exc:
+            raise _Refused(domain, str(exc), exc) from exc
+
+    def _refuse(
+        self, att: _Attempt, outcome: SourceDomainOutcome, refusal: _Refused,
+    ) -> None:
+        """Record through the engine's denial writer; reply if signed."""
+        outcome.failures[refusal.domain] = refusal.reason
+        denial = self.protocol._deny(att, refusal)
+        if denial is not None:
+            self.protocol._reply(att, denial)
+
+    def _settle(
+        self, att: _Attempt, outcome: SourceDomainOutcome, rollback: bool,
+    ) -> SourceDomainOutcome:
+        outcome.handles = {bb.domain: handle for bb, handle in att.granted}
         outcome.granted = bool(outcome.handles) and not outcome.failures
-        outcome.complete = (
-            outcome.granted and all(d in outcome.handles for d in path)
-        )
-        if outcome.failures and rollback_on_failure:
-            self.release(outcome)
+        outcome.complete = outcome.granted and len(outcome.handles) == len(outcome.path)
+        if outcome.failures and rollback:
+            self.protocol._release_granted(
+                att, "denied by " + ", ".join(outcome.failures)
+            )
+            outcome.handles = {}
         return outcome
 
     # -- lifecycle --------------------------------------------------------------------
 
     def claim(self, outcome: SourceDomainOutcome) -> None:
-        """Claim whatever reservations the agent holds.
-
-        Deliberately does *not* require ``complete`` — the data plane
-        cannot tell (that is the Figure 4 attack surface).
-        """
+        """Claim whatever the outcome holds, deliberately *not* only when
+        ``complete``: the data plane cannot tell (Figure 4)."""
         for domain, handle in outcome.handles.items():
-            self.brokers[domain].claim(handle)
+            self.protocol.brokers[domain].claim(handle)
 
     def release(self, outcome: SourceDomainOutcome) -> None:
         for domain, handle in list(outcome.handles.items()):
-            self.brokers[domain].cancel(handle)
+            self.protocol.brokers[domain].cancel(handle)
             del outcome.handles[domain]
+
+
+class EndToEndAgent(FanOut):
+    """The GARA end-to-end reservation library: contacts every BB itself."""
+
+    def reserve(
+        self, user: UserAgent, request: ReservationRequest, *,
+        assertions: Sequence[SignedAssertion] = (), concurrent: bool = False,
+        skip_domains: Iterable[str] = (), rollback_on_failure: bool = True,
+    ) -> SourceDomainOutcome:
+        """Send every BB on the path (except ``skip_domains``) a ``RAR_U``
+        of its own, delegating the user's capabilities to that BB."""
+        att, outcome = self._start(user, request, skip_domains)
+        carried = tuple(assertions) + tuple(user.assertions)
+
+        def rar(channel: SecureChannel, bb: BandwidthBroker) -> object:
+            return make_user_rar(
+                request=request, source_bb=bb.dn,
+                capability_certs=user.delegate_capabilities_to(
+                    bb.dn, channel.peer_certificate(user.dn).public_key
+                ),
+                assertions=carried, user=user.dn, user_key=user.keypair.private,
+            )
+
+        self._fan_out(att, outcome, user, rar, self._step, concurrent=concurrent)
+        return self._settle(att, outcome, rollback_on_failure)
+
+    def _step(self, att: _Attempt, hop: _Hop, received: object) -> str:
+        """The hop engine's per-domain step, with nothing to forward."""
+        protocol = self.protocol
+        admit, _ = protocol._decide(att, hop, protocol._receive(att, hop, received))
+        return admit.reservation.handle

@@ -13,144 +13,109 @@ The coordinator authenticates the user itself, then contacts every BB
 over its *own* trust relationships, asserting the user's identity.  BBs
 that trust the RC accept the asserted identity; BBs with no channel to
 the RC still fail — the residual flaw the hop-by-hop protocol removes.
+It is Approach 1's fan-out (:class:`~repro.core.sourcedomain.FanOut`)
+with a contractual contact: no ``RAR_U``, no verification, an admission
+on the asserted identity.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
-
-from repro.bb.broker import BandwidthBroker
+from repro.bb.policyserver import VerifiedInfo
 from repro.bb.reservations import ReservationRequest
 from repro.core.agent import UserAgent
-from repro.core.channel import ChannelRegistry
-from repro.crypto.dn import DN, DistinguishedName
-from repro.crypto.keys import KeyPair, get_scheme
+from repro.core.hopbyhop import (
+    PROCESSING_DELAY_S, HopByHopProtocol, _Attempt, _Hop, _outage, _Refused,
+)
+from repro.core.sourcedomain import FanOut, SourceDomainOutcome
+from repro.crypto.dn import DistinguishedName
+from repro.crypto.keys import KeyPair
 from repro.crypto.truststore import TrustStore
 from repro.crypto.x509 import Certificate
-from repro.errors import HandshakeError
+from repro.errors import RetryExhaustedError
+from repro.obs.events import ReasonCode
 from repro.policy.attributes import make_assertion
 
-__all__ = ["CoordinatorOutcome", "ReservationCoordinator"]
+__all__ = ["ReservationCoordinator"]
 
 
-@dataclass
-class CoordinatorOutcome:
-    granted: bool
-    complete: bool
-    handles: dict[str, str] = field(default_factory=dict)
-    failures: dict[str, str] = field(default_factory=dict)
-    latency_s: float = 0.0
-    messages: int = 0
-    path: tuple[str, ...] = ()
-
-
-class ReservationCoordinator:
+class ReservationCoordinator(FanOut):
     """A trusted source-domain entity reserving on users' behalf."""
 
     def __init__(
-        self,
-        domain: str,
-        brokers: Mapping[str, BandwidthBroker],
-        channels: ChannelRegistry,
-        domain_path: Callable[[str, str], list[str]],
-        *,
-        dn: DistinguishedName | None = None,
-        keypair: KeyPair | None = None,
-        certificate: Certificate | None = None,
-        truststore: TrustStore | None = None,
-        processing_delay_s: float = 0.001,
-        clock: Callable[[], float] = lambda: 0.0,
+        self, domain: str, protocol: HopByHopProtocol, *,
+        dn: DistinguishedName, keypair: KeyPair, certificate: Certificate,
+        truststore: TrustStore,
     ) -> None:
+        super().__init__(protocol)
         self.domain = domain
-        self.dn = dn if dn is not None else DN.make("Grid", domain, f"RC-{domain}")
-        self.keypair = (
-            keypair
-            if keypair is not None
-            else get_scheme("simulated").generate(random.Random(0x57A5))
-        )
+        self.dn = dn
+        self.keypair = keypair
         self.certificate = certificate
-        self.truststore = truststore if truststore is not None else TrustStore()
-        self.brokers = dict(brokers)
-        self.channels = channels
-        self.domain_path = domain_path
-        self.processing_delay_s = processing_delay_s
-        self.clock = clock
-        #: Users this coordinator has authenticated locally.
-        self._known_users: set[DistinguishedName] = set()
+        self.truststore = truststore
 
     def enroll_user(self, user: UserAgent) -> None:
-        """Authenticate a local user (out of band) so the RC will assert
-        their identity to remote BBs."""
-        self._known_users.add(user.dn)
+        """Authenticate a local user (out of band): the channel their
+        requests arrive on, which makes the RC assert their identity to
+        remote BBs."""
+        self.protocol.channels.connect(user, self, at_time=self.protocol.clock())
 
     def reserve(
-        self,
-        user: UserAgent,
-        request: ReservationRequest,
-        *,
+        self, user: UserAgent, request: ReservationRequest, *,
         concurrent: bool = True,
-    ) -> CoordinatorOutcome:
+    ) -> SourceDomainOutcome:
         """Reserve end-to-end on the user's behalf.
 
-        The RC signs an identity assertion ("this request is made for
-        user U") with its own key; BBs that trust the RC accept the
-        asserted user for policy purposes without knowing U themselves.
+        The user's request and the RC's answer cross the channel the
+        enrollment opened.  The RC signs an identity assertion ("this
+        request is made for user U") with its own key; BBs that trust
+        the RC accept the asserted user for policy purposes without
+        knowing U themselves.
         """
-        at_time = self.clock()
-        path = self.domain_path(request.source_domain, request.destination_domain)
-        outcome = CoordinatorOutcome(granted=False, complete=False, path=tuple(path))
-        if user.dn not in self._known_users:
-            outcome.failures[self.domain] = f"user {user.dn} not enrolled with RC"
-            return outcome
-
-        identity_assertion = make_assertion(
-            issuer=self.dn,
-            issuer_key=self.keypair.private,
-            subject=user.dn,
-            attributes={"authenticated_by": str(self.dn)},
-        )
-        latencies: list[float] = []
-        for index, domain in enumerate(path):
-            bb = self.brokers[domain]
-            try:
-                channel = self.channels.connect(self, bb, at_time=at_time)
-            except HandshakeError as exc:
-                outcome.failures[domain] = f"no trust relationship: {exc}"
-                continue
-            # Request + reply across the channel.
-            channel.transmit(self.dn, identity_assertion)
-            upstream = path[index - 1] if index > 0 else None
-            downstream = path[index + 1] if index + 1 < len(path) else None
-            # The BB trusts the RC contractually; it accepts the asserted
-            # user identity for its policy decision.
-            from repro.bb.policyserver import VerifiedInfo
-
-            info = VerifiedInfo(user=user.dn)
-            admit = bb.admit(
-                request, info, at_time=at_time,
-                upstream=upstream, downstream=downstream,
+        att, outcome = self._start(user, request)
+        try:
+            if not self.protocol.channels.has(user.dn, self.dn):
+                raise _Refused(
+                    self.domain, f"user {user.dn} not enrolled with RC",
+                    ReasonCode.TRUST_FAILURE,
+                )
+            channel = self.protocol.channels.between(user.dn, self.dn)
+            self._send(att, channel, user.dn, request, self.domain,
+                       what="request to the RC")
+            outcome.latency_s += PROCESSING_DELAY_S
+            assertion = make_assertion(
+                issuer=self.dn, issuer_key=self.keypair.private, subject=user.dn,
+                attributes={"authenticated_by": str(self.dn)},
             )
-            channel.transmit(bb.dn, admit.reservation.handle)
-            latencies.append(2 * channel.latency_s + self.processing_delay_s)
-            outcome.messages += 2
-            if admit.granted:
-                outcome.handles[domain] = admit.reservation.handle
-            else:
-                outcome.failures[domain] = admit.reason
-                if not concurrent:
-                    break
 
-        # user -> RC round trip plus the fan-out.
-        outcome.latency_s = (
-            max(latencies, default=0.0) if concurrent else sum(latencies)
-        ) + self.processing_delay_s
-        outcome.messages += 2  # user <-> RC
-        outcome.granted = bool(outcome.handles) and not outcome.failures
-        outcome.complete = outcome.granted and all(d in outcome.handles for d in path)
-        if outcome.failures:
-            for domain, handle in list(outcome.handles.items()):
-                self.brokers[domain].cancel(handle)
-                del outcome.handles[domain]
-        return outcome
+            def contractual(att: _Attempt, hop: _Hop, received: object) -> str:
+                # The BB trusts the RC by contract: it admits on the
+                # asserted identity, with no RAR to verify.
+                try:
+                    admit = self.protocol._call_with_retries(
+                        lambda: hop.bb.admit(
+                            request, VerifiedInfo(user=user.dn),
+                            at_time=att.at_time, upstream=hop.upstream,
+                            downstream=hop.downstream,
+                        ),
+                        att, what=f"admission at {hop.domain}", target=hop.domain,
+                    )
+                except RetryExhaustedError as exc:
+                    # Still down after the retries: nobody signs a denial.
+                    raise _Refused(hop.domain, str(exc), _outage(exc)) from exc
+                handle = admit.reservation.handle
+                if not admit.granted:
+                    # The broker's admission pipeline recorded its denial.
+                    raise _Refused(hop.domain, admit.reason, None, signer=hop.bb)
+                att.granted.append((hop.bb, handle))
+                self.protocol._charge(att, hop, request, handle)
+                return handle
+
+            self._fan_out(
+                att, outcome, self, lambda channel, bb: assertion, contractual,
+                concurrent=concurrent,
+            )
+            self._send(att, channel, self.dn, tuple(h for _, h in att.granted),
+                       self.domain, what="answer to the user")
+        except _Refused as refusal:
+            self._refuse(att, outcome, refusal)
+        return self._settle(att, outcome, rollback=True)

@@ -36,11 +36,7 @@ from repro.bb.reservations import (
 from repro.bb.sla import SLA, SLS
 from repro.core.agent import UserAgent
 from repro.core.channel import ChannelRegistry
-from repro.core.hopbyhop import (
-    PROCESSING_DELAY_S,
-    HopByHopProtocol,
-    SignallingOutcome,
-)
+from repro.core.hopbyhop import HopByHopProtocol, SignallingOutcome
 from repro.core.sourcedomain import EndToEndAgent
 from repro.core.stars import ReservationCoordinator
 from repro.core.tunnels import TunnelService
@@ -181,13 +177,7 @@ class Testbed:
             self.topology.domain_path,
             clock=clock,
         )
-        self.end_to_end_agent = EndToEndAgent(
-            self.brokers,
-            self.channels,
-            self.topology.domain_path,
-            processing_delay_s=PROCESSING_DELAY_S,
-            clock=clock,
-        )
+        self.end_to_end_agent = EndToEndAgent(self.hop_by_hop)
         self.tunnels = TunnelService(self.hop_by_hop, self.channels)
         self._coordinators: dict[str, ReservationCoordinator] = {}
 
@@ -409,15 +399,8 @@ class Testbed:
         store = TrustStore(self._trust_policy)
         store.add_anchor(ca.certificate)
         rc = ReservationCoordinator(
-            domain,
-            self.brokers,
-            self.channels,
-            self.topology.domain_path,
-            dn=dn,
-            keypair=keypair,
-            certificate=cert,
-            truststore=store,
-            clock=lambda: self.sim.now,
+            domain, self.hop_by_hop,
+            dn=dn, keypair=keypair, certificate=cert, truststore=store,
         )
         for bb in self.brokers.values():
             bb.truststore.add_introduced_peer(cert)

@@ -127,6 +127,9 @@ class PolicySyntaxError(PolicyError):
 class PolicyEvaluationError(PolicyError):
     """A rule raised during evaluation (missing attribute, bad predicate, ...)."""
 
+    #: The evaluation trace, ending at the failing ``If`` (set by the engine).
+    rules_fired: tuple[str, ...] = ()
+
 
 class PolicyUnavailableError(PolicyError):
     """The policy server timed out or is unreachable (transient)."""

@@ -211,7 +211,12 @@ class PolicyEngine:
         stable ``<policy>/<index-path>`` ids, so audit records can
         answer "which rule admitted this?" without re-evaluating."""
         trace: list[str] = []
-        result = self._eval_block(self.nodes, ctx, f"{self.name}/", trace)
+        try:
+            result = self._eval_block(self.nodes, ctx, f"{self.name}/", trace)
+        except PolicyEvaluationError as exc:
+            # The nodes visited up to the failing call, for the record.
+            exc.rules_fired = tuple(trace)
+            raise
         if result is not None:
             return result
         default_id = f"{self.name}/default"
@@ -244,9 +249,11 @@ class PolicyEngine:
             if isinstance(node, If):
                 try:
                     taken = node.condition.holds(ctx)
-                except PolicyEvaluationError:
-                    raise
                 except Exception as exc:
+                    # A fail-closed denial names this ``If`` (evaluate()).
+                    trace.append(f"{node_id}?{node.condition.describe()}=error")
+                    if isinstance(exc, PolicyEvaluationError):
+                        raise
                     raise PolicyEvaluationError(
                         f"condition {node.condition.describe()} raised: {exc}"
                     ) from exc

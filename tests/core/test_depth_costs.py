@@ -219,6 +219,47 @@ def test_approach1_is_linear(agent_costs, concurrent):
     }
 
 
+def _measure_coordinator(d: int, concurrent: bool) -> list[Cost]:
+    """REPEATS warm STARS reservations, each released after; the first
+    reservation, which opens the coordinator's channels, is not counted."""
+    testbed, user, names = _chain(d)
+    rc = testbed.coordinator(names[0])
+    rc.enroll_user(user)
+    costs = []
+    for repeat in range(REPEATS + 1):
+        request = testbed.make_request(source=names[0], destination=names[-1],
+                                       bandwidth_mbps=1.0)
+        with _counting(testbed) as read:
+            outcome = rc.reserve(user, request, concurrent=concurrent)
+            cost = read()
+        assert outcome.complete
+        assert outcome.messages == cost.messages
+        rc.release(outcome)
+        if repeat:
+            costs.append(cost)
+    return costs
+
+
+@pytest.mark.parametrize("concurrent", [False, True],
+                         ids=["sequential", "concurrent"])
+def test_stars_is_flat_but_for_messages(concurrent):
+    """The STARS coordinator beside Approach 1: it signs one identity
+    assertion per reservation and encodes it once; every BB admits on
+    that asserted identity under its contract with the RC and verifies
+    nothing.  The user's request and the RC's answer cross the user's
+    channel to the RC, and every domain adds one request and one reply."""
+    got = {}
+    for d in DEPTHS:
+        costs = _measure_coordinator(d, concurrent)
+        assert all(c == costs[0] for c in costs), f"d={d}: counts vary {costs}"
+        got[d] = costs[0]
+    assert got == {
+        d: Cost(signs=1, verifies=0, encodes=1, messages=2 * d + 2,
+                bytes_encoded=274)
+        for d in DEPTHS
+    }
+
+
 def test_cancel_costs_nothing_signed(costs):
     """A cancel releases locally at every domain: no signature, no
     verification, no encode, no message, at every depth."""

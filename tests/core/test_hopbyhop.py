@@ -176,6 +176,22 @@ class TestDenials:
             ReservationState.PENDING, ReservationState.GRANTED,
         )
 
+    def test_fail_closed_deny_names_its_if(self):
+        """The provenance of a fail-closed denial is the trace up to the
+        call that could not be evaluated: the record names that ``If``."""
+        testbed = build_linear_testbed({
+            "A": "Return GRANT",
+            "B": "If Accredited_Physicist(requestor)\n  Return GRANT\n"
+                 "Return DENY",
+        })
+        user = testbed.add_user("A", "Alice")
+        with obs_audit.use_ledger() as ledger:
+            testbed.reserve(user, source="A", destination="B",
+                            bandwidth_mbps=1.0)
+        (deny,) = ledger.records(RecordKind.DENY)
+        assert deny.matched_rule == "B/0"
+        assert deny.rules_fired == ("B/0?Accredited_Physicist(requestor)=error",)
+
     def test_cancel_of_denied_outcome_is_refused(self, testbed, alice):
         """A denied outcome holds nothing: cancelling it is a signalling
         error raised before any broker is touched."""

@@ -4,7 +4,10 @@ coordinator — including the trust-scaling flaw and Figure 4 misreservation."""
 import pytest
 
 from repro.core.testbed import build_linear_testbed
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultKind, FaultPlan, FaultSpec, TargetKind
 from repro.obs.audit import RecordKind, use_ledger
+from repro.obs.events import ReasonCode
 
 
 @pytest.fixture()
@@ -15,6 +18,25 @@ def testbed():
 @pytest.fixture()
 def alice(testbed):
     return testbed.add_user("A", "Alice")
+
+
+def inject(testbed, spec):
+    testbed.attach_injector(FaultInjector(FaultPlan((spec,), seed=1)))
+
+
+def reserver(testbed, user, via):
+    """Alice's A→C reservation through the agent (introduced to every
+    domain) or her home coordinator, ready to run."""
+    request = testbed.make_request(
+        source="A", destination="C", bandwidth_mbps=10.0
+    )
+    if via == "agent":
+        for domain in ("B", "C"):
+            testbed.introduce_user_to(user, domain)
+        return lambda: testbed.end_to_end_agent.reserve(user, request)
+    rc = testbed.coordinator("A")
+    rc.enroll_user(user)
+    return lambda: rc.reserve(user, request)
 
 
 class TestEndToEndAgent:
@@ -80,6 +102,106 @@ class TestEndToEndAgent:
         testbed.end_to_end_agent.reserve(alice, request)
         assert testbed.brokers["A"].admission.schedule("egress:B").load_at(1.0) == 0.0
         assert testbed.brokers["B"].admission.schedule("intra").load_at(1.0) == 0.0
+
+
+class TestRefusalsOnTheRecord:
+    """Each contacted BB runs the hop engine's per-domain step, so a
+    baseline's refusal is a ledger record with a reason code and its
+    rollback releases are ``unwound``, as in hop-by-hop signalling."""
+
+    @staticmethod
+    def assert_refused_and_unwound(ledger, domain, code):
+        denials = ledger.records(RecordKind.DENY)
+        assert [(r.domain, r.reason_code) for r in denials] == [(domain, code)]
+        cancels = ledger.records(RecordKind.CANCEL)
+        assert sorted(r.domain for r in cancels) == ["A", "B"]
+        assert {r.reason_code for r in cancels} == {ReasonCode.UNWOUND}
+
+    def test_untrusted_domain_refusal_is_recorded(self, testbed, alice):
+        testbed.introduce_user_to(alice, "B")  # never to C
+        request = testbed.make_request(
+            source="A", destination="C", bandwidth_mbps=10.0
+        )
+        with use_ledger() as ledger:
+            outcome = testbed.end_to_end_agent.reserve(alice, request)
+        assert not outcome.granted and outcome.handles == {}
+        assert "no trust relationship" in outcome.failures["C"]
+        self.assert_refused_and_unwound(ledger, "C", ReasonCode.TRUST_FAILURE)
+
+    def test_coordinator_rollback_is_unwound(self, testbed, alice):
+        rc = testbed.coordinator("A")
+        rc.enroll_user(alice)
+        testbed.set_policy("C", "Return DENY")
+        request = testbed.make_request(
+            source="A", destination="C", bandwidth_mbps=10.0
+        )
+        with use_ledger() as ledger:
+            outcome = rc.reserve(alice, request)
+        assert not outcome.granted and outcome.handles == {}
+        self.assert_refused_and_unwound(ledger, "C", ReasonCode.POLICY_DENIED)
+
+    def test_coordinator_needs_trust_with_every_domain(self, testbed, alice):
+        """STARS' residual flaw (§3): a BB that does not trust the RC
+        cannot be contacted; the refusal is recorded and A and B unwind."""
+        rc = testbed.coordinator("A")
+        rc.enroll_user(alice)
+        testbed.brokers["C"].truststore.add_revocation_checker(
+            lambda cert: cert.subject == rc.dn
+        )
+        request = testbed.make_request(
+            source="A", destination="C", bandwidth_mbps=10.0
+        )
+        with use_ledger() as ledger:
+            outcome = rc.reserve(alice, request, concurrent=False)
+        assert "no trust relationship" in outcome.failures["C"]
+        self.assert_refused_and_unwound(ledger, "C", ReasonCode.TRUST_FAILURE)
+
+    @pytest.mark.parametrize("via", ["agent", "coordinator"])
+    def test_dead_broker_is_broker_unreachable(self, testbed, alice, via):
+        """A broker that stays down past the retries: a recorded
+        ``broker_unreachable`` refusal, not an escaping error (for the
+        agent, the engine's broker-down branch on a one-hop walk)."""
+        reserve = reserver(testbed, alice, via)
+        inject(testbed, FaultSpec(TargetKind.BROKER, "C", FaultKind.CRASH,
+                                  ops=None))
+        with use_ledger() as ledger:
+            outcome = reserve()
+        assert "is down" in outcome.failures["C"]
+        assert outcome.retries == 3
+        self.assert_refused_and_unwound(
+            ledger, "C", ReasonCode.BROKER_UNREACHABLE
+        )
+
+    @pytest.mark.parametrize("via", ["agent", "coordinator"])
+    def test_transient_crash_is_retried(self, testbed, alice, via):
+        reserve = reserver(testbed, alice, via)
+        inject(testbed, FaultSpec(TargetKind.BROKER, "C", FaultKind.CRASH,
+                                  ops=1))
+        outcome = reserve()
+        assert outcome.complete and outcome.retries == 1
+
+    def test_unreachable_domain_is_link_unreachable(self, testbed, alice):
+        """Delivery is the engine's: retries, then a recorded refusal."""
+        reserve = reserver(testbed, alice, "agent")
+        inject(testbed, FaultSpec(TargetKind.CHANNEL, "Alice|C",
+                                  FaultKind.DROP, ops=None))
+        with use_ledger() as ledger:
+            outcome = reserve()
+        assert "request to C" in outcome.failures["C"]
+        assert outcome.retries == 3
+        self.assert_refused_and_unwound(
+            ledger, "C", ReasonCode.LINK_UNREACHABLE
+        )
+
+    def test_sequential_agent_stops_at_a_domain_without_broker(
+        self, testbed, alice
+    ):
+        reserve = reserver(testbed, alice, "agent")
+        del testbed.end_to_end_agent.protocol.brokers["B"]
+        with use_ledger() as ledger:
+            outcome = reserve()
+        assert outcome.failures == {"B": "no bandwidth broker"}
+        assert [r.domain for r in ledger.records(RecordKind.ADMIT)] == ["A"]
 
 
 class TestMisreservation:
